@@ -84,31 +84,13 @@ class ScalarField:
 
     def d(self, x):
         """Gradient of the coordinate expression (a covector)."""
-        n = len(x)
-        _, xj = jets.variables([float(t) for t in x], 1, tag="scalar-d")
-        w = self._func(xj)
-        out = np.zeros(n)
-        if isinstance(w, jets.Jet):
-            for i in range(n):
-                e = [0] * n
-                e[i] = 1
-                out[i] = w.deriv(tuple(e))
-        return out
+        _, xj = jets.variables([float(t) for t in x], 1)
+        return jets.derivative_tensor(self._func(xj), range(len(x)), 1)
 
     def d2(self, x):
         """Matrix of second coordinate partials."""
-        n = len(x)
-        _, xj = jets.variables([float(t) for t in x], 2, tag="scalar-d2")
-        w = self._func(xj)
-        out = np.zeros((n, n))
-        if isinstance(w, jets.Jet):
-            for i in range(n):
-                for j in range(i, n):
-                    e = [0] * n
-                    e[i] += 1
-                    e[j] += 1
-                    out[i, j] = out[j, i] = w.deriv(tuple(e))
-        return out
+        _, xj = jets.variables([float(t) for t in x], 2)
+        return jets.derivative_tensor(self._func(xj), range(len(x)), 2)
 
 
 def as_scalar_field(f):
@@ -157,15 +139,11 @@ class VectorField:
         if self._jac is not None:
             return np.asarray(self._jac([float(t) for t in x]), dtype=float)
         n = len(x)
-        _, xj = jets.variables([float(t) for t in x], 1, tag="vfield")
+        _, xj = jets.variables([float(t) for t in x], 1)
         comps = self._eval(xj)
         J = np.zeros((n, len(comps)))
         for k, w in enumerate(comps):
-            if isinstance(w, jets.Jet):
-                for i in range(n):
-                    e = [0] * n
-                    e[i] = 1
-                    J[i, k] = w.deriv(tuple(e))
+            J[:, k] = jets.derivative_tensor(w, range(n), 1)
         return J
 
 
@@ -184,51 +162,21 @@ class ChristoffelTable:
     method: str
 
 
-def _expo(total, *positions):
-    e = [0] * total
-    for p in positions:
-        e[p] += 1
-    return tuple(e)
-
-
 def _field_jet(L, x, v, J):
     """One evaluation of L giving g, C and the total derivatives D."""
     n = len(v)
-    groups = (0,) * n + (1,) * n
-    ctx = jets._context(2 * n, 3, groups, (1, 3), tag="christoffel")
-    seeds = []
-    for k in range(n):
-        c = [0.0] * ctx.size
-        c[0] = float(x[k])
-        c[ctx.var_index(k)] = 1.0
-        seeds.append(jets.Jet(ctx, c))
+    ctx, seeds = jets.variables(list(x) + list(v), 3,
+                                (0,) * n + (1,) * n, (1, 3))
     for m in range(n):
-        c = [0.0] * ctx.size
-        c[0] = float(v[m])
-        c[ctx.var_index(n + m)] = 1.0
+        # the fiber generator carries the field's first-order x-dependence
         for i in range(n):
             if J[i, m] != 0.0:
-                c[ctx.var_index(i)] += float(J[i, m])
-        seeds.append(jets.Jet(ctx, c))
+                seeds[n + m].c[ctx.var_index(i)] += float(J[i, m])
     w = jets._call(L, seeds[:n], seeds[n:])
-    if not isinstance(w, jets.Jet):
-        w = jets.Jet.constant(ctx, float(w))
-    g = np.empty((n, n))
-    C = np.empty((n, n, n))
-    D = np.empty((n, n, n))
-    for j in range(n):
-        for k in range(j, n):
-            val = 0.5 * w.deriv(_expo(2 * n, n + j, n + k))
-            g[j, k] = g[k, j] = val
-            for m in range(k, n):
-                c3 = 0.25 * w.deriv(_expo(2 * n, n + j, n + k, n + m))
-                C[j, k, m] = C[j, m, k] = C[k, j, m] = c3
-                C[k, m, j] = C[m, j, k] = C[m, k, j] = c3
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                val = 0.5 * w.deriv(_expo(2 * n, i, n + j, n + k))
-                D[i, j, k] = D[i, k, j] = val
+    fiber = range(n, 2 * n)
+    g = 0.5 * jets.derivative_tensor(w, fiber, 2)
+    C = 0.25 * jets.derivative_tensor(w, fiber, 3)
+    D = 0.5 * jets.derivative_tensor(w, range(2 * n), 3)[:n, n:, n:]
     return g, C, D
 
 
@@ -400,19 +348,10 @@ def levi_civita_quadratic(L, x):
 def _dhalf_and_g(L, x, w):
     """(1/2) dL/dv and the fundamental tensor at (x, w) in one evaluation."""
     n = len(w)
-    _, vj = jets.variables([float(t) for t in w], 2, tag="gradient")
+    _, vj = jets.variables([float(t) for t in w], 2)
     out = jets._call(L, [float(t) for t in x], vj)
-    F = np.zeros(n)
-    G = np.zeros((n, n))
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        F[i] = 0.5 * out.deriv(tuple(e))
-        for j in range(i, n):
-            e2 = [0] * n
-            e2[i] += 1
-            e2[j] += 1
-            G[i, j] = G[j, i] = 0.5 * out.deriv(tuple(e2))
+    F = 0.5 * jets.derivative_tensor(out, range(n), 1)
+    G = 0.5 * jets.derivative_tensor(out, range(n), 2)
     return F, G
 
 

@@ -7,29 +7,33 @@ gives the corresponding mixed partial derivative exactly (up to roundoff).
 No finite differencing happens here — difference quotients exist only as
 test oracles.
 
-Coefficients are duck-typed: floats in ordinary use, but a coefficient may
-itself be a jet of a *different* context, which is how nested
-differentiation works.  Binary operations between jets of different
-contexts are rejected to keep inner/outer roles unambiguous; nested code
-lifts constants explicitly with ``Jet.constant`` / ``Jet.variable``.
+A jet's coefficients are one float64 vector over the admissible monomials
+of its `_Context`.  A context is built once per signature: it enumerates
+its monomials directly and precomputes the ``(i, j, k)`` index arrays of
+every product pair ``x^e_i * x^e_j = x^e_k`` that survives truncation, so
+a product is one gather, one elementwise multiply and one ``np.bincount``
+(Taylor arithmetic as in Griewank & Walther, *Evaluating Derivatives*,
+ch. 13).  Coefficients are always floats: jets do not nest.  Mixed orders
+in different generator sets come from grouped contexts instead, and
+`derivative_tensor` reads whole blocks of partials through a cached
+gather.  Binary operations between jets of different contexts are
+rejected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
+
+import numpy as np
 
 from .errors import EvaluationError
 
 __all__ = [
     "Jet",
-    "Jet3",
-    "XJet",
     "variables",
-    "eval_jet3",
-    "eval_xjet",
+    "derivative_tensor",
     "sqrt",
     "exp",
     "log",
@@ -40,17 +44,24 @@ __all__ = [
 ]
 
 
-def _as_scalar(x):
-    """Coerce numpy scalars / ints to float; None if not plainly scalar."""
-    if isinstance(x, float):
-        return x
-    if isinstance(x, int):
-        return float(x)
-    if hasattr(x, "item") and not isinstance(x, Jet):
-        v = x.item()
-        if isinstance(v, (int, float)):
-            return float(v)
-    return None
+def _monomials(groups, budgets, total):
+    """Exponent tuples over generators in ``groups`` whose degree stays
+    within ``total`` and within ``budgets[g]`` in each group g."""
+    if not groups:
+        return [()]
+    g = groups[0]
+    out = []
+    for e in range(min(total, budgets[g]) + 1):
+        rest = budgets[:g] + (budgets[g] - e,) + budgets[g + 1:]
+        out += [(e,) + t for t in _monomials(groups[1:], rest, total - e)]
+    return out
+
+
+def _factorial_scale(expo):
+    f = 1.0
+    for e in expo:
+        f *= math.factorial(e)
+    return f
 
 
 class _Context:
@@ -60,10 +71,15 @@ class _Context:
     caps the total degree within each group, on top of the overall ``order``
     cap.  The connection solver uses this to track base-point generators to
     first order while fiber generators go to third.
+
+    ``pairs`` holds the product table: index arrays ``(i, j, k)`` with
+    ``exponents[i] + exponents[j] == exponents[k]``, i-major and j
+    ascending, so `np.bincount` sums each output coefficient in a fixed
+    order.
     """
 
-    __slots__ = ("nvars", "order", "groups", "group_orders", "exponents",
-                 "index", "size", "rows", "_var_index")
+    __slots__ = ("nvars", "order", "exponents", "index", "size", "pairs",
+                 "_var_index", "_gathers")
 
     def __init__(self, nvars, order, groups=None, group_orders=None):
         self.nvars = nvars
@@ -71,20 +87,7 @@ class _Context:
         if groups is None:
             groups = (0,) * nvars
             group_orders = (order,)
-        self.groups = groups
-        self.group_orders = group_orders
-        ngroups = len(group_orders)
-
-        def admissible(e):
-            if sum(e) > order:
-                return False
-            gd = [0] * ngroups
-            for k, ek in enumerate(e):
-                gd[groups[k]] += ek
-            return all(gd[g] <= group_orders[g] for g in range(ngroups))
-
-        exps = [e for e in _iproduct(range(order + 1), repeat=nvars)
-                if admissible(e)]
+        exps = _monomials(tuple(groups), tuple(group_orders), order)
         exps.sort(key=lambda e: (sum(e), e))
         self.exponents = exps
         self.index = {e: i for i, e in enumerate(exps)}
@@ -93,27 +96,46 @@ class _Context:
             self.index[tuple(1 if k == j else 0 for k in range(nvars))]
             for j in range(nvars)
         ]
-        # rows[i]: (j, k) pairs with exponents[i] + exponents[j] admissible
-        # at index k; drives truncated polynomial multiplication.
-        rows = []
-        for i, ei in enumerate(exps):
-            row = []
-            for j, ej in enumerate(exps):
-                s = tuple(a + b for a, b in zip(ei, ej))
-                k = self.index.get(s)
-                if k is not None:
-                    row.append((j, k))
-            rows.append(tuple(row))
-        self.rows = tuple(rows)
+        self._gathers = {}
+        # Encode exponents in base order+1.  Pairs within the total order
+        # cap add without digit carries, so a sum's code names its monomial.
+        E = np.array(exps, dtype=np.int64).reshape(self.size, nvars)
+        deg = E.sum(axis=1)
+        code = E @ (order + 1) ** np.arange(nvars, dtype=np.int64)
+        i, j = np.nonzero(deg[:, None] + deg[None, :] <= order)
+        s = code[i] + code[j]
+        by_code = np.argsort(code)
+        pos = np.minimum(np.searchsorted(code[by_code], s), self.size - 1)
+        keep = code[by_code[pos]] == s
+        self.pairs = (i[keep], j[keep], by_code[pos[keep]])
 
     def var_index(self, j):
         return self._var_index[j]
 
+    def gather(self, slots, order):
+        """Cached (coefficient index, factorial scale) arrays for
+        `derivative_tensor`; truncated partials get scale 0."""
+        key = (slots, order)
+        hit = self._gathers.get(key)
+        if hit is None:
+            if order > self.order:
+                raise ValueError("derivative order %d exceeds the jet "
+                                 "order %d" % (order, self.order))
+            idx, scale = [], []
+            for combo in _iproduct(slots, repeat=order):
+                e = [0] * self.nvars
+                for s in combo:
+                    e[s] += 1
+                k = self.index.get(tuple(e))
+                idx.append(0 if k is None else k)
+                scale.append(0.0 if k is None else _factorial_scale(e))
+            hit = (np.array(idx, dtype=np.intp), np.array(scale))
+            self._gathers[key] = hit
+        return hit
+
 
 @lru_cache(maxsize=None)
-def _context(nvars, order, groups=None, group_orders=None, tag=None):
-    # ``tag`` only differentiates the cache key: nesting jets whose inner
-    # and outer signatures coincide needs distinct context identities.
+def _context(nvars, order, groups=None, group_orders=None):
     return _Context(nvars, order, groups, group_orders)
 
 
@@ -131,13 +153,13 @@ class Jet:
 
     @classmethod
     def constant(cls, ctx, value):
-        c = [0.0] * ctx.size
+        c = np.zeros(ctx.size)
         c[0] = value
         return cls(ctx, c)
 
     @classmethod
     def variable(cls, ctx, j, value):
-        c = [0.0] * ctx.size
+        c = np.zeros(ctx.size)
         c[0] = value
         c[ctx.var_index(j)] = 1.0
         return cls(ctx, c)
@@ -146,22 +168,21 @@ class Jet:
 
     @property
     def value(self):
-        return self.c[0]
+        # a Python float, so that 1.0 / value raises ZeroDivisionError
+        # where a numpy scalar would return inf
+        return float(self.c[0])
 
     def coeff(self, expo):
         """Raw Taylor coefficient for the exponent tuple ``expo``."""
         i = self.ctx.index.get(tuple(expo))
-        return 0.0 if i is None else self.c[i]
+        return 0.0 if i is None else float(self.c[i])
 
     def deriv(self, expo):
         """Mixed partial derivative for the exponent tuple ``expo``."""
-        f = 1.0
-        for e in expo:
-            f *= math.factorial(e)
-        return self.coeff(expo) * f
+        return self.coeff(expo) * _factorial_scale(expo)
 
     def __repr__(self):
-        return "Jet(%r)" % (self.c,)
+        return "Jet(%r)" % (self.c.tolist(),)
 
     def __float__(self):
         # Refuse silent truncation (math.sqrt on a jet would drop all
@@ -174,72 +195,48 @@ class Jet:
 
     # -- arithmetic ----------------------------------------------------
 
+    def _peer(self, other):
+        if other.ctx is not self.ctx:
+            raise TypeError("jet context mismatch")
+        return other.c
+
     def _add_const(self, s):
-        c = list(self.c)
-        c[0] = c[0] + s
+        c = self.c.copy()
+        c[0] += s
         return Jet(self.ctx, c)
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            if other.ctx is self.ctx:
-                return Jet(self.ctx,
-                           [a + b for a, b in zip(self.c, other.c)])
-            raise TypeError("jet context mismatch; lift constants through "
-                            "Jet.constant before mixing nesting levels")
-        s = _as_scalar(other)
-        return self._add_const(other if s is None else s)
+            return Jet(self.ctx, self.c + self._peer(other))
+        return self._add_const(other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.ctx, [-a for a in self.c])
+        return Jet(self.ctx, -self.c)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            if other.ctx is self.ctx:
-                return Jet(self.ctx,
-                           [a - b for a, b in zip(self.c, other.c)])
-            raise TypeError("jet context mismatch; lift constants through "
-                            "Jet.constant before mixing nesting levels")
-        s = _as_scalar(other)
-        return self._add_const(-(other if s is None else s))
+            return Jet(self.ctx, self.c - self._peer(other))
+        return self._add_const(-other)
 
     def __rsub__(self, other):
-        s = _as_scalar(other)
-        return (-self)._add_const(other if s is None else s)
+        return (-self)._add_const(other)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            if other.ctx is not self.ctx:
-                raise TypeError("jet context mismatch; lift constants "
-                                "through Jet.constant before mixing "
-                                "nesting levels")
-            a, b = self.c, other.c
-            out = [0.0] * self.ctx.size
-            for i, ai in enumerate(a):
-                if type(ai) is float and ai == 0.0:
-                    continue
-                for j, k in self.ctx.rows[i]:
-                    bj = b[j]
-                    if type(bj) is float and bj == 0.0:
-                        continue
-                    out[k] = out[k] + ai * bj
-            return Jet(self.ctx, out)
-        s = _as_scalar(other)
-        s = other if s is None else s
-        return Jet(self.ctx, [a * s for a in self.c])
+            b = self._peer(other)
+            i, j, k = self.ctx.pairs
+            return Jet(self.ctx, np.bincount(k, self.c[i] * b[j],
+                                             minlength=self.ctx.size))
+        return Jet(self.ctx, self.c * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            if other.ctx is self.ctx:
-                return self * other._reciprocal()
-            raise TypeError("jet context mismatch; lift constants through "
-                            "Jet.constant before mixing nesting levels")
-        s = _as_scalar(other)
-        s = other if s is None else s
-        return self * _generic_reciprocal(s)
+            return self * other._reciprocal()
+        return self * (1.0 / float(other))  # float: see `value`
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -249,44 +246,42 @@ class Jet:
             p = int(p)
             if p < 0:
                 return self._reciprocal() ** (-p)
-            result = Jet.constant(self.ctx, 1.0)
-            base = self
-            while p:
+            if p == 0:
+                return Jet.constant(self.ctx, 1.0)
+            result, base = None, self
+            while True:
                 if p & 1:
-                    result = result * base
+                    result = base if result is None else result * base
                 p >>= 1
-                if p:
-                    base = base * base
-            return result
+                if not p:
+                    return result
+                base = base * base
         a0 = self.value
         coeffs = []
         coef = 1.0
         for k in range(self.ctx.order + 1):
-            coeffs.append(_generic_pow(a0, p - k) * coef)
+            coeffs.append(a0 ** (p - k) * coef)
             coef *= (p - k) / (k + 1.0)
         return self._compose(coeffs)
 
     # -- composition with smooth scalar functions ----------------------
 
-    def _nilpotent(self):
-        c = list(self.c)
-        c[0] = 0.0 if type(c[0]) is float else c[0] * 0.0
-        return Jet(self.ctx, c)
-
     def _compose(self, coeffs):
         """Horner-evaluate sum_k coeffs[k] * (self - value)^k.
 
-        ``coeffs[k]`` must equal f^(k)(value) / k!; entries may be floats
-        or inner jets (nested use), hence the explicit constant lifting.
+        ``coeffs[k]`` must equal f^(k)(value) / k!.  The leading step is a
+        scalar multiple of the nilpotent part, not a full product.
         """
-        d = self._nilpotent()
-        acc = Jet.constant(self.ctx, coeffs[-1])
-        for k in range(len(coeffs) - 2, -1, -1):
-            acc = (acc * d)._add_const(coeffs[k])
-        return acc
+        d = self.c.copy()
+        d[0] = 0.0
+        d = Jet(self.ctx, d)
+        acc = d * coeffs[-1]
+        for k in range(len(coeffs) - 2, 0, -1):
+            acc = acc._add_const(coeffs[k]) * d
+        return acc._add_const(coeffs[0])
 
     def _reciprocal(self):
-        inv = _generic_reciprocal(self.value)
+        inv = 1.0 / self.value
         coeffs = []
         term = inv
         for _ in range(self.ctx.order + 1):
@@ -296,8 +291,8 @@ class Jet:
 
     def sqrt(self):
         a0 = self.value
-        s = _generic_sqrt(a0)
-        inv = _generic_reciprocal(a0)
+        s = math.sqrt(a0)
+        inv = 1.0 / a0
         coeffs = []
         term = s
         half_minus_k = 0.5
@@ -308,7 +303,7 @@ class Jet:
         return self._compose(coeffs)
 
     def exp(self):
-        e = _generic_exp(self.value)
+        e = math.exp(self.value)
         coeffs = []
         fk = 1.0
         for k in range(self.ctx.order + 1):
@@ -318,8 +313,8 @@ class Jet:
 
     def log(self):
         a0 = self.value
-        inv = _generic_reciprocal(a0)
-        coeffs = [_generic_log(a0)]
+        inv = 1.0 / a0
+        coeffs = [math.log(a0)]
         term = inv
         for k in range(1, self.ctx.order + 1):
             coeffs.append(term * ((-1.0) ** (k - 1) / k))
@@ -336,109 +331,86 @@ class Jet:
         return self._compose(coeffs)
 
     def sin(self):
-        return self._cycle(_generic_sin(self.value),
-                           _generic_cos(self.value), (1.0, 1.0, -1.0, -1.0))
+        a0 = self.value
+        return self._cycle(math.sin(a0), math.cos(a0),
+                           (1.0, 1.0, -1.0, -1.0))
 
     def cos(self):
-        return self._cycle(_generic_cos(self.value),
-                           _generic_sin(self.value), (1.0, -1.0, -1.0, 1.0))
+        a0 = self.value
+        return self._cycle(math.cos(a0), math.sin(a0),
+                           (1.0, -1.0, -1.0, 1.0))
 
     def sinh(self):
-        return self._cycle(_generic_sinh(self.value),
-                           _generic_cosh(self.value), (1.0, 1.0, 1.0, 1.0))
+        a0 = self.value
+        return self._cycle(math.sinh(a0), math.cosh(a0),
+                           (1.0, 1.0, 1.0, 1.0))
 
     def cosh(self):
-        return self._cycle(_generic_cosh(self.value),
-                           _generic_sinh(self.value), (1.0, 1.0, 1.0, 1.0))
+        a0 = self.value
+        return self._cycle(math.cosh(a0), math.sinh(a0),
+                           (1.0, 1.0, 1.0, 1.0))
 
 
-# -- generic scalar functions (floats and jets alike) ------------------
-
-def _generic_sqrt(x):
-    return x.sqrt() if isinstance(x, Jet) else math.sqrt(x)
-
-
-def _generic_exp(x):
-    return x.exp() if isinstance(x, Jet) else math.exp(x)
-
-
-def _generic_log(x):
-    return x.log() if isinstance(x, Jet) else math.log(x)
-
-
-def _generic_sin(x):
-    return x.sin() if isinstance(x, Jet) else math.sin(x)
-
-
-def _generic_cos(x):
-    return x.cos() if isinstance(x, Jet) else math.cos(x)
-
-
-def _generic_sinh(x):
-    return x.sinh() if isinstance(x, Jet) else math.sinh(x)
-
-
-def _generic_cosh(x):
-    return x.cosh() if isinstance(x, Jet) else math.cosh(x)
-
-
-def _generic_reciprocal(x):
-    return x._reciprocal() if isinstance(x, Jet) else 1.0 / x
-
-
-def _generic_pow(x, p):
-    return x ** p if isinstance(x, Jet) else float(x) ** p
-
-
-def _coerce(x):
-    s = _as_scalar(x)
-    return x if s is None else s
-
+# -- elementary functions of floats and jets alike ----------------------
 
 def sqrt(x):
     """Square root usable inside jet-evaluable model code."""
-    return _generic_sqrt(_coerce(x))
+    return x.sqrt() if isinstance(x, Jet) else math.sqrt(x)
 
 
 def exp(x):
-    return _generic_exp(_coerce(x))
+    return x.exp() if isinstance(x, Jet) else math.exp(x)
 
 
 def log(x):
-    return _generic_log(_coerce(x))
+    return x.log() if isinstance(x, Jet) else math.log(x)
 
 
 def sin(x):
-    return _generic_sin(_coerce(x))
+    return x.sin() if isinstance(x, Jet) else math.sin(x)
 
 
 def cos(x):
-    return _generic_cos(_coerce(x))
+    return x.cos() if isinstance(x, Jet) else math.cos(x)
 
 
 def sinh(x):
-    return _generic_sinh(_coerce(x))
+    return x.sinh() if isinstance(x, Jet) else math.sinh(x)
 
 
 def cosh(x):
-    return _generic_cosh(_coerce(x))
+    return x.cosh() if isinstance(x, Jet) else math.cosh(x)
 
 
-# -- seeding ------------------------------------------------------------
+# -- seeding and reading -------------------------------------------------
 
-def variables(values, order, groups=None, group_orders=None, tag=None):
+def variables(values, order, groups=None, group_orders=None):
     """Seed one generator per entry of ``values``.
 
-    Returns ``(ctx, jets)`` with ``jets[i] = values[i] + eps_i``.  Pass a
-    distinct ``tag`` when nesting levels would otherwise share a context
-    signature.
+    Returns ``(ctx, jets)`` with ``jets[i] = values[i] + eps_i``.
     """
     values = [float(v) for v in values]
     if groups is not None:
         groups = tuple(groups)
         group_orders = tuple(group_orders)
-    ctx = _context(len(values), order, groups, group_orders, tag)
+    ctx = _context(len(values), order, groups, group_orders)
     return ctx, [Jet.variable(ctx, j, v) for j, v in enumerate(values)]
+
+
+def derivative_tensor(w, slots, order):
+    """All ``order``-th partials of ``w`` along the generators ``slots``.
+
+    Returns T of shape ``(len(slots),) * order`` with
+    ``T[a, b, ...] = d^order w / d eps_slots[a] d eps_slots[b] ...``.
+    Partials the context truncates read as zero, and so does every partial
+    of a plain number.
+    """
+    slots = tuple(slots)
+    shape = (len(slots),) * order
+    if not isinstance(w, Jet):
+        return np.zeros(shape)
+    idx, scale = w.ctx.gather(slots, order)
+    return (w.c[idx] * scale).reshape(shape)
 
 
 def _call(L, x, v):
@@ -452,154 +424,3 @@ def _call(L, x, v):
         raise EvaluationError("Lagrangian evaluation returned a non-finite "
                               "value")
     return w
-
-
-def _directional_seed(base, dirs, ctx, offset=0):
-    """Jets ``base[k] + sum_i dirs[i][k] * eps_(offset+i)``."""
-    out = []
-    for k in range(len(base)):
-        c = [0.0] * ctx.size
-        c[0] = float(base[k])
-        for i, d in enumerate(dirs):
-            dk = float(d[k])
-            if dk != 0.0:
-                c[ctx.var_index(offset + i)] += dk
-        out.append(Jet(ctx, c))
-    return out
-
-
-# -- public jet evaluations ----------------------------------------------
-
-@dataclass(frozen=True)
-class Jet3:
-    """Fiber (velocity) directional derivatives of L up to third order.
-
-    ``d2``/``d3`` keys are sorted tuples of direction indices; repeated
-    indices mean repeated differentiation along that direction.
-    """
-
-    value: float
-    d1: dict
-    d2: dict
-    d3: dict
-
-    def get_d1(self, i):
-        return self.d1[i]
-
-    def get_d2(self, i, j):
-        return self.d2[tuple(sorted((i, j)))]
-
-    def get_d3(self, i, j, k):
-        return self.d3[tuple(sorted((i, j, k)))]
-
-
-@dataclass(frozen=True)
-class XJet:
-    """Base-point derivatives of a fiber derivative of L at fixed (x, v).
-
-    ``value`` is the pure fiber derivative along all of ``fiber_dirs``;
-    ``dx``/``dxdx`` differentiate it along base directions.
-    """
-
-    value: float
-    dx: dict
-    dxdx: dict
-
-    def get_dx(self, a):
-        return self.dx[a]
-
-    def get_dxdx(self, a, b):
-        return self.dxdx[tuple(sorted((a, b)))]
-
-
-def _check_cone(L, x, v):
-    check = getattr(L, "check_admissible", None)
-    if check is not None:
-        check(x, v, closed=True)
-
-
-def eval_jet3(L, x, v, dirs, check=True):
-    """Directional v-derivatives of ``L`` at (x, v) up to third order.
-
-    ``dirs`` holds at most three direction vectors; with ``check`` the
-    evaluation refuses points outside the model's closed cone.
-    """
-    if len(dirs) > 3:
-        raise ValueError("eval_jet3 accepts at most 3 directions")
-    if check:
-        _check_cone(L, x, v)
-    ctx = _context(len(dirs), 3)
-    vj = _directional_seed(v, dirs, ctx)
-    xs = [float(t) for t in x]
-    w = _call(L, xs, vj)
-    if not isinstance(w, Jet):
-        w = Jet.constant(ctx, float(w))
-    d1, d2, d3 = {}, {}, {}
-    for expo in ctx.exponents:
-        deg = sum(expo)
-        if deg == 0:
-            continue
-        key = []
-        for i, e in enumerate(expo):
-            key.extend([i] * e)
-        val = w.deriv(expo)
-        if deg == 1:
-            d1[key[0]] = val
-        elif deg == 2:
-            d2[tuple(key)] = val
-        else:
-            d3[tuple(key)] = val
-    return Jet3(value=w.value, d1=d1, d2=d2, d3=d3)
-
-
-def eval_xjet(L, x, v, base_dirs, fiber_dirs, check=True):
-    """Base-point derivatives of a fiber derivative of ``L``.
-
-    v is held fixed as x varies (partial derivatives of the coefficient
-    functions, no field coupling).  At most two base and three fiber
-    directions.
-    """
-    nb, nf = len(base_dirs), len(fiber_dirs)
-    if nb > 2:
-        raise ValueError("eval_xjet accepts at most 2 base directions")
-    if nf > 3:
-        raise ValueError("eval_xjet accepts at most 3 fiber directions")
-    if check:
-        _check_cone(L, x, v)
-    if nb == 0 and nf == 0:
-        w = _call(L, [float(t) for t in x], [float(t) for t in v])
-        val = w.value if isinstance(w, Jet) else float(w)
-        return XJet(value=val, dx={}, dxdx={})
-    if nb and nf:
-        groups, gorders = (0,) * nb + (1,) * nf, (2, nf)
-        order = nf + 2
-    elif nb:
-        groups, gorders = (0,) * nb, (2,)
-        order = 2
-    else:
-        groups, gorders = (0,) * nf, (nf,)
-        order = nf
-    ctx = _context(nb + nf, order, groups, gorders)
-    xj = _directional_seed(x, base_dirs, ctx, offset=0)
-    vj = _directional_seed(v, fiber_dirs, ctx, offset=nb)
-    w = _call(L, xj, vj)
-    if not isinstance(w, Jet):
-        w = Jet.constant(ctx, float(w))
-    fiber_part = (1,) * nf
-
-    def expo(base_part):
-        return tuple(base_part) + fiber_part
-
-    value = w.deriv(expo((0,) * nb))
-    dx, dxdx = {}, {}
-    for a in range(nb):
-        e = [0] * nb
-        e[a] = 1
-        dx[a] = w.deriv(expo(e))
-    for a in range(nb):
-        for b in range(a, nb):
-            e = [0] * nb
-            e[a] += 1
-            e[b] += 1
-            dxdx[(a, b)] = w.deriv(expo(e))
-    return XJet(value=value, dx=dx, dxdx=dxdx)

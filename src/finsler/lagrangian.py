@@ -21,6 +21,7 @@ import numpy as np
 
 from . import jets
 from .errors import ConeError, ConfigError, ConstructionError
+from .tensors import fundamental_tensor
 
 __all__ = [
     "Lagrangian",
@@ -196,19 +197,12 @@ class QuadraticLagrangian(Lagrangian):
     def d_matrix(self, x):
         """First coordinate partials dg[k, i, j] = d/dx^k of entry (i, j)."""
         n = self.dim
-        _, xj = jets.variables([float(t) for t in x], 1, tag="qmatrix")
+        _, xj = jets.variables([float(t) for t in x], 1)
         dg = np.zeros((n, n, n))
         for i, j, a, _ in self._items:
-            if not callable(a):
-                continue
-            w = a(xj)
-            if not isinstance(w, jets.Jet):
-                continue
-            for k in range(n):
-                e = [0] * n
-                e[k] = 1
-                val = w.deriv(tuple(e))
-                dg[k, i, j] = dg[k, j, i] = val
+            if callable(a):
+                dg[:, i, j] = dg[:, j, i] = jets.derivative_tensor(
+                    a(xj), range(n), 1)
         return dg
 
 
@@ -243,6 +237,10 @@ class RandersNorm:
 
     def __call__(self, x, v):
         A, b = self.coeffs(x)
+        return self._from_coeffs(A, b, v)
+
+    def _from_coeffs(self, A, b, v):
+        """F(v) from coefficients already evaluated at the base point."""
         n = self.dim
         alpha2 = 0.0
         for i in range(n):
@@ -349,12 +347,7 @@ def _omega_row_report(L, N):
     x0 = [0.0] * n
     target = np.zeros(n)
     target[1] = 1.0
-    row = np.zeros(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        out = jets.eval_jet3(L, x0, N, [N, e], check=False)
-        row[j] = 0.5 * out.get_d2(0, 1)
+    row = np.asarray(N) @ fundamental_tensor(L, x0, N, check=False).matrix
     return {"g_N_row": row.tolist(),
             "row_residual": float(np.max(np.abs(row - target)))}
 
@@ -425,8 +418,7 @@ def build_ppwave_example(F2, name="ppwave_example", params=None):
     n = 4
     N2 = [1.0, 0.0]
 
-    def omega_coeffs(x):
-        A, b = F2.coeffs(x)
+    def omega_coeffs(A, b):
         # closed-form g^F_N(e1, e0) at the fiber vector N = (1, 0):
         # alpha = sqrt(A00), l = (A00, A01)/alpha
         alpha = jets.sqrt(A[0][0])
@@ -438,9 +430,10 @@ def build_ppwave_example(F2, name="ppwave_example", params=None):
         return F0, (1.0 + g10) / F0
 
     def func(x, v):
-        w0, w1 = omega_coeffs(x)
+        A, b = F2.coeffs(x)
+        w0, w1 = omega_coeffs(A, b)
         w = w0 * v[0] + w1 * v[1]
-        f = F2(x, [v[0], v[1]])
+        f = F2._from_coeffs(A, b, [v[0], v[1]])
         return w * w - f * f - v[2] * v[2] - v[3] * v[3]
 
     def cone_ref(x):

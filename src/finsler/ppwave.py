@@ -350,15 +350,8 @@ def brinkmann_oracle(profile):
 
     def symbols(x):
         u, xx, yy = float(x[1]), float(x[2]), float(x[3])
-        _, (uj, xj, yj) = jets.variables([u, xx, yy], 1,
-                                         tag="brinkmann-oracle")
-        w = profile(uj, xj, yj)
-        if isinstance(w, jets.Jet):
-            hu = w.deriv((1, 0, 0))
-            hx = w.deriv((0, 1, 0))
-            hy = w.deriv((0, 0, 1))
-        else:
-            hu = hx = hy = 0.0
+        _, (uj, xj, yj) = jets.variables([u, xx, yy], 1)
+        hu, hx, hy = jets.derivative_tensor(profile(uj, xj, yj), range(3), 1)
         gamma = np.zeros((4, 4, 4))
         gamma[0, 1, 1] = 0.5 * hu
         gamma[0, 1, 2] = gamma[0, 2, 1] = 0.5 * hx

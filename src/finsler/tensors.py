@@ -70,19 +70,9 @@ def fundamental_tensor(L, x, v, check=True):
     n = len(v)
     if check:
         _cone_check(L, x, v)
-    ctx, vj = jets.variables(v, 2, tag="fundamental")
+    _, vj = jets.variables(v, 2)
     w = jets._call(L, [float(t) for t in x], vj)
-    if not isinstance(w, jets.Jet):
-        w = jets.Jet.constant(ctx, float(w))
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            val = 0.5 * w.deriv(tuple(e))
-            g[i, j] = val
-            g[j, i] = val
+    g = 0.5 * jets.derivative_tensor(w, range(n), 2)
     return FundamentalTensor(x=np.asarray(x, float), v=np.asarray(v, float),
                              matrix=g)
 
@@ -93,21 +83,9 @@ def cartan_tensor(L, x, v, check=True):
     n = len(v)
     if check:
         _cone_check(L, x, v)
-    ctx, vj = jets.variables(v, 3, tag="cartan")
+    _, vj = jets.variables(v, 3)
     w = jets._call(L, [float(t) for t in x], vj)
-    if not isinstance(w, jets.Jet):
-        w = jets.Jet.constant(ctx, float(w))
-    C = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                e = [0] * n
-                e[i] += 1
-                e[j] += 1
-                e[k] += 1
-                val = 0.25 * w.deriv(tuple(e))
-                C[i, j, k] = C[i, k, j] = C[j, i, k] = val
-                C[j, k, i] = C[k, i, j] = C[k, j, i] = val
+    C = 0.25 * jets.derivative_tensor(w, range(n), 3)
     return CartanTensor(x=np.asarray(x, float), v=np.asarray(v, float),
                         coeffs=C)
 

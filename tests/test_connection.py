@@ -296,7 +296,7 @@ def test_hessian_of_gradient_field_identity():
         table = christoffel(L, VectorField.constant(w), x)
         g = table.g
         # mixed partials M[i, j] = 1/2 d^2 L / dx_i dv_j at (x, w)
-        _, seeds = jets.variables(list(x) + list(w), 2, tag="test-mixed")
+        _, seeds = jets.variables(list(x) + list(w), 2)
         out = L(seeds[:n], seeds[n:])
         M = np.zeros((n, n))
         for i in range(n):

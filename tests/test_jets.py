@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from finsler import jets
 from finsler.errors import EvaluationError
-from finsler.jets import Jet, eval_jet3, eval_xjet, variables
+from finsler.jets import Jet, derivative_tensor, variables
 
 
 def basis(i, n=4):
@@ -37,6 +37,14 @@ def L_wavy(x, v):
 def L_xv(x, v):
     # base-point dependent quadratic with non-polynomial coefficients
     return jets.exp(x[0]) * v[0] * v[0] - jets.cos(x[1]) * v[1] * v[1] + x[0] * x[1] * v[0] * v[1]
+
+
+def directional(L, x, v, dirs, order):
+    """L at x with v + sum_i t_i dirs[i], one generator t_i per direction."""
+    _, ts = variables([0.0] * len(dirs), order)
+    vj = [vk + sum(d[k] * t for d, t in zip(dirs, ts))
+          for k, vk in enumerate(v)]
+    return jets._call(L, x, vj)
 
 
 def fd1(f, v, d, h):
@@ -81,37 +89,41 @@ class TestAgainstDifferenceQuotients:
     @pytest.mark.parametrize("L", [L_quartic, L_wavy])
     @pytest.mark.parametrize("i", range(4))
     def test_first_derivatives(self, L, i):
-        out = eval_jet3(L, [0.0] * 4, self.V0, [basis(i)])
+        _, vj = variables(self.V0, 1)
+        d1 = derivative_tensor(L([0.0] * 4, vj), range(4), 1)
         ref = best_fd(fd1, self.scalar(L), self.V0, basis(i))
-        assert out.d1[0] == pytest.approx(ref, rel=1e-6, abs=1e-9)
+        assert d1[i] == pytest.approx(ref, rel=1e-6, abs=1e-9)
 
     @pytest.mark.parametrize("L", [L_quartic, L_wavy])
     def test_second_and_third_derivatives(self, L):
         d = [0.7, -0.2, 0.5, 0.1]
-        out = eval_jet3(L, [0.0] * 4, self.V0, [d])
+        w = directional(L, [0.0] * 4, self.V0, [d], 3)
         f = self.scalar(L)
-        assert out.d2[(0, 0)] == pytest.approx(best_fd(fd2, f, self.V0, d),
-                                               rel=1e-5, abs=1e-7)
-        assert out.d3[(0, 0, 0)] == pytest.approx(best_fd(fd3, f, self.V0, d),
-                                                  rel=1e-4, abs=1e-5)
+        assert derivative_tensor(w, [0], 2)[0, 0] == pytest.approx(
+            best_fd(fd2, f, self.V0, d), rel=1e-5, abs=1e-7)
+        assert derivative_tensor(w, [0], 3)[0, 0, 0] == pytest.approx(
+            best_fd(fd3, f, self.V0, d), rel=1e-4, abs=1e-5)
 
     def test_mixed_second_derivative(self, ):
         u, w = basis(0), basis(1)
-        out = eval_jet3(L_quartic, [0.0] * 4, self.V0, [u, w])
+        _, vj = variables(self.V0, 2)
+        d2 = derivative_tensor(L_quartic([0.0] * 4, vj), range(4), 2)
 
         def g(v):
             return fd1(self.scalar(L_quartic), v, w, 1e-4)
 
         ref = best_fd(fd1, lambda vv: g(vv), self.V0, u)
-        assert out.d2[(0, 1)] == pytest.approx(ref, rel=1e-4)
+        assert d2[0, 1] == pytest.approx(ref, rel=1e-4)
 
 
 def test_quartic_first_derivative_frozen_value():
     # dL/dv1 of (v0)^4/((v0)^2-(v1)^2) at v=(2,1,0,0) is 2*(v0)^4*v1/(den)^2
     # = 32/9; the value itself is 16/3
-    out = eval_jet3(L_quartic, [0.0] * 4, [2.0, 1.0, 0.0, 0.0], [basis(1)])
-    assert out.value == pytest.approx(16.0 / 3.0, rel=1e-14)
-    assert out.d1[0] == pytest.approx(32.0 / 9.0, rel=1e-12)
+    _, vj = variables([2.0, 1.0, 0.0, 0.0], 1)
+    w = L_quartic([0.0] * 4, vj)
+    assert w.value == pytest.approx(16.0 / 3.0, rel=1e-14)
+    assert derivative_tensor(w, range(4), 1)[1] == pytest.approx(32.0 / 9.0,
+                                                                 rel=1e-12)
 
 
 def test_elementary_functions_match_math_module():
@@ -150,25 +162,24 @@ def test_division_and_fractional_powers():
 def test_xjet_mixed_base_fiber_derivatives():
     x0 = [0.3, -0.7]
     v0 = [1.5, 0.4]
-    ex = [1.0, 0.0]
-    ev1 = [0.0, 1.0]
-    ev0 = [1.0, 0.0]
+    # generators (x0, x1 | v0, v1): base degree <= 2, fiber degree <= 2
+    _, s = variables(x0 + v0, 3, groups=(0, 0, 1, 1), group_orders=(2, 2))
+    w = L_xv(s[:2], s[2:])
+    d1 = derivative_tensor(w, range(4), 1)
+    d2 = derivative_tensor(w, range(4), 2)
+    d3 = derivative_tensor(w, range(4), 3)
     # d/dx0 of dL/dv0 with L = e^{x0} v0^2 - cos(x1) v1^2 + x0 x1 v0 v1:
     # dL/dv0 = 2 e^{x0} v0 + x0 x1 v1, so d/dx0 = 2 e^{x0} v0 + x1 v1
-    out = eval_xjet(L_xv, x0, v0, [ex], [ev0])
     expected = 2.0 * math.exp(0.3) * 1.5 + (-0.7) * 0.4
-    assert out.dx[0] == pytest.approx(expected, rel=1e-12)
+    assert d2[0, 2] == pytest.approx(expected, rel=1e-12)
     # the pure fiber derivative itself
-    assert out.value == pytest.approx(2.0 * math.exp(0.3) * 1.5 + 0.3 * (-0.7) * 0.4,
-                                      rel=1e-12)
+    assert d1[2] == pytest.approx(2.0 * math.exp(0.3) * 1.5 + 0.3 * (-0.7) * 0.4,
+                                  rel=1e-12)
     # second-order fiber block: d/dx1 of d2L/dv1dv1 = 2 sin(x1)
-    out2 = eval_xjet(L_xv, x0, v0, [ev1], [ev1, ev1])
-    assert out2.value == pytest.approx(-2.0 * math.cos(-0.7), rel=1e-12)
-    assert out2.dx[0] == pytest.approx(2.0 * math.sin(-0.7), rel=1e-12)
-    # two base directions give the full dxdx triangle
-    out3 = eval_xjet(L_xv, x0, v0, [ex, ev1], [ev0])
-    # d2/dx0dx1 of (2 e^{x0} v0 + x0 x1 v1) = v1
-    assert out3.dxdx[(0, 1)] == pytest.approx(0.4, rel=1e-12)
+    assert d2[3, 3] == pytest.approx(-2.0 * math.cos(-0.7), rel=1e-12)
+    assert d3[1, 3, 3] == pytest.approx(2.0 * math.sin(-0.7), rel=1e-12)
+    # two base directions: d2/dx0dx1 of (2 e^{x0} v0 + x0 x1 v1) = v1
+    assert d3[0, 1, 2] == pytest.approx(0.4, rel=1e-12)
 
 
 def test_group_caps_truncate_base_degree():
@@ -187,25 +198,25 @@ def test_group_caps_truncate_base_degree():
 
 
 def test_nested_jets_give_second_derivatives():
-    # outer: a; inner: t.  d/da [ d/dt (a+t)^3 |_{t=0} ] = d/da 3a^2 = 6a
-    octx, (a,) = variables([0.8], 1, tag="outer")
-    ictx = jets._context(1, 1, tag="inner")
-    t = Jet.variable(ictx, 0, a)
-    w = t ** 3
-    inner_d = w.deriv((1,))  # 3 a^2 as an outer jet
-    assert isinstance(inner_d, Jet)
-    assert inner_d.value == pytest.approx(3 * 0.8 ** 2, rel=1e-14)
-    assert inner_d.deriv((1,)) == pytest.approx(6 * 0.8, rel=1e-14)
-    # nested composition through a transcendental function
-    s = jets.exp(t)
-    d = s.deriv((1,))
-    assert d.value == pytest.approx(math.exp(0.8), rel=1e-13)
-    assert d.deriv((1,)) == pytest.approx(math.exp(0.8), rel=1e-13)
+    # outer: a; inner: t, in one grouped context of degree <= 1 in each.
+    # d/da [ d/dt (a+t)^3 |_{t=0} ] = d/da 3a^2 = 6a
+    _, (a, t) = variables([0.8, 0.0], 2, groups=(0, 1), group_orders=(1, 1))
+    w = (a + t) ** 3
+    assert derivative_tensor(w, [1], 1)[0] == pytest.approx(3 * 0.8 ** 2,
+                                                            rel=1e-14)
+    assert derivative_tensor(w, [0, 1], 2)[0, 1] == pytest.approx(6 * 0.8,
+                                                                  rel=1e-14)
+    # the same through a transcendental function
+    s = jets.exp(a + t)
+    assert derivative_tensor(s, [1], 1)[0] == pytest.approx(math.exp(0.8),
+                                                            rel=1e-13)
+    assert derivative_tensor(s, [0, 1], 2)[0, 1] == pytest.approx(
+        math.exp(0.8), rel=1e-13)
 
 
 def test_context_mismatch_raises():
-    _, (a,) = variables([1.0], 2, tag="ctx-a")
-    _, (b,) = variables([1.0], 2, tag="ctx-b")
+    _, (a,) = variables([1.0], 2)
+    _, (b,) = variables([1.0], 3)
     with pytest.raises(TypeError):
         a + b
     with pytest.raises(TypeError):
@@ -227,22 +238,24 @@ def test_nonfinite_evaluation_is_reported():
         return v[0] / (v[0] - v[0])  # 0/0
 
     with pytest.raises(EvaluationError):
-        eval_jet3(L_bad, [0.0], [1.0], [[1.0]])
+        directional(L_bad, [0.0], [1.0], [[1.0]], 3)
 
     def L_sqrt_neg(x, v):
         return jets.sqrt(v[0] - 2.0)
 
     with pytest.raises(EvaluationError):
-        eval_jet3(L_sqrt_neg, [0.0], [1.0], [[1.0]])
+        directional(L_sqrt_neg, [0.0], [1.0], [[1.0]], 3)
 
 
 def test_direction_count_limits():
+    # a jet cannot hold partials above its order
+    _, vj = variables([2.0, 0.0, 0.0, 0.0], 3)
     with pytest.raises(ValueError):
-        eval_jet3(L_quartic, [0.0] * 4, [2.0, 0.0, 0.0, 0.0],
-                  [basis(0), basis(1), basis(2), basis(3)])
+        derivative_tensor(L_quartic([0.0] * 4, vj), range(4), 4)
+    _, s = variables([0.0, 0.0, 1.0, 0.0], 3, groups=(0, 0, 1, 1),
+                     group_orders=(2, 2))
     with pytest.raises(ValueError):
-        eval_xjet(L_xv, [0.0, 0.0], [1.0, 0.0],
-                  [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [])
+        derivative_tensor(L_xv(s[:2], s[2:]), range(4), 4)
 
 
 finite = st.floats(min_value=-2.0, max_value=2.0,
@@ -257,7 +270,8 @@ def test_first_derivative_linear_in_direction(a, b, s):
     u = [a, b, 0.25, -1.0]
     w = [0.5, -a, b, 0.75]
     mix = [s * p + q for p, q in zip(u, w)]
-    f = lambda d: eval_jet3(L_quartic, [0.0] * 4, v0, [d]).d1[0]
+    f = lambda d: derivative_tensor(directional(L_quartic, [0.0] * 4, v0, [d], 1),
+                                    [0], 1)[0]
     assert f(mix) == pytest.approx(s * f(u) + f(w), rel=1e-10, abs=1e-10)
 
 
@@ -268,8 +282,107 @@ def test_mixed_partials_symmetric(a, b):
     u = [1.0, a, 0.3, b]
     w = [b, 0.2, a, -0.5]
     z = [0.1, -b, 1.0, a]
-    fwd = eval_jet3(L_wavy, [0.0] * 4, v0, [u, w, z])
-    rev = eval_jet3(L_wavy, [0.0] * 4, v0, [z, u, w])
+    fwd = directional(L_wavy, [0.0] * 4, v0, [u, w, z], 3)
+    rev = directional(L_wavy, [0.0] * 4, v0, [z, u, w], 3)
     # same geometric derivative, permuted direction labels
-    assert fwd.d2[(0, 1)] == pytest.approx(rev.get_d2(1, 2), rel=1e-12, abs=1e-12)
-    assert fwd.d3[(0, 1, 2)] == pytest.approx(rev.get_d3(1, 2, 0), rel=1e-12, abs=1e-12)
+    assert derivative_tensor(fwd, range(3), 2)[0, 1] == pytest.approx(
+        derivative_tensor(rev, range(3), 2)[1, 2], rel=1e-12, abs=1e-12)
+    assert derivative_tensor(fwd, range(3), 3)[0, 1, 2] == pytest.approx(
+        derivative_tensor(rev, range(3), 3)[1, 2, 0], rel=1e-12, abs=1e-12)
+
+
+# -- the array engine against loop references -----------------------------
+
+CHRISTOFFEL = (8, 3, (0,) * 4 + (1,) * 4, (1, 3))
+
+# every context signature the package builds: fields and quadratic
+# matrices (order 1), the fundamental tensor and gradients (2), the Cartan
+# tensor (3), the Brinkmann oracle (3 generators) and the Christoffel solve
+SIGNATURES = [(n, order, None, None) for n in (1, 2, 3, 4)
+              for order in (1, 2, 3)] + [CHRISTOFFEL]
+
+
+def filtered_exponents(nvars, order, groups, group_orders):
+    """Admissible exponents by filtering all of range(order+1)^nvars."""
+    import itertools
+    if groups is None:
+        groups, group_orders = (0,) * nvars, (order,)
+
+    def admissible(e):
+        gd = [0] * len(group_orders)
+        for k, ek in enumerate(e):
+            gd[groups[k]] += ek
+        return sum(e) <= order and all(d <= c for d, c in zip(gd, group_orders))
+
+    exps = [e for e in itertools.product(range(order + 1), repeat=nvars)
+            if admissible(e)]
+    exps.sort(key=lambda e: (sum(e), e))
+    return exps
+
+
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_direct_enumeration_matches_filtered_enumeration(sig):
+    ctx = jets._context(*sig)
+    exps = filtered_exponents(*sig)
+    assert ctx.exponents == exps
+    index = {e: k for k, e in enumerate(exps)}
+    pairs = [(i, j, index[s]) for i, ei in enumerate(exps)
+             for j, ej in enumerate(exps)
+             if (s := tuple(a + b for a, b in zip(ei, ej))) in index]
+    assert list(zip(*(p.tolist() for p in ctx.pairs))) == pairs
+
+
+def test_christoffel_context_size_and_pairs():
+    ctx = jets._context(*CHRISTOFFEL)
+    assert ctx.size == 95
+    assert len(ctx.pairs[0]) == 525
+    assert len(jets._context(4, 2).pairs[0]) == 45
+
+
+def dict_product(ctx, a, b, groups, group_orders):
+    """Truncated product of {exponent: coefficient} dicts, in loop order."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            gd = [0] * len(group_orders)
+            for k, ek in enumerate(e):
+                gd[groups[k]] += ek
+            if sum(e) <= ctx.order and all(
+                    d <= c for d, c in zip(gd, group_orders)):
+                out[e] = out.get(e, 0.0) + ca * cb
+    return out
+
+
+coefficient = st.one_of(st.just(0.0), finite)
+
+
+@pytest.mark.parametrize("sig", [(3, 3, (0, 0, 0), (3,)), CHRISTOFFEL])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mul_matches_dict_product(sig, data):
+    ctx = jets._context(*sig)
+    ca, cb = (np.array(data.draw(st.lists(coefficient, min_size=ctx.size,
+                                          max_size=ctx.size)))
+              for _ in range(2))
+    got = (Jet(ctx, ca) * Jet(ctx, cb)).c
+    ref = dict_product(ctx, dict(zip(ctx.exponents, ca)),
+                       dict(zip(ctx.exponents, cb)), sig[2], sig[3])
+    # same pairs summed in the same order: equal, not merely close
+    assert got.tolist() == [ref.get(e, 0.0) for e in ctx.exponents]
+
+
+def test_derivative_tensor_agrees_with_deriv():
+    import itertools
+    n = 4
+    _, s = variables([0.3, -0.2, 0.1, 0.5, 1.2, 0.4, -0.3, 0.2], 3,
+                     groups=CHRISTOFFEL[2], group_orders=CHRISTOFFEL[3])
+    w = L_xv(s[:n], s[n:]) + L_wavy(None, s[n:]) * jets.sin(s[2] - s[3])
+    for order in (1, 2, 3):
+        T = derivative_tensor(w, range(2 * n), order)
+        for combo in itertools.product(range(2 * n), repeat=order):
+            e = [0] * (2 * n)
+            for c in combo:
+                e[c] += 1
+            assert T[combo] == w.deriv(e)
+    assert not np.any(derivative_tensor(2.5, range(n), 2))
