@@ -20,7 +20,7 @@ import numpy as np
 from .connection import VectorField, connection_report, geodesic
 from .curvature import chern_curvature, ppwave_condition
 from .errors import ConfigError, FinslerError
-from .lagrangian import from_descriptor
+from .lagrangian import from_descriptor, is_finite_number
 from .penrose import penrose_limit
 from .ppwave import delta_scan, parallel_criterion
 from .quotient import holonomy_defect, quotient_metric, rectangle_loop
@@ -98,8 +98,8 @@ def parse_config(raw, command, out=None, seed=None, tol=None):
     if tol is None:
         tol = raw.get("tol")
     if tol is not None:
-        _require(isinstance(tol, (int, float)) and not isinstance(tol, bool)
-                 and tol > 0, "tol must be a positive number")
+        _require(is_finite_number(tol) and tol > 0,
+                 "tol must be a positive number")
         tol = float(tol)
 
     output = raw.get("output", {})
@@ -126,11 +126,17 @@ def parse_config(raw, command, out=None, seed=None, tol=None):
 
 def _num(params, key, default, positive=False):
     val = params.get(key, default)
-    _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             "params.%s must be a number" % key)
+    _require(is_finite_number(val), "params.%s must be a finite number" % key)
     if positive:
         _require(val > 0, "params.%s must be positive" % key)
     return float(val)
+
+
+def _box(params):
+    """Half-width of the sampling box; its width 2 box must be finite."""
+    box = _num(params, "box", 0.8, positive=True)
+    _require(np.isfinite(2.0 * box), "params.box is too large")
+    return box
 
 
 def _count(params, key, default, least=1):
@@ -145,8 +151,7 @@ def _vector(params, key, dim, default=None):
     val = params.get(key, default)
     _require(val is not None, "params.%s is required" % key)
     _require(isinstance(val, list) and len(val) == dim
-             and all(isinstance(t, (int, float)) and not isinstance(t, bool)
-                     for t in val),
+             and all(is_finite_number(t) for t in val),
              "params.%s must be a number list of length %d" % (key, dim))
     return np.asarray(val, dtype=float)
 
@@ -154,8 +159,7 @@ def _vector(params, key, dim, default=None):
 def _interval(params, key):
     val = params.get(key)
     _require(isinstance(val, list) and len(val) == 2
-             and all(isinstance(t, (int, float)) and not isinstance(t, bool)
-                     for t in val) and val[0] < val[1],
+             and all(is_finite_number(t) for t in val) and val[0] < val[1],
              "params.%s must be [lo, hi] with lo < hi" % key)
     return float(val[0]), float(val[1])
 
@@ -187,26 +191,19 @@ def _sample_states(L, rng, n, box):
     return out
 
 
-class _CsvWriter:
-    """Adapter so the runner can stream any curve with custom arguments."""
-
-    def __init__(self, write):
-        self.write_csv = write
-
-
 # -- commands ----------------------------------------------------------------------
 
 def _cmd_check(L, params, rng, tol):
     tol = 1e-9 if tol is None else tol
     n = _count(params, "n_samples", 6)
-    box = _num(params, "box", 0.8, positive=True)
+    box = _box(params)
     rep = Report(title="check")
     want = (1, L.dim - 1, 0)
     for k, (x, v) in enumerate(_sample_states(L, rng, n, box)):
         sub = homogeneity_report(L, x, v, tol=tol)
         for c in sub.checks:
             rep.add("sample %d: %s" % (k, c.name), c.residual, c.tol)
-        sig = signature_of(fundamental_tensor(L, x, v, check=False).matrix)
+        sig = signature_of(fundamental_tensor(L, x, v).matrix)
         ok = (sig.plus, sig.minus, sig.zero) == want
         rep.add("sample %d: signature (1, %d, 0)" % (k, L.dim - 1),
                 0.0 if ok else 1.0, 0.5)
@@ -215,7 +212,7 @@ def _cmd_check(L, params, rng, tol):
 
 def _cmd_connection(L, params, rng, tol):
     n = _count(params, "n_samples", 4)
-    box = _num(params, "box", 0.8, positive=True)
+    box = _box(params)
     V = VectorField.constant(_chart_field(params, L))
     rep = Report(title="connection")
     for k in range(n):
@@ -230,7 +227,7 @@ def _cmd_connection(L, params, rng, tol):
 def _cmd_curvature(L, params, rng, tol):
     tol = 1e-6 if tol is None else tol
     n = _count(params, "n_samples", 3)
-    box = _num(params, "box", 0.8, positive=True)
+    box = _box(params)
     # pair symmetry is an identity at the parallel reference direction,
     # not at a generic cone point of a non-quadratic model
     v = _chart_field(params, L)
@@ -262,12 +259,12 @@ def _cmd_geodesic(L, params, rng, tol):
                        "truncated": bool(path.truncated),
                        "reason": path.reason})
     rep.add("lagrangian drift", float(np.max(np.abs(path.ldrift))), tol)
-    return rep, path
+    return rep, path.to_csv
 
 
 def _cmd_ppwave(L, params, rng, tol):
     n = _count(params, "n_samples", 6)
-    box = _num(params, "box", 0.8, positive=True)
+    box = _box(params)
     nvec = _chart_field(params, L)
     samples = [rng.uniform(-box, box, L.dim) for _ in range(n)]
     rep = Report(title="ppwave")
@@ -302,7 +299,7 @@ def _cmd_focal(L, params, rng, tol):
                                    for a, b in curve.flagged],
                        "ray_truncated": bool(ray.truncated)})
     rep.add("delta4 agrees with delta", resid, tol * scale)
-    return rep, curve
+    return rep, curve.to_csv
 
 
 def _cmd_quotient(L, params, rng, tol):
@@ -351,8 +348,7 @@ def _cmd_quotient(L, params, rng, tol):
             if "sides" in loop:
                 sides = loop["sides"]
                 _require(isinstance(sides, list) and len(sides) == 2
-                         and all(isinstance(s, (int, float))
-                                 and not isinstance(s, bool) and s > 0
+                         and all(is_finite_number(s) and s > 0
                                  for s in sides),
                          "loop.sides must be two positive numbers")
                 si, sj = float(sides[0]), float(sides[1])
@@ -394,7 +390,7 @@ def _cmd_penrose(L, params, rng, tol):
         rep.add("omega=%g homothety" % row["omega"], row["max_residual"],
                 tol)
     rep.extend(brink.m_conditions(np.linspace(lo + pad, hi - pad, 9)))
-    return rep, _CsvWriter(lambda target: res.write_csv(target, us=grid))
+    return rep, lambda: res.to_csv(grid)
 
 
 _RUNNERS = {
@@ -415,8 +411,10 @@ def run(config):
     """Execute a validated RunConfig; returns the process exit status."""
     L = from_descriptor(config.spacetime)
     rng = np.random.default_rng(config.seed)
-    rep, artifact = _RUNNERS[config.command](L, config.params, rng,
-                                             config.tol)
+    # curve_csv: None, or a callable building the CSV text, so a curve is
+    # only tabulated when the CSV is written
+    rep, curve_csv = _RUNNERS[config.command](L, config.params, rng,
+                                              config.tol)
     header = {"command": config.command,
               "model": getattr(L, "name", "?"),
               "seed": config.seed,
@@ -427,11 +425,11 @@ def run(config):
     text = rep.to_json()
 
     if config.format == "csv":
-        if artifact is None:
+        if curve_csv is None:
             raise ConfigError("command %s produced no CSV curve"
                               % config.command)
         with open(config.path, "w", encoding="utf-8", newline="\n") as fp:
-            artifact.write_csv(fp)
+            fp.write(curve_csv())
         sys.stdout.write(text)
     elif config.path is not None:
         with open(config.path, "w", encoding="utf-8", newline="\n") as fp:

@@ -6,7 +6,9 @@ third, which yields the metric g, the Cartan tensor C and the total
 x-derivatives D_i(jk) of the metric along the reference field in a single
 pass.  The Koszul system is linear in the symbols; a fixed-point iteration
 exploits the small Cartan coupling and a dense solve guarantees
-termination.
+termination.  The solve never tests cone membership; the public entry
+points (`connection_report`, `hessian`, `parallel_extension`, `geodesic`)
+gate the reference the caller supplies.
 
 Index conventions (pinned across the package):
   gamma[k, i, j]   = Γ^k_ij (torsion-free: symmetric in i, j)
@@ -16,7 +18,6 @@ Index conventions (pinned across the package):
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     SignatureError,
     SolverError,
 )
-from .report import Report, fmt_float
+from .report import Report, csv_text, fmt_float
 
 __all__ = [
     "ScalarField",
@@ -38,6 +39,7 @@ __all__ = [
     "ChristoffelTable",
     "GeodesicPath",
     "as_scalar_field",
+    "as_vector_field",
     "christoffel",
     "koszul_residual",
     "compatibility_residual",
@@ -147,6 +149,13 @@ class VectorField:
         return J
 
 
+def as_vector_field(N):
+    """A `VectorField`, with a bare vector taken as the constant field."""
+    if isinstance(N, (list, tuple, np.ndarray)):
+        return VectorField.constant(N)
+    return N
+
+
 @dataclass
 class ChristoffelTable:
     """Christoffel symbols at one point plus the jet byproducts."""
@@ -225,21 +234,24 @@ def _dense_koszul_solve(g, C, D, J, v):
     return gamma
 
 
-def christoffel(L, V, x, tol=1e-12, max_iter=50, check=True):
+# fixed-point stopping rule of the Koszul solve
+_FP_TOL = 1e-12
+_FP_MAX_ITER = 50
+
+
+def christoffel(L, V, x):
     """Christoffel symbols Γ^k_ij of the connection ∇^V at the point x.
 
     Solves the coordinate Koszul identities by fixed point from the
     Cartan-free truncation, falling back to the assembled dense linear
     system when the iteration stalls.  Raises SignatureError when g_V is
     numerically degenerate and SolverError when no solution satisfies the
-    identities to 1e-6.  ``check=False`` skips the cone gate (finite
-    difference stencils may sit a hair outside the closed cone).
+    identities to 1e-6.  A pure per-point kernel: it does not test whether
+    V(x) lies in the cone (finite-difference stencils may sit a hair
+    outside it), so callers gate their own reference once.
     """
     x = np.asarray(x, dtype=float)
     v = V(x)
-    checker = getattr(L, "check_admissible", None)
-    if check and checker is not None:
-        checker(x, v, closed=True)
     J = V.jacobian(x)
     g, C, D = _field_jet(L, x, v, J)
     try:
@@ -260,13 +272,13 @@ def christoffel(L, V, x, tol=1e-12, max_iter=50, check=True):
     iters = 0
     if cscale > 1e-14 * gscale:
         method = "fixed-point"
-        for iters in range(1, max_iter + 1):
+        for iters in range(1, _FP_MAX_ITER + 1):
             A = J + np.einsum("mil,l->im", gamma, v)
             rhs = _koszul_rhs(D, C, A)
             new = 0.5 * np.einsum("lk,ijk->lij", ginv, rhs)
             delta = float(np.max(np.abs(new - gamma)))
             gamma = new
-            if delta <= tol * (1.0 + float(np.max(np.abs(new)))):
+            if delta <= _FP_TOL * (1.0 + float(np.max(np.abs(new)))):
                 break
         else:
             gamma = _dense_koszul_solve(g, C, D, J, v)
@@ -317,6 +329,7 @@ def torsion_residual(table):
 
 def connection_report(L, V, x):
     """Report the connection identities at x; returns (report, table)."""
+    L.check_admissible(x, V(x))
     table = christoffel(L, V, x)
     rep = Report(title="connection",
                  meta={"x": [float(t) for t in x],
@@ -417,6 +430,7 @@ def hessian(L, f, x, v):
     """H^f_ij = ∂_i ∂_j f - Γ^k_ij(x, v) ∂_k f; symmetric by construction."""
     f = as_scalar_field(f)
     x = np.asarray(x, dtype=float)
+    L.check_admissible(x, v)
     table = christoffel(L, VectorField.constant(v), x)
     df = f.d(x)
     d2f = f.d2(x)
@@ -427,6 +441,7 @@ def parallel_extension(L, v, p):
     """Linear field through (p, v) with vanishing covariant derivative at p."""
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
+    L.check_admissible(p, v)
     table = christoffel(L, VectorField.constant(v), p)
     B = -np.einsum("kij,j->ik", table.gamma, v)
     return VectorField.linear(v, p, B)
@@ -451,37 +466,22 @@ class GeodesicPath:
     def dim(self):
         return self.x.shape[1]
 
-    def write_csv(self, target):
+    def to_csv(self):
         n = self.dim
         header = (["t"] + ["x%d" % k for k in range(n)]
                   + ["v%d" % k for k in range(n)] + ["L_drift"])
-        own = isinstance(target, (str, bytes))
-        fp = open(target, "w") if own else target
-        try:
-            fp.write(",".join(header) + "\n")
-            for i in range(len(self.t)):
-                row = ([fmt_float(self.t[i])]
-                       + [fmt_float(a) for a in self.x[i]]
-                       + [fmt_float(a) for a in self.v[i]]
-                       + [fmt_float(self.ldrift[i])])
-                fp.write(",".join(row) + "\n")
-        finally:
-            if own:
-                fp.close()
-
-    def to_csv(self):
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
+        return csv_text(header, np.column_stack(
+            [self.t, self.x, self.v, self.ldrift]))
 
 
-def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200, fast="auto"):
+def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
     """Integrate the geodesic equation from (x0, v0) over t_span.
 
     The spray contracts the symbols with the velocity, where the Cartan
     corrections cancel, so a constant reference field is exact; quadratic
-    models take the direct Levi-Civita route (``fast="auto"``).  Leaving
-    the closed cone truncates the returned path and sets ``truncated``.
+    models take the direct Levi-Civita route.  Only (x0, v0) is gated;
+    leaving the closed cone truncates the returned path at the first
+    sample outside it and sets ``truncated``.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -489,9 +489,7 @@ def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200, fast="auto"):
     L.check_admissible(x0, v0, closed=True)
     l0 = float(L.value(x0, v0))
 
-    use_quad = (fast is True
-                or (fast == "auto" and getattr(L, "quadratic", False)
-                    and hasattr(L, "d_matrix")))
+    use_quad = getattr(L, "quadratic", False) and hasattr(L, "d_matrix")
 
     def spray(x, v):
         if use_quad:
@@ -505,7 +503,7 @@ def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200, fast="auto"):
     def rhs(t, y):
         try:
             return np.concatenate([y[n:], spray(y[:n], y[n:])])
-        except (ConeError, EvaluationError, SignatureError, SolverError):
+        except (EvaluationError, SignatureError, SolverError):
             return bad
 
     t0, t1 = float(t_span[0]), float(t_span[1])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import VectorField, christoffel, parallel_extension
+from .connection import as_vector_field, christoffel, parallel_extension
 from .report import Report
 
 __all__ = [
@@ -53,36 +53,38 @@ class CurvatureAt:
         return float(np.max(np.abs(self.components)))
 
 
-def chern_curvature(L, x, v, step=None, extension=None):
+def chern_curvature(L, x, v, extension=None):
     """Curvature R_v at x from the parallel extension's Christoffel field.
 
-    ``step`` scales the central-difference stencil (default cube root of
-    machine epsilon); one Richardson level removes the leading h^2 error.
+    The central-difference stencil steps by the cube root of machine
+    epsilon; one Richardson level removes the leading h^2 error.
     ``extension`` overrides the automatically built parallel extension; any
     field through (x, v) with vanishing covariant derivative at x gives
-    the same tensor (pointwise-parallel semantics).
+    the same tensor (pointwise-parallel semantics).  Only (x, v) is
+    tested for cone membership.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     n = len(x)
-    V = parallel_extension(L, v, x) if extension is None else extension
+    if extension is None:
+        V = parallel_extension(L, v, x)
+    else:
+        L.check_admissible(x, v)
+        V = extension
     center = christoffel(L, V, x)
     gamma0 = center.gamma
-    base = _FD_STEP if step is None else float(step)
 
     dgamma = np.zeros((n, n, n, n))     # dgamma[a, l, i, j] = d_a G^l_ij
     for a in range(n):
-        h = base * (1.0 + abs(x[a]))
+        h = _FD_STEP * (1.0 + abs(x[a]))
 
         def central(hh):
             xp = x.copy()
             xm = x.copy()
             xp[a] += hh
             xm[a] -= hh
-            # a lightlike reference's extension leaves the closed cone at
-            # O(h^2); the stencil is formal differentiation, so skip the gate
-            return (christoffel(L, V, xp, check=False).gamma
-                    - christoffel(L, V, xm, check=False).gamma) / (2.0 * hh)
+            return (christoffel(L, V, xp).gamma
+                    - christoffel(L, V, xm).gamma) / (2.0 * hh)
 
         d1 = central(h)
         d2 = central(2.0 * h)
@@ -127,8 +129,7 @@ def ppwave_condition(L, N, sample_points, tol_factor=1e-6):
     tolerance is tol_factor times the curvature scale (max component over
     samples, floored at one so the flat case stays meaningful).
     """
-    if isinstance(N, (list, tuple, np.ndarray)):
-        N = VectorField.constant(N)
+    N = as_vector_field(N)
     samples = [np.asarray(p, dtype=float) for p in sample_points]
     rep = Report(title="ppwave-condition",
                  meta={"model": getattr(L, "name", "?"),
@@ -138,12 +139,12 @@ def ppwave_condition(L, N, sample_points, tol_factor=1e-6):
     scale = 0.0
     for p in samples:
         nv = N(p)
+        R = chern_curvature(L, p, nv)    # the sample's one cone gate
         light = abs(float(L.value(p, nv)))
         table = christoffel(L, N, p)
         nab = table.jacobian + np.einsum("mil,l->im", table.gamma, table.v)
         par = float(np.max(np.abs(nab)))
 
-        R = chern_curvature(L, p, nv)
         basis = nperp_basis(R.g, nv)
         worst = 0.0
         m = len(basis)

@@ -14,7 +14,8 @@ arithmetic plus the `finsler.jets` math functions.
 from __future__ import annotations
 
 import importlib
-import math
+import inspect
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "build_ppwave_example",
     "catalog",
     "from_descriptor",
+    "is_finite_number",
 ]
 
 _SEGMENT_SAMPLES = [j / 15.0 for j in range(16)]
@@ -347,7 +349,7 @@ def _omega_row_report(L, N):
     x0 = [0.0] * n
     target = np.zeros(n)
     target[1] = 1.0
-    row = np.asarray(N) @ fundamental_tensor(L, x0, N, check=False).matrix
+    row = np.asarray(N) @ fundamental_tensor(L, x0, N).matrix
     return {"g_N_row": row.tolist(),
             "row_residual": float(np.max(np.abs(row - target)))}
 
@@ -416,7 +418,6 @@ def build_ppwave_example(F2, name="ppwave_example", params=None):
         raise ConstructionError("ppwave example needs a fiber norm on the "
                                 "(v, u) plane")
     n = 4
-    N2 = [1.0, 0.0]
 
     def omega_coeffs(A, b):
         # closed-form g^F_N(e1, e0) at the fiber vector N = (1, 0):
@@ -491,6 +492,20 @@ _TYPES = ("minkowski", "brinkmann", "parallel_example", "ppwave_example",
           "plugin")
 
 
+def is_finite_number(val):
+    """True for a JSON number (int or float, not bool) with a finite float
+    value; huge ints and the NaN/Infinity literals are rejected."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
+def _eps(params):
+    eps = params.get("eps", 0.1)
+    if not is_finite_number(eps):
+        raise ConfigError("spacetime.params.eps must be a finite number")
+    return float(eps)
+
+
 def from_descriptor(desc):
     """Build a Lagrangian from a JSON catalog descriptor.
 
@@ -518,9 +533,9 @@ def from_descriptor(desc):
             raise ConfigError("brinkmann models are 4-dimensional")
         L = build_brinkmann_quadratic(params.get("profile", "x2"))
     elif kind == "parallel_example":
-        L = _default_parallel_example(eps=float(params.get("eps", 0.1)))
+        L = _default_parallel_example(eps=_eps(params))
     elif kind == "ppwave_example":
-        L = _default_ppwave_example(eps=float(params.get("eps", 0.1)))
+        L = _default_ppwave_example(eps=_eps(params))
     else:
         module = params.get("module")
         builder = params.get("builder")
@@ -535,6 +550,12 @@ def from_descriptor(desc):
                               % (module, builder, e)) from e
         kwargs = {k: v for k, v in params.items()
                   if k not in ("module", "builder")}
+        try:
+            inspect.signature(fn).bind(**kwargs)
+        except TypeError as e:
+            raise ConfigError("plugin builder %s.%s does not take params "
+                              "%s: %s" % (module, builder, sorted(kwargs), e)
+                              ) from e
         L = fn(**kwargs)
         if not isinstance(L, Lagrangian):
             raise ConfigError("plugin builder %s.%s did not return a "
@@ -545,8 +566,7 @@ def from_descriptor(desc):
     if "cone_ref" in desc and desc["cone_ref"] is not None:
         ref = desc["cone_ref"]
         if (not isinstance(ref, list) or len(ref) != L.dim
-                or not all(isinstance(t, (int, float))
-                           and not isinstance(t, bool) for t in ref)):
+                or not all(is_finite_number(t) for t in ref)):
             raise ConfigError("spacetime.cone_ref must be a number list of "
                               "length dim")
         if L.value([0.0] * L.dim, ref) <= 0:

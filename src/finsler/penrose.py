@@ -10,7 +10,6 @@ condition, and A = -sym(M^T (h M')').  Equivalently E = M^{-1} solves
 E'' = A E, which is what the roundtrip check integrates.
 """
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,10 +17,11 @@ from numpy.polynomial import chebyshev
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
+from .connection import as_vector_field
 from .errors import ChartError, SignatureError, SolverError
 from .lagrangian import Lagrangian, QuadraticLagrangian
 from .ppwave import lightlike_form_check
-from .report import Report, fmt_float
+from .report import Report, csv_text
 from .tensors import fundamental_tensor
 
 __all__ = [
@@ -92,9 +92,9 @@ def homothety_residual(L, N, omega, samples, tol=1e-9):
         p = np.asarray(p, dtype=float)
         pm = p * jd
         pm[0] = p[0]
-        g = fundamental_tensor(L, pm, nvec0, check=False).matrix
+        g = fundamental_tensor(L, pm, nvec0).matrix
         lhs = np.outer(jd, jd) * g
-        gw = fundamental_tensor(Lw, p, nvec0 / jd, check=False).matrix
+        gw = fundamental_tensor(Lw, p, nvec0 / jd).matrix
         rhs = omega ** 2 * gw
         scale = max(1.0, float(np.max(np.abs(lhs))))
         res = float(np.max(np.abs(lhs - rhs))) / scale
@@ -161,7 +161,7 @@ class PenroseLimitResult:
     homothety_residuals: list = field(default_factory=list)
     offblock: list = field(default_factory=list)
 
-    def write_csv(self, target, us=None):
+    def to_csv(self, us=None):
         if us is None:
             lo, hi = self.brinkmann.u_interval
             us = np.linspace(lo, hi, 101)
@@ -170,24 +170,10 @@ class PenroseLimitResult:
                 + ["h%d%d" % (i, j) for i in range(m) for j in range(m)]
                 + ["M%d%d" % (i, j) for i in range(m) for j in range(m)]
                 + ["A%d%d" % (i, j) for i in range(m) for j in range(m)])
-        own = isinstance(target, (str, bytes))
-        fp = open(target, "w") if own else target
-        try:
-            fp.write(",".join(cols) + "\n")
-            for u in us:
-                row = [fmt_float(u)]
-                for mat in (self.rosen.matrix(u), self.brinkmann.M(u),
-                            self.brinkmann.A(u)):
-                    row.extend(fmt_float(a) for a in np.ravel(mat))
-                fp.write(",".join(row) + "\n")
-        finally:
-            if own:
-                fp.close()
-
-    def to_csv(self, us=None):
-        buf = io.StringIO()
-        self.write_csv(buf, us)
-        return buf.getvalue()
+        rows = (np.concatenate([[u], np.ravel(self.rosen.matrix(u)),
+                                np.ravel(self.brinkmann.M(u)),
+                                np.ravel(self.brinkmann.A(u))]) for u in us)
+        return csv_text(cols, rows)
 
 
 # -- numerics helpers -----------------------------------------------------------
@@ -429,8 +415,7 @@ def brinkmann_roundtrip(A, u_interval, u0=None, n_check=21, tol=1e-6,
 
 # -- the limit ---------------------------------------------------------------------
 
-def penrose_limit(L, N, u_interval, sample_grid=None, omegas=(0.5, 0.1),
-                  tol=1e-9):
+def penrose_limit(L, N, u_interval, omegas=(0.5, 0.1), tol=1e-9):
     """Plane-wave limit along the ray x1 = ... = x_{n-1} = 0.
 
     The limit is evaluated analytically: transverse coordinates are set
@@ -440,11 +425,8 @@ def penrose_limit(L, N, u_interval, sample_grid=None, omegas=(0.5, 0.1),
     Brinkmann form on the same interval.
     """
     lo, hi = float(u_interval[0]), float(u_interval[1])
-    if sample_grid is None:
-        sample_grid = np.linspace(lo, hi, 41)
     n = L.dim
-    nvec = np.asarray(N, dtype=float) if isinstance(
-        N, (list, tuple, np.ndarray)) else np.asarray(N([0.0] * n), float)
+    nvec = as_vector_field(N)([0.0] * n)
 
     def ray_point(u):
         p = np.zeros(n)
@@ -458,11 +440,11 @@ def penrose_limit(L, N, u_interval, sample_grid=None, omegas=(0.5, 0.1),
                              "x0=%g" % u)
 
     def h_at(u):
-        g = fundamental_tensor(L, ray_point(u), nvec, check=False).matrix
+        g = fundamental_tensor(L, ray_point(u), nvec).matrix
         return -g[2:, 2:]
 
     rosen = RosenProfile(h=h_at, dim=n - 2, label=getattr(L, "name", ""))
-    for u in sample_grid:
+    for u in np.linspace(lo, hi, 41):
         if not rosen.posdef_at(u):
             raise SignatureError("limit metric degenerates on the base ray "
                                  "at x0=%g (focal point)" % u)
@@ -481,8 +463,7 @@ def penrose_limit(L, N, u_interval, sample_grid=None, omegas=(0.5, 0.1),
         worst_row = 0.0
         worst_g11 = 0.0
         for u in subgrid:
-            gw = fundamental_tensor(Lw, ray_point(u), nvec,
-                                    check=False).matrix
+            gw = fundamental_tensor(Lw, ray_point(u), nvec).matrix
             worst_row = max(worst_row, float(np.max(np.abs(gw[1, 2:]))))
             worst_g11 = max(worst_g11, abs(float(gw[1, 1])))
         offblock.append({"omega": float(w), "g1a": worst_row,

@@ -15,7 +15,6 @@ Brinkmann symbol table used as a cross-module oracle
 (`brinkmann_oracle`).
 """
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +22,10 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from . import jets
-from .connection import VectorField, _field_jet, christoffel
+from .connection import as_vector_field, christoffel
 from .errors import ConfigError
 from .lagrangian import PROFILES
-from .report import Report, dump_json, fmt_float
+from .report import Report, csv_text, dump_json
 from .tensors import fundamental_tensor
 
 __all__ = [
@@ -35,12 +34,6 @@ __all__ = [
 ]
 
 DEGENERATE_KIND = "degenerate focal point, multiplicity >= 2"
-
-
-def _as_field(N):
-    if isinstance(N, (list, tuple, np.ndarray)):
-        return VectorField.constant(N)
-    return N
 
 
 def _leading_minors(h):
@@ -91,11 +84,11 @@ def lightlike_form_check(L, N, x, tol=1e-9):
     its positive definiteness is decided by leading principal minors.
     Report-style: a failing template is a result, not an error.
     """
-    N = _as_field(N)
+    N = as_vector_field(N)
     x = np.asarray(x, dtype=float)
     n = L.dim
     nvec = np.asarray(N(x), dtype=float)
-    g = fundamental_tensor(L, x, nvec, check=False).matrix
+    g = fundamental_tensor(L, x, nvec).matrix
     scale = max(1.0, float(np.max(np.abs(g))))
 
     e0 = np.zeros(n)
@@ -120,24 +113,21 @@ def lightlike_form_check(L, N, x, tol=1e-9):
 def parallel_criterion(L, N, region_samples, tol=1e-8):
     """x0-independence of g_N at the samples, cross-checked against nabla N.
 
-    The jet route differentiates the field g_N(x) = g(x, N(x)) along x0;
-    the direct route asks the connection for nabla N.  Both must vanish
-    for a parallel N, and they fail independently, which is the point of
-    reporting them as separate checks.
+    One Christoffel solve per sample serves both routes: the jet route
+    reads the x0-derivative of g_N(x) = g(x, N(x)) from the solve's jet
+    byproducts, the direct route contracts its symbols into nabla N.  Both
+    must vanish for a parallel N, and they fail independently, which is
+    the point of reporting them as separate checks.
     """
-    N = _as_field(N)
+    N = as_vector_field(N)
     rep = Report(title="parallel-criterion",
                  meta={"model": getattr(L, "name", "?"), "samples": []})
     for idx, p in enumerate(region_samples):
         p = np.asarray(p, dtype=float)
-        nvec = np.asarray(N(p), dtype=float)
-        J = N.jacobian(p)
-        g, _, D = _field_jet(L, [float(t) for t in p],
-                             [float(t) for t in nvec], J)
-        gscale = max(1.0, float(np.max(np.abs(g))))
-        d0 = float(np.max(np.abs(D[0])))
-
+        L.check_admissible(p, N(p))
         table = christoffel(L, N, p)
+        gscale = max(1.0, float(np.max(np.abs(table.g))))
+        d0 = float(np.max(np.abs(table.dmetric[0])))
         nab = table.jacobian + np.einsum("mil,l->im", table.gamma, table.v)
         par = float(np.max(np.abs(nab)))
 
@@ -171,23 +161,9 @@ class DeltaCurve:
     kinds: list = field(default_factory=list)
     flagged: list = field(default_factory=list)
 
-    def write_csv(self, target):
-        own = isinstance(target, (str, bytes))
-        fp = open(target, "w") if own else target
-        try:
-            fp.write("t,delta,det_h\n")
-            for i in range(len(self.params)):
-                fp.write(",".join([fmt_float(self.params[i]),
-                                   fmt_float(self.delta[i]),
-                                   fmt_float(self.det_h[i])]) + "\n")
-        finally:
-            if own:
-                fp.close()
-
     def to_csv(self):
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
+        return csv_text(["t", "delta", "det_h"], np.column_stack(
+            [self.params, self.delta, self.det_h]))
 
     def to_dict(self):
         return {
@@ -249,7 +225,7 @@ def delta_scan(L, N, ray, xtol=1e-10, touch_tol=1e-12):
     see, are hunted below dips of det h and accepted when the refined
     minimum sits under ``touch_tol`` times the det-h scale.
     """
-    N = _as_field(N)
+    N = as_vector_field(N)
     ts = np.asarray(ray.t, dtype=float)
     spline = CubicHermiteSpline(ts, np.asarray(ray.x, float),
                                 np.asarray(ray.v, float), axis=0)
@@ -257,7 +233,7 @@ def delta_scan(L, N, ray, xtol=1e-10, touch_tol=1e-12):
     def metric_at(t):
         p = spline(float(t))
         nvec = np.asarray(N(p), dtype=float)
-        return fundamental_tensor(L, p, nvec, check=False).matrix
+        return fundamental_tensor(L, p, nvec).matrix
 
     def det_h(t):
         g = metric_at(t)

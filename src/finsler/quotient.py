@@ -14,18 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .connection import VectorField, christoffel
+from .connection import as_vector_field, christoffel
 from .errors import ChartError, ConstructionError, SignatureError
 from .tensors import fundamental_tensor
 
 __all__ = ["QuotientFrame", "quotient_metric", "rectangle_loop",
            "holonomy_defect"]
-
-
-def _as_field(N):
-    if isinstance(N, (list, tuple, np.ndarray)):
-        return VectorField.constant(N)
-    return N
 
 
 @dataclass
@@ -50,10 +44,10 @@ def quotient_metric(L, N, x, reps, tol=1e-8):
     Raises if N is not lightlike at x, if a representative fails
     g_N(N, rep) = 0, or if the representatives are dependent modulo N.
     """
-    N = _as_field(N)
+    N = as_vector_field(N)
     x = np.asarray(x, dtype=float)
     nvec = np.asarray(N(x), dtype=float)
-    g = fundamental_tensor(L, x, nvec, check=False).matrix
+    g = fundamental_tensor(L, x, nvec).matrix
     scale = max(1.0, float(np.max(np.abs(g))))
 
     light = abs(float(L.value(x, nvec)))
@@ -123,12 +117,15 @@ def holonomy_defect(L, N, loop, reps, n_segments=64, tol=1e-6):
     holonomy matrix is Richardson-extrapolated in the segment count so
     the reported defect reflects the connection, not the step size.
     A transported class drifting out of N^perp means N was not parallel
-    along the loop, which violates the precondition.
+    along the loop, which violates the precondition.  N is tested for
+    cone membership at each loop vertex, not at the segment midpoints.
     """
-    N = _as_field(N)
+    N = as_vector_field(N)
     vertices = np.atleast_2d(np.asarray(loop, dtype=float))
     if np.max(np.abs(vertices[0] - vertices[-1])) > 0.0:
         vertices = np.vstack([vertices, vertices[0]])
+    for p in vertices[:-1]:
+        L.check_admissible(p, N(p))
     frame = quotient_metric(L, N, vertices[0], reps)
     cols = frame.reps.T
 

@@ -22,6 +22,13 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def csv_text(header, rows) -> str:
+    """CSV text: the header line, then one line of `fmt_float` cells a row."""
+    lines = [",".join(header)]
+    lines += [",".join(fmt_float(a) for a in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _json_escape(s: str) -> str:
     out = []
     for ch in s:

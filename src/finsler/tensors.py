@@ -2,7 +2,9 @@
 
 Everything here is per-point and pure: evaluate, return arrays, no caching
 (anisotropic v-dependence makes global caches error-prone; callers own
-memoization).
+memoization).  The tensor kernels never test cone membership; the public
+entry points (`homogeneity_report` here) gate the caller's (x, v) once
+through `Lagrangian.check_admissible`.
 """
 
 from __future__ import annotations
@@ -54,22 +56,10 @@ class Signature:
         return "other"
 
 
-def _cone_check(L, x, v):
-    check = getattr(L, "check_admissible", None)
-    if check is not None:
-        check(x, v, closed=True)
-
-
-def fundamental_tensor(L, x, v, check=True):
-    """g_ij(x, v) = 1/2 d^2/ds dt L(x, v + s e_i + t e_j) via jets.
-
-    Admissibility (closed cone) is enforced unless ``check`` is False;
-    lightlike boundary vectors are allowed.
-    """
+def fundamental_tensor(L, x, v):
+    """g_ij(x, v) = 1/2 d^2/ds dt L(x, v + s e_i + t e_j) via jets."""
     v = [float(t) for t in v]
     n = len(v)
-    if check:
-        _cone_check(L, x, v)
     _, vj = jets.variables(v, 2)
     w = jets._call(L, [float(t) for t in x], vj)
     g = 0.5 * jets.derivative_tensor(w, range(n), 2)
@@ -77,12 +67,10 @@ def fundamental_tensor(L, x, v, check=True):
                              matrix=g)
 
 
-def cartan_tensor(L, x, v, check=True):
+def cartan_tensor(L, x, v):
     """C_ijk(x, v) = 1/4 third v-derivative of L; fully symmetric."""
     v = [float(t) for t in v]
     n = len(v)
-    if check:
-        _cone_check(L, x, v)
     _, vj = jets.variables(v, 3)
     w = jets._call(L, [float(t) for t in x], vj)
     C = 0.25 * jets.derivative_tensor(w, range(n), 3)
@@ -111,10 +99,14 @@ def homogeneity_report(L, x, v, tol=1e-9):
     """Residuals for the degree-2 homogeneity identities at one (x, v).
 
     Checks L(lambda v) = lambda^2 L, g_(lambda v) = g_v, g_v(v,v) = L and
-    C_v(v,.,.) = 0.  Reports failures rather than raising.
+    C_v(v,.,.) = 0.  Reports failures rather than raising, except for a v
+    outside the closed cone of a `Lagrangian` (ConeError); a raw callable
+    has no cone to test.
     """
     x = [float(t) for t in x]
     v = np.asarray(v, dtype=float)
+    if hasattr(L, "check_admissible"):
+        L.check_admissible(x, v)
     rep = Report(title="homogeneity", meta={"x": list(x), "v": v.tolist()})
 
     Lv = L.value(x, v) if hasattr(L, "value") else float(L(x, v))
@@ -127,14 +119,14 @@ def homogeneity_report(L, x, v, tol=1e-9):
     g = fundamental_tensor(L, x, v).matrix
     gscale = max(1.0, float(np.max(np.abs(g))))
     for lam in (0.5, 2.0):
-        gl = fundamental_tensor(L, x, lam * v, check=False).matrix
+        gl = fundamental_tensor(L, x, lam * v).matrix
         res = float(np.max(np.abs(gl - g))) / gscale
         rep.add("g_(%.1f v) = g_v" % lam, res, tol)
 
     res = abs(float(v @ g @ v) - Lv) / max(1.0, abs(Lv))
     rep.add("g_v(v, v) = L", res, tol)
 
-    C = cartan_tensor(L, x, v, check=False).coeffs
+    C = cartan_tensor(L, x, v).coeffs
     contr = np.einsum("ijk,i->jk", C, v)
     cscale = 1.0 + float(np.max(np.abs(C))) * float(np.linalg.norm(v))
     rep.add("C_v(v, ., .) = 0",

@@ -40,7 +40,7 @@ def jacobi_first_zero(L, nvec, ray, n_grid=81, rtol=1e-10, guard=1e-3):
                              np.asarray(ray.v, float), axis=0)
 
     def h_at(t):
-        g = fundamental_tensor(L, pos(t), nvec, check=False).matrix
+        g = fundamental_tensor(L, pos(t), nvec).matrix
         return -g[2:, 2:]
 
     grid = []

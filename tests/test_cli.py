@@ -172,6 +172,12 @@ def test_verification_failure_exits_one(tmp_path, capsys):
                                                     "path": "x.csv"}},
     {"spacetime": {"type": "minkowski"}, "seed": -3},
     {"spacetime": {"type": "minkowski"}, "params": {"n_samples": 0}},
+    {"spacetime": {"type": "plugin",
+                   "params": {"module": "finsler.fixtures",
+                              "builder": "rosen_cos2", "zzz": 1}}},
+    {"spacetime": {"type": "ppwave_example", "params": {"eps": "abc"}}},
+    {"spacetime": {"type": "minkowski"}, "params": {"box": 1e308}},
+    {"spacetime": {"type": "minkowski"}, "params": {"box": 1e400}},
 ])
 def test_schema_violations_exit_two(tmp_path, capsys, body):
     cfg = write_config(tmp_path, body)

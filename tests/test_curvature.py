@@ -15,7 +15,6 @@ from finsler.connection import (
     _field_jet,
     christoffel,
     levi_civita_quadratic,
-    parallel_extension,
 )
 from finsler.curvature import chern_curvature, nperp_basis, ppwave_condition
 from finsler.lagrangian import (

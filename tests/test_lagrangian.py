@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsler import jets
 from finsler.errors import ConeError, ConfigError, ConstructionError
 from finsler.lagrangian import (
     RandersNorm,
@@ -125,8 +124,7 @@ class TestParallelExample:
         # (v0+v1)^2 - |v|^2 = 2 v0 v1 - (v2)^2 - (v3)^2
         F = RandersNorm(np.eye(4), np.zeros(4), 4)
         L = build_parallel_example(F)
-        g = fundamental_tensor(L, [0.0] * 4, [1.0, 0.25, 0.0, 0.0],
-                               check=False).matrix
+        g = fundamental_tensor(L, [0.0] * 4, [1.0, 0.25, 0.0, 0.0]).matrix
         expected = np.array([[0.0, 1, 0, 0], [1, 0, 0, 0],
                              [0, 0, -1, 0], [0, 0, 0, -1.0]])
         assert np.allclose(g, expected, atol=1e-12)
@@ -149,7 +147,7 @@ class TestParallelExample:
         rng = np.random.default_rng(3)
         ws = L.sample_admissible(x, rng, count=20)
         for v in ws:
-            gL = fundamental_tensor(L, x, v, check=False).matrix
+            gL = fundamental_tensor(L, x, v).matrix
             gF = np.array([[float(e) for e in row]
                            for row in F.fundamental(x, list(v))])
             oracle = np.outer(omega, omega) - gF
@@ -188,10 +186,10 @@ class TestPpwaveExample:
         L = build_ppwave_example(F2)
         x = [0.0, 0.5, 0.2, -0.1]
         v = L.sample_admissible(x, np.random.default_rng(1))[0]
-        C = cartan_tensor(L, x, v, check=False).coeffs
+        C = cartan_tensor(L, x, v).coeffs
         assert np.max(np.abs(C)) < 1e-10
-        g1 = fundamental_tensor(L, x, v, check=False).matrix
-        g2 = fundamental_tensor(L, x, 2.0 * v + 0.3, check=False).matrix
+        g1 = fundamental_tensor(L, x, v).matrix
+        g2 = fundamental_tensor(L, x, 2.0 * v + 0.3).matrix
         assert np.max(np.abs(g1 - g2)) < 1e-10
 
 
