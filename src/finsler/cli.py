@@ -354,6 +354,8 @@ def _cmd_quotient(L, params, rng, tol):
                 si, sj = float(sides[0]), float(sides[1])
             else:
                 si = sj = _num(loop, "side", None, positive=True)
+            _require(si * sj > 0.0, "loop sides are too small: the loop "
+                     "area underflows to zero")
             pts = rectangle_loop(base, plane[0], plane[1], si, sj)
             defect = holonomy_defect(L, nvec, pts, reps,
                                      n_segments=n_segments)
@@ -369,9 +371,12 @@ def _cmd_penrose(L, params, rng, tol):
     u_interval = _interval(params, "u_interval")
     omegas = params.get("omegas", [0.5, 0.1])
     _require(isinstance(omegas, list) and omegas
-             and all(isinstance(w, (int, float)) and not isinstance(w, bool)
-                     and 0.0 < w <= 1.0 for w in omegas),
+             and all(is_finite_number(w) and 0.0 < w <= 1.0
+                     for w in omegas),
              "params.omegas must be numbers in (0, 1]")
+    # the rescaled model divides by omega^2, which must stay a normal float
+    _require(all(w * w >= sys.float_info.min for w in omegas),
+             "params.omegas are too small: omega^2 underflows")
     n_csv = _count(params, "n_csv", 101, least=2)
 
     res = penrose_limit(L, nvec, u_interval, omegas=tuple(omegas), tol=tol)
@@ -407,6 +412,14 @@ _RUNNERS = {
 
 # -- runner ------------------------------------------------------------------------
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fp:
+            fp.write(text)
+    except OSError as e:
+        raise ConfigError("cannot write %s: %s" % (path, e)) from e
+
+
 def run(config):
     """Execute a validated RunConfig; returns the process exit status."""
     L = from_descriptor(config.spacetime)
@@ -428,12 +441,10 @@ def run(config):
         if curve_csv is None:
             raise ConfigError("command %s produced no CSV curve"
                               % config.command)
-        with open(config.path, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(curve_csv())
+        _write(config.path, curve_csv())
         sys.stdout.write(text)
     elif config.path is not None:
-        with open(config.path, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(text)
+        _write(config.path, text)
     else:
         sys.stdout.write(text)
     return EXIT_PASS if rep.passed else EXIT_VERIFICATION

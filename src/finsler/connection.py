@@ -4,11 +4,13 @@ Christoffel symbols are solved pointwise from one multivariate jet
 evaluation of L: base-point generators to first order, fiber generators to
 third, which yields the metric g, the Cartan tensor C and the total
 x-derivatives D_i(jk) of the metric along the reference field in a single
-pass.  The Koszul system is linear in the symbols; a fixed-point iteration
-exploits the small Cartan coupling and a dense solve guarantees
-termination.  The solve never tests cone membership; the public entry
-points (`connection_report`, `hessian`, `parallel_extension`, `geodesic`)
-gate the reference the caller supplies.
+pass.  The Koszul system is linear in the symbols, M Γ = rhs with one
+operator M(g, C, v); a fixed-point iteration exploits the small Cartan
+coupling and a dense solve of M guarantees termination.  Curvature reuses
+M for the exact x-derivatives of Γ from a base-order-2 evaluation.  The
+solve never tests cone membership; the public entry points
+(`connection_report`, `hessian`, `parallel_extension`, `geodesic`) gate
+the reference the caller supplies.
 
 Index conventions (pinned across the package):
   gamma[k, i, j]   = Γ^k_ij (torsion-free: symmetric in i, j)
@@ -171,11 +173,12 @@ class ChristoffelTable:
     method: str
 
 
-def _field_jet(L, x, v, J):
-    """One evaluation of L giving g, C and the total derivatives D."""
+def _field_jet(L, x, v, J, base_order=1):
+    """One evaluation of L giving g, C and the total derivatives D; with
+    ``base_order=2`` also dC[a] = ∂_a C and dD[a] = ∂_a D along v + J dx."""
     n = len(v)
-    ctx, seeds = jets.variables(list(x) + list(v), 3,
-                                (0,) * n + (1,) * n, (1, 3))
+    ctx, seeds = jets.variables(list(x) + list(v), base_order + 2,
+                                (0,) * n + (1,) * n, (base_order, 3))
     for m in range(n):
         # the fiber generator carries the field's first-order x-dependence
         for i in range(n):
@@ -186,52 +189,59 @@ def _field_jet(L, x, v, J):
     g = 0.5 * jets.derivative_tensor(w, fiber, 2)
     C = 0.25 * jets.derivative_tensor(w, fiber, 3)
     D = 0.5 * jets.derivative_tensor(w, range(2 * n), 3)[:n, n:, n:]
-    return g, C, D
+    if base_order == 1:
+        return g, C, D
+    d4 = jets.derivative_tensor(w, range(2 * n), 4)
+    return g, C, D, 0.25 * d4[:n, n:, n:, n:], 0.5 * d4[:n, :n, n:, n:]
 
 
 def _koszul_rhs(D, C, A):
-    """rhs[i,j,k] with 2 g(∇_i ∂_j, ∂_k) = rhs for coordinate fields."""
-    CA = np.einsum("mjk,im->ijk", C, A)
-    return (D + np.swapaxes(D, 0, 1) - np.transpose(D, (1, 2, 0))
-            - 2.0 * CA - 2.0 * np.swapaxes(CA, 0, 1)
-            + 2.0 * np.transpose(CA, (1, 2, 0)))
+    """rhs[..., i,j,k] with 2 g(∇_i ∂_j, ∂_k) = rhs for coordinate fields."""
+    CA = np.einsum("...mjk,...im->...ijk", C, A)
+    Ds, CAs = np.swapaxes(D, -3, -2), np.swapaxes(CA, -3, -2)
+    return (D + Ds - np.swapaxes(Ds, -2, -1)     # ... - D[k, i, j]
+            - 2.0 * CA - 2.0 * CAs + 2.0 * np.swapaxes(CAs, -2, -1))
 
 
-def _dense_koszul_solve(g, C, D, J, v):
-    n = g.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    pidx = {p: a for a, p in enumerate(pairs)}
+def _koszul_operator(g, C, v):
+    """M with M Γ = 2 g(Γ, ·) - rhs(0, C, Γ v), so that the identity
+    2 g(Γ, ·) = rhs(D, C, J + Γ v) reads M Γ = rhs(D, C, J).  Rows are the
+    identities (i <= j, k); columns the symbols Γ^l_ij with i <= j."""
+    n = len(v)
+    iu, ju = np.triu_indices(n)
+    l, p = np.indices((n, len(iu)))
+    E = np.zeros((n, len(iu), n, n, n))     # basis of the symmetric Γ
+    E[l, p, l, iu[p], ju[p]] = E[l, p, l, ju[p], iu[p]] = 1.0
+    ME = (2.0 * np.einsum("...lij,lk->...ijk", E, g)
+          - _koszul_rhs(np.zeros((n, n, n)), C,
+                        np.einsum("...mil,l->...im", E, v)))
+    return ME[..., iu, ju, :].reshape(n * len(iu), -1).T
 
-    def col(l, i, j):
-        return l * len(pairs) + pidx[(i, j) if i <= j else (j, i)]
 
-    N = n * len(pairs)
-    M = np.zeros((N, N))
-    b = np.zeros(N)
-    CJ = np.einsum("mjk,im->ijk", C, J)
-    row = 0
-    for (i, j) in pairs:
-        for k in range(n):
-            for l in range(n):
-                M[row, col(l, i, j)] += 2.0 * g[l, k]
-            for m in range(n):
-                for l2 in range(n):
-                    vl = v[l2]
-                    if vl == 0.0:
-                        continue
-                    M[row, col(m, i, l2)] += 2.0 * C[m, j, k] * vl
-                    M[row, col(m, j, l2)] += 2.0 * C[m, i, k] * vl
-                    M[row, col(m, k, l2)] -= 2.0 * C[m, i, j] * vl
-            b[row] = (D[i, j, k] + D[j, i, k] - D[k, i, j]
-                      - 2.0 * CJ[i, j, k] - 2.0 * CJ[j, i, k]
-                      + 2.0 * CJ[k, i, j])
-            row += 1
+def _koszul_solve(M, rhs):
+    """Symmetric Γ[..., l, i, j] with M Γ = rhs[..., i, j, k]."""
+    n = rhs.shape[-1]
+    iu, ju = np.triu_indices(n)
+    b = rhs[..., iu, ju, :].reshape(-1, len(iu) * n).T
     sol, *_ = np.linalg.lstsq(M, b, rcond=None)
-    gamma = np.zeros((n, n, n))
-    for l in range(n):
-        for (i, j) in pairs:
-            gamma[l, i, j] = gamma[l, j, i] = sol[col(l, i, j)]
+    gamma = np.zeros(rhs.shape[:-3] + (n, n, n))
+    gamma[..., iu, ju] = gamma[..., ju, iu] = sol.T.reshape(
+        gamma.shape[:-2] + (len(iu),))
     return gamma
+
+
+def _metric_inverse(g, x):
+    """g^{-1}; SignatureError when g is numerically degenerate."""
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError as e:
+        raise SignatureError("fundamental tensor is singular at x=%r"
+                             % (x.tolist(),)) from e
+    cond = np.linalg.cond(g)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SignatureError("fundamental tensor is numerically degenerate "
+                             "(cond=%.3g)" % cond)
+    return ginv
 
 
 # fixed-point stopping rule of the Koszul solve
@@ -243,33 +253,25 @@ def christoffel(L, V, x):
     """Christoffel symbols Γ^k_ij of the connection ∇^V at the point x.
 
     Solves the coordinate Koszul identities by fixed point from the
-    Cartan-free truncation, falling back to the assembled dense linear
-    system when the iteration stalls.  Raises SignatureError when g_V is
-    numerically degenerate and SolverError when no solution satisfies the
-    identities to 1e-6.  A pure per-point kernel: it does not test whether
-    V(x) lies in the cone (finite-difference stencils may sit a hair
-    outside it), so callers gate their own reference once.
+    Cartan-free truncation, falling back to a least-squares solve of the
+    operator `_koszul_operator` when the iteration stalls.  Raises
+    SignatureError when g_V is numerically degenerate and SolverError when
+    no solution satisfies the identities to 1e-6.  A pure per-point
+    kernel: it does not test whether V(x) lies in the cone, so callers
+    gate their own reference once.
     """
     x = np.asarray(x, dtype=float)
     v = V(x)
     J = V.jacobian(x)
     g, C, D = _field_jet(L, x, v, J)
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as e:
-        raise SignatureError("fundamental tensor is singular at x=%r"
-                             % (x.tolist(),)) from e
-    cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SignatureError("fundamental tensor is numerically degenerate "
-                             "(cond=%.3g)" % cond)
-
+    ginv = _metric_inverse(g, x)
     cscale = float(np.max(np.abs(C)))
     gscale = max(1.0, float(np.max(np.abs(g))))
     rhs0 = D + np.swapaxes(D, 0, 1) - np.transpose(D, (1, 2, 0))
     gamma = 0.5 * np.einsum("lk,ijk->lij", ginv, rhs0)
     method = "levi-civita"
     iters = 0
+    converged = True
     if cscale > 1e-14 * gscale:
         method = "fixed-point"
         for iters in range(1, _FP_MAX_ITER + 1):
@@ -281,19 +283,16 @@ def christoffel(L, V, x):
             if delta <= _FP_TOL * (1.0 + float(np.max(np.abs(new)))):
                 break
         else:
-            gamma = _dense_koszul_solve(g, C, D, J, v)
-            method = "dense"
+            converged = False
     gamma = 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
     table = ChristoffelTable(x=x, v=np.asarray(v, dtype=float), gamma=gamma,
                              g=g, cartan=C, dmetric=D, jacobian=J,
                              iterations=iters, method=method)
     res = koszul_residual(table)
-    if res > 1e-8 and method != "dense":
-        gamma = _dense_koszul_solve(g, C, D, J, v)
-        gamma = 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
-        table = ChristoffelTable(x=x, v=table.v, gamma=gamma, g=g, cartan=C,
-                                 dmetric=D, jacobian=J, iterations=iters,
-                                 method="dense")
+    if not converged or res > 1e-8:
+        table.gamma = _koszul_solve(_koszul_operator(g, C, v),
+                                    _koszul_rhs(D, C, J))
+        table.method = "dense"
         res = koszul_residual(table)
     if res > 1e-6:
         raise SolverError("Koszul system did not converge (residual %.3g "
@@ -510,11 +509,12 @@ def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
     t_eval = np.linspace(t0, t1, int(n_samples))
     sol = solve_ivp(rhs, (t0, t1), np.concatenate([x0, v0]),
                     method="DOP853", rtol=tol, atol=tol, t_eval=t_eval)
-    ts = sol.t
-    ys = sol.y.T
-    if len(ts) == 0:
+    if len(sol.t) == 0:
+        # stopped before the first sample: sol.y is then not an array
         ts = np.array([t0])
         ys = np.concatenate([x0, v0])[None, :]
+    else:
+        ts, ys = sol.t, sol.y.T
     xs = ys[:, :n]
     vs = ys[:, n:]
 

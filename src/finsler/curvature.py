@@ -1,9 +1,11 @@
 """Chern curvature via pointwise-parallel extensions.
 
-The curvature tensor at (x, v) is assembled from coordinate derivatives of
-the Christoffel field of the parallel extension of v through x.  The
-symbols come from an iterative solve, so the field is differentiated by
-central differences with one Richardson level rather than through jets.
+The curvature tensor at (x, v) is assembled from the Christoffel field of
+the parallel extension of v through x and its exact x-derivatives: one
+jet evaluation of L along the extension with base order 2 gives g, C, D
+and their x-derivatives, and differentiating the linear Koszul system
+M Γ = rhs gives ∂Γ from the operator M that yields Γ.  No finite
+difference is taken.
 
 Index convention: components[l, i, j, k] = R^l_{ijk}, the ∂_l-component of
 R_v(∂_i, ∂_j)∂_k; antisymmetry in (i, j) is exact by construction.
@@ -15,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import as_vector_field, christoffel, parallel_extension
+from .connection import (_field_jet, _koszul_operator, _koszul_rhs,
+                         _koszul_solve, _metric_inverse, as_vector_field,
+                         parallel_extension)
 from .report import Report
 
 __all__ = [
@@ -25,9 +29,6 @@ __all__ = [
     "ppwave_condition",
 ]
 
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
-
 @dataclass
 class CurvatureAt:
     """Curvature of the connection with reference v, based at x."""
@@ -36,6 +37,7 @@ class CurvatureAt:
     v: np.ndarray
     components: np.ndarray   # components[l, i, j, k] = R^l_{ijk}
     g: np.ndarray            # fundamental tensor at (x, v)
+    gamma: np.ndarray        # gamma[k, i, j] = Γ^k_ij at (x, v)
 
     def apply(self, X, Y, Z):
         """The vector R_v(X, Y)Z."""
@@ -56,8 +58,9 @@ class CurvatureAt:
 def chern_curvature(L, x, v, extension=None):
     """Curvature R_v at x from the parallel extension's Christoffel field.
 
-    The central-difference stencil steps by the cube root of machine
-    epsilon; one Richardson level removes the leading h^2 error.
+    One jet evaluation along the extension gives g, C, D and their
+    x-derivatives; Γ and every ∂_a Γ then solve the one Koszul operator
+    M(g, C, v), so the components are exact up to roundoff.
     ``extension`` overrides the automatically built parallel extension; any
     field through (x, v) with vanishing covariant derivative at x gives
     the same tensor (pointwise-parallel semantics).  Only (x, v) is
@@ -65,37 +68,31 @@ def chern_curvature(L, x, v, extension=None):
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    n = len(x)
     if extension is None:
         V = parallel_extension(L, v, x)
     else:
         L.check_admissible(x, v)
         V = extension
-    center = christoffel(L, V, x)
-    gamma0 = center.gamma
+    vx, J = V(x), V.jacobian(x)
+    g, C, D, dC, dD = _field_jet(L, x, vx, J, base_order=2)
+    _metric_inverse(g, x)               # SignatureError where g degenerates
+    M = _koszul_operator(g, C, vx)
+    gamma = _koszul_solve(M, _koszul_rhs(D, C, J))
+    # ∂_a of M Γ = rhs(D, C, J) along the linearisation, where ∂_a g = D[a]
+    # and ∂_a v = J[a]; the field's second derivatives cancel between
+    # ∂_a D and ∂_a J, so the linear seed is exact for any extension
+    A = J + np.einsum("mil,l->im", gamma, vx)
+    drhs = (_koszul_rhs(dD, dC, A)
+            + _koszul_rhs(np.zeros_like(D), C,
+                          np.einsum("mil,al->aim", gamma, J))
+            - 2.0 * np.einsum("alk,lij->aijk", D, gamma))
+    dgamma = _koszul_solve(M, drhs)     # dgamma[a, l, i, j] = ∂_a Γ^l_ij
 
-    dgamma = np.zeros((n, n, n, n))     # dgamma[a, l, i, j] = d_a G^l_ij
-    for a in range(n):
-        h = _FD_STEP * (1.0 + abs(x[a]))
-
-        def central(hh):
-            xp = x.copy()
-            xm = x.copy()
-            xp[a] += hh
-            xm[a] -= hh
-            return (christoffel(L, V, xp).gamma
-                    - christoffel(L, V, xm).gamma) / (2.0 * hh)
-
-        d1 = central(h)
-        d2 = central(2.0 * h)
-        dgamma[a] = (4.0 * d1 - d2) / 3.0
-
-    term1 = np.transpose(dgamma, (1, 0, 2, 3))          # d_i G^l_jk
-    term2 = np.transpose(dgamma, (1, 2, 0, 3))          # d_j G^l_ik
-    quad1 = np.einsum("lim,mjk->lijk", gamma0, gamma0)
-    quad2 = np.einsum("ljm,mik->lijk", gamma0, gamma0)
-    comps = term1 - term2 + quad1 - quad2
-    return CurvatureAt(x=x, v=v, components=comps, g=center.g)
+    # R^l_ijk = P^l_ijk - P^l_jik with P^l_ijk = ∂_i Γ^l_jk + Γ^l_im Γ^m_jk
+    P = (np.transpose(dgamma, (1, 0, 2, 3))
+         + np.einsum("lim,mjk->lijk", gamma, gamma))
+    comps = P - np.swapaxes(P, 1, 2)
+    return CurvatureAt(x=x, v=v, components=comps, g=g, gamma=gamma)
 
 
 def nperp_basis(g, nvec):
@@ -141,8 +138,8 @@ def ppwave_condition(L, N, sample_points, tol_factor=1e-6):
         nv = N(p)
         R = chern_curvature(L, p, nv)    # the sample's one cone gate
         light = abs(float(L.value(p, nv)))
-        table = christoffel(L, N, p)
-        nab = table.jacobian + np.einsum("mil,l->im", table.gamma, table.v)
+        # Γ at p depends on N(p) only, so the curvature's symbols serve
+        nab = N.jacobian(p) + np.einsum("mil,l->im", R.gamma, nv)
         par = float(np.max(np.abs(nab)))
 
         basis = nperp_basis(R.g, nv)

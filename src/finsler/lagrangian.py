@@ -354,6 +354,24 @@ def _omega_row_report(L, N):
             "row_residual": float(np.max(np.abs(row - target)))}
 
 
+def _cone_ref_near_e0(func, n):
+    """cone_ref(x): the first e0 + delta e1 that func makes timelike.
+
+    The probe evaluates through `jets._call`, so a model that cannot be
+    evaluated at x raises EvaluationError rather than a bare ValueError.
+    """
+    def cone_ref(x):
+        xs = [float(t) for t in x]
+        for delta in (0.5, 0.25, 0.1, 0.05, 0.02):
+            ref = [1.0, delta] + [0.0] * (n - 2)
+            val = jets._call(func, xs, ref)
+            if float(val.value if isinstance(val, jets.Jet) else val) > 0:
+                return np.asarray(ref)
+        raise ConstructionError("no interior cone vector found near N")
+
+    return cone_ref
+
+
 def build_parallel_example(F, omega=None, name="parallel_example",
                            params=None):
     """L = omega(v)^2 - F(v)^2 on a flat chart, with omega derived from F.
@@ -385,15 +403,7 @@ def build_parallel_example(F, omega=None, name="parallel_example",
         f = F(x, v)
         return w * w - f * f
 
-    def cone_ref(x):
-        for delta in (0.5, 0.25, 0.1, 0.05, 0.02):
-            ref = list(N)
-            ref[1] += delta
-            val = func([float(t) for t in x], ref)
-            if float(val.value if isinstance(val, jets.Jet) else val) > 0:
-                return np.asarray(ref)
-        raise ConstructionError("no interior cone vector found near N")
-
+    cone_ref = _cone_ref_near_e0(func, n)
     cone_ref(x0)  # fail fast if the cone is empty at the origin
     L = Lagrangian(func, n, cone_ref, name=name, params=params or {},
                    meta={"omega": list(omega), "F": F, "N": list(N)})
@@ -437,14 +447,7 @@ def build_ppwave_example(F2, name="ppwave_example", params=None):
         f = F2._from_coeffs(A, b, [v[0], v[1]])
         return w * w - f * f - v[2] * v[2] - v[3] * v[3]
 
-    def cone_ref(x):
-        for delta in (0.5, 0.25, 0.1, 0.05, 0.02):
-            ref = [1.0, delta, 0.0, 0.0]
-            val = func([float(t) for t in x], ref)
-            if float(val.value if isinstance(val, jets.Jet) else val) > 0:
-                return np.asarray(ref)
-        raise ConstructionError("no interior cone vector found near N")
-
+    cone_ref = _cone_ref_near_e0(func, n)
     cone_ref([0.0] * 4)
     L = Lagrangian(func, n, cone_ref, name=name, params=params or {},
                    meta={"F": F2, "N": [1.0, 0.0, 0.0, 0.0]})
@@ -531,7 +534,11 @@ def from_descriptor(desc):
     elif kind == "brinkmann":
         if dim != 4:
             raise ConfigError("brinkmann models are 4-dimensional")
-        L = build_brinkmann_quadratic(params.get("profile", "x2"))
+        profile = params.get("profile", "x2")
+        if not isinstance(profile, str):
+            raise ConfigError("spacetime.params.profile must be one of %s"
+                              % sorted(PROFILES))
+        L = build_brinkmann_quadratic(profile)
     elif kind == "parallel_example":
         L = _default_parallel_example(eps=_eps(params))
     elif kind == "ppwave_example":
@@ -550,12 +557,19 @@ def from_descriptor(desc):
                               % (module, builder, e)) from e
         kwargs = {k: v for k, v in params.items()
                   if k not in ("module", "builder")}
+        sig = inspect.signature(fn)
         try:
-            inspect.signature(fn).bind(**kwargs)
+            sig.bind(**kwargs)
         except TypeError as e:
             raise ConfigError("plugin builder %s.%s does not take params "
                               "%s: %s" % (module, builder, sorted(kwargs), e)
                               ) from e
+        for key, val in kwargs.items():
+            # a param whose default is a number must be given as one
+            default = getattr(sig.parameters.get(key), "default", None)
+            if is_finite_number(default) and not is_finite_number(val):
+                raise ConfigError("plugin param %s must be a finite number"
+                                  % key)
         L = fn(**kwargs)
         if not isinstance(L, Lagrangian):
             raise ConfigError("plugin builder %s.%s did not return a "

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,26 +165,46 @@ def test_verification_failure_exits_one(tmp_path, capsys):
     assert rep["pass"] is False
 
 
-@pytest.mark.parametrize("body", [
-    {"spacetime": {"type": "warp-drive"}},
-    {"spacetime": {"type": "minkowski"}, "surprise": 1},
-    {"spacetime": {"type": "minkowski"}, "command": "penrose"},
-    {"spacetime": {"type": "minkowski"}, "output": {"format": "csv",
-                                                    "path": "x.csv"}},
-    {"spacetime": {"type": "minkowski"}, "seed": -3},
-    {"spacetime": {"type": "minkowski"}, "params": {"n_samples": 0}},
-    {"spacetime": {"type": "plugin",
-                   "params": {"module": "finsler.fixtures",
-                              "builder": "rosen_cos2", "zzz": 1}}},
-    {"spacetime": {"type": "ppwave_example", "params": {"eps": "abc"}}},
-    {"spacetime": {"type": "minkowski"}, "params": {"box": 1e308}},
-    {"spacetime": {"type": "minkowski"}, "params": {"box": 1e400}},
-])
-def test_schema_violations_exit_two(tmp_path, capsys, body):
+@pytest.mark.parametrize("command,body", [pytest.param(c, b, id="body%d" % i)
+                                          for i, (c, b) in enumerate([
+    ("check", {"spacetime": {"type": "warp-drive"}}),
+    ("check", {"spacetime": {"type": "minkowski"}, "surprise": 1}),
+    ("check", {"spacetime": {"type": "minkowski"}, "command": "penrose"}),
+    ("check", {"spacetime": {"type": "minkowski"},
+               "output": {"format": "csv", "path": "x.csv"}}),
+    ("check", {"spacetime": {"type": "minkowski"}, "seed": -3}),
+    ("check", {"spacetime": {"type": "minkowski"},
+               "params": {"n_samples": 0}}),
+    ("check", {"spacetime": {"type": "plugin",
+                             "params": {"module": "finsler.fixtures",
+                                        "builder": "rosen_cos2", "zzz": 1}}}),
+    ("check", {"spacetime": {"type": "ppwave_example",
+                             "params": {"eps": "abc"}}}),
+    ("check", {"spacetime": {"type": "minkowski"}, "params": {"box": 1e308}}),
+    ("check", {"spacetime": {"type": "minkowski"}, "params": {"box": 1e400}}),
+    ("check", {"spacetime": {"type": "brinkmann", "params": {"profile": 3}}}),
+    ("check", {"spacetime": {"type": "brinkmann",
+                             "params": {"profile": ["x"]}}}),
+    ("check", {"spacetime": {"type": "plugin",
+                             "params": {"module": "finsler.fixtures",
+                                        "builder": "rosen_cross",
+                                        "a": "z"}}}),
+    ("penrose", {"spacetime": COS2,
+                 "params": {"u_interval": [-1.2, 1.2], "omegas": [1e-300]}}),
+    ("quotient", {"spacetime": {"type": "brinkmann",
+                                "params": {"profile": "x2-y2"}},
+                  "params": {"base": [0.0, 0.1, 0.2, -0.1],
+                             "loop": {"plane": [1, 2],
+                                      "sides": [1e-320, 1e-320]}}}),
+    ("check", {"spacetime": {"type": "minkowski"},
+               "output": {"path": "/nonexistent/x.json"}}),
+])])
+def test_schema_violations_exit_two(tmp_path, capsys, command, body):
     cfg = write_config(tmp_path, body)
-    code = main(["check", "--config", cfg])
-    capsys.readouterr()
+    code = main([command, "--config", cfg])
+    err = capsys.readouterr().err
     assert code == 2
+    assert err.startswith("config error: ")
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):
@@ -193,17 +214,41 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     assert "config error" in err
 
 
-def test_numerical_failure_exits_three(tmp_path, capsys):
+@pytest.mark.parametrize("command,body", [
     # the transverse block changes sign inside the requested window
-    cfg = write_config(tmp_path, {
+    pytest.param("penrose", {
         "spacetime": {"type": "plugin",
                       "params": {"module": "finsler.fixtures",
                                  "builder": "linear_wall"}},
-        "params": {"u_interval": [0.0, 2.0]}})
-    code = main(["penrose", "--config", cfg])
+        "params": {"u_interval": [0.0, 2.0]}}, id="linear-wall"),
+    # the Randers A-part turns indefinite: L cannot be evaluated
+    pytest.param("check", {"spacetime": {"type": "ppwave_example",
+                                         "params": {"eps": 50}}},
+                 id="ppwave-eps-50"),
+    pytest.param("check", {"spacetime": {"type": "parallel_example",
+                                         "params": {"eps": 5}}},
+                 id="parallel-eps-5"),
+])
+def test_numerical_failure_exits_three(tmp_path, capsys, command, body):
+    cfg = write_config(tmp_path, body)
+    code = main([command, "--config", cfg])
     err = capsys.readouterr().err
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.filterwarnings("ignore")  # scipy warns at this tolerance
+def test_geodesic_stopped_before_first_sample(tmp_path, capsys):
+    # the integrator gives up before its first step: a one-sample path
+    cfg = write_config(tmp_path, {
+        "spacetime": {"type": "minkowski"},
+        "params": {"x0": [0.0, 0.0, 0.0, 0.0], "v0": [1.0, 0.5, 0.0, 0.0],
+                   "t_span": [0.0, 1.0], "ode_tol": 1e-300}})
+    code, rep = run_json(capsys, ["geodesic", "--config", cfg])
+    assert code == 0
+    assert rep["meta"]["truncated"] is True
+    assert rep["meta"]["t_final"] == 0
+    assert rep["meta"]["reason"] == "integrator stopped at t=0"
 
 
 def test_tol_override_can_force_failure(tmp_path, capsys):
@@ -213,3 +258,25 @@ def test_tol_override_can_force_failure(tmp_path, capsys):
                                   "--tol", "1e-30"])
     assert code == 1
     assert rep["meta"]["tol"] == 1e-30
+
+
+# -- the example configs ----------------------------------------------------------
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
+                 .glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_example_config_passes(tmp_path, capsys, monkeypatch, path):
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    monkeypatch.chdir(tmp_path)     # output.path is relative to the cwd
+    code, rep = run_json(capsys, [raw["command"], "--config", str(path)])
+    assert code == 0
+    assert rep["pass"] is True
+    out = raw.get("output", {}).get("path")
+    if out is not None:
+        lines = (tmp_path / out).read_text(encoding="utf-8").splitlines()
+        assert len(lines) > 2
+        assert all(len(row.split(",")) == len(lines[0].split(","))
+                   for row in lines)
+

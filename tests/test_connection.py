@@ -27,6 +27,7 @@ from finsler.connection import (
     parallel_extension,
     torsion_residual,
 )
+from finsler.curvature import chern_curvature
 from finsler.errors import ConeError, NoGradientError, SignatureError
 from finsler.lagrangian import (
     QuadraticLagrangian,
@@ -151,14 +152,20 @@ def test_symbols_intrinsic_in_the_reference_extension():
 
 
 def test_fixed_point_and_dense_solver_agree():
-    from finsler.connection import _dense_koszul_solve, _field_jet
+    from finsler.connection import (
+        _field_jet,
+        _koszul_operator,
+        _koszul_rhs,
+        _koszul_solve,
+    )
 
     L = _default_ppwave_example()
     x = np.array([0.1, 0.4, -0.2, 0.3])
     v = np.asarray(L.cone_ref_at(x))
     t = christoffel(L, VectorField.constant(v), x)
     g, C, D = _field_jet(L, x, v, np.zeros((4, 4)))
-    dense = _dense_koszul_solve(g, C, D, np.zeros((4, 4)), v)
+    dense = _koszul_solve(_koszul_operator(g, C, v),
+                          _koszul_rhs(D, C, np.zeros((4, 4))))
     assert np.max(np.abs(dense - t.gamma)) <= 1e-9
 
 
@@ -167,6 +174,10 @@ def test_degenerate_metric_raises_signature_error():
                             name="rank2")
     with pytest.raises(SignatureError):
         christoffel(L, VectorField.constant([1.0, 0.0, 0.0]), np.zeros(3))
+    # the curvature's own jet solve keeps the gate on a supplied extension
+    with pytest.raises(SignatureError):
+        chern_curvature(L, np.zeros(3), [1.0, 0.0, 0.0],
+                        extension=VectorField.constant([1.0, 0.0, 0.0]))
 
 
 def test_connection_report_round_trip():

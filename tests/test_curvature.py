@@ -9,15 +9,17 @@ models, the Cartan-free classical symbols for the metric field g_N).
 import numpy as np
 import pytest
 
-from finsler import jets
+from finsler import connection, curvature, jets, ppwave
 from finsler.connection import (
     VectorField,
     _field_jet,
     christoffel,
     levi_civita_quadratic,
+    parallel_extension,
 )
 from finsler.curvature import chern_curvature, nperp_basis, ppwave_condition
 from finsler.lagrangian import (
+    PROFILES,
     QuadraticLagrangian,
     _default_ppwave_example,
     build_brinkmann_quadratic,
@@ -95,24 +97,24 @@ def test_brinkmann_x2_frozen_components():
     # H = x^2: R(dx,du)du = +dx and R(dx,du)dx = +dv, H_xx/2 = 1
     L = build_brinkmann_quadratic("x2")
     R = chern_curvature(L, np.array([0.3, 1.2, 1.5, -0.7]), N_WAVE)
-    assert R.components[2, 2, 1, 1] == pytest.approx(1.0, abs=1e-8)
-    assert R.components[0, 2, 1, 2] == pytest.approx(1.0, abs=1e-8)
+    assert R.components[2, 2, 1, 1] == pytest.approx(1.0, abs=1e-12)
+    assert R.components[0, 2, 1, 2] == pytest.approx(1.0, abs=1e-12)
     mask = np.ones((4, 4, 4, 4), dtype=bool)
     for (l, i, j, k) in [(2, 2, 1, 1), (2, 1, 2, 1), (0, 2, 1, 2),
                          (0, 1, 2, 2), (0, 2, 1, 1)]:
         mask[l, i, j, k] = False
         mask[l, j, i, k] = False
-    assert np.max(np.abs(R.components[mask])) <= 1e-8
+    assert np.max(np.abs(R.components[mask])) <= 1e-12
 
 
 def test_brinkmann_saddle_profile_transverse_blocks():
     # H = x^2 - y^2: the cross blocks vanish and the oscillator signs split
     L = build_brinkmann_quadratic("x2-y2")
     R = chern_curvature(L, np.array([0.0, -0.4, 0.8, 0.6]), N_WAVE)
-    assert np.max(np.abs(R.components[:, 2, 3, 2])) <= 1e-10
-    assert np.max(np.abs(R.components[:, 2, 3, 1])) <= 1e-10
-    assert R.components[2, 2, 1, 1] == pytest.approx(1.0, abs=1e-8)
-    assert R.components[3, 3, 1, 1] == pytest.approx(-1.0, abs=1e-8)
+    assert np.max(np.abs(R.components[:, 2, 3, 2])) <= 1e-12
+    assert np.max(np.abs(R.components[:, 2, 3, 1])) <= 1e-12
+    assert R.components[2, 2, 1, 1] == pytest.approx(1.0, abs=1e-12)
+    assert R.components[3, 3, 1, 1] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_rosen_cos2_frozen_components():
@@ -121,12 +123,41 @@ def test_rosen_cos2_frozen_components():
     for t in (0.0, 0.5, 1.2):
         x = np.array([t, 0.3, 0.1, -0.2])
         R = chern_curvature(L, x, np.array([1.0, 1.0, 0.0, 0.0]))
-        assert R.components[2, 2, 0, 0] == pytest.approx(1.0, abs=1e-7)
+        assert R.components[2, 2, 0, 0] == pytest.approx(1.0, abs=1e-12)
         assert R.components[1, 2, 0, 2] == pytest.approx(np.cos(t) ** 2,
-                                                         abs=1e-7)
+                                                         abs=1e-12)
 
 
 # -- classical oracles ------------------------------------------------------
+
+def brinkmann_riemann(profile, x):
+    """Closed-form R^l_ijk of a quadratic wave: `brinkmann_oracle`'s symbols
+    are H's first partials over two, so their x-derivatives are H's second
+    partials over two, placed in the same slots."""
+    gamma = ppwave.brinkmann_oracle(profile)(x)
+    _, uxy = jets.variables(x[1:], 2)
+    hess = jets.derivative_tensor(PROFILES[profile](*uxy), range(3), 2)
+    dgamma = np.zeros((4, 4, 4, 4))     # dgamma[a, l, i, j] = d_a G^l_ij
+    for a in range(1, 4):
+        hu, hx, hy = 0.5 * hess[a - 1]
+        dgamma[a, 0, 1, 1] = hu
+        dgamma[a, 0, 1, 2] = dgamma[a, 0, 2, 1] = hx
+        dgamma[a, 0, 1, 3] = dgamma[a, 0, 3, 1] = hy
+        dgamma[a, 2, 1, 1] = hx
+        dgamma[a, 3, 1, 1] = hy
+    return assemble_riemann(gamma, dgamma)
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_brinkmann_curvature_matches_closed_form(profile):
+    L = build_brinkmann_quadratic(profile)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        x = rng.uniform(-0.8, 0.8, 4)
+        R = chern_curvature(L, x, N_WAVE)
+        assert np.max(np.abs(R.components
+                             - brinkmann_riemann(profile, x))) <= 1e-12
+
 
 def test_quadratic_curvature_matches_entry_route_riemann():
     # chern_curvature differentiates the Koszul symbols; the oracle
@@ -157,6 +188,25 @@ def test_parallel_reference_equals_metric_field_riemann():
 
 # -- invariants -------------------------------------------------------------
 
+@pytest.mark.parametrize("extended,solves", [(False, 1), (True, 0)])
+def test_christoffel_solves_per_curvature_call(monkeypatch, extended,
+                                               solves):
+    # the only solve is the one that builds the parallel extension
+    L = _default_ppwave_example()
+    x = np.array([0.05, 0.3, -0.15, 0.1])
+    ext = parallel_extension(L, N_WAVE, x) if extended else None
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return christoffel(*args)
+
+    monkeypatch.setattr(connection, "christoffel", counting)
+    monkeypatch.setattr(curvature, "christoffel", counting, raising=False)
+    chern_curvature(L, x, N_WAVE, extension=ext)
+    assert len(calls) == solves
+
+
 def test_antisymmetry_exact_in_the_first_pair():
     L = _default_ppwave_example()
     x = np.array([0.0, 0.25, 0.1, -0.2])
@@ -170,7 +220,7 @@ def test_pair_symmetry_for_parallel_reference():
         x = np.array([0.3, 0.6, 0.4, -0.5])
         R = chern_curvature(L, x, N_WAVE)
         rm = np.einsum("lijk,lm->ijkm", R.components, R.g)
-        assert np.max(np.abs(rm - np.transpose(rm, (2, 3, 0, 1)))) <= 1e-7
+        assert np.max(np.abs(rm - np.transpose(rm, (2, 3, 0, 1)))) <= 1e-12
 
 
 def test_extension_independence():
@@ -208,10 +258,10 @@ def test_curvature_applies_and_rm_contraction():
     x = np.array([0.0, 0.0, 1.0, 0.0])
     R = chern_curvature(L, x, N_WAVE)
     vec = R.apply([0, 0, 1, 0], [0, 1, 0, 0], [0, 1, 0, 0])
-    assert vec[2] == pytest.approx(1.0, abs=1e-8)
+    assert vec[2] == pytest.approx(1.0, abs=1e-12)
     # Rm(dx,du,du,dx) = g(R(dx,du)du, dx) = -1 with the transverse sign
     assert R.rm([0, 0, 1, 0], [0, 1, 0, 0], [0, 1, 0, 0],
-                [0, 0, 1, 0]) == pytest.approx(-1.0, abs=1e-8)
+                [0, 0, 1, 0]) == pytest.approx(-1.0, abs=1e-12)
 
 
 # -- the pp-wave condition ---------------------------------------------------
