@@ -132,6 +132,15 @@ def _num(params, key, default, positive=False):
     return float(val)
 
 
+def _ode_tol(params):
+    """DOP853's rtol and atol; scipy raises an rtol below 100 machine
+    epsilons, and at such an atol the integrator may not take a step."""
+    val = _num(params, "ode_tol", 1e-9, positive=True)
+    floor = 100.0 * np.finfo(float).eps
+    _require(val >= floor, "params.ode_tol must be at least %.3g" % floor)
+    return val
+
+
 def _box(params):
     """Half-width of the sampling box; its width 2 box must be finite."""
     box = _num(params, "box", 0.8, positive=True)
@@ -251,7 +260,7 @@ def _cmd_geodesic(L, params, rng, tol):
     v0 = _vector(params, "v0", L.dim)
     t_span = _interval(params, "t_span")
     n = _count(params, "n_samples", 200, least=2)
-    ode_tol = _num(params, "ode_tol", 1e-9, positive=True)
+    ode_tol = _ode_tol(params)
     path = geodesic(L, x0, v0, t_span, tol=ode_tol, n_samples=n)
     rep = Report(title="geodesic",
                  meta={"l0": float(path.l0),
@@ -285,7 +294,7 @@ def _cmd_focal(L, params, rng, tol):
     v0 = _vector(params, "v0", L.dim, default=nvec.tolist())
     t_span = _interval(params, "t_span")
     n = _count(params, "n_samples", 200, least=2)
-    ode_tol = _num(params, "ode_tol", 1e-9, positive=True)
+    ode_tol = _ode_tol(params)
     ray = geodesic(L, x0, v0, t_span, tol=ode_tol, n_samples=n)
     curve = delta_scan(L, nvec, ray)
     both = np.isfinite(curve.delta) & np.isfinite(curve.delta4)

@@ -13,6 +13,7 @@ arithmetic plus the `finsler.jets` math functions.
 
 from __future__ import annotations
 
+import copy
 import importlib
 import inspect
 import sys
@@ -575,6 +576,8 @@ def from_descriptor(desc):
             raise ConfigError("plugin builder %s.%s did not return a "
                               "Lagrangian" % (module, builder))
 
+    # configure a copy: a builder may hand out one shared instance
+    L = copy.copy(L)
     if "name" in desc and desc["name"]:
         L.name = str(desc["name"])
     if "cone_ref" in desc and desc["cone_ref"] is not None:

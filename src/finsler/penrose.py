@@ -6,8 +6,8 @@ by w^2 gives a family g_w whose w -> 0 limit keeps only the transverse
 block h(x0) evaluated on the ray.  The limit metric is a plane wave; in
 Brinkmann form its profile matrix A(u) is recovered from the vielbein
 M(u) = h^{-1/2}(u) O(u), where the rotation O absorbs the symmetry
-condition, and A = -sym(M^T (h M')').  Equivalently E = M^{-1} solves
-E'' = A E, which is what the roundtrip check integrates.
+condition.  E = M^{-1} solves E'' = A E (the roundtrip check
+integrates it), with A in closed form from the exact triple (h, h', h'').
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +17,7 @@ from numpy.polynomial import chebyshev
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
+from . import jets
 from .connection import as_vector_field
 from .errors import ChartError, SignatureError, SolverError
 from .lagrangian import Lagrangian, QuadraticLagrangian
@@ -106,14 +107,16 @@ def homothety_residual(L, N, omega, samples, tol=1e-9):
 
 @dataclass
 class RosenProfile:
-    """Transverse block u -> h(u), positive definite where valid."""
+    """Transverse block u -> (h, h', h''), h positive definite where valid."""
 
     h: object
     dim: int = 2
-    label: str = ""
+
+    def triple(self, u):
+        return tuple(np.asarray(t, dtype=float) for t in self.h(float(u)))
 
     def matrix(self, u):
-        return np.asarray(self.h(float(u)), dtype=float)
+        return np.asarray(self.h(float(u))[0], dtype=float)
 
     def posdef_at(self, u):
         w = np.linalg.eigvalsh(self.matrix(u))
@@ -178,26 +181,28 @@ class PenroseLimitResult:
 
 # -- numerics helpers -----------------------------------------------------------
 
-def _fd(fn, u, step=None):
-    s = step if step is not None else 1e-5 * (1.0 + abs(u))
+def _fd(fn, u):
+    s = 1e-5 * (1.0 + abs(u))
     d1 = (fn(u + s) - fn(u - s)) / (2.0 * s)
     d2 = (fn(u + 2 * s) - fn(u - 2 * s)) / (4.0 * s)
     return (4.0 * d1 - d2) / 3.0
 
 
-def _fd2(fn, u, step=None):
-    s = step if step is not None else 3e-4 * (1.0 + abs(u))
-    f0 = fn(u)
-    d1 = (fn(u + s) - 2.0 * f0 + fn(u - s)) / (s * s)
-    d2 = (fn(u + 2 * s) - 2.0 * f0 + fn(u - 2 * s)) / (4.0 * s * s)
-    return (4.0 * d1 - d2) / 3.0
-
-
-def _spd_invsqrt(mat, where=""):
-    w, q = np.linalg.eigh(mat)
-    if np.any(w <= 0.0):
+def _sqrt_derivs(h, hd, hdd, where=""):
+    """S^{-1}, S' and S'' for S = h^{1/2}: SS = h differentiated twice
+    gives Sylvester equations, which are diagonal in the eigenbasis of h."""
+    lam, q = np.linalg.eigh(h)
+    if np.any(lam <= 0.0):
         raise SignatureError("h is not positive definite%s" % where)
-    return q @ np.diag(1.0 / np.sqrt(w)) @ q.T
+    sig = np.sqrt(lam)
+    den = sig[:, None] + sig[None, :]
+    sd = (q.T @ hd @ q) / den
+    sdd = (q.T @ hdd @ q - 2.0 * (sd @ sd)) / den
+    return (q / sig) @ q.T, q @ sd @ q.T, q @ sdd @ q.T
+
+
+def _skew(k):
+    return 0.5 * (k - k.T)
 
 
 def _integrate_two_sided(rhs, y0, u0, interval, ode_tol, event=None):
@@ -245,10 +250,10 @@ def _integrate_two_sided(rhs, y0, u0, interval, ode_tol, event=None):
 def rosen_to_brinkmann(rosen, u0, u_interval, ode_tol=1e-12):
     """Construct the vielbein M = h^{-1/2} O and the profile A(u).
 
-    O solves the orthogonal-frame equation O' = -skew(h^{1/2} E0') O with
-    O(u0) = identity, making M^T h M' symmetric; A then comes from the
-    analytic product rule, with finite differences (plus one Richardson
-    level) only on h and its inverse square root.  If h loses positivity
+    ``rosen`` is a `RosenProfile` or a callable u -> (h, h', h'').  With
+    S = h^{1/2} and W = skew(S^{-1} S'), O' = -W O with O(u0) = identity
+    makes M^T h M' symmetric, and E = M^{-1} solves E'' = A E with
+    A = O^T (W^2 + W' + (2 W S' + S'') S^{-1}) O.  If h loses positivity
     inside the interval, the result is truncated there and flagged.
     """
     if not isinstance(rosen, RosenProfile):
@@ -256,26 +261,20 @@ def rosen_to_brinkmann(rosen, u0, u_interval, ode_tol=1e-12):
     m = rosen.dim
     u0 = float(u0)
 
-    def h_at(u):
-        return np.asarray(rosen.h(float(u)), dtype=float)
-
-    def e0_at(u):
-        return _spd_invsqrt(h_at(u), where=" at u=%g" % u)
+    def frame(u):
+        return _sqrt_derivs(*rosen.triple(u), where=" at u=%g" % u)
 
     if not rosen.posdef_at(u0):
         raise SignatureError("h is not positive definite at u0")
 
-    def skew_at(u):
-        k = e0_at(u) @ h_at(u) @ _fd(e0_at, u)
-        return 0.5 * (k - k.T)
-
     def rhs(u, y):
-        return (-skew_at(u) @ y.reshape(m, m)).ravel()
+        sinv, sd, _ = frame(u)
+        return (-_skew(sinv @ sd) @ y.reshape(m, m)).ravel()
 
-    floor = 1e-8 * max(1.0, float(np.max(np.abs(h_at(u0)))))
+    floor = 1e-8 * max(1.0, float(np.max(np.abs(rosen.matrix(u0)))))
 
     def pos_margin(u):
-        return float(np.min(np.linalg.eigvalsh(h_at(u)))) - floor
+        return float(np.min(np.linalg.eigvalsh(rosen.matrix(u)))) - floor
 
     def first_wall(target):
         """Scan toward ``target`` for the loss of positivity, if any.
@@ -332,26 +331,15 @@ def rosen_to_brinkmann(rosen, u0, u_interval, ode_tol=1e-12):
         reason = "h lost positivity at %s (focal point)" % where
 
     def m_at(u):
-        return e0_at(u) @ osol(u)
+        return frame(u)[0] @ osol(u)
 
     def a_at(u):
-        u = float(u)
-        h = h_at(u)
-        hd = _fd(h_at, u)
-        e0 = e0_at(u)
-        ed = _fd(e0_at, u)
-        edd = _fd2(e0_at, u)
+        sinv, sd, sdd = frame(u)
+        k = sinv @ sd
+        w = _skew(k)
+        wd = _skew(sinv @ sdd - k @ k)
         o = osol(u)
-        k = e0 @ h @ ed
-        s = 0.5 * (k - k.T)
-        od = -s @ o
-        kd = ed @ h @ ed + e0 @ hd @ ed + e0 @ h @ edd
-        sd = 0.5 * (kd - kd.T)
-        odd = -sd @ o - s @ od
-        mm = e0 @ o
-        md = ed @ o + e0 @ od
-        mdd = edd @ o + 2.0 * (ed @ od) + e0 @ odd
-        a = -(mm.T @ (hd @ md + h @ mdd))
+        a = o.T @ (w @ w + wd + (2.0 * (w @ sd) + sdd) @ sinv) @ o
         return 0.5 * (a + a.T)
 
     return BrinkmannProfile(rosen=rosen, A=a_at, M=m_at, u0=u0,
@@ -386,15 +374,17 @@ def brinkmann_roundtrip(A, u_interval, u0=None, n_check=21, tol=1e-6,
     state, reached, hit = _integrate_two_sided(
         rhs, y0, u0, (lo, hi), ode_tol, event=degenerate)
 
-    def h_at(u):
-        e = state(u)[:m * m].reshape(m, m)
-        return e.T @ e
+    def h_triple(u):
+        e, ed = state(u).reshape(2, m, m)
+        a = np.asarray(A(u), dtype=float)
+        return (e.T @ e, ed.T @ e + e.T @ ed,
+                2.0 * (ed.T @ ed) + e.T @ (a + a.T) @ e)
 
-    profile = rosen_to_brinkmann(RosenProfile(h=h_at, dim=m), u0,
+    profile = rosen_to_brinkmann(RosenProfile(h=h_triple, dim=m), u0,
                                  (reached[0], reached[1]), ode_tol=ode_tol)
     glo, ghi = profile.u_interval
-    # back well off a truncated edge: the FD recovery of A is
-    # ill-conditioned right next to a focal point
+    # back well off a truncated edge: h = E^T E is nearly singular next
+    # to a focal point, and S^{-1} amplifies the integration error there
     width = ghi - glo
     cut = [hit[0] is not None or glo > reached[0] + 1e-12,
            hit[1] is not None or ghi < reached[1] - 1e-12]
@@ -439,11 +429,19 @@ def penrose_limit(L, N, u_interval, omegas=(0.5, 0.1), tol=1e-9):
             raise ChartError("chart template fails on the base ray at "
                              "x0=%g" % u)
 
-    def h_at(u):
-        g = fundamental_tensor(L, ray_point(u), nvec).matrix
-        return -g[2:, 2:]
+    # one grouped jet along the ray: u and the fiber generators, each to
+    # second order (45 terms for n = 4)
+    slots = (0,) + tuple(range(3, n + 1))   # u, v2, ..., v_{n-1}
 
-    rosen = RosenProfile(h=h_at, dim=n - 2, label=getattr(L, "name", ""))
+    def h_triple(u):
+        _, seeds = jets.variables([u] + list(nvec), 4, (0,) + (1,) * n,
+                                  (2, 2))
+        w = jets._call(L, [seeds[0]] + [0.0] * (n - 1), seeds[1:])
+        return (-0.5 * jets.derivative_tensor(w, slots, 2)[1:, 1:],
+                -0.5 * jets.derivative_tensor(w, slots, 3)[0, 1:, 1:],
+                -0.5 * jets.derivative_tensor(w, slots, 4)[0, 0, 1:, 1:])
+
+    rosen = RosenProfile(h=h_triple, dim=n - 2)
     for u in np.linspace(lo, hi, 41):
         if not rosen.posdef_at(u):
             raise SignatureError("limit metric degenerates on the base ray "

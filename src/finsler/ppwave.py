@@ -22,8 +22,8 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from . import jets
-from .connection import as_vector_field, christoffel
-from .errors import ConfigError
+from .connection import _field_jet, as_vector_field, christoffel
+from .errors import ConfigError, SolverError
 from .lagrangian import PROFILES
 from .report import Report, csv_text, dump_json
 from .tensors import fundamental_tensor
@@ -178,57 +178,24 @@ class DeltaCurve:
         return dump_json(self.to_dict()) + "\n"
 
 
-def _fd_slope(f, t, d):
-    return (f(t + d) - f(t - d)) / (2.0 * d)
-
-
-def _refine_tangent(f, lo, hi, xtol):
-    """Locate an interior minimum of f by slope-sign bisection.
-
-    A Chebyshev sweep first shrinks the bracket (even-order zeros leave
-    no sign change for a bracketing root finder to see), then the sign
-    of a central-difference slope drives plain bisection.
-    """
-    nodes = np.cos(np.pi * np.arange(33) / 32.0)[::-1]
-    ts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-    vals = np.array([f(t) for t in ts])
-    k = int(np.argmin(vals))
-    if k == 0 or k == len(ts) - 1:
-        return None
-    a, b = float(ts[k - 1]), float(ts[k + 1])
-    d = 1e-6 * (1.0 + abs(b))
-    sa = _fd_slope(f, a, d)
-    sb = _fd_slope(f, b, d)
-    if not (sa < 0.0 < sb):
-        return None
-    for _ in range(200):
-        if b - a <= xtol:
-            break
-        m = 0.5 * (a + b)
-        sm = _fd_slope(f, m, d)
-        if sm < 0.0:
-            a = m
-        elif sm > 0.0:
-            b = m
-        else:
-            return m
-    return 0.5 * (a + b)
-
-
 def delta_scan(L, N, ray, xtol=1e-10, touch_tol=1e-12):
     """Scan Delta = sqrt(det h) along ``ray`` and locate its zeros.
 
-    ``ray`` is a `GeodesicPath` (an integral curve of N); positions
-    between samples come from the cubic Hermite interpolant of (x, v).
-    Sign changes of det h are bracketed and polished with `brentq`;
-    tangential (even-order) zeros, which a sign-change bracket cannot
-    see, are hunted below dips of det h and accepted when the refined
-    minimum sits under ``touch_tol`` times the det-h scale.
+    ``ray`` is a `GeodesicPath` (an integral curve of N) with at least
+    two samples; positions between samples come from the cubic Hermite
+    interpolant of (x, v).  Sign changes of det h are polished with
+    `brentq`.  Tangential (even-order) zeros, which no sign-change bracket
+    sees, are `brentq` roots of the exact slope of det h across its dips,
+    accepted when det h there is under ``touch_tol`` times the det-h scale.
     """
     N = as_vector_field(N)
     ts = np.asarray(ray.t, dtype=float)
+    if len(ts) < 2:
+        raise SolverError("focal scan needs a ray with at least 2 samples, "
+                          "got %d" % len(ts))
     spline = CubicHermiteSpline(ts, np.asarray(ray.x, float),
                                 np.asarray(ray.v, float), axis=0)
+    velocity = spline.derivative()
 
     def metric_at(t):
         p = spline(float(t))
@@ -238,6 +205,19 @@ def delta_scan(L, N, ray, xtol=1e-10, touch_tol=1e-12):
     def det_h(t):
         g = metric_at(t)
         return float(np.linalg.det(-g[2:, 2:]))
+
+    def det_h_slope(t):
+        # sum_k det(h with row k replaced by h'), h' = -(x' . D)[2:, 2:]
+        p = spline(float(t))
+        g, _, D = _field_jet(L, p, N(p), N.jacobian(p))
+        h = -g[2:, 2:]
+        hd = -np.einsum("i,ijk->jk", velocity(float(t)), D)[2:, 2:]
+        total = 0.0
+        for k in range(len(h)):
+            hk = h.copy()
+            hk[k] = hd[k]
+            total += float(np.linalg.det(hk))
+        return total
 
     m = len(ts)
     dets = np.empty(m)
@@ -277,8 +257,11 @@ def delta_scan(L, N, ray, xtol=1e-10, touch_tol=1e-12):
             continue
         if dets[i - 1] <= 0.0 or dets[i + 1] <= 0.0:
             continue
-        r = _refine_tangent(det_h, float(ts[i - 1]), float(ts[i + 1]), xtol)
-        if r is None or det_h(r) > touch_tol * scale:
+        a, b = float(ts[i - 1]), float(ts[i + 1])
+        if not det_h_slope(a) < 0.0 < det_h_slope(b):
+            continue
+        r = brentq(det_h_slope, a, b, xtol=xtol)
+        if det_h(r) > touch_tol * scale:
             continue
         roots.append(float(r))
         kinds.append(DEGENERATE_KIND)

@@ -24,6 +24,18 @@ from finsler.tensors import fundamental_tensor
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
 
+def cos2_triple(u):
+    """Closed-form (h, h', h'') of the Rosen profile diag(cos^2 u, 1)."""
+    return (np.diag([np.cos(u) ** 2, 1.0]), np.diag([-np.sin(2 * u), 0.0]),
+            np.diag([-2.0 * np.cos(2 * u), 0.0]))
+
+
+def exp_triple(u):
+    """Closed-form (h, h', h'') of the Rosen profile diag(e^2u, e^-2u)."""
+    e = np.array([np.exp(2 * u), np.exp(-2 * u)])
+    return np.diag(e), np.diag([2.0, -2.0] * e), np.diag(4.0 * e)
+
+
 def spd_sqrt(mat):
     w, q = np.linalg.eigh(np.asarray(mat, dtype=float))
     if np.any(w <= 0.0):

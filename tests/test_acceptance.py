@@ -23,7 +23,7 @@ from finsler.connection import (
 )
 from finsler.curvature import chern_curvature, ppwave_condition
 from finsler.tensors import homogeneity_report
-from helpers import jacobi_first_zero
+from helpers import cos2_triple, exp_triple, jacobi_first_zero
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 REPS = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
@@ -200,19 +200,18 @@ def test_acceptance_penrose_suite():
 
 
 def test_acceptance_rosen_to_brinkmann():
-    cos2 = penrose.RosenProfile(h=lambda u: np.diag([np.cos(u) ** 2, 1.0]))
+    cos2 = penrose.RosenProfile(h=cos2_triple)
     bp = penrose.rosen_to_brinkmann(cos2, 0.0, (-1.3, 1.3))
     for u in np.linspace(-1.2, 1.2, 9):
-        assert np.max(np.abs(bp.A(u) - np.diag([-1.0, 0.0]))) <= 1e-6
+        assert np.max(np.abs(bp.A(u) - np.diag([-1.0, 0.0]))) <= 1e-10
     assert bp.m_conditions(np.linspace(-1.2, 1.2, 9), tol=1e-8).passed
 
-    expo = penrose.RosenProfile(
-        h=lambda u: np.diag([np.exp(2 * u), np.exp(-2 * u)]))
+    expo = penrose.RosenProfile(h=exp_triple)
     be = penrose.rosen_to_brinkmann(expo, 0.0, (-1.0, 1.0))
     for u in np.linspace(-0.9, 0.9, 7):
-        assert np.max(np.abs(be.A(u) - np.eye(2))) <= 1e-6
+        assert np.max(np.abs(be.A(u) - np.eye(2))) <= 1e-10
     assert be.m_conditions(np.linspace(-0.9, 0.9, 7), tol=1e-8).passed
 
     rep = penrose.brinkmann_roundtrip(lambda u: np.diag([-1.0, 0.0]),
-                                      (-1.2, 1.2), tol=1e-6)
+                                      (-1.2, 1.2), tol=1e-10)
     assert rep.passed

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from finsler.cli import main
+from finsler.connection import geodesic
+from finsler.lagrangian import build_minkowski
 
 COS2 = {"type": "plugin", "name": "rosen-cos2",
         "params": {"module": "finsler.fixtures", "builder": "rosen_cos2"}}
@@ -198,6 +200,12 @@ def test_verification_failure_exits_one(tmp_path, capsys):
                                       "sides": [1e-320, 1e-320]}}}),
     ("check", {"spacetime": {"type": "minkowski"},
                "output": {"path": "/nonexistent/x.json"}}),
+    ("geodesic", {"spacetime": {"type": "minkowski"},
+                  "params": {"x0": [0.0, 0.0, 0.0, 0.0],
+                             "v0": [1.0, 0.5, 0.0, 0.0],
+                             "t_span": [0.0, 1.0], "ode_tol": 1e-300}}),
+    ("focal", {"spacetime": COS2,
+               "params": {"t_span": [0.0, 2.0], "ode_tol": 1e-300}}),
 ])])
 def test_schema_violations_exit_two(tmp_path, capsys, command, body):
     cfg = write_config(tmp_path, body)
@@ -238,17 +246,15 @@ def test_numerical_failure_exits_three(tmp_path, capsys, command, body):
 
 
 @pytest.mark.filterwarnings("ignore")  # scipy warns at this tolerance
-def test_geodesic_stopped_before_first_sample(tmp_path, capsys):
-    # the integrator gives up before its first step: a one-sample path
-    cfg = write_config(tmp_path, {
-        "spacetime": {"type": "minkowski"},
-        "params": {"x0": [0.0, 0.0, 0.0, 0.0], "v0": [1.0, 0.5, 0.0, 0.0],
-                   "t_span": [0.0, 1.0], "ode_tol": 1e-300}})
-    code, rep = run_json(capsys, ["geodesic", "--config", cfg])
-    assert code == 0
-    assert rep["meta"]["truncated"] is True
-    assert rep["meta"]["t_final"] == 0
-    assert rep["meta"]["reason"] == "integrator stopped at t=0"
+def test_geodesic_stopped_before_first_sample():
+    # below the integrator's rtol floor it gives up before its first
+    # step: the library returns a one-sample path (the CLI rejects such
+    # an ode_tol as a schema violation)
+    path = geodesic(build_minkowski(), np.zeros(4), [1.0, 0.5, 0.0, 0.0],
+                    (0.0, 1.0), tol=1e-300)
+    assert path.truncated
+    assert path.t.tolist() == [0.0]
+    assert path.reason == "integrator stopped at t=0"
 
 
 def test_tol_override_can_force_failure(tmp_path, capsys):

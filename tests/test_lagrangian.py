@@ -1,6 +1,8 @@
 """Model catalog and cone-membership tests."""
 
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -235,6 +237,27 @@ class TestDescriptors:
                            "builder": "build_minkowski", "dim": 4}}
         L = from_descriptor(desc)
         assert L.name == "minkowski"
+
+    def test_plugin_shared_instance_is_not_configured(self, monkeypatch):
+        # a builder that hands out one shared model: each descriptor
+        # configures its own copy, so name and cone_ref do not leak
+        shared = build_minkowski()
+        mod = types.ModuleType("shared_model_plugin")
+        mod.build = lambda: shared
+        monkeypatch.setitem(sys.modules, mod.__name__, mod)
+        desc = {"type": "plugin",
+                "params": {"module": mod.__name__, "builder": "build"}}
+        first = from_descriptor({**desc, "name": "first",
+                                 "cone_ref": [2.0, 0.5, 0.0, 0.0]})
+        second = from_descriptor(desc)
+        origin = [0.0] * 4
+        assert first.name == "first"
+        assert np.array_equal(first.cone_ref_at(origin), [2.0, 0.5, 0.0, 0.0])
+        assert second.name == shared.name == "minkowski"
+        assert np.array_equal(second.cone_ref_at(origin),
+                              shared.cone_ref_at(origin))
+        assert not np.array_equal(shared.cone_ref_at(origin),
+                                  [2.0, 0.5, 0.0, 0.0])
 
 
 def test_randers_norm_validation():

@@ -7,13 +7,28 @@ from finsler.connection import VectorField, christoffel
 from finsler.curvature import ppwave_condition
 from finsler.errors import ChartError, SignatureError, SolverError
 from finsler.penrose import RosenProfile
+from helpers import cos2_triple, exp_triple, spd_sqrt
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def cos2_profile():
-    return RosenProfile(h=lambda u: np.diag([np.cos(u) ** 2, 1.0]),
-                        label="cos2")
+    return RosenProfile(h=cos2_triple)
+
+
+def rotating_triple(u):
+    """h = R(u) D(u) R(u)^T with D = diag(1 + u^2/2, 2), R the rotation
+    by u: with J = R^T R', K = J D - D J + D' gives h' = R K R^T and
+    h'' = R (J K - K J + K') R^T."""
+    c, s = np.cos(u), np.sin(u)
+    R = np.array([[c, -s], [s, c]])
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    D = np.diag([1.0 + 0.5 * u * u, 2.0])
+    Dd = np.diag([u, 0.0])
+    Ddd = np.diag([1.0, 0.0])
+    K = J @ D - D @ J + Dd
+    Kd = J @ Dd - Dd @ J + Ddd
+    return (R @ D @ R.T, R @ K @ R.T, R @ (J @ K - K @ J + Kd) @ R.T)
 
 
 # -- homothety ----------------------------------------------------------------
@@ -72,7 +87,9 @@ def test_connection_ignores_constant_rescaling():
 # -- Rosen -> Brinkmann -------------------------------------------------------
 
 def test_flat_profile_gives_trivial_vielbein():
-    bp = penrose.rosen_to_brinkmann(lambda u: np.eye(2), 0.0, (-1.0, 1.0))
+    zero = np.zeros((2, 2))
+    bp = penrose.rosen_to_brinkmann(lambda u: (np.eye(2), zero, zero), 0.0,
+                                    (-1.0, 1.0))
     assert not bp.truncated
     for u in (-0.7, 0.0, 0.8):
         assert np.max(np.abs(bp.M(u) - np.eye(2))) <= 1e-10
@@ -84,7 +101,7 @@ def test_cos2_profile_recovers_constant_A():
     assert not bp.truncated
     expected = np.diag([-1.0, 0.0])
     for u in (-1.1, -0.4, 0.0, 0.5, 1.2):
-        assert np.max(np.abs(bp.A(u) - expected)) <= 1e-6
+        assert np.max(np.abs(bp.A(u) - expected)) <= 1e-10
     # the vielbein is sec(u) on the degenerating direction
     m = bp.M(0.5)
     assert abs(m[0, 0] - 1.0 / np.cos(0.5)) <= 1e-7
@@ -93,11 +110,9 @@ def test_cos2_profile_recovers_constant_A():
 
 
 def test_exp_profile_recovers_identity_A():
-    bp = penrose.rosen_to_brinkmann(
-        lambda u: np.diag([np.exp(2 * u), np.exp(-2 * u)]),
-        0.0, (-1.0, 1.0))
+    bp = penrose.rosen_to_brinkmann(exp_triple, 0.0, (-1.0, 1.0))
     for u in (-0.6, 0.0, 0.4):
-        assert np.max(np.abs(bp.A(u) - np.eye(2))) <= 1e-6
+        assert np.max(np.abs(bp.A(u) - np.eye(2))) <= 1e-10
 
 
 def test_vielbein_conditions_hold_on_grid():
@@ -115,7 +130,7 @@ def test_truncation_at_focal_point():
     assert bp.u_interval[0] == -1.0
     assert abs(bp.u_interval[1] - np.pi / 2) <= 1e-3
     # the construction is still valid up to the wall
-    assert np.max(np.abs(bp.A(1.0) - np.diag([-1.0, 0.0]))) <= 1e-6
+    assert np.max(np.abs(bp.A(1.0) - np.diag([-1.0, 0.0]))) <= 1e-10
 
 
 def test_truncation_in_both_directions():
@@ -127,19 +142,42 @@ def test_truncation_in_both_directions():
 
 def test_rejects_degenerate_base_point():
     with pytest.raises(SignatureError):
-        penrose.rosen_to_brinkmann(lambda u: np.diag([u, 1.0]), -0.5,
-                                   (-1.0, 1.0))
+        penrose.rosen_to_brinkmann(
+            lambda u: (np.diag([u, 1.0]), np.diag([1.0, 0.0]),
+                       np.zeros((2, 2))), -0.5, (-1.0, 1.0))
 
 
 @pytest.mark.parametrize("A,interval", [
     (lambda u: np.zeros((2, 2)), (-1.4, 1.4)),
     (lambda u: np.diag([-1.0, 0.0]), (-1.2, 1.2)),
     (lambda u: np.diag([-1.0, 1.0]), (-1.3, 1.3)),
+    # off-diagonal A rotates the frame (W != 0 in the O-equation); the
+    # second one also meets a focal point on both sides
+    (lambda u: np.array([[-np.cos(u), 0.3 * u], [0.3 * u, 0.1]]),
+     (-1.0, 1.0)),
+    (lambda u: np.array([[-1.0, 0.4 * u], [0.4 * u, -0.5]]), (-3.0, 3.0)),
 ])
 def test_brinkmann_roundtrip(A, interval):
     rep = penrose.brinkmann_roundtrip(A, interval)
     assert rep.passed
-    assert rep.checks[0].residual <= 1e-6
+    assert rep.checks[0].residual <= 1e-10
+
+
+def test_rotating_profile_vielbein_conditions():
+    bp = penrose.rosen_to_brinkmann(rotating_triple, 0.0, (-1.0, 1.0))
+    us = np.linspace(-0.9, 0.9, 7)
+    rep = bp.m_conditions(us)
+    assert rep.passed
+    # the negative control: h^{-1/2} alone, O = identity, is orthonormal
+    # but misses the symmetry condition of a rotating h
+    def invsqrt(u):
+        return np.linalg.inv(spd_sqrt(rotating_triple(u)[0]))
+
+    bare = penrose.BrinkmannProfile(rosen=bp.rosen, A=bp.A, M=invsqrt,
+                                    u0=0.0, u_interval=(-1.0, 1.0))
+    by_name = {c.name: c for c in bare.m_conditions(us).checks}
+    assert by_name["M^T h M = identity"].passed
+    assert not by_name["symmetry condition"].passed
 
 
 def test_roundtrip_truncates_at_degenerate_vielbein():
@@ -199,7 +237,7 @@ def test_limit_cos2_matches_plane_wave_model():
     assert not res.brinkmann.truncated
     for u in (-0.9, 0.0, 1.0):
         assert np.max(np.abs(res.brinkmann.A(u)
-                             - np.diag([-1.0, 0.0]))) <= 1e-6
+                             - np.diag([-1.0, 0.0]))) <= 1e-10
 
     Lpw = penrose.plane_wave_lagrangian(res.brinkmann.A, (-1.2, 1.2))
     rng = np.random.default_rng(7)
@@ -211,6 +249,18 @@ def test_limit_cos2_matches_plane_wave_model():
     rep = ppwave_condition(Lpw, E0, [rng.uniform(-0.9, 0.9, 4)
                                      for _ in range(4)])
     assert rep.passed
+
+
+@pytest.mark.parametrize("builder",
+                         [fixtures.rosen_cos2, fixtures.rosen_cross])
+def test_limit_profile_triple_is_exact(builder):
+    # (h, h', h'') from the ray jet against the closed form; the g_1i
+    # entries of rosen_cross must not leak into any of the three
+    res = penrose.penrose_limit(builder(), E0, (-1.0, 1.2))
+    for u in (-0.8, 0.0, 0.45, 1.1):
+        got = res.rosen.triple(u)
+        for a, b in zip(got, cos2_triple(u)):
+            assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_limit_truncates_past_focal_point():

@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 from finsler import fixtures, jets
 from finsler import lagrangian as lg
 from finsler import ppwave
-from finsler.connection import VectorField, christoffel, geodesic
-from finsler.errors import ConfigError
+from finsler.connection import (
+    GeodesicPath,
+    VectorField,
+    christoffel,
+    geodesic,
+)
+from finsler.errors import ConfigError, SolverError
 from finsler.lagrangian import QuadraticLagrangian
 
 from helpers import E0, jacobi_first_zero
@@ -162,6 +167,15 @@ def test_delta_positive_dip_is_not_a_root():
     dc = ppwave.delta_scan(L, E0, ray)
     assert dc.roots == []
     assert np.nanmin(dc.det_h) > 0.009
+
+
+def test_delta_scan_needs_two_samples():
+    # a ray cut at its first sample has no interpolant to scan
+    L = fixtures.rosen_cos2()
+    ray = GeodesicPath(t=np.array([0.0]), x=np.zeros((1, 4)), v=E0[None, :],
+                       ldrift=np.zeros(1), l0=0.0, tol=1e-9, truncated=True)
+    with pytest.raises(SolverError, match="at least 2 samples"):
+        ppwave.delta_scan(L, E0, ray)
 
 
 def test_delta_csv_and_json():
