@@ -27,8 +27,6 @@ from .quotient import holonomy_defect, quotient_metric, rectangle_loop
 from .report import Report
 from .tensors import fundamental_tensor, homogeneity_report, signature_of
 
-COMMANDS = ("check", "connection", "curvature", "geodesic", "ppwave",
-            "focal", "quotient", "penrose")
 _CURVE_COMMANDS = ("geodesic", "focal", "penrose")
 
 EXIT_PASS = 0
@@ -89,6 +87,9 @@ def parse_config(raw, command, out=None, seed=None, tol=None):
 
     params = raw.get("params", {})
     _require(isinstance(params, dict), "params must be an object")
+    extra = sorted(set(params) - set(_COMMANDS[command][1]))
+    _require(not extra, "unknown params for %s: %s"
+             % (command, ", ".join(extra)))
 
     if seed is None:
         seed = raw.get("seed", 0)
@@ -174,11 +175,7 @@ def _interval(params, key):
 
 
 def _chart_field(params, L):
-    if "N" in params:
-        return _vector(params, "N", L.dim)
-    n = np.zeros(L.dim)
-    n[0] = 1.0
-    return n
+    return _vector(params, "N", L.dim, default=[1.0] + [0.0] * (L.dim - 1))
 
 
 def _sample_states(L, rng, n, box):
@@ -321,9 +318,7 @@ def _cmd_quotient(L, params, rng, tol):
                  "params.reps must list %d vectors" % (L.dim - 2))
         reps = np.array([_vector({"r": r}, "r", L.dim) for r in raw])
     else:
-        reps = np.zeros((L.dim - 2, L.dim))
-        for a in range(L.dim - 2):
-            reps[a, 2 + a] = 1.0
+        reps = np.eye(L.dim)[2:]
     n_segments = _count(params, "n_segments", 64, least=4)
 
     frame = quotient_metric(L, nvec, base, reps)
@@ -407,16 +402,20 @@ def _cmd_penrose(L, params, rng, tol):
     return rep, lambda: res.to_csv(grid)
 
 
-_RUNNERS = {
-    "check": _cmd_check,
-    "connection": _cmd_connection,
-    "curvature": _cmd_curvature,
-    "geodesic": _cmd_geodesic,
-    "ppwave": _cmd_ppwave,
-    "focal": _cmd_focal,
-    "quotient": _cmd_quotient,
-    "penrose": _cmd_penrose,
+# command -> (runner, the params keys it reads)
+_COMMANDS = {
+    "check": (_cmd_check, ("n_samples", "box")),
+    "connection": (_cmd_connection, ("n_samples", "box", "N")),
+    "curvature": (_cmd_curvature, ("n_samples", "box", "N")),
+    "geodesic": (_cmd_geodesic,
+                 ("x0", "v0", "t_span", "n_samples", "ode_tol")),
+    "ppwave": (_cmd_ppwave, ("n_samples", "box", "N")),
+    "focal": (_cmd_focal,
+              ("N", "x0", "v0", "t_span", "n_samples", "ode_tol")),
+    "quotient": (_cmd_quotient, ("N", "base", "reps", "n_segments", "loop")),
+    "penrose": (_cmd_penrose, ("N", "u_interval", "omegas", "n_csv")),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 # -- runner ------------------------------------------------------------------------
@@ -435,8 +434,8 @@ def run(config):
     rng = np.random.default_rng(config.seed)
     # curve_csv: None, or a callable building the CSV text, so a curve is
     # only tabulated when the CSV is written
-    rep, curve_csv = _RUNNERS[config.command](L, config.params, rng,
-                                              config.tol)
+    rep, curve_csv = _COMMANDS[config.command][0](L, config.params, rng,
+                                                  config.tol)
     header = {"command": config.command,
               "model": getattr(L, "name", "?"),
               "seed": config.seed,

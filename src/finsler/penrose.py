@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, minimize_scalar
 
 from . import jets
 from .connection import as_vector_field
@@ -125,7 +123,9 @@ class RosenProfile:
 
 @dataclass
 class BrinkmannProfile:
-    """Vielbein M(u) and wave profile A(u) with H(u, x) = x^T A(u) x."""
+    """Vielbein M(u) and wave profile A(u) with H(u, x) = x^T A(u) x;
+    `rosen_to_brinkmann` sets ``fields(u)``, which gives (h, M, A) from one
+    profile triple."""
 
     rosen: RosenProfile
     A: object
@@ -134,6 +134,7 @@ class BrinkmannProfile:
     u_interval: tuple
     truncated: bool = False
     reason: str = ""
+    fields: object = None
 
     def m_conditions(self, us, tol=1e-8):
         """Both displayed vielbein conditions over a parameter grid."""
@@ -173,9 +174,9 @@ class PenroseLimitResult:
                 + ["h%d%d" % (i, j) for i in range(m) for j in range(m)]
                 + ["M%d%d" % (i, j) for i in range(m) for j in range(m)]
                 + ["A%d%d" % (i, j) for i in range(m) for j in range(m)])
-        rows = (np.concatenate([[u], np.ravel(self.rosen.matrix(u)),
-                                np.ravel(self.brinkmann.M(u)),
-                                np.ravel(self.brinkmann.A(u))]) for u in us)
+        rows = (np.concatenate([[u]] + [np.ravel(t)
+                                        for t in self.brinkmann.fields(u)])
+                for u in us)
         return csv_text(cols, rows)
 
 
@@ -212,6 +213,8 @@ def _integrate_two_sided(rhs, y0, u0, interval, ode_tol, event=None):
     ``reached`` the endpoints actually attained, and ``hit`` the
     terminal-event locations (None where the event did not fire).
     """
+    from scipy.integrate import solve_ivp
+
     lo, hi = float(interval[0]), float(interval[1])
     sols = {}
     reached = [lo, hi]
@@ -221,12 +224,10 @@ def _integrate_two_sided(rhs, y0, u0, interval, ode_tol, event=None):
             sols[side] = None
             reached[side] = u0
             continue
-        kw = {}
         if event is not None:
             event.terminal = True
-            kw["events"] = event
-        sol = solve_ivp(rhs, (u0, target), y0, method="DOP853",
-                        rtol=ode_tol, atol=ode_tol, dense_output=True, **kw)
+        sol = solve_ivp(rhs, (u0, target), y0, method="DOP853", rtol=ode_tol,
+                        atol=ode_tol, dense_output=True, events=event)
         if not sol.success and sol.status != 1:
             raise SolverError("profile integration failed: %s" % sol.message)
         sols[side] = sol.sol
@@ -256,19 +257,22 @@ def rosen_to_brinkmann(rosen, u0, u_interval, ode_tol=1e-12):
     A = O^T (W^2 + W' + (2 W S' + S'') S^{-1}) O.  If h loses positivity
     inside the interval, the result is truncated there and flagged.
     """
+    from scipy.optimize import brentq, minimize_scalar
+
     if not isinstance(rosen, RosenProfile):
         rosen = RosenProfile(h=rosen)
     m = rosen.dim
     u0 = float(u0)
 
     def frame(u):
-        return _sqrt_derivs(*rosen.triple(u), where=" at u=%g" % u)
+        h, hd, hdd = rosen.triple(u)
+        return (h,) + _sqrt_derivs(h, hd, hdd, where=" at u=%g" % u)
 
     if not rosen.posdef_at(u0):
         raise SignatureError("h is not positive definite at u0")
 
     def rhs(u, y):
-        sinv, sd, _ = frame(u)
+        _, sinv, sd, _ = frame(u)
         return (-_skew(sinv @ sd) @ y.reshape(m, m)).ravel()
 
     floor = 1e-8 * max(1.0, float(np.max(np.abs(rosen.matrix(u0)))))
@@ -330,21 +334,20 @@ def rosen_to_brinkmann(rosen, u0, u_interval, ode_tol=1e-12):
         where = ", ".join("u=%.12g" % h for h in hit if h is not None)
         reason = "h lost positivity at %s (focal point)" % where
 
-    def m_at(u):
-        return frame(u)[0] @ osol(u)
-
-    def a_at(u):
-        sinv, sd, sdd = frame(u)
+    def fields(u):
+        h, sinv, sd, sdd = frame(u)
+        o = osol(u)
         k = sinv @ sd
         w = _skew(k)
         wd = _skew(sinv @ sdd - k @ k)
-        o = osol(u)
         a = o.T @ (w @ w + wd + (2.0 * (w @ sd) + sdd) @ sinv) @ o
-        return 0.5 * (a + a.T)
+        return h, sinv @ o, 0.5 * (a + a.T)
 
-    return BrinkmannProfile(rosen=rosen, A=a_at, M=m_at, u0=u0,
+    return BrinkmannProfile(rosen=rosen, A=lambda u: fields(u)[2],
+                            M=lambda u: fields(u)[1], u0=u0,
                             u_interval=(reached[0], reached[1]),
-                            truncated=truncated, reason=reason)
+                            truncated=truncated, reason=reason,
+                            fields=fields)
 
 
 def brinkmann_roundtrip(A, u_interval, u0=None, n_check=21, tol=1e-6,

@@ -18,8 +18,6 @@ Brinkmann symbol table used as a cross-module oracle
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 
 from . import jets
 from .connection import _field_jet, as_vector_field, christoffel
@@ -188,6 +186,9 @@ def delta_scan(L, N, ray, xtol=1e-10, touch_tol=1e-12):
     sees, are `brentq` roots of the exact slope of det h across its dips,
     accepted when det h there is under ``touch_tol`` times the det-h scale.
     """
+    from scipy.interpolate import CubicHermiteSpline
+    from scipy.optimize import brentq
+
     N = as_vector_field(N)
     ts = np.asarray(ray.t, dtype=float)
     if len(ts) < 2:

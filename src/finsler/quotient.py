@@ -12,7 +12,6 @@ curvature component otherwise.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .connection import as_vector_field, christoffel
 from .errors import ChartError, ConstructionError, SignatureError
@@ -91,6 +90,8 @@ def rectangle_loop(base, i, j, side_i, side_j=None):
 
 def _transport_loop(L, N, vertices, columns, n_segments):
     """Parallel-transport ``columns`` around the closed polyline."""
+    from scipy.linalg import expm
+
     edges = [(vertices[k], vertices[k + 1]) for k in range(len(vertices) - 1)]
     lengths = np.array([np.linalg.norm(q - p) for p, q in edges])
     total = float(lengths.sum())

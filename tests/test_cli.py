@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,8 @@ import pytest
 from finsler.cli import main
 from finsler.connection import geodesic
 from finsler.lagrangian import build_minkowski
+
+ROOT = Path(__file__).resolve().parents[1]
 
 COS2 = {"type": "plugin", "name": "rosen-cos2",
         "params": {"module": "finsler.fixtures", "builder": "rosen_cos2"}}
@@ -206,6 +211,21 @@ def test_verification_failure_exits_one(tmp_path, capsys):
                              "t_span": [0.0, 1.0], "ode_tol": 1e-300}}),
     ("focal", {"spacetime": COS2,
                "params": {"t_span": [0.0, 2.0], "ode_tol": 1e-300}}),
+    # misspelled or foreign params keys
+    ("ppwave", {"spacetime": {"type": "ppwave_example"},
+                "params": {"n_sampels": 5, "bx": 3}}),
+    ("geodesic", {"spacetime": {"type": "minkowski"},
+                  "params": {"x0": [0.0, 0.0, 0.0, 0.0],
+                             "v0": [1.0, 0.5, 0.0, 0.0],
+                             "t_span": [0.0, 1.0], "odetol": 1e-9}}),
+    ("quotient", {"spacetime": {"type": "brinkmann",
+                                "params": {"profile": "x2-y2"}},
+                  "params": {"base": [0.0, 0.1, 0.2, -0.1],
+                             "n_segment": 64}}),
+    ("check", {"spacetime": {"type": "minkowski"},
+               "params": {"N": [1.0, 0.0, 0.0, 0.0]}}),
+    ("penrose", {"spacetime": COS2,
+                 "params": {"u_interval": [-1.2, 1.2], "omega": [0.5]}}),
 ])])
 def test_schema_violations_exit_two(tmp_path, capsys, command, body):
     cfg = write_config(tmp_path, body)
@@ -268,8 +288,27 @@ def test_tol_override_can_force_failure(tmp_path, capsys):
 
 # -- the example configs ----------------------------------------------------------
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
-                 .glob("*.json"))
+def test_check_runs_without_importing_scipy():
+    # scipy is imported only by the functions that integrate, interpolate
+    # or root-find, so a check run never loads it
+    script = ("import sys\n"
+              "from finsler.cli import main\n"
+              "code = main(['check', '--config', sys.argv[1]])\n"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         str(ROOT / "configs" / "check_minkowski.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "[]"
+
+
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])

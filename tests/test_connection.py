@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from finsler import jets
+from finsler import connection
 from finsler.connection import (
     ScalarField,
     VectorField,
+    _spray,
     christoffel,
     compatibility_residual,
     connection_report,
@@ -30,12 +32,15 @@ from finsler.connection import (
 from finsler.curvature import chern_curvature
 from finsler.errors import ConeError, NoGradientError, SignatureError
 from finsler.lagrangian import (
+    Lagrangian,
     QuadraticLagrangian,
     _default_parallel_example,
     _default_ppwave_example,
     build_brinkmann_quadratic,
     build_minkowski,
+    catalog,
 )
+from finsler.report import fmt_float
 
 RNG = np.random.default_rng(23)
 
@@ -434,3 +439,98 @@ def test_geodesic_csv_round_trip():
     assert back.shape == (11, 10)
     assert np.allclose(back[:, 0], path.t)
     assert np.allclose(back[:, 1:5], path.x)
+
+
+# -- the Euler-Lagrange spray ---------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_spray_is_the_christoffel_contraction(name):
+    # L_vv a = L_x - L_vx v against -Γ^k_ij v^i v^j from the Koszul
+    # solve, and from the direct Levi-Civita symbols where L is quadratic
+    L = catalog()[name]
+    rng = np.random.default_rng(61)
+    for _ in range(3):
+        x = rng.uniform(-0.6, 0.6, L.dim)
+        for v in L.sample_admissible(x, rng, count=2):
+            a = _spray(L, x, v)
+            gam = christoffel(L, VectorField.constant(v), x).gamma
+            want = -np.einsum("kij,i,j->k", gam, v, v)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(a - want)) <= 1e-12 * scale
+            if L.quadratic:
+                lc = -np.einsum("kij,i,j->k", levi_civita_quadratic(L, x),
+                                v, v)
+                assert np.max(np.abs(a - lc)) <= 1e-12 * scale
+
+
+def test_spray_raises_on_a_singular_l_vv():
+    entries = {(0, 1): 1.0,
+               (2, 2): lambda x: -(1.0 - x[1] * x[1]),
+               (3, 3): -1.0}
+    L = QuadraticLagrangian(entries, 4, [1.0, 1.0, 0.0, 0.0], name="wall")
+    with pytest.raises(SignatureError):
+        _spray(L, np.array([0.0, 1.0, 0.0, 0.0]),
+               np.array([1.0, 1.0, 0.5, 0.0]))
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(lambda: build_brinkmann_quadratic("x2-y2"), id="quadratic"),
+    pytest.param(_default_ppwave_example, id="ppwave_example"),
+])
+def test_geodesic_tests_the_cone_once_and_evaluates_l_once_per_sample(
+        monkeypatch, model):
+    L = model()
+    calls = {"cone": 0, "value": 0, "symbols": 0}
+    gate = []
+    is_admissible, value = Lagrangian.is_admissible, Lagrangian.value
+
+    def counted_is_admissible(self, *args, **kwargs):
+        calls["cone"] += 1
+        gate.append(True)
+        try:
+            return is_admissible(self, *args, **kwargs)
+        finally:
+            gate.pop()
+
+    def counted_value(self, *args, **kwargs):
+        if not gate:
+            calls["value"] += 1
+        return value(self, *args, **kwargs)
+
+    def symbols(*args, **kwargs):
+        calls["symbols"] += 1
+        raise AssertionError("the spray solves no Christoffel symbols")
+
+    monkeypatch.setattr(Lagrangian, "is_admissible", counted_is_admissible)
+    monkeypatch.setattr(Lagrangian, "value", counted_value)
+    monkeypatch.setattr(connection, "christoffel", symbols)
+    monkeypatch.setattr(connection, "levi_civita_quadratic", symbols)
+    x0 = np.array([0.0, 0.3, 0.1, -0.1])
+    path = geodesic(L, x0, L.cone_ref_at(x0), (0.0, 0.4), n_samples=20)
+    assert not path.truncated
+    assert len(path.t) == 20
+    assert calls == {"cone": 1, "value": 20, "symbols": 0}
+
+
+def test_geodesic_cut_where_the_lagrangian_turns_negative():
+    # L = Q(v) - x0 is not homogeneous: its flow conserves the energy
+    # v.L_v - L = Q(v) + x0 and not L.  From (0, e0) the spray is
+    # a = -e0/2, so x0 = t - t^2/4 and L = 1 - 2t + t^2/2, which leaves
+    # the closed cone at t = 2 - sqrt(2)
+    def func(x, v):
+        return v[0] * v[0] - v[1] * v[1] - v[2] * v[2] - v[3] * v[3] - x[0]
+
+    L = Lagrangian(func, 4, [1.0, 0.0, 0.0, 0.0], name="potential")
+    path = geodesic(L, np.zeros(4), E0, (0.0, 1.0), n_samples=101)
+    t_exit = 2.0 - np.sqrt(2.0)
+    grid = np.linspace(0.0, 1.0, 101)
+    first_out = grid[grid > t_exit][0]
+    assert path.truncated
+    assert path.reason == "left the closed cone at t=%s" % fmt_float(
+        first_out)
+    assert path.t[-1] == grid[grid < t_exit][-1]
+    t = path.t
+    assert np.max(np.abs(path.x[:, 0] - (t - 0.25 * t * t))) <= 1e-9
+    energy = path.v[:, 0] ** 2 + path.x[:, 0]
+    assert np.max(np.abs(energy - 1.0)) <= 1e-9
+    assert np.max(np.abs(path.ldrift - (-2.0 * t + 0.5 * t * t))) <= 1e-9

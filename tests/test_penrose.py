@@ -296,6 +296,26 @@ def test_limit_csv_roundtrip():
         assert abs(vals[1] - np.cos(u) ** 2) <= 1e-12
 
 
+def test_limit_csv_evaluates_the_profile_triple_once_per_row():
+    res = penrose.penrose_limit(fixtures.rosen_cos2(), E0, (-1.0, 1.0))
+    us = np.linspace(-0.8, 0.8, 9)
+    before = res.to_csv(us)
+    h, calls = res.rosen.h, []
+
+    def counted(u):
+        calls.append(u)
+        return h(u)
+
+    res.rosen.h = counted
+    assert res.to_csv(us) == before
+    assert len(calls) == len(us)
+    for u in us:
+        hm, m, a = res.brinkmann.fields(u)
+        assert np.array_equal(hm, res.rosen.matrix(u))
+        assert np.array_equal(m, res.brinkmann.M(u))
+        assert np.array_equal(a, res.brinkmann.A(u))
+
+
 def test_plane_wave_model_tracks_varying_profile():
     # non-constant A: the interpolated entry must follow A(u) pointwise
     def A(u):
