@@ -1,10 +1,13 @@
 """Command-line frontend: run verification pipelines from JSON configs.
 
-Every subcommand loads a spacetime descriptor, runs its pipeline, and
-emits a JSON report (plus a CSV curve for the commands that produce
-one).  Reports are deterministic: sample points come from a seeded
-generator recorded in the header, floats are printed with 17 significant
-digits, and nothing time- or host-dependent is written.
+Every subcommand loads a spacetime descriptor, parses its ``params``
+against its `COMMANDS` table (after building the model, whose dimension
+sets vector lengths), runs its pipeline on the typed values, and emits a
+JSON report (plus a CSV curve for the commands that produce one).
+Unknown keys fail at every level.  Reports are deterministic: sample
+points come from a seeded generator recorded in the header, floats are
+printed with 17 significant digits, and nothing time- or host-dependent
+is written.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 schema
 violation, 3 numerical failure.
@@ -12,7 +15,9 @@ violation, 3 numerical failure.
 
 import argparse
 import json
+import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +31,6 @@ from .ppwave import delta_scan, parallel_criterion
 from .quotient import holonomy_defect, quotient_metric, rectangle_loop
 from .report import Report
 from .tensors import fundamental_tensor, homogeneity_report, signature_of
-
-_CURVE_COMMANDS = ("geodesic", "focal", "penrose")
 
 EXIT_PASS = 0
 EXIT_VERIFICATION = 1
@@ -69,7 +72,8 @@ def load_config(path):
 
 
 def parse_config(raw, command, out=None, seed=None, tol=None):
-    """Merge the config file with CLI overrides into a RunConfig."""
+    """Merge the config file with CLI overrides into a RunConfig; `run`
+    parses ``params`` once the model's dimension is known."""
     known = {"spacetime", "command", "params", "output", "seed", "tol"}
     extra = sorted(set(raw) - known)
     _require(not extra, "unknown config keys: %s" % ", ".join(extra))
@@ -85,23 +89,14 @@ def parse_config(raw, command, out=None, seed=None, tol=None):
     _require(isinstance(spacetime, dict),
              "config needs a spacetime descriptor object")
 
-    params = raw.get("params", {})
-    _require(isinstance(params, dict), "params must be an object")
-    extra = sorted(set(params) - set(_COMMANDS[command][1]))
-    _require(not extra, "unknown params for %s: %s"
-             % (command, ", ".join(extra)))
-
     if seed is None:
         seed = raw.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool)
-             and 0 <= seed < 2 ** 64, "seed must be an integer in [0, 2^64)")
+    count(seed, "seed", 0, 0, 2 ** 64 - 1)
 
     if tol is None:
         tol = raw.get("tol")
     if tol is not None:
-        _require(is_finite_number(tol) and tol > 0,
-                 "tol must be a positive number")
-        tol = float(tol)
+        tol = positive(tol, "tol", 0)
 
     output = raw.get("output", {})
     _require(isinstance(output, dict), "output must be an object")
@@ -116,66 +111,122 @@ def parse_config(raw, command, out=None, seed=None, tol=None):
         fmt = "csv" if path is not None and path.endswith(".csv") else "json"
     _require(fmt in ("json", "csv"), "output format must be json or csv")
     if fmt == "csv":
-        _require(command in _CURVE_COMMANDS,
+        _require(COMMANDS[command].curve,
                  "command %s produces no CSV curve" % command)
         _require(path is not None, "csv output needs a path")
-    return RunConfig(spacetime=spacetime, command=command, params=params,
-                     seed=seed, tol=tol, path=path, format=fmt)
+    return RunConfig(spacetime=spacetime, command=command,
+                     params=raw.get("params", {}), seed=seed, tol=tol,
+                     path=path, format=fmt)
 
 
-# -- parameter helpers ----------------------------------------------------------
+# -- params schema ------------------------------------------------------------
+# A table maps each key to (kind, default, *constraint), ... marking a
+# required key.  A kind checks a value or default against the dimension
+# and constraint, names its full path in errors, and converts it.
 
-def _num(params, key, default, positive=False):
-    val = params.get(key, default)
-    _require(is_finite_number(val), "params.%s must be a finite number" % key)
-    if positive:
-        _require(val > 0, "params.%s must be positive" % key)
+def _default(default, dim, got):
+    """A default as a JSON value: strings name those that depend on the
+    chart, "N" the value given for N."""
+    if default == "N":
+        return got["N"].tolist()
+    if default == "e0":
+        return [1.0] + [0.0] * (dim - 1)
+    if default == "origin":
+        return [0.0] * dim
+    return np.eye(dim)[2:].tolist() if default == "e2..e(n-1)" else default
+
+
+def _parse_table(table, raw, path, dim):
+    """The typed values of the object ``raw`` checked against ``table``;
+    a key whose default is None stays None when absent."""
+    _require(isinstance(raw, dict), "%s must be an object" % path)
+    extra = sorted(set(raw) - set(table))
+    _require(not extra, "unknown %s keys: %s" % (path, ", ".join(extra)))
+    got = {}
+    for key, (kind, default, *constraint) in table.items():
+        sub = "%s.%s" % (path, key)
+        val = raw[key] if key in raw else _default(default, dim, got)
+        _require(val is not ..., "%s is required" % sub)
+        got[key] = (None if val is None and key not in raw
+                    else kind(val, sub, dim, *constraint))
+    return got
+
+
+def count(val, path, dim, least=1, most=math.inf):
+    """An integer (not a bool) in [least, most]."""
+    _require(isinstance(val, int) and not isinstance(val, bool)
+             and least <= val <= most,
+             "%s must be an integer in [%d, %s]" % (path, least, most))
+    return val
+
+
+def positive(val, path, dim, least=0.0, most=math.inf):
+    """A finite number > 0 in [least, most], as a float."""
+    _require(is_finite_number(val) and 0 < val and least <= val <= most,
+             "%s must be a positive number in [%.3g, %.3g]"
+             % (path, least, most))
     return float(val)
 
 
-def _ode_tol(params):
-    """DOP853's rtol and atol; scipy raises an rtol below 100 machine
-    epsilons, and at such an atol the integrator may not take a step."""
-    val = _num(params, "ode_tol", 1e-9, positive=True)
-    floor = 100.0 * np.finfo(float).eps
-    _require(val >= floor, "params.ode_tol must be at least %.3g" % floor)
-    return val
-
-
-def _box(params):
-    """Half-width of the sampling box; its width 2 box must be finite."""
-    box = _num(params, "box", 0.8, positive=True)
-    _require(np.isfinite(2.0 * box), "params.box is too large")
-    return box
-
-
-def _count(params, key, default, least=1):
-    val = params.get(key, default)
-    _require(isinstance(val, int) and not isinstance(val, bool)
-             and val >= least, "params.%s must be an integer >= %d"
-             % (key, least))
-    return val
-
-
-def _vector(params, key, dim, default=None):
-    val = params.get(key, default)
-    _require(val is not None, "params.%s is required" % key)
+def vector(val, path, dim):
+    """dim finite numbers, as a float array."""
     _require(isinstance(val, list) and len(val) == dim
              and all(is_finite_number(t) for t in val),
-             "params.%s must be a number list of length %d" % (key, dim))
+             "%s must be a number list of length %d" % (path, dim))
     return np.asarray(val, dtype=float)
 
 
-def _interval(params, key):
-    val = params.get(key)
+def interval(val, path, dim):
+    """[lo, hi] with finite lo < hi, as a float pair."""
     _require(isinstance(val, list) and len(val) == 2
              and all(is_finite_number(t) for t in val) and val[0] < val[1],
-             "params.%s must be [lo, hi] with lo < hi" % key)
+             "%s must be [lo, hi] with lo < hi" % path)
     return float(val[0]), float(val[1])
 
 
-def _chart_field(params, L):
-    return _vector(params, "N", L.dim, default=[1.0] + [0.0] * (L.dim - 1))
+def axes(val, path, dim):
+    """Two distinct axis indices, as a pair."""
+    _require(isinstance(val, list) and len(val) == 2 and val[0] != val[1]
+             and all(isinstance(i, int) and not isinstance(i, bool)
+                     and 0 <= i < dim for i in val),
+             "%s must be two distinct axis indices below %d" % (path, dim))
+    return val[0], val[1]
+
+
+def listof(val, path, dim, size, exact, kind, *constraint):
+    """``size`` values of one kind, or at least ``size`` unless ``exact``,
+    as a tuple."""
+    _require(isinstance(val, list) and len(val) >= size
+             and (len(val) == size or not exact),
+             "%s must list %s%d %s values" % (
+                 path, "" if exact else "at least ", size, kind.__name__))
+    return tuple(kind(v, "%s[%d]" % (path, k), dim, *constraint)
+                 for k, v in enumerate(val))
+
+
+def frame(val, path, dim):
+    """dim - 2 vectors, one per transverse class, as an array."""
+    return np.array(listof(val, path, dim, dim - 2, True, vector))
+
+
+_LOOP = {"vertices": (listof, None, 3, False, vector), "plane": (axes, None),
+         "side": (positive, None), "sides": (listof, None, 2, True, positive)}
+
+
+def loop(val, path, dim):
+    """A polygon {vertices}, or a rectangle at base {plane, side | sides},
+    which comes back with both its sides and its area."""
+    got = {k: v for k, v in _parse_table(_LOOP, val, path, dim).items()
+           if v is not None}
+    _require(set(got) in ({"vertices"}, {"plane", "side"}, {"plane", "sides"}),
+             "%s takes {vertices} or {plane, side | sides}" % path)
+    if "side" in got:
+        got["sides"] = (got.pop("side"),) * 2
+    if "sides" in got:
+        got["area"] = abs(got["sides"][0] * got["sides"][1])
+        _require(got["area"] > 0.0, "%s sides are too small: the loop "
+                 "area underflows to zero" % path)
+    return got
 
 
 def _sample_states(L, rng, n, box):
@@ -198,14 +249,13 @@ def _sample_states(L, rng, n, box):
 
 
 # -- commands ----------------------------------------------------------------------
+# A runner returns the report and None, or a callable building the CSV
+# text, so a curve is only tabulated when the CSV is written.
 
-def _cmd_check(L, params, rng, tol):
-    tol = 1e-9 if tol is None else tol
-    n = _count(params, "n_samples", 6)
-    box = _box(params)
+def _cmd_check(L, rng, tol, n_samples, box):
     rep = Report(title="check")
     want = (1, L.dim - 1, 0)
-    for k, (x, v) in enumerate(_sample_states(L, rng, n, box)):
+    for k, (x, v) in enumerate(_sample_states(L, rng, n_samples, box)):
         sub = homogeneity_report(L, x, v, tol=tol)
         for c in sub.checks:
             rep.add("sample %d: %s" % (k, c.name), c.residual, c.tol)
@@ -216,12 +266,10 @@ def _cmd_check(L, params, rng, tol):
     return rep, None
 
 
-def _cmd_connection(L, params, rng, tol):
-    n = _count(params, "n_samples", 4)
-    box = _box(params)
-    V = VectorField.constant(_chart_field(params, L))
+def _cmd_connection(L, rng, tol, n_samples, box, N):
+    V = VectorField.constant(N)
     rep = Report(title="connection")
-    for k in range(n):
+    for k in range(n_samples):
         x = rng.uniform(-box, box, L.dim)
         sub, _ = connection_report(L, V, x)
         for c in sub.checks:
@@ -230,17 +278,13 @@ def _cmd_connection(L, params, rng, tol):
     return rep, None
 
 
-def _cmd_curvature(L, params, rng, tol):
-    tol = 1e-6 if tol is None else tol
-    n = _count(params, "n_samples", 3)
-    box = _box(params)
+def _cmd_curvature(L, rng, tol, n_samples, box, N):
     # pair symmetry is an identity at the parallel reference direction,
     # not at a generic cone point of a non-quadratic model
-    v = _chart_field(params, L)
     rep = Report(title="curvature", meta={"samples": []})
-    for k in range(n):
+    for k in range(n_samples):
         x = rng.uniform(-box, box, L.dim)
-        R = chern_curvature(L, x, v)
+        R = chern_curvature(L, x, N)
         scale = max(1.0, R.scale)
         worst = 0.0
         for _ in range(3):
@@ -251,14 +295,8 @@ def _cmd_curvature(L, params, rng, tol):
     return rep, None
 
 
-def _cmd_geodesic(L, params, rng, tol):
-    tol = 1e-7 if tol is None else tol
-    x0 = _vector(params, "x0", L.dim)
-    v0 = _vector(params, "v0", L.dim)
-    t_span = _interval(params, "t_span")
-    n = _count(params, "n_samples", 200, least=2)
-    ode_tol = _ode_tol(params)
-    path = geodesic(L, x0, v0, t_span, tol=ode_tol, n_samples=n)
+def _cmd_geodesic(L, rng, tol, x0, v0, t_span, n_samples, ode_tol):
+    path = geodesic(L, x0, v0, t_span, tol=ode_tol, n_samples=n_samples)
     rep = Report(title="geodesic",
                  meta={"l0": float(path.l0),
                        "t_final": float(path.t[-1]),
@@ -268,15 +306,11 @@ def _cmd_geodesic(L, params, rng, tol):
     return rep, path.to_csv
 
 
-def _cmd_ppwave(L, params, rng, tol):
-    n = _count(params, "n_samples", 6)
-    box = _box(params)
-    nvec = _chart_field(params, L)
-    samples = [rng.uniform(-box, box, L.dim) for _ in range(n)]
+def _cmd_ppwave(L, rng, tol, n_samples, box, N):
+    samples = [rng.uniform(-box, box, L.dim) for _ in range(n_samples)]
     rep = Report(title="ppwave")
-    par = parallel_criterion(L, nvec, samples)
-    cond = ppwave_condition(L, nvec, samples,
-                            tol_factor=1e-6 if tol is None else tol)
+    par = parallel_criterion(L, N, samples)
+    cond = ppwave_condition(L, N, samples, tol_factor=tol)
     rep.extend(par)
     rep.extend(cond)
     rep.meta["curvature_scale"] = cond.meta["curvature_scale"]
@@ -284,16 +318,9 @@ def _cmd_ppwave(L, params, rng, tol):
     return rep, None
 
 
-def _cmd_focal(L, params, rng, tol):
-    tol = 1e-10 if tol is None else tol
-    nvec = _chart_field(params, L)
-    x0 = _vector(params, "x0", L.dim, default=[0.0] * L.dim)
-    v0 = _vector(params, "v0", L.dim, default=nvec.tolist())
-    t_span = _interval(params, "t_span")
-    n = _count(params, "n_samples", 200, least=2)
-    ode_tol = _ode_tol(params)
-    ray = geodesic(L, x0, v0, t_span, tol=ode_tol, n_samples=n)
-    curve = delta_scan(L, nvec, ray)
+def _cmd_focal(L, rng, tol, N, x0, v0, t_span, n_samples, ode_tol):
+    ray = geodesic(L, x0, v0, t_span, tol=ode_tol, n_samples=n_samples)
+    curve = delta_scan(L, N, ray)
     both = np.isfinite(curve.delta) & np.isfinite(curve.delta4)
     resid = (float(np.max(np.abs(curve.delta[both] - curve.delta4[both])))
              if np.any(both) else 0.0)
@@ -308,82 +335,29 @@ def _cmd_focal(L, params, rng, tol):
     return rep, curve.to_csv
 
 
-def _cmd_quotient(L, params, rng, tol):
-    tol = 1e-6 if tol is None else tol
-    nvec = _chart_field(params, L)
-    base = _vector(params, "base", L.dim)
-    if "reps" in params:
-        raw = params["reps"]
-        _require(isinstance(raw, list) and len(raw) == L.dim - 2,
-                 "params.reps must list %d vectors" % (L.dim - 2))
-        reps = np.array([_vector({"r": r}, "r", L.dim) for r in raw])
-    else:
-        reps = np.eye(L.dim)[2:]
-    n_segments = _count(params, "n_segments", 64, least=4)
-
-    frame = quotient_metric(L, nvec, base, reps)
+def _cmd_quotient(L, rng, tol, N, base, reps, n_segments, loop):
+    frame = quotient_metric(L, N, base, reps)
     rep = Report(title="quotient", meta={"gbar": frame.gbar.tolist()})
     rep.add("gbar positive definite", 0.0, 0.5)
-    shifted = quotient_metric(L, nvec, base, reps + 2.0 * nvec)
+    shifted = quotient_metric(L, N, base, reps + 2.0 * N)
     rep.add("representative independence",
             float(np.max(np.abs(frame.gbar - shifted.gbar))), 1e-8)
 
-    loop = params.get("loop")
-    if loop is not None:
-        _require(isinstance(loop, dict), "params.loop must be an object")
-        if "vertices" in loop:
-            verts = loop["vertices"]
-            _require(isinstance(verts, list) and len(verts) >= 3,
-                     "loop.vertices needs at least 3 points")
-            pts = np.array([_vector({"p": p}, "p", L.dim) for p in verts])
-            defect = holonomy_defect(L, nvec, pts, reps,
-                                     n_segments=n_segments)
-            rep.add("holonomy defect", defect, tol)
-            rep.meta["holonomy"] = {"defect": defect}
-        else:
-            _require(set(loop) <= {"plane", "side", "sides"},
-                     "loop accepts vertices | plane + side(s)")
-            plane = loop.get("plane")
-            _require(isinstance(plane, list) and len(plane) == 2
-                     and all(isinstance(i, int) and not isinstance(i, bool)
-                             and 0 <= i < L.dim for i in plane)
-                     and plane[0] != plane[1],
-                     "loop.plane must be two distinct axis indices")
-            if "sides" in loop:
-                sides = loop["sides"]
-                _require(isinstance(sides, list) and len(sides) == 2
-                         and all(is_finite_number(s) and s > 0
-                                 for s in sides),
-                         "loop.sides must be two positive numbers")
-                si, sj = float(sides[0]), float(sides[1])
-            else:
-                si = sj = _num(loop, "side", None, positive=True)
-            _require(si * sj > 0.0, "loop sides are too small: the loop "
-                     "area underflows to zero")
-            pts = rectangle_loop(base, plane[0], plane[1], si, sj)
-            defect = holonomy_defect(L, nvec, pts, reps,
-                                     n_segments=n_segments)
-            area = abs(si * sj)
-            rep.add("holonomy defect / area", defect / area, tol)
-            rep.meta["holonomy"] = {"defect": defect, "area": area}
+    if loop is not None and "vertices" in loop:
+        defect = holonomy_defect(L, N, np.array(loop["vertices"]), reps,
+                                 n_segments=n_segments)
+        rep.add("holonomy defect", defect, tol)
+        rep.meta["holonomy"] = {"defect": defect}
+    elif loop is not None:
+        pts = rectangle_loop(base, *loop["plane"], *loop["sides"])
+        defect = holonomy_defect(L, N, pts, reps, n_segments=n_segments)
+        rep.add("holonomy defect / area", defect / loop["area"], tol)
+        rep.meta["holonomy"] = {"defect": defect, "area": loop["area"]}
     return rep, None
 
 
-def _cmd_penrose(L, params, rng, tol):
-    tol = 1e-9 if tol is None else tol
-    nvec = _chart_field(params, L)
-    u_interval = _interval(params, "u_interval")
-    omegas = params.get("omegas", [0.5, 0.1])
-    _require(isinstance(omegas, list) and omegas
-             and all(is_finite_number(w) and 0.0 < w <= 1.0
-                     for w in omegas),
-             "params.omegas must be numbers in (0, 1]")
-    # the rescaled model divides by omega^2, which must stay a normal float
-    _require(all(w * w >= sys.float_info.min for w in omegas),
-             "params.omegas are too small: omega^2 underflows")
-    n_csv = _count(params, "n_csv", 101, least=2)
-
-    res = penrose_limit(L, nvec, u_interval, omegas=tuple(omegas), tol=tol)
+def _cmd_penrose(L, rng, tol, N, u_interval, omegas, n_csv):
+    res = penrose_limit(L, N, u_interval, omegas=omegas, tol=tol)
     brink = res.brinkmann
     lo, hi = brink.u_interval
     pad = (0.05 if brink.truncated else 0.02) * (hi - lo)
@@ -402,20 +376,44 @@ def _cmd_penrose(L, params, rng, tol):
     return rep, lambda: res.to_csv(grid)
 
 
-# command -> (runner, the params keys it reads)
-_COMMANDS = {
-    "check": (_cmd_check, ("n_samples", "box")),
-    "connection": (_cmd_connection, ("n_samples", "box", "N")),
-    "curvature": (_cmd_curvature, ("n_samples", "box", "N")),
-    "geodesic": (_cmd_geodesic,
-                 ("x0", "v0", "t_span", "n_samples", "ode_tol")),
-    "ppwave": (_cmd_ppwave, ("n_samples", "box", "N")),
-    "focal": (_cmd_focal,
-              ("N", "x0", "v0", "t_span", "n_samples", "ode_tol")),
-    "quotient": (_cmd_quotient, ("N", "base", "reps", "n_segments", "loop")),
-    "penrose": (_cmd_penrose, ("N", "u_interval", "omegas", "n_csv")),
+# a command's runner, default headline tolerance (None: each check keeps
+# its own), whether it writes a CSV curve, and its params table
+Command = namedtuple("Command", "run tol curve params")
+
+# the sampling box has width 2 box, which must be finite
+_BOX = (positive, 0.8, 0.0, sys.float_info.max / 2)
+_N = (vector, "e0")
+# DOP853's rtol and atol; scipy raises an rtol below 100 machine epsilons,
+# and at such an atol the integrator may not take a step
+_ODE_TOL = (positive, 1e-9, 100.0 * np.finfo(float).eps)
+
+COMMANDS = {
+    "check": Command(_cmd_check, 1e-9, False, {
+        "n_samples": (count, 6), "box": _BOX}),
+    "connection": Command(_cmd_connection, None, False, {
+        "n_samples": (count, 4), "box": _BOX, "N": _N}),
+    "curvature": Command(_cmd_curvature, 1e-6, False, {
+        "n_samples": (count, 3), "box": _BOX, "N": _N}),
+    "geodesic": Command(_cmd_geodesic, 1e-7, True, {
+        "x0": (vector, ...), "v0": (vector, ...),
+        "t_span": (interval, ...), "n_samples": (count, 200, 2),
+        "ode_tol": _ODE_TOL}),
+    "ppwave": Command(_cmd_ppwave, 1e-6, False, {
+        "n_samples": (count, 6), "box": _BOX, "N": _N}),
+    "focal": Command(_cmd_focal, 1e-10, True, {
+        "N": _N, "x0": (vector, "origin"), "v0": (vector, "N"),
+        "t_span": (interval, ...), "n_samples": (count, 200, 2),
+        "ode_tol": _ODE_TOL}),
+    "quotient": Command(_cmd_quotient, 1e-6, False, {
+        "N": _N, "base": (vector, ...), "reps": (frame, "e2..e(n-1)"),
+        "n_segments": (count, 64, 4), "loop": (loop, None)}),
+    # the rescaled model divides by omega^2, which must stay a normal float
+    "penrose": Command(_cmd_penrose, 1e-9, True, {
+        "N": _N, "u_interval": (interval, ...),
+        "omegas": (listof, [0.5, 0.1], 1, False, positive,
+                   math.sqrt(sys.float_info.min), 1.0),
+        "n_csv": (count, 101, 2)}),
 }
-COMMANDS = tuple(_COMMANDS)
 
 
 # -- runner ------------------------------------------------------------------------
@@ -431,11 +429,11 @@ def _write(path, text):
 def run(config):
     """Execute a validated RunConfig; returns the process exit status."""
     L = from_descriptor(config.spacetime)
+    command = COMMANDS[config.command]
+    params = _parse_table(command.params, config.params, "params", L.dim)
     rng = np.random.default_rng(config.seed)
-    # curve_csv: None, or a callable building the CSV text, so a curve is
-    # only tabulated when the CSV is written
-    rep, curve_csv = _COMMANDS[config.command][0](L, config.params, rng,
-                                                  config.tol)
+    tol = command.tol if config.tol is None else config.tol
+    rep, curve_csv = command.run(L, rng, tol, **params)
     header = {"command": config.command,
               "model": getattr(L, "name", "?"),
               "seed": config.seed,
@@ -446,9 +444,6 @@ def run(config):
     text = rep.to_json()
 
     if config.format == "csv":
-        if curve_csv is None:
-            raise ConfigError("command %s produced no CSV curve"
-                              % config.command)
         _write(config.path, curve_csv())
         sys.stdout.write(text)
     elif config.path is not None:

@@ -319,10 +319,10 @@ def build_brinkmann_quadratic(profile, name=None):
     Lorentzian comparison case: its Christoffels and curvature have closed
     forms used as oracles elsewhere.
     """
-    if isinstance(profile, str):
+    if not isinstance(profile, HProfile):
         try:
             profile = PROFILES[profile]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ConfigError("unknown wave profile %r (have %s)"
                               % (profile, sorted(PROFILES))) from None
     H = profile.func
@@ -492,10 +492,6 @@ def catalog():
 
 # -- descriptors -----------------------------------------------------------
 
-_TYPES = ("minkowski", "brinkmann", "parallel_example", "ppwave_example",
-          "plugin")
-
-
 def is_finite_number(val):
     """True for a JSON number (int or float, not bool) with a finite float
     value; huge ints and the NaN/Infinity literals are rejected."""
@@ -503,11 +499,15 @@ def is_finite_number(val):
             and abs(val) <= sys.float_info.max)
 
 
-def _eps(params):
-    eps = params.get("eps", 0.1)
-    if not is_finite_number(eps):
-        raise ConfigError("spacetime.params.eps must be a finite number")
-    return float(eps)
+# type -> its builder and the params it reads, with defaults; a plug-in
+# names its builder in params and passes it the others
+_TYPES = {
+    "minkowski": (build_minkowski, {}),
+    "brinkmann": (build_brinkmann_quadratic, {"profile": "x2"}),
+    "parallel_example": (_default_parallel_example, {"eps": 0.1}),
+    "ppwave_example": (_default_ppwave_example, {"eps": 0.1}),
+    "plugin": (None, None),
+}
 
 
 def from_descriptor(desc):
@@ -519,8 +519,11 @@ def from_descriptor(desc):
     """
     if not isinstance(desc, dict):
         raise ConfigError("spacetime descriptor must be an object")
+    extra = sorted(set(desc) - {"type", "name", "dim", "params", "cone_ref"})
+    if extra:
+        raise ConfigError("unknown spacetime keys: %s" % ", ".join(extra))
     kind = desc.get("type")
-    if kind not in _TYPES:
+    if not isinstance(kind, str) or kind not in _TYPES:
         raise ConfigError("spacetime.type must be one of %s, got %r"
                           % ("|".join(_TYPES), kind))
     params = desc.get("params", {})
@@ -529,57 +532,58 @@ def from_descriptor(desc):
     dim = desc.get("dim", 4)
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 3:
         raise ConfigError("spacetime.dim must be an integer >= 3")
+    name = desc.get("name", "")
+    if not isinstance(name, str):
+        raise ConfigError("spacetime.name must be a string")
 
-    if kind == "minkowski":
-        L = build_minkowski(dim=dim)
-    elif kind == "brinkmann":
-        if dim != 4:
-            raise ConfigError("brinkmann models are 4-dimensional")
-        profile = params.get("profile", "x2")
-        if not isinstance(profile, str):
-            raise ConfigError("spacetime.params.profile must be one of %s"
-                              % sorted(PROFILES))
-        L = build_brinkmann_quadratic(profile)
-    elif kind == "parallel_example":
-        L = _default_parallel_example(eps=_eps(params))
-    elif kind == "ppwave_example":
-        L = _default_ppwave_example(eps=_eps(params))
-    else:
-        module = params.get("module")
-        builder = params.get("builder")
-        if not module or not builder:
+    build, defaults = _TYPES[kind]
+    if build is None:
+        module, builder = params.get("module"), params.get("builder")
+        if not all(isinstance(s, str) and s for s in (module, builder)):
             raise ConfigError("plugin spacetimes need params.module and "
-                              "params.builder")
+                              "params.builder as non-empty strings")
         try:
-            mod = importlib.import_module(module)
-            fn = getattr(mod, builder)
+            build = getattr(importlib.import_module(module), builder)
         except (ImportError, AttributeError) as e:
             raise ConfigError("cannot load plugin %s.%s: %s"
                               % (module, builder, e)) from e
+        if not callable(build):
+            raise ConfigError("plugin builder %s.%s is not callable"
+                              % (module, builder))
         kwargs = {k: v for k, v in params.items()
                   if k not in ("module", "builder")}
-        sig = inspect.signature(fn)
         try:
+            sig = inspect.signature(build)
             sig.bind(**kwargs)
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError("plugin builder %s.%s does not take params "
                               "%s: %s" % (module, builder, sorted(kwargs), e)
                               ) from e
-        for key, val in kwargs.items():
-            # a param whose default is a number must be given as one
-            default = getattr(sig.parameters.get(key), "default", None)
-            if is_finite_number(default) and not is_finite_number(val):
-                raise ConfigError("plugin param %s must be a finite number"
-                                  % key)
-        L = fn(**kwargs)
-        if not isinstance(L, Lagrangian):
-            raise ConfigError("plugin builder %s.%s did not return a "
-                              "Lagrangian" % (module, builder))
+        defaults = {k: p.default for k, p in sig.parameters.items()}
+    else:
+        extra = sorted(set(params) - set(defaults))
+        if extra:
+            raise ConfigError("%s spacetimes read no params %s"
+                              % (kind, ", ".join(extra)))
+        kwargs = {**defaults, **params}
+    for key, val in kwargs.items():
+        # a param whose default is a number must be given as one
+        if is_finite_number(defaults.get(key)) and not is_finite_number(val):
+            raise ConfigError("spacetime.params.%s must be a finite number"
+                              % key)
+    # minkowski builds at the descriptor's dim, the others at their own
+    L = build(dim=dim) if kind == "minkowski" else build(**kwargs)
+    if not isinstance(L, Lagrangian):
+        raise ConfigError("the %s builder did not return a Lagrangian"
+                          % kind)
+    if "dim" in desc and L.dim != dim:
+        raise ConfigError("spacetime.dim is %d, but the %s model is "
+                          "%d-dimensional" % (dim, kind, L.dim))
 
     # configure a copy: a builder may hand out one shared instance
     L = copy.copy(L)
-    if "name" in desc and desc["name"]:
-        L.name = str(desc["name"])
+    if name:
+        L.name = name
     if "cone_ref" in desc and desc["cone_ref"] is not None:
         ref = desc["cone_ref"]
         if (not isinstance(ref, list) or len(ref) != L.dim

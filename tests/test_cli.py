@@ -1,13 +1,20 @@
+import copy
 import csv
+import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from finsler import cli, lagrangian
 from finsler.cli import main
 from finsler.connection import geodesic
 from finsler.lagrangian import build_minkowski
@@ -16,6 +23,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 COS2 = {"type": "plugin", "name": "rosen-cos2",
         "params": {"module": "finsler.fixtures", "builder": "rosen_cos2"}}
+QUOTIENT = {"spacetime": {"type": "brinkmann", "params": {"profile": "x2-y2"}},
+            "params": {"base": [0.0, 0.1, 0.2, -0.1]}}
+TRIANGLE = [[0.0, 0.1, 0.2, -0.1], [0.0, 0.2, 0.2, -0.1],
+            [0.0, 0.2, 0.3, -0.1]]
 
 
 def write_config(tmp_path, body, name="run.json"):
@@ -226,13 +237,72 @@ def test_verification_failure_exits_one(tmp_path, capsys):
                "params": {"N": [1.0, 0.0, 0.0, 0.0]}}),
     ("penrose", {"spacetime": COS2,
                  "params": {"u_interval": [-1.2, 1.2], "omega": [0.5]}}),
-])])
+])] + [
+    # a loop is exactly {vertices} or {plane, side | sides}
+    pytest.param("quotient", {**QUOTIENT, "params": {
+        **QUOTIENT["params"],
+        "loop": {"vertices": TRIANGLE, "n_segemnts": 4, "sides": "abc"}}},
+        id="loop-vertices-stray-keys"),
+    pytest.param("quotient", {**QUOTIENT, "params": {
+        **QUOTIENT["params"],
+        "loop": {"vertices": TRIANGLE, "plane": [1, 2]}}},
+        id="loop-vertices-and-plane"),
+    pytest.param("quotient", {**QUOTIENT, "params": {
+        **QUOTIENT["params"],
+        "loop": {"plane": [1, 2], "side": 0.1, "sides": [0.1, 0.2]}}},
+        id="loop-side-and-sides"),
+    # strict spacetime descriptors
+    pytest.param("check", {"spacetime": {"type": "minkowski", "nmae": "m"}},
+                 id="spacetime-key-nmae"),
+    pytest.param("check", {"spacetime": {"type": "minkowski",
+                                         "cone_rfe": [2.0, 0.5, 0.0, 0.0]}},
+                 id="spacetime-key-cone-rfe"),
+    pytest.param("check", {"spacetime": {"type": "minkowski",
+                                         "params": {"eps": 0.1}}},
+                 id="minkowski-eps"),
+    pytest.param("check", {"spacetime": {"type": "ppwave_example",
+                                         "dim": 7}},
+                 id="ppwave-example-dim-7"),
+    pytest.param("check", {"spacetime": {"type": "parallel_example",
+                                         "dim": 5}},
+                 id="parallel-example-dim-5"),
+    pytest.param("check", {"spacetime": {**COS2, "dim": 9}},
+                 id="plugin-dim-9"),
+    pytest.param("check", {"spacetime": {"type": "minkowski",
+                                         "name": ["a"]}},
+                 id="spacetime-name-list"),
+    # plugin loading
+    pytest.param("check", {"spacetime": {
+        "type": "plugin", "params": {"module": "finsler.fixtures",
+                                     "builder": ["x"]}}},
+        id="plugin-builder-list"),
+    pytest.param("check", {"spacetime": {
+        "type": "plugin", "params": {"module": "finsler.fixtures",
+                                     "builder": "BUILDERS"}}},
+        id="plugin-builder-not-callable"),
+])
 def test_schema_violations_exit_two(tmp_path, capsys, command, body):
     cfg = write_config(tmp_path, body)
     code = main([command, "--config", cfg])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("params,path", [
+    ({"loop": {"plane": [1, 2], "side": -0.1}}, "params.loop.side"),
+    ({"reps": [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, "x"]]},
+     "params.reps[1]"),
+    ({"loop": {"vertices": TRIANGLE[:2] + [[0.0, 0.2]]}},
+     "params.loop.vertices[2]"),
+    ({"loop": {"plane": [2, 2], "side": 0.1}}, "params.loop.plane"),
+    ({"loop": {"plane": [1, 4], "side": 0.1}}, "params.loop.plane"),
+])
+def test_schema_errors_name_the_full_path(tmp_path, capsys, params, path):
+    cfg = write_config(tmp_path, {**QUOTIENT, "params": {
+        **QUOTIENT["params"], **params}})
+    assert main(["quotient", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: %s " % path)
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):
@@ -325,3 +395,216 @@ def test_example_config_passes(tmp_path, capsys, monkeypatch, path):
         assert all(len(row.split(",")) == len(lines[0].split(","))
                    for row in lines)
 
+
+# -- the params schema ------------------------------------------------------------
+
+def test_readme_params_table_matches_schema():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (\w+)", text, re.M)
+    assert sorted(rows) == sorted(
+        (name, key, kind.__name__) for name, command in cli.COMMANDS.items()
+        for key, (kind, *_) in command.params.items())
+
+
+# Each kind of the schema maps to a strategy of JSON values it must reject,
+# given the kind's constraint and the model's dimension.  A wrong-type
+# group is one branch, so it is drawn no more often than a mutation that
+# needs the kind's own check.
+BAD_TYPE = ["abc", None, {}, {"a": 1}, True, False]
+NOT_A_LIST = st.sampled_from(BAD_TYPE + [1.0])
+NOT_A_NUMBER = st.sampled_from(BAD_TYPE + [[1.0], float("nan"), float("inf"),
+                                           -float("inf"), 10 ** 400])
+
+
+def _one_bad_item(items, bad):
+    return st.tuples(st.integers(0, len(items) - 1), bad).map(
+        lambda kv: items[:kv[0]] + [kv[1]] + items[kv[0] + 1:])
+
+
+def _bad_count(constraint, dim):
+    least = constraint[0] if constraint else 1
+    return st.one_of(st.sampled_from(BAD_TYPE + [[1]]), st.floats(),
+                     st.integers(max_value=least - 1))
+
+
+def _bad_positive(constraint, dim):
+    least, most = (list(constraint) + [0.0, math.inf][len(constraint):])
+    out = [NOT_A_NUMBER, st.floats(max_value=0.0), st.integers(max_value=0)]
+    if least > 0.0:
+        out.append(st.floats(0.0, least, exclude_max=True))
+    if most < math.inf:
+        out.append(st.floats(min_value=most, exclude_min=True))
+    return st.one_of(out)
+
+
+def _bad_vector(constraint, dim):
+    return st.one_of(
+        NOT_A_LIST,
+        st.lists(st.floats(-1.0, 1.0), max_size=dim + 2).filter(
+            lambda v: len(v) != dim),
+        _one_bad_item([0.0] * dim, NOT_A_NUMBER))
+
+
+def _bad_interval(constraint, dim):
+    finite = st.floats(-1e3, 1e3)
+    return st.one_of(
+        NOT_A_LIST, st.sampled_from([[], [0.0], [0.0, 1.0, 2.0]]),
+        st.tuples(finite, finite).map(lambda ab: [max(ab), min(ab)]),
+        _one_bad_item([0.0, 1.0], NOT_A_NUMBER))
+
+
+def _bad_axes(constraint, dim):
+    return st.one_of(NOT_A_LIST, st.sampled_from([[], [1], [1, 2, 3]]),
+                     st.integers(0, dim - 1).map(lambda i: [i, i]),
+                     st.sampled_from([[0, dim], [-1, 1]]),
+                     st.sampled_from([[True, 2], [1.0, 2]]))
+
+
+def _bad_listof(constraint, dim):
+    size, exact, kind, *item = constraint
+    good = 0.5 if kind is cli.positive else [0.0] * dim
+    sizes = [n for n in range(size + 2)
+             if n < size or (exact and n != size)]
+    return st.one_of(
+        NOT_A_LIST, st.sampled_from(sizes).map(lambda n: [good] * n),
+        _one_bad_item([good] * size, BAD[kind](item, dim)))
+
+
+def _bad_frame(constraint, dim):
+    return _bad_listof((dim - 2, True, cli.vector), dim)
+
+
+LOOPS = [{"vertices": TRIANGLE}, {"plane": [1, 2], "side": 0.1},
+         {"plane": [1, 2], "sides": [0.1, 0.2]}]
+
+
+def _bad_loop_key(key, dim):
+    """Loops of a valid shape holding ``key`` with a bad value there."""
+    kind, _, *constraint = cli._LOOP[key]
+    shape = next(s for s in LOOPS if key in s)
+    return BAD[kind](constraint, dim).map(lambda v: {**shape, key: v})
+
+
+def _bad_loop(constraint, dim):
+    # a bad shape; the keys of a good shape are drawn by `_bad_loop_key`
+    return st.one_of(
+        NOT_A_LIST,
+        st.sampled_from([{**a, **b}
+                         for a, b in itertools.combinations(LOOPS, 2)]),
+        st.sampled_from([{}, {"plane": [1, 2]}, {"side": 0.1}]),
+        st.sampled_from(LOOPS).map(lambda s: {**s, "zzz": 1}))
+
+
+BAD = {cli.count: _bad_count, cli.positive: _bad_positive,
+       cli.vector: _bad_vector, cli.interval: _bad_interval,
+       cli.axes: _bad_axes, cli.listof: _bad_listof, cli.frame: _bad_frame,
+       cli.loop: _bad_loop}
+
+
+def _kinds(kind, constraint):
+    yield kind
+    if kind is cli.listof:
+        yield from _kinds(constraint[2], constraint[3:])
+    if kind is cli.loop:
+        for sub, _, *c in cli._LOOP.values():
+            yield from _kinds(sub, c)
+
+
+def test_fuzz_covers_every_kind():
+    used = {k for command in cli.COMMANDS.values()
+            for kind, _, *c in command.params.values()
+            for k in _kinds(kind, c)}
+    assert used <= set(BAD)
+
+
+def _with(raw, path, val):
+    out = copy.deepcopy(raw)
+    node = out
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = val
+    return out
+
+
+def _other_fields(raw):
+    """(path, strategy of bad values) for the fields outside ``params``,
+    split into the spacetime descriptor's and the rest."""
+    desc = raw["spacetime"]
+    bad_dims = ["4", 4.0, True, 2, -1, None]
+    if desc["type"] != "minkowski":
+        bad_dims += [3, 5]
+    by_field = {
+        ("zzz",): [1], ("params", "zzz"): [1], ("output", "zzz"): [1],
+        ("seed",): [-1, 2 ** 64, "1", 1.5, True, None],
+        ("tol",): [0, -1.0, "x", True, float("nan"), 10 ** 400],
+        ("command",): [3] + [c for c in cli.COMMANDS if c != raw["command"]],
+        ("params",): ["abc", None, [1], 3],
+        ("output",): ["x", 3, [1]],
+        ("output", "format"): ["xml", 3],
+        ("output", "path"): ["", 3],
+        ("spacetime",): ["minkowski", None, [1]],
+        ("spacetime", "zzz"): [1],
+        ("spacetime", "params", "zzz"): [1],
+        ("spacetime", "type"): ["warp", 3, None, ["minkowski"]],
+        ("spacetime", "dim"): bad_dims,
+        ("spacetime", "name"): [3, ["a"], None, {}, True],
+        ("spacetime", "params"): ["x", [1], 3],
+        ("spacetime", "params", "profile"): [3, ["x"], "cubic", None],
+        ("spacetime", "params", "eps"): ["abc", float("nan"), True, None],
+        ("spacetime", "params", "module"): [3, "", ["x"], "finsler.nope"],
+        ("spacetime", "params", "builder"): [3, "", ["x"], "BUILDERS"],
+    }
+    own = (("module", "builder") if desc["type"] == "plugin"
+           else lagrangian._TYPES[desc["type"]][1])
+    out = {"spacetime": [], "config": []}
+    for path, values in by_field.items():
+        if len(path) == 3 and path[2] != "zzz" and path[2] not in own:
+            continue
+        out[path[0] if path[0] == "spacetime" else "config"].append(
+            (path, st.sampled_from(values)))
+    return out
+
+
+def _mutations(raw, field):
+    """Configs that differ from ``raw`` in one field and violate the
+    schema there: a params key's value drawn per its kind, or a field of
+    the spacetime descriptor or the config root."""
+    params = cli.COMMANDS[raw["command"]].params
+    if field.startswith("loop."):
+        fields = [(("params", "loop"), _bad_loop_key(field[5:], 4))]
+    elif field in params:
+        kind, _, *constraint = params[field]
+        fields = [(("params", field), BAD[kind](constraint, 4))]
+    else:
+        fields = _other_fields(raw)[field]
+    return st.sampled_from(fields).flatmap(
+        lambda f: f[1].map(lambda val: _with(raw, f[0], val)))
+
+
+def _fuzz_fields(path):
+    """The fields fuzzed apart: each params key, each key of a loop the
+    command reads, the spacetime descriptor, and the rest."""
+    params = cli.COMMANDS[json.loads(path.read_text(encoding="utf-8"))
+                          ["command"]].params
+    loop = ["loop." + key for key in cli._LOOP] if "loop" in params else []
+    return [*params, *loop, "spacetime", "config"]
+
+
+FUZZ = [(path, field) for path in CONFIGS for field in _fuzz_fields(path)]
+
+
+@pytest.mark.parametrize("path,field", FUZZ,
+                         ids=["%s-%s" % (p.stem, f) for p, f in FUZZ])
+@settings(max_examples=10, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_schema_fuzz_exits_two(tmp_path, capsys, monkeypatch, path, field,
+                               data):
+    monkeypatch.chdir(tmp_path)     # a valid mutation must not write here
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    body = data.draw(_mutations(raw, field))
+    cfg = write_config(tmp_path, body)
+    code = main([raw["command"], "--config", cfg])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error: ")

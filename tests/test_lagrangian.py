@@ -231,6 +231,13 @@ class TestDescriptors:
         with pytest.raises(ConfigError):
             from_descriptor(desc)
 
+    @pytest.mark.parametrize("module,builder", [
+        (3, "f"), ("", "rosen_cos2"), ("finsler.fixtures", ["x"])])
+    def test_plugin_names_must_be_strings(self, module, builder):
+        with pytest.raises(ConfigError, match="non-empty strings"):
+            from_descriptor({"type": "plugin", "params": {
+                "module": module, "builder": builder}})
+
     def test_plugin_descriptor_loads_builder(self):
         desc = {"type": "plugin",
                 "params": {"module": "finsler.lagrangian",
