@@ -7,21 +7,32 @@ gives the corresponding mixed partial derivative exactly (up to roundoff).
 No finite differencing happens here — difference quotients exist only as
 test oracles.
 
-A jet's coefficients are one float64 vector over the admissible monomials
-of its `_Context`.  A context is built once per signature: it enumerates
-its monomials directly and precomputes the ``(i, j, k)`` index arrays of
-every product pair ``x^e_i * x^e_j = x^e_k`` that survives truncation, so
-a product is one gather, one elementwise multiply and one ``np.bincount``
-(Taylor arithmetic as in Griewank & Walther, *Evaluating Derivatives*,
-ch. 13).  Coefficients are always floats: jets do not nest.  Mixed orders
-in different generator sets come from grouped contexts instead, and
-`derivative_tensor` reads whole blocks of partials through a cached
-gather.  Binary operations between jets of different contexts are
-rejected.
+A jet's coefficients are a float64 vector over the admissible monomials
+of its `_Context`, or a ``(size, B)`` array whose B columns are
+independent lanes: one jet then carries B evaluation points at once.  A
+context is built once per signature: it enumerates its monomials directly
+and precomputes the ``(i, j, k)`` index arrays of every product pair
+``x^e_i * x^e_j = x^e_k`` that survives truncation, so a product is one
+gather, one elementwise multiply and one ``np.bincount`` (Taylor
+arithmetic as in Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+B-lane jets live in the context's batched twin, whose product keys the
+bincount by ``k * B + lane``.
+
+Every lane of a batched jet is bitwise equal to the unbatched evaluation
+at that lane's point: each lane sums its product terms in the same order,
+and the elementary functions take their Taylor coefficients from the
+`math` module one lane at a time, so a lane that would raise
+``ValueError``, ``ZeroDivisionError`` or ``OverflowError`` alone raises
+it in the batch too.  Coefficients are always floats: jets do not nest.
+Mixed orders in different generator sets come from grouped contexts
+instead, and `derivative_tensor` reads whole blocks of partials through
+a cached gather.  Binary operations between jets of different contexts
+(batch sizes included) are rejected.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import lru_cache
 from itertools import product as _iproduct
@@ -75,11 +86,11 @@ class _Context:
     ``pairs`` holds the product table: index arrays ``(i, j, k)`` with
     ``exponents[i] + exponents[j] == exponents[k]``, i-major and j
     ascending, so `np.bincount` sums each output coefficient in a fixed
-    order.
+    order.  ``lanes`` is None here and B in the twin `batched` returns.
     """
 
     __slots__ = ("nvars", "order", "exponents", "index", "size", "pairs",
-                 "_var_index", "_gathers")
+                 "lanes", "_var_index", "_gathers", "_batches")
 
     def __init__(self, nvars, order, groups=None, group_orders=None):
         self.nvars = nvars
@@ -97,6 +108,8 @@ class _Context:
             for j in range(nvars)
         ]
         self._gathers = {}
+        self._batches = {}
+        self.lanes = None
         # Encode exponents in base order+1.  Pairs within the total order
         # cap add without digit carries, so a sum's code names its monomial.
         E = np.array(exps, dtype=np.int64).reshape(self.size, nvars)
@@ -111,6 +124,23 @@ class _Context:
 
     def var_index(self, j):
         return self._var_index[j]
+
+    def batched(self, lanes):
+        """The cached context of ``lanes``-lane jets: the same monomials,
+        with the product's third index array replaced by the bincount keys
+        ``k * lanes + lane``, pair-major like the ``(P, lanes)`` array of
+        the product terms, so each lane sums its terms in the order of an
+        unbatched product."""
+        twin = self._batches.get(lanes)
+        if twin is None:
+            twin = copy.copy(self)
+            i, j, k = self.pairs
+            twin.pairs = (i, j, (k[:, None] * lanes
+                                 + np.arange(lanes)).ravel())
+            twin.lanes = lanes
+            twin._batches = None
+            self._batches[lanes] = twin
+        return twin
 
     def gather(self, slots, order):
         """Cached (coefficient index, factorial scale) arrays for
@@ -140,7 +170,8 @@ def _context(nvars, order, groups=None, group_orders=None):
 
 
 class Jet:
-    """A truncated Taylor polynomial over the generators of a `_Context`."""
+    """A truncated Taylor polynomial over the generators of a `_Context`;
+    with coefficients of shape ``(size, B)``, B of them side by side."""
 
     __slots__ = ("ctx", "c")
     __array_ufunc__ = None  # make numpy defer to our reflected operators
@@ -152,14 +183,10 @@ class Jet:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def constant(cls, ctx, value):
-        c = np.zeros(ctx.size)
-        c[0] = value
-        return cls(ctx, c)
-
-    @classmethod
     def variable(cls, ctx, j, value):
-        c = np.zeros(ctx.size)
+        """Generator ``j`` at ``value``: a float, or the array of the lane
+        values of a batched context."""
+        c = np.zeros(ctx.size if ctx.lanes is None else (ctx.size, ctx.lanes))
         c[0] = value
         c[ctx.var_index(j)] = 1.0
         return cls(ctx, c)
@@ -169,13 +196,16 @@ class Jet:
     @property
     def value(self):
         # a Python float, so that 1.0 / value raises ZeroDivisionError
-        # where a numpy scalar would return inf
-        return float(self.c[0])
+        # where a numpy scalar would return inf; the lanes of a batched
+        # jet come as an array
+        c0 = self.c[0]
+        return float(c0) if c0.ndim == 0 else c0.copy()
 
     def coeff(self, expo):
         """Raw Taylor coefficient for the exponent tuple ``expo``."""
         i = self.ctx.index.get(tuple(expo))
-        return 0.0 if i is None else float(self.c[i])
+        c = np.zeros(self.c.shape[1:]) if i is None else self.c[i]
+        return float(c) if c.ndim == 0 else c.copy()
 
     def deriv(self, expo):
         """Mixed partial derivative for the exponent tuple ``expo``."""
@@ -225,10 +255,14 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            b = self._peer(other)
-            i, j, k = self.ctx.pairs
-            return Jet(self.ctx, np.bincount(k, self.c[i] * b[j],
-                                             minlength=self.ctx.size))
+            a, b, ctx = self.c, self._peer(other), self.ctx
+            i, j, k = ctx.pairs
+            if ctx.lanes is None:
+                return Jet(ctx, np.bincount(k, a[i] * b[j],
+                                            minlength=ctx.size))
+            c = np.bincount(k, (a[i] * b[j]).ravel(),
+                            minlength=ctx.size * ctx.lanes)
+            return Jet(ctx, c.reshape(ctx.size, ctx.lanes))
         return Jet(self.ctx, self.c * other)
 
     __rmul__ = __mul__
@@ -247,7 +281,9 @@ class Jet:
             if p < 0:
                 return self._reciprocal() ** (-p)
             if p == 0:
-                return Jet.constant(self.ctx, 1.0)
+                c = np.zeros_like(self.c)
+                c[0] = 1.0
+                return Jet(self.ctx, c)
             result, base = None, self
             while True:
                 if p & 1:
@@ -256,21 +292,36 @@ class Jet:
                 if not p:
                     return result
                 base = base * base
-        a0 = self.value
-        coeffs = []
-        coef = 1.0
-        for k in range(self.ctx.order + 1):
-            coeffs.append(a0 ** (p - k) * coef)
-            coef *= (p - k) / (k + 1.0)
-        return self._compose(coeffs)
+
+        def coeffs(a0, order):
+            out = []
+            coef = 1.0
+            for k in range(order + 1):
+                out.append(a0 ** (p - k) * coef)
+                coef *= (p - k) / (k + 1.0)
+            return out
+
+        return self._series(coeffs)
 
     # -- composition with smooth scalar functions ----------------------
+
+    def _series(self, coeffs):
+        """Compose with f, where ``coeffs(a0, order)`` lists the Python
+        floats f^(k)(a0) / k!; a batched jet takes them lane by lane, so
+        each lane computes (and raises) exactly as an unbatched jet."""
+        order = self.ctx.order
+        a0 = self.c[0]
+        if a0.ndim == 0:
+            return self._compose(coeffs(float(a0), order))
+        return self._compose(np.array([coeffs(a, order)
+                                       for a in a0.tolist()]).T)
 
     def _compose(self, coeffs):
         """Horner-evaluate sum_k coeffs[k] * (self - value)^k.
 
-        ``coeffs[k]`` must equal f^(k)(value) / k!.  The leading step is a
-        scalar multiple of the nilpotent part, not a full product.
+        ``coeffs[k]`` must equal f^(k)(value) / k!, one entry per lane for
+        a batched jet.  The leading step is a scalar multiple of the
+        nilpotent part, not a full product.
         """
         d = self.c.copy()
         d[0] = 0.0
@@ -281,74 +332,87 @@ class Jet:
         return acc._add_const(coeffs[0])
 
     def _reciprocal(self):
-        inv = 1.0 / self.value
-        coeffs = []
-        term = inv
-        for _ in range(self.ctx.order + 1):
-            coeffs.append(term)
-            term = term * (-1.0) * inv
-        return self._compose(coeffs)
+        return self._series(_reciprocal_series)
 
     def sqrt(self):
-        a0 = self.value
-        s = math.sqrt(a0)
-        inv = 1.0 / a0
-        coeffs = []
-        term = s
-        half_minus_k = 0.5
-        for k in range(self.ctx.order + 1):
-            coeffs.append(term)
-            term = term * inv * (half_minus_k / (k + 1.0))
-            half_minus_k -= 1.0
-        return self._compose(coeffs)
+        return self._series(_sqrt_series)
 
     def exp(self):
-        e = math.exp(self.value)
-        coeffs = []
-        fk = 1.0
-        for k in range(self.ctx.order + 1):
-            coeffs.append(e * (1.0 / fk))
-            fk *= (k + 1)
-        return self._compose(coeffs)
+        return self._series(_exp_series)
 
     def log(self):
-        a0 = self.value
-        inv = 1.0 / a0
-        coeffs = [math.log(a0)]
-        term = inv
-        for k in range(1, self.ctx.order + 1):
-            coeffs.append(term * ((-1.0) ** (k - 1) / k))
-            term = term * inv
-        return self._compose(coeffs)
-
-    def _cycle(self, even, odd, signs):
-        coeffs = []
-        fk = 1.0
-        for k in range(self.ctx.order + 1):
-            base = even if k % 2 == 0 else odd
-            coeffs.append(base * (signs[k % 4] / fk))
-            fk *= (k + 1)
-        return self._compose(coeffs)
+        return self._series(_log_series)
 
     def sin(self):
-        a0 = self.value
-        return self._cycle(math.sin(a0), math.cos(a0),
-                           (1.0, 1.0, -1.0, -1.0))
+        return self._series(lambda a0, order: _cycle(
+            math.sin(a0), math.cos(a0), (1.0, 1.0, -1.0, -1.0), order))
 
     def cos(self):
-        a0 = self.value
-        return self._cycle(math.cos(a0), math.sin(a0),
-                           (1.0, -1.0, -1.0, 1.0))
+        return self._series(lambda a0, order: _cycle(
+            math.cos(a0), math.sin(a0), (1.0, -1.0, -1.0, 1.0), order))
 
     def sinh(self):
-        a0 = self.value
-        return self._cycle(math.sinh(a0), math.cosh(a0),
-                           (1.0, 1.0, 1.0, 1.0))
+        return self._series(lambda a0, order: _cycle(
+            math.sinh(a0), math.cosh(a0), (1.0, 1.0, 1.0, 1.0), order))
 
     def cosh(self):
-        a0 = self.value
-        return self._cycle(math.cosh(a0), math.sinh(a0),
-                           (1.0, 1.0, 1.0, 1.0))
+        return self._series(lambda a0, order: _cycle(
+            math.cosh(a0), math.sinh(a0), (1.0, 1.0, 1.0, 1.0), order))
+
+
+# -- Taylor coefficients f^(k)(a0) / k! of the elementary functions ---------
+
+def _reciprocal_series(a0, order):
+    inv = 1.0 / a0
+    coeffs = []
+    term = inv
+    for _ in range(order + 1):
+        coeffs.append(term)
+        term = term * (-1.0) * inv
+    return coeffs
+
+
+def _sqrt_series(a0, order):
+    s = math.sqrt(a0)
+    inv = 1.0 / a0
+    coeffs = []
+    term = s
+    half_minus_k = 0.5
+    for k in range(order + 1):
+        coeffs.append(term)
+        term = term * inv * (half_minus_k / (k + 1.0))
+        half_minus_k -= 1.0
+    return coeffs
+
+
+def _exp_series(a0, order):
+    e = math.exp(a0)
+    coeffs = []
+    fk = 1.0
+    for k in range(order + 1):
+        coeffs.append(e * (1.0 / fk))
+        fk *= (k + 1)
+    return coeffs
+
+
+def _log_series(a0, order):
+    inv = 1.0 / a0
+    coeffs = [math.log(a0)]
+    term = inv
+    for k in range(1, order + 1):
+        coeffs.append(term * ((-1.0) ** (k - 1) / k))
+        term = term * inv
+    return coeffs
+
+
+def _cycle(even, odd, signs, order):
+    coeffs = []
+    fk = 1.0
+    for k in range(order + 1):
+        base = even if k % 2 == 0 else odd
+        coeffs.append(base * (signs[k % 4] / fk))
+        fk *= (k + 1)
+    return coeffs
 
 
 # -- elementary functions of floats and jets alike ----------------------
@@ -387,13 +451,21 @@ def cosh(x):
 def variables(values, order, groups=None, group_orders=None):
     """Seed one generator per entry of ``values``.
 
-    Returns ``(ctx, jets)`` with ``jets[i] = values[i] + eps_i``.
+    Returns ``(ctx, jets)`` with ``jets[i] = values[i] + eps_i``.  A 2-D
+    array of shape ``(B, nvars)`` seeds B lanes, one per row.
     """
-    values = [float(v) for v in values]
+    batch = isinstance(values, np.ndarray) and values.ndim == 2
+    if batch:
+        lanes = len(values)
+        values = list(values.astype(float).T)
+    else:
+        values = [float(v) for v in values]
     if groups is not None:
         groups = tuple(groups)
         group_orders = tuple(group_orders)
     ctx = _context(len(values), order, groups, group_orders)
+    if batch:
+        ctx = ctx.batched(lanes)
     return ctx, [Jet.variable(ctx, j, v) for j, v in enumerate(values)]
 
 
@@ -402,6 +474,7 @@ def derivative_tensor(w, slots, order):
 
     Returns T of shape ``(len(slots),) * order`` with
     ``T[a, b, ...] = d^order w / d eps_slots[a] d eps_slots[b] ...``.
+    A batched ``w`` gives T a leading batch axis, one row per lane.
     Partials the context truncates read as zero, and so does every partial
     of a plain number.
     """
@@ -410,17 +483,24 @@ def derivative_tensor(w, slots, order):
     if not isinstance(w, Jet):
         return np.zeros(shape)
     idx, scale = w.ctx.gather(slots, order)
-    return (w.c[idx] * scale).reshape(shape)
+    if w.ctx.lanes is None:
+        return (w.c[idx] * scale).reshape(shape)
+    return (w.c[idx] * scale[:, None]).T.reshape(w.c.shape[1:] + shape)
 
 
 def _call(L, x, v):
-    """Evaluate a Lagrangian-like callable, wrapping arithmetic failures."""
+    """Evaluate a Lagrangian-like callable, wrapping arithmetic failures;
+    a batched result fails if any lane does."""
     try:
         w = L(x, v)
     except (ZeroDivisionError, OverflowError, ValueError) as e:
         raise EvaluationError("Lagrangian evaluation failed: %s" % e) from e
     val = w.value if isinstance(w, Jet) else w
-    if isinstance(val, float) and not math.isfinite(val):
+    if isinstance(val, np.ndarray):
+        finite = bool(np.isfinite(val).all())
+    else:
+        finite = not isinstance(val, float) or math.isfinite(val)
+    if not finite:
         raise EvaluationError("Lagrangian evaluation returned a non-finite "
                               "value")
     return w

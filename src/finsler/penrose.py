@@ -8,6 +8,12 @@ Brinkmann form its profile matrix A(u) is recovered from the vielbein
 M(u) = h^{-1/2}(u) O(u), where the rotation O absorbs the symmetry
 condition.  E = M^{-1} solves E'' = A E (the roundtrip check
 integrates it), with A in closed form from the exact triple (h, h', h'').
+
+The limit reads that triple off one jet along the ray, and evaluates it
+on a whole grid of u at once (a batched jet, one lane per u) wherever the
+grid is fixed in advance: the positivity grid, the wall scan, the
+vielbein conditions and the CSV rows.  Only the ODE right-hand side and
+its event, which are sequential in u, evaluate one u at a time.
 """
 
 from dataclasses import dataclass, field
@@ -105,7 +111,12 @@ def homothety_residual(L, N, omega, samples, tol=1e-9):
 
 @dataclass
 class RosenProfile:
-    """Transverse block u -> (h, h', h''), h positive definite where valid."""
+    """Transverse block u -> (h, h', h''), h positive definite where valid.
+
+    ``h`` maps one u to the triple.  `triples` evaluates a grid of u; here
+    it stacks one ``h`` call per u, and a profile that can evaluate a
+    whole grid at once (the ray profile of `penrose_limit`) overrides it.
+    """
 
     h: object
     dim: int = 2
@@ -113,19 +124,63 @@ class RosenProfile:
     def triple(self, u):
         return tuple(np.asarray(t, dtype=float) for t in self.h(float(u)))
 
+    def triples(self, us):
+        """(h, h', h'') on the grid ``us``, each of shape (len(us), dim, dim)."""
+        rows = [self.triple(u) for u in us]
+        return tuple(np.array([r[k] for r in rows]) for k in range(3))
+
     def matrix(self, u):
         return np.asarray(self.h(float(u))[0], dtype=float)
 
-    def posdef_at(self, u):
-        w = np.linalg.eigvalsh(self.matrix(u))
-        return bool(np.all(w > 0.0))
+
+class _RayProfile(RosenProfile):
+    """The limit block h(u) of ``L`` along the ray x = (u, 0, ..., 0).
+
+    One grouped jet in u and the transverse fiber generators v2, ...,
+    v_{n-1}, each to second order, gives (h, h', h'') as -1/2 of the
+    partials d2/dv_a dv_b, d/du and d2/du2 of them (18 terms for n = 4).
+    v0 and v1 enter as plain numbers: no partial read here involves them.
+    `triples` seeds one lane per u, and each lane is bitwise the scalar
+    triple.
+    """
+
+    def __init__(self, L, nvec):
+        super().__init__(h=self._evaluate, dim=L.dim - 2)
+        self._L = L
+        self._nvec = [float(t) for t in nvec]
+
+    def _evaluate(self, u):
+        n = self.dim + 2
+        if np.ndim(u) == 0:
+            values = [u] + self._nvec[2:]
+        else:
+            values = np.empty((len(u), n - 1))
+            values[:, 0] = u
+            values[:, 1:] = self._nvec[2:]
+        _, seeds = jets.variables(values, 4, (0,) + (1,) * (n - 2), (2, 2))
+        w = jets._call(self._L, [seeds[0]] + [0.0] * (n - 1),
+                       self._nvec[:2] + seeds[1:])
+        if not isinstance(w, jets.Jet):   # no fiber term: h vanishes
+            return (np.zeros(np.shape(u) + (self.dim, self.dim)),) * 3
+        slots = range(n - 1)   # u, v2, ..., v_{n-1}
+        return (-0.5 * jets.derivative_tensor(w, slots, 2)[..., 1:, 1:],
+                -0.5 * jets.derivative_tensor(w, slots, 3)[..., 0, 1:, 1:],
+                -0.5 * jets.derivative_tensor(w, slots, 4)[..., 0, 0, 1:, 1:])
+
+    def triples(self, us):
+        return self._evaluate(np.asarray(us, dtype=float))
 
 
 @dataclass
 class BrinkmannProfile:
-    """Vielbein M(u) and wave profile A(u) with H(u, x) = x^T A(u) x;
-    `rosen_to_brinkmann` sets ``fields(u)``, which gives (h, M, A) from one
-    profile triple."""
+    """Vielbein M(u) and wave profile A(u) with H(u, x) = x^T A(u) x.
+
+    `rosen_to_brinkmann` sets ``from_triple(u, (h, h', h''))``, which gives
+    (h, M, A) at u from one profile triple: `fields` and `fields_on` then
+    evaluate the profile once per u, the grid through one
+    `RosenProfile.triples` call.  A profile assembled from its parts (no
+    ``from_triple``) evaluates ``rosen``, ``M`` and ``A`` apart.
+    """
 
     rosen: RosenProfile
     A: object
@@ -134,16 +189,37 @@ class BrinkmannProfile:
     u_interval: tuple
     truncated: bool = False
     reason: str = ""
-    fields: object = None
+    from_triple: object = None
+
+    def fields(self, u):
+        return self.from_triple(u, self.rosen.triple(u))
+
+    def fields_on(self, us):
+        """[(h, M, A) at u for u in us]."""
+        if self.from_triple is None:
+            return [(self.rosen.matrix(u), self.M(u), self.A(u)) for u in us]
+        return [self.from_triple(u, t)
+                for u, t in zip(us, zip(*self.rosen.triples(us)))]
 
     def m_conditions(self, us, tol=1e-8):
-        """Both displayed vielbein conditions over a parameter grid."""
+        """Both displayed vielbein conditions over a parameter grid.
+
+        M' is a fourth-order central difference, kept on purpose as a check
+        independent of the O-equation; the grid and the four stencil points
+        of each u are evaluated as one `fields_on` batch.
+        """
+        us = np.asarray(us, dtype=float)
+        step = 1e-5 * (1.0 + np.abs(us))
+        k = len(us)
+        hm = self.fields_on(np.concatenate([us, us + step, us - step,
+                                            us + 2 * step, us - 2 * step]))
         worst_orth = 0.0
         worst_sym = 0.0
-        for u in us:
-            h = self.rosen.matrix(u)
-            m = self.M(u)
-            md = _fd(self.M, u)
+        for i in range(k):
+            h, m, _ = hm[i]
+            d1 = (hm[k + i][1] - hm[2 * k + i][1]) / (2.0 * step[i])
+            d2 = (hm[3 * k + i][1] - hm[4 * k + i][1]) / (4.0 * step[i])
+            md = (4.0 * d1 - d2) / 3.0
             worst_orth = max(worst_orth, float(np.max(np.abs(
                 m.T @ h @ m - np.eye(self.rosen.dim)))))
             s = m.T @ h @ md
@@ -174,20 +250,12 @@ class PenroseLimitResult:
                 + ["h%d%d" % (i, j) for i in range(m) for j in range(m)]
                 + ["M%d%d" % (i, j) for i in range(m) for j in range(m)]
                 + ["A%d%d" % (i, j) for i in range(m) for j in range(m)])
-        rows = (np.concatenate([[u]] + [np.ravel(t)
-                                        for t in self.brinkmann.fields(u)])
-                for u in us)
+        rows = (np.concatenate([[u]] + [np.ravel(t) for t in f])
+                for u, f in zip(us, self.brinkmann.fields_on(us)))
         return csv_text(cols, rows)
 
 
 # -- numerics helpers -----------------------------------------------------------
-
-def _fd(fn, u):
-    s = 1e-5 * (1.0 + abs(u))
-    d1 = (fn(u + s) - fn(u - s)) / (2.0 * s)
-    d2 = (fn(u + 2 * s) - fn(u - 2 * s)) / (4.0 * s)
-    return (4.0 * d1 - d2) / 3.0
-
 
 def _sqrt_derivs(h, hd, hdd, where=""):
     """S^{-1}, S' and S'' for S = h^{1/2}: SS = h differentiated twice
@@ -254,8 +322,13 @@ def rosen_to_brinkmann(rosen, u0, u_interval, ode_tol=1e-12):
     ``rosen`` is a `RosenProfile` or a callable u -> (h, h', h'').  With
     S = h^{1/2} and W = skew(S^{-1} S'), O' = -W O with O(u0) = identity
     makes M^T h M' symmetric, and E = M^{-1} solves E'' = A E with
-    A = O^T (W^2 + W' + (2 W S' + S'') S^{-1}) O.  If h loses positivity
-    inside the interval, the result is truncated there and flagged.
+    A = O^T (W^2 + W' + (2 W S' + S'') S^{-1}) O.
+
+    Positivity means that the smallest eigenvalue of h clears a floor of
+    1e-8 times the scale of h(u0).  A base point below the floor raises
+    `SignatureError`; if h falls to it inside the interval, the result is
+    truncated there and flagged.  The wall scan evaluates its grid through
+    `RosenProfile.triples`; the ODE takes one u at a time.
     """
     from scipy.optimize import brentq, minimize_scalar
 
@@ -264,18 +337,21 @@ def rosen_to_brinkmann(rosen, u0, u_interval, ode_tol=1e-12):
     m = rosen.dim
     u0 = float(u0)
 
-    def frame(u):
-        h, hd, hdd = rosen.triple(u)
+    def frame(u, triple):
+        h, hd, hdd = triple
         return (h,) + _sqrt_derivs(h, hd, hdd, where=" at u=%g" % u)
 
-    if not rosen.posdef_at(u0):
-        raise SignatureError("h is not positive definite at u0")
-
     def rhs(u, y):
-        _, sinv, sd, _ = frame(u)
+        _, sinv, sd, _ = frame(u, rosen.triple(u))
         return (-_skew(sinv @ sd) @ y.reshape(m, m)).ravel()
 
-    floor = 1e-8 * max(1.0, float(np.max(np.abs(rosen.matrix(u0)))))
+    h0 = rosen.matrix(u0)
+    floor = 1e-8 * max(1.0, float(np.max(np.abs(h0))))
+    low0 = float(np.min(np.linalg.eigvalsh(h0)))
+    if low0 <= floor:
+        raise SignatureError("h is not positive definite at u0=%.12g: its "
+                             "smallest eigenvalue %.6g does not clear the "
+                             "floor %.6g" % (u0, low0, floor))
 
     def pos_margin(u):
         return float(np.min(np.linalg.eigvalsh(rosen.matrix(u)))) - floor
@@ -292,7 +368,8 @@ def rosen_to_brinkmann(rosen, u0, u_interval, ode_tol=1e-12):
         if target == u0:
             return None
         us = np.linspace(u0, target, 129)
-        margins = [pos_margin(u) for u in us]
+        margins = (np.linalg.eigvalsh(rosen.triples(us)[0]).min(axis=1)
+                   - floor).tolist()
         ref = max(margins[0], 1e-3)
         for i in range(1, len(us)):
             if margins[i] <= 0.0:
@@ -334,8 +411,8 @@ def rosen_to_brinkmann(rosen, u0, u_interval, ode_tol=1e-12):
         where = ", ".join("u=%.12g" % h for h in hit if h is not None)
         reason = "h lost positivity at %s (focal point)" % where
 
-    def fields(u):
-        h, sinv, sd, sdd = frame(u)
+    def from_triple(u, triple):
+        h, sinv, sd, sdd = frame(u, triple)
         o = osol(u)
         k = sinv @ sd
         w = _skew(k)
@@ -343,11 +420,14 @@ def rosen_to_brinkmann(rosen, u0, u_interval, ode_tol=1e-12):
         a = o.T @ (w @ w + wd + (2.0 * (w @ sd) + sdd) @ sinv) @ o
         return h, sinv @ o, 0.5 * (a + a.T)
 
+    def fields(u):
+        return from_triple(u, rosen.triple(u))
+
     return BrinkmannProfile(rosen=rosen, A=lambda u: fields(u)[2],
                             M=lambda u: fields(u)[1], u0=u0,
                             u_interval=(reached[0], reached[1]),
                             truncated=truncated, reason=reason,
-                            fields=fields)
+                            from_triple=from_triple)
 
 
 def brinkmann_roundtrip(A, u_interval, u0=None, n_check=21, tol=1e-6,
@@ -432,23 +512,13 @@ def penrose_limit(L, N, u_interval, omegas=(0.5, 0.1), tol=1e-9):
             raise ChartError("chart template fails on the base ray at "
                              "x0=%g" % u)
 
-    # one grouped jet along the ray: u and the fiber generators, each to
-    # second order (45 terms for n = 4)
-    slots = (0,) + tuple(range(3, n + 1))   # u, v2, ..., v_{n-1}
-
-    def h_triple(u):
-        _, seeds = jets.variables([u] + list(nvec), 4, (0,) + (1,) * n,
-                                  (2, 2))
-        w = jets._call(L, [seeds[0]] + [0.0] * (n - 1), seeds[1:])
-        return (-0.5 * jets.derivative_tensor(w, slots, 2)[1:, 1:],
-                -0.5 * jets.derivative_tensor(w, slots, 3)[0, 1:, 1:],
-                -0.5 * jets.derivative_tensor(w, slots, 4)[0, 0, 1:, 1:])
-
-    rosen = RosenProfile(h=h_triple, dim=n - 2)
-    for u in np.linspace(lo, hi, 41):
-        if not rosen.posdef_at(u):
-            raise SignatureError("limit metric degenerates on the base ray "
-                                 "at x0=%g (focal point)" % u)
+    rosen = _RayProfile(L, nvec)
+    grid = np.linspace(lo, hi, 41)
+    posdef = np.all(np.linalg.eigvalsh(rosen.triples(grid)[0]) > 0.0, axis=1)
+    if not posdef.all():
+        raise SignatureError("limit metric degenerates on the base ray "
+                             "at x0=%g (focal point)"
+                             % grid[np.argmin(posdef)])
 
     resids = []
     offblock = []

@@ -335,6 +335,41 @@ def test_numerical_failure_exits_three(tmp_path, capsys, command, body):
     assert "numerical failure" in err
 
 
+def test_penrose_base_point_below_the_positivity_floor_exits_three(
+        tmp_path, capsys):
+    # cos^2(1.5708) = 1.3e-11 is positive but below the 1e-8 floor that
+    # bounds the integration range, so the base point itself is rejected
+    cfg = write_config(tmp_path, {"spacetime": COS2,
+                                  "params": {"u_interval": [1.5707, 1.5709]}})
+    assert main(["penrose", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "u0=1.5708" in err and "floor" in err
+
+
+def test_penrose_evaluates_the_ray_jet_on_batches(tmp_path, capsys,
+                                                  monkeypatch):
+    # the fixed grids (positivity, wall scans, vielbein conditions, CSV)
+    # are one batched ray jet each; the ODE right-hand side and its event
+    # stay scalar
+    from finsler import jets
+    calls = {1: 0, 2: 0}
+    call = jets._call
+
+    def counted(L, x, v):
+        # the ray jet: u and the two transverse fiber generators, 18 terms
+        if isinstance(x[0], jets.Jet) and x[0].ctx.size == 18:
+            calls[x[0].c.ndim] += 1
+        return call(L, x, v)
+
+    monkeypatch.setattr(jets, "_call", counted)
+    monkeypatch.chdir(tmp_path)
+    path = ROOT / "configs" / "penrose_cos2.json"
+    assert main(["penrose", "--config", str(path)]) == 0
+    assert 0 < calls[1] <= 270
+    assert 0 < calls[2] <= 6
+
+
 @pytest.mark.filterwarnings("ignore")  # scipy warns at this tolerance
 def test_geodesic_stopped_before_first_sample():
     # below the integrator's rtol floor it gives up before its first

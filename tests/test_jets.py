@@ -386,3 +386,93 @@ def test_derivative_tensor_agrees_with_deriv():
                 e[c] += 1
             assert T[combo] == w.deriv(e)
     assert not np.any(derivative_tensor(2.5, range(n), 2))
+
+
+# -- batched jets: one lane per evaluation point ----------------------------
+
+def every_operation(s):
+    """Each `Jet` operation and elementary function of the generators
+    ``s``, kept apart so that a lane mismatch names its operation."""
+    a, b, c = s
+    pos = 2.5 + a * a + b * b   # keeps sqrt, log and fractional powers real
+    return {
+        "add": a + b, "add-const": a + 1.5, "radd": 1.5 + a,
+        "sub": a - c, "sub-const": a - 0.5, "rsub": 0.5 - a, "neg": -b,
+        "mul": a * b, "mul-const": 3.0 * c, "mul-self": c * c,
+        "div": a / pos, "div-const": b / 4.0, "rdiv": 2.0 / pos,
+        "pow-int": a ** 3, "pow-float-int": b ** 2.0, "pow-zero": c ** 0,
+        "pow-neg": pos ** -2, "pow-frac": pos ** 1.5, "pow-neg-frac": pos ** -0.5,
+        "sqrt": jets.sqrt(pos), "exp": jets.exp(a - b), "log": jets.log(pos),
+        "sin": jets.sin(a + c), "cos": jets.cos(b), "sinh": jets.sinh(c),
+        "cosh": jets.cosh(a * b),
+        "nested": jets.exp(jets.sin(a) * b) / jets.sqrt(pos) - jets.log(pos) ** 2,
+    }
+
+
+point = st.lists(finite, min_size=3, max_size=3)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(points=st.lists(point, min_size=1, max_size=5),
+       sig=st.sampled_from([(3, None, None), (3, (0, 1, 1), (2, 2)),
+                            (4, (0, 1, 1), (2, 2))]))
+def test_batched_lanes_are_bitwise_unbatched(points, sig):
+    order, groups, group_orders = sig
+    batch = np.array(points)
+    _, lanes = variables(batch, order, groups, group_orders)
+    got = every_operation(lanes)
+    slots = range(3)
+    for lane, p in enumerate(points):
+        _, s = variables(p, order, groups, group_orders)
+        for name, want in every_operation(s).items():
+            assert got[name].c[:, lane].tobytes() == want.c.tobytes(), name
+            assert (np.float64(got[name].value[lane]).tobytes()
+                    == np.float64(want.value).tobytes()), name
+            assert (got[name].deriv((1, 0, 1))[lane].tobytes()
+                    == np.float64(want.deriv((1, 0, 1))).tobytes()), name
+            for k in range(1, 3):
+                assert (derivative_tensor(got[name], slots, k)[lane].tobytes()
+                        == derivative_tensor(want, slots, k).tobytes()), name
+
+
+@pytest.mark.parametrize("L,good,bad", [
+    (lambda x, v: jets.sqrt(v[0] - 1.0), (2.5, 3.0), 0.5),
+    (lambda x, v: 1.0 / (v[0] - 1.5), (2.5, 3.0), 1.5),
+    (lambda x, v: jets.exp(400.0 * v[0]), (1.0, 1.5), 2.0),
+    (lambda x, v: jets.log(v[0] - 1.5), (2.5, 3.0), 1.5),
+    (lambda x, v: (v[0] * 1e200) * (v[0] * 1e200), (1e-150, 2e-150), 1.0),
+], ids=["sqrt-negative", "reciprocal-zero", "exp-overflow", "log-zero",
+        "product-overflow"])
+def test_a_failing_lane_fails_the_batch_as_it_fails_alone(L, good, bad):
+    # the middle lane raises (or, for the product, overflows to inf) alone
+    def raised(v):
+        try:
+            L([0.0], v)
+        except Exception as e:
+            return type(e)
+        return None
+
+    with np.errstate(over="ignore"):
+        for v0 in good:
+            jets._call(L, [0.0], variables([v0, 1.0], 2)[1])
+        alone = variables([bad, 1.0], 2)[1]
+        with pytest.raises(EvaluationError):
+            jets._call(L, [0.0], alone)
+        _, lanes = variables(np.array([[good[0], 1.0], [bad, 1.0],
+                                       [good[1], 1.0]]), 2)
+        with pytest.raises(EvaluationError):
+            jets._call(L, [0.0], lanes)
+        # the same exception, before `_call` maps it
+        assert raised(lanes) is raised(alone)
+
+
+def test_batched_jets_reject_other_batch_shapes():
+    _, (a, b) = variables(np.array([[1.0, 2.0], [3.0, 4.0]]), 2)
+    _, (c, _) = variables(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), 2)
+    _, (d, _) = variables([1.0, 2.0], 2)
+    assert (a * b).c.shape == (6, 2)
+    for other in (c, d):
+        with pytest.raises(TypeError):
+            a * other
+        with pytest.raises(TypeError):
+            a + other

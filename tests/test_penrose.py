@@ -251,16 +251,34 @@ def test_limit_cos2_matches_plane_wave_model():
     assert rep.passed
 
 
+def ppwave_example():
+    return lg.from_descriptor({"type": "ppwave_example"})
+
+
+def flat_triple(u):
+    return np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))
+
+
+CLOSED_FORM = {"rosen_cos2": cos2_triple, "rosen_cross": cos2_triple,
+               "rosen_exp": exp_triple, "ppwave_example": flat_triple}
+
+
 @pytest.mark.parametrize("builder",
-                         [fixtures.rosen_cos2, fixtures.rosen_cross])
+                         [fixtures.rosen_cos2, fixtures.rosen_cross,
+                          fixtures.rosen_exp, ppwave_example])
 def test_limit_profile_triple_is_exact(builder):
     # (h, h', h'') from the ray jet against the closed form; the g_1i
-    # entries of rosen_cross must not leak into any of the three
+    # entries of rosen_cross must not leak into any of the three.  The
+    # batched grid gives each lane bitwise the scalar triple.
     res = penrose.penrose_limit(builder(), E0, (-1.0, 1.2))
-    for u in (-0.8, 0.0, 0.45, 1.1):
+    us = np.array([-0.8, 0.0, 0.45, 1.1])
+    grid = res.rosen.triples(us)
+    for b, u in enumerate(us):
         got = res.rosen.triple(u)
-        for a, b in zip(got, cos2_triple(u)):
-            assert np.max(np.abs(a - b)) <= 1e-12
+        for a, g in zip(got, grid):
+            assert a.tobytes() == g[b].tobytes()
+        for a, want in zip(got, CLOSED_FORM[builder.__name__](u)):
+            assert np.max(np.abs(a - want)) <= 1e-12
 
 
 def test_limit_truncates_past_focal_point():
@@ -272,6 +290,14 @@ def test_limit_truncates_past_focal_point():
 def test_limit_raises_when_block_changes_sign():
     with pytest.raises(SignatureError, match="focal point"):
         penrose.penrose_limit(fixtures.linear_wall(), E0, (0.0, 2.0))
+
+
+def test_limit_raises_when_block_vanishes():
+    # no transverse term at all: L is a plain number on the ray jet, so
+    # every lane of the positivity grid reads h = 0
+    L = lg.Lagrangian(lambda x, v: 2.0 * v[0] * v[1], 4, [1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(SignatureError, match="degenerates"):
+        penrose.penrose_limit(L, E0, (-1.0, 1.0))
 
 
 def test_limit_needs_lightlike_chart():
@@ -297,20 +323,28 @@ def test_limit_csv_roundtrip():
 
 
 def test_limit_csv_evaluates_the_profile_triple_once_per_row():
+    # one batched call for the whole CSV, no scalar triple
     res = penrose.penrose_limit(fixtures.rosen_cos2(), E0, (-1.0, 1.0))
     us = np.linspace(-0.8, 0.8, 9)
     before = res.to_csv(us)
-    h, calls = res.rosen.h, []
+    h, triples, calls = res.rosen.h, res.rosen.triples, []
 
-    def counted(u):
+    def scalar(u):
         calls.append(u)
         return h(u)
 
-    res.rosen.h = counted
+    def batched(grid):
+        calls.append(list(grid))
+        return triples(grid)
+
+    res.rosen.h, res.rosen.triples = scalar, batched
     assert res.to_csv(us) == before
-    assert len(calls) == len(us)
-    for u in us:
+    assert calls == [list(us)]
+    res.rosen.h, res.rosen.triples = h, triples
+    for u, row in zip(us, res.brinkmann.fields_on(us)):
         hm, m, a = res.brinkmann.fields(u)
+        assert all(x.tobytes() == y.tobytes()
+                   for x, y in zip(row, (hm, m, a)))
         assert np.array_equal(hm, res.rosen.matrix(u))
         assert np.array_equal(m, res.brinkmann.M(u))
         assert np.array_equal(a, res.brinkmann.A(u))
