@@ -4,11 +4,12 @@ Christoffel symbols are solved pointwise from one multivariate jet
 evaluation of L: base-point generators to first order, fiber generators to
 third, which yields the metric g, the Cartan tensor C and the total
 x-derivatives D_i(jk) of the metric along the reference field in a single
-pass.  The Koszul system is linear in the symbols, M Γ = rhs with one
-operator M(g, C, v); a fixed-point iteration exploits the small Cartan
-coupling and a dense solve of M guarantees termination.  Curvature reuses
-M for the exact x-derivatives of Γ from a base-order-2 evaluation.  The
-solve never tests cone membership; the public entry points
+pass.  The Koszul identities are linear in the symbols, and for a
+2-homogeneous L, C(v, ·, ·) = 0 decouples them: contracted with v twice
+and then once they give Γ(v, v) and Γ v, and then Γ in closed form
+(`_koszul_solve`).  Curvature uses the same solve for the exact
+x-derivatives of Γ from a base-order-2 evaluation.  The solve never
+tests cone membership; the public entry points
 (`connection_report`, `hessian`, `parallel_extension`, `geodesic`) gate
 the reference the caller supplies.
 
@@ -168,8 +169,8 @@ class ChristoffelTable:
     cartan: np.ndarray
     dmetric: np.ndarray    # dmetric[i, j, k] = D_i(jk)
     jacobian: np.ndarray   # jacobian[i, k]
-    iterations: int
-    method: str
+    iterations: int        # 0: the solve is closed-form
+    method: str            # "closed-form"
 
 
 def _field_jet(L, x, v, J, base_order=1):
@@ -196,37 +197,39 @@ def _field_jet(L, x, v, J, base_order=1):
 
 def _koszul_rhs(D, C, A):
     """rhs[..., i,j,k] with 2 g(∇_i ∂_j, ∂_k) = rhs for coordinate fields."""
+    Ds = np.swapaxes(D, -3, -2)
+    return D + Ds - np.swapaxes(Ds, -2, -1) + _cartan_rhs(C, A)
+
+
+def _cartan_rhs(C, A):
+    """The Cartan part rhs(0, C, A) of `_koszul_rhs`; 0.0 when C is exactly
+    zero (a quadratic model), so Cartan-free models skip the products."""
+    if not C.any():
+        return 0.0
     CA = np.einsum("...mjk,...im->...ijk", C, A)
-    Ds, CAs = np.swapaxes(D, -3, -2), np.swapaxes(CA, -3, -2)
-    return (D + Ds - np.swapaxes(Ds, -2, -1)     # ... - D[k, i, j]
-            - 2.0 * CA - 2.0 * CAs + 2.0 * np.swapaxes(CAs, -2, -1))
+    CAs = np.swapaxes(CA, -3, -2)
+    return 2.0 * (np.swapaxes(CAs, -2, -1) - CA - CAs)
 
 
-def _koszul_operator(g, C, v):
-    """M with M Γ = 2 g(Γ, ·) - rhs(0, C, Γ v), so that the identity
-    2 g(Γ, ·) = rhs(D, C, J + Γ v) reads M Γ = rhs(D, C, J).  Rows are the
-    identities (i <= j, k); columns the symbols Γ^l_ij with i <= j."""
-    n = len(v)
-    iu, ju = np.triu_indices(n)
-    l, p = np.indices((n, len(iu)))
-    E = np.zeros((n, len(iu), n, n, n))     # basis of the symmetric Γ
-    E[l, p, l, iu[p], ju[p]] = E[l, p, l, ju[p], iu[p]] = 1.0
-    ME = (2.0 * np.einsum("...lij,lk->...ijk", E, g)
-          - _koszul_rhs(np.zeros((n, n, n)), C,
-                        np.einsum("...mil,l->...im", E, v)))
-    return ME[..., iu, ju, :].reshape(n * len(iu), -1).T
+def _koszul_solve(ginv, C, v, R):
+    """Symmetric X[..., l, i, j] with 2 g(X, ·) = R + rhs(0, C, X v).
 
-
-def _koszul_solve(M, rhs):
-    """Symmetric Γ[..., l, i, j] with M Γ = rhs[..., i, j, k]."""
-    n = rhs.shape[-1]
-    iu, ju = np.triu_indices(n)
-    b = rhs[..., iu, ju, :].reshape(-1, len(iu) * n).T
-    sol, *_ = np.linalg.lstsq(M, b, rcond=None)
-    gamma = np.zeros(rhs.shape[:-3] + (n, n, n))
-    gamma[..., iu, ju] = gamma[..., ju, iu] = sol.T.reshape(
-        gamma.shape[:-2] + (len(iu),))
-    return gamma
+    R[..., i, j, k] may carry leading batch axes.  A 2-homogeneous L has
+    C(v, ·, ·) = 0, which decouples the identity (the spray, nonlinear
+    connection, Chern symbols route of Bao, Chern & Shen, ch. 2-3):
+    contracted with v twice it gives s = X(v, v) = ½ g⁻¹ R(v, v, ·); once,
+    X v = ½ g⁻¹ (R(·, v, ·) - 2 C(s, ·, ·)); with X v known, the full
+    identity gives X.  The Cartan products are skipped where C is exactly
+    zero, and X is symmetrised in (i, j) against roundoff.
+    """
+    half = 0.5 * ginv
+    if C.any():
+        s = np.einsum("...ijk,i,j->...k", R, v, v) @ half.T
+        Xv = (np.einsum("...ijk,j->...ik", R, v)
+              - 2.0 * np.einsum("mik,...m->...ik", C, s)) @ half.T
+        R = R + _cartan_rhs(C, Xv)
+    X = np.einsum("lk,...ijk->...lij", half, R)
+    return 0.5 * (X + np.swapaxes(X, -2, -1))
 
 
 def _metric_inverse(g, x):
@@ -243,19 +246,15 @@ def _metric_inverse(g, x):
     return ginv
 
 
-# fixed-point stopping rule of the Koszul solve
-_FP_TOL = 1e-12
-_FP_MAX_ITER = 50
-
-
 def christoffel(L, V, x):
     """Christoffel symbols Γ^k_ij of the connection ∇^V at the point x.
 
-    Solves the coordinate Koszul identities by fixed point from the
-    Cartan-free truncation, falling back to a least-squares solve of the
-    operator `_koszul_operator` when the iteration stalls.  Raises
+    One jet evaluation gives g, C and D; `_koszul_solve` then solves the
+    coordinate Koszul identities in closed form.  That solve needs
+    C(v, ·, ·) = 0, i.e. a 2-homogeneous L (the `Lagrangian` contract):
+    where L breaks it the identities fail their residual gate.  Raises
     SignatureError when g_V is numerically degenerate and SolverError when
-    no solution satisfies the identities to 1e-6.  A pure per-point
+    the symbols miss the identities by more than 1e-6.  A pure per-point
     kernel: it does not test whether V(x) lies in the cone, so callers
     gate their own reference once.
     """
@@ -263,40 +262,15 @@ def christoffel(L, V, x):
     v = V(x)
     J = V.jacobian(x)
     g, C, D = _field_jet(L, x, v, J)
-    ginv = _metric_inverse(g, x)
-    cscale = float(np.max(np.abs(C)))
-    gscale = max(1.0, float(np.max(np.abs(g))))
-    rhs0 = D + np.swapaxes(D, 0, 1) - np.transpose(D, (1, 2, 0))
-    gamma = 0.5 * np.einsum("lk,ijk->lij", ginv, rhs0)
-    method = "levi-civita"
-    iters = 0
-    converged = True
-    if cscale > 1e-14 * gscale:
-        method = "fixed-point"
-        for iters in range(1, _FP_MAX_ITER + 1):
-            A = J + np.einsum("mil,l->im", gamma, v)
-            rhs = _koszul_rhs(D, C, A)
-            new = 0.5 * np.einsum("lk,ijk->lij", ginv, rhs)
-            delta = float(np.max(np.abs(new - gamma)))
-            gamma = new
-            if delta <= _FP_TOL * (1.0 + float(np.max(np.abs(new)))):
-                break
-        else:
-            converged = False
-    gamma = 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
+    gamma = _koszul_solve(_metric_inverse(g, x), C, v, _koszul_rhs(D, C, J))
     table = ChristoffelTable(x=x, v=np.asarray(v, dtype=float), gamma=gamma,
                              g=g, cartan=C, dmetric=D, jacobian=J,
-                             iterations=iters, method=method)
+                             iterations=0, method="closed-form")
     res = koszul_residual(table)
-    if not converged or res > 1e-8:
-        table.gamma = _koszul_solve(_koszul_operator(g, C, v),
-                                    _koszul_rhs(D, C, J))
-        table.method = "dense"
-        res = koszul_residual(table)
     if res > 1e-6:
-        raise SolverError("Koszul system did not converge (residual %.3g "
-                          "after %d iterations, method=%s)"
-                          % (res, table.iterations, table.method))
+        raise SolverError("Koszul identity residual %.3g: the closed-form "
+                          "solve needs C(v, ., .) = 0, a 2-homogeneous L"
+                          % res)
     return table
 
 
@@ -374,7 +348,11 @@ def gradient_residual(L, f, x, w):
     return float(np.max(np.abs(F - df)))
 
 
-def gradient(L, f, x, tol=1e-10, max_iter=50, seed_vector=None):
+# Newton iteration cap of `gradient`
+_GRADIENT_MAX_ITER = 50
+
+
+def gradient(L, f, x, tol=1e-10, seed_vector=None):
     """Solve g_w(w, .) = df_x for the admissible gradient vector w.
 
     Damped Newton with the exact Jacobian g_w; each trial step is halved
@@ -397,7 +375,7 @@ def gradient(L, f, x, tol=1e-10, max_iter=50, seed_vector=None):
         w = (pairing / float(L.value(x, ref))) * ref
     scale = max(1.0, float(np.max(np.abs(df))))
     res = np.inf
-    for _ in range(max_iter):
+    for _ in range(_GRADIENT_MAX_ITER):
         F, G = _dhalf_and_g(L, x, w)
         res = float(np.max(np.abs(F - df)))
         if res <= tol * scale:
@@ -421,7 +399,7 @@ def gradient(L, f, x, tol=1e-10, max_iter=50, seed_vector=None):
                               % (x.tolist(),))
         w = w + lam * step
     raise SolverError("gradient Newton did not converge (residual %.3g "
-                      "after %d iterations)" % (res, max_iter))
+                      "after %d iterations)" % (res, _GRADIENT_MAX_ITER))
 
 
 def hessian(L, f, x, v):

@@ -3,9 +3,10 @@
 The curvature tensor at (x, v) is assembled from the Christoffel field of
 the parallel extension of v through x and its exact x-derivatives: one
 jet evaluation of L along the extension with base order 2 gives g, C, D
-and their x-derivatives, and differentiating the linear Koszul system
-M Γ = rhs gives ∂Γ from the operator M that yields Γ.  No finite
-difference is taken.
+and their x-derivatives.  Differentiating the Koszul identities gives
+identities of the same form for each ∂_a Γ, so one closed-form solve
+(`connection._koszul_solve`) yields Γ and all of ∂Γ as a batch.  No
+finite difference is taken.
 
 Index convention: components[l, i, j, k] = R^l_{ijk}, the ∂_l-component of
 R_v(∂_i, ∂_j)∂_k; antisymmetry in (i, j) is exact by construction.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import (_field_jet, _koszul_operator, _koszul_rhs,
+from .connection import (_cartan_rhs, _field_jet, _koszul_rhs,
                          _koszul_solve, _metric_inverse, as_vector_field,
                          parallel_extension)
 from .report import Report
@@ -59,8 +60,8 @@ def chern_curvature(L, x, v, extension=None):
     """Curvature R_v at x from the parallel extension's Christoffel field.
 
     One jet evaluation along the extension gives g, C, D and their
-    x-derivatives; Γ and every ∂_a Γ then solve the one Koszul operator
-    M(g, C, v), so the components are exact up to roundoff.
+    x-derivatives; Γ and every ∂_a Γ then come from one closed-form Koszul
+    solve each, so the components are exact up to roundoff.
     ``extension`` overrides the automatically built parallel extension; any
     field through (x, v) with vanishing covariant derivative at x gives
     the same tensor (pointwise-parallel semantics).  Only (x, v) is
@@ -75,18 +76,16 @@ def chern_curvature(L, x, v, extension=None):
         V = extension
     vx, J = V(x), V.jacobian(x)
     g, C, D, dC, dD = _field_jet(L, x, vx, J, base_order=2)
-    _metric_inverse(g, x)               # SignatureError where g degenerates
-    M = _koszul_operator(g, C, vx)
-    gamma = _koszul_solve(M, _koszul_rhs(D, C, J))
-    # ∂_a of M Γ = rhs(D, C, J) along the linearisation, where ∂_a g = D[a]
-    # and ∂_a v = J[a]; the field's second derivatives cancel between
-    # ∂_a D and ∂_a J, so the linear seed is exact for any extension
+    ginv = _metric_inverse(g, x)        # SignatureError where g degenerates
+    gamma = _koszul_solve(ginv, C, vx, _koszul_rhs(D, C, J))
+    # ∂_a of 2 g(Γ, ·) = rhs(D, C, J + Γ v) along the linearisation, where
+    # ∂_a g = D[a] and ∂_a v = J[a]; the field's second derivatives cancel
+    # between ∂_a D and ∂_a J, so the linear seed is exact for any extension
     A = J + np.einsum("mil,l->im", gamma, vx)
     drhs = (_koszul_rhs(dD, dC, A)
-            + _koszul_rhs(np.zeros_like(D), C,
-                          np.einsum("mil,al->aim", gamma, J))
+            + _cartan_rhs(C, np.einsum("mil,al->aim", gamma, J))
             - 2.0 * np.einsum("alk,lij->aijk", D, gamma))
-    dgamma = _koszul_solve(M, drhs)     # dgamma[a, l, i, j] = ∂_a Γ^l_ij
+    dgamma = _koszul_solve(ginv, C, vx, drhs)  # [a, l, i, j] = ∂_a Γ^l_ij
 
     # R^l_ijk = P^l_ijk - P^l_jik with P^l_ijk = ∂_i Γ^l_jk + Γ^l_im Γ^m_jk
     P = (np.transpose(dgamma, (1, 0, 2, 3))

@@ -90,8 +90,10 @@ class Lagrangian:
         return "Lagrangian(%r, dim=%d)" % (self.name, self.dim)
 
     def value(self, x, v):
-        """Plain float evaluation of L."""
-        w = self._func([float(t) for t in x], [float(t) for t in v])
+        """Plain float evaluation of L; a failing or non-finite evaluation
+        raises EvaluationError (`jets._call`)."""
+        w = jets._call(self._func, [float(t) for t in x],
+                       [float(t) for t in v])
         return float(w.value if isinstance(w, jets.Jet) else w)
 
     def cone_ref_at(self, x):
@@ -134,12 +136,12 @@ class Lagrangian:
                    m.value, m.margin))
         return m
 
-    def sample_admissible(self, x, rng, count=1, spread=0.35):
+    def sample_admissible(self, x, rng, count=1):
         """Draw ``count`` interior vectors near cone_ref(x) by rejection."""
         ref = self.cone_ref_at(x)
         scale = float(np.linalg.norm(ref))
         out = []
-        s = spread
+        s = 0.35       # spread of the draws, relative to |cone_ref|
         tries = 0
         while len(out) < count:
             w = ref * float(rng.uniform(0.6, 1.6)) \

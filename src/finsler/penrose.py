@@ -35,6 +35,9 @@ __all__ = [
     "rosen_to_brinkmann", "brinkmann_roundtrip", "plane_wave_lagrangian",
 ]
 
+# DOP853 tolerance of the O-equation and of the roundtrip's E'' = A E
+_ODE_TOL = 1e-12
+
 
 # -- rescaling ---------------------------------------------------------------
 
@@ -175,31 +178,32 @@ class _RayProfile(RosenProfile):
 class BrinkmannProfile:
     """Vielbein M(u) and wave profile A(u) with H(u, x) = x^T A(u) x.
 
-    `rosen_to_brinkmann` sets ``from_triple(u, (h, h', h''))``, which gives
-    (h, M, A) at u from one profile triple: `fields` and `fields_on` then
+    ``from_triple(u, (h, h', h''))`` gives (h, M, A) at u from one profile
+    triple, as `rosen_to_brinkmann` builds it: `fields` and `fields_on`
     evaluate the profile once per u, the grid through one
-    `RosenProfile.triples` call.  A profile assembled from its parts (no
-    ``from_triple``) evaluates ``rosen``, ``M`` and ``A`` apart.
+    `RosenProfile.triples` call.
     """
 
     rosen: RosenProfile
-    A: object
-    M: object
     u0: float
     u_interval: tuple
+    from_triple: object
     truncated: bool = False
     reason: str = ""
-    from_triple: object = None
 
     def fields(self, u):
         return self.from_triple(u, self.rosen.triple(u))
 
     def fields_on(self, us):
         """[(h, M, A) at u for u in us]."""
-        if self.from_triple is None:
-            return [(self.rosen.matrix(u), self.M(u), self.A(u)) for u in us]
         return [self.from_triple(u, t)
                 for u, t in zip(us, zip(*self.rosen.triples(us)))]
+
+    def A(self, u):
+        return self.fields(u)[2]
+
+    def M(self, u):
+        return self.fields(u)[1]
 
     def m_conditions(self, us, tol=1e-8):
         """Both displayed vielbein conditions over a parameter grid.
@@ -274,8 +278,8 @@ def _skew(k):
     return 0.5 * (k - k.T)
 
 
-def _integrate_two_sided(rhs, y0, u0, interval, ode_tol, event=None):
-    """DOP853 on both sides of u0.
+def _integrate_two_sided(rhs, y0, u0, interval, event=None):
+    """DOP853 at `_ODE_TOL` on both sides of u0.
 
     Returns (eval_fn, reached, hit): ``eval_fn(u)`` is the dense state,
     ``reached`` the endpoints actually attained, and ``hit`` the
@@ -294,8 +298,9 @@ def _integrate_two_sided(rhs, y0, u0, interval, ode_tol, event=None):
             continue
         if event is not None:
             event.terminal = True
-        sol = solve_ivp(rhs, (u0, target), y0, method="DOP853", rtol=ode_tol,
-                        atol=ode_tol, dense_output=True, events=event)
+        sol = solve_ivp(rhs, (u0, target), y0, method="DOP853",
+                        rtol=_ODE_TOL, atol=_ODE_TOL, dense_output=True,
+                        events=event)
         if not sol.success and sol.status != 1:
             raise SolverError("profile integration failed: %s" % sol.message)
         sols[side] = sol.sol
@@ -316,7 +321,7 @@ def _integrate_two_sided(rhs, y0, u0, interval, ode_tol, event=None):
 
 # -- Rosen -> Brinkmann -----------------------------------------------------------
 
-def rosen_to_brinkmann(rosen, u0, u_interval, ode_tol=1e-12):
+def rosen_to_brinkmann(rosen, u0, u_interval):
     """Construct the vielbein M = h^{-1/2} O and the profile A(u).
 
     ``rosen`` is a `RosenProfile` or a callable u -> (h, h', h'').  With
@@ -398,7 +403,7 @@ def rosen_to_brinkmann(rosen, u0, u_interval, ode_tol=1e-12):
         return pos_margin(u)
 
     state, reached, hit = _integrate_two_sided(
-        rhs, np.eye(m).ravel(), u0, interval, ode_tol, event=degenerate)
+        rhs, np.eye(m).ravel(), u0, interval, event=degenerate)
 
     def osol(u):
         return state(u).reshape(m, m)
@@ -420,27 +425,22 @@ def rosen_to_brinkmann(rosen, u0, u_interval, ode_tol=1e-12):
         a = o.T @ (w @ w + wd + (2.0 * (w @ sd) + sdd) @ sinv) @ o
         return h, sinv @ o, 0.5 * (a + a.T)
 
-    def fields(u):
-        return from_triple(u, rosen.triple(u))
-
-    return BrinkmannProfile(rosen=rosen, A=lambda u: fields(u)[2],
-                            M=lambda u: fields(u)[1], u0=u0,
+    return BrinkmannProfile(rosen=rosen, u0=u0,
                             u_interval=(reached[0], reached[1]),
-                            truncated=truncated, reason=reason,
-                            from_triple=from_triple)
+                            from_triple=from_triple, truncated=truncated,
+                            reason=reason)
 
 
-def brinkmann_roundtrip(A, u_interval, u0=None, n_check=21, tol=1e-6,
-                        ode_tol=1e-12):
+def brinkmann_roundtrip(A, u_interval, tol=1e-6):
     """Integrate E'' = A E, rebuild h = E^T E, convert back, compare.
 
-    The recovered profile must match the input wherever the vielbein E
-    stays invertible; a degenerating E (focal point) truncates the
-    comparison interval instead of failing.
+    E starts as the identity at the interval's midpoint.  The recovered
+    profile must match the input to ``tol`` on 21 points wherever the
+    vielbein E stays invertible; a degenerating E (focal point) truncates
+    the comparison interval instead of failing.
     """
     lo, hi = float(u_interval[0]), float(u_interval[1])
-    if u0 is None:
-        u0 = 0.5 * (lo + hi)
+    u0 = 0.5 * (lo + hi)
     m = np.asarray(A(u0), dtype=float).shape[0]
 
     def rhs(u, y):
@@ -455,7 +455,7 @@ def brinkmann_roundtrip(A, u_interval, u0=None, n_check=21, tol=1e-6,
 
     y0 = np.concatenate([np.eye(m).ravel(), np.zeros(m * m)])
     state, reached, hit = _integrate_two_sided(
-        rhs, y0, u0, (lo, hi), ode_tol, event=degenerate)
+        rhs, y0, u0, (lo, hi), event=degenerate)
 
     def h_triple(u):
         e, ed = state(u).reshape(2, m, m)
@@ -464,7 +464,7 @@ def brinkmann_roundtrip(A, u_interval, u0=None, n_check=21, tol=1e-6,
                 2.0 * (ed.T @ ed) + e.T @ (a + a.T) @ e)
 
     profile = rosen_to_brinkmann(RosenProfile(h=h_triple, dim=m), u0,
-                                 (reached[0], reached[1]), ode_tol=ode_tol)
+                                 (reached[0], reached[1]))
     glo, ghi = profile.u_interval
     # back well off a truncated edge: h = E^T E is nearly singular next
     # to a focal point, and S^{-1} amplifies the integration error there
@@ -472,7 +472,7 @@ def brinkmann_roundtrip(A, u_interval, u0=None, n_check=21, tol=1e-6,
     cut = [hit[0] is not None or glo > reached[0] + 1e-12,
            hit[1] is not None or ghi < reached[1] - 1e-12]
     pads = [(0.05 if cut[k] else 1e-3) * width for k in (0, 1)]
-    grid = np.linspace(glo + pads[0], ghi - pads[1], n_check)
+    grid = np.linspace(glo + pads[0], ghi - pads[1], 21)
     worst = 0.0
     for u in grid:
         worst = max(worst, float(np.max(np.abs(
@@ -546,13 +546,14 @@ def penrose_limit(L, N, u_interval, omegas=(0.5, 0.1), tol=1e-9):
                               homothety_residuals=resids, offblock=offblock)
 
 
-def plane_wave_lagrangian(A, u_interval, deg=24, name="plane-wave-limit"):
+def plane_wave_lagrangian(A, u_interval):
     """Quadratic model of a plane wave from its profile matrix A(u).
 
     In this signature the du^2 slot carries -x^T A x (the vielbein
     satisfies E'' = A E while transverse geodesics obey x'' = -A x).
-    A is sampled onto a Chebyshev interpolant so the model stays
-    jet-evaluable even when A(u) comes from an ODE solution.
+    A is sampled at 33 Chebyshev points onto a degree-24 interpolant so
+    the model stays jet-evaluable even when A(u) comes from an ODE
+    solution.
     """
     lo, hi = float(u_interval[0]), float(u_interval[1])
     nodes = chebyshev.chebpts1(33)
@@ -563,7 +564,7 @@ def plane_wave_lagrangian(A, u_interval, deg=24, name="plane-wave-limit"):
     coeffs = np.empty((m, m), dtype=object)
     for i in range(m):
         for j in range(m):
-            coeffs[i, j] = chebyshev.chebfit(scaled, vals[:, i, j], deg)
+            coeffs[i, j] = chebyshev.chebfit(scaled, vals[:, i, j], 24)
 
     def entry(x):
         t = 2.0 * (x[1] - 0.5 * (lo + hi)) / (hi - lo)
@@ -585,5 +586,6 @@ def plane_wave_lagrangian(A, u_interval, deg=24, name="plane-wave-limit"):
         ref[1] = 1.0
         return ref
 
-    return QuadraticLagrangian(entries, m + 2, cone_ref, name=name,
+    return QuadraticLagrangian(entries, m + 2, cone_ref,
+                               name="plane-wave-limit",
                                params={"interval": [lo, hi]})

@@ -33,6 +33,13 @@ __all__ = [
 
 DEGENERATE_KIND = "degenerate focal point, multiplicity >= 2"
 
+# scale-relative tolerances of the chart template and the parallelism
+# checks; root polish and tangential-touch acceptance of the focal scan
+_CHART_TOL = 1e-9
+_PARALLEL_TOL = 1e-8
+_ROOT_XTOL = 1e-10
+_TOUCH_TOL = 1e-12
+
 
 def _leading_minors(h):
     return [float(np.linalg.det(h[:k, :k])) for k in range(1, h.shape[0] + 1)]
@@ -74,7 +81,7 @@ class LightlikeChartReport:
         return dump_json(self.to_dict()) + "\n"
 
 
-def lightlike_form_check(L, N, x, tol=1e-9):
+def lightlike_form_check(L, N, x):
     """Compare g_N(x) with the adapted-chart template at N = e0.
 
     Only the first row is constrained (g_00 = 0, g_01 = 1, g_0i = 0);
@@ -96,19 +103,20 @@ def lightlike_form_check(L, N, x, tol=1e-9):
     residuals["g01"] = abs(float(g[0, 1]) - 1.0)
     for a in range(2, n):
         residuals["g0%d" % a] = abs(float(g[0, a]))
-    shape_ok = max(residuals.values()) <= tol * scale
+    shape_ok = max(residuals.values()) <= _CHART_TOL * scale
 
     h = -g[2:, 2:]
     minors = _leading_minors(h)
     h_posdef = all(m > 0.0 for m in minors)
     return LightlikeChartReport(x=x, g=g, shape_ok=bool(shape_ok),
                                 h_block=h, h_posdef=bool(h_posdef),
-                                residuals=residuals, minors=minors, tol=tol)
+                                residuals=residuals, minors=minors,
+                                tol=_CHART_TOL)
 
 
 # -- parallelism criterion --------------------------------------------------
 
-def parallel_criterion(L, N, region_samples, tol=1e-8):
+def parallel_criterion(L, N, region_samples):
     """x0-independence of g_N at the samples, cross-checked against nabla N.
 
     One Christoffel solve per sample serves both routes: the jet route
@@ -129,8 +137,8 @@ def parallel_criterion(L, N, region_samples, tol=1e-8):
         nab = table.jacobian + np.einsum("mil,l->im", table.gamma, table.v)
         par = float(np.max(np.abs(nab)))
 
-        rep.add("sample %d: d0 g_N" % idx, d0, tol * gscale)
-        rep.add("sample %d: nabla N" % idx, par, tol * gscale)
+        rep.add("sample %d: d0 g_N" % idx, d0, _PARALLEL_TOL * gscale)
+        rep.add("sample %d: nabla N" % idx, par, _PARALLEL_TOL * gscale)
         rep.meta["samples"].append({
             "x": [float(t) for t in p],
             "d0_gN": d0,
@@ -176,7 +184,7 @@ class DeltaCurve:
         return dump_json(self.to_dict()) + "\n"
 
 
-def delta_scan(L, N, ray, xtol=1e-10, touch_tol=1e-12):
+def delta_scan(L, N, ray):
     """Scan Delta = sqrt(det h) along ``ray`` and locate its zeros.
 
     ``ray`` is a `GeodesicPath` (an integral curve of N) with at least
@@ -184,7 +192,7 @@ def delta_scan(L, N, ray, xtol=1e-10, touch_tol=1e-12):
     interpolant of (x, v).  Sign changes of det h are polished with
     `brentq`.  Tangential (even-order) zeros, which no sign-change bracket
     sees, are `brentq` roots of the exact slope of det h across its dips,
-    accepted when det h there is under ``touch_tol`` times the det-h scale.
+    accepted when det h there is under 1e-12 times the det-h scale.
     """
     from scipy.interpolate import CubicHermiteSpline
     from scipy.optimize import brentq
@@ -247,7 +255,7 @@ def delta_scan(L, N, ray, xtol=1e-10, touch_tol=1e-12):
             kinds.append("simple" if left * dets[i + 1] < 0.0
                          else DEGENERATE_KIND)
         elif dets[i] * dets[i + 1] < 0.0:
-            r = brentq(det_h, ts[i], ts[i + 1], xtol=xtol)
+            r = brentq(det_h, ts[i], ts[i + 1], xtol=_ROOT_XTOL)
             roots.append(float(r))
             kinds.append("simple")
 
@@ -261,8 +269,8 @@ def delta_scan(L, N, ray, xtol=1e-10, touch_tol=1e-12):
         a, b = float(ts[i - 1]), float(ts[i + 1])
         if not det_h_slope(a) < 0.0 < det_h_slope(b):
             continue
-        r = brentq(det_h_slope, a, b, xtol=xtol)
-        if det_h(r) > touch_tol * scale:
+        r = brentq(det_h_slope, a, b, xtol=_ROOT_XTOL)
+        if det_h(r) > _TOUCH_TOL * scale:
             continue
         roots.append(float(r))
         kinds.append(DEGENERATE_KIND)

@@ -37,7 +37,11 @@ class QuotientFrame:
         return np.linalg.solve(self.gbar, proj)
 
 
-def quotient_metric(L, N, x, reps, tol=1e-8):
+# scale-relative tolerance of the lightlike and orthogonality checks
+_FRAME_TOL = 1e-8
+
+
+def quotient_metric(L, N, x, reps):
     """Build the quotient frame at x from representatives of N^perp/N.
 
     Raises if N is not lightlike at x, if a representative fails
@@ -50,7 +54,7 @@ def quotient_metric(L, N, x, reps, tol=1e-8):
     scale = max(1.0, float(np.max(np.abs(g))))
 
     light = abs(float(L.value(x, nvec)))
-    if light > tol * scale:
+    if light > _FRAME_TOL * scale:
         raise ConstructionError("N is not lightlike at the base point "
                                 "(|L| = %.3e)" % light)
 
@@ -58,7 +62,7 @@ def quotient_metric(L, N, x, reps, tol=1e-8):
     w = g @ nvec
     for k, r in enumerate(reps):
         off = abs(float(r @ w))
-        if off > tol * scale * max(1.0, float(np.max(np.abs(r)))):
+        if off > _FRAME_TOL * scale * max(1.0, float(np.max(np.abs(r)))):
             raise ConstructionError(
                 "representative %d is not g_N-orthogonal to N "
                 "(residual %.3e)" % (k, off))

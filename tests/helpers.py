@@ -1,5 +1,9 @@
 """Shared test oracles.
 
+`dense_koszul_solve` solves the coordinate Koszul identities as one dense
+linear system over a basis of symmetric symbol tables, without the
+decoupling by C(v, ., .) = 0 that the library's closed form relies on.
+
 The Jacobi machinery here is deliberately independent of the focal scan
 it cross-checks: it samples the curvature operator in a parallel
 transverse frame and integrates the Jacobi system E'' = -Rhat E for the
@@ -18,10 +22,33 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.optimize import brentq
 
+from finsler.connection import _cartan_rhs
 from finsler.curvature import chern_curvature
 from finsler.tensors import fundamental_tensor
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def dense_koszul_solve(g, C, v, R):
+    """Symmetric X[..., l, i, j] with 2 g(X, .) = R + rhs(0, C, X v).
+
+    Builds the operator M X = 2 g(X, .) - rhs(0, C, X v) on a basis of the
+    symmetric tables (columns X^l_ij, i <= j; rows the identities (i <= j,
+    k)) and solves every batch of R by least squares.
+    """
+    n = len(v)
+    iu, ju = np.triu_indices(n)
+    l, p = np.indices((n, len(iu)))
+    E = np.zeros((n, len(iu), n, n, n))
+    E[l, p, l, iu[p], ju[p]] = E[l, p, l, ju[p], iu[p]] = 1.0
+    ME = (2.0 * np.einsum("...lij,lk->...ijk", E, g)
+          - _cartan_rhs(C, np.einsum("...mil,l->...im", E, v)))
+    M = ME[..., iu, ju, :].reshape(n * len(iu), -1).T
+    b = R[..., iu, ju, :].reshape(-1, len(iu) * n).T
+    sol, *_ = np.linalg.lstsq(M, b, rcond=None)
+    X = np.zeros(R.shape[:-3] + (n, n, n))
+    X[..., iu, ju] = X[..., ju, iu] = sol.T.reshape(X.shape[:-2] + (len(iu),))
+    return X
 
 
 def cos2_triple(u):

@@ -326,6 +326,13 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     pytest.param("check", {"spacetime": {"type": "parallel_example",
                                          "params": {"eps": 5}}},
                  id="parallel-eps-5"),
+    # the same failure inside the cone gate's plain evaluations of L
+    pytest.param("geodesic", {"spacetime": {"type": "ppwave_example",
+                                            "params": {"eps": 50}},
+                              "params": {"x0": [0, 1, 0, 0],
+                                         "v0": [0, 1, 0, 0],
+                                         "t_span": [0, 1]}},
+                 id="geodesic-ppwave-eps-50"),
 ])
 def test_numerical_failure_exits_three(tmp_path, capsys, command, body):
     cfg = write_config(tmp_path, body)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from finsler import jets
-from finsler import connection
+from finsler import connection, curvature
 from finsler.connection import (
     ScalarField,
     VectorField,
@@ -30,7 +30,12 @@ from finsler.connection import (
     torsion_residual,
 )
 from finsler.curvature import chern_curvature
-from finsler.errors import ConeError, NoGradientError, SignatureError
+from finsler.errors import (
+    ConeError,
+    NoGradientError,
+    SignatureError,
+    SolverError,
+)
 from finsler.lagrangian import (
     Lagrangian,
     QuadraticLagrangian,
@@ -41,6 +46,7 @@ from finsler.lagrangian import (
     catalog,
 )
 from finsler.report import fmt_float
+from helpers import dense_koszul_solve
 
 RNG = np.random.default_rng(23)
 
@@ -156,22 +162,48 @@ def test_symbols_intrinsic_in_the_reference_extension():
         assert np.max(np.abs(t.gamma - base)) <= 1e-12
 
 
-def test_fixed_point_and_dense_solver_agree():
-    from finsler.connection import (
-        _field_jet,
-        _koszul_operator,
-        _koszul_rhs,
-        _koszul_solve,
-    )
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_closed_form_solve_matches_dense_operator(monkeypatch, name):
+    # every Koszul solve of christoffel and chern_curvature (Γ, and the
+    # batched right-hand sides of ∂Γ) against the dense operator, under
+    # constant and linear reference fields
+    L = catalog()[name]
+    solves = []
 
-    L = _default_ppwave_example()
-    x = np.array([0.1, 0.4, -0.2, 0.3])
-    v = np.asarray(L.cone_ref_at(x))
-    t = christoffel(L, VectorField.constant(v), x)
-    g, C, D = _field_jet(L, x, v, np.zeros((4, 4)))
-    dense = _koszul_solve(_koszul_operator(g, C, v),
-                          _koszul_rhs(D, C, np.zeros((4, 4))))
-    assert np.max(np.abs(dense - t.gamma)) <= 1e-9
+    def recording(ginv, C, v, R):
+        X = solve(ginv, C, v, R)
+        solves.append((np.linalg.inv(ginv), C, v, R, X))
+        return X
+
+    solve = connection._koszul_solve
+    monkeypatch.setattr(connection, "_koszul_solve", recording)
+    monkeypatch.setattr(curvature, "_koszul_solve", recording)
+    rng = np.random.default_rng(41)
+    for _ in range(2):
+        x = rng.uniform(-0.4, 0.4, 4)
+        v = L.sample_admissible(x, rng)[0]
+        for V in (VectorField.constant(v),
+                  VectorField.linear(v, x, 0.3 * rng.normal(size=(4, 4)))):
+            christoffel(L, V, x)
+            chern_curvature(L, x, v, extension=V)
+    assert [R.ndim for *_, R, _ in solves] == [3, 3, 4] * 4
+    for g, C, v, R, X in solves:
+        dense = dense_koszul_solve(g, C, v, R)
+        scale = max(1.0, float(np.max(np.abs(dense))))
+        assert np.max(np.abs(X - dense)) <= 1e-12 * scale
+
+
+def test_non_homogeneous_lagrangian_fails_the_koszul_gate():
+    # the closed form needs C(v, ., .) = 0; a cubic fiber term breaks it
+    # and the symbols miss the Koszul identities
+    def func(x, v):
+        return (2.0 * v[0] * v[1] - (1.0 + 0.5 * x[1]) * v[2] * v[2]
+                - v[3] * v[3] + 0.1 * v[2] * v[2] * v[2])
+
+    L = Lagrangian(func, 4, [1.0, 1.0, 0.0, 0.0], name="cubic")
+    with pytest.raises(SolverError, match="2-homogeneous"):
+        christoffel(L, VectorField.constant([1.0, 1.0, 0.3, 0.0]),
+                    np.array([0.1, 0.2, 0.0, 0.0]))
 
 
 def test_degenerate_metric_raises_signature_error():
@@ -193,7 +225,7 @@ def test_connection_report_round_trip():
     d = rep.to_dict()
     names = [c["check"] for c in d["checks"]]
     assert "koszul identity" in names and d["pass"] is True
-    assert table.method in ("fixed-point", "levi-civita", "dense")
+    assert (table.method, table.iterations) == ("closed-form", 0)
 
 
 # -- fields ---------------------------------------------------------------

@@ -173,8 +173,9 @@ def test_rotating_profile_vielbein_conditions():
     def invsqrt(u):
         return np.linalg.inv(spd_sqrt(rotating_triple(u)[0]))
 
-    bare = penrose.BrinkmannProfile(rosen=bp.rosen, A=bp.A, M=invsqrt,
-                                    u0=0.0, u_interval=(-1.0, 1.0))
+    bare = penrose.BrinkmannProfile(
+        rosen=bp.rosen, u0=0.0, u_interval=(-1.0, 1.0),
+        from_triple=lambda u, t: (t[0], invsqrt(u), None))
     by_name = {c.name: c for c in bare.m_conditions(us).checks}
     assert by_name["M^T h M = identity"].passed
     assert not by_name["symmetry condition"].passed
