@@ -14,6 +14,7 @@ violation, 3 numerical failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -453,7 +454,9 @@ def run(config):
     return EXIT_PASS if rep.passed else EXIT_VERIFICATION
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="finsler",
         description="Finsler spacetime verification pipelines")
@@ -466,7 +469,11 @@ def main(argv=None):
                                      "curve by extension)")
         p.add_argument("--seed", type=int, help="sample-point seed")
         p.add_argument("--tol", type=float, help="headline tolerance")
-    ns = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    ns = _parser().parse_args(argv)
     try:
         raw = load_config(ns.config)
         config = parse_config(raw, ns.command, out=ns.out, seed=ns.seed,

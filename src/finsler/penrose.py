@@ -10,10 +10,15 @@ condition.  E = M^{-1} solves E'' = A E (the roundtrip check
 integrates it), with A in closed form from the exact triple (h, h', h'').
 
 The limit reads that triple off one jet along the ray, and evaluates it
-on a whole grid of u at once (a batched jet, one lane per u) wherever the
-grid is fixed in advance: the positivity grid, the wall scan, the
-vielbein conditions and the CSV rows.  Only the ODE right-hand side and
-its event, which are sequential in u, evaluate one u at a time.
+on a whole grid of u at once (a batched jet, one lane per u): the
+positivity grid, the wall scans, the vielbein conditions and the CSV
+rows.  The O-equation O' = -W(u) O is linear and its coefficient depends
+on u alone, so it needs no sequential integrator: independent Gauss
+collocation propagators per panel, bisected level by level, take W on
+every node of a level from one batched jet, and O(u) on a grid is one
+partial Gauss step per u from its panel's edge, batched with the grid.
+Only the base point h(u0) and the root polishing of a wall take one u
+at a time.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +40,7 @@ __all__ = [
     "rosen_to_brinkmann", "brinkmann_roundtrip", "plane_wave_lagrangian",
 ]
 
-# DOP853 tolerance of the O-equation and of the roundtrip's E'' = A E
+# DOP853 tolerance of the roundtrip's E'' = A E
 _ODE_TOL = 1e-12
 
 
@@ -179,61 +184,116 @@ class BrinkmannProfile:
     """Vielbein M(u) and wave profile A(u) with H(u, x) = x^T A(u) x.
 
     ``from_triple(u, (h, h', h''))`` gives (h, M, A) at u from one profile
-    triple, as `rosen_to_brinkmann` builds it: `fields` and `fields_on`
-    evaluate the profile once per u, the grid through one
-    `RosenProfile.triples` call.
+    triple; `fields_on` and `vielbein_on` apply it on a grid evaluated by
+    one `RosenProfile.triples` call.  The profile `rosen_to_brinkmann`
+    returns needs no ``from_triple``: its rotation O comes from panel
+    propagators, and it overrides both grid methods.
     """
 
     rosen: RosenProfile
     u0: float
     u_interval: tuple
-    from_triple: object
+    from_triple: object = None
     truncated: bool = False
     reason: str = ""
 
     def fields(self, u):
-        return self.from_triple(u, self.rosen.triple(u))
+        return self.fields_on([u])[0]
 
     def fields_on(self, us):
         """[(h, M, A) at u for u in us]."""
         return [self.from_triple(u, t)
                 for u, t in zip(us, zip(*self.rosen.triples(us)))]
 
+    def vielbein_on(self, us):
+        """h and M on the grid ``us``, each stacked (len(us), m, m)."""
+        rows = self.fields_on(us)
+        return (np.array([r[0] for r in rows]),
+                np.array([r[1] for r in rows]))
+
     def A(self, u):
         return self.fields(u)[2]
 
     def M(self, u):
-        return self.fields(u)[1]
+        return self.vielbein_on([u])[1][0]
 
     def m_conditions(self, us, tol=1e-8):
         """Both displayed vielbein conditions over a parameter grid.
 
         M' is a fourth-order central difference, kept on purpose as a check
         independent of the O-equation; the grid and the four stencil points
-        of each u are evaluated as one `fields_on` batch.
+        of each u are evaluated as one `vielbein_on` batch.
         """
         us = np.asarray(us, dtype=float)
         step = 1e-5 * (1.0 + np.abs(us))
         k = len(us)
-        hm = self.fields_on(np.concatenate([us, us + step, us - step,
-                                            us + 2 * step, us - 2 * step]))
-        worst_orth = 0.0
-        worst_sym = 0.0
-        for i in range(k):
-            h, m, _ = hm[i]
-            d1 = (hm[k + i][1] - hm[2 * k + i][1]) / (2.0 * step[i])
-            d2 = (hm[3 * k + i][1] - hm[4 * k + i][1]) / (4.0 * step[i])
-            md = (4.0 * d1 - d2) / 3.0
-            worst_orth = max(worst_orth, float(np.max(np.abs(
-                m.T @ h @ m - np.eye(self.rosen.dim)))))
-            s = m.T @ h @ md
-            worst_sym = max(worst_sym, float(np.max(np.abs(s - s.T))))
+        h, m = self.vielbein_on(np.concatenate(
+            [us, us + step, us - step, us + 2 * step, us - 2 * step]))
+        step = step[:, None, None]
+        d1 = (m[k:2 * k] - m[2 * k:3 * k]) / (2.0 * step)
+        d2 = (m[3 * k:4 * k] - m[4 * k:]) / (4.0 * step)
+        md = (4.0 * d1 - d2) / 3.0
+        mt = np.swapaxes(m[:k], -1, -2)
+        s = mt @ h[:k] @ md
         rep = Report(title="m-conditions",
                      meta={"u0": self.u0,
                            "u_interval": [float(a) for a in self.u_interval]})
-        rep.add("M^T h M = identity", worst_orth, tol)
-        rep.add("symmetry condition", worst_sym, tol)
+        rep.add("M^T h M = identity", float(np.max(np.abs(
+            mt @ h[:k] @ m[:k] - np.eye(self.rosen.dim)))), tol)
+        rep.add("symmetry condition",
+                float(np.max(np.abs(s - np.swapaxes(s, -1, -2)))), tol)
         return rep
+
+
+class _PanelProfile(BrinkmannProfile):
+    """The profile `rosen_to_brinkmann` builds from Gauss panel propagators.
+
+    ``sides`` holds, for u0 -> lower end and u0 -> upper end, the panel
+    edges outward from u0 and O at each edge.  O(u) is one partial Gauss
+    step from the edge of u's panel nearer u0, so a grid costs one
+    `RosenProfile.triples` call over its rows and their partial-step
+    nodes, and one stacked `_sqrt_derivs`.
+    """
+
+    def __init__(self, rosen, u0, u_interval, sides, truncated, reason):
+        super().__init__(rosen=rosen, u0=u0, u_interval=u_interval,
+                         truncated=truncated, reason=reason)
+        self._sides = sides
+
+    def _frames(self, us):
+        """h, S^{-1}, S', S'' and O on the grid ``us``, stacked."""
+        us = np.asarray(us, dtype=float)
+        k = len(us)
+        edge = np.empty(k)
+        o_edge = np.empty((k, self.rosen.dim, self.rosen.dim))
+        for lower, (edges, rots) in zip((True, False), self._sides):
+            on = us < self.u0 if lower else us >= self.u0
+            dist = np.abs(edges - self.u0)
+            p = np.searchsorted(dist, np.abs(us[on] - self.u0), "right") - 1
+            p = np.minimum(p, max(len(edges) - 2, 0))
+            edge[on] = edges[p]
+            o_edge[on] = rots[p]
+        step = us - edge
+        grid = np.concatenate([us, (edge[:, None]
+                                    + _GL_C * step[:, None]).ravel()])
+        h, hd, hdd = self.rosen.triples(grid)
+        sinv, sd, sdd = _sqrt_derivs(*_eigh_positive(grid, h), hd, hdd)
+        w = _skew(sinv[k:] @ sd[k:]).reshape(k, len(_GL_C), *h.shape[1:])
+        o = _gauss_step(w, step) @ o_edge
+        return h[:k], sinv[:k], sd[:k], sdd[:k], o
+
+    def vielbein_on(self, us):
+        h, sinv, _, _, o = self._frames(us)
+        return h, sinv @ o
+
+    def fields_on(self, us):
+        h, sinv, sd, sdd, o = self._frames(us)
+        k = sinv @ sd
+        w = _skew(k)
+        wd = _skew(sinv @ sdd - k @ k)
+        a = (np.swapaxes(o, -1, -2)
+             @ (w @ w + wd + (2.0 * (w @ sd) + sdd) @ sinv) @ o)
+        return list(zip(h, sinv @ o, 0.5 * (a + np.swapaxes(a, -1, -2))))
 
 
 @dataclass
@@ -261,25 +321,135 @@ class PenroseLimitResult:
 
 # -- numerics helpers -----------------------------------------------------------
 
-def _sqrt_derivs(h, hd, hdd, where=""):
-    """S^{-1}, S' and S'' for S = h^{1/2}: SS = h differentiated twice
-    gives Sylvester equations, which are diagonal in the eigenbasis of h."""
+def _eigh_positive(us, h):
+    """eigh of the stack ``h``, which must be positive definite at every u."""
     lam, q = np.linalg.eigh(h)
-    if np.any(lam <= 0.0):
-        raise SignatureError("h is not positive definite%s" % where)
+    bad = lam[:, 0] <= 0.0
+    if bad.any():
+        raise SignatureError("h is not positive definite at u=%g"
+                             % us[np.argmax(bad)])
+    return lam, q
+
+
+def _sqrt_derivs(lam, q, hd, hdd=None):
+    """S^{-1}, S' and, given h'', S'' for S = h^{1/2} on a stack, from the
+    eigen-decomposition (lam, q) of h: SS = h differentiated twice gives
+    Sylvester equations, which are diagonal in the eigenbasis of h."""
     sig = np.sqrt(lam)
-    den = sig[:, None] + sig[None, :]
-    sd = (q.T @ hd @ q) / den
-    sdd = (q.T @ hdd @ q - 2.0 * (sd @ sd)) / den
-    return (q / sig) @ q.T, q @ sd @ q.T, q @ sdd @ q.T
+    den = sig[:, :, None] + sig[:, None, :]
+    qt = np.swapaxes(q, -1, -2)
+    sd = (qt @ hd @ q) / den
+    out = ((q / sig[:, None, :]) @ qt, q @ sd @ qt)
+    if hdd is None:
+        return out
+    sdd = (qt @ hdd @ q - 2.0 * (sd @ sd)) / den
+    return out + (q @ sdd @ qt,)
 
 
 def _skew(k):
-    return 0.5 * (k - k.T)
+    return 0.5 * (k - np.swapaxes(k, -1, -2))
 
 
-def _integrate_two_sided(rhs, y0, u0, interval, event=None):
-    """DOP853 at `_ODE_TOL` on both sides of u0.
+# 4-stage Gauss-Legendre collocation (order 8): nodes c, weights b and
+# the collocation matrix a (a c^(k-1) = c^k / k for k = 1..4), whose rows
+# integrate the Lagrange basis on c
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
+_GL_C = 0.5 * (_GL_X + 1.0)
+_GL_B = 0.5 * _GL_W
+_GL_A = np.linalg.solve(
+    np.vander(_GL_C, 4, increasing=True).T,
+    (_GL_C[:, None] ** np.arange(1, 5) / np.arange(1, 5)).T).T
+
+# a panel's propagator is accepted when it agrees with the product of its
+# two halves to this (absolute, entrywise) tolerance; the halves are kept
+_PANEL_TOL = 1e-10
+# panels pending at one level before the O-equation gives up: this
+# bounds a level's batch (8 lanes a panel), and ends a refinement that
+# never converges (W not finite)
+_MAX_PANELS = 1024
+
+
+def _gauss_step(w, step):
+    """Propagators of O' = -W O from the identity over ``step``: one Gauss
+    collocation step per lane, from W at its nodes, shape (B, 4, m, m).
+
+    The stage values Y_i = I - step sum_j a_ij W_j Y_j are one
+    (4m) x (4m) linear solve; Phi = I - step sum_i b_i W_i Y_i is
+    orthogonal to roundoff because W is skew.
+    """
+    lanes, s, m, _ = w.shape
+    blocks = (step[:, None, None, None, None] * _GL_A[:, :, None, None]
+              * w[:, None])
+    lhs = (blocks.transpose(0, 1, 3, 2, 4).reshape(lanes, s * m, s * m)
+           + np.eye(s * m))
+    y = np.linalg.solve(lhs, np.broadcast_to(np.tile(np.eye(m), (s, 1)),
+                                             (lanes, s * m, m)))
+    kick = (_GL_B[:, None, None] * (w @ y.reshape(lanes, s, m, m))).sum(1)
+    return np.eye(m) - step[:, None, None] * kick
+
+
+def _propagate(rosen, u0, ends, floor, wall_between):
+    """Gauss panels (a, b, Phi) from u0 out to each of the two ``ends``.
+
+    Every pending panel is compared with the product of its halves, level
+    by level, and each level evaluates W on all nodes of all pending
+    panels at once.  A node at or below the positivity ``floor`` truncates
+    its side at the wall `wall_between` locates, and that side starts
+    over.  Returns (panels, ends, hits), ``hits`` holding those walls.
+    """
+    m = rosen.dim
+    ends = list(ends)
+    hits = [None, None]
+    pending = [(u0, e, None) for e in ends if e != u0]
+    done = []
+    while pending:
+        if len(pending) > _MAX_PANELS:
+            raise SolverError("the O-equation needs more than %d panels "
+                              "at one refinement level" % _MAX_PANELS)
+        steps = []
+        for a, b, phi in pending:
+            mid = 0.5 * (a + b)
+            steps += [(a, b)] * (phi is None) + [(a, mid), (mid, b)]
+        starts, stops = np.array(steps).T
+        span = stops - starts
+        nodes = (starts[:, None] + _GL_C * span[:, None]).ravel()
+        h, hd, _ = rosen.triples(nodes)
+        lam, q = np.linalg.eigh(h)
+        bad = lam[:, 0] <= floor
+        if bad.any():
+            for side, upper in enumerate((False, True)):
+                on = (nodes > u0) == upper
+                order = np.argsort(np.abs(nodes[on] - u0))
+                ray, below = nodes[on][order], bad[on][order]
+                if not below.any():
+                    continue
+                k = np.argmax(below)   # the bad node nearest u0
+                ends[side] = hits[side] = wall_between(
+                    ray[k - 1] if k else u0, ray[k])
+                pending = [p for p in pending if (p[1] > p[0]) != upper]
+                done = [p for p in done if (p[1] > p[0]) != upper]
+                pending.append((u0, ends[side], None))
+            continue
+        sinv, sd = _sqrt_derivs(lam, q, hd)
+        phis = iter(_gauss_step(
+            _skew(sinv @ sd).reshape(len(steps), len(_GL_C), m, m), span))
+        split = []
+        for a, b, phi in pending:
+            mid = 0.5 * (a + b)
+            phi = next(phis) if phi is None else phi
+            left, right = next(phis), next(phis)
+            halves = [(a, mid, left), (mid, b, right)]
+            if np.max(np.abs(phi - right @ left)) <= _PANEL_TOL:
+                done += halves
+            else:
+                split += halves
+        pending = split
+    return done, ends, hits
+
+
+def _integrate_two_sided(rhs, y0, u0, interval, event):
+    """DOP853 at `_ODE_TOL` on both sides of u0, stopped by the terminal
+    ``event``.
 
     Returns (eval_fn, reached, hit): ``eval_fn(u)`` is the dense state,
     ``reached`` the endpoints actually attained, and ``hit`` the
@@ -296,8 +466,7 @@ def _integrate_two_sided(rhs, y0, u0, interval, event=None):
             sols[side] = None
             reached[side] = u0
             continue
-        if event is not None:
-            event.terminal = True
+        event.terminal = True
         sol = solve_ivp(rhs, (u0, target), y0, method="DOP853",
                         rtol=_ODE_TOL, atol=_ODE_TOL, dense_output=True,
                         events=event)
@@ -329,11 +498,21 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
     makes M^T h M' symmetric, and E = M^{-1} solves E'' = A E with
     A = O^T (W^2 + W' + (2 W S' + S'') S^{-1}) O.
 
+    The O-equation is linear with a coefficient that depends on u alone,
+    so it is solved by independent panel propagators: one 4-stage Gauss
+    collocation step (order 8) per panel, bisected where a panel disagrees
+    with its two halves by more than `_PANEL_TOL`.  Each bisection level
+    evaluates W on all its nodes through one `RosenProfile.triples` call,
+    and O at a panel edge is the ordered product of the propagators.
+    Gauss collocation keeps O orthogonal to roundoff.
+
     Positivity means that the smallest eigenvalue of h clears a floor of
     1e-8 times the scale of h(u0).  A base point below the floor raises
     `SignatureError`; if h falls to it inside the interval, the result is
-    truncated there and flagged.  The wall scan evaluates its grid through
-    `RosenProfile.triples`; the ODE takes one u at a time.
+    truncated there and flagged.  The wall is found by a batched grid scan
+    up front, or at a propagator node the scan stepped over; either way
+    `brentq` locates it between a point above the floor and one at or
+    below it.
     """
     from scipy.optimize import brentq, minimize_scalar
 
@@ -341,14 +520,6 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
         rosen = RosenProfile(h=rosen)
     m = rosen.dim
     u0 = float(u0)
-
-    def frame(u, triple):
-        h, hd, hdd = triple
-        return (h,) + _sqrt_derivs(h, hd, hdd, where=" at u=%g" % u)
-
-    def rhs(u, y):
-        _, sinv, sd, _ = frame(u, rosen.triple(u))
-        return (-_skew(sinv @ sd) @ y.reshape(m, m)).ravel()
 
     h0 = rosen.matrix(u0)
     floor = 1e-8 * max(1.0, float(np.max(np.abs(h0))))
@@ -361,26 +532,23 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
     def pos_margin(u):
         return float(np.min(np.linalg.eigvalsh(rosen.matrix(u)))) - floor
 
-    def first_wall(target):
-        """Scan toward ``target`` for the loss of positivity, if any.
+    def wall_between(good, bad):
+        a, b = sorted((float(good), float(bad)))
+        return float(brentq(pos_margin, a, b, xtol=1e-12))
 
-        The O-equation can be trivial (diagonal h), letting the
-        integrator stride over a positivity dip, so the wall is located
-        up front rather than by an ODE event.  Dips that stay above the
-        grid (tangential degeneracies) are hunted with a bounded
-        minimizer before deciding.
+    def first_wall(us, margins):
+        """The first loss of positivity on the scan ``us``, if any.
+
+        The O-equation can be trivial (diagonal h), letting its panels
+        stride over a positivity dip, so the wall is located up front.
+        Dips that stay above the grid (tangential degeneracies) are
+        hunted with a bounded minimizer before deciding.
         """
-        if target == u0:
-            return None
-        us = np.linspace(u0, target, 129)
-        margins = (np.linalg.eigvalsh(rosen.triples(us)[0]).min(axis=1)
-                   - floor).tolist()
         ref = max(margins[0], 1e-3)
         for i in range(1, len(us)):
             if margins[i] <= 0.0:
                 if margins[i - 1] > 0.0:
-                    a, b = sorted((float(us[i - 1]), float(us[i])))
-                    return float(brentq(pos_margin, a, b, xtol=1e-12))
+                    return wall_between(us[i - 1], us[i])
                 return float(us[i - 1])
             if (i + 1 < len(us) and margins[i] < 0.25 * ref
                     and margins[i] <= margins[i - 1]
@@ -390,45 +558,44 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
                                       method="bounded",
                                       options={"xatol": 1e-12})
                 if res.fun <= 0.0:
-                    a, b = sorted((float(us[i - 1]), float(res.x)))
-                    return float(brentq(pos_margin, a, b, xtol=1e-12))
+                    return wall_between(us[i - 1], res.x)
         return None
 
-    walls = [first_wall(float(u_interval[0])),
-             first_wall(float(u_interval[1]))]
-    interval = (walls[0] if walls[0] is not None else float(u_interval[0]),
-                walls[1] if walls[1] is not None else float(u_interval[1]))
+    # the scans of both sides are one batched triple, 129 points each
+    targets = [float(u_interval[0]), float(u_interval[1])]
+    scans = {side: np.linspace(u0, t, 129)
+             for side, t in enumerate(targets) if t != u0}
+    walls = [None, None]
+    if scans:
+        margins = np.linalg.eigvalsh(rosen.triples(
+            np.concatenate(list(scans.values())))[0]).min(axis=1) - floor
+        for (side, us), row in zip(scans.items(),
+                                   margins.reshape(len(scans), -1)):
+            walls[side] = first_wall(us, row.tolist())
 
-    def degenerate(u, y):
-        return pos_margin(u)
-
-    state, reached, hit = _integrate_two_sided(
-        rhs, np.eye(m).ravel(), u0, interval, event=degenerate)
-
-    def osol(u):
-        return state(u).reshape(m, m)
-
-    hit = [walls[0] if walls[0] is not None else hit[0],
-           walls[1] if walls[1] is not None else hit[1]]
+    panels, ends, hits = _propagate(
+        rosen, u0, [t if w is None else w for t, w in zip(targets, walls)],
+        floor, wall_between)
+    # a node's wall lies inside the scanned range, so it comes first
+    hit = [w if h is None else h for w, h in zip(walls, hits)]
     truncated = any(h is not None for h in hit)
     reason = ""
     if truncated:
         where = ", ".join("u=%.12g" % h for h in hit if h is not None)
         reason = "h lost positivity at %s (focal point)" % where
 
-    def from_triple(u, triple):
-        h, sinv, sd, sdd = frame(u, triple)
-        o = osol(u)
-        k = sinv @ sd
-        w = _skew(k)
-        wd = _skew(sinv @ sdd - k @ k)
-        a = o.T @ (w @ w + wd + (2.0 * (w @ sd) + sdd) @ sinv) @ o
-        return h, sinv @ o, 0.5 * (a + a.T)
+    sides = []
+    for upper in (False, True):
+        side = sorted((p for p in panels if (p[1] > p[0]) == upper),
+                      key=lambda p: abs(p[0] - u0))
+        rots = [np.eye(m)]
+        for _, _, phi in side:
+            rots.append(phi @ rots[-1])
+        sides.append((np.array([u0] + [p[1] for p in side]),
+                      np.array(rots)))
 
-    return BrinkmannProfile(rosen=rosen, u0=u0,
-                            u_interval=(reached[0], reached[1]),
-                            from_triple=from_triple, truncated=truncated,
-                            reason=reason)
+    return _PanelProfile(rosen, u0, (ends[0], ends[1]), sides, truncated,
+                         reason)
 
 
 def brinkmann_roundtrip(A, u_interval, tol=1e-6):
@@ -473,10 +640,8 @@ def brinkmann_roundtrip(A, u_interval, tol=1e-6):
            hit[1] is not None or ghi < reached[1] - 1e-12]
     pads = [(0.05 if cut[k] else 1e-3) * width for k in (0, 1)]
     grid = np.linspace(glo + pads[0], ghi - pads[1], 21)
-    worst = 0.0
-    for u in grid:
-        worst = max(worst, float(np.max(np.abs(
-            profile.A(u) - np.asarray(A(u), dtype=float)))))
+    worst = max(float(np.max(np.abs(f[2] - np.asarray(A(u), dtype=float))))
+                for u, f in zip(grid, profile.fields_on(grid)))
     rep = Report(title="brinkmann-roundtrip",
                  meta={"u0": float(u0),
                        "interval": [float(glo), float(ghi)],

@@ -4,6 +4,11 @@
 linear system over a basis of symmetric symbol tables, without the
 decoupling by C(v, ., .) = 0 that the library's closed form relies on.
 
+`dop853_vielbein` integrates the Penrose O-equation O' = -W O with DOP853
+and takes S = h^{1/2} and its derivatives from scipy's Sylvester solver,
+independently of the library's Gauss panel propagators and eigenbasis
+formulas.
+
 The Jacobi machinery here is deliberately independent of the focal scan
 it cross-checks: it samples the curvature operator in a parallel
 transverse frame and integrates the Jacobi system E'' = -Rhat E for the
@@ -20,6 +25,7 @@ close to a wall are skipped and bridged by the curvature spline.
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.linalg import solve_sylvester
 from scipy.optimize import brentq
 
 from finsler.connection import _cartan_rhs
@@ -49,6 +55,48 @@ def dense_koszul_solve(g, C, v, R):
     X = np.zeros(R.shape[:-3] + (n, n, n))
     X[..., iu, ju] = X[..., ju, iu] = sol.T.reshape(X.shape[:-2] + (len(iu),))
     return X
+
+
+def dop853_vielbein(triple, u0, us, tol=1e-12):
+    """M = h^{-1/2} O and A at each u of ``us``, stacked, with O' = -W O,
+    O(u0) = identity, integrated by DOP853 at rtol = atol = ``tol`` from u0
+    out to the farthest u on each side."""
+    m = len(triple(u0)[0])
+
+    def frame(u):
+        h, hd, hdd = (np.asarray(t, dtype=float) for t in triple(u))
+        s = spd_sqrt(h)
+        sd = solve_sylvester(s, s, hd)
+        sdd = solve_sylvester(s, s, hdd - 2.0 * sd @ sd)
+        return np.linalg.inv(s), sd, sdd
+
+    def rhs(u, y):
+        sinv, sd, _ = frame(u)
+        w = sinv @ sd
+        return (-0.5 * (w - w.T) @ y.reshape(m, m)).ravel()
+
+    us = np.asarray(us, dtype=float)
+    rots = {}
+    for side in (us[us < u0], us[us >= u0]):
+        if len(side) == 0:
+            continue
+        far = side[np.argmax(np.abs(side - u0))]
+        sol = solve_ivp(rhs, (u0, far), np.eye(m).ravel(), method="DOP853",
+                        rtol=tol, atol=tol, dense_output=True)
+        assert sol.success
+        rots.update((u, sol.sol(u).reshape(m, m)) for u in side)
+    ms, As = [], []
+    for u in us:
+        sinv, sd, sdd = frame(u)
+        o = rots[u]
+        k = sinv @ sd
+        w = 0.5 * (k - k.T)
+        wd = sinv @ sdd - k @ k
+        wd = 0.5 * (wd - wd.T)
+        a = o.T @ (w @ w + wd + (2.0 * w @ sd + sdd) @ sinv) @ o
+        ms.append(sinv @ o)
+        As.append(0.5 * (a + a.T))
+    return np.array(ms), np.array(As)
 
 
 def cos2_triple(u):

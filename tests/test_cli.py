@@ -55,6 +55,20 @@ def test_check_minkowski_all_pass(tmp_path, capsys):
     assert all(c["pass"] for c in rep["checks"])
 
 
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    cli._parser.cache_clear()
+    cfg = write_config(tmp_path, {"spacetime": {"type": "minkowski"},
+                                  "params": {"n_samples": 1}})
+    assert main(["check", "--config", cfg]) == 0
+    assert main(["check", "--config", str(tmp_path / "nope.json")]) == 2
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    with pytest.raises(SystemExit) as exc:
+        main(["check"])
+    assert exc.value.code == 2
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_ppwave_example_residual_table(tmp_path, capsys):
     cfg = write_config(tmp_path, {"spacetime": {"type": "ppwave_example"},
                                   "params": {"n_samples": 3}})
@@ -356,25 +370,30 @@ def test_penrose_base_point_below_the_positivity_floor_exits_three(
 
 def test_penrose_evaluates_the_ray_jet_on_batches(tmp_path, capsys,
                                                   monkeypatch):
-    # the fixed grids (positivity, wall scans, vielbein conditions, CSV)
-    # are one batched ray jet each; the ODE right-hand side and its event
-    # stay scalar
+    # the fixed grids (positivity, both wall scans, vielbein conditions,
+    # A_mid, CSV) are one batched ray jet each, and so is each refinement
+    # level of the O-equation's panels (one level: W = 0 for cos^2).  Only
+    # the base point h(u0) is scalar.  A grid of the Brinkmann profile
+    # carries four partial-step nodes per row.
     from finsler import jets
     calls = {1: 0, 2: 0}
+    lanes = []
     call = jets._call
 
     def counted(L, x, v):
         # the ray jet: u and the two transverse fiber generators, 18 terms
         if isinstance(x[0], jets.Jet) and x[0].ctx.size == 18:
             calls[x[0].c.ndim] += 1
+            lanes.append(x[0].c.shape[1:])
         return call(L, x, v)
 
     monkeypatch.setattr(jets, "_call", counted)
     monkeypatch.chdir(tmp_path)
     path = ROOT / "configs" / "penrose_cos2.json"
     assert main(["penrose", "--config", str(path)]) == 0
-    assert 0 < calls[1] <= 270
-    assert 0 < calls[2] <= 6
+    assert calls[1] == 1
+    assert calls[2] == 6
+    assert max(lanes) == (5 * 101,)
 
 
 @pytest.mark.filterwarnings("ignore")  # scipy warns at this tolerance

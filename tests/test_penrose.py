@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from finsler import fixtures, penrose
+from finsler import fixtures, jets, penrose
 from finsler import lagrangian as lg
 from finsler.connection import VectorField, christoffel
 from finsler.curvature import ppwave_condition
 from finsler.errors import ChartError, SignatureError, SolverError
 from finsler.penrose import RosenProfile
-from helpers import cos2_triple, exp_triple, spd_sqrt
+from helpers import cos2_triple, dop853_vielbein, exp_triple, spd_sqrt
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -181,6 +181,76 @@ def test_rotating_profile_vielbein_conditions():
     assert not by_name["symmetry condition"].passed
 
 
+@pytest.mark.parametrize("triple,interval", [
+    (rotating_triple, (-1.0, 1.0)),
+    (cos2_triple, (-1.3, 1.3)),
+    (exp_triple, (-1.0, 1.0)),
+    # truncated at the pi/2 wall
+    (cos2_triple, (-1.0, 2.5)),
+], ids=["rotating", "cos2", "exp", "cos2-truncated"])
+def test_panel_propagators_match_the_dop853_oracle(triple, interval):
+    bp = penrose.rosen_to_brinkmann(triple, 0.0, interval)
+    lo, hi = bp.u_interval
+    pad = 0.05 * (hi - lo)
+    us = np.linspace(lo + pad, hi - pad, 17)
+    m_want, a_want = dop853_vielbein(triple, 0.0, us)
+    rows = bp.fields_on(us)
+    h, m = bp.vielbein_on(us)
+    assert np.max(np.abs(m - m_want)) <= 1e-11
+    assert np.max(np.abs(np.array([r[2] for r in rows]) - a_want)) <= 1e-11
+    o = np.array([spd_sqrt(x) @ y for x, y in zip(h, m)])
+    assert np.max(np.abs(np.swapaxes(o, 1, 2) @ o - np.eye(2))) <= 1e-14
+
+
+def test_o_equation_runs_without_solve_ivp(monkeypatch):
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+    bp = penrose.rosen_to_brinkmann(rotating_triple, 0.0, (-1.0, 1.0))
+    assert bp.m_conditions(np.linspace(-0.9, 0.9, 5)).passed
+
+
+def test_o_equation_bounds_the_panels_of_a_level(monkeypatch):
+    # the rotating profile at 50 times the pace needs more than 4 panels
+    # at one level
+    def fast(u):
+        return tuple(t * 50.0 ** k
+                     for k, t in enumerate(rotating_triple(50.0 * u)))
+
+    monkeypatch.setattr(penrose, "_MAX_PANELS", 4)
+    with pytest.raises(SolverError, match="more than 4 panels"):
+        penrose.rosen_to_brinkmann(fast, 0.0, (-1.0, 1.0))
+
+
+def dip_triple(u, at=float(penrose._GL_C[0]), width=5e-4):
+    """diag(1 - 1.5 exp(-x^2), 1), x = (u - at) / width: h loses
+    positivity only in a dip far narrower than the wall scan's grid."""
+    x = (u - at) / width
+    e = 1.5 * np.exp(-x * x)
+    return (np.diag([1.0 - e, 1.0]), np.diag([2.0 * x * e / width, 0.0]),
+            np.diag([(2.0 - 4.0 * x * x) * e / width ** 2, 0.0]))
+
+
+def test_node_below_the_floor_truncates_at_the_wall():
+    # the scan steps over the dip, but a Gauss node of the first panel
+    # sits on it: the side is cut where h meets the floor, left of the dip
+    bp = penrose.rosen_to_brinkmann(dip_triple, 0.0, (-0.5, 1.0))
+    wall = float(penrose._GL_C[0]) - 5e-4 * np.sqrt(np.log(1.5 / (1 - 1e-8)))
+    assert bp.truncated
+    assert bp.reason == "h lost positivity at u=%.12g (focal point)" \
+        % bp.u_interval[1]
+    assert bp.u_interval[0] == -0.5
+    assert abs(bp.u_interval[1] - wall) <= 1e-10
+    us = np.linspace(-0.4, 0.9 * wall, 5)
+    for u, (h, m, a) in zip(us, bp.fields_on(us)):
+        assert np.max(np.abs(h - dip_triple(u)[0])) == 0.0
+        assert np.max(np.abs(m - np.diag(1.0 / np.sqrt(np.diag(h))))) \
+            <= 1e-12
+
+
 def test_roundtrip_truncates_at_degenerate_vielbein():
     # E = diag(cos u, 1) degenerates at pi/2: the comparison is cut
     # there instead of failing
@@ -282,6 +352,42 @@ def test_limit_profile_triple_is_exact(builder):
             assert np.max(np.abs(a - want)) <= 1e-12
 
 
+def rotating_lagrangian():
+    """L = 2 v0 v1 - v_a h_ab(x0) v_b with h the `rotating_triple` block:
+    the transverse block rotates with x0, so W != 0 on the ray."""
+    def d1(x):
+        return 1.0 + 0.5 * x[0] * x[0]
+
+    entries = {
+        (0, 1): 1.0,
+        (2, 2): lambda x: -(jets.cos(x[0]) ** 2 * d1(x)
+                            + 2.0 * jets.sin(x[0]) ** 2),
+        (2, 3): lambda x: -jets.cos(x[0]) * jets.sin(x[0]) * (d1(x) - 2.0),
+        (3, 3): lambda x: -(jets.sin(x[0]) ** 2 * d1(x)
+                            + 2.0 * jets.cos(x[0]) ** 2),
+    }
+    return lg.QuadraticLagrangian(entries, 4, [1.0, 1.0, 0.0, 0.0],
+                                  name="rosen-rotating")
+
+
+def test_limit_of_rotating_block_matches_the_dop853_oracle():
+    # the ray jet's batched triples feed the panel propagators with W != 0
+    res = penrose.penrose_limit(rotating_lagrangian(), E0, (-1.0, 1.0))
+    us = np.linspace(-0.9, 0.9, 7)
+    for got, want in zip(res.rosen.triples(us),
+                         zip(*[rotating_triple(u) for u in us])):
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12
+    m_want, a_want = dop853_vielbein(rotating_triple, 0.0, us)
+    h, m = res.brinkmann.vielbein_on(us)
+    a = np.array([r[2] for r in res.brinkmann.fields_on(us)])
+    assert np.max(np.abs(m - m_want)) <= 1e-11
+    assert np.max(np.abs(a - a_want)) <= 1e-11
+    # O is no identity here: h^{-1/2} alone misses M by far
+    bare = np.array([np.linalg.inv(spd_sqrt(x)) for x in h])
+    assert np.max(np.abs(m - bare)) > 1e-2
+    assert res.brinkmann.m_conditions(us).passed
+
+
 def test_limit_truncates_past_focal_point():
     res = penrose.penrose_limit(fixtures.rosen_cos2(), E0, (-1.0, 2.2))
     assert res.brinkmann.truncated
@@ -324,7 +430,8 @@ def test_limit_csv_roundtrip():
 
 
 def test_limit_csv_evaluates_the_profile_triple_once_per_row():
-    # one batched call for the whole CSV, no scalar triple
+    # one batched call for the whole CSV, no scalar triple: its lanes are
+    # the rows, then the four partial Gauss step nodes of each row
     res = penrose.penrose_limit(fixtures.rosen_cos2(), E0, (-1.0, 1.0))
     us = np.linspace(-0.8, 0.8, 9)
     before = res.to_csv(us)
@@ -340,7 +447,8 @@ def test_limit_csv_evaluates_the_profile_triple_once_per_row():
 
     res.rosen.h, res.rosen.triples = scalar, batched
     assert res.to_csv(us) == before
-    assert calls == [list(us)]
+    assert len(calls) == 1 and len(calls[0]) == 5 * len(us)
+    assert calls[0][:len(us)] == list(us)
     res.rosen.h, res.rosen.triples = h, triples
     for u, row in zip(us, res.brinkmann.fields_on(us)):
         hm, m, a = res.brinkmann.fields(u)
