@@ -325,7 +325,9 @@ def _cmd_focal(L, rng, tol, N, x0, v0, t_span, n_samples, ode_tol):
     both = np.isfinite(curve.delta) & np.isfinite(curve.delta4)
     resid = (float(np.max(np.abs(curve.delta[both] - curve.delta4[both])))
              if np.any(both) else 0.0)
-    scale = max(1.0, float(np.nanmax(np.abs(curve.delta))))
+    # delta is NaN wherever det h < 0, possibly on the whole span
+    scale = float(np.max(np.abs(curve.delta), initial=1.0,
+                         where=np.isfinite(curve.delta)))
     rep = Report(title="focal",
                  meta={"roots": [float(r) for r in curve.roots],
                        "kinds": list(curve.kinds),

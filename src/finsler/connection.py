@@ -29,9 +29,11 @@ from . import jets
 from .errors import (
     ConeError,
     EvaluationError,
+    FinslerError,
     NoGradientError,
     SignatureError,
     SolverError,
+    raise_first_failure,
 )
 from .report import Report, csv_text, fmt_float
 
@@ -43,6 +45,7 @@ __all__ = [
     "as_scalar_field",
     "as_vector_field",
     "christoffel",
+    "christoffel_on",
     "koszul_residual",
     "compatibility_residual",
     "torsion_residual",
@@ -175,20 +178,26 @@ class ChristoffelTable:
 
 def _field_jet(L, x, v, J, base_order=1):
     """One evaluation of L giving g, C and the total derivatives D; with
-    ``base_order=2`` also dC[a] = ∂_a C and dD[a] = ∂_a D along v + J dx."""
-    n = len(v)
-    ctx, seeds = jets.variables(list(x) + list(v), base_order + 2,
+    ``base_order=2`` also dC[a] = ∂_a C and dD[a] = ∂_a D along v + J dx.
+
+    x, v and J may carry a leading lane axis, (B, n), (B, n) and
+    (B, n, n): one batched jet then gives every array that axis."""
+    n = v.shape[-1]
+    values = (np.concatenate([x, v], axis=-1) if v.ndim == 2
+              else list(x) + list(v))
+    ctx, seeds = jets.variables(values, base_order + 2,
                                 (0,) * n + (1,) * n, (base_order, 3))
-    for m in range(n):
-        # the fiber generator carries the field's first-order x-dependence
-        for i in range(n):
-            if J[i, m] != 0.0:
-                seeds[n + m].c[ctx.var_index(i)] += float(J[i, m])
+    # the fiber generators carry the field's first-order x-dependence
+    nonzero = J != 0.0
+    if nonzero.ndim == 3:
+        nonzero = nonzero.any(axis=0)   # in any lane of a stacked J
+    for i, m in zip(*np.nonzero(nonzero)):
+        seeds[n + m].c[ctx.var_index(i)] += J[..., i, m]
     w = jets._call(L, seeds[:n], seeds[n:])
     fiber = range(n, 2 * n)
     g = 0.5 * jets.derivative_tensor(w, fiber, 2)
     C = 0.25 * jets.derivative_tensor(w, fiber, 3)
-    D = 0.5 * jets.derivative_tensor(w, range(2 * n), 3)[:n, n:, n:]
+    D = 0.5 * jets.derivative_tensor(w, range(2 * n), 3)[..., :n, n:, n:]
     if base_order == 1:
         return g, C, D
     d4 = jets.derivative_tensor(w, range(2 * n), 4)
@@ -214,36 +223,64 @@ def _cartan_rhs(C, A):
 def _koszul_solve(ginv, C, v, R):
     """Symmetric X[..., l, i, j] with 2 g(X, ·) = R + rhs(0, C, X v).
 
-    R[..., i, j, k] may carry leading batch axes.  A 2-homogeneous L has
+    R[..., i, j, k] may carry leading batch axes, and so may ginv, C and
+    v, one per lane of a stacked solve.  A 2-homogeneous L has
     C(v, ·, ·) = 0, which decouples the identity (the spray, nonlinear
     connection, Chern symbols route of Bao, Chern & Shen, ch. 2-3):
     contracted with v twice it gives s = X(v, v) = ½ g⁻¹ R(v, v, ·); once,
     X v = ½ g⁻¹ (R(·, v, ·) - 2 C(s, ·, ·)); with X v known, the full
     identity gives X.  The Cartan products are skipped where C is exactly
-    zero, and X is symmetrised in (i, j) against roundoff.
+    zero, and X is symmetrised in (i, j) against roundoff.  Each lane of
+    a stacked solve makes the products of an unstacked one, so it gets
+    the same bits.
     """
     half = 0.5 * ginv
+    halfT = np.swapaxes(half, -2, -1)
     if C.any():
-        s = np.einsum("...ijk,i,j->...k", R, v, v) @ half.T
-        Xv = (np.einsum("...ijk,j->...ik", R, v)
-              - 2.0 * np.einsum("mik,...m->...ik", C, s)) @ half.T
+        s = np.einsum("...ijk,...i,...j->...k", R, v, v)
+        # a stacked half takes each lane's s as a 1 x n row, so the lane
+        # makes the vector-matrix product of an unstacked solve
+        s = (s @ halfT if half.ndim == 2
+             else (s[..., None, :] @ halfT)[..., 0, :])
+        Xv = (np.einsum("...ijk,...j->...ik", R, v)
+              - 2.0 * np.einsum("...mik,...m->...ik", C, s)) @ halfT
         R = R + _cartan_rhs(C, Xv)
-    X = np.einsum("lk,...ijk->...lij", half, R)
+    X = np.einsum("...lk,...ijk->...lij", half, R)
     return 0.5 * (X + np.swapaxes(X, -2, -1))
 
 
 def _metric_inverse(g, x):
-    """g^{-1}; SignatureError when g is numerically degenerate."""
+    """g^{-1}, stacked like g; SignatureError when a g is numerically
+    degenerate."""
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as e:
         raise SignatureError("fundamental tensor is singular at x=%r"
                              % (x.tolist(),)) from e
     cond = np.linalg.cond(g)
+    if cond.ndim:
+        cond = cond.max()
     if not np.isfinite(cond) or cond > 1e12:
         raise SignatureError("fundamental tensor is numerically degenerate "
                              "(cond=%.3g)" % cond)
     return ginv
+
+
+def _symbols(L, x, v, J):
+    """Γ at the points x (leading lane axes allowed) with its byproducts
+    (g, C, D) and the Koszul residual per lane."""
+    g, C, D = _field_jet(L, x, v, J)
+    gamma = _koszul_solve(_metric_inverse(g, x), C, v, _koszul_rhs(D, C, J))
+    return gamma, g, C, D, _koszul_residual(gamma, g, C, D, J, v)
+
+
+def _residual_gate(res):
+    if res.ndim:
+        res = res.max()
+    if res > 1e-6:
+        raise SolverError("Koszul identity residual %.3g: the closed-form "
+                          "solve needs C(v, ., .) = 0, a 2-homogeneous L"
+                          % res)
 
 
 def christoffel(L, V, x):
@@ -256,31 +293,60 @@ def christoffel(L, V, x):
     SignatureError when g_V is numerically degenerate and SolverError when
     the symbols miss the identities by more than 1e-6.  A pure per-point
     kernel: it does not test whether V(x) lies in the cone, so callers
-    gate their own reference once.
+    gate their own reference once.  `christoffel_on` is the same kernel
+    over a point set.
     """
     x = np.asarray(x, dtype=float)
-    v = V(x)
+    v = np.asarray(V(x), dtype=float)
     J = V.jacobian(x)
-    g, C, D = _field_jet(L, x, v, J)
-    gamma = _koszul_solve(_metric_inverse(g, x), C, v, _koszul_rhs(D, C, J))
-    table = ChristoffelTable(x=x, v=np.asarray(v, dtype=float), gamma=gamma,
-                             g=g, cartan=C, dmetric=D, jacobian=J,
-                             iterations=0, method="closed-form")
-    res = koszul_residual(table)
-    if res > 1e-6:
-        raise SolverError("Koszul identity residual %.3g: the closed-form "
-                          "solve needs C(v, ., .) = 0, a 2-homogeneous L"
-                          % res)
-    return table
+    gamma, g, C, D, res = _symbols(L, x, v, J)
+    _residual_gate(res)
+    return ChristoffelTable(x=x, v=v, gamma=gamma, g=g, cartan=C,
+                            dmetric=D, jacobian=J, iterations=0,
+                            method="closed-form")
+
+
+def christoffel_on(L, V, xs):
+    """Γ[b, k, i, j] at each point xs[b], stacked; lane b is bitwise
+    ``christoffel(L, V, xs[b]).gamma``.
+
+    The points go through in blocks of `jets.LANE_BLOCK`, each one
+    batched jet evaluation and one stacked solve, behind the same gates.
+    A block fails as a whole; the error then is the one `christoffel`
+    raises at the first failing point of the block, with that point
+    named.  Like `christoffel`, it tests no cone membership.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    out = []
+    for lo in range(0, len(xs), jets.LANE_BLOCK):
+        block = xs[lo:lo + jets.LANE_BLOCK]
+        try:
+            vs = np.array([V(x) for x in block])
+            Js = np.array([V.jacobian(x) for x in block])
+            gamma, _, _, _, res = _symbols(L, block, vs, Js)
+            _residual_gate(res)
+        except FinslerError:
+            raise_first_failure(lambda x: christoffel(L, V, x),
+                                ((x,) for x in block))
+            raise
+        out.append(gamma)
+    return np.concatenate(out)
+
+
+def _koszul_residual(gamma, g, C, D, J, v):
+    """Scale-normalized max residual of the Koszul identity, per lane."""
+    A = J + np.einsum("...mil,...l->...im", gamma, v)
+    rhs = _koszul_rhs(D, C, A)
+    lhs = 2.0 * np.einsum("...lij,...lk->...ijk", gamma, g)
+    axes = (-3, -2, -1)
+    scale = np.maximum(1.0, np.max(np.abs(rhs), axis=axes))
+    return np.max(np.abs(lhs - rhs), axis=axes) / scale
 
 
 def koszul_residual(table):
     """Scale-normalized max residual of the coordinate Koszul identity."""
-    A = table.jacobian + np.einsum("mil,l->im", table.gamma, table.v)
-    rhs = _koszul_rhs(table.dmetric, table.cartan, A)
-    lhs = 2.0 * np.einsum("lij,lk->ijk", table.gamma, table.g)
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    return float(_koszul_residual(table.gamma, table.g, table.cartan,
+                                  table.dmetric, table.jacobian, table.v))
 
 
 def compatibility_residual(table):
@@ -468,15 +534,23 @@ def _spray(L, x, v):
                              % (np.asarray(x).tolist(),)) from e
 
 
+def _value_or_nan(L, x, v):
+    try:
+        return L.value(x, v)
+    except EvaluationError:
+        return np.nan
+
+
 def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
     """Integrate the spray `_spray` from (x0, v0) over t_span.
 
     Only (x0, v0) is tested against the cone.  One L evaluation per
-    returned sample gives its drift and the cut: the path ends before the
-    first sample where L fails or L < -50 tol max(1, |L(x0, v0)|), and
-    ``truncated`` is set.  This is the closed-cone test whenever
-    50 tol max(1, |L(x0, v0)|) >= 1e-12 max(1, |L(cone_ref)|, |L|), so for
-    every CLI tolerance unless |L(cone_ref)| is large: there it is looser.
+    returned sample, all in one `Lagrangian.value_on` call, gives its
+    drift and the cut: the path ends before the first sample where L
+    fails or L < -50 tol max(1, |L(x0, v0)|), and ``truncated`` is set.
+    This is the closed-cone test whenever 50 tol max(1, |L(x0, v0)|) >=
+    1e-12 max(1, |L(cone_ref)|, |L|), so for every CLI tolerance unless
+    |L(cone_ref)| is large: there it is looser.
     """
     from scipy.integrate import solve_ivp
 
@@ -503,21 +577,19 @@ def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
         ts, ys = sol.t, sol.y.T
 
     lscale = max(1.0, abs(l0))
-    vals = []
-    reason = ""
-    for t, y in zip(ts, ys):
-        try:
-            vals.append(L.value(y[:n], y[n:]))
-        except EvaluationError:
-            vals.append(np.nan)
-        # lightlike paths keep L = 0 only to the integration tolerance
-        if not vals[-1] >= -50.0 * tol * lscale:
-            reason = "left the closed cone at t=%s" % fmt_float(t)
-            break
-    keep = max(1, len(vals) - 1) if reason else len(ts)
+    try:
+        vals = L.value_on(ys[:, :n], ys[:, n:])
+    except EvaluationError:
+        # some sample fails alone: take them one at a time, NaN where L fails
+        vals = np.array([_value_or_nan(L, y[:n], y[n:]) for y in ys])
+    # lightlike paths keep L = 0 only to the integration tolerance
+    out = np.flatnonzero(~(vals >= -50.0 * tol * lscale))
+    reason = ("left the closed cone at t=%s" % fmt_float(ts[out[0]])
+              if len(out) else "")
+    keep = max(1, out[0]) if reason else len(ts)
     if keep == len(ts) and not sol.success:
         reason = "integrator stopped at t=%s" % fmt_float(ts[-1])
     return GeodesicPath(t=ts[:keep], x=ys[:keep, :n], v=ys[:keep, n:],
-                        ldrift=(np.array(vals[:keep]) - l0) / lscale, l0=l0,
+                        ldrift=(vals[:keep] - l0) / lscale, l0=l0,
                         tol=tol, truncated=keep < len(ts) or not sol.success,
                         reason=reason)

@@ -40,3 +40,16 @@ class ChartError(FinslerError, ValueError):
 
 class ConfigError(FinslerError, ValueError):
     """CLI/JSON configuration violates the schema."""
+
+
+def raise_first_failure(kernel, points):
+    """Re-raise the error ``kernel(*args)`` raises for the first ``args``
+    of ``points`` that fails alone, naming its point ``args[0]``; return
+    if none fails.  Batched kernels fail a whole lane block at once, and
+    this pins the failure on one point."""
+    for args in points:
+        try:
+            kernel(*args)
+        except FinslerError as e:
+            raise type(e)("at x=%r: %s"
+                          % ([float(t) for t in args[0]], e)) from e

@@ -28,12 +28,25 @@ Mixed orders in different generator sets come from grouped contexts
 instead, and `derivative_tensor` reads whole blocks of partials through
 a cached gather.  Binary operations between jets of different contexts
 (batch sizes included) are rejected.
+
+Plain float64 arrays are lanes too, as `Lanes`.  The elementary
+functions apply `math` to them one lane at a time, their power is
+Python's float power lane by lane, and numpy's + - * / round as Python
+floats do, so a model evaluated with lanes in place of floats (L on many
+vectors at once, or a base point's coordinates next to a batched fiber
+jet) gives each lane the bits of its scalar evaluation.  `_call`
+evaluates lanes under ``np.errstate`` with division by zero and invalid
+operations raising, so a lane whose float evaluation would raise fails
+the whole call with `EvaluationError`.  Callers pass point sets in
+lane blocks of `LANE_BLOCK`, which bounds the product temporaries.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
+import operator
 from functools import lru_cache
 from itertools import product as _iproduct
 
@@ -42,7 +55,10 @@ import numpy as np
 from .errors import EvaluationError
 
 __all__ = [
+    "LANE_BLOCK",
     "Jet",
+    "Lanes",
+    "lanes",
     "variables",
     "derivative_tensor",
     "sqrt",
@@ -53,6 +69,17 @@ __all__ = [
     "sinh",
     "cosh",
 ]
+
+
+# lanes per batched evaluation of a point set: about 20 KB of product
+# temporaries per lane in the 95-term Christoffel context
+LANE_BLOCK = 32
+
+# batched twins a context keeps, most recently used last
+_TWINS = 4
+
+# floats and jets raise (or warn) on their own
+_FLOAT_ERRORS = contextlib.nullcontext()
 
 
 def _monomials(groups, budgets, total):
@@ -126,12 +153,13 @@ class _Context:
         return self._var_index[j]
 
     def batched(self, lanes):
-        """The cached context of ``lanes``-lane jets: the same monomials,
-        with the product's third index array replaced by the bincount keys
+        """The context of ``lanes``-lane jets: the same monomials, with the
+        product's third index array replaced by the bincount keys
         ``k * lanes + lane``, pair-major like the ``(P, lanes)`` array of
         the product terms, so each lane sums its terms in the order of an
-        unbatched product."""
-        twin = self._batches.get(lanes)
+        unbatched product.  The `_TWINS` most recently used twins are
+        cached; each holds a P x lanes key array."""
+        twin = self._batches.pop(lanes, None)
         if twin is None:
             twin = copy.copy(self)
             i, j, k = self.pairs
@@ -139,7 +167,9 @@ class _Context:
                                  + np.arange(lanes)).ravel())
             twin.lanes = lanes
             twin._batches = None
-            self._batches[lanes] = twin
+            if len(self._batches) >= _TWINS:
+                del self._batches[next(iter(self._batches))]
+        self._batches[lanes] = twin
         return twin
 
     def gather(self, slots, order):
@@ -263,6 +293,8 @@ class Jet:
             c = np.bincount(k, (a[i] * b[j]).ravel(),
                             minlength=ctx.size * ctx.lanes)
             return Jet(ctx, c.reshape(ctx.size, ctx.lanes))
+        if isinstance(other, Lanes):
+            other = other.view(np.ndarray)  # coefficients stay plain
         return Jet(self.ctx, self.c * other)
 
     __rmul__ = __mul__
@@ -270,6 +302,8 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
+        if isinstance(other, np.ndarray):
+            return self * (1.0 / other)     # lanes: `_call` raises on 0
         return self * (1.0 / float(other))  # float: see `value`
 
     def __rtruediv__(self, other):
@@ -415,35 +449,70 @@ def _cycle(even, odd, signs, order):
     return coeffs
 
 
-# -- elementary functions of floats and jets alike ----------------------
+# -- plain lanes ----------------------------------------------------------
+
+class Lanes(np.ndarray):
+    """Plain float64 lanes, one evaluation point each, for model code.
+
+    numpy's elementwise + - * / round as Python floats do, but its power
+    does not: it squares ``x ** 2`` as x * x where a float calls C pow.
+    So ``**`` here is Python's float power, one lane at a time.
+    """
+
+    def __pow__(self, p):
+        return _each(operator.pow, self, p)
+
+    def __rpow__(self, b):
+        return _each(operator.pow, b, self)
+
+
+def lanes(a):
+    """``a`` as float64 `Lanes`."""
+    return np.asarray(a, dtype=float).view(Lanes)
+
+
+def _each(f, *args):
+    """``f`` on Python floats one lane at a time, over the broadcast
+    ``args``: the bits and the exceptions of scalar evaluation."""
+    arrs = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    vals = [f(*t) for t in zip(*(a.ravel().tolist() for a in arrs))]
+    return lanes(np.array(vals, dtype=float).reshape(arrs[0].shape))
+
+
+# -- elementary functions of floats, lanes and jets alike -------------------
+
+def _plain(f, x):
+    """``f`` from `math` on a float, or on each lane of an array."""
+    return _each(f, x) if isinstance(x, np.ndarray) else f(x)
+
 
 def sqrt(x):
     """Square root usable inside jet-evaluable model code."""
-    return x.sqrt() if isinstance(x, Jet) else math.sqrt(x)
+    return x.sqrt() if isinstance(x, Jet) else _plain(math.sqrt, x)
 
 
 def exp(x):
-    return x.exp() if isinstance(x, Jet) else math.exp(x)
+    return x.exp() if isinstance(x, Jet) else _plain(math.exp, x)
 
 
 def log(x):
-    return x.log() if isinstance(x, Jet) else math.log(x)
+    return x.log() if isinstance(x, Jet) else _plain(math.log, x)
 
 
 def sin(x):
-    return x.sin() if isinstance(x, Jet) else math.sin(x)
+    return x.sin() if isinstance(x, Jet) else _plain(math.sin, x)
 
 
 def cos(x):
-    return x.cos() if isinstance(x, Jet) else math.cos(x)
+    return x.cos() if isinstance(x, Jet) else _plain(math.cos, x)
 
 
 def sinh(x):
-    return x.sinh() if isinstance(x, Jet) else math.sinh(x)
+    return x.sinh() if isinstance(x, Jet) else _plain(math.sinh, x)
 
 
 def cosh(x):
-    return x.cosh() if isinstance(x, Jet) else math.cosh(x)
+    return x.cosh() if isinstance(x, Jet) else _plain(math.cosh, x)
 
 
 # -- seeding and reading -------------------------------------------------
@@ -474,9 +543,10 @@ def derivative_tensor(w, slots, order):
 
     Returns T of shape ``(len(slots),) * order`` with
     ``T[a, b, ...] = d^order w / d eps_slots[a] d eps_slots[b] ...``.
-    A batched ``w`` gives T a leading batch axis, one row per lane.
-    Partials the context truncates read as zero, and so does every partial
-    of a plain number.
+    A batched ``w`` gives T a leading batch axis, one row per lane, laid
+    out C-contiguous like an unbatched T, so that numpy reduces each lane
+    in the order it reduces an unbatched T.  Partials the context
+    truncates read as zero, and so does every partial of a plain number.
     """
     slots = tuple(slots)
     shape = (len(slots),) * order
@@ -485,15 +555,24 @@ def derivative_tensor(w, slots, order):
     idx, scale = w.ctx.gather(slots, order)
     if w.ctx.lanes is None:
         return (w.c[idx] * scale).reshape(shape)
-    return (w.c[idx] * scale[:, None]).T.reshape(w.c.shape[1:] + shape)
+    return np.ascontiguousarray((w.c[idx] * scale[:, None]).T).reshape(
+        w.c.shape[1:] + shape)
 
 
 def _call(L, x, v):
     """Evaluate a Lagrangian-like callable, wrapping arithmetic failures;
-    a batched result fails if any lane does."""
+    a batched result fails if any lane does.  Where x or v holds plain
+    lanes, division by zero and invalid operations raise, as ``x / 0.0``
+    and ``math.sqrt(-1)`` do on floats, while overflow and underflow pass
+    silently, as ``x * y`` does on floats: an infinite value then fails
+    the finiteness test."""
+    lanes = isinstance(x[0], np.ndarray) or isinstance(v[0], np.ndarray)
     try:
-        w = L(x, v)
-    except (ZeroDivisionError, OverflowError, ValueError) as e:
+        with (np.errstate(divide="raise", invalid="raise", over="ignore",
+                          under="ignore") if lanes else _FLOAT_ERRORS):
+            w = L(x, v)
+    except (ZeroDivisionError, OverflowError, ValueError,
+            FloatingPointError) as e:
         raise EvaluationError("Lagrangian evaluation failed: %s" % e) from e
     val = w.value if isinstance(w, Jet) else w
     if isinstance(val, np.ndarray):

@@ -41,11 +41,9 @@ __all__ = [
     "is_finite_number",
 ]
 
-_SEGMENT_SAMPLES = [j / 15.0 for j in range(16)]
-if 0.5 not in _SEGMENT_SAMPLES:
-    # 16 equispaced samples miss the exact midpoint, where the segment from
-    # cone_ref to the antipodal vector pinches through zero
-    _SEGMENT_SAMPLES = sorted(_SEGMENT_SAMPLES + [0.5])
+# 16 equispaced samples of the segment miss its exact midpoint, where the
+# segment from cone_ref to the antipodal vector pinches through zero
+_SEGMENT_T = np.array(sorted({j / 15.0 for j in range(16)} | {0.5}))[:, None]
 
 
 @dataclass(frozen=True)
@@ -96,6 +94,17 @@ class Lagrangian:
                        [float(t) for t in v])
         return float(w.value if isinstance(w, jets.Jet) else w)
 
+    def value_on(self, x, vs):
+        """L at x for each row of ``vs``, or at each row pair of a 2-D x,
+        as a float array: one evaluation on plain `jets.Lanes`, with each
+        entry bitwise `value` at its pair.  A pair that fails alone fails
+        the whole call with EvaluationError."""
+        vs = np.atleast_2d(np.asarray(vs, dtype=float))
+        x = np.asarray(x, dtype=float)
+        xs = [float(t) for t in x] if x.ndim == 1 else list(jets.lanes(x.T))
+        w = jets._call(self._func, xs, list(jets.lanes(vs.T)))
+        return np.broadcast_to(np.asarray(w, dtype=float), len(vs)).copy()
+
     def cone_ref_at(self, x):
         ref = self._cone_ref
         if callable(ref):
@@ -109,19 +118,20 @@ class Lagrangian:
 
         v is inside when L stays positive along the straight segment from
         cone_ref(x) to v; ``closed`` relaxes only the endpoint, admitting
-        lightlike boundary vectors.
+        lightlike boundary vectors.  The 17 segment points are one
+        `value_on` evaluation.
         """
         v = np.asarray(v, dtype=float)
         if not np.any(v):
             raise ConeError("zero vector has no cone membership")
         ref = self.cone_ref_at(x)
-        vals = [self.value(x, (1.0 - t) * ref + t * v)
-                for t in _SEGMENT_SAMPLES]
-        value = vals[-1]
-        margin = min(vals)
-        interior_ok = all(val > 0.0 for val in vals[:-1])
+        t = _SEGMENT_T
+        vals = self.value_on(x, (1.0 - t) * ref + t * v)
+        value = float(vals[-1])
+        margin = float(np.min(vals))
+        interior_ok = bool(np.all(vals[:-1] > 0.0))
         if closed:
-            scale = max(1.0, abs(vals[0]), abs(value))
+            scale = max(1.0, abs(float(vals[0])), abs(value))
             inside = interior_ok and value >= -1e-12 * scale
         else:
             inside = interior_ok and value > 0.0

@@ -24,7 +24,7 @@ from .connection import _field_jet, as_vector_field, christoffel
 from .errors import ConfigError, SolverError
 from .lagrangian import PROFILES
 from .report import Report, csv_text, dump_json
-from .tensors import fundamental_tensor
+from .tensors import fundamental_tensor, fundamental_tensor_on
 
 __all__ = [
     "LightlikeChartReport", "DeltaCurve", "lightlike_form_check",
@@ -189,10 +189,13 @@ def delta_scan(L, N, ray):
 
     ``ray`` is a `GeodesicPath` (an integral curve of N) with at least
     two samples; positions between samples come from the cubic Hermite
-    interpolant of (x, v).  Sign changes of det h are polished with
-    `brentq`.  Tangential (even-order) zeros, which no sign-change bracket
-    sees, are `brentq` roots of the exact slope of det h across its dips,
-    accepted when det h there is under 1e-12 times the det-h scale.
+    interpolant of (x, v), which returns the samples themselves at the
+    knots, so the metrics there are one `fundamental_tensor_on` call, with
+    stacked determinants and minors.  Sign changes of det h are polished
+    with `brentq`.  Tangential (even-order) zeros, which no sign-change
+    bracket sees, are `brentq` roots of the exact slope of det h across
+    its dips, accepted when det h there is under 1e-12 times the det-h
+    scale.
     """
     from scipy.interpolate import CubicHermiteSpline
     from scipy.optimize import brentq
@@ -206,13 +209,9 @@ def delta_scan(L, N, ray):
                                 np.asarray(ray.v, float), axis=0)
     velocity = spline.derivative()
 
-    def metric_at(t):
-        p = spline(float(t))
-        nvec = np.asarray(N(p), dtype=float)
-        return fundamental_tensor(L, p, nvec).matrix
-
     def det_h(t):
-        g = metric_at(t)
+        p = spline(float(t))
+        g = fundamental_tensor(L, p, np.asarray(N(p), dtype=float)).matrix
         return float(np.linalg.det(-g[2:, 2:]))
 
     def det_h_slope(t):
@@ -228,21 +227,17 @@ def delta_scan(L, N, ray):
             total += float(np.linalg.det(hk))
         return total
 
+    xs = np.asarray(ray.x, dtype=float)
+    gs = fundamental_tensor_on(L, xs, [N(p) for p in xs])
+    h = -gs[:, 2:, 2:]
+    dets = np.linalg.det(h)
+    delta = np.sqrt(np.where(dets >= 0.0, dets, np.nan))
+    d4 = -np.linalg.det(gs)
+    delta4 = np.sqrt(np.where(d4 >= 0.0, d4, np.nan))
+    hscale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
+    pos_ok = np.all([np.linalg.det(h[:, :k, :k]) > -1e-12 * hscale
+                     for k in range(1, h.shape[1] + 1)], axis=0)
     m = len(ts)
-    dets = np.empty(m)
-    delta = np.empty(m)
-    delta4 = np.empty(m)
-    pos_ok = np.empty(m, dtype=bool)
-    for i, t in enumerate(ts):
-        g = metric_at(t)
-        h = -g[2:, 2:]
-        dh = float(np.linalg.det(h))
-        dets[i] = dh
-        delta[i] = np.sqrt(dh) if dh >= 0.0 else np.nan
-        d4 = -float(np.linalg.det(g))
-        delta4[i] = np.sqrt(d4) if d4 >= 0.0 else np.nan
-        hscale = max(1.0, float(np.max(np.abs(h))))
-        pos_ok[i] = all(mm > -1e-12 * hscale for mm in _leading_minors(h))
 
     scale = max(1.0, float(np.max(np.abs(dets))))
     roots = []

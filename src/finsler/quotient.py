@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import as_vector_field, christoffel
+from .connection import as_vector_field, christoffel_on
 from .errors import ChartError, ConstructionError, SignatureError
 from .tensors import fundamental_tensor
 
@@ -92,26 +92,79 @@ def rectangle_loop(base, i, j, side_i, side_j=None):
     return np.array([base, base + ei, base + ei + ej, base + ej, base])
 
 
-def _transport_loop(L, N, vertices, columns, n_segments):
-    """Parallel-transport ``columns`` around the closed polyline."""
-    from scipy.linalg import expm
+# Taylor degree of `_expm` and its bound on the scaled 1-norm
+_EXPM_DEGREE = 18
+_EXPM_THETA = 1.0
 
-    edges = [(vertices[k], vertices[k + 1]) for k in range(len(vertices) - 1)]
-    lengths = np.array([np.linalg.norm(q - p) for p, q in edges])
+
+def _expm(A):
+    """exp of every matrix of the stack ``A[..., n, n]``.
+
+    Scaling and squaring (Higham, "The scaling and squaring method for the
+    matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005)
+    around the degree-18 Taylor polynomial, evaluated by Horner's rule:
+    each matrix is scaled by the least power of two 2^s with
+    ||A / 2^s||_1 <= 1, so the truncated tail, bounded by 1/19! (8e-18),
+    stays under roundoff, and each matrix is squared s times.
+    """
+    A = np.asarray(A, dtype=float)
+    norm = np.max(np.sum(np.abs(A), axis=-2), axis=-1)
+    s = np.maximum(np.frexp(norm / _EXPM_THETA)[1], 0)
+    X = A / np.ldexp(1.0, s)[..., None, None]
+    eye = np.eye(A.shape[-1])
+    E = eye + X / _EXPM_DEGREE
+    for k in range(_EXPM_DEGREE - 1, 0, -1):
+        E = eye + (X @ E) / k
+    for k in range(int(np.max(s, initial=0))):
+        more = s > k
+        E[more] = E[more] @ E[more]
+    return E
+
+
+def _pieces(vertices, n_segments):
+    """Start and end points of the transport pieces of a closed polyline:
+    each edge is cut into equal pieces, about ``n_segments`` in all in
+    proportion to length; None for a loop of zero length."""
+    p, q = vertices[:-1], vertices[1:]
+    lengths = np.array([np.linalg.norm(b - a) for a, b in zip(p, q)])
     total = float(lengths.sum())
     if total == 0.0:
-        return columns.copy()
-    Y = columns.copy()
-    for (p, q), ln in zip(edges, lengths):
+        return None
+    starts, ends = [], []
+    for a, b, ln in zip(p, q, lengths):
         m = max(1, int(np.ceil(n_segments * ln / total)))
-        for s in range(m):
-            a = p + (q - p) * (s / m)
-            b = p + (q - p) * ((s + 1) / m)
-            mid = 0.5 * (a + b)
-            table = christoffel(L, N, mid)
-            G = np.einsum("kij,i->kj", table.gamma, b - a)
-            Y = expm(-G) @ Y
-    return Y
+        frac = np.arange(m + 1)[:, None] / m
+        cut = a + (b - a) * frac
+        starts.append(cut[:-1])
+        ends.append(cut[1:])
+    return np.concatenate(starts), np.concatenate(ends)
+
+
+def _transport_loop(L, N, vertices, columns, levels):
+    """Parallel-transport ``columns`` around the closed polyline once per
+    segment count in ``levels``; returns the transported columns per level.
+
+    Every piece is transported by the exponential of minus its midpoint
+    generator Γ(mid)·(b - a).  The midpoints of all levels are gathered
+    up front, so the whole transport is one `christoffel_on` call, one
+    stacked `_expm` and, per level, the ordered product of its pieces.
+    """
+    cuts = [_pieces(vertices, n) for n in levels]
+    if cuts[0] is None:
+        return [columns.copy() for _ in levels]
+    a = np.concatenate([c[0] for c in cuts])
+    b = np.concatenate([c[1] for c in cuts])
+    gamma = christoffel_on(L, N, 0.5 * (a + b))
+    steps = _expm(-np.einsum("...kij,...i->...kj", gamma, b - a))
+    out = []
+    lo = 0
+    for start, _ in cuts:
+        Y = columns.copy()
+        for E in steps[lo:lo + len(start)]:
+            Y = E @ Y
+        out.append(Y)
+        lo += len(start)
+    return out
 
 
 def holonomy_defect(L, N, loop, reps, n_segments=64, tol=1e-6):
@@ -120,7 +173,9 @@ def holonomy_defect(L, N, loop, reps, n_segments=64, tol=1e-6):
     The loop is subdivided into at least ``n_segments`` pieces, each
     transported with the midpoint matrix exponential, and the resulting
     holonomy matrix is Richardson-extrapolated in the segment count so
-    the reported defect reflects the connection, not the step size.
+    the reported defect reflects the connection, not the step size.  Both
+    subdivisions (n and 2n pieces) are transported together: one stacked
+    Christoffel solve and one stacked exponential (`_transport_loop`).
     A transported class drifting out of N^perp means N was not parallel
     along the loop, which violates the precondition.  N is tested for
     cone membership at each loop vertex, not at the segment midpoints.
@@ -134,8 +189,7 @@ def holonomy_defect(L, N, loop, reps, n_segments=64, tol=1e-6):
     frame = quotient_metric(L, N, vertices[0], reps)
     cols = frame.reps.T
 
-    def holonomy(n_seg):
-        Y = _transport_loop(L, N, vertices, cols, n_seg)
+    def holonomy(Y):
         scale = max(1.0, float(np.max(np.abs(frame.g))))
         w = frame.g @ frame.nvec
         for k in range(Y.shape[1]):
@@ -147,8 +201,8 @@ def holonomy_defect(L, N, loop, reps, n_segments=64, tol=1e-6):
         return np.column_stack([frame.class_coords(Y[:, k])
                                 for k in range(Y.shape[1])])
 
-    h1 = holonomy(n_segments)
-    h2 = holonomy(2 * n_segments)
+    h1, h2 = (holonomy(Y) for Y in _transport_loop(
+        L, N, vertices, cols, (n_segments, 2 * n_segments)))
     hol = (4.0 * h2 - h1) / 3.0
     eye = np.eye(hol.shape[0])
     return float(np.linalg.norm(hol - eye, 2))

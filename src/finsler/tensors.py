@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
+from .errors import FinslerError, raise_first_failure
 from .report import Report
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "CartanTensor",
     "Signature",
     "fundamental_tensor",
+    "fundamental_tensor_on",
     "cartan_tensor",
     "signature_of",
     "homogeneity_report",
@@ -65,6 +67,32 @@ def fundamental_tensor(L, x, v):
     g = 0.5 * jets.derivative_tensor(w, range(n), 2)
     return FundamentalTensor(x=np.asarray(x, float), v=np.asarray(v, float),
                              matrix=g)
+
+
+def fundamental_tensor_on(L, xs, vs):
+    """g[b] = g(xs[b], vs[b]), stacked; lane b is bitwise
+    ``fundamental_tensor(L, xs[b], vs[b]).matrix``.
+
+    The pairs go through in blocks of `jets.LANE_BLOCK`, each one batched
+    jet in v with the base points as plain `jets.Lanes`.  A block fails as
+    a whole; the error then is the one `fundamental_tensor` raises at the
+    first failing pair, with its point named.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    vs = np.atleast_2d(np.asarray(vs, dtype=float))
+    n = vs.shape[1]
+    out = []
+    for lo in range(0, len(vs), jets.LANE_BLOCK):
+        xb, vb = xs[lo:lo + jets.LANE_BLOCK], vs[lo:lo + jets.LANE_BLOCK]
+        _, vj = jets.variables(vb, 2)
+        try:
+            w = jets._call(L, list(jets.lanes(xb.T.copy())), vj)
+        except FinslerError:
+            raise_first_failure(lambda x, v: fundamental_tensor(L, x, v),
+                                zip(xb, vb))
+            raise
+        out.append(0.5 * jets.derivative_tensor(w, range(n), 2))
+    return np.concatenate(out)
 
 
 def cartan_tensor(L, x, v):

@@ -4,6 +4,9 @@
 linear system over a basis of symmetric symbol tables, without the
 decoupling by C(v, ., .) = 0 that the library's closed form relies on.
 
+`scipy_expm` takes scipy's Padé exponential of each matrix of a stack, the
+oracle of the in-house `quotient._expm`.
+
 `dop853_vielbein` integrates the Penrose O-equation O' = -W O with DOP853
 and takes S = h^{1/2} and its derivatives from scipy's Sylvester solver,
 independently of the library's Gauss panel propagators and eigenbasis
@@ -25,7 +28,7 @@ close to a wall are skipped and bridged by the curvature spline.
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.linalg import solve_sylvester
+from scipy.linalg import expm, solve_sylvester
 from scipy.optimize import brentq
 
 from finsler.connection import _cartan_rhs
@@ -55,6 +58,13 @@ def dense_koszul_solve(g, C, v, R):
     X = np.zeros(R.shape[:-3] + (n, n, n))
     X[..., iu, ju] = X[..., ju, iu] = sol.T.reshape(X.shape[:-2] + (len(iu),))
     return X
+
+
+def scipy_expm(stack):
+    """scipy's expm of every matrix of ``stack[..., n, n]``."""
+    stack = np.asarray(stack, dtype=float)
+    flat = stack.reshape((-1,) + stack.shape[-2:])
+    return np.array([expm(a) for a in flat]).reshape(stack.shape)
 
 
 def dop853_vielbein(triple, u0, us, tol=1e-12):

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,26 @@ def test_focal_reports_degenerate_root(tmp_path, capsys):
     assert "degenerate" in rep["meta"]["kinds"][0]
     header = out.read_text().splitlines()[0]
     assert header == "t,delta,det_h"
+
+
+def test_focal_flags_a_ray_with_no_positive_det_h(tmp_path, capsys):
+    # h2 = 1 - x0 < 0 on the whole ray: delta is NaN at every sample
+    cfg = write_config(tmp_path, {
+        "spacetime": {"type": "plugin", "params": {
+            "module": "finsler.fixtures", "builder": "linear_wall"}},
+        "params": {"x0": [1.5, 0, 0, 0], "v0": [1, 0, 0, 0],
+                   "t_span": [0, 0.5], "n_samples": 20}})
+    out = tmp_path / "delta.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_json(capsys, ["focal", "--config", cfg,
+                                      "--out", str(out)])
+    assert code == 0
+    assert rep["meta"]["flagged"] == [[0.0, 0.5]]
+    assert rep["meta"]["roots"] == []
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 20
+    assert all(row["delta"] == "nan" for row in rows)
 
 
 def test_penrose_csv_has_plane_wave_profile(tmp_path, capsys):
@@ -421,22 +442,25 @@ def test_tol_override_can_force_failure(tmp_path, capsys):
 
 def test_check_runs_without_importing_scipy():
     # scipy is imported only by the functions that integrate, interpolate
-    # or root-find, so a check run never loads it
-    script = ("import sys\n"
+    # or root-find, so neither a check run nor a quotient run (holonomy
+    # included) loads it
+    script = ("import json, sys\n"
               "from finsler.cli import main\n"
-              "code = main(['check', '--config', sys.argv[1]])\n"
+              "with open(sys.argv[1], encoding='utf-8') as fp:\n"
+              "    command = json.load(fp)['command']\n"
+              "code = main([command, '--config', sys.argv[1]])\n"
               "print(sorted(m for m in sys.modules\n"
               "             if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
               "sys.exit(code)\n")
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    proc = subprocess.run(
-        [sys.executable, "-c", script,
-         str(ROOT / "configs" / "check_minkowski.json")],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip().splitlines()[-1] == "[]"
+    for name in ("check_minkowski.json", "quotient_wave.json"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(ROOT / "configs" / name)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip().splitlines()[-1] == "[]", name
 
 
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))

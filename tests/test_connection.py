@@ -7,6 +7,7 @@ itself.
 """
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from finsler.connection import (
     VectorField,
     _spray,
     christoffel,
+    christoffel_on,
     compatibility_residual,
     connection_report,
     geodesic,
@@ -32,6 +34,7 @@ from finsler.connection import (
 from finsler.curvature import chern_curvature
 from finsler.errors import (
     ConeError,
+    EvaluationError,
     NoGradientError,
     SignatureError,
     SolverError,
@@ -512,9 +515,10 @@ def test_spray_raises_on_a_singular_l_vv():
 def test_geodesic_tests_the_cone_once_and_evaluates_l_once_per_sample(
         monkeypatch, model):
     L = model()
-    calls = {"cone": 0, "value": 0, "symbols": 0}
+    calls = {"cone": 0, "value": 0, "lanes": [], "symbols": 0}
     gate = []
-    is_admissible, value = Lagrangian.is_admissible, Lagrangian.value
+    is_admissible = Lagrangian.is_admissible
+    value, value_on = Lagrangian.value, Lagrangian.value_on
 
     def counted_is_admissible(self, *args, **kwargs):
         calls["cone"] += 1
@@ -529,19 +533,26 @@ def test_geodesic_tests_the_cone_once_and_evaluates_l_once_per_sample(
             calls["value"] += 1
         return value(self, *args, **kwargs)
 
+    def counted_value_on(self, x, vs):
+        if not gate:
+            calls["lanes"].append(len(vs))
+        return value_on(self, x, vs)
+
     def symbols(*args, **kwargs):
         calls["symbols"] += 1
         raise AssertionError("the spray solves no Christoffel symbols")
 
     monkeypatch.setattr(Lagrangian, "is_admissible", counted_is_admissible)
     monkeypatch.setattr(Lagrangian, "value", counted_value)
+    monkeypatch.setattr(Lagrangian, "value_on", counted_value_on)
     monkeypatch.setattr(connection, "christoffel", symbols)
     monkeypatch.setattr(connection, "levi_civita_quadratic", symbols)
     x0 = np.array([0.0, 0.3, 0.1, -0.1])
     path = geodesic(L, x0, L.cone_ref_at(x0), (0.0, 0.4), n_samples=20)
     assert not path.truncated
     assert len(path.t) == 20
-    assert calls == {"cone": 1, "value": 20, "symbols": 0}
+    # the 20 samples are one batched evaluation, not 20 scalar ones
+    assert calls == {"cone": 1, "value": 0, "lanes": [20], "symbols": 0}
 
 
 def test_geodesic_cut_where_the_lagrangian_turns_negative():
@@ -566,3 +577,43 @@ def test_geodesic_cut_where_the_lagrangian_turns_negative():
     energy = path.v[:, 0] ** 2 + path.x[:, 0]
     assert np.max(np.abs(energy - 1.0)) <= 1e-9
     assert np.max(np.abs(path.ldrift - (-2.0 * t + 0.5 * t * t))) <= 1e-9
+
+
+# -- the stacked kernel ----------------------------------------------------------
+
+CATALOG = catalog()
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_christoffel_on_lanes_are_bitwise_christoffel(name):
+    L = CATALOG[name]
+    rng = np.random.default_rng(12)
+    xs = 0.3 * rng.standard_normal((2 * jets.LANE_BLOCK + 3, 4))
+    ref = L.cone_ref_at(np.zeros(4))
+    B = 0.05 * rng.standard_normal((4, 4))
+    for V in (VectorField.constant(ref),
+              VectorField.linear(ref, np.zeros(4), B)):
+        got = christoffel_on(L, V, xs)
+        assert got.shape == (len(xs), 4, 4, 4)
+        for x, gamma in zip(xs, got):
+            assert gamma.tobytes() == christoffel(L, V, x).gamma.tobytes()
+
+
+def test_christoffel_on_names_the_first_failing_point():
+    # g is singular on x1 = 1, and L cannot be evaluated past x1 = 2
+    entries = {(0, 1): 1.0, (2, 2): lambda x: -(1.0 - x[1] * x[1]),
+               (3, 3): lambda x: -jets.sqrt(2.0 - x[1])}
+    L = QuadraticLagrangian(entries, 4, [1.0, 1.0, 0.0, 0.0], name="walls")
+    V = VectorField.constant([1.0, 1.0, 0.0, 0.0])
+    xs = np.random.default_rng(4).uniform(-0.5, 0.5, (48, 4))
+    singular = [0.0, 1.0, 0.2, 0.0]
+    outside = [0.0, 3.0, 0.0, 0.1]
+    for first, second, error in ((singular, outside, SignatureError),
+                                 (outside, singular, EvaluationError)):
+        with pytest.raises(error):
+            christoffel(L, V, first)
+        bad = xs.copy()
+        bad[37], bad[40] = first, second
+        with pytest.raises(error, match=r"^at x=%s: " % re.escape(
+                repr([float(t) for t in first]))):
+            christoffel_on(L, V, bad)

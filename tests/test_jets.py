@@ -435,7 +435,8 @@ def test_batched_lanes_are_bitwise_unbatched(points, sig):
                         == derivative_tensor(want, slots, k).tobytes()), name
 
 
-@pytest.mark.parametrize("L,good,bad", [
+# (L, good lanes, bad lane): L fails at the bad lane alone
+FAILING_LANE = pytest.mark.parametrize("L,good,bad", [
     (lambda x, v: jets.sqrt(v[0] - 1.0), (2.5, 3.0), 0.5),
     (lambda x, v: 1.0 / (v[0] - 1.5), (2.5, 3.0), 1.5),
     (lambda x, v: jets.exp(400.0 * v[0]), (1.0, 1.5), 2.0),
@@ -443,6 +444,9 @@ def test_batched_lanes_are_bitwise_unbatched(points, sig):
     (lambda x, v: (v[0] * 1e200) * (v[0] * 1e200), (1e-150, 2e-150), 1.0),
 ], ids=["sqrt-negative", "reciprocal-zero", "exp-overflow", "log-zero",
         "product-overflow"])
+
+
+@FAILING_LANE
 def test_a_failing_lane_fails_the_batch_as_it_fails_alone(L, good, bad):
     # the middle lane raises (or, for the product, overflows to inf) alone
     def raised(v):
@@ -476,3 +480,62 @@ def test_batched_jets_reject_other_batch_shapes():
             a * other
         with pytest.raises(TypeError):
             a + other
+
+
+@FAILING_LANE
+def test_a_failing_plain_lane_fails_the_call_as_it_fails_alone(L, good, bad):
+    for v0 in good:
+        jets._call(L, [0.0], [v0, 1.0])
+    with pytest.raises(EvaluationError):
+        jets._call(L, [0.0], [bad, 1.0])
+    out = jets._call(L, [0.0], [jets.lanes(good), jets.lanes([1.0, 1.0])])
+    assert out.tolist() == [jets._call(L, [0.0], [v0, 1.0]) for v0 in good]
+    lanes = jets.lanes([good[0], bad, good[1]])
+    with pytest.raises(EvaluationError):
+        jets._call(L, [0.0], [lanes, jets.lanes(np.ones(3))])
+
+
+def test_plain_lanes_are_bitwise_float_evaluation():
+    # numpy squares x ** 2 as x * x, where a float calls C pow: the two
+    # differ in the last bit for about one value in a thousand
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(20000) * np.exp(rng.uniform(-5.0, 5.0, 20000))
+    b = rng.uniform(0.1, 3.0, 20000)
+
+    def f(x, y):
+        return (jets.cos(x) ** 2 - x ** 3 * y + 2.0 ** y
+                + jets.sqrt(y) / (1.0 + x * x) - jets.exp(-y) * x)
+
+    got = f(jets.lanes(a), jets.lanes(b))
+    assert isinstance(got, jets.Lanes)
+    want = [f(s, t) for s, t in zip(a.tolist(), b.tolist())]
+    assert got.tobytes() == np.array(want).tobytes()
+    for fn in (jets.sin, jets.cosh, jets.sinh, jets.log):
+        assert fn(jets.lanes(b)).tolist() == [fn(t) for t in b.tolist()]
+
+
+def test_lanes_times_a_jet_keeps_plain_coefficients():
+    _, (v,) = variables(np.array([[1.0], [2.0]]), 2)
+    w = jets.lanes([3.0, 4.0]) * v * v
+    assert type(w.c) is np.ndarray
+    assert type(derivative_tensor(w, [0], 2)) is np.ndarray
+    assert derivative_tensor(w, [0], 2).tolist() == [[[6.0]], [[8.0]]]
+
+
+def test_twin_cache_keeps_only_recent_lane_counts():
+    ctx = jets._Context(3, 3)
+    a = [0.3, -1.2, 0.7]
+    b = [1.1, 0.4, -0.5]
+    want = (Jet.variable(ctx, 0, a[0]) * Jet.variable(ctx, 1, b[1])
+            * Jet.variable(ctx, 2, a[2]))
+    for lanes in list(range(1, 40)) + [3, 3, 2]:
+        twin = ctx.batched(lanes)
+        assert len(ctx._batches) <= jets._TWINS
+        assert twin is ctx.batched(lanes)
+        col = np.ones(lanes)
+        got = (Jet.variable(twin, 0, a[0] * col)
+               * Jet.variable(twin, 1, b[1] * col)
+               * Jet.variable(twin, 2, a[2] * col))
+        for lane in range(lanes):
+            assert got.c[:, lane].tobytes() == want.c.tobytes()
+    assert list(ctx._batches)[-2:] == [3, 2]

@@ -9,8 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsler.errors import ConeError, ConfigError, ConstructionError
+from finsler import fixtures, jets
+from finsler.errors import (
+    ConeError,
+    ConfigError,
+    ConstructionError,
+    EvaluationError,
+)
 from finsler.lagrangian import (
+    _SEGMENT_T,
+    Lagrangian,
     RandersNorm,
     build_brinkmann_quadratic,
     build_minkowski,
@@ -272,3 +280,56 @@ def test_randers_norm_validation():
         RandersNorm(np.diag([1.0, -1.0]), np.zeros(2), 2)
     with pytest.raises(ConstructionError):
         RandersNorm(np.eye(2), [0.8, 0.8], 2)
+
+
+# -- plain-lane evaluation ---------------------------------------------------------
+
+MODELS = {**catalog(), **{k: b() for k, b in fixtures.BUILDERS.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_value_on_is_bitwise_value(name):
+    L = MODELS[name]
+    rng = np.random.default_rng(5)
+    xs = 0.4 * rng.standard_normal((40, L.dim))
+    vs = L.cone_ref_at(np.zeros(L.dim)) + rng.standard_normal(xs.shape)
+    got = L.value_on(xs, vs)
+    assert got.tobytes() == np.array(
+        [L.value(x, v) for x, v in zip(xs, vs)]).tobytes()
+    got = L.value_on(xs[0], vs)
+    assert got.tobytes() == np.array([L.value(xs[0], v) for v in vs]).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_is_admissible_is_the_scalar_segment_sweep(name):
+    L = MODELS[name]
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        x = 0.4 * rng.standard_normal(L.dim)
+        ref = L.cone_ref_at(x)
+        v = ref + 0.8 * rng.standard_normal(L.dim)
+        vals = [L.value(x, (1.0 - t) * ref + t * v) for t in _SEGMENT_T[:, 0]]
+        for closed in (False, True):
+            m = L.is_admissible(x, v, closed=closed)
+            assert (m.value, m.margin) == (vals[-1], min(vals))
+            interior = all(val > 0.0 for val in vals[:-1])
+            end = (vals[-1] >= -1e-12 * max(1.0, abs(vals[0]), abs(vals[-1]))
+                   if closed else vals[-1] > 0.0)
+            assert m.inside == (interior and end)
+
+
+def test_value_on_fails_as_a_failing_pair_fails_alone():
+    L = fixtures.rosen_cos2()
+
+    def func(x, v):
+        return L(x, v) + jets.log(x[1]) * v[2] * v[2]
+
+    W = Lagrangian(func, 4, [1.0, 1.0, 0.0, 0.0], name="log-wall")
+    xs = np.full((5, 4), 0.5)
+    assert W.value_on(xs, np.ones((5, 4))).tolist() == [
+        W.value(x, np.ones(4)) for x in xs]
+    xs[3, 1] = 0.0
+    with pytest.raises(EvaluationError):
+        W.value(xs[3], np.ones(4))
+    with pytest.raises(EvaluationError):
+        W.value_on(xs, np.ones((5, 4)))

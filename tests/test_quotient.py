@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from finsler import fixtures, quotient
 from finsler import lagrangian as lg
-from finsler.connection import VectorField
+from finsler.connection import VectorField, christoffel_on
 from finsler.curvature import chern_curvature
 from finsler.errors import ChartError, ConstructionError
-from finsler.quotient import _transport_loop
+from finsler.quotient import _expm, _pieces, _transport_loop
+from helpers import scipy_expm
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 REPS = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
@@ -125,8 +126,8 @@ def test_transport_well_defined_mod_N():
     loop = quotient.rectangle_loop([0.0, 0.0, 0.2, -0.1], 2, 3, 0.05)
     frame = quotient.quotient_metric(L, E0, loop[0], REPS)
     N = VectorField.constant(E0)
-    y1 = _transport_loop(L, N, loop, REPS.T, 64)
-    y2 = _transport_loop(L, N, loop, (REPS + 5.0 * E0).T, 64)
+    (y1,) = _transport_loop(L, N, loop, REPS.T, (64,))
+    (y2,) = _transport_loop(L, N, loop, (REPS + 5.0 * E0).T, (64,))
     c1 = np.column_stack([frame.class_coords(y1[:, k]) for k in range(2)])
     c2 = np.column_stack([frame.class_coords(y2[:, k]) for k in range(2)])
     assert np.max(np.abs(c1 - c2)) <= 1e-8
@@ -141,3 +142,60 @@ def test_transport_requires_parallel_N():
     loop = quotient.rectangle_loop([0.0, 0.0, 0.0, 0.0], 0, 2, 0.4)
     with pytest.raises(ChartError, match="not parallel"):
         quotient.holonomy_defect(L, E0, loop, REPS, tol=1e-8)
+
+
+# -- the stacked matrix exponential ------------------------------------------------
+
+def expm_error(stack):
+    want = scipy_expm(stack)
+    return np.max(np.abs(_expm(stack) - want)) / max(1.0, np.max(np.abs(want)))
+
+
+def scaled(stack, norms):
+    """``stack`` with the 1-norms ``norms``."""
+    own = np.max(np.sum(np.abs(stack), axis=-2), axis=-1)
+    return stack * (norms / own)[:, None, None]
+
+
+def test_expm_matches_scipy_on_random_stacks():
+    # ||A||_1 up to 2: no squaring up to 1/2, then one or two
+    rng = np.random.default_rng(8)
+    for n in (2, 4, 5):
+        A = scaled(rng.standard_normal((100, n, n)), rng.uniform(0, 2, 100))
+        assert expm_error(A) <= 1e-14
+
+
+def test_expm_on_the_squaring_path():
+    # up to ||A||_1 = 10, five squarings.  scipy's own error grows past
+    # 1e-14 there (3.4e-13 on one of these symmetric matrices, against a
+    # 40-digit reference), so the oracle is the spectral exponential
+    rng = np.random.default_rng(9)
+    M = rng.standard_normal((200, 4, 4))
+    A = scaled(M + np.swapaxes(M, 1, 2), np.linspace(0.1, 10.0, 200))
+    lam, Q = np.linalg.eigh(A)
+    want = np.einsum("bij,bj,bkj->bik", Q, np.exp(lam), Q)
+    got = _expm(A)
+    err = np.max(np.abs(got - want), axis=(1, 2))
+    assert np.all(err <= 1e-14 * np.max(np.abs(want), axis=(1, 2)))
+    # one stack mixing every number of squarings gives each its own
+    for b in (0, 57, 199):
+        assert np.array_equal(_expm(A[b]), got[b])
+
+
+def test_expm_of_zero_is_the_identity():
+    assert np.array_equal(_expm(np.zeros((3, 4, 4))),
+                          np.broadcast_to(np.eye(4), (3, 4, 4)))
+    assert np.array_equal(_expm(np.zeros((4, 4))), np.eye(4))
+
+
+def test_expm_matches_scipy_on_the_quotient_example_loop():
+    # the 196 transport generators of configs/quotient_wave.json, on a
+    # curved (non-pp-wave) model so that they do not commute
+    L = fixtures.curved_null_control()
+    loop = quotient.rectangle_loop([0.0, 0.1, 0.2, -0.1], 1, 2, 0.1)
+    a, b = (np.concatenate(c) for c in zip(_pieces(loop, 64),
+                                           _pieces(loop, 128)))
+    gamma = christoffel_on(L, VectorField.constant(E0), 0.5 * (a + b))
+    G = -np.einsum("bkij,bi->bkj", gamma, b - a)
+    assert G.shape == (196, 4, 4) and np.any(G)
+    assert expm_error(G) <= 1e-14

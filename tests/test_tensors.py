@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
-from finsler import jets
-from finsler.lagrangian import build_brinkmann_quadratic, build_minkowski, catalog
+from finsler import fixtures, jets
+from finsler.errors import EvaluationError
+from finsler.lagrangian import (
+    Lagrangian,
+    build_brinkmann_quadratic,
+    build_minkowski,
+    catalog,
+)
 from finsler.tensors import (
     cartan_tensor,
     fundamental_tensor,
+    fundamental_tensor_on,
     homogeneity_report,
     signature_of,
 )
@@ -149,3 +156,30 @@ def test_report_serialization_shape():
     for c in d["checks"]:
         assert {"check", "residual", "tol", "pass"} <= set(c)
     assert '"pass": true' in rep.to_json()
+
+
+MODELS = {**catalog(), **{k: b() for k, b in fixtures.BUILDERS.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_fundamental_tensor_on_lanes_are_bitwise(name):
+    L = MODELS[name]
+    rng = np.random.default_rng(21)
+    xs = 0.4 * rng.standard_normal((2 * jets.LANE_BLOCK + 3, 4))
+    vs = L.cone_ref_at(np.zeros(4)) + 0.3 * rng.standard_normal(xs.shape)
+    got = fundamental_tensor_on(L, xs, vs)
+    assert got.shape == (len(xs), 4, 4)
+    for x, v, g in zip(xs, vs, got):
+        assert g.tobytes() == fundamental_tensor(L, x, v).matrix.tobytes()
+
+
+def test_fundamental_tensor_on_names_the_first_failing_point():
+    def func(x, v):
+        return jets.sqrt(1.0 - x[1]) * v[0] * v[0] - v[1] * v[1]
+
+    L = Lagrangian(func, 3, [1.0, 0.0, 0.0], name="sqrt-wall")
+    xs = np.zeros((40, 3))
+    xs[35, 1] = 2.0
+    xs[38, 1] = 3.0
+    with pytest.raises(EvaluationError, match=r"^at x=\[0\.0, 2\.0, 0\.0\]: "):
+        fundamental_tensor_on(L, xs, np.ones((40, 3)))
