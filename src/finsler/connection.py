@@ -29,11 +29,9 @@ from . import jets
 from .errors import (
     ConeError,
     EvaluationError,
-    FinslerError,
     NoGradientError,
     SignatureError,
     SolverError,
-    raise_first_failure,
 )
 from .report import Report, csv_text, fmt_float
 
@@ -310,27 +308,21 @@ def christoffel_on(L, V, xs):
     """Γ[b, k, i, j] at each point xs[b], stacked; lane b is bitwise
     ``christoffel(L, V, xs[b]).gamma``.
 
-    The points go through in blocks of `jets.LANE_BLOCK`, each one
-    batched jet evaluation and one stacked solve, behind the same gates.
-    A block fails as a whole; the error then is the one `christoffel`
-    raises at the first failing point of the block, with that point
-    named.  Like `christoffel`, it tests no cone membership.
+    The points go through `jets.in_blocks`, each block one batched jet
+    evaluation and one stacked solve, behind the same gates.  A block
+    fails as a whole; the error then is the one `christoffel` raises at
+    the first failing point of the block, with that point named.  Like
+    `christoffel`, it tests no cone membership.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    out = []
-    for lo in range(0, len(xs), jets.LANE_BLOCK):
-        block = xs[lo:lo + jets.LANE_BLOCK]
-        try:
-            vs = np.array([V(x) for x in block])
-            Js = np.array([V.jacobian(x) for x in block])
-            gamma, _, _, _, res = _symbols(L, block, vs, Js)
-            _residual_gate(res)
-        except FinslerError:
-            raise_first_failure(lambda x: christoffel(L, V, x),
-                                ((x,) for x in block))
-            raise
-        out.append(gamma)
-    return np.concatenate(out)
+    def kernel(block):
+        vs = np.array([V(x) for x in block])
+        Js = np.array([V.jacobian(x) for x in block])
+        gamma, _, _, _, res = _symbols(L, block, vs, Js)
+        _residual_gate(res)
+        return gamma
+
+    return jets.in_blocks(kernel, lambda x: christoffel(L, V, x),
+                          np.atleast_2d(np.asarray(xs, dtype=float)))
 
 
 def _koszul_residual(gamma, g, C, D, J, v):

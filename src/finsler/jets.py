@@ -35,10 +35,11 @@ Python's float power lane by lane, and numpy's + - * / round as Python
 floats do, so a model evaluated with lanes in place of floats (L on many
 vectors at once, or a base point's coordinates next to a batched fiber
 jet) gives each lane the bits of its scalar evaluation.  `_call`
-evaluates lanes under ``np.errstate`` with division by zero and invalid
-operations raising, so a lane whose float evaluation would raise fails
-the whole call with `EvaluationError`.  Callers pass point sets in
-lane blocks of `LANE_BLOCK`, which bounds the product temporaries.
+evaluates jets and lanes under ``np.errstate`` with division by zero
+and invalid operations raising, so a lane whose float evaluation would
+raise fails the whole call with `EvaluationError`.  Callers pass point
+sets through `in_blocks`, in lane blocks of `LANE_BLOCK`, which bounds
+the product temporaries.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, FinslerError
 
 __all__ = [
     "LANE_BLOCK",
+    "in_blocks",
     "Jet",
     "Lanes",
     "lanes",
@@ -78,7 +80,7 @@ LANE_BLOCK = 32
 # batched twins a context keeps, most recently used last
 _TWINS = 4
 
-# floats and jets raise (or warn) on their own
+# floats raise on their own
 _FLOAT_ERRORS = contextlib.nullcontext()
 
 
@@ -561,15 +563,17 @@ def derivative_tensor(w, slots, order):
 
 def _call(L, x, v):
     """Evaluate a Lagrangian-like callable, wrapping arithmetic failures;
-    a batched result fails if any lane does.  Where x or v holds plain
-    lanes, division by zero and invalid operations raise, as ``x / 0.0``
-    and ``math.sqrt(-1)`` do on floats, while overflow and underflow pass
-    silently, as ``x * y`` does on floats: an infinite value then fails
-    the finiteness test."""
-    lanes = isinstance(x[0], np.ndarray) or isinstance(v[0], np.ndarray)
+    a batched result fails if any lane does.  Where x or v holds jets or
+    plain lanes, division by zero and invalid operations raise, as
+    ``x / 0.0`` and ``math.sqrt(-1)`` do on floats, while overflow and
+    underflow pass silently, as ``x * y`` does on floats: an infinite
+    value then fails the finiteness test, while an infinite higher
+    coefficient of a finite value passes."""
+    arrays = isinstance(x[0], (np.ndarray, Jet)) or isinstance(
+        v[0], (np.ndarray, Jet))
     try:
         with (np.errstate(divide="raise", invalid="raise", over="ignore",
-                          under="ignore") if lanes else _FLOAT_ERRORS):
+                          under="ignore") if arrays else _FLOAT_ERRORS):
             w = L(x, v)
     except (ZeroDivisionError, OverflowError, ValueError,
             FloatingPointError) as e:
@@ -583,3 +587,28 @@ def _call(L, x, v):
         raise EvaluationError("Lagrangian evaluation returned a non-finite "
                               "value")
     return w
+
+
+def in_blocks(kernel, alone, *arrays):
+    """``kernel(*blocks)`` over the rows of ``arrays`` in lane blocks of
+    `LANE_BLOCK`, concatenated.
+
+    A block fails as a whole.  The error raised then is the one
+    ``alone(*row)`` raises at the block's first row that fails alone,
+    with that row's point (its entry of ``arrays[0]``) named; if no row
+    fails alone, the block's own error.
+    """
+    out = []
+    for lo in range(0, len(arrays[0]), LANE_BLOCK):
+        block = [a[lo:lo + LANE_BLOCK] for a in arrays]
+        try:
+            out.append(kernel(*block))
+        except FinslerError:
+            for row in zip(*block):
+                try:
+                    alone(*row)
+                except FinslerError as e:
+                    raise type(e)("at x=%r: %s" % (
+                        [float(t) for t in row[0]], e)) from e
+            raise
+    return np.concatenate(out)

@@ -30,7 +30,7 @@ from . import jets
 from .connection import as_vector_field
 from .errors import ChartError, SignatureError, SolverError
 from .lagrangian import Lagrangian, QuadraticLagrangian
-from .ppwave import lightlike_form_check
+from .ppwave import lightlike_form_check, touch_root
 from .report import Report, csv_text
 from .tensors import fundamental_tensor
 
@@ -181,35 +181,64 @@ class _RayProfile(RosenProfile):
 
 @dataclass
 class BrinkmannProfile:
-    """Vielbein M(u) and wave profile A(u) with H(u, x) = x^T A(u) x.
+    """Vielbein M(u) = h^{-1/2} O and wave profile A(u) with
+    H(u, x) = x^T A(u) x, built by `rosen_to_brinkmann` from Gauss panel
+    propagators.
 
-    ``from_triple(u, (h, h', h''))`` gives (h, M, A) at u from one profile
-    triple; `fields_on` and `vielbein_on` apply it on a grid evaluated by
-    one `RosenProfile.triples` call.  The profile `rosen_to_brinkmann`
-    returns needs no ``from_triple``: its rotation O comes from panel
-    propagators, and it overrides both grid methods.
+    ``sides`` holds, for u0 -> lower end and u0 -> upper end, the panel
+    edges outward from u0 and O at each edge.  O(u) is one partial Gauss
+    step from the edge of u's panel nearer u0, so a grid costs one
+    `RosenProfile.triples` call over its rows and their partial-step
+    nodes, and one stacked `_sqrt_derivs`: `vielbein_on` gives h and M
+    on a grid, `fields_on` gives (h, M, A) per row.
     """
 
     rosen: RosenProfile
     u0: float
     u_interval: tuple
-    from_triple: object = None
+    sides: list
     truncated: bool = False
     reason: str = ""
 
-    def fields(self, u):
-        return self.fields_on([u])[0]
-
-    def fields_on(self, us):
-        """[(h, M, A) at u for u in us]."""
-        return [self.from_triple(u, t)
-                for u, t in zip(us, zip(*self.rosen.triples(us)))]
+    def _frames(self, us):
+        """h, S^{-1}, S', S'' and O on the grid ``us``, stacked."""
+        us = np.asarray(us, dtype=float)
+        k = len(us)
+        edge = np.empty(k)
+        o_edge = np.empty((k, self.rosen.dim, self.rosen.dim))
+        for lower, (edges, rots) in zip((True, False), self.sides):
+            on = us < self.u0 if lower else us >= self.u0
+            dist = np.abs(edges - self.u0)
+            p = np.searchsorted(dist, np.abs(us[on] - self.u0), "right") - 1
+            p = np.minimum(p, max(len(edges) - 2, 0))
+            edge[on] = edges[p]
+            o_edge[on] = rots[p]
+        step = us - edge
+        grid = np.concatenate([us, (edge[:, None]
+                                    + _GL_C * step[:, None]).ravel()])
+        h, hd, hdd = self.rosen.triples(grid)
+        sinv, sd, sdd = _sqrt_derivs(*_eigh_positive(grid, h), hd, hdd)
+        w = _skew(sinv[k:] @ sd[k:]).reshape(k, len(_GL_C), *h.shape[1:])
+        o = _gauss_step(w, step) @ o_edge
+        return h[:k], sinv[:k], sd[:k], sdd[:k], o
 
     def vielbein_on(self, us):
         """h and M on the grid ``us``, each stacked (len(us), m, m)."""
-        rows = self.fields_on(us)
-        return (np.array([r[0] for r in rows]),
-                np.array([r[1] for r in rows]))
+        h, sinv, _, _, o = self._frames(us)
+        return h, sinv @ o
+
+    def fields_on(self, us):
+        """[(h, M, A) at u for u in us]."""
+        h, sinv, sd, sdd, o = self._frames(us)
+        k = sinv @ sd
+        w = _skew(k)
+        wd = _skew(sinv @ sdd - k @ k)
+        a = (np.swapaxes(o, -1, -2)
+             @ (w @ w + wd + (2.0 * (w @ sd) + sdd) @ sinv) @ o)
+        return list(zip(h, sinv @ o, 0.5 * (a + np.swapaxes(a, -1, -2))))
+
+    def fields(self, u):
+        return self.fields_on([u])[0]
 
     def A(self, u):
         return self.fields(u)[2]
@@ -243,57 +272,6 @@ class BrinkmannProfile:
         rep.add("symmetry condition",
                 float(np.max(np.abs(s - np.swapaxes(s, -1, -2)))), tol)
         return rep
-
-
-class _PanelProfile(BrinkmannProfile):
-    """The profile `rosen_to_brinkmann` builds from Gauss panel propagators.
-
-    ``sides`` holds, for u0 -> lower end and u0 -> upper end, the panel
-    edges outward from u0 and O at each edge.  O(u) is one partial Gauss
-    step from the edge of u's panel nearer u0, so a grid costs one
-    `RosenProfile.triples` call over its rows and their partial-step
-    nodes, and one stacked `_sqrt_derivs`.
-    """
-
-    def __init__(self, rosen, u0, u_interval, sides, truncated, reason):
-        super().__init__(rosen=rosen, u0=u0, u_interval=u_interval,
-                         truncated=truncated, reason=reason)
-        self._sides = sides
-
-    def _frames(self, us):
-        """h, S^{-1}, S', S'' and O on the grid ``us``, stacked."""
-        us = np.asarray(us, dtype=float)
-        k = len(us)
-        edge = np.empty(k)
-        o_edge = np.empty((k, self.rosen.dim, self.rosen.dim))
-        for lower, (edges, rots) in zip((True, False), self._sides):
-            on = us < self.u0 if lower else us >= self.u0
-            dist = np.abs(edges - self.u0)
-            p = np.searchsorted(dist, np.abs(us[on] - self.u0), "right") - 1
-            p = np.minimum(p, max(len(edges) - 2, 0))
-            edge[on] = edges[p]
-            o_edge[on] = rots[p]
-        step = us - edge
-        grid = np.concatenate([us, (edge[:, None]
-                                    + _GL_C * step[:, None]).ravel()])
-        h, hd, hdd = self.rosen.triples(grid)
-        sinv, sd, sdd = _sqrt_derivs(*_eigh_positive(grid, h), hd, hdd)
-        w = _skew(sinv[k:] @ sd[k:]).reshape(k, len(_GL_C), *h.shape[1:])
-        o = _gauss_step(w, step) @ o_edge
-        return h[:k], sinv[:k], sd[:k], sdd[:k], o
-
-    def vielbein_on(self, us):
-        h, sinv, _, _, o = self._frames(us)
-        return h, sinv @ o
-
-    def fields_on(self, us):
-        h, sinv, sd, sdd, o = self._frames(us)
-        k = sinv @ sd
-        w = _skew(k)
-        wd = _skew(sinv @ sdd - k @ k)
-        a = (np.swapaxes(o, -1, -2)
-             @ (w @ w + wd + (2.0 * (w @ sd) + sdd) @ sinv) @ o)
-        return list(zip(h, sinv @ o, 0.5 * (a + np.swapaxes(a, -1, -2))))
 
 
 @dataclass
@@ -512,9 +490,12 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
     truncated there and flagged.  The wall is found by a batched grid scan
     up front, or at a propagator node the scan stepped over; either way
     `brentq` locates it between a point above the floor and one at or
-    below it.
+    below it.  A dip of the positivity margin that the scan's grid steps
+    over is the `touch_root` of the margin's exact slope q^T h' q (q the
+    eigenvector of the smallest eigenvalue of h), the search that also
+    polishes the tangential focal roots of `ppwave.delta_scan`.
     """
-    from scipy.optimize import brentq, minimize_scalar
+    from scipy.optimize import brentq
 
     if not isinstance(rosen, RosenProfile):
         rosen = RosenProfile(h=rosen)
@@ -532,6 +513,12 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
     def pos_margin(u):
         return float(np.min(np.linalg.eigvalsh(rosen.matrix(u)))) - floor
 
+    def margin_slope(u):
+        # q^T h' q, q the unit eigenvector of the smallest eigenvalue of h
+        h, hd, _ = rosen.triple(u)
+        q = np.linalg.eigh(h)[1][:, 0]
+        return float(q @ hd @ q)
+
     def wall_between(good, bad):
         a, b = sorted((float(good), float(bad)))
         return float(brentq(pos_margin, a, b, xtol=1e-12))
@@ -541,24 +528,21 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
 
         The O-equation can be trivial (diagonal h), letting its panels
         stride over a positivity dip, so the wall is located up front.
-        Dips that stay above the grid (tangential degeneracies) are
-        hunted with a bounded minimizer before deciding.
+        A dip that stays above the grid (a tangential degeneracy) is the
+        `touch_root` of the margin's exact slope, if the margin there is
+        not above 0.  ``margins[0]`` is positive: it is the margin at u0.
         """
         ref = max(margins[0], 1e-3)
         for i in range(1, len(us)):
             if margins[i] <= 0.0:
-                if margins[i - 1] > 0.0:
-                    return wall_between(us[i - 1], us[i])
-                return float(us[i - 1])
+                return wall_between(us[i - 1], us[i])
             if (i + 1 < len(us) and margins[i] < 0.25 * ref
                     and margins[i] <= margins[i - 1]
                     and margins[i] <= margins[i + 1]):
                 lo, hi = sorted((float(us[i - 1]), float(us[i + 1])))
-                res = minimize_scalar(pos_margin, bounds=(lo, hi),
-                                      method="bounded",
-                                      options={"xatol": 1e-12})
-                if res.fun <= 0.0:
-                    return wall_between(us[i - 1], res.x)
+                r = touch_root(pos_margin, margin_slope, lo, hi, 0.0, 1e-12)
+                if r is not None:
+                    return wall_between(us[i - 1], r)
         return None
 
     # the scans of both sides are one batched triple, 129 points each
@@ -594,8 +578,8 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
         sides.append((np.array([u0] + [p[1] for p in side]),
                       np.array(rots)))
 
-    return _PanelProfile(rosen, u0, (ends[0], ends[1]), sides, truncated,
-                         reason)
+    return BrinkmannProfile(rosen, u0, (ends[0], ends[1]), sides, truncated,
+                            reason)
 
 
 def brinkmann_roundtrip(A, u_interval, tol=1e-6):

@@ -23,12 +23,13 @@ from . import jets
 from .connection import _field_jet, as_vector_field, christoffel
 from .errors import ConfigError, SolverError
 from .lagrangian import PROFILES
-from .report import Report, csv_text, dump_json
-from .tensors import fundamental_tensor, fundamental_tensor_on
+from .report import Report, csv_text
+from .tensors import (fundamental_tensor, fundamental_tensor_on,
+                      leading_minors)
 
 __all__ = [
     "LightlikeChartReport", "DeltaCurve", "lightlike_form_check",
-    "parallel_criterion", "delta_scan", "brinkmann_oracle",
+    "parallel_criterion", "delta_scan", "touch_root", "brinkmann_oracle",
 ]
 
 DEGENERATE_KIND = "degenerate focal point, multiplicity >= 2"
@@ -39,10 +40,6 @@ _CHART_TOL = 1e-9
 _PARALLEL_TOL = 1e-8
 _ROOT_XTOL = 1e-10
 _TOUCH_TOL = 1e-12
-
-
-def _leading_minors(h):
-    return [float(np.linalg.det(h[:k, :k])) for k in range(1, h.shape[0] + 1)]
 
 
 # -- chart template --------------------------------------------------------
@@ -63,22 +60,6 @@ class LightlikeChartReport:
     @property
     def passed(self):
         return bool(self.shape_ok and self.h_posdef)
-
-    def to_dict(self):
-        return {
-            "report": "lightlike-chart",
-            "pass": self.passed,
-            "shape_ok": bool(self.shape_ok),
-            "h_posdef": bool(self.h_posdef),
-            "x": [float(t) for t in self.x],
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "minors": [float(m) for m in self.minors],
-            "h_block": [[float(a) for a in row] for row in self.h_block],
-            "tol": float(self.tol),
-        }
-
-    def to_json(self):
-        return dump_json(self.to_dict()) + "\n"
 
 
 def lightlike_form_check(L, N, x):
@@ -106,7 +87,7 @@ def lightlike_form_check(L, N, x):
     shape_ok = max(residuals.values()) <= _CHART_TOL * scale
 
     h = -g[2:, 2:]
-    minors = _leading_minors(h)
+    minors = leading_minors(h).tolist()
     h_posdef = all(m > 0.0 for m in minors)
     return LightlikeChartReport(x=x, g=g, shape_ok=bool(shape_ok),
                                 h_block=h, h_posdef=bool(h_posdef),
@@ -149,6 +130,24 @@ def parallel_criterion(L, N, region_samples):
 
 # -- focal scan --------------------------------------------------------------
 
+def touch_root(f, slope, a, b, touch, xtol):
+    """A tangential zero of ``f`` on [a, b] from its exact ``slope``.
+
+    Where the slope turns from negative at a to positive at b, its
+    `brentq` root r (to ``xtol``) is the bottom of the dip of f; r is
+    returned if f(r) <= ``touch``, and None otherwise or if the slope
+    does not turn.  The focal scan polishes the even-order zeros of
+    det h with it, and `penrose.rosen_to_brinkmann` the positivity walls
+    of h that its scan steps over.
+    """
+    from scipy.optimize import brentq
+
+    if not slope(a) < 0.0 < slope(b):
+        return None
+    r = float(brentq(slope, a, b, xtol=xtol))
+    return r if f(r) <= touch else None
+
+
 @dataclass
 class DeltaCurve:
     """Delta = sqrt(det h) along a ray, with located zeros.
@@ -171,18 +170,6 @@ class DeltaCurve:
         return csv_text(["t", "delta", "det_h"], np.column_stack(
             [self.params, self.delta, self.det_h]))
 
-    def to_dict(self):
-        return {
-            "report": "delta-scan",
-            "n_samples": int(len(self.params)),
-            "roots": [float(r) for r in self.roots],
-            "kinds": list(self.kinds),
-            "flagged": [[float(a), float(b)] for a, b in self.flagged],
-        }
-
-    def to_json(self):
-        return dump_json(self.to_dict()) + "\n"
-
 
 def delta_scan(L, N, ray):
     """Scan Delta = sqrt(det h) along ``ray`` and locate its zeros.
@@ -193,9 +180,9 @@ def delta_scan(L, N, ray):
     knots, so the metrics there are one `fundamental_tensor_on` call, with
     stacked determinants and minors.  Sign changes of det h are polished
     with `brentq`.  Tangential (even-order) zeros, which no sign-change
-    bracket sees, are `brentq` roots of the exact slope of det h across
-    its dips, accepted when det h there is under 1e-12 times the det-h
-    scale.
+    bracket sees, are `touch_root` roots of the exact slope of det h
+    across its dips, accepted when det h there is under 1e-12 times the
+    det-h scale.
     """
     from scipy.interpolate import CubicHermiteSpline
     from scipy.optimize import brentq
@@ -235,8 +222,7 @@ def delta_scan(L, N, ray):
     d4 = -np.linalg.det(gs)
     delta4 = np.sqrt(np.where(d4 >= 0.0, d4, np.nan))
     hscale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
-    pos_ok = np.all([np.linalg.det(h[:, :k, :k]) > -1e-12 * hscale
-                     for k in range(1, h.shape[1] + 1)], axis=0)
+    pos_ok = np.all(leading_minors(h) > -1e-12 * hscale[:, None], axis=1)
     m = len(ts)
 
     scale = max(1.0, float(np.max(np.abs(dets))))
@@ -261,14 +247,11 @@ def delta_scan(L, N, ray):
             continue
         if dets[i - 1] <= 0.0 or dets[i + 1] <= 0.0:
             continue
-        a, b = float(ts[i - 1]), float(ts[i + 1])
-        if not det_h_slope(a) < 0.0 < det_h_slope(b):
-            continue
-        r = brentq(det_h_slope, a, b, xtol=_ROOT_XTOL)
-        if det_h(r) > _TOUCH_TOL * scale:
-            continue
-        roots.append(float(r))
-        kinds.append(DEGENERATE_KIND)
+        r = touch_root(det_h, det_h_slope, float(ts[i - 1]),
+                       float(ts[i + 1]), _TOUCH_TOL * scale, _ROOT_XTOL)
+        if r is not None:
+            roots.append(r)
+            kinds.append(DEGENERATE_KIND)
 
     order = np.argsort(roots)
     roots = [roots[k] for k in order]

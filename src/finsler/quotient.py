@@ -15,7 +15,7 @@ import numpy as np
 
 from .connection import as_vector_field, christoffel_on
 from .errors import ChartError, ConstructionError, SignatureError
-from .tensors import fundamental_tensor
+from .tensors import fundamental_tensor, leading_minors
 
 __all__ = ["QuotientFrame", "quotient_metric", "rectangle_loop",
            "holonomy_defect"]
@@ -74,8 +74,7 @@ def quotient_metric(L, N, x, reps):
 
     gbar = -(reps @ g @ reps.T)
     gbar = 0.5 * (gbar + gbar.T)
-    minors = [np.linalg.det(gbar[:k, :k]) for k in range(1, len(reps) + 1)]
-    if not all(m > 0.0 for m in minors):
+    if not np.all(leading_minors(gbar) > 0.0):
         raise SignatureError("quotient metric is not positive definite")
     return QuotientFrame(base=x, nvec=nvec, reps=reps, gbar=gbar, g=g)
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import FinslerError, raise_first_failure
 from .report import Report
 
 __all__ = [
@@ -25,6 +24,7 @@ __all__ = [
     "fundamental_tensor_on",
     "cartan_tensor",
     "signature_of",
+    "leading_minors",
     "homogeneity_report",
 ]
 
@@ -73,26 +73,22 @@ def fundamental_tensor_on(L, xs, vs):
     """g[b] = g(xs[b], vs[b]), stacked; lane b is bitwise
     ``fundamental_tensor(L, xs[b], vs[b]).matrix``.
 
-    The pairs go through in blocks of `jets.LANE_BLOCK`, each one batched
-    jet in v with the base points as plain `jets.Lanes`.  A block fails as
-    a whole; the error then is the one `fundamental_tensor` raises at the
+    The pairs go through `jets.in_blocks`, each block one batched jet in
+    v with the base points as plain `jets.Lanes`.  A block fails as a
+    whole; the error then is the one `fundamental_tensor` raises at the
     first failing pair, with its point named.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     n = vs.shape[1]
-    out = []
-    for lo in range(0, len(vs), jets.LANE_BLOCK):
-        xb, vb = xs[lo:lo + jets.LANE_BLOCK], vs[lo:lo + jets.LANE_BLOCK]
+
+    def kernel(xb, vb):
         _, vj = jets.variables(vb, 2)
-        try:
-            w = jets._call(L, list(jets.lanes(xb.T.copy())), vj)
-        except FinslerError:
-            raise_first_failure(lambda x, v: fundamental_tensor(L, x, v),
-                                zip(xb, vb))
-            raise
-        out.append(0.5 * jets.derivative_tensor(w, range(n), 2))
-    return np.concatenate(out)
+        w = jets._call(L, list(jets.lanes(xb.T.copy())), vj)
+        return 0.5 * jets.derivative_tensor(w, range(n), 2)
+
+    return jets.in_blocks(kernel, lambda x, v: fundamental_tensor(L, x, v),
+                          xs, vs)
 
 
 def cartan_tensor(L, x, v):
@@ -123,23 +119,33 @@ def signature_of(matrix):
     return Signature(plus=plus, minus=minus, zero=zero)
 
 
+def leading_minors(h):
+    """det h[..., :k, :k] for k = 1, ..., m, stacked on a last axis.
+
+    A stack of matrices takes each minor by one stacked `np.linalg.det`,
+    which gives every matrix the bits of its own determinant.
+    """
+    h = np.asarray(h, dtype=float)
+    return np.stack([np.linalg.det(h[..., :k, :k])
+                     for k in range(1, h.shape[-1] + 1)], axis=-1)
+
+
 def homogeneity_report(L, x, v, tol=1e-9):
     """Residuals for the degree-2 homogeneity identities at one (x, v).
 
     Checks L(lambda v) = lambda^2 L, g_(lambda v) = g_v, g_v(v,v) = L and
-    C_v(v,.,.) = 0.  Reports failures rather than raising, except for a v
-    outside the closed cone of a `Lagrangian` (ConeError); a raw callable
-    has no cone to test.
+    C_v(v,.,.) = 0 for a `Lagrangian` ``L``.  Reports failures rather
+    than raising, except for a v outside the closed cone (ConeError),
+    which `Lagrangian.check_admissible` tests first.
     """
     x = [float(t) for t in x]
     v = np.asarray(v, dtype=float)
-    if hasattr(L, "check_admissible"):
-        L.check_admissible(x, v)
+    L.check_admissible(x, v)
     rep = Report(title="homogeneity", meta={"x": list(x), "v": v.tolist()})
 
-    Lv = L.value(x, v) if hasattr(L, "value") else float(L(x, v))
+    Lv = L.value(x, v)
     for lam in (0.5, 2.0, 3.0):
-        Ll = L.value(x, lam * v) if hasattr(L, "value") else float(L(x, lam * v))
+        Ll = L.value(x, lam * v)
         target = lam * lam * Lv
         res = abs(Ll - target) / max(1.0, abs(target))
         rep.add("L(%.1f v) = %.1f^2 L" % (lam, lam), res, tol)

@@ -111,7 +111,8 @@ def test_geodesic_writes_csv(tmp_path, capsys):
                                   "--out", str(out)])
     assert code == 0
     assert rep["pass"] is True
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fp:
+        rows = list(csv.DictReader(fp))
     assert len(rows) == 50
     assert set(rows[0]) == {"t", "x0", "x1", "x2", "x3",
                             "v0", "v1", "v2", "v3", "L_drift"}
@@ -145,7 +146,8 @@ def test_focal_flags_a_ray_with_no_positive_det_h(tmp_path, capsys):
     assert code == 0
     assert rep["meta"]["flagged"] == [[0.0, 0.5]]
     assert rep["meta"]["roots"] == []
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fp:
+        rows = list(csv.DictReader(fp))
     assert len(rows) == 20
     assert all(row["delta"] == "nan" for row in rows)
 
@@ -161,7 +163,8 @@ def test_penrose_csv_has_plane_wave_profile(tmp_path, capsys):
     assert rep["meta"]["truncated"] is False
     a_mid = np.array(rep["meta"]["A_mid"])
     assert np.max(np.abs(a_mid - np.diag([-1.0, 0.0]))) <= 1e-6
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fp:
+        rows = list(csv.DictReader(fp))
     for row in rows:
         u = float(row["u"])
         assert abs(float(row["h00"]) - np.cos(u) ** 2) <= 1e-12

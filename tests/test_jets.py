@@ -456,17 +456,17 @@ def test_a_failing_lane_fails_the_batch_as_it_fails_alone(L, good, bad):
             return type(e)
         return None
 
+    for v0 in good:
+        jets._call(L, [0.0], variables([v0, 1.0], 2)[1])
+    alone = variables([bad, 1.0], 2)[1]
+    with pytest.raises(EvaluationError):
+        jets._call(L, [0.0], alone)
+    _, lanes = variables(np.array([[good[0], 1.0], [bad, 1.0],
+                                   [good[1], 1.0]]), 2)
+    with pytest.raises(EvaluationError):
+        jets._call(L, [0.0], lanes)
+    # the same exception, before `_call` maps it
     with np.errstate(over="ignore"):
-        for v0 in good:
-            jets._call(L, [0.0], variables([v0, 1.0], 2)[1])
-        alone = variables([bad, 1.0], 2)[1]
-        with pytest.raises(EvaluationError):
-            jets._call(L, [0.0], alone)
-        _, lanes = variables(np.array([[good[0], 1.0], [bad, 1.0],
-                                       [good[1], 1.0]]), 2)
-        with pytest.raises(EvaluationError):
-            jets._call(L, [0.0], lanes)
-        # the same exception, before `_call` maps it
         assert raised(lanes) is raised(alone)
 
 

@@ -133,6 +133,29 @@ def test_truncation_at_focal_point():
     assert np.max(np.abs(bp.A(1.0) - np.diag([-1.0, 0.0]))) <= 1e-10
 
 
+@pytest.mark.parametrize("interval,side", [((-1.0, 2.2), 1),
+                                           ((-2.6, 1.0), 0)],
+                         ids=["upper", "lower"])
+def test_wall_between_scan_points_is_closed_form(monkeypatch, interval,
+                                                 side):
+    # cos^2 u stays above the floor 1e-8 at every point of the 129-point
+    # scan but dips below it between two: the dip's bottom is the root of
+    # the exact slope, and the wall is where cos^2 u = 1e-8
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimize_scalar called")
+
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", refuse)
+    scan = np.linspace(0.0, interval[side], 129)
+    assert np.all(np.cos(scan) ** 2 > 1e-8)
+    bp = penrose.rosen_to_brinkmann(cos2_triple, 0.0, interval)
+    assert bp.truncated
+    assert bp.u_interval[1 - side] == interval[1 - side]
+    wall = (2 * side - 1) * np.arccos(1e-4)
+    assert abs(bp.u_interval[side] - wall) <= 1e-12
+
+
 def test_truncation_in_both_directions():
     bp = penrose.rosen_to_brinkmann(cos2_profile(), 0.0, (-2.5, 2.5))
     assert bp.truncated
@@ -170,13 +193,12 @@ def test_rotating_profile_vielbein_conditions():
     assert rep.passed
     # the negative control: h^{-1/2} alone, O = identity, is orthonormal
     # but misses the symmetry condition of a rotating h
-    def invsqrt(u):
-        return np.linalg.inv(spd_sqrt(rotating_triple(u)[0]))
+    class Bare(penrose.BrinkmannProfile):
+        def vielbein_on(self, us):
+            h = self.rosen.triples(us)[0]
+            return h, np.array([np.linalg.inv(spd_sqrt(x)) for x in h])
 
-    bare = penrose.BrinkmannProfile(
-        rosen=bp.rosen, u0=0.0, u_interval=(-1.0, 1.0),
-        from_triple=lambda u, t: (t[0], invsqrt(u), None))
-    by_name = {c.name: c for c in bare.m_conditions(us).checks}
+    by_name = {c.name: c for c in Bare(**vars(bp)).m_conditions(us).checks}
     assert by_name["M^T h M = identity"].passed
     assert not by_name["symmetry condition"].passed
 

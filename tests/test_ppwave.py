@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,11 +70,10 @@ def test_posdef_verdict_by_minors():
 def test_template_report_serializes():
     L = lg.build_brinkmann_quadratic("x2-y2")
     rep = ppwave.lightlike_form_check(L, E0, [0.0, 0.1, 0.2, 0.3])
-    d = json.loads(rep.to_json())
-    assert d["report"] == "lightlike-chart"
-    assert d["pass"] is True
-    assert set(d["residuals"]) == {"N-e0", "g00", "g01", "g02", "g03"}
-    assert d["minors"] == [1.0, 1.0]
+    assert rep.passed is True
+    assert set(rep.residuals) == {"N-e0", "g00", "g01", "g02", "g03"}
+    assert rep.minors == [1.0, 1.0]
+    assert all(type(m) is float for m in rep.minors)
 
 
 @settings(max_examples=25, deadline=None)
@@ -188,9 +185,40 @@ def test_delta_csv_and_json():
     back = np.array([[float(a) for a in ln.split(",")] for ln in lines[1:]])
     assert np.allclose(back[:, 0], dc.params)
     assert np.allclose(back[:, 2], dc.det_h)
-    d = json.loads(dc.to_json())
-    assert d["report"] == "delta-scan"
-    assert d["kinds"] == [ppwave.DEGENERATE_KIND]
+    assert dc.kinds == [ppwave.DEGENERATE_KIND]
+
+
+@pytest.mark.parametrize("d,touch,found", [
+    (-1e-14, 1e-12, True), (-1e-14, 0.0, False), (0.0, 0.0, True),
+    (1e-3, 0.0, True), (1e-3, -1e-2, False),
+])
+def test_touch_root_polishes_the_bottom_of_a_dip(d, touch, found):
+    # f = (t - c)^2 - d: the slope 2 (t - c) turns from - to + at c, and
+    # f(c) = -d decides whether the dip touches
+    c = 0.3 + 1.0 / 7.0
+
+    def f(t):
+        return (t - c) ** 2 - d
+
+    def slope(t):
+        return 2.0 * (t - c)
+
+    r = ppwave.touch_root(f, slope, 0.0, 1.0, touch, 1e-12)
+    if found:
+        assert abs(r - c) <= 1e-12
+    else:
+        assert r is None
+
+
+@pytest.mark.parametrize("sign,a,b", [(1.0, 0.5, 1.0), (1.0, 0.0, 0.4),
+                                      (-1.0, 0.0, 1.0)],
+                         ids=["rising", "falling", "bump"])
+def test_touch_root_needs_a_turning_slope(sign, a, b):
+    # the slope keeps its sign on [a, b], or turns from + to - at a bump
+    c = 0.45
+    assert ppwave.touch_root(lambda t: sign * ((t - c) ** 2 - 1.0),
+                             lambda t: sign * 2.0 * (t - c), a, b, 0.0,
+                             1e-12) is None
 
 
 def test_focal_matches_jacobi_zero():

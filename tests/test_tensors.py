@@ -16,6 +16,7 @@ from finsler.tensors import (
     fundamental_tensor,
     fundamental_tensor_on,
     homogeneity_report,
+    leading_minors,
     signature_of,
 )
 
@@ -128,6 +129,17 @@ def test_signature_of_with_threshold_and_degenerate_verdict():
     assert s.verdict == "other"
 
 
+def test_leading_minors_of_a_stack_match_each_matrix():
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((6, 3, 3))
+    got = leading_minors(h)
+    assert got.shape == (6, 3)
+    for row, m in zip(got, h):
+        want = [np.linalg.det(m[:k, :k]) for k in (1, 2, 3)]
+        assert row.tobytes() == np.array(want).tobytes()
+    assert leading_minors(h[0]).tobytes() == got[0].tobytes()
+
+
 def test_homogeneity_report_passes_on_catalog():
     for L in catalog().values():
         x = RNG.uniform(-1.0, 1.0, L.dim)
@@ -142,7 +154,8 @@ def test_homogeneity_report_flags_corrupted_lagrangian():
         return v[0] * v[0] - v[1] * v[1] - v[2] * v[2] - v[3] * v[3] \
             + 0.1 * v[0] * v[0] * v[0]
 
-    rep = homogeneity_report(L_bad, [0.0] * 4, [1.0, 0.2, 0.1, 0.0])
+    rep = homogeneity_report(Lagrangian(L_bad, 4, [1.0, 0.0, 0.0, 0.0]),
+                             [0.0] * 4, [1.0, 0.2, 0.1, 0.0])
     assert not rep.passed
     failed = [c for c in rep.checks if not c.passed]
     assert any(c.residual > 1e-3 for c in failed)
