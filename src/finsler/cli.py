@@ -386,8 +386,8 @@ Command = namedtuple("Command", "run tol curve params")
 # the sampling box has width 2 box, which must be finite
 _BOX = (positive, 0.8, 0.0, sys.float_info.max / 2)
 _N = (vector, "e0")
-# DOP853's rtol and atol; scipy raises an rtol below 100 machine epsilons,
-# and at such an atol the integrator may not take a step
+# rtol and atol of `ode.dop853`, which stops before its first step below
+# 100 machine epsilons
 _ODE_TOL = (positive, 1e-9, 100.0 * np.finfo(float).eps)
 
 COMMANDS = {

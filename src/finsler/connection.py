@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
+from . import jets, ode
 from .errors import (
     ConeError,
     EvaluationError,
@@ -536,6 +536,12 @@ def _value_or_nan(L, x, v):
 def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
     """Integrate the spray `_spray` from (x0, v0) over t_span.
 
+    `ode.dop853` integrates at rtol = atol = ``tol`` and samples the path
+    at ``n_samples`` evenly spaced times; where the spray fails its
+    right-hand side is NaN, and the integrator stops when its step size
+    has shrunk to nothing.  A ``tol`` below 100 machine epsilons stops it
+    before the first step, and the path is then (x0, v0) alone.
+
     Only (x0, v0) is tested against the cone.  One L evaluation per
     returned sample, all in one `Lagrangian.value_on` call, gives its
     drift and the cut: the path ends before the first sample where L
@@ -544,8 +550,6 @@ def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
     1e-12 max(1, |L(cone_ref)|, |L|), so for every CLI tolerance unless
     |L(cone_ref)| is large: there it is looser.
     """
-    from scipy.integrate import solve_ivp
-
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     n = len(x0)
@@ -558,15 +562,14 @@ def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
             return np.full(2 * n, np.nan)
 
     t0, t1 = float(t_span[0]), float(t_span[1])
-    t_eval = np.linspace(t0, t1, int(n_samples))
-    sol = solve_ivp(rhs, (t0, t1), np.concatenate([x0, v0]),
-                    method="DOP853", rtol=tol, atol=tol, t_eval=t_eval)
+    sol = ode.dop853(rhs, (t0, t1), np.concatenate([x0, v0]), tol,
+                     t_eval=np.linspace(t0, t1, int(n_samples)))
     if len(sol.t) == 0:
-        # stopped before the first sample: sol.y is then not an array
+        # stopped before the first sample
         ts = np.array([t0])
         ys = np.concatenate([x0, v0])[None, :]
     else:
-        ts, ys = sol.t, sol.y.T
+        ts, ys = sol.t, sol.y
 
     lscale = max(1.0, abs(l0))
     try:

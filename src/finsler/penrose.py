@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from . import jets
+from . import jets, ode
 from .connection import as_vector_field
 from .errors import ChartError, SignatureError, SolverError
 from .lagrangian import Lagrangian, QuadraticLagrangian
@@ -40,7 +40,7 @@ __all__ = [
     "rosen_to_brinkmann", "brinkmann_roundtrip", "plane_wave_lagrangian",
 ]
 
-# DOP853 tolerance of the roundtrip's E'' = A E
+# rtol and atol of the roundtrip's `ode.dop853` integration of E'' = A E
 _ODE_TOL = 1e-12
 
 
@@ -426,15 +426,13 @@ def _propagate(rosen, u0, ends, floor, wall_between):
 
 
 def _integrate_two_sided(rhs, y0, u0, interval, event):
-    """DOP853 at `_ODE_TOL` on both sides of u0, stopped by the terminal
-    ``event``.
+    """`ode.dop853` at `_ODE_TOL` on both sides of u0, each side stopped
+    where ``event`` reaches zero.
 
     Returns (eval_fn, reached, hit): ``eval_fn(u)`` is the dense state,
     ``reached`` the endpoints actually attained, and ``hit`` the
-    terminal-event locations (None where the event did not fire).
+    event locations (None where the event did not fire).
     """
-    from scipy.integrate import solve_ivp
-
     lo, hi = float(interval[0]), float(interval[1])
     sols = {}
     reached = [lo, hi]
@@ -444,11 +442,8 @@ def _integrate_two_sided(rhs, y0, u0, interval, event):
             sols[side] = None
             reached[side] = u0
             continue
-        event.terminal = True
-        sol = solve_ivp(rhs, (u0, target), y0, method="DOP853",
-                        rtol=_ODE_TOL, atol=_ODE_TOL, dense_output=True,
-                        events=event)
-        if not sol.success and sol.status != 1:
+        sol = ode.dop853(rhs, (u0, target), y0, _ODE_TOL, event=event)
+        if not sol.success:
             raise SolverError("profile integration failed: %s" % sol.message)
         sols[side] = sol.sol
         reached[side] = float(sol.t[-1])
@@ -489,14 +484,12 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
     `SignatureError`; if h falls to it inside the interval, the result is
     truncated there and flagged.  The wall is found by a batched grid scan
     up front, or at a propagator node the scan stepped over; either way
-    `brentq` locates it between a point above the floor and one at or
+    `ode.brent` locates it between a point above the floor and one at or
     below it.  A dip of the positivity margin that the scan's grid steps
     over is the `touch_root` of the margin's exact slope q^T h' q (q the
     eigenvector of the smallest eigenvalue of h), the search that also
     polishes the tangential focal roots of `ppwave.delta_scan`.
     """
-    from scipy.optimize import brentq
-
     if not isinstance(rosen, RosenProfile):
         rosen = RosenProfile(h=rosen)
     m = rosen.dim
@@ -521,7 +514,7 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
 
     def wall_between(good, bad):
         a, b = sorted((float(good), float(bad)))
-        return float(brentq(pos_margin, a, b, xtol=1e-12))
+        return ode.brent(pos_margin, a, b, 1e-12)
 
     def first_wall(us, margins):
         """The first loss of positivity on the scan ``us``, if any.
@@ -601,8 +594,11 @@ def brinkmann_roundtrip(A, u_interval, tol=1e-6):
                                (np.asarray(A(u), float) @ e).ravel()])
 
     def degenerate(u, y):
+        # det E falls from 1 and crosses 1e-8 just before a focal point;
+        # |det E| - 1e-8 would change sign only in a window too narrow for
+        # any step end to land in
         e = y[:m * m].reshape(m, m)
-        return abs(float(np.linalg.det(e))) - 1e-8
+        return float(np.linalg.det(e)) - 1e-8
 
     y0 = np.concatenate([np.eye(m).ravel(), np.zeros(m * m)])
     state, reached, hit = _integrate_two_sided(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jets
+from . import jets, ode
 from .connection import _field_jet, as_vector_field, christoffel
 from .errors import ConfigError, SolverError
 from .lagrangian import PROFILES
@@ -134,17 +134,15 @@ def touch_root(f, slope, a, b, touch, xtol):
     """A tangential zero of ``f`` on [a, b] from its exact ``slope``.
 
     Where the slope turns from negative at a to positive at b, its
-    `brentq` root r (to ``xtol``) is the bottom of the dip of f; r is
+    `ode.brent` root r (to ``xtol``) is the bottom of the dip of f; r is
     returned if f(r) <= ``touch``, and None otherwise or if the slope
     does not turn.  The focal scan polishes the even-order zeros of
     det h with it, and `penrose.rosen_to_brinkmann` the positivity walls
     of h that its scan steps over.
     """
-    from scipy.optimize import brentq
-
     if not slope(a) < 0.0 < slope(b):
         return None
-    r = float(brentq(slope, a, b, xtol=xtol))
+    r = ode.brent(slope, a, b, xtol)
     return r if f(r) <= touch else None
 
 
@@ -175,26 +173,21 @@ def delta_scan(L, N, ray):
     """Scan Delta = sqrt(det h) along ``ray`` and locate its zeros.
 
     ``ray`` is a `GeodesicPath` (an integral curve of N) with at least
-    two samples; positions between samples come from the cubic Hermite
+    two samples; positions between samples come from the `ode.Hermite`
     interpolant of (x, v), which returns the samples themselves at the
     knots, so the metrics there are one `fundamental_tensor_on` call, with
     stacked determinants and minors.  Sign changes of det h are polished
-    with `brentq`.  Tangential (even-order) zeros, which no sign-change
+    with `ode.brent`.  Tangential (even-order) zeros, which no sign-change
     bracket sees, are `touch_root` roots of the exact slope of det h
     across its dips, accepted when det h there is under 1e-12 times the
     det-h scale.
     """
-    from scipy.interpolate import CubicHermiteSpline
-    from scipy.optimize import brentq
-
     N = as_vector_field(N)
     ts = np.asarray(ray.t, dtype=float)
     if len(ts) < 2:
         raise SolverError("focal scan needs a ray with at least 2 samples, "
                           "got %d" % len(ts))
-    spline = CubicHermiteSpline(ts, np.asarray(ray.x, float),
-                                np.asarray(ray.v, float), axis=0)
-    velocity = spline.derivative()
+    spline = ode.Hermite(ts, ray.x, ray.v)
 
     def det_h(t):
         p = spline(float(t))
@@ -206,7 +199,7 @@ def delta_scan(L, N, ray):
         p = spline(float(t))
         g, _, D = _field_jet(L, p, N(p), N.jacobian(p))
         h = -g[2:, 2:]
-        hd = -np.einsum("i,ijk->jk", velocity(float(t)), D)[2:, 2:]
+        hd = -np.einsum("i,ijk->jk", spline.slope(t), D)[2:, 2:]
         total = 0.0
         for k in range(len(h)):
             hk = h.copy()
@@ -236,8 +229,7 @@ def delta_scan(L, N, ray):
             kinds.append("simple" if left * dets[i + 1] < 0.0
                          else DEGENERATE_KIND)
         elif dets[i] * dets[i + 1] < 0.0:
-            r = brentq(det_h, ts[i], ts[i + 1], xtol=_ROOT_XTOL)
-            roots.append(float(r))
+            roots.append(ode.brent(det_h, ts[i], ts[i + 1], _ROOT_XTOL))
             kinds.append("simple")
 
     for i in range(1, m - 1):

@@ -7,6 +7,10 @@ decoupling by C(v, ., .) = 0 that the library's closed form relies on.
 `scipy_expm` takes scipy's Padé exponential of each matrix of a stack, the
 oracle of the in-house `quotient._expm`.
 
+`scipy_dop853`, `scipy_brentq` and `scipy_hermite` run scipy's
+``solve_ivp(method="DOP853")``, ``brentq`` and ``CubicHermiteSpline``, the
+oracles of the library's own `finsler.ode`.
+
 `dop853_vielbein` integrates the Penrose O-equation O' = -W O with DOP853
 and takes S = h^{1/2} and its derivatives from scipy's Sylvester solver,
 independently of the library's Gauss panel propagators and eigenbasis
@@ -65,6 +69,31 @@ def scipy_expm(stack):
     stack = np.asarray(stack, dtype=float)
     flat = stack.reshape((-1,) + stack.shape[-2:])
     return np.array([expm(a) for a in flat]).reshape(stack.shape)
+
+
+def scipy_dop853(fun, t_span, y0, tol, t_eval=None, event=None):
+    """scipy's DOP853 at rtol = atol = ``tol``, stopped where ``event``
+    reaches zero: (times, states one row each, status)."""
+    events = None
+    if event is not None:
+        def events(t, y):
+            return event(t, y)
+        events.terminal = True
+    sol = solve_ivp(fun, t_span, y0, method="DOP853", rtol=tol, atol=tol,
+                    t_eval=t_eval, events=events)
+    return sol.t, sol.y.T, sol.status
+
+
+def scipy_brentq(f, a, b, xtol):
+    """scipy's Brent root of ``f`` between a and b, to ``xtol``."""
+    return brentq(f, a, b, xtol=xtol)
+
+
+def scipy_hermite(x, y, dydx):
+    """scipy's cubic Hermite spline of (x, y, dydx) along axis 0, and its
+    derivative."""
+    spline = CubicHermiteSpline(x, y, dydx, axis=0)
+    return spline, spline.derivative()
 
 
 def dop853_vielbein(triple, u0, us, tol=1e-12):

@@ -420,11 +420,11 @@ def test_penrose_evaluates_the_ray_jet_on_batches(tmp_path, capsys,
     assert max(lanes) == (5 * 101,)
 
 
-@pytest.mark.filterwarnings("ignore")  # scipy warns at this tolerance
 def test_geodesic_stopped_before_first_sample():
-    # below the integrator's rtol floor it gives up before its first
-    # step: the library returns a one-sample path (the CLI rejects such
-    # an ode_tol as a schema violation)
+    # below the integrator's floor of 100 machine epsilons it gives up
+    # before its first step, without a warning: the library returns a
+    # one-sample path (the CLI rejects such an ode_tol as a schema
+    # violation)
     path = geodesic(build_minkowski(), np.zeros(4), [1.0, 0.5, 0.0, 0.0],
                     (0.0, 1.0), tol=1e-300)
     assert path.truncated
@@ -443,27 +443,38 @@ def test_tol_override_can_force_failure(tmp_path, capsys):
 
 # -- the example configs ----------------------------------------------------------
 
-def test_check_runs_without_importing_scipy():
-    # scipy is imported only by the functions that integrate, interpolate
-    # or root-find, so neither a check run nor a quotient run (holonomy
-    # included) loads it
+def test_check_runs_without_importing_scipy(tmp_path):
+    # the runtime needs numpy alone: with every scipy import made to fail,
+    # each example config and a Penrose limit cut at a focal wall still
+    # run, with warnings as errors, and load no scipy module
+    wall = tmp_path / "wall.json"
+    wall.write_text(json.dumps({
+        "spacetime": COS2, "command": "penrose",
+        "params": {"u_interval": [-1.0, 2.2]}}), encoding="utf-8")
     script = ("import json, sys\n"
+              "sys.modules['scipy'] = None\n"
               "from finsler.cli import main\n"
-              "with open(sys.argv[1], encoding='utf-8') as fp:\n"
-              "    command = json.load(fp)['command']\n"
-              "code = main([command, '--config', sys.argv[1]])\n"
-              "print(sorted(m for m in sys.modules\n"
-              "             if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
-              "sys.exit(code)\n")
+              "for path in sys.argv[1:]:\n"
+              "    with open(path, encoding='utf-8') as fp:\n"
+              "        command = json.load(fp)['command']\n"
+              "    code = main([command, '--config', path])\n"
+              "    print(path, code, file=sys.stderr)\n"
+              "print(sorted(m for m, mod in sys.modules.items()\n"
+              "             if m.split('.')[0] == 'scipy' and mod),\n"
+              "      file=sys.stderr)\n")
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    for name in ("check_minkowski.json", "quotient_wave.json"):
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(ROOT / "configs" / name)],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.strip().splitlines()[-1] == "[]", name
+    paths = [str(p) for p in sorted((ROOT / "configs").glob("*.json"))]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script] + paths + [str(wall)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert lines[:-1] == ["%s 0" % p for p in paths + [str(wall)]], \
+        proc.stderr
+    assert lines[-1] == "[]"
+    assert '"truncated": true' in proc.stdout
 
 
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))

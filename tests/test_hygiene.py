@@ -1,16 +1,19 @@
-"""Static hygiene: no module imports a name it never uses.
+"""Static hygiene: no module imports a name it never uses, and the
+runtime imports no scipy.
 
-No linter is a declared dependency, so this stdlib-`ast` scan is the
+No linter is a declared dependency, so these stdlib-`ast` scans are the
 repository's lint.  Package ``__init__.py`` files re-export by import and
-are exempt; a name listed in a module's ``__all__`` counts as used.
+are exempt from the first; a name listed in a module's ``__all__`` counts
+as used.  scipy is a test dependency only: no module under
+``src/finsler`` may import it, at any depth.
 """
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SCANNED = sorted((ROOT / "src" / "finsler").glob("*.py")) \
-    + sorted((ROOT / "tests").glob("*.py"))
+RUNTIME = sorted((ROOT / "src" / "finsler").glob("*.py"))
+SCANNED = RUNTIME + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -52,3 +55,32 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8")):
             found.append("%s:%d %s" % (path.relative_to(ROOT), line, name))
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def scipy_imports(source):
+    """Lines of ``source`` that import scipy, function-local ones too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_scanner_flags_scipy_imports_at_any_depth():
+    src = ("import numpy\nfrom scipy.optimize import brentq\n"
+           "from .scipy import x\nimport os, scipy.linalg as sl\n"
+           "def f():\n    import scipy\n    from scipy import integrate\n")
+    assert scipy_imports(src) == [2, 4, 6, 7]
+
+
+def test_runtime_imports_no_scipy():
+    found = ["%s:%d" % (path.relative_to(ROOT), line)
+             for path in RUNTIME
+             for line in scipy_imports(path.read_text(encoding="utf-8"))]
+    assert not found, "scipy imported at " + ", ".join(found)

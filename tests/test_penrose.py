@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finsler import fixtures, jets, penrose
+from finsler import fixtures, jets, ode, penrose
 from finsler import lagrangian as lg
 from finsler.connection import VectorField, christoffel
 from finsler.curvature import ppwave_condition
@@ -225,12 +225,11 @@ def test_panel_propagators_match_the_dop853_oracle(triple, interval):
 
 
 def test_o_equation_runs_without_solve_ivp(monkeypatch):
-    import scipy.integrate
-
+    # the panel propagators replace any sequential integrator
     def refuse(*args, **kwargs):
-        raise AssertionError("solve_ivp called")
+        raise AssertionError("ode.dop853 called")
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+    monkeypatch.setattr(ode, "dop853", refuse)
     bp = penrose.rosen_to_brinkmann(rotating_triple, 0.0, (-1.0, 1.0))
     assert bp.m_conditions(np.linspace(-0.9, 0.9, 5)).passed
 
