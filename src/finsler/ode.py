@@ -13,7 +13,7 @@ stops before the first step.
 
 `brent` is Brent's bracketing root finder (*Algorithms for Minimization
 without Derivatives*, 1973, ch. 4), iterate for iterate scipy's
-``brentq`` with its ``xtol``, ``rtol`` and ``maxiter``.
+``brentq`` with its ``xtol`` and its default ``rtol`` and ``maxiter``.
 
 `Hermite` is the piecewise cubic through samples and slopes, evaluated
 between the knots as scipy's ``CubicHermiteSpline`` evaluates it.
@@ -420,11 +420,9 @@ def dop853(fun, t_span, y0, tol, t_eval=None, event=None):
                 status = 1
             g = g_new
         if t_eval is None:
-            # a root at the previous step end adds no step
-            if len(ts) == 1 or ts[-1] != t:
-                ts.append(t)
-                ys.append(y)
-                steps.append(sol)
+            ts.append(t)
+            ys.append(y)
+            steps.append(sol)
             continue
         if solver.direction > 0:
             t_eval_i_new = np.searchsorted(t_eval, t, side="right")
@@ -448,12 +446,18 @@ def dop853(fun, t_span, y0, tol, t_eval=None, event=None):
     return OdeResult(np.hstack(ts), np.vstack(ys), status, message)
 
 
-def brent(f, a, b, xtol, rtol=4 * EPS, maxiter=100):
+# brentq's defaults: the relative part of the tolerance and the
+# iteration limit of `brent`
+_BRENT_RTOL = 4 * EPS
+_BRENT_MAXITER = 100
+
+
+def brent(f, a, b, xtol):
     """A root of ``f`` between a and b, where f changes sign, to within
-    xtol + rtol |root|.
+    xtol + 4 eps |root|.
 
     Raises `SolverError` if f(a) and f(b) have the same sign, if f
-    returns NaN, or if ``maxiter`` iterations do not converge.
+    returns NaN, or if 100 iterations do not converge.
     """
     def value(x):
         fx = float(f(x))
@@ -472,7 +476,7 @@ def brent(f, a, b, xtol, rtol=4 * EPS, maxiter=100):
         raise SolverError("no sign change of f between %r and %r"
                           % (xpre, xcur))
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if (fpre != 0 and fcur != 0
                 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -481,7 +485,7 @@ def brent(f, a, b, xtol, rtol=4 * EPS, maxiter=100):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -511,7 +515,7 @@ def brent(f, a, b, xtol, rtol=4 * EPS, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
     raise SolverError("the root finder did not converge in %d iterations"
-                      % maxiter)
+                      % _BRENT_MAXITER)
 
 
 class Hermite:

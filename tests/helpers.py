@@ -9,7 +9,8 @@ oracle of the in-house `quotient._expm`.
 
 `scipy_dop853`, `scipy_brentq` and `scipy_hermite` run scipy's
 ``solve_ivp(method="DOP853")``, ``brentq`` and ``CubicHermiteSpline``, the
-oracles of the library's own `finsler.ode`.
+oracles of the library's own `finsler.ode`; `scipy_dop853_tableau` hands
+out the Dormand-Prince coefficients that scipy's DOP853 steps with.
 
 `dop853_vielbein` integrates the Penrose O-equation O' = -W O with DOP853
 and takes S = h^{1/2} and its derivatives from scipy's Sylvester solver,
@@ -31,6 +32,7 @@ close to a wall are skipped and bridged by the curvature spline.
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import expm, solve_sylvester
 from scipy.optimize import brentq
@@ -82,6 +84,13 @@ def scipy_dop853(fun, t_span, y0, tol, t_eval=None, event=None):
     sol = solve_ivp(fun, t_span, y0, method="DOP853", rtol=tol, atol=tol,
                     t_eval=t_eval, events=events)
     return sol.t, sol.y.T, sol.status
+
+
+def scipy_dop853_tableau():
+    """scipy's DOP853 tableau: the stage matrix A and nodes C of the 16
+    stages, the error weights E3 and E5, and the dense-output matrix D."""
+    c = dop853_coefficients
+    return {"A": c.A, "C": c.C, "E3": c.E3, "E5": c.E5, "D": c.D}
 
 
 def scipy_brentq(f, a, b, xtol):

@@ -14,7 +14,8 @@ from finsler import fixtures, ode, penrose
 from finsler.connection import _spray
 from finsler.errors import SolverError
 from finsler.lagrangian import _default_ppwave_example
-from helpers import scipy_brentq, scipy_dop853, scipy_hermite
+from helpers import (scipy_brentq, scipy_dop853, scipy_dop853_tableau,
+                     scipy_hermite)
 
 
 def spray_rhs(L):
@@ -33,6 +34,15 @@ SPRAYS = {
     "rosen_cos2": (fixtures.rosen_cos2, [0.0] * 4, [1.0, 0.8, 0.2, 0.0],
                    1.2),
 }
+
+
+def test_dop853_tableau_is_scipy_tableau():
+    want = scipy_dop853_tableau()
+    got = {"A": ode._A, "C": ode._C, "E3": ode._E3, "E5": ode._E5,
+           "D": ode._D}
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 @pytest.mark.parametrize("name", sorted(SPRAYS))
@@ -122,7 +132,7 @@ def test_brent_is_within_xtol_of_brentq_on_random_brackets():
     print("brent: %d of %d roots bitwise equal to brentq's" % (same, total))
 
 
-def test_brent_raises_solver_errors():
+def test_brent_raises_solver_errors(monkeypatch):
     with pytest.raises(SolverError, match="no sign change"):
         ode.brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
     # a product of the end values would underflow to 0: signs decide
@@ -131,9 +141,10 @@ def test_brent_raises_solver_errors():
     with pytest.raises(SolverError, match="NaN"):
         ode.brent(lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan,
                   0.0, 1.0, 1e-12)
-    with pytest.raises(SolverError, match="did not converge in 2"):
-        ode.brent(lambda x: math.exp(x) - 1.5, 0.0, 1.0, 1e-12, maxiter=2)
     assert ode.brent(lambda x: x - 0.25, 0.25, 1.0, 1e-12) == 0.25
+    monkeypatch.setattr(ode, "_BRENT_MAXITER", 2)
+    with pytest.raises(SolverError, match="did not converge in 2"):
+        ode.brent(lambda x: math.exp(x) - 1.5, 0.0, 1.0, 1e-12)
 
 
 def test_hermite_returns_samples_at_knots_and_scipy_between():
