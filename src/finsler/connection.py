@@ -183,14 +183,11 @@ def _field_jet(L, x, v, J, base_order=1):
     n = v.shape[-1]
     values = (np.concatenate([x, v], axis=-1) if v.ndim == 2
               else list(x) + list(v))
-    ctx, seeds = jets.variables(values, base_order + 2,
-                                (0,) * n + (1,) * n, (base_order, 3))
     # the fiber generators carry the field's first-order x-dependence
-    nonzero = J != 0.0
-    if nonzero.ndim == 3:
-        nonzero = nonzero.any(axis=0)   # in any lane of a stacked J
-    for i, m in zip(*np.nonzero(nonzero)):
-        seeds[n + m].c[ctx.var_index(i)] += J[..., i, m]
+    jac = np.zeros(J.shape[:-2] + (2 * n, 2 * n))
+    jac[..., :n, n:] = J
+    _, seeds = jets.variables(values, base_order + 2, (0,) * n + (1,) * n,
+                              (base_order, 3), jac)
     w = jets._call(L, seeds[:n], seeds[n:])
     fiber = range(n, 2 * n)
     g = 0.5 * jets.derivative_tensor(w, fiber, 2)

@@ -18,12 +18,26 @@ arithmetic as in Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 B-lane jets live in the context's batched twin, whose product keys the
 bincount by ``k * B + lane``.
 
+Each jet carries a support mask: the generator groups its coefficients
+depend on, so that every coefficient of a monomial outside it is exactly
+zero.  A seed's mask is its own group (and the groups its ``jacobian``
+row reaches), sums and products take the union of their operands'
+masks, and scalar factors and composition keep it.  A product sums only
+the pairs whose factors lie inside their supports, from a table the
+context filters once per pair of masks.  The pairs it skips would add
+a term ±0.0 to a sum that starts at +0.0, which changes no bit, so the
+product equals the full table's, except that a structural zero times an
+infinite coefficient no longer makes a nan.
+
 Every lane of a batched jet is bitwise equal to the unbatched evaluation
 at that lane's point: each lane sums its product terms in the same order,
-and the elementary functions take their Taylor coefficients from the
-`math` module one lane at a time, so a lane that would raise
-``ValueError``, ``ZeroDivisionError`` or ``OverflowError`` alone raises
-it in the batch too.  Coefficients are always floats: jets do not nest.
+and the elementary functions take the leading value of their Taylor
+coefficients from the `math` module one lane at a time, so a lane that
+would raise ``ValueError``, ``ZeroDivisionError`` or ``OverflowError``
+alone raises it in the batch too; the recurrences for the higher
+coefficients then run over all lanes at once, as numpy rounds a product
+of floats as Python does.  Coefficients are always floats: jets do not
+nest.
 Mixed orders in different generator sets come from grouped contexts
 instead, and `derivative_tensor` reads whole blocks of partials through
 a cached gather.  Binary operations between jets of different contexts
@@ -115,11 +129,17 @@ class _Context:
     ``pairs`` holds the product table: index arrays ``(i, j, k)`` with
     ``exponents[i] + exponents[j] == exponents[k]``, i-major and j
     ascending, so `np.bincount` sums each output coefficient in a fixed
-    order.  ``lanes`` is None here and B in the twin `batched` returns.
+    order.  A support mask is a bit set of groups, bit g for group g;
+    ``supports[k]`` is the mask of the groups whose generators monomial k
+    contains, and ``full`` the mask of every group.  `product_pairs`
+    filters the table to the pairs a product of two supports can make,
+    and ``pairs`` is its (full, full) entry.  ``lanes`` is None here and B
+    in the twin `batched` returns.
     """
 
-    __slots__ = ("nvars", "order", "exponents", "index", "size", "pairs",
-                 "lanes", "_var_index", "_gathers", "_batches")
+    __slots__ = ("nvars", "order", "groups", "exponents", "index", "size",
+                 "supports", "full", "pairs", "lanes", "_var_index",
+                 "_gathers", "_tables", "_batches")
 
     def __init__(self, nvars, order, groups=None, group_orders=None):
         self.nvars = nvars
@@ -127,7 +147,8 @@ class _Context:
         if groups is None:
             groups = (0,) * nvars
             group_orders = (order,)
-        exps = _monomials(tuple(groups), tuple(group_orders), order)
+        self.groups = tuple(groups)
+        exps = _monomials(self.groups, tuple(group_orders), order)
         exps.sort(key=lambda e: (sum(e), e))
         self.exponents = exps
         self.index = {e: i for i, e in enumerate(exps)}
@@ -150,17 +171,42 @@ class _Context:
         pos = np.minimum(np.searchsorted(code[by_code], s), self.size - 1)
         keep = code[by_code[pos]] == s
         self.pairs = (i[keep], j[keep], by_code[pos[keep]])
+        self.supports = np.bitwise_or.reduce(
+            np.where(E > 0, 1 << np.array(self.groups, dtype=np.int64), 0),
+            axis=1)
+        self.full = (1 << len(group_orders)) - 1
+        self._tables = {(self.full, self.full): self.pairs}
 
     def var_index(self, j):
         return self._var_index[j]
+
+    def product_pairs(self, mask_a, mask_b):
+        """The product table of a jet with support ``mask_a`` times one
+        with ``mask_b``: the pairs of ``pairs`` whose factors lie inside
+        those supports, in the same order, cached per mask pair.  Every
+        pair left out has a factor that is exactly zero, and a sum that
+        starts at +0.0 is not changed by adding a zero, so the product
+        keeps the bits of the full table's."""
+        key = (mask_a, mask_b)
+        hit = self._tables.get(key)
+        if hit is None:
+            i, j, k = self.pairs
+            keep = (((self.supports[i] & ~mask_a) == 0)
+                    & ((self.supports[j] & ~mask_b) == 0))
+            if self.lanes is not None:
+                k = k.reshape(-1, self.lanes)
+            hit = (i[keep], j[keep], k[keep].ravel())
+            self._tables[key] = hit
+        return hit
 
     def batched(self, lanes):
         """The context of ``lanes``-lane jets: the same monomials, with the
         product's third index array replaced by the bincount keys
         ``k * lanes + lane``, pair-major like the ``(P, lanes)`` array of
         the product terms, so each lane sums its terms in the order of an
-        unbatched product.  The `_TWINS` most recently used twins are
-        cached; each holds a P x lanes key array."""
+        unbatched product.  Its `product_pairs` caches the keys of each
+        filtered table the same way.  The `_TWINS` most recently used
+        twins are cached; each holds a P x lanes key array."""
         twin = self._batches.pop(lanes, None)
         if twin is None:
             twin = copy.copy(self)
@@ -168,6 +214,7 @@ class _Context:
             twin.pairs = (i, j, (k[:, None] * lanes
                                  + np.arange(lanes)).ravel())
             twin.lanes = lanes
+            twin._tables = {(self.full, self.full): twin.pairs}
             twin._batches = None
             if len(self._batches) >= _TWINS:
                 del self._batches[next(iter(self._batches))]
@@ -203,14 +250,20 @@ def _context(nvars, order, groups=None, group_orders=None):
 
 class Jet:
     """A truncated Taylor polynomial over the generators of a `_Context`;
-    with coefficients of shape ``(size, B)``, B of them side by side."""
+    with coefficients of shape ``(size, B)``, B of them side by side.
 
-    __slots__ = ("ctx", "c")
+    ``mask`` is the jet's support: the groups its coefficients depend on.
+    Every coefficient of a monomial outside it is exactly zero.  A jet
+    built without a mask gets the context's full one, which is always
+    true."""
+
+    __slots__ = ("ctx", "c", "mask")
     __array_ufunc__ = None  # make numpy defer to our reflected operators
 
-    def __init__(self, ctx, c):
+    def __init__(self, ctx, c, mask=None):
         self.ctx = ctx
         self.c = c
+        self.mask = ctx.full if mask is None else mask
 
     # -- constructors --------------------------------------------------
 
@@ -221,7 +274,7 @@ class Jet:
         c = np.zeros(ctx.size if ctx.lanes is None else (ctx.size, ctx.lanes))
         c[0] = value
         c[ctx.var_index(j)] = 1.0
-        return cls(ctx, c)
+        return cls(ctx, c, 1 << ctx.groups[j])
 
     # -- inspection ----------------------------------------------------
 
@@ -265,21 +318,23 @@ class Jet:
     def _add_const(self, s):
         c = self.c.copy()
         c[0] += s
-        return Jet(self.ctx, c)
+        return Jet(self.ctx, c, self.mask)
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.ctx, self.c + self._peer(other))
+            return Jet(self.ctx, self.c + self._peer(other),
+                       self.mask | other.mask)
         return self._add_const(other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.ctx, -self.c)
+        return Jet(self.ctx, -self.c, self.mask)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.ctx, self.c - self._peer(other))
+            return Jet(self.ctx, self.c - self._peer(other),
+                       self.mask | other.mask)
         return self._add_const(-other)
 
     def __rsub__(self, other):
@@ -288,16 +343,17 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b, ctx = self.c, self._peer(other), self.ctx
-            i, j, k = ctx.pairs
+            i, j, k = ctx.product_pairs(self.mask, other.mask)
+            mask = self.mask | other.mask
             if ctx.lanes is None:
                 return Jet(ctx, np.bincount(k, a[i] * b[j],
-                                            minlength=ctx.size))
+                                            minlength=ctx.size), mask)
             c = np.bincount(k, (a[i] * b[j]).ravel(),
                             minlength=ctx.size * ctx.lanes)
-            return Jet(ctx, c.reshape(ctx.size, ctx.lanes))
+            return Jet(ctx, c.reshape(ctx.size, ctx.lanes), mask)
         if isinstance(other, Lanes):
             other = other.view(np.ndarray)  # coefficients stay plain
-        return Jet(self.ctx, self.c * other)
+        return Jet(self.ctx, self.c * other, self.mask)
 
     __rmul__ = __mul__
 
@@ -319,7 +375,7 @@ class Jet:
             if p == 0:
                 c = np.zeros_like(self.c)
                 c[0] = 1.0
-                return Jet(self.ctx, c)
+                return Jet(self.ctx, c, 0)
             result, base = None, self
             while True:
                 if p & 1:
@@ -330,10 +386,12 @@ class Jet:
                 base = base * base
 
         def coeffs(a0, order):
+            powers = _leading(
+                lambda a: [a ** (p - k) for k in range(order + 1)], a0)
             out = []
             coef = 1.0
             for k in range(order + 1):
-                out.append(a0 ** (p - k) * coef)
+                out.append(powers[k] * coef)
                 coef *= (p - k) / (k + 1.0)
             return out
 
@@ -342,15 +400,13 @@ class Jet:
     # -- composition with smooth scalar functions ----------------------
 
     def _series(self, coeffs):
-        """Compose with f, where ``coeffs(a0, order)`` lists the Python
-        floats f^(k)(a0) / k!; a batched jet takes them lane by lane, so
-        each lane computes (and raises) exactly as an unbatched jet."""
-        order = self.ctx.order
+        """Compose with f, where ``coeffs(a0, order)`` lists f^(k)(a0) / k!
+        for a Python float a0, or for the array of a batched jet's lanes
+        (see `_leading`), so each lane computes (and raises) exactly as
+        an unbatched jet."""
         a0 = self.c[0]
-        if a0.ndim == 0:
-            return self._compose(coeffs(float(a0), order))
-        return self._compose(np.array([coeffs(a, order)
-                                       for a in a0.tolist()]).T)
+        return self._compose(coeffs(float(a0) if a0.ndim == 0 else a0,
+                                    self.ctx.order))
 
     def _compose(self, coeffs):
         """Horner-evaluate sum_k coeffs[k] * (self - value)^k.
@@ -361,7 +417,7 @@ class Jet:
         """
         d = self.c.copy()
         d[0] = 0.0
-        d = Jet(self.ctx, d)
+        d = Jet(self.ctx, d, self.mask)
         acc = d * coeffs[-1]
         for k in range(len(coeffs) - 2, 0, -1):
             acc = acc._add_const(coeffs[k]) * d
@@ -380,26 +436,37 @@ class Jet:
         return self._series(_log_series)
 
     def sin(self):
-        return self._series(lambda a0, order: _cycle(
-            math.sin(a0), math.cos(a0), (1.0, 1.0, -1.0, -1.0), order))
+        return self._series(_sin_series)
 
     def cos(self):
-        return self._series(lambda a0, order: _cycle(
-            math.cos(a0), math.sin(a0), (1.0, -1.0, -1.0, 1.0), order))
+        return self._series(_cos_series)
 
     def sinh(self):
-        return self._series(lambda a0, order: _cycle(
-            math.sinh(a0), math.cosh(a0), (1.0, 1.0, 1.0, 1.0), order))
+        return self._series(_sinh_series)
 
     def cosh(self):
-        return self._series(lambda a0, order: _cycle(
-            math.cosh(a0), math.sinh(a0), (1.0, 1.0, 1.0, 1.0), order))
+        return self._series(_cosh_series)
 
 
 # -- Taylor coefficients f^(k)(a0) / k! of the elementary functions ---------
+#
+# a0 is a Python float or an array of lanes.  The leading values come from
+# `_leading`, one lane at a time; the recurrences after it multiply by
+# Python floats, which numpy rounds over the lanes as Python rounds one
+# float.
+
+def _leading(f, a0):
+    """``f`` of a float ``a0``, or of each lane of an array ``a0`` as a
+    Python float in turn, so every lane gets the bits and the exceptions
+    of `math` and float arithmetic alone.  The entries of a sequence
+    ``f`` returns come back as one lane array each."""
+    if isinstance(a0, float):
+        return f(a0)
+    return np.array([f(a) for a in a0.tolist()]).T
+
 
 def _reciprocal_series(a0, order):
-    inv = 1.0 / a0
+    inv = _leading(lambda a: 1.0 / a, a0)
     coeffs = []
     term = inv
     for _ in range(order + 1):
@@ -409,8 +476,7 @@ def _reciprocal_series(a0, order):
 
 
 def _sqrt_series(a0, order):
-    s = math.sqrt(a0)
-    inv = 1.0 / a0
+    s, inv = _leading(lambda a: (math.sqrt(a), 1.0 / a), a0)
     coeffs = []
     term = s
     half_minus_k = 0.5
@@ -422,7 +488,7 @@ def _sqrt_series(a0, order):
 
 
 def _exp_series(a0, order):
-    e = math.exp(a0)
+    e = _leading(math.exp, a0)
     coeffs = []
     fk = 1.0
     for k in range(order + 1):
@@ -432,8 +498,8 @@ def _exp_series(a0, order):
 
 
 def _log_series(a0, order):
-    inv = 1.0 / a0
-    coeffs = [math.log(a0)]
+    inv, log_a0 = _leading(lambda a: (1.0 / a, math.log(a)), a0)
+    coeffs = [log_a0]
     term = inv
     for k in range(1, order + 1):
         coeffs.append(term * ((-1.0) ** (k - 1) / k))
@@ -441,14 +507,25 @@ def _log_series(a0, order):
     return coeffs
 
 
-def _cycle(even, odd, signs, order):
-    coeffs = []
-    fk = 1.0
-    for k in range(order + 1):
-        base = even if k % 2 == 0 else odd
-        coeffs.append(base * (signs[k % 4] / fk))
-        fk *= (k + 1)
+def _cycle(even, odd, signs):
+    """The series of sin, cos, sinh or cosh: ``even`` and ``odd`` give the
+    even and odd derivatives up to ``signs``, cycling with period 4."""
+    def coeffs(a0, order):
+        values = _leading(lambda a: (even(a), odd(a)), a0)
+        out = []
+        fk = 1.0
+        for k in range(order + 1):
+            out.append(values[k % 2] * (signs[k % 4] / fk))
+            fk *= (k + 1)
+        return out
+
     return coeffs
+
+
+_sin_series = _cycle(math.sin, math.cos, (1.0, 1.0, -1.0, -1.0))
+_cos_series = _cycle(math.cos, math.sin, (1.0, -1.0, -1.0, 1.0))
+_sinh_series = _cycle(math.sinh, math.cosh, (1.0, 1.0, 1.0, 1.0))
+_cosh_series = _cycle(math.cosh, math.sinh, (1.0, 1.0, 1.0, 1.0))
 
 
 # -- plain lanes ----------------------------------------------------------
@@ -519,11 +596,16 @@ def cosh(x):
 
 # -- seeding and reading -------------------------------------------------
 
-def variables(values, order, groups=None, group_orders=None):
+def variables(values, order, groups=None, group_orders=None, jacobian=None):
     """Seed one generator per entry of ``values``.
 
     Returns ``(ctx, jets)`` with ``jets[i] = values[i] + eps_i``.  A 2-D
-    array of shape ``(B, nvars)`` seeds B lanes, one per row.
+    array of shape ``(B, nvars)`` seeds B lanes, one per row.  A
+    ``jacobian`` of shape ``(nvars, nvars)``, or ``(B, nvars, nvars)``
+    for B lanes, gives the seeds a first-order dependence on each other:
+    ``jets[m]`` gains ``jacobian[..., i, m] * eps_i`` for every (i, m)
+    that is non-zero in some lane, and its support gains the group of
+    generator i.
     """
     batch = isinstance(values, np.ndarray) and values.ndim == 2
     if batch:
@@ -537,7 +619,15 @@ def variables(values, order, groups=None, group_orders=None):
     ctx = _context(len(values), order, groups, group_orders)
     if batch:
         ctx = ctx.batched(lanes)
-    return ctx, [Jet.variable(ctx, j, v) for j, v in enumerate(values)]
+    seeds = [Jet.variable(ctx, j, v) for j, v in enumerate(values)]
+    if jacobian is not None:
+        nonzero = jacobian != 0.0
+        if nonzero.ndim == 3:
+            nonzero = nonzero.any(axis=0)   # in any lane of a stacked J
+        for i, m in zip(*np.nonzero(nonzero)):
+            seeds[m].c[ctx.var_index(i)] += jacobian[..., i, m]
+            seeds[m].mask |= 1 << ctx.groups[i]
+    return ctx, seeds
 
 
 def derivative_tensor(w, slots, order):
@@ -568,7 +658,8 @@ def _call(L, x, v):
     ``x / 0.0`` and ``math.sqrt(-1)`` do on floats, while overflow and
     underflow pass silently, as ``x * y`` does on floats: an infinite
     value then fails the finiteness test, while an infinite higher
-    coefficient of a finite value passes."""
+    coefficient of a finite value passes, also where a product meets it
+    with a structural zero, a pair the product skips."""
     arrays = isinstance(x[0], (np.ndarray, Jet)) or isinstance(
         v[0], (np.ndarray, Jet))
     try:

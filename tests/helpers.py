@@ -4,6 +4,10 @@
 linear system over a basis of symmetric symbol tables, without the
 decoupling by C(v, ., .) = 0 that the library's closed form relies on.
 
+`dense_product` multiplies two jets over every pair of monomials the
+context admits, with a pair table of its own and no support masks: the
+oracle of the masked product tables of `jets._Context.product_pairs`.
+
 `scipy_expm` takes scipy's Padé exponential of each matrix of a stack, the
 oracle of the in-house `quotient._expm`.
 
@@ -42,6 +46,32 @@ from finsler.curvature import chern_curvature
 from finsler.tensors import fundamental_tensor
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
+
+_DENSE_TABLES = {}
+
+
+def dense_product(a, b):
+    """Coefficients of the jet product ``a * b`` over the full pair table:
+    every (i, j) whose exponents add up to an admissible monomial k,
+    i-major and j ascending, summed by `np.bincount` (keyed by
+    ``k * B + lane`` for B lanes) whatever the factors' supports."""
+    exps = a.ctx.exponents
+    table = _DENSE_TABLES.get(tuple(exps))
+    if table is None:
+        index = {e: k for k, e in enumerate(exps)}
+        table = np.array([(i, j, index[s])
+                          for i, ei in enumerate(exps)
+                          for j, ej in enumerate(exps)
+                          if (s := tuple(x + y for x, y in zip(ei, ej)))
+                          in index], dtype=np.intp).T
+        _DENSE_TABLES[tuple(exps)] = table
+    i, j, k = table
+    if a.c.ndim == 1:
+        return np.bincount(k, a.c[i] * b.c[j], minlength=len(exps))
+    lanes = a.c.shape[1]
+    keys = (k[:, None] * lanes + np.arange(lanes)).ravel()
+    return np.bincount(keys, (a.c[i] * b.c[j]).ravel(),
+                       minlength=len(exps) * lanes).reshape(-1, lanes)
 
 
 def dense_koszul_solve(g, C, v, R):

@@ -207,6 +207,28 @@ def test_christoffel_solves_per_curvature_call(monkeypatch, extended,
     assert len(calls) == solves
 
 
+def test_curvature_product_terms_are_pinned(monkeypatch):
+    # one chern_curvature makes 120 jet products; the support masks cut
+    # the terms they sum from the full tables' 233,280 to 47,108, so a
+    # lost mask shows here and not only as a timing
+    L = _default_ppwave_example()
+    full_table = jets._Context.product_pairs
+    products, terms, dense = [], [], []
+
+    def counting(ctx, mask_a, mask_b):
+        i, j, k = full_table(ctx, mask_a, mask_b)
+        products.append((mask_a, mask_b))
+        terms.append(len(k))
+        dense.append(len(ctx.pairs[2]))
+        return i, j, k
+
+    monkeypatch.setattr(jets._Context, "product_pairs", counting)
+    chern_curvature(L, np.array([0.3, 0.2, -0.1, 0.4]), N_WAVE)
+    assert len(products) == 120
+    assert sum(dense) == 233280
+    assert sum(terms) == 47108
+
+
 def test_antisymmetry_exact_in_the_first_pair():
     L = _default_ppwave_example()
     x = np.array([0.0, 0.25, 0.1, -0.2])

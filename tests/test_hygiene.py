@@ -1,11 +1,14 @@
-"""Static hygiene: no module imports a name it never uses, and the
-runtime imports no scipy.
+"""Static hygiene: no module imports a name it never uses, the runtime
+imports no scipy, and only `finsler.jets` writes jet coefficients.
 
 No linter is a declared dependency, so these stdlib-`ast` scans are the
 repository's lint.  Package ``__init__.py`` files re-export by import and
 are exempt from the first; a name listed in a module's ``__all__`` counts
 as used.  scipy is a test dependency only: no module under
-``src/finsler`` may import it, at any depth.
+``src/finsler`` may import it, at any depth.  A jet's support mask must
+cover every non-zero coefficient, so no module but ``jets.py`` may store
+into a ``.c`` attribute or an item of one (``self.c`` set on an object
+of the module's own class aside).
 """
 
 import ast
@@ -84,3 +87,41 @@ def test_runtime_imports_no_scipy():
              for path in RUNTIME
              for line in scipy_imports(path.read_text(encoding="utf-8"))]
     assert not found, "scipy imported at " + ", ".join(found)
+
+
+def coefficient_writes(source):
+    """Lines of ``source`` that store into ``<expr>.c`` or an item of it,
+    augmented stores included; ``self.c = ...`` is an object setting its
+    own attribute and passes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for t in ast.walk(target):
+                item = isinstance(t, ast.Subscript)
+                while isinstance(t, ast.Subscript):
+                    t = t.value
+                if (isinstance(t, ast.Attribute) and t.attr == "c"
+                        and (item or not (isinstance(t.value, ast.Name)
+                                          and t.value.id == "self"))):
+                    found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_scanner_flags_coefficient_writes():
+    src = ("w.c[0] += 1.0\nseeds[2].c[k, 1] = 0.5\nself.c = c\n"
+           "a, w.c = 1, 2\nself.c[0] = 1.0\nx = w.c[0]\nw.coef[0] = 1\n"
+           "w.c = c\n")
+    assert coefficient_writes(src) == [1, 2, 4, 5, 8]
+
+
+def test_only_jets_writes_jet_coefficients():
+    found = ["%s:%d" % (path.relative_to(ROOT), line)
+             for path in RUNTIME if path.name != "jets.py"
+             for line in coefficient_writes(path.read_text(encoding="utf-8"))]
+    assert not found, "jet coefficients written at " + ", ".join(found)

@@ -2,7 +2,9 @@
 
 Finite differences are the independent oracle here: every derivative the
 engine reports is cross-checked against central difference quotients over a
-step sweep, plus a handful of hand-frozen closed forms.
+step sweep, plus a handful of hand-frozen closed forms.  The products
+that support masks filter are checked bitwise against
+`helpers.dense_product`, which sums the full pair table.
 """
 
 import math
@@ -12,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsler import jets
+from finsler import fixtures, jets
 from finsler.errors import EvaluationError
 from finsler.jets import Jet, derivative_tensor, variables
+from finsler.lagrangian import catalog
+from helpers import dense_product
 
 
 def basis(i, n=4):
@@ -539,3 +543,138 @@ def test_twin_cache_keeps_only_recent_lane_counts():
         for lane in range(lanes):
             assert got.c[:, lane].tobytes() == want.c.tobytes()
     assert list(ctx._batches)[-2:] == [3, 2]
+
+
+# -- support masks: products skip the pairs with a structural zero ---------
+
+BASE_FIBER = (0,) * 4 + (1,) * 4
+
+# the grouped contexts the package evaluates L on in four dimensions: the
+# spray, the Christoffel solve, the curvature and the Penrose ray profile
+MASKED = {
+    "spray": (8, 2, BASE_FIBER, (1, 2)),
+    "christoffel": CHRISTOFFEL,
+    "curvature": (8, 4, BASE_FIBER, (2, 3)),
+    "penrose-ray": (3, 4, (0, 1, 1), (2, 2)),
+}
+
+
+def random_jet(ctx, rng, mask):
+    """Finite coefficients with some exact zeros inside the support
+    ``mask`` and zeros of either sign outside it."""
+    shape = (ctx.size,) if ctx.lanes is None else (ctx.size, ctx.lanes)
+    c = rng.standard_normal(shape) * np.exp(rng.uniform(-3.0, 3.0, shape))
+    c[rng.random(shape) < 0.2] = 0.0
+    outside = (ctx.supports & ~mask) != 0
+    c[outside] = np.where(rng.random(c[outside].shape) < 0.5, 0.0, -0.0)
+    return Jet(ctx, c, mask)
+
+
+@pytest.mark.parametrize("lanes", [None, 1, 3, 32])
+@pytest.mark.parametrize("sig", list(MASKED.values()), ids=list(MASKED))
+def test_masked_products_are_bitwise_dense_products(sig, lanes):
+    ctx = jets._context(*sig)
+    if lanes is not None:
+        ctx = ctx.batched(lanes)
+    rng = np.random.default_rng([17, ctx.size, lanes or 0])
+    for mask_a in range(ctx.full + 1):
+        for mask_b in range(ctx.full + 1):
+            a, b = random_jet(ctx, rng, mask_a), random_jet(ctx, rng, mask_b)
+            got = a * b
+            assert got.mask == mask_a | mask_b
+            assert got.c.tobytes() == dense_product(a, b).tobytes()
+    # the full table is the (full, full) entry of the lookup
+    assert ctx.product_pairs(ctx.full, ctx.full) is ctx.pairs
+
+
+def evaluate_on(sig_name, L, lanes):
+    """L on the seeds of a `MASKED` context as the package seeds them, at
+    a point near the origin with v at the cone reference; the connection
+    contexts carry a field Jacobian, and ``lanes`` seeds that many
+    points."""
+    rng = np.random.default_rng(5)
+    nvars, order, groups, group_orders = MASKED[sig_name]
+    x = [0.1, 0.2, -0.1, 0.15]
+    ref = [float(t) for t in L.cone_ref_at(x)]
+    if sig_name == "penrose-ray":
+        values = np.array([0.1] + ref[2:])
+    else:
+        values = np.array(x + ref)
+    jac = None
+    if sig_name in ("christoffel", "curvature"):
+        jac = np.zeros((8, 8))
+        jac[:4, 4:] = 0.1 * rng.standard_normal((4, 4))
+        jac[1, 5] = 0.0
+    if lanes:
+        values = values + 0.01 * rng.standard_normal((lanes, nvars))
+        if jac is not None:
+            jac = jac * (1.0 + rng.random((lanes, 8, 8)))
+    _, s = variables(values, order, groups, group_orders, jac)
+    if sig_name == "penrose-ray":
+        return jets._call(L, [s[0], 0.0, 0.0, 0.0], ref[:2] + s[1:])
+    return jets._call(L, s[:4], s[4:])
+
+
+MODELS = sorted(catalog()) + sorted(fixtures.BUILDERS)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_every_jet_is_zero_outside_its_support(monkeypatch, name):
+    assert len(MODELS) == 15
+    L = (fixtures.BUILDERS[name]() if name in fixtures.BUILDERS
+         else catalog()[name])
+    created = []
+    init = Jet.__init__
+
+    def recording(self, ctx, c, mask=None):
+        init(self, ctx, c, mask)
+        created.append(self)
+
+    monkeypatch.setattr(Jet, "__init__", recording)
+    for sig_name in MASKED:
+        for lanes in (0, 3):
+            evaluate_on(sig_name, L, lanes)
+    assert any(w.mask != w.ctx.full for w in created)
+    for w in created:
+        outside = (w.ctx.supports & ~w.mask) != 0
+        assert not np.any(w.c[outside] != 0.0)
+
+
+def test_an_infinite_coefficient_beside_a_structural_zero_passes():
+    # x0 * 1e310 overflows its eps_x0 coefficient to inf at the finite
+    # value 1.0.  The fiber factor is non-zero at every monomial of its
+    # support and exactly zero at every base monomial: the full table
+    # would pair the inf with such a zero into inf * 0.0 = nan, and
+    # `_call` would raise on the invalid operation.  The masked product
+    # skips those pairs, as an infinite higher coefficient of a finite
+    # value passes.
+    def base(x):
+        return x[0] * 1e300 * 1e10 + 1.0
+
+    def fiber(v):
+        return jets.exp(v[0] + v[1] + v[2] + v[3])
+
+    _, s = variables([0.0] * 8, 4, BASE_FIBER, (2, 3))
+    w = jets._call(lambda x, v: base(x) * fiber(v), s[:4], s[4:])
+    assert w.value == 1.0
+    assert w.coeff((1, 0, 0, 0, 0, 0, 0, 0)) == math.inf
+    with np.errstate(over="ignore"):
+        a = base(s[:4])
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        dense_product(a, fiber(s[4:]))
+
+
+def test_seeds_take_a_jacobian_and_its_support():
+    jac = np.zeros((4, 4))
+    jac[0, 2] = 0.5
+    jac[1, 3] = -0.0      # a signed zero adds nothing
+    ctx, s = variables([1.0, 2.0, 3.0, 4.0], 2, (0, 0, 1, 1), (1, 2), jac)
+    assert [w.mask for w in s] == [1, 1, 3, 2]
+    assert s[2].deriv((1, 0, 0, 0)) == 0.5
+    assert s[2].deriv((0, 0, 1, 0)) == 1.0
+    assert np.signbit(s[3].c).tolist() == [False] * ctx.size
+    lanes = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+    stacked = np.stack([jac, 2.0 * jac])
+    _, b = variables(lanes, 2, (0, 0, 1, 1), (1, 2), stacked)
+    assert b[2].deriv((1, 0, 0, 0)).tolist() == [0.5, 1.0]
+    assert [w.mask for w in b] == [1, 1, 3, 2]
