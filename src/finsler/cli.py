@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connection import VectorField, connection_report, geodesic
-from .curvature import chern_curvature, ppwave_condition
+from .curvature import _condition_report, _pointwise_tables, chern_curvature
 from .errors import ConfigError, FinslerError
 from .lagrangian import from_descriptor, is_finite_number
 from .penrose import penrose_limit
-from .ppwave import delta_scan, parallel_criterion
+from .ppwave import _parallel_report, delta_scan
 from .quotient import holonomy_defect, quotient_metric, rectangle_loop
 from .report import Report
-from .tensors import fundamental_tensor, homogeneity_report, signature_of
+from .tensors import _homogeneity, signature_of
 
 EXIT_PASS = 0
 EXIT_VERIFICATION = 1
@@ -253,26 +253,50 @@ def _sample_states(L, rng, n, box):
 # A runner returns the report and None, or a callable building the CSV
 # text, so a curve is only tabulated when the CSV is written.
 
+def _one_pass(kernel, *sets):
+    """``kernel(*sets)`` over whole sample sets in one stacked pass.
+
+    If the pass raises, the kernel runs again on each sample alone, in
+    order, so that the error raised is the one a per-sample loop meets
+    first; if no sample fails alone, the pass's own error.
+    """
+    try:
+        return kernel(*sets)
+    except (FinslerError, np.linalg.LinAlgError):
+        for k in range(len(sets[0])):
+            kernel(*(s[k:k + 1] for s in sets))
+        raise
+
+
 def _cmd_check(L, rng, tol, n_samples, box):
+    def kernel(xs, vs):
+        reps, g = _homogeneity(L, xs, vs, tol)
+        return reps, [signature_of(m) for m in g]
+
+    xs, vs = map(np.array, zip(*_sample_states(L, rng, n_samples, box)))
     rep = Report(title="check")
     want = (1, L.dim - 1, 0)
-    for k, (x, v) in enumerate(_sample_states(L, rng, n_samples, box)):
-        sub = homogeneity_report(L, x, v, tol=tol)
+    for k, (sub, sig) in enumerate(zip(*_one_pass(kernel, xs, vs))):
         for c in sub.checks:
             rep.add("sample %d: %s" % (k, c.name), c.residual, c.tol)
-        sig = signature_of(fundamental_tensor(L, x, v).matrix)
         ok = (sig.plus, sig.minus, sig.zero) == want
         rep.add("sample %d: signature (1, %d, 0)" % (k, L.dim - 1),
                 0.0 if ok else 1.0, 0.5)
     return rep, None
 
 
+def _draw_points(L, rng, n_samples, box):
+    """n_samples points drawn uniformly from the box, one row each."""
+    return np.array([rng.uniform(-box, box, L.dim)
+                     for _ in range(n_samples)])
+
+
 def _cmd_connection(L, rng, tol, n_samples, box, N):
     V = VectorField.constant(N)
     rep = Report(title="connection")
-    for k in range(n_samples):
-        x = rng.uniform(-box, box, L.dim)
-        sub, _ = connection_report(L, V, x)
+    subs, _ = _one_pass(lambda xs: connection_report(L, V, xs),
+                        _draw_points(L, rng, n_samples, box))
+    for k, sub in enumerate(subs):
         for c in sub.checks:
             use = c.tol if tol is None or "torsion" in c.name else tol
             rep.add("sample %d: %s" % (k, c.name), c.residual, use)
@@ -308,10 +332,14 @@ def _cmd_geodesic(L, rng, tol, x0, v0, t_span, n_samples, ode_tol):
 
 
 def _cmd_ppwave(L, rng, tol, n_samples, box, N):
-    samples = [rng.uniform(-box, box, L.dim) for _ in range(n_samples)]
+    # N is constant, so one stacked Christoffel table serves both the
+    # parallel criterion and the curvature's parallel extensions
+    V = VectorField.constant(N)
+    table = _one_pass(lambda xs: _pointwise_tables(L, V, xs),
+                      _draw_points(L, rng, n_samples, box))
     rep = Report(title="ppwave")
-    par = parallel_criterion(L, N, samples)
-    cond = ppwave_condition(L, N, samples, tol_factor=tol)
+    par = _parallel_report(L, table)
+    cond = _condition_report(L, V, table, tol)
     rep.extend(par)
     rep.extend(cond)
     rep.meta["curvature_scale"] = cond.meta["curvature_scale"]

@@ -8,10 +8,12 @@ pass.  The Koszul identities are linear in the symbols, and for a
 2-homogeneous L, C(v, ·, ·) = 0 decouples them: contracted with v twice
 and then once they give Γ(v, v) and Γ v, and then Γ in closed form
 (`_koszul_solve`).  Curvature uses the same solve for the exact
-x-derivatives of Γ from a base-order-2 evaluation.  The solve never
-tests cone membership; the public entry points
-(`connection_report`, `hessian`, `parallel_extension`, `geodesic`) gate
-the reference the caller supplies.
+x-derivatives of Γ from a base-order-2 evaluation.  A point set is one
+batched evaluation and one stacked solve (`_tables_on`), lane for lane
+the bits of the solve at each point.  The solve never tests cone
+membership; the public entry points (`connection_report`, `hessian`,
+`parallel_extension`, `geodesic`) gate the reference the caller
+supplies, `connection_report` once for each point of a set.
 
 Index conventions (pinned across the package):
   gamma[k, i, j]   = Γ^k_ij (torsion-free: symmetric in i, j)
@@ -161,7 +163,8 @@ def as_vector_field(N):
 
 @dataclass
 class ChristoffelTable:
-    """Christoffel symbols at one point plus the jet byproducts."""
+    """Christoffel symbols at one point plus the jet byproducts; a stacked
+    table carries a leading lane axis on every array, one lane a point."""
 
     x: np.ndarray
     v: np.ndarray
@@ -172,6 +175,14 @@ class ChristoffelTable:
     jacobian: np.ndarray   # jacobian[i, k]
     iterations: int        # 0: the solve is closed-form
     method: str            # "closed-form"
+
+    def lane(self, b):
+        """Lane b of a stacked table, as the table of its point."""
+        return ChristoffelTable(
+            x=self.x[b], v=self.v[b], gamma=self.gamma[b], g=self.g[b],
+            cartan=self.cartan[b], dmetric=self.dmetric[b],
+            jacobian=self.jacobian[b], iterations=self.iterations,
+            method=self.method)
 
 
 def _field_jet(L, x, v, J, base_order=1):
@@ -292,8 +303,12 @@ def christoffel(L, V, x):
     over a point set.
     """
     x = np.asarray(x, dtype=float)
-    v = np.asarray(V(x), dtype=float)
-    J = V.jacobian(x)
+    return _table(L, x, np.asarray(V(x), dtype=float), V.jacobian(x))
+
+
+def _table(L, x, v, J):
+    """The `ChristoffelTable` at x of a field with value v and Jacobian J
+    there; x, v and J may carry a leading lane axis."""
     gamma, g, C, D, res = _symbols(L, x, v, J)
     _residual_gate(res)
     return ChristoffelTable(x=x, v=v, gamma=gamma, g=g, cartan=C,
@@ -301,25 +316,60 @@ def christoffel(L, V, x):
                             method="closed-form")
 
 
-def christoffel_on(L, V, xs):
-    """Γ[b, k, i, j] at each point xs[b], stacked; lane b is bitwise
-    ``christoffel(L, V, xs[b]).gamma``.
+def _tables_on(L, xs, vs, Js):
+    """The stacked `ChristoffelTable` at the points xs of fields with
+    values vs and Jacobians Js there; lane b is bitwise ``_table(L,
+    xs[b], vs[b], Js[b])``.
 
     The points go through `jets.in_blocks`, each block one batched jet
     evaluation and one stacked solve, behind the same gates.  A block
     fails as a whole; the error then is the one `christoffel` raises at
-    the first failing point of the block, with that point named.  Like
+    the first failing point of the block, with that point named when
+    the set holds more than one point.  Tests no cone membership.
+    """
+    def kernel(xb, vb, Jb):
+        t = _table(L, xb, vb, Jb)
+        return t.gamma, t.g, t.cartan, t.dmetric
+
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    gamma, g, C, D = jets.in_blocks(kernel, lambda *row: _table(L, *row),
+                                    xs, vs, Js)
+    return ChristoffelTable(x=xs, v=vs, gamma=gamma, g=g, cartan=C,
+                            dmetric=D, jacobian=Js, iterations=0,
+                            method="closed-form")
+
+
+def _gated_tables(L, xs, vs, Js):
+    """`_tables_on` behind one stacked cone gate of the pairs (xs, vs):
+    each point is gated once, and the first pair outside the cone
+    raises ConeError before any symbol is solved.  An empty set gives
+    an empty table."""
+    if not len(xs):
+        empty = np.zeros((0,) + (L.dim,) * 3)
+        return ChristoffelTable(x=xs, v=vs, gamma=empty, g=empty[..., 0],
+                                cartan=empty, dmetric=empty, jacobian=Js,
+                                iterations=0, method="closed-form")
+    L.check_admissible(xs, vs)
+    return _tables_on(L, xs, vs, Js)
+
+
+def _field_at(V, xs):
+    """V and its Jacobian at each point of xs, stacked."""
+    return (np.array([V(x) for x in xs]),
+            np.array([V.jacobian(x) for x in xs]))
+
+
+def christoffel_on(L, V, xs):
+    """Γ[b, k, i, j] at each point xs[b], stacked; lane b is bitwise
+    ``christoffel(L, V, xs[b]).gamma``.
+
+    The points go through `jets.in_blocks` (`_tables_on`).  A block fails
+    as a whole; the error then is the one `christoffel` raises at the
+    first failing point of the block, with that point named.  Like
     `christoffel`, it tests no cone membership.
     """
-    def kernel(block):
-        vs = np.array([V(x) for x in block])
-        Js = np.array([V.jacobian(x) for x in block])
-        gamma, _, _, _, res = _symbols(L, block, vs, Js)
-        _residual_gate(res)
-        return gamma
-
-    return jets.in_blocks(kernel, lambda x: christoffel(L, V, x),
-                          np.atleast_2d(np.asarray(xs, dtype=float)))
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    return _tables_on(L, xs, *_field_at(V, xs)).gamma
 
 
 def _koszul_residual(gamma, g, C, D, J, v):
@@ -355,18 +405,30 @@ def torsion_residual(table):
 
 
 def connection_report(L, V, x):
-    """Report the connection identities at x; returns (report, table)."""
-    L.check_admissible(x, V(x))
-    table = christoffel(L, V, x)
-    rep = Report(title="connection",
-                 meta={"x": [float(t) for t in x],
-                       "v": table.v.tolist(),
-                       "method": table.method,
-                       "iterations": table.iterations})
-    rep.add("koszul identity", koszul_residual(table), 1e-8)
-    rep.add("torsion-free symmetry", torsion_residual(table), 1e-14)
-    rep.add("almost-g-compatibility", compatibility_residual(table), 1e-8)
-    return rep, table
+    """Report the connection identities at x; returns (report, table).
+
+    x is one point, or a (B, n) point set, which gives a list of B
+    reports and a stacked table.  One stacked pass: one cone gate of
+    V at every point, one `_tables_on` solve, then the residuals of each
+    lane.
+    """
+    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    table = _gated_tables(L, xs, *_field_at(V, xs))
+    reps = []
+    for b in range(len(xs)):
+        t = table.lane(b)
+        rep = Report(title="connection",
+                     meta={"x": t.x.tolist(),
+                           "v": t.v.tolist(),
+                           "method": t.method,
+                           "iterations": t.iterations})
+        rep.add("koszul identity", koszul_residual(t), 1e-8)
+        rep.add("torsion-free symmetry", torsion_residual(t), 1e-14)
+        rep.add("almost-g-compatibility", compatibility_residual(t), 1e-8)
+        reps.append(rep)
+    if np.ndim(x) == 2:
+        return reps, table
+    return reps[0], table.lane(0)
 
 
 def levi_civita_quadratic(L, x):

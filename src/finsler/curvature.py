@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import (_cartan_rhs, _field_jet, _koszul_rhs,
-                         _koszul_solve, _metric_inverse, as_vector_field,
-                         parallel_extension)
+from .connection import (VectorField, _cartan_rhs, _field_jet, _gated_tables,
+                         _koszul_rhs, _koszul_solve, _metric_inverse,
+                         as_vector_field, parallel_extension)
 from .report import Report
 
 __all__ = [
@@ -74,6 +74,12 @@ def chern_curvature(L, x, v, extension=None):
     else:
         L.check_admissible(x, v)
         V = extension
+    return _curvature(L, x, v, V)
+
+
+def _curvature(L, x, v, V):
+    """The `chern_curvature` kernel: R_v at x from the field V through
+    (x, v), with no cone test."""
     vx, J = V(x), V.jacobian(x)
     g, C, D, dC, dD = _field_jet(L, x, vx, J, base_order=2)
     ginv = _metric_inverse(g, x)        # SignatureError where g degenerates
@@ -123,19 +129,38 @@ def ppwave_condition(L, N, sample_points, tol_factor=1e-6):
     Preconditions (N lightlike and parallel) are reported as their own
     checks, distinct from the curvature residuals.  The curvature
     tolerance is tol_factor times the curvature scale (max component over
-    samples, floored at one so the flat case stays meaningful).
+    samples, floored at one so the flat case stays meaningful).  Each
+    sample is gated once, and the Christoffel symbols that make the
+    extensions of N parallel are one stacked solve over the samples
+    (`_pointwise_tables`), so a sample outside the cone raises before any
+    curvature is taken.  The curvature jet is then one per sample.
     """
     N = as_vector_field(N)
-    samples = [np.asarray(p, dtype=float) for p in sample_points]
+    return _condition_report(L, N, _pointwise_tables(L, N, sample_points),
+                             tol_factor)
+
+
+def _pointwise_tables(L, N, sample_points):
+    """The stacked `ChristoffelTable` of the constant fields N(p) at the
+    sample points p, behind one cone gate of each (p, N(p)): where N is
+    itself constant, the symbols of ∇^N."""
+    xs = np.array([np.asarray(p, dtype=float) for p in sample_points])
+    vs = np.array([N(p) for p in xs])
+    return _gated_tables(L, xs, vs, np.zeros(vs.shape + vs.shape[-1:]))
+
+
+def _condition_report(L, N, table, tol_factor):
+    """The `ppwave_condition` report from ``_pointwise_tables(L, N, ·)``:
+    one curvature jet per sample, along the linear field through
+    (p, N(p)) that the sample's symbols make parallel at p."""
     rep = Report(title="ppwave-condition",
                  meta={"model": getattr(L, "name", "?"),
                        "samples": []})
-
     residuals = []
     scale = 0.0
-    for p in samples:
-        nv = N(p)
-        R = chern_curvature(L, p, nv)    # the sample's one cone gate
+    for p, nv, gamma in zip(table.x, table.v, table.gamma):
+        ext = VectorField.linear(nv, p, -np.einsum("kij,j->ik", gamma, nv))
+        R = _curvature(L, p, nv, ext)
         light = abs(float(L.value(p, nv)))
         # Γ at p depends on N(p) only, so the curvature's symbols serve
         nab = N.jacobian(p) + np.einsum("mil,l->im", R.gamma, nv)

@@ -53,7 +53,8 @@ evaluates jets and lanes under ``np.errstate`` with division by zero
 and invalid operations raising, so a lane whose float evaluation would
 raise fails the whole call with `EvaluationError`.  Callers pass point
 sets through `in_blocks`, in lane blocks of `LANE_BLOCK`, which bounds
-the product temporaries.
+the product temporaries; a set of one point fails with the error of its
+scalar evaluation, unchanged.
 """
 
 from __future__ import annotations
@@ -682,15 +683,19 @@ def _call(L, x, v):
 
 def in_blocks(kernel, alone, *arrays):
     """``kernel(*blocks)`` over the rows of ``arrays`` in lane blocks of
-    `LANE_BLOCK`, concatenated.
+    `LANE_BLOCK`, concatenated; a kernel that returns a tuple of arrays
+    has each of them concatenated.
 
     A block fails as a whole.  The error raised then is the one
     ``alone(*row)`` raises at the block's first row that fails alone,
-    with that row's point (its entry of ``arrays[0]``) named; if no row
-    fails alone, the block's own error.
+    with that row's point (its entry of ``arrays[0]``) named where the
+    rows hold more than one point; if no row fails alone, the block's
+    own error.
     """
+    points = arrays[0]
+    named = bool(np.any(points != points[:1]))
     out = []
-    for lo in range(0, len(arrays[0]), LANE_BLOCK):
+    for lo in range(0, len(points), LANE_BLOCK):
         block = [a[lo:lo + LANE_BLOCK] for a in arrays]
         try:
             out.append(kernel(*block))
@@ -699,7 +704,11 @@ def in_blocks(kernel, alone, *arrays):
                 try:
                     alone(*row)
                 except FinslerError as e:
+                    if not named:
+                        raise
                     raise type(e)("at x=%r: %s" % (
                         [float(t) for t in row[0]], e)) from e
             raise
+    if isinstance(out[0], tuple):
+        return tuple(np.concatenate(parts) for parts in zip(*out))
     return np.concatenate(out)

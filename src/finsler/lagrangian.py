@@ -48,7 +48,8 @@ _SEGMENT_T = np.array(sorted({j / 15.0 for j in range(16)} | {0.5}))[:, None]
 
 @dataclass(frozen=True)
 class ConeMembership:
-    """Admissibility verdict for one (x, v)."""
+    """Admissibility verdict for one (x, v), or arrays of verdicts, one
+    entry per pair of a stack."""
 
     inside: bool
     value: float
@@ -118,32 +119,47 @@ class Lagrangian:
 
         v is inside when L stays positive along the straight segment from
         cone_ref(x) to v; ``closed`` relaxes only the endpoint, admitting
-        lightlike boundary vectors.  The 17 segment points are one
-        `value_on` evaluation.
+        lightlike boundary vectors.  x and v are one pair, or (B, n)
+        stacks of B pairs, whose verdict then holds one entry per pair.
+        The 17 segment points of every pair are one `value_on`
+        evaluation; a single pair keeps its base point a plain point.
         """
         v = np.asarray(v, dtype=float)
-        if not np.any(v):
+        vs = np.atleast_2d(v)
+        if not np.all(np.any(vs, axis=1)):
             raise ConeError("zero vector has no cone membership")
-        ref = self.cone_ref_at(x)
+        xs = np.atleast_2d(np.asarray(x, dtype=float))
+        refs = np.array([self.cone_ref_at(p) for p in xs])
         t = _SEGMENT_T
-        vals = self.value_on(x, (1.0 - t) * ref + t * v)
-        value = float(vals[-1])
-        margin = float(np.min(vals))
-        interior_ok = bool(np.all(vals[:-1] > 0.0))
+        seg = (1.0 - t) * refs[:, None, :] + t * vs[:, None, :]
+        base = xs[0] if len(xs) == 1 else np.repeat(xs, len(t), axis=0)
+        vals = self.value_on(base, seg.reshape(-1, vs.shape[1])).reshape(
+            len(vs), len(t))
+        value = vals[:, -1]
+        margin = np.min(vals, axis=1)
+        interior_ok = np.all(vals[:, :-1] > 0.0, axis=1)
         if closed:
-            scale = max(1.0, abs(float(vals[0])), abs(value))
-            inside = interior_ok and value >= -1e-12 * scale
+            scale = np.maximum(1.0, np.maximum(np.abs(vals[:, 0]),
+                                               np.abs(value)))
+            inside = interior_ok & (value >= -1e-12 * scale)
         else:
-            inside = interior_ok and value > 0.0
+            inside = interior_ok & (value > 0.0)
+        if v.ndim == 1:
+            return ConeMembership(inside=bool(inside[0]),
+                                  value=float(value[0]),
+                                  margin=float(margin[0]))
         return ConeMembership(inside=inside, value=value, margin=margin)
 
     def check_admissible(self, x, v, closed=True):
+        """`is_admissible`, raising ConeError for the first pair outside."""
         m = self.is_admissible(x, v, closed=closed)
-        if not m.inside:
+        out = np.flatnonzero(~np.atleast_1d(m.inside))
+        if len(out):
+            k = out[0]
             raise ConeError(
                 "vector outside the %s cone of %r (L=%.6g, margin=%.6g)"
                 % ("closed" if closed else "open", self.name,
-                   m.value, m.margin))
+                   np.atleast_1d(m.value)[k], np.atleast_1d(m.margin)[k]))
         return m
 
     def sample_admissible(self, x, rng, count=1):

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets, ode
-from .connection import _field_jet, as_vector_field, christoffel
+from .connection import (_field_at, _field_jet, _gated_tables,
+                         as_vector_field)
 from .errors import ConfigError, SolverError
 from .lagrangian import PROFILES
 from .report import Report, csv_text
@@ -104,24 +105,30 @@ def parallel_criterion(L, N, region_samples):
     reads the x0-derivative of g_N(x) = g(x, N(x)) from the solve's jet
     byproducts, the direct route contracts its symbols into nabla N.  Both
     must vanish for a parallel N, and they fail independently, which is
-    the point of reporting them as separate checks.
+    the point of reporting them as separate checks.  The samples are one
+    stacked pass: one cone gate of each (p, N(p)), then one stacked solve.
     """
     N = as_vector_field(N)
+    xs = np.array([np.asarray(p, dtype=float) for p in region_samples])
+    return _parallel_report(L, _gated_tables(L, xs, *_field_at(N, xs)))
+
+
+def _parallel_report(L, table):
+    """The `parallel_criterion` report from the stacked `ChristoffelTable`
+    of N at the samples."""
     rep = Report(title="parallel-criterion",
                  meta={"model": getattr(L, "name", "?"), "samples": []})
-    for idx, p in enumerate(region_samples):
-        p = np.asarray(p, dtype=float)
-        L.check_admissible(p, N(p))
-        table = christoffel(L, N, p)
-        gscale = max(1.0, float(np.max(np.abs(table.g))))
-        d0 = float(np.max(np.abs(table.dmetric[0])))
-        nab = table.jacobian + np.einsum("mil,l->im", table.gamma, table.v)
+    for idx in range(len(table.x)):
+        t = table.lane(idx)
+        gscale = max(1.0, float(np.max(np.abs(t.g))))
+        d0 = float(np.max(np.abs(t.dmetric[0])))
+        nab = t.jacobian + np.einsum("mil,l->im", t.gamma, t.v)
         par = float(np.max(np.abs(nab)))
 
         rep.add("sample %d: d0 g_N" % idx, d0, _PARALLEL_TOL * gscale)
         rep.add("sample %d: nabla N" % idx, par, _PARALLEL_TOL * gscale)
         rep.meta["samples"].append({
-            "x": [float(t) for t in p],
+            "x": t.x.tolist(),
             "d0_gN": d0,
             "nabla_N": par,
         })

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def fmt_float(x: float) -> str:
     """Format a float with 17 significant digits (round-trip exact)."""
@@ -23,9 +25,15 @@ def fmt_float(x: float) -> str:
 
 
 def csv_text(header, rows) -> str:
-    """CSV text: the header line, then one line of `fmt_float` cells a row."""
+    """CSV text: the header line, then one line a row, one cell a header
+    column.  Each row is formatted by one ``%.17g`` template, which
+    prints every float, nan and the infinities included, as `fmt_float`
+    does."""
+    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
+                       dtype=float)
+    template = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines += [",".join(fmt_float(a) for a in row) for row in rows]
+    lines += [template % tuple(row) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -2,9 +2,11 @@
 
 Everything here is per-point and pure: evaluate, return arrays, no caching
 (anisotropic v-dependence makes global caches error-prone; callers own
-memoization).  The tensor kernels never test cone membership; the public
-entry points (`homogeneity_report` here) gate the caller's (x, v) once
-through `Lagrangian.check_admissible`.
+memoization).  Each kernel has a stacked twin (`fundamental_tensor_on`,
+`cartan_tensor_on`) whose lanes are bitwise the scalar results.  The
+tensor kernels never test cone membership; the public entry points
+(`homogeneity_report` here) gate the caller's pairs once each through
+`Lagrangian.check_admissible`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "fundamental_tensor",
     "fundamental_tensor_on",
     "cartan_tensor",
+    "cartan_tensor_on",
     "signature_of",
     "leading_minors",
     "homogeneity_report",
@@ -102,6 +105,26 @@ def cartan_tensor(L, x, v):
                         coeffs=C)
 
 
+def cartan_tensor_on(L, xs, vs):
+    """C[b] = C(xs[b], vs[b]), stacked; lane b is bitwise
+    ``cartan_tensor(L, xs[b], vs[b]).coeffs``.
+
+    Built like `fundamental_tensor_on`: the pairs go through
+    `jets.in_blocks`, each block one batched jet in v.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    vs = np.atleast_2d(np.asarray(vs, dtype=float))
+    n = vs.shape[1]
+
+    def kernel(xb, vb):
+        _, vj = jets.variables(vb, 3)
+        w = jets._call(L, list(jets.lanes(xb.T.copy())), vj)
+        return 0.25 * jets.derivative_tensor(w, range(n), 3)
+
+    return jets.in_blocks(kernel, lambda x, v: cartan_tensor(L, x, v).coeffs,
+                          xs, vs)
+
+
 def signature_of(matrix):
     """Eigenvalue signature with an explicit degenerate verdict.
 
@@ -130,39 +153,64 @@ def leading_minors(h):
                      for k in range(1, h.shape[-1] + 1)], axis=-1)
 
 
+# the scalings of v that the homogeneity identities compare: L at all
+# four, g at the first three
+_LAMBDAS = np.array([1.0, 0.5, 2.0, 3.0])
+
+
 def homogeneity_report(L, x, v, tol=1e-9):
-    """Residuals for the degree-2 homogeneity identities at one (x, v).
+    """Residuals for the degree-2 homogeneity identities at (x, v).
 
     Checks L(lambda v) = lambda^2 L, g_(lambda v) = g_v, g_v(v,v) = L and
-    C_v(v,.,.) = 0 for a `Lagrangian` ``L``.  Reports failures rather
-    than raising, except for a v outside the closed cone (ConeError),
-    which `Lagrangian.check_admissible` tests first.
+    C_v(v,.,.) = 0 for a `Lagrangian` ``L``.  x and v are one pair, or
+    (B, n) stacks of B pairs, which give a list of B reports.  Reports
+    failures rather than raising, except for a v outside the closed cone
+    (ConeError), which `Lagrangian.check_admissible` tests first.
     """
-    x = [float(t) for t in x]
-    v = np.asarray(v, dtype=float)
-    L.check_admissible(x, v)
-    rep = Report(title="homogeneity", meta={"x": list(x), "v": v.tolist()})
+    reps, _ = _homogeneity(L, x, v, tol)
+    return reps if np.ndim(v) == 2 else reps[0]
 
-    Lv = L.value(x, v)
-    for lam in (0.5, 2.0, 3.0):
-        Ll = L.value(x, lam * v)
-        target = lam * lam * Lv
-        res = abs(Ll - target) / max(1.0, abs(target))
-        rep.add("L(%.1f v) = %.1f^2 L" % (lam, lam), res, tol)
 
-    g = fundamental_tensor(L, x, v).matrix
-    gscale = max(1.0, float(np.max(np.abs(g))))
-    for lam in (0.5, 2.0):
-        gl = fundamental_tensor(L, x, lam * v).matrix
-        res = float(np.max(np.abs(gl - g))) / gscale
-        rep.add("g_(%.1f v) = g_v" % lam, res, tol)
+def _homogeneity(L, x, v, tol):
+    """The reports of `homogeneity_report` for a stack of pairs, and g at
+    each pair.  One stacked pass: one cone gate, one `Lagrangian.value_on`
+    for L at v, 0.5 v, 2 v and 3 v, one `fundamental_tensor_on` for g at
+    v, 0.5 v and 2 v and one `cartan_tensor_on`; each pair gets the bits
+    of its own scalar evaluations."""
+    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    vs = np.atleast_2d(np.asarray(v, dtype=float))
+    nb, n = vs.shape
+    L.check_admissible(xs, vs)
+    scaled = _LAMBDAS[:, None] * vs[:, None, :]         # (B, 4, n)
+    vals = L.value_on(np.repeat(xs, 4, axis=0),
+                      scaled.reshape(-1, n)).reshape(nb, 4)
+    gs = fundamental_tensor_on(L, np.repeat(xs, 3, axis=0),
+                               scaled[:, :3].reshape(-1, n)
+                               ).reshape(nb, 3, n, n)
+    Cs = cartan_tensor_on(L, xs, vs)
 
-    res = abs(float(v @ g @ v) - Lv) / max(1.0, abs(Lv))
-    rep.add("g_v(v, v) = L", res, tol)
+    reps = []
+    for xb, vb, Ls, gb, C in zip(xs, vs, vals.tolist(), gs, Cs):
+        rep = Report(title="homogeneity",
+                     meta={"x": xb.tolist(), "v": vb.tolist()})
+        Lv = Ls[0]
+        for lam, Ll in zip(_LAMBDAS[1:].tolist(), Ls[1:]):
+            target = lam * lam * Lv
+            res = abs(Ll - target) / max(1.0, abs(target))
+            rep.add("L(%.1f v) = %.1f^2 L" % (lam, lam), res, tol)
 
-    C = cartan_tensor(L, x, v).coeffs
-    contr = np.einsum("ijk,i->jk", C, v)
-    cscale = 1.0 + float(np.max(np.abs(C))) * float(np.linalg.norm(v))
-    rep.add("C_v(v, ., .) = 0",
-            float(np.max(np.abs(contr))) / cscale, tol)
-    return rep
+        g = gb[0]
+        gscale = max(1.0, float(np.max(np.abs(g))))
+        for lam, gl in zip(_LAMBDAS[1:3].tolist(), gb[1:]):
+            res = float(np.max(np.abs(gl - g))) / gscale
+            rep.add("g_(%.1f v) = g_v" % lam, res, tol)
+
+        res = abs(float(vb @ g @ vb) - Lv) / max(1.0, abs(Lv))
+        rep.add("g_v(v, v) = L", res, tol)
+
+        contr = np.einsum("ijk,i->jk", C, vb)
+        cscale = 1.0 + float(np.max(np.abs(C))) * float(np.linalg.norm(vb))
+        rep.add("C_v(v, ., .) = 0",
+                float(np.max(np.abs(contr))) / cscale, tol)
+        reps.append(rep)
+    return reps, gs[:, 0]

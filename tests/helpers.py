@@ -16,6 +16,12 @@ oracle of the in-house `quotient._expm`.
 oracles of the library's own `finsler.ode`; `scipy_dop853_tableau` hands
 out the Dormand-Prince coefficients that scipy's DOP853 steps with.
 
+`per_sample_check`, `per_sample_connection` and `per_sample_ppwave` are
+the ``check``, ``connection`` and ``ppwave`` commands as loops over their
+samples, one scalar gate, tensor, Christoffel solve and curvature at a
+time, each sample gated and Γ solved where the loop meets it: the oracles
+of the commands' stacked passes, report bytes and first error alike.
+
 `dop853_vielbein` integrates the Penrose O-equation O' = -W O with DOP853
 and takes S = h^{1/2} and its derivatives from scipy's Sylvester solver,
 independently of the library's Gauss panel propagators and eigenbasis
@@ -41,9 +47,18 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import expm, solve_sylvester
 from scipy.optimize import brentq
 
-from finsler.connection import _cartan_rhs
-from finsler.curvature import chern_curvature
-from finsler.tensors import fundamental_tensor
+from finsler.cli import _sample_states
+from finsler.connection import (
+    VectorField,
+    _cartan_rhs,
+    christoffel,
+    compatibility_residual,
+    koszul_residual,
+    torsion_residual,
+)
+from finsler.curvature import chern_curvature, nperp_basis
+from finsler.report import Report
+from finsler.tensors import cartan_tensor, fundamental_tensor, signature_of
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -255,3 +270,110 @@ def jacobi_first_zero(L, nvec, ray, n_grid=81, rtol=1e-10, guard=1e-3):
         if vals[i] * vals[i + 1] < 0.0:
             return brentq(det_e, tt[i], tt[i + 1], xtol=1e-12)
     return None
+
+
+# -- the sampled commands, one sample at a time ------------------------------------
+
+def _homogeneity_alone(L, x, v, tol):
+    """The homogeneity report of one (x, v) from scalar evaluations."""
+    x = [float(t) for t in x]
+    v = np.asarray(v, dtype=float)
+    L.check_admissible(x, v)
+    rep = Report(title="homogeneity", meta={"x": list(x), "v": v.tolist()})
+
+    Lv = L.value(x, v)
+    for lam in (0.5, 2.0, 3.0):
+        Ll = L.value(x, lam * v)
+        target = lam * lam * Lv
+        res = abs(Ll - target) / max(1.0, abs(target))
+        rep.add("L(%.1f v) = %.1f^2 L" % (lam, lam), res, tol)
+
+    g = fundamental_tensor(L, x, v).matrix
+    gscale = max(1.0, float(np.max(np.abs(g))))
+    for lam in (0.5, 2.0):
+        gl = fundamental_tensor(L, x, lam * v).matrix
+        res = float(np.max(np.abs(gl - g))) / gscale
+        rep.add("g_(%.1f v) = g_v" % lam, res, tol)
+
+    res = abs(float(v @ g @ v) - Lv) / max(1.0, abs(Lv))
+    rep.add("g_v(v, v) = L", res, tol)
+
+    C = cartan_tensor(L, x, v).coeffs
+    contr = np.einsum("ijk,i->jk", C, v)
+    cscale = 1.0 + float(np.max(np.abs(C))) * float(np.linalg.norm(v))
+    rep.add("C_v(v, ., .) = 0",
+            float(np.max(np.abs(contr))) / cscale, tol)
+    return rep
+
+
+def per_sample_check(L, rng, tol, n_samples, box):
+    rep = Report(title="check")
+    want = (1, L.dim - 1, 0)
+    for k, (x, v) in enumerate(_sample_states(L, rng, n_samples, box)):
+        sub = _homogeneity_alone(L, x, v, tol)
+        for c in sub.checks:
+            rep.add("sample %d: %s" % (k, c.name), c.residual, c.tol)
+        sig = signature_of(fundamental_tensor(L, x, v).matrix)
+        ok = (sig.plus, sig.minus, sig.zero) == want
+        rep.add("sample %d: signature (1, %d, 0)" % (k, L.dim - 1),
+                0.0 if ok else 1.0, 0.5)
+    return rep, None
+
+
+def per_sample_connection(L, rng, tol, n_samples, box, N):
+    V = VectorField.constant(N)
+    rep = Report(title="connection")
+    for k in range(n_samples):
+        x = rng.uniform(-box, box, L.dim)
+        L.check_admissible(x, V(x))
+        table = christoffel(L, V, x)
+        for name, res, own in (
+                ("koszul identity", koszul_residual(table), 1e-8),
+                ("torsion-free symmetry", torsion_residual(table), 1e-14),
+                ("almost-g-compatibility", compatibility_residual(table),
+                 1e-8)):
+            use = own if tol is None or "torsion" in name else tol
+            rep.add("sample %d: %s" % (k, name), res, use)
+    return rep, None
+
+
+def per_sample_ppwave(L, rng, tol, n_samples, box, N):
+    samples = [rng.uniform(-box, box, L.dim) for _ in range(n_samples)]
+    V = VectorField.constant(N)
+    rep = Report(title="ppwave")
+    for idx, p in enumerate(samples):        # the parallel criterion
+        L.check_admissible(p, V(p))
+        table = christoffel(L, V, p)
+        gscale = max(1.0, float(np.max(np.abs(table.g))))
+        d0 = float(np.max(np.abs(table.dmetric[0])))
+        nab = table.jacobian + np.einsum("mil,l->im", table.gamma, table.v)
+        rep.add("sample %d: d0 g_N" % idx, d0, 1e-8 * gscale)
+        rep.add("sample %d: nabla N" % idx, float(np.max(np.abs(nab))),
+                1e-8 * gscale)
+    rows = []
+    scale = 0.0
+    for p in samples:                         # the curvature condition
+        nv = V(p)
+        R = chern_curvature(L, p, nv)
+        light = abs(float(L.value(p, nv)))
+        nab = V.jacobian(p) + np.einsum("mil,l->im", R.gamma, nv)
+        basis = nperp_basis(R.g, nv)
+        worst = 0.0
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                for k in range(len(basis)):
+                    vec = R.apply(basis[i], basis[j], basis[k])
+                    worst = max(worst, float(np.linalg.norm(vec)))
+        rows.append((p, light, float(np.max(np.abs(nab))), worst))
+        scale = max(scale, R.scale)
+    ctol = tol * max(scale, 1.0)
+    rep.meta["curvature_scale"] = scale
+    rep.meta["samples"] = []
+    for idx, (p, light, par, worst) in enumerate(rows):
+        rep.add("sample %d: N lightlike" % idx, light, 1e-10)
+        rep.add("sample %d: N parallel" % idx, par, 1e-8)
+        rep.add("sample %d: curvature condition" % idx, worst, ctol)
+        rep.meta["samples"].append({"x": [float(t) for t in p],
+                                    "lightlike": light, "parallel": par,
+                                    "residual": worst})
+    return rep, None

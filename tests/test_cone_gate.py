@@ -2,12 +2,14 @@
 
 The tensor and connection kernels are pure per-point evaluations and never
 test cone membership; `Lagrangian.check_admissible` is applied once per
-public call (once per sample or loop vertex for the multi-point ones).
+public call (once per sample or loop vertex for the multi-point ones), and
+a stacked call gates each of its pairs once.
 """
 
 import numpy as np
 import pytest
 
+from finsler import cli
 from finsler import lagrangian as lg
 from finsler.connection import (
     ScalarField,
@@ -59,10 +61,23 @@ def test_entry_point_rejects_reference_outside_closed_cone(name):
 
 
 SAMPLES = [X, X + 0.1, X - 0.2]
+XS = np.array(SAMPLES)
+VS = np.array([E0, 1.1 * E0 + 0.1, E0 + 0.05])
 
+# gated (x, v) pairs per call: a stack of B pairs counts B
 GATE_COUNTS = {
     "chern_curvature": (lambda L: chern_curvature(L, X, E0), 1),
+    "homogeneity_report": (lambda L: homogeneity_report(L, X, E0), 1),
+    "homogeneity_report/set": (
+        lambda L: homogeneity_report(L, XS, VS), 3),
+    "connection_report/set": (lambda L: connection_report(
+        L, VectorField.constant(E0), XS), 3),
+    "parallel_criterion": (lambda L: parallel_criterion(L, E0, SAMPLES), 3),
     "ppwave_condition": (lambda L: ppwave_condition(L, E0, SAMPLES), 3),
+    "ppwave command": (lambda L: cli._cmd_ppwave(
+        L, np.random.default_rng(1), 1e-6, 3, 0.8, E0), 3),
+    "check command": (lambda L: cli._cmd_check(
+        L, np.random.default_rng(1), 1e-9, 3, 0.8), 3),
     "holonomy_defect": (lambda L: holonomy_defect(
         L, E0, rectangle_loop(X, 1, 2, 0.1), REPS, n_segments=8), 4),
     "fundamental_tensor": (lambda L: fundamental_tensor(L, X, E0), 0),
@@ -75,14 +90,14 @@ GATE_COUNTS = {
 @pytest.mark.parametrize("name", sorted(GATE_COUNTS))
 def test_cone_tests_per_call(name, monkeypatch):
     L = lg.build_brinkmann_quadratic("x2-y2")
-    calls = []
+    pairs = []
     original = lg.Lagrangian.is_admissible
 
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return original(self, *args, **kwargs)
+    def counting(self, x, v, *args, **kwargs):
+        pairs.append(len(np.atleast_2d(v)))
+        return original(self, x, v, *args, **kwargs)
 
     monkeypatch.setattr(lg.Lagrangian, "is_admissible", counting)
     fn, expected = GATE_COUNTS[name]
     fn(L)
-    assert len(calls) == expected
+    assert sum(pairs) == expected

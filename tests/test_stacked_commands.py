@@ -1,0 +1,121 @@
+"""The sampled commands run one stacked pass per sample set.
+
+`check`, `connection` and `ppwave` evaluate all their samples at once, and
+their reports must keep the bytes of a loop over the samples, one scalar
+evaluation at a time (`tests/helpers.py`), and its first error.  33 samples
+cross `jets.LANE_BLOCK`.
+"""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+from finsler import cli, connection, fixtures, jets, ppwave
+from finsler.curvature import ppwave_condition
+from finsler.errors import ConeError, FinslerError
+from finsler.lagrangian import catalog
+
+from helpers import per_sample_check, per_sample_connection, per_sample_ppwave
+
+MODELS = {**catalog(), **{k: b() for k, b in fixtures.BUILDERS.items()}}
+E0 = np.array([1.0, 0.0, 0.0, 0.0])
+
+ORACLES = {"check": per_sample_check, "connection": per_sample_connection,
+           "ppwave": per_sample_ppwave}
+SIZES = (1, 5, jets.LANE_BLOCK + 1)
+
+
+def outcome(run, L, seed, tol, params):
+    """The report's bytes, or the error's type and text."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rep, _ = run(L, np.random.default_rng(seed), tol, **params)
+        except (FinslerError, np.linalg.LinAlgError) as e:
+            return type(e).__name__, str(e)
+    return rep.to_json()
+
+
+@pytest.mark.parametrize("command", sorted(ORACLES))
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_stacked_reports_are_the_per_sample_bytes(command, name):
+    L = MODELS[name]
+    tol = cli.COMMANDS[command].tol
+    for seed in (3, 17, 101):
+        for n in SIZES:
+            params = {"n_samples": n, "box": 0.8}
+            if command != "check":
+                params["N"] = E0
+            got = outcome(cli.COMMANDS[command].run, L, seed, tol, params)
+            assert got == outcome(ORACLES[command], L, seed, tol, params), (
+                seed, n)
+
+
+class Points:
+    """A generator stand-in whose uniform draws are the given points."""
+
+    def __init__(self, points):
+        self._points = iter(points)
+
+    def uniform(self, lo, hi, size):
+        return np.array(next(self._points), dtype=float)
+
+
+# N = (1, 1, 1, 0) has L = 2 - h2(x0) = 1 + x0 on linear_wall (h2 =
+# 1 - x0): outside the cone for x0 < -1, and g is singular at x0 = 1
+N_WALL = np.array([1.0, 1.0, 1.0, 0.0])
+INSIDE = [0.0, 0.1, 0.2, 0.3]
+OUTSIDE = [-1.5, 0.1, 0.2, 0.3]
+DEGENERATE = [1.0, 0.1, 0.2, 0.3]
+
+
+@pytest.mark.parametrize("command", ["connection", "ppwave"])
+@pytest.mark.parametrize("bad", [(OUTSIDE, DEGENERATE),
+                                 (DEGENERATE, OUTSIDE)])
+def test_a_failing_set_raises_the_per_sample_loops_first_error(
+        command, bad, capsys, monkeypatch, tmp_path):
+    L = fixtures.linear_wall()
+    points = [INSIDE, *bad, INSIDE]
+    with pytest.raises(FinslerError) as want:
+        ORACLES[command](L, Points(points), 1e-6, len(points), 0.8, N_WALL)
+    # the stacked pass itself meets the cone first
+    with pytest.raises(ConeError):
+        connection._gated_tables(
+            L, np.array(points), np.tile(N_WALL, (len(points), 1)),
+            np.zeros((len(points), 4, 4)))
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Points(points))
+    cfg = tmp_path / "wall.json"
+    cfg.write_text(json.dumps({
+        "spacetime": {"type": "plugin",
+                      "params": {"module": "finsler.fixtures",
+                                 "builder": "linear_wall"}},
+        "params": {"n_samples": len(points), "N": N_WALL.tolist()}}))
+    assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "numerical failure: %s" % want.value
+
+
+def test_ppwave_solves_the_symbols_of_each_sample_once(monkeypatch):
+    L = MODELS["ppwave_example"]
+    lanes = []
+    symbols = connection._symbols
+
+    def counted(L, x, v, J):
+        lanes.append(len(np.atleast_2d(x)))
+        return symbols(L, x, v, J)
+
+    monkeypatch.setattr(connection, "_symbols", counted)
+    cli._cmd_ppwave(L, np.random.default_rng(5), 1e-6, 3, 0.8, E0)
+    assert lanes == [3]
+
+
+def test_an_empty_sample_set_gives_empty_reports():
+    L = MODELS["brinkmann-x2"]
+    assert ppwave.parallel_criterion(L, E0, []).checks == []
+    assert ppwave_condition(L, E0, []).checks == []
+    reps, _ = connection.connection_report(
+        L, connection.VectorField.constant(E0), np.zeros((0, 4)))
+    assert reps == []
