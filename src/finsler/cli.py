@@ -153,7 +153,12 @@ def _parse_table(table, raw, path, dim):
     return got
 
 
-def count(val, path, dim, least=1, most=math.inf):
+# the largest count a params table takes: memory grows linearly in a
+# count, and at this bound penrose (n_csv) peaks near 212 MB
+MAX_COUNT = 10_000
+
+
+def count(val, path, dim, least=1, most=MAX_COUNT):
     """An integer (not a bool) in [least, most]."""
     _require(isinstance(val, int) and not isinstance(val, bool)
              and least <= val <= most,
@@ -256,9 +261,9 @@ def _sample_states(L, rng, n, box):
 def _one_pass(kernel, *sets):
     """``kernel(*sets)`` over whole sample sets in one stacked pass.
 
-    If the pass raises, the kernel runs again on each sample alone, in
-    order, so that the error raised is the one a per-sample loop meets
-    first; if no sample fails alone, the pass's own error.
+    If the pass raises, the kernel runs again on each sample by itself,
+    in order, so that the error raised is the one a per-sample loop
+    meets first; if no sample fails by itself, the pass's own error.
     """
     try:
         return kernel(*sets)

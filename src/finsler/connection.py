@@ -8,10 +8,11 @@ pass.  The Koszul identities are linear in the symbols, and for a
 2-homogeneous L, C(v, ·, ·) = 0 decouples them: contracted with v twice
 and then once they give Γ(v, v) and Γ v, and then Γ in closed form
 (`_koszul_solve`).  Curvature uses the same solve for the exact
-x-derivatives of Γ from a base-order-2 evaluation.  A point set is one
-batched evaluation and one stacked solve (`_tables_on`), lane for lane
-the bits of the solve at each point.  The solve never tests cone
-membership; the public entry points (`connection_report`, `hessian`,
+x-derivatives of Γ from a base-order-2 evaluation.  `christoffel` takes
+one point or a point set; a set is one batched evaluation and one
+stacked solve per lane block (`_table`), lane for lane the bits of the
+solve at each point.  The solve never tests cone membership; the
+public entry points (`connection_report`, `hessian`,
 `parallel_extension`, `geodesic`) gate the reference the caller
 supplies, `connection_report` once for each point of a set.
 
@@ -45,7 +46,6 @@ __all__ = [
     "as_scalar_field",
     "as_vector_field",
     "christoffel",
-    "christoffel_on",
     "koszul_residual",
     "compatibility_residual",
     "torsion_residual",
@@ -265,7 +265,7 @@ def _metric_inverse(g, x):
                              % (x.tolist(),)) from e
     cond = np.linalg.cond(g)
     if cond.ndim:
-        cond = cond.max()
+        cond = cond.max(initial=0.0)
     if not np.isfinite(cond) or cond > 1e12:
         raise SignatureError("fundamental tensor is numerically degenerate "
                              "(cond=%.3g)" % cond)
@@ -282,7 +282,7 @@ def _symbols(L, x, v, J):
 
 def _residual_gate(res):
     if res.ndim:
-        res = res.max()
+        res = res.max(initial=0.0)
     if res > 1e-6:
         raise SolverError("Koszul identity residual %.3g: the closed-form "
                           "solve needs C(v, ., .) = 0, a 2-homogeneous L"
@@ -297,79 +297,53 @@ def christoffel(L, V, x):
     C(v, ·, ·) = 0, i.e. a 2-homogeneous L (the `Lagrangian` contract):
     where L breaks it the identities fail their residual gate.  Raises
     SignatureError when g_V is numerically degenerate and SolverError when
-    the symbols miss the identities by more than 1e-6.  A pure per-point
-    kernel: it does not test whether V(x) lies in the cone, so callers
-    gate their own reference once.  `christoffel_on` is the same kernel
-    over a point set.
+    the symbols miss the identities by more than 1e-6.  x is one point,
+    or a (B, n) point set, which gives a stacked table whose lane b is
+    bitwise the table at x[b] (see `_table`).  A pure per-point kernel:
+    it does not test whether V(x) lies in the cone, so callers gate their
+    own reference once.
     """
     x = np.asarray(x, dtype=float)
-    return _table(L, x, np.asarray(V(x), dtype=float), V.jacobian(x))
+    if x.ndim == 1:
+        return _table(L, x, np.asarray(V(x), dtype=float), V.jacobian(x))
+    return _table(L, x, *_field_at(V, x))
 
 
 def _table(L, x, v, J):
     """The `ChristoffelTable` at x of a field with value v and Jacobian J
-    there; x, v and J may carry a leading lane axis."""
-    gamma, g, C, D, res = _symbols(L, x, v, J)
-    _residual_gate(res)
-    return ChristoffelTable(x=x, v=v, gamma=gamma, g=g, cartan=C,
-                            dmetric=D, jacobian=J, iterations=0,
-                            method="closed-form")
-
-
-def _tables_on(L, xs, vs, Js):
-    """The stacked `ChristoffelTable` at the points xs of fields with
-    values vs and Jacobians Js there; lane b is bitwise ``_table(L,
-    xs[b], vs[b], Js[b])``.
-
-    The points go through `jets.in_blocks`, each block one batched jet
-    evaluation and one stacked solve, behind the same gates.  A block
-    fails as a whole; the error then is the one `christoffel` raises at
-    the first failing point of the block, with that point named when
-    the set holds more than one point.  Tests no cone membership.
+    there.  x, v and J may carry a leading lane axis, (B, n), (B, n) and
+    (B, n, n): the points then go through `jets.in_blocks`, each block
+    one batched jet evaluation and one stacked solve behind the same
+    gates.  A block fails as a whole; the error then is the one its
+    first failing point raises, with that point named when the set holds
+    more than one point.  Tests no cone membership.
     """
-    def kernel(xb, vb, Jb):
-        t = _table(L, xb, vb, Jb)
-        return t.gamma, t.g, t.cartan, t.dmetric
+    def kernel(x, v, J):
+        gamma, g, C, D, res = _symbols(L, x, v, J)
+        _residual_gate(res)
+        return gamma, g, C, D
 
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    gamma, g, C, D = jets.in_blocks(kernel, lambda *row: _table(L, *row),
-                                    xs, vs, Js)
-    return ChristoffelTable(x=xs, v=vs, gamma=gamma, g=g, cartan=C,
-                            dmetric=D, jacobian=Js, iterations=0,
+    if x.ndim == 1:
+        parts = kernel(x, v, J)
+    else:
+        parts = jets.in_blocks(kernel, x, v, J)
+    return ChristoffelTable(x, v, *parts, jacobian=J, iterations=0,
                             method="closed-form")
 
 
 def _gated_tables(L, xs, vs, Js):
-    """`_tables_on` behind one stacked cone gate of the pairs (xs, vs):
-    each point is gated once, and the first pair outside the cone
-    raises ConeError before any symbol is solved.  An empty set gives
-    an empty table."""
-    if not len(xs):
-        empty = np.zeros((0,) + (L.dim,) * 3)
-        return ChristoffelTable(x=xs, v=vs, gamma=empty, g=empty[..., 0],
-                                cartan=empty, dmetric=empty, jacobian=Js,
-                                iterations=0, method="closed-form")
+    """The stacked `_table` behind one stacked cone gate of the pairs
+    (xs, vs): each point is gated once, and the first pair outside the
+    cone raises ConeError before any symbol is solved."""
     L.check_admissible(xs, vs)
-    return _tables_on(L, xs, vs, Js)
+    return _table(L, xs, vs, Js)
 
 
 def _field_at(V, xs):
     """V and its Jacobian at each point of xs, stacked."""
-    return (np.array([V(x) for x in xs]),
-            np.array([V.jacobian(x) for x in xs]))
-
-
-def christoffel_on(L, V, xs):
-    """Γ[b, k, i, j] at each point xs[b], stacked; lane b is bitwise
-    ``christoffel(L, V, xs[b]).gamma``.
-
-    The points go through `jets.in_blocks` (`_tables_on`).  A block fails
-    as a whole; the error then is the one `christoffel` raises at the
-    first failing point of the block, with that point named.  Like
-    `christoffel`, it tests no cone membership.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    return _tables_on(L, xs, *_field_at(V, xs)).gamma
+    return (np.array([V(x) for x in xs]).reshape(xs.shape),
+            np.array([V.jacobian(x) for x in xs]).reshape(
+                xs.shape + xs.shape[-1:]))
 
 
 def _koszul_residual(gamma, g, C, D, J, v):
@@ -409,8 +383,8 @@ def connection_report(L, V, x):
 
     x is one point, or a (B, n) point set, which gives a list of B
     reports and a stacked table.  One stacked pass: one cone gate of
-    V at every point, one `_tables_on` solve, then the residuals of each
-    lane.
+    V at every point, one stacked `_table` solve, then the residuals of
+    each lane.
     """
     xs = np.atleast_2d(np.asarray(x, dtype=float))
     table = _gated_tables(L, xs, *_field_at(V, xs))
@@ -599,10 +573,10 @@ def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
     at ``n_samples`` evenly spaced times; where the spray fails its
     right-hand side is NaN, and the integrator stops when its step size
     has shrunk to nothing.  A ``tol`` below 100 machine epsilons stops it
-    before the first step, and the path is then (x0, v0) alone.
+    before the first step, and the path is then (x0, v0) only.
 
     Only (x0, v0) is tested against the cone.  One L evaluation per
-    returned sample, all in one `Lagrangian.value_on` call, gives its
+    returned sample, all in one stacked `Lagrangian.value` call, gives its
     drift and the cut: the path ends before the first sample where L
     fails or L < -50 tol max(1, |L(x0, v0)|), and ``truncated`` is set.
     This is the closed-cone test whenever 50 tol max(1, |L(x0, v0)|) >=
@@ -632,9 +606,9 @@ def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
 
     lscale = max(1.0, abs(l0))
     try:
-        vals = L.value_on(ys[:, :n], ys[:, n:])
+        vals = L.value(ys[:, :n], ys[:, n:])
     except EvaluationError:
-        # some sample fails alone: take them one at a time, NaN where L fails
+        # some sample fails: take them one at a time, NaN where L fails
         vals = np.array([_value_or_nan(L, y[:n], y[n:]) for y in ys])
     # lightlike paths keep L = 0 only to the integration tolerance
     out = np.flatnonzero(~(vals >= -50.0 * tol * lscale))

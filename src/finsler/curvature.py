@@ -144,8 +144,8 @@ def _pointwise_tables(L, N, sample_points):
     """The stacked `ChristoffelTable` of the constant fields N(p) at the
     sample points p, behind one cone gate of each (p, N(p)): where N is
     itself constant, the symbols of ∇^N."""
-    xs = np.array([np.asarray(p, dtype=float) for p in sample_points])
-    vs = np.array([N(p) for p in xs])
+    xs = np.array(sample_points, dtype=float).reshape(-1, L.dim)
+    vs = np.array([N(p) for p in xs]).reshape(xs.shape)
     return _gated_tables(L, xs, vs, np.zeros(vs.shape + vs.shape[-1:]))
 
 

@@ -34,7 +34,7 @@ at that lane's point: each lane sums its product terms in the same order,
 and the elementary functions take the leading value of their Taylor
 coefficients from the `math` module one lane at a time, so a lane that
 would raise ``ValueError``, ``ZeroDivisionError`` or ``OverflowError``
-alone raises it in the batch too; the recurrences for the higher
+unbatched raises it in the batch too; the recurrences for the higher
 coefficients then run over all lanes at once, as numpy rounds a product
 of floats as Python does.  Coefficients are always floats: jets do not
 nest.
@@ -53,8 +53,9 @@ evaluates jets and lanes under ``np.errstate`` with division by zero
 and invalid operations raising, so a lane whose float evaluation would
 raise fails the whole call with `EvaluationError`.  Callers pass point
 sets through `in_blocks`, in lane blocks of `LANE_BLOCK`, which bounds
-the product temporaries; a set of one point fails with the error of its
-scalar evaluation, unchanged.
+the product temporaries; a block of one row is a scalar evaluation, so
+a set of one point fails with the error of that evaluation, unchanged,
+and an empty set is one block of no lanes, with empty results.
 """
 
 from __future__ import annotations
@@ -459,7 +460,7 @@ class Jet:
 def _leading(f, a0):
     """``f`` of a float ``a0``, or of each lane of an array ``a0`` as a
     Python float in turn, so every lane gets the bits and the exceptions
-    of `math` and float arithmetic alone.  The entries of a sequence
+    of `math` and float arithmetic only.  The entries of a sequence
     ``f`` returns come back as one lane array each."""
     if isinstance(a0, float):
         return f(a0)
@@ -660,9 +661,12 @@ def _call(L, x, v):
     underflow pass silently, as ``x * y`` does on floats: an infinite
     value then fails the finiteness test, while an infinite higher
     coefficient of a finite value passes, also where a product meets it
-    with a structural zero, a pair the product skips."""
+    with a structural zero, a pair the product skips.  Over no lanes it
+    evaluates nothing and returns an empty result."""
     arrays = isinstance(x[0], (np.ndarray, Jet)) or isinstance(
         v[0], (np.ndarray, Jet))
+    if arrays and not np.size(getattr(v[0], "c", v[0])):
+        return v[0] * 0.0
     try:
         with (np.errstate(divide="raise", invalid="raise", over="ignore",
                           under="ignore") if arrays else _FLOAT_ERRORS):
@@ -681,34 +685,47 @@ def _call(L, x, v):
     return w
 
 
-def in_blocks(kernel, alone, *arrays):
+def in_blocks(kernel, *arrays):
     """``kernel(*blocks)`` over the rows of ``arrays`` in lane blocks of
     `LANE_BLOCK`, concatenated; a kernel that returns a tuple of arrays
-    has each of them concatenated.
+    has each of them concatenated.  The kernel takes a block of rows or
+    a single row: a block of one row runs as that row, at the cost of a
+    scalar evaluation, and its outputs gain a lane axis of one.  An
+    empty set is one block of no lanes, which `_call` evaluates to
+    empty results.
 
-    A block fails as a whole.  The error raised then is the one
-    ``alone(*row)`` raises at the block's first row that fails alone,
-    with that row's point (its entry of ``arrays[0]``) named where the
-    rows hold more than one point; if no row fails alone, the block's
-    own error.
+    A block fails as a whole.  The kernel then runs on each row of the
+    block in turn, and the first row that fails raises its error, with
+    its point (its entry of ``arrays[0]``) named where the set holds
+    more than one point; if no row fails by itself, the block's error.
     """
-    points = arrays[0]
-    named = bool(np.any(points != points[:1]))
     out = []
-    for lo in range(0, len(points), LANE_BLOCK):
+    for lo in range(0, max(len(arrays[0]), 1), LANE_BLOCK):
         block = [a[lo:lo + LANE_BLOCK] for a in arrays]
+        if len(block[0]) == 1:
+            res = _row(kernel, [a[0] for a in block], arrays[0])
+            out.append(tuple(r[None] for r in res) if isinstance(res, tuple)
+                       else res[None])
+            continue
         try:
             out.append(kernel(*block))
         except FinslerError:
             for row in zip(*block):
-                try:
-                    alone(*row)
-                except FinslerError as e:
-                    if not named:
-                        raise
-                    raise type(e)("at x=%r: %s" % (
-                        [float(t) for t in row[0]], e)) from e
+                _row(kernel, row, arrays[0])
             raise
+    if len(out) == 1:
+        return out[0]
     if isinstance(out[0], tuple):
         return tuple(np.concatenate(parts) for parts in zip(*out))
     return np.concatenate(out)
+
+
+def _row(kernel, row, points):
+    """``kernel`` on one row, with the row's point named in its error
+    where ``points`` holds more than one point."""
+    try:
+        return kernel(*row)
+    except FinslerError as e:
+        if not np.any(points != points[:1]):
+            raise
+        raise type(e)("at x=%r: %s" % ([float(t) for t in row[0]], e)) from e

@@ -8,7 +8,9 @@ and indices >= 2 are transverse.  The fundamental tensor has signature
 
 A Lagrangian is any callable L(x, v) that is jet-evaluable: x and v arrive
 as lists of floats or `finsler.jets.Jet` values and the body may only use
-arithmetic plus the `finsler.jets` math functions.
+arithmetic plus the `finsler.jets` math functions.  `Lagrangian.value`
+and the cone test take one pair or a (B, n) stack of pairs, which they
+evaluate at once on plain `finsler.jets.Lanes`.
 """
 
 from __future__ import annotations
@@ -89,18 +91,16 @@ class Lagrangian:
         return "Lagrangian(%r, dim=%d)" % (self.name, self.dim)
 
     def value(self, x, v):
-        """Plain float evaluation of L; a failing or non-finite evaluation
-        raises EvaluationError (`jets._call`)."""
-        w = jets._call(self._func, [float(t) for t in x],
-                       [float(t) for t in v])
-        return float(w.value if isinstance(w, jets.Jet) else w)
-
-    def value_on(self, x, vs):
-        """L at x for each row of ``vs``, or at each row pair of a 2-D x,
-        as a float array: one evaluation on plain `jets.Lanes`, with each
-        entry bitwise `value` at its pair.  A pair that fails alone fails
-        the whole call with EvaluationError."""
-        vs = np.atleast_2d(np.asarray(vs, dtype=float))
+        """L at (x, v) as a float; for a (B, n) stack v, L at each row
+        pair of x and v (a 1-D x serves every row) as a float array, from
+        one evaluation on plain `jets.Lanes` that gives each entry the
+        bits of its float evaluation.  A failing or non-finite evaluation,
+        at any pair, raises EvaluationError (`jets._call`)."""
+        if np.ndim(v) == 1:
+            w = jets._call(self._func, [float(t) for t in x],
+                           [float(t) for t in v])
+            return float(w.value if isinstance(w, jets.Jet) else w)
+        vs = np.asarray(v, dtype=float)
         x = np.asarray(x, dtype=float)
         xs = [float(t) for t in x] if x.ndim == 1 else list(jets.lanes(x.T))
         w = jets._call(self._func, xs, list(jets.lanes(vs.T)))
@@ -121,7 +121,7 @@ class Lagrangian:
         cone_ref(x) to v; ``closed`` relaxes only the endpoint, admitting
         lightlike boundary vectors.  x and v are one pair, or (B, n)
         stacks of B pairs, whose verdict then holds one entry per pair.
-        The 17 segment points of every pair are one `value_on`
+        The 17 segment points of every pair are one stacked `value`
         evaluation; a single pair keeps its base point a plain point.
         """
         v = np.asarray(v, dtype=float)
@@ -129,11 +129,11 @@ class Lagrangian:
         if not np.all(np.any(vs, axis=1)):
             raise ConeError("zero vector has no cone membership")
         xs = np.atleast_2d(np.asarray(x, dtype=float))
-        refs = np.array([self.cone_ref_at(p) for p in xs])
+        refs = np.array([self.cone_ref_at(p) for p in xs]).reshape(xs.shape)
         t = _SEGMENT_T
         seg = (1.0 - t) * refs[:, None, :] + t * vs[:, None, :]
         base = xs[0] if len(xs) == 1 else np.repeat(xs, len(t), axis=0)
-        vals = self.value_on(base, seg.reshape(-1, vs.shape[1])).reshape(
+        vals = self.value(base, seg.reshape(-1, vs.shape[1])).reshape(
             len(vs), len(t))
         value = vals[:, -1]
         margin = np.min(vals, axis=1)

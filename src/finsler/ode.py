@@ -1,4 +1,4 @@
-"""Integrator, root finder and interpolant on numpy alone.
+"""Integrator, root finder and interpolant on numpy only.
 
 `dop853` integrates y' = f(t, y) with the explicit Runge-Kutta pair of
 Dormand and Prince of order 8(5,3), its step-size controller and its

@@ -13,7 +13,7 @@ The limit reads that triple off one jet along the ray, and evaluates it
 on a whole grid of u at once (a batched jet, one lane per u): the
 positivity grid, the wall scans, the vielbein conditions and the CSV
 rows.  The O-equation O' = -W(u) O is linear and its coefficient depends
-on u alone, so it needs no sequential integrator: independent Gauss
+on u only, so it needs no sequential integrator: independent Gauss
 collocation propagators per panel, bisected level by level, take W on
 every node of a level from one batched jet, and O(u) on a grid is one
 partial Gauss step per u from its panel's edge, batched with the grid.
@@ -471,7 +471,7 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
     makes M^T h M' symmetric, and E = M^{-1} solves E'' = A E with
     A = O^T (W^2 + W' + (2 W S' + S'') S^{-1}) O.
 
-    The O-equation is linear with a coefficient that depends on u alone,
+    The O-equation is linear with a coefficient that depends on u only,
     so it is solved by independent panel propagators: one 4-stage Gauss
     collocation step (order 8) per panel, bisected where a panel disagrees
     with its two halves by more than `_PANEL_TOL`.  Each bisection level

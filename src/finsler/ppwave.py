@@ -12,7 +12,8 @@ with h positive definite.  This module checks that template entrywise
 nabla-N computation (`parallel_criterion`), scans Delta = sqrt(det h)
 along a ray for focal points (`delta_scan`), and carries the closed-form
 Brinkmann symbol table used as a cross-module oracle
-(`brinkmann_oracle`).
+(`brinkmann_oracle`).  The criterion solves the symbols at all its
+samples, and the scan g_N at all its ray samples, as one stack each.
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +26,7 @@ from .connection import (_field_at, _field_jet, _gated_tables,
 from .errors import ConfigError, SolverError
 from .lagrangian import PROFILES
 from .report import Report, csv_text
-from .tensors import (fundamental_tensor, fundamental_tensor_on,
-                      leading_minors)
+from .tensors import fundamental_tensor, leading_minors
 
 __all__ = [
     "LightlikeChartReport", "DeltaCurve", "lightlike_form_check",
@@ -109,7 +109,7 @@ def parallel_criterion(L, N, region_samples):
     stacked pass: one cone gate of each (p, N(p)), then one stacked solve.
     """
     N = as_vector_field(N)
-    xs = np.array([np.asarray(p, dtype=float) for p in region_samples])
+    xs = np.array(region_samples, dtype=float).reshape(-1, L.dim)
     return _parallel_report(L, _gated_tables(L, xs, *_field_at(N, xs)))
 
 
@@ -182,12 +182,12 @@ def delta_scan(L, N, ray):
     ``ray`` is a `GeodesicPath` (an integral curve of N) with at least
     two samples; positions between samples come from the `ode.Hermite`
     interpolant of (x, v), which returns the samples themselves at the
-    knots, so the metrics there are one `fundamental_tensor_on` call, with
-    stacked determinants and minors.  Sign changes of det h are polished
-    with `ode.brent`.  Tangential (even-order) zeros, which no sign-change
-    bracket sees, are `touch_root` roots of the exact slope of det h
-    across its dips, accepted when det h there is under 1e-12 times the
-    det-h scale.
+    knots, so the metrics there are one stacked `fundamental_tensor`
+    call, with stacked determinants and minors.  Sign changes of det h
+    are polished with `ode.brent`.  Tangential (even-order) zeros, which
+    no sign-change bracket sees, are `touch_root` roots of the exact
+    slope of det h across its dips, accepted when det h there is under
+    1e-12 times the det-h scale.
     """
     N = as_vector_field(N)
     ts = np.asarray(ray.t, dtype=float)
@@ -215,7 +215,7 @@ def delta_scan(L, N, ray):
         return total
 
     xs = np.asarray(ray.x, dtype=float)
-    gs = fundamental_tensor_on(L, xs, [N(p) for p in xs])
+    gs = fundamental_tensor(L, xs, np.array([N(p) for p in xs])).matrix
     h = -gs[:, 2:, 2:]
     dets = np.linalg.det(h)
     delta = np.sqrt(np.where(dets >= 0.0, dets, np.nan))

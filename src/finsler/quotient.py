@@ -6,14 +6,15 @@ transverse blocks negative in this signature, the quotient metric is
 gbar([X],[Y]) = -g_N(X,Y), which is the positive-definite object the
 flatness statement is about: the induced connection [nabla_W Y] is flat
 precisely on pp-waves, and a small-loop holonomy defect measures the
-curvature component otherwise.
+curvature component otherwise.  The transport solves the symbols at the
+midpoints of all its pieces in one stacked `christoffel` call.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import as_vector_field, christoffel_on
+from .connection import as_vector_field, christoffel
 from .errors import ChartError, ConstructionError, SignatureError
 from .tensors import fundamental_tensor, leading_minors
 
@@ -145,7 +146,7 @@ def _transport_loop(L, N, vertices, columns, levels):
 
     Every piece is transported by the exponential of minus its midpoint
     generator Γ(mid)·(b - a).  The midpoints of all levels are gathered
-    up front, so the whole transport is one `christoffel_on` call, one
+    up front, so the whole transport is one stacked `christoffel` call, one
     stacked `_expm` and, per level, the ordered product of its pieces.
     """
     cuts = [_pieces(vertices, n) for n in levels]
@@ -153,7 +154,7 @@ def _transport_loop(L, N, vertices, columns, levels):
         return [columns.copy() for _ in levels]
     a = np.concatenate([c[0] for c in cuts])
     b = np.concatenate([c[1] for c in cuts])
-    gamma = christoffel_on(L, N, 0.5 * (a + b))
+    gamma = christoffel(L, N, 0.5 * (a + b)).gamma
     steps = _expm(-np.einsum("...kij,...i->...kj", gamma, b - a))
     out = []
     lo = 0

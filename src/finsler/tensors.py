@@ -2,9 +2,10 @@
 
 Everything here is per-point and pure: evaluate, return arrays, no caching
 (anisotropic v-dependence makes global caches error-prone; callers own
-memoization).  Each kernel has a stacked twin (`fundamental_tensor_on`,
-`cartan_tensor_on`) whose lanes are bitwise the scalar results.  The
-tensor kernels never test cone membership; the public entry points
+memoization).  g and C come from one kernel, the v-partials of L of
+order 2 or 3 (`_v_partials`), and take one pair or a (B, n) stack of
+pairs, whose lanes are bitwise the results at each pair.  The tensor
+kernels never test cone membership; the public entry points
 (`homogeneity_report` here) gate the caller's pairs once each through
 `Lagrangian.check_admissible`.
 """
@@ -23,9 +24,7 @@ __all__ = [
     "CartanTensor",
     "Signature",
     "fundamental_tensor",
-    "fundamental_tensor_on",
     "cartan_tensor",
-    "cartan_tensor_on",
     "signature_of",
     "leading_minors",
     "homogeneity_report",
@@ -61,68 +60,49 @@ class Signature:
         return "other"
 
 
+def _v_partials(L, x, v, order):
+    """All ``order``-th v-partials of L at (x, v); for (B, n) stacks x
+    and v, stacked on a leading lane axis.
+
+    One pair is one jet in v with the base point as plain floats.  A
+    stack goes through `jets.in_blocks`, each block one batched jet in v
+    with the base points as plain `jets.Lanes`, so lane b is bitwise the
+    partials at pair b.  A block fails as a whole; the error then is the
+    one its first failing pair raises, with its point named where the
+    stack holds more than one point.
+    """
+    def kernel(x, v):
+        _, vj = jets.variables(v, order)
+        base = (list(jets.lanes(x.T.copy())) if v.ndim == 2
+                else [float(t) for t in x])
+        return jets.derivative_tensor(jets._call(L, base, vj),
+                                      range(v.shape[-1]), order)
+
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return kernel(x, v) if v.ndim == 1 else jets.in_blocks(kernel, x, v)
+
+
 def fundamental_tensor(L, x, v):
-    """g_ij(x, v) = 1/2 d^2/ds dt L(x, v + s e_i + t e_j) via jets."""
-    v = [float(t) for t in v]
-    n = len(v)
-    _, vj = jets.variables(v, 2)
-    w = jets._call(L, [float(t) for t in x], vj)
-    g = 0.5 * jets.derivative_tensor(w, range(n), 2)
+    """g_ij(x, v) = 1/2 d^2/ds dt L(x, v + s e_i + t e_j) via jets.
+
+    x and v are one pair, or (B, n) stacks of B pairs, which stack g on
+    a leading lane axis (see `_v_partials`).
+    """
+    g = 0.5 * _v_partials(L, x, v, 2)
     return FundamentalTensor(x=np.asarray(x, float), v=np.asarray(v, float),
                              matrix=g)
 
 
-def fundamental_tensor_on(L, xs, vs):
-    """g[b] = g(xs[b], vs[b]), stacked; lane b is bitwise
-    ``fundamental_tensor(L, xs[b], vs[b]).matrix``.
-
-    The pairs go through `jets.in_blocks`, each block one batched jet in
-    v with the base points as plain `jets.Lanes`.  A block fails as a
-    whole; the error then is the one `fundamental_tensor` raises at the
-    first failing pair, with its point named.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    vs = np.atleast_2d(np.asarray(vs, dtype=float))
-    n = vs.shape[1]
-
-    def kernel(xb, vb):
-        _, vj = jets.variables(vb, 2)
-        w = jets._call(L, list(jets.lanes(xb.T.copy())), vj)
-        return 0.5 * jets.derivative_tensor(w, range(n), 2)
-
-    return jets.in_blocks(kernel, lambda x, v: fundamental_tensor(L, x, v),
-                          xs, vs)
-
-
 def cartan_tensor(L, x, v):
-    """C_ijk(x, v) = 1/4 third v-derivative of L; fully symmetric."""
-    v = [float(t) for t in v]
-    n = len(v)
-    _, vj = jets.variables(v, 3)
-    w = jets._call(L, [float(t) for t in x], vj)
-    C = 0.25 * jets.derivative_tensor(w, range(n), 3)
+    """C_ijk(x, v) = 1/4 third v-derivative of L; fully symmetric.
+
+    x and v are one pair, or (B, n) stacks of B pairs, which stack C on
+    a leading lane axis (see `_v_partials`).
+    """
+    C = 0.25 * _v_partials(L, x, v, 3)
     return CartanTensor(x=np.asarray(x, float), v=np.asarray(v, float),
                         coeffs=C)
-
-
-def cartan_tensor_on(L, xs, vs):
-    """C[b] = C(xs[b], vs[b]), stacked; lane b is bitwise
-    ``cartan_tensor(L, xs[b], vs[b]).coeffs``.
-
-    Built like `fundamental_tensor_on`: the pairs go through
-    `jets.in_blocks`, each block one batched jet in v.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    vs = np.atleast_2d(np.asarray(vs, dtype=float))
-    n = vs.shape[1]
-
-    def kernel(xb, vb):
-        _, vj = jets.variables(vb, 3)
-        w = jets._call(L, list(jets.lanes(xb.T.copy())), vj)
-        return 0.25 * jets.derivative_tensor(w, range(n), 3)
-
-    return jets.in_blocks(kernel, lambda x, v: cartan_tensor(L, x, v).coeffs,
-                          xs, vs)
 
 
 def signature_of(matrix):
@@ -173,21 +153,21 @@ def homogeneity_report(L, x, v, tol=1e-9):
 
 def _homogeneity(L, x, v, tol):
     """The reports of `homogeneity_report` for a stack of pairs, and g at
-    each pair.  One stacked pass: one cone gate, one `Lagrangian.value_on`
-    for L at v, 0.5 v, 2 v and 3 v, one `fundamental_tensor_on` for g at
-    v, 0.5 v and 2 v and one `cartan_tensor_on`; each pair gets the bits
-    of its own scalar evaluations."""
+    each pair.  One stacked pass: one cone gate, one `Lagrangian.value`
+    for L at v, 0.5 v, 2 v and 3 v, one `fundamental_tensor` for g at
+    v, 0.5 v and 2 v and one `cartan_tensor`; each pair gets the bits of
+    its own scalar evaluations."""
     xs = np.atleast_2d(np.asarray(x, dtype=float))
     vs = np.atleast_2d(np.asarray(v, dtype=float))
     nb, n = vs.shape
     L.check_admissible(xs, vs)
     scaled = _LAMBDAS[:, None] * vs[:, None, :]         # (B, 4, n)
-    vals = L.value_on(np.repeat(xs, 4, axis=0),
-                      scaled.reshape(-1, n)).reshape(nb, 4)
-    gs = fundamental_tensor_on(L, np.repeat(xs, 3, axis=0),
-                               scaled[:, :3].reshape(-1, n)
-                               ).reshape(nb, 3, n, n)
-    Cs = cartan_tensor_on(L, xs, vs)
+    vals = L.value(np.repeat(xs, 4, axis=0),
+                   scaled.reshape(-1, n)).reshape(nb, 4)
+    gs = fundamental_tensor(L, np.repeat(xs, 3, axis=0),
+                            scaled[:, :3].reshape(-1, n)
+                            ).matrix.reshape(nb, 3, n, n)
+    Cs = cartan_tensor(L, xs, vs).coeffs
 
     reps = []
     for xb, vb, Ls, gb, C in zip(xs, vs, vals.tolist(), gs, Cs):

@@ -521,9 +521,10 @@ def _one_bad_item(items, bad):
 
 
 def _bad_count(constraint, dim):
-    least = constraint[0] if constraint else 1
+    least, most = (list(constraint) + [1, cli.MAX_COUNT][len(constraint):])
     return st.one_of(st.sampled_from(BAD_TYPE + [[1]]), st.floats(),
-                     st.integers(max_value=least - 1))
+                     st.integers(max_value=least - 1),
+                     st.integers(min_value=most + 1))
 
 
 def _bad_positive(constraint, dim):

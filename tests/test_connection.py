@@ -19,7 +19,6 @@ from finsler.connection import (
     VectorField,
     _spray,
     christoffel,
-    christoffel_on,
     compatibility_residual,
     connection_report,
     geodesic,
@@ -518,7 +517,7 @@ def test_geodesic_tests_the_cone_once_and_evaluates_l_once_per_sample(
     calls = {"cone": 0, "value": 0, "lanes": [], "symbols": 0}
     gate = []
     is_admissible = Lagrangian.is_admissible
-    value, value_on = Lagrangian.value, Lagrangian.value_on
+    value = Lagrangian.value
 
     def counted_is_admissible(self, *args, **kwargs):
         calls["cone"] += 1
@@ -528,15 +527,12 @@ def test_geodesic_tests_the_cone_once_and_evaluates_l_once_per_sample(
         finally:
             gate.pop()
 
-    def counted_value(self, *args, **kwargs):
-        if not gate:
+    def counted_value(self, x, v):
+        if not gate and np.ndim(v) == 1:
             calls["value"] += 1
-        return value(self, *args, **kwargs)
-
-    def counted_value_on(self, x, vs):
-        if not gate:
-            calls["lanes"].append(len(vs))
-        return value_on(self, x, vs)
+        elif not gate:
+            calls["lanes"].append(len(v))
+        return value(self, x, v)
 
     def symbols(*args, **kwargs):
         calls["symbols"] += 1
@@ -544,7 +540,6 @@ def test_geodesic_tests_the_cone_once_and_evaluates_l_once_per_sample(
 
     monkeypatch.setattr(Lagrangian, "is_admissible", counted_is_admissible)
     monkeypatch.setattr(Lagrangian, "value", counted_value)
-    monkeypatch.setattr(Lagrangian, "value_on", counted_value_on)
     monkeypatch.setattr(connection, "christoffel", symbols)
     monkeypatch.setattr(connection, "levi_civita_quadratic", symbols)
     x0 = np.array([0.0, 0.3, 0.1, -0.1])
@@ -593,7 +588,7 @@ def test_christoffel_on_lanes_are_bitwise_christoffel(name):
     B = 0.05 * rng.standard_normal((4, 4))
     for V in (VectorField.constant(ref),
               VectorField.linear(ref, np.zeros(4), B)):
-        got = christoffel_on(L, V, xs)
+        got = christoffel(L, V, xs).gamma
         assert got.shape == (len(xs), 4, 4, 4)
         for x, gamma in zip(xs, got):
             assert gamma.tobytes() == christoffel(L, V, x).gamma.tobytes()
@@ -616,4 +611,16 @@ def test_christoffel_on_names_the_first_failing_point():
         bad[37], bad[40] = first, second
         with pytest.raises(error, match=r"^at x=%s: " % re.escape(
                 repr([float(t) for t in first]))):
-            christoffel_on(L, V, bad)
+            christoffel(L, V, bad)
+        # index 32 of 33 points is a block of one row by itself
+        bad = xs[:jets.LANE_BLOCK + 1].copy()
+        bad[-1] = first
+        with pytest.raises(error, match=r"^at x=%s: " % re.escape(
+                repr([float(t) for t in first]))):
+            christoffel(L, V, bad)
+        # a stack of one point raises the text of the call at that point
+        with pytest.raises(error) as want:
+            christoffel(L, V, first)
+        with pytest.raises(error) as got:
+            christoffel(L, V, np.array([first]))
+        assert str(got.value) == str(want.value)

@@ -293,10 +293,10 @@ def test_value_on_is_bitwise_value(name):
     rng = np.random.default_rng(5)
     xs = 0.4 * rng.standard_normal((40, L.dim))
     vs = L.cone_ref_at(np.zeros(L.dim)) + rng.standard_normal(xs.shape)
-    got = L.value_on(xs, vs)
+    got = L.value(xs, vs)
     assert got.tobytes() == np.array(
         [L.value(x, v) for x, v in zip(xs, vs)]).tobytes()
-    got = L.value_on(xs[0], vs)
+    got = L.value(xs[0], vs)
     assert got.tobytes() == np.array([L.value(xs[0], v) for v in vs]).tobytes()
 
 
@@ -326,10 +326,10 @@ def test_value_on_fails_as_a_failing_pair_fails_alone():
 
     W = Lagrangian(func, 4, [1.0, 1.0, 0.0, 0.0], name="log-wall")
     xs = np.full((5, 4), 0.5)
-    assert W.value_on(xs, np.ones((5, 4))).tolist() == [
+    assert W.value(xs, np.ones((5, 4))).tolist() == [
         W.value(x, np.ones(4)) for x in xs]
     xs[3, 1] = 0.0
     with pytest.raises(EvaluationError):
         W.value(xs[3], np.ones(4))
     with pytest.raises(EvaluationError):
-        W.value_on(xs, np.ones((5, 4)))
+        W.value(xs, np.ones((5, 4)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from finsler import fixtures, quotient
 from finsler import lagrangian as lg
-from finsler.connection import VectorField, christoffel_on
+from finsler.connection import VectorField, christoffel
 from finsler.curvature import chern_curvature
 from finsler.errors import ChartError, ConstructionError
 from finsler.quotient import _expm, _pieces, _transport_loop
@@ -195,7 +195,7 @@ def test_expm_matches_scipy_on_the_quotient_example_loop():
     loop = quotient.rectangle_loop([0.0, 0.1, 0.2, -0.1], 1, 2, 0.1)
     a, b = (np.concatenate(c) for c in zip(_pieces(loop, 64),
                                            _pieces(loop, 128)))
-    gamma = christoffel_on(L, VectorField.constant(E0), 0.5 * (a + b))
+    gamma = christoffel(L, VectorField.constant(E0), 0.5 * (a + b)).gamma
     G = -np.einsum("bkij,bi->bkj", gamma, b - a)
     assert G.shape == (196, 4, 4) and np.any(G)
     assert expm_error(G) <= 1e-14

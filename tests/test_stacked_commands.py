@@ -16,6 +16,8 @@ from finsler import cli, connection, fixtures, jets, ppwave
 from finsler.curvature import ppwave_condition
 from finsler.errors import ConeError, FinslerError
 from finsler.lagrangian import catalog
+from finsler.tensors import (cartan_tensor, fundamental_tensor,
+                             homogeneity_report)
 
 from helpers import per_sample_check, per_sample_connection, per_sample_ppwave
 
@@ -113,9 +115,21 @@ def test_ppwave_solves_the_symbols_of_each_sample_once(monkeypatch):
 
 
 def test_an_empty_sample_set_gives_empty_reports():
-    L = MODELS["brinkmann-x2"]
-    assert ppwave.parallel_criterion(L, E0, []).checks == []
-    assert ppwave_condition(L, E0, []).checks == []
-    reps, _ = connection.connection_report(
-        L, connection.VectorField.constant(E0), np.zeros((0, 4)))
-    assert reps == []
+    V = connection.VectorField.constant(E0)
+    none = np.zeros((0, 4))
+    for name in ("brinkmann-x2", "ppwave_example"):
+        L = MODELS[name]
+        assert ppwave.parallel_criterion(L, E0, []).checks == []
+        assert ppwave_condition(L, E0, []).checks == []
+        reps, _ = connection.connection_report(L, V, none)
+        assert reps == []
+        # the stacked entries give results with a lane axis of no lanes
+        assert homogeneity_report(L, none, none) == []
+        m = L.is_admissible(none, none)
+        assert m.inside.shape == m.value.shape == m.margin.shape == (0,)
+        assert L.value(none, none).shape == (0,)
+        assert fundamental_tensor(L, none, none).matrix.shape == (0, 4, 4)
+        assert cartan_tensor(L, none, none).coeffs.shape == (0, 4, 4, 4)
+        table = connection.christoffel(L, V, none)
+        assert table.gamma.shape == table.dmetric.shape == (0, 4, 4, 4)
+        assert table.g.shape == (0, 4, 4)

@@ -14,7 +14,6 @@ from finsler.lagrangian import (
 from finsler.tensors import (
     cartan_tensor,
     fundamental_tensor,
-    fundamental_tensor_on,
     homogeneity_report,
     leading_minors,
     signature_of,
@@ -173,6 +172,14 @@ def test_report_serialization_shape():
 
 MODELS = {**catalog(), **{k: b() for k, b in fixtures.BUILDERS.items()}}
 
+# g, C and L, each with its shape at one pair; each takes one pair or a
+# stack of pairs
+QUANTITIES = {
+    "g": (lambda L, x, v: fundamental_tensor(L, x, v).matrix, (4, 4)),
+    "C": (lambda L, x, v: cartan_tensor(L, x, v).coeffs, (4, 4, 4)),
+    "L": (lambda L, x, v: np.asarray(L.value(x, v)), ()),
+}
+
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_fundamental_tensor_on_lanes_are_bitwise(name):
@@ -180,10 +187,11 @@ def test_fundamental_tensor_on_lanes_are_bitwise(name):
     rng = np.random.default_rng(21)
     xs = 0.4 * rng.standard_normal((2 * jets.LANE_BLOCK + 3, 4))
     vs = L.cone_ref_at(np.zeros(4)) + 0.3 * rng.standard_normal(xs.shape)
-    got = fundamental_tensor_on(L, xs, vs)
-    assert got.shape == (len(xs), 4, 4)
-    for x, v, g in zip(xs, vs, got):
-        assert g.tobytes() == fundamental_tensor(L, x, v).matrix.tobytes()
+    for quantity, (of, shape) in QUANTITIES.items():
+        got = of(L, xs, vs)
+        assert got.shape == (len(xs),) + shape, quantity
+        for x, v, lane in zip(xs, vs, got):
+            assert lane.tobytes() == of(L, x, v).tobytes(), quantity
 
 
 def test_fundamental_tensor_on_names_the_first_failing_point():
@@ -195,4 +203,15 @@ def test_fundamental_tensor_on_names_the_first_failing_point():
     xs[35, 1] = 2.0
     xs[38, 1] = 3.0
     with pytest.raises(EvaluationError, match=r"^at x=\[0\.0, 2\.0, 0\.0\]: "):
-        fundamental_tensor_on(L, xs, np.ones((40, 3)))
+        fundamental_tensor(L, xs, np.ones((40, 3)))
+    # the bad point is index 32 of 33, a block of one row by itself
+    xs = np.zeros((jets.LANE_BLOCK + 1, 3))
+    xs[-1, 1] = 2.0
+    with pytest.raises(EvaluationError, match=r"^at x=\[0\.0, 2\.0, 0\.0\]: "):
+        fundamental_tensor(L, xs, np.ones(xs.shape))
+    # a stack of one point raises the text of the call at that point
+    with pytest.raises(EvaluationError) as want:
+        fundamental_tensor(L, xs[-1], np.ones(3))
+    with pytest.raises(EvaluationError) as got:
+        fundamental_tensor(L, xs[-1:], np.ones((1, 3)))
+    assert str(got.value) == str(want.value)
