@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import ConeError, ConfigError, ConstructionError
+from .errors import (ConeError, ConfigError, ConstructionError,
+                     EvaluationError)
 from .tensors import fundamental_tensor
 
 __all__ = [
@@ -67,13 +68,12 @@ class Lagrangian:
     dim : int, chart dimension (>= 3)
     cone_ref : array, or callable x -> array
         One interior (timelike) vector of the cone at each point.
-    quadratic : bool
-        Marks models whose L is exactly quadratic in v (fundamental tensor
-        independent of v, Cartan tensor zero).
     """
 
+    quadratic = False   # True on `QuadraticLagrangian` alone
+
     def __init__(self, func, dim, cone_ref, name="model", params=None,
-                 quadratic=False, meta=None):
+                 meta=None):
         if dim < 3:
             raise ConstructionError("Lagrangian needs dim >= 3, got %d" % dim)
         self._func = func
@@ -81,7 +81,6 @@ class Lagrangian:
         self._cone_ref = cone_ref
         self.name = name
         self.params = dict(params or {})
-        self.quadratic = bool(quadratic)
         self.meta = dict(meta or {})
 
     def __call__(self, x, v):
@@ -107,10 +106,16 @@ class Lagrangian:
         return np.broadcast_to(np.asarray(w, dtype=float), len(vs)).copy()
 
     def cone_ref_at(self, x):
+        """cone_ref at x; EvaluationError where it is not finite."""
         ref = self._cone_ref
+        x = [float(t) for t in x]
         if callable(ref):
-            ref = ref([float(t) for t in x])
-        return np.asarray(ref, dtype=float)
+            ref = ref(x)
+        ref = np.asarray(ref, dtype=float)
+        if not np.all(np.isfinite(ref)):
+            raise EvaluationError("cone_ref is not finite at x=%r: %r"
+                                  % (x, ref.tolist()))
+        return ref
 
     # -- cone membership -------------------------------------------------
 
@@ -194,6 +199,8 @@ class QuadraticLagrangian(Lagrangian):
     callable of x; off-diagonal entries carry the usual factor two.
     """
 
+    quadratic = True
+
     def __init__(self, entries, dim, cone_ref, name="quadratic",
                  params=None, meta=None):
         items = []
@@ -213,7 +220,7 @@ class QuadraticLagrangian(Lagrangian):
             return s
 
         super().__init__(func, dim, cone_ref, name=name, params=params,
-                         quadratic=True, meta=meta)
+                         meta=meta)
 
     def matrix(self, x):
         """The symmetric coefficient matrix at x as a float array."""

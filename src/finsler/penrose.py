@@ -11,14 +11,16 @@ integrates it), with A in closed form from the exact triple (h, h', h'').
 
 The limit reads that triple off one jet along the ray, and evaluates it
 on a whole grid of u at once (a batched jet, one lane per u): the
-positivity grid, the wall scans, the vielbein conditions and the CSV
-rows.  The O-equation O' = -W(u) O is linear and its coefficient depends
-on u only, so it needs no sequential integrator: independent Gauss
-collocation propagators per panel, bisected level by level, take W on
-every node of a level from one batched jet, and O(u) on a grid is one
-partial Gauss step per u from its panel's edge, batched with the grid.
-Only the base point h(u0) and the root polishing of a wall take one u
-at a time.
+positivity grid, each refinement level of the O-equation, the vielbein
+conditions and the CSV rows.  The O-equation O' = -W(u) O is linear and
+its coefficient depends on u only, so it needs no sequential integrator:
+independent Gauss collocation propagators per panel, bisected level by
+level, take W on every node of a level from one batched jet, and O(u) on
+a grid is one partial Gauss step per u from its panel's edge, batched
+with the grid.  The same batches find the walls where h loses
+positivity: each level's points, and on the first level a wall scan of
+each side, are walked outward from u0.  Only the base point h(u0) and
+the root polishing of a wall take one u at a time.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +32,7 @@ from . import jets, ode
 from .connection import as_vector_field
 from .errors import ChartError, SignatureError, SolverError
 from .lagrangian import Lagrangian, QuadraticLagrangian
-from .ppwave import lightlike_form_check, touch_root
+from .ppwave import dips, lightlike_form_check, touch_root
 from .report import Report, csv_text
 from .tensors import fundamental_tensor
 
@@ -75,9 +77,7 @@ def rescaled_lagrangian(L, omega, rescale=True):
         return L.cone_ref_at(xm) / jd
 
     name = "%s@omega=%g" % (getattr(L, "name", "model"), omega)
-    return Lagrangian(func, n, cone_ref, name=name,
-                      params={"omega": omega},
-                      quadratic=getattr(L, "quadratic", False))
+    return Lagrangian(func, n, cone_ref, name=name, params={"omega": omega})
 
 
 def homothety_residual(L, N, omega, samples, tol=1e-9):
@@ -366,19 +366,22 @@ def _gauss_step(w, step):
     return np.eye(m) - step[:, None, None] * kick
 
 
-def _propagate(rosen, u0, ends, floor, wall_between):
-    """Gauss panels (a, b, Phi) from u0 out to each of the two ``ends``.
+def _propagate(rosen, u0, targets, first_wall):
+    """Gauss panels (a, b, Phi) from u0 out to each of the two
+    ``targets``, and the wall of each side (None where h stays positive).
 
     Every pending panel is compared with the product of its halves, level
     by level, and each level evaluates W on all nodes of all pending
-    panels at once.  A node at or below the positivity ``floor`` truncates
-    its side at the wall `wall_between` locates, and that side starts
-    over.  Returns (panels, ends, hits), ``hits`` holding those walls.
+    panels at once.  The first level also evaluates a 128-point scan of
+    each side: a diagonal h gives W = 0, so one panel can span a dip of
+    positivity.  `first_wall` walks each side's points of a level outward
+    from u0, given the smallest eigenvalue of h at each; a wall it finds
+    truncates its side there, and that side starts over.
     """
     m = rosen.dim
-    ends = list(ends)
-    hits = [None, None]
-    pending = [(u0, e, None) for e in ends if e != u0]
+    walls = [None, None]
+    pending = [(u0, e, None) for e in targets if e != u0]
+    scans = [np.linspace(u0, e, 129)[1:] for e in targets if e != u0]
     done = []
     while pending:
         if len(pending) > _MAX_PANELS:
@@ -391,24 +394,26 @@ def _propagate(rosen, u0, ends, floor, wall_between):
         starts, stops = np.array(steps).T
         span = stops - starts
         nodes = (starts[:, None] + _GL_C * span[:, None]).ravel()
-        h, hd, _ = rosen.triples(nodes)
+        points = np.concatenate([nodes] + scans)
+        scans = []
+        h, hd, _ = rosen.triples(points)
         lam, q = np.linalg.eigh(h)
-        bad = lam[:, 0] <= floor
-        if bad.any():
-            for side, upper in enumerate((False, True)):
-                on = (nodes > u0) == upper
-                order = np.argsort(np.abs(nodes[on] - u0))
-                ray, below = nodes[on][order], bad[on][order]
-                if not below.any():
-                    continue
-                k = np.argmax(below)   # the bad node nearest u0
-                ends[side] = hits[side] = wall_between(
-                    ray[k - 1] if k else u0, ray[k])
-                pending = [p for p in pending if (p[1] > p[0]) != upper]
-                done = [p for p in done if (p[1] > p[0]) != upper]
-                pending.append((u0, ends[side], None))
+        cut = False
+        for side, upper in enumerate((False, True)):
+            on = (points > u0) == upper
+            order = np.argsort(np.abs(points[on] - u0))
+            wall = first_wall(points[on][order], lam[on, 0][order])
+            if wall is None:
+                continue
+            cut = True
+            walls[side] = wall
+            pending = [p for p in pending if (p[1] > p[0]) != upper]
+            done = [p for p in done if (p[1] > p[0]) != upper]
+            pending.append((u0, wall, None))
+        if cut:
             continue
-        sinv, sd = _sqrt_derivs(lam, q, hd)
+        k = len(nodes)
+        sinv, sd = _sqrt_derivs(lam[:k], q[:k], hd[:k])
         phis = iter(_gauss_step(
             _skew(sinv @ sd).reshape(len(steps), len(_GL_C), m, m), span))
         split = []
@@ -422,7 +427,7 @@ def _propagate(rosen, u0, ends, floor, wall_between):
             else:
                 split += halves
         pending = split
-    return done, ends, hits
+    return done, walls
 
 
 def _integrate_two_sided(rhs, y0, u0, interval, event):
@@ -482,13 +487,14 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
     Positivity means that the smallest eigenvalue of h clears a floor of
     1e-8 times the scale of h(u0).  A base point below the floor raises
     `SignatureError`; if h falls to it inside the interval, the result is
-    truncated there and flagged.  The wall is found by a batched grid scan
-    up front, or at a propagator node the scan stepped over; either way
-    `ode.brent` locates it between a point above the floor and one at or
-    below it.  A dip of the positivity margin that the scan's grid steps
-    over is the `touch_root` of the margin's exact slope q^T h' q (q the
-    eigenvector of the smallest eigenvalue of h), the search that also
-    polishes the tangential focal roots of `ppwave.delta_scan`.
+    truncated there and flagged.  Each refinement level walks its nodes,
+    and the first level also a 128-point scan of each side, outward from
+    u0: the wall is where `ode.brent` finds the margin's zero between the
+    first point at or below the floor and the point before it.  A dip of
+    the margin that stays above the points (`ppwave.dips`) is the
+    `touch_root` of the margin's exact slope q^T h' q (q the eigenvector
+    of the smallest eigenvalue of h), the search that also polishes the
+    tangential focal roots of `ppwave.delta_scan`.
     """
     if not isinstance(rosen, RosenProfile):
         rosen = RosenProfile(h=rosen)
@@ -502,6 +508,7 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
         raise SignatureError("h is not positive definite at u0=%.12g: its "
                              "smallest eigenvalue %.6g does not clear the "
                              "floor %.6g" % (u0, low0, floor))
+    ceiling = 0.25 * max(low0 - floor, 1e-3)
 
     def pos_margin(u):
         return float(np.min(np.linalg.eigvalsh(rosen.matrix(u)))) - floor
@@ -512,53 +519,32 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
         q = np.linalg.eigh(h)[1][:, 0]
         return float(q @ hd @ q)
 
-    def wall_between(good, bad):
-        a, b = sorted((float(good), float(bad)))
+    def first_wall(ray, lows):
+        """The first loss of positivity along ``ray``, sorted outward
+        from u0 with the smallest eigenvalue ``lows`` of h at each point,
+        or None."""
+        us = np.concatenate([[u0], ray])
+        margins = np.concatenate([[low0 - floor], lows - floor])
+        below = np.flatnonzero(margins <= 0.0)
+        stop = below[0] if len(below) else len(us)
+        for i in dips(margins[:stop], ceiling):
+            lo, hi = sorted((float(us[i - 1]), float(us[i + 1])))
+            r = touch_root(pos_margin, margin_slope, lo, hi, 0.0, 1e-12)
+            if r is not None:   # the dip's bottom is the first bad point
+                stop, us[i] = i, r
+                break
+        if stop == len(us):
+            return None
+        a, b = sorted((float(us[stop - 1]), float(us[stop])))
         return ode.brent(pos_margin, a, b, 1e-12)
 
-    def first_wall(us, margins):
-        """The first loss of positivity on the scan ``us``, if any.
-
-        The O-equation can be trivial (diagonal h), letting its panels
-        stride over a positivity dip, so the wall is located up front.
-        A dip that stays above the grid (a tangential degeneracy) is the
-        `touch_root` of the margin's exact slope, if the margin there is
-        not above 0.  ``margins[0]`` is positive: it is the margin at u0.
-        """
-        ref = max(margins[0], 1e-3)
-        for i in range(1, len(us)):
-            if margins[i] <= 0.0:
-                return wall_between(us[i - 1], us[i])
-            if (i + 1 < len(us) and margins[i] < 0.25 * ref
-                    and margins[i] <= margins[i - 1]
-                    and margins[i] <= margins[i + 1]):
-                lo, hi = sorted((float(us[i - 1]), float(us[i + 1])))
-                r = touch_root(pos_margin, margin_slope, lo, hi, 0.0, 1e-12)
-                if r is not None:
-                    return wall_between(us[i - 1], r)
-        return None
-
-    # the scans of both sides are one batched triple, 129 points each
     targets = [float(u_interval[0]), float(u_interval[1])]
-    scans = {side: np.linspace(u0, t, 129)
-             for side, t in enumerate(targets) if t != u0}
-    walls = [None, None]
-    if scans:
-        margins = np.linalg.eigvalsh(rosen.triples(
-            np.concatenate(list(scans.values())))[0]).min(axis=1) - floor
-        for (side, us), row in zip(scans.items(),
-                                   margins.reshape(len(scans), -1)):
-            walls[side] = first_wall(us, row.tolist())
-
-    panels, ends, hits = _propagate(
-        rosen, u0, [t if w is None else w for t, w in zip(targets, walls)],
-        floor, wall_between)
-    # a node's wall lies inside the scanned range, so it comes first
-    hit = [w if h is None else h for w, h in zip(walls, hits)]
-    truncated = any(h is not None for h in hit)
+    panels, walls = _propagate(rosen, u0, targets, first_wall)
+    ends = [t if w is None else w for t, w in zip(targets, walls)]
+    truncated = any(w is not None for w in walls)
     reason = ""
     if truncated:
-        where = ", ".join("u=%.12g" % h for h in hit if h is not None)
+        where = ", ".join("u=%.12g" % w for w in walls if w is not None)
         reason = "h lost positivity at %s (focal point)" % where
 
     sides = []

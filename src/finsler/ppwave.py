@@ -29,7 +29,7 @@ from .report import Report, csv_text
 from .tensors import fundamental_tensor, leading_minors
 
 __all__ = [
-    "LightlikeChartReport", "DeltaCurve", "lightlike_form_check",
+    "LightlikeChartReport", "DeltaCurve", "lightlike_form_check", "dips",
     "parallel_criterion", "delta_scan", "touch_root", "brinkmann_oracle",
 ]
 
@@ -143,14 +143,26 @@ def touch_root(f, slope, a, b, touch, xtol):
     Where the slope turns from negative at a to positive at b, its
     `ode.brent` root r (to ``xtol``) is the bottom of the dip of f; r is
     returned if f(r) <= ``touch``, and None otherwise or if the slope
-    does not turn.  The focal scan polishes the even-order zeros of
-    det h with it, and `penrose.rosen_to_brinkmann` the positivity walls
-    of h that its scan steps over.
+    does not turn.  [a, b] brackets one of the `dips` of the samples of
+    f.  The focal scan polishes the even-order zeros of det h with it,
+    and `penrose.rosen_to_brinkmann` the positivity walls of h that its
+    sample points step over.
     """
     if not slope(a) < 0.0 < slope(b):
         return None
     r = ode.brent(slope, a, b, xtol)
     return r if f(r) <= touch else None
+
+
+def dips(vals, ceiling):
+    """Indices of the interior local minima v of the samples ``vals``
+    with 0 < v <= ``ceiling``, the dips `touch_root` tests.  A minimum is
+    no larger than either neighbour, so each sample of a flat bottom is
+    one."""
+    v = np.asarray(vals, dtype=float)
+    mid = v[1:-1]
+    keep = (0.0 < mid) & (mid <= ceiling) & (mid <= v[:-2]) & (mid <= v[2:])
+    return np.flatnonzero(keep) + 1
 
 
 @dataclass
@@ -180,20 +192,21 @@ def delta_scan(L, N, ray):
     """Scan Delta = sqrt(det h) along ``ray`` and locate its zeros.
 
     ``ray`` is a `GeodesicPath` (an integral curve of N) with at least
-    two samples; positions between samples come from the `ode.Hermite`
-    interpolant of (x, v), which returns the samples themselves at the
-    knots, so the metrics there are one stacked `fundamental_tensor`
-    call, with stacked determinants and minors.  Sign changes of det h
-    are polished with `ode.brent`.  Tangential (even-order) zeros, which
+    two samples at strictly increasing times; positions between samples
+    come from the `ode.Hermite` interpolant of (x, v), which returns the
+    samples themselves at the knots, so the metrics there are one stacked
+    `fundamental_tensor` call, with stacked determinants and minors.
+    Sign changes of det h are polished with `ode.brent`.  Tangential (even-order) zeros, which
     no sign-change bracket sees, are `touch_root` roots of the exact
-    slope of det h across its dips, accepted when det h there is under
-    1e-12 times the det-h scale.
+    slope of det h across its `dips` (at most 0.1 times the det-h scale),
+    accepted when det h there is under 1e-12 times that scale.
     """
     N = as_vector_field(N)
     ts = np.asarray(ray.t, dtype=float)
-    if len(ts) < 2:
-        raise SolverError("focal scan needs a ray with at least 2 samples, "
-                          "got %d" % len(ts))
+    if len(ts) < 2 or not np.all(ts[1:] > ts[:-1]):
+        raise SolverError("focal scan needs a ray with at least 2 samples "
+                          "at strictly increasing times, got t=%s"
+                          % np.array2string(ts, threshold=6))
     spline = ode.Hermite(ts, ray.x, ray.v)
 
     def det_h(t):
@@ -239,13 +252,7 @@ def delta_scan(L, N, ray):
             roots.append(ode.brent(det_h, ts[i], ts[i + 1], _ROOT_XTOL))
             kinds.append("simple")
 
-    for i in range(1, m - 1):
-        if not (0.0 < dets[i] <= 0.1 * scale):
-            continue
-        if dets[i] > dets[i - 1] or dets[i] > dets[i + 1]:
-            continue
-        if dets[i - 1] <= 0.0 or dets[i + 1] <= 0.0:
-            continue
+    for i in dips(dets, 0.1 * scale):
         r = touch_root(det_h, det_h_slope, float(ts[i - 1]),
                        float(ts[i + 1]), _TOUCH_TOL * scale, _ROOT_XTOL)
         if r is not None:
@@ -256,17 +263,10 @@ def delta_scan(L, N, ray):
     roots = [roots[k] for k in order]
     kinds = [kinds[k] for k in order]
 
-    flagged = []
-    i = 0
-    while i < m:
-        if not pos_ok[i]:
-            j = i
-            while j + 1 < m and not pos_ok[j + 1]:
-                j += 1
-            flagged.append((float(ts[i]), float(ts[j])))
-            i = j + 1
-        else:
-            i += 1
+    # the runs of samples where h is not positive, as (first, last) times
+    edge = np.diff(np.concatenate([[0], ~pos_ok, [0]]).astype(np.int8))
+    flagged = [(float(ts[a]), float(ts[b - 1])) for a, b in
+               zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1))]
 
     return DeltaCurve(params=ts, delta=delta, det_h=dets, delta4=delta4,
                       roots=roots, kinds=kinds, flagged=flagged)

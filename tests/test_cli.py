@@ -380,6 +380,49 @@ def test_numerical_failure_exits_three(tmp_path, capsys, command, body):
     assert "numerical failure" in err
 
 
+BRINKMANN_X2 = {"type": "brinkmann", "params": {"profile": "x2"}}
+
+
+@pytest.mark.parametrize("command,body", [
+    # geodesic returns the sample times [0, 0, 5e-324]: no ray to scan
+    pytest.param("focal", {"spacetime": COS2,
+                           "params": {"t_span": [0, 5e-324],
+                                      "n_samples": 3}},
+                 id="focal-span-too-short"),
+    # H = x^2 overflows, so the cone gate's reference holds inf
+    pytest.param("connection", {"spacetime": BRINKMANN_X2,
+                                "params": {"box": 1e200}},
+                 id="connection-box-1e200"),
+    pytest.param("curvature", {"spacetime": BRINKMANN_X2,
+                               "params": {"box": 1e200}},
+                 id="curvature-box-1e200"),
+    pytest.param("ppwave", {"spacetime": BRINKMANN_X2,
+                            "params": {"box": 1e200}},
+                 id="ppwave-box-1e200"),
+    pytest.param("quotient", {"spacetime": BRINKMANN_X2,
+                              "params": {"base": [0, 0, 0, 0],
+                                         "loop": {"plane": [1, 2],
+                                                  "side": 1e200}}},
+                 id="quotient-side-1e200"),
+    pytest.param("geodesic", {"spacetime": BRINKMANN_X2,
+                              "params": {"x0": [0, 0, 1e200, 0],
+                                         "v0": [1, 0, 0, 0],
+                                         "t_span": [0, 1]}},
+                 id="geodesic-x-1e200"),
+])
+def test_unscannable_inputs_exit_three_without_a_warning(tmp_path, capsys,
+                                                         command, body):
+    cfg = write_config(tmp_path, body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", cfg])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: ")
+    assert ("strictly increasing times" if command == "focal"
+            else "cone_ref is not finite at x=") in err
+
+
 def test_penrose_base_point_below_the_positivity_floor_exits_three(
         tmp_path, capsys):
     # cos^2(1.5708) = 1.3e-11 is positive but below the 1e-8 floor that
@@ -394,11 +437,12 @@ def test_penrose_base_point_below_the_positivity_floor_exits_three(
 
 def test_penrose_evaluates_the_ray_jet_on_batches(tmp_path, capsys,
                                                   monkeypatch):
-    # the fixed grids (positivity, both wall scans, vielbein conditions,
-    # A_mid, CSV) are one batched ray jet each, and so is each refinement
-    # level of the O-equation's panels (one level: W = 0 for cos^2).  Only
-    # the base point h(u0) is scalar.  A grid of the Brinkmann profile
-    # carries four partial-step nodes per row.
+    # the fixed grids (positivity, vielbein conditions, A_mid, CSV) are
+    # one batched ray jet each, and so is each refinement level of the
+    # O-equation's panels (one level: W = 0 for cos^2), whose first level
+    # also carries both wall scans.  Only the base point h(u0) is scalar.
+    # A grid of the Brinkmann profile carries four partial-step nodes per
+    # row.
     from finsler import jets
     calls = {1: 0, 2: 0}
     lanes = []
@@ -416,7 +460,7 @@ def test_penrose_evaluates_the_ray_jet_on_batches(tmp_path, capsys,
     path = ROOT / "configs" / "penrose_cos2.json"
     assert main(["penrose", "--config", str(path)]) == 0
     assert calls[1] == 1
-    assert calls[2] == 6
+    assert calls[2] == 5
     assert max(lanes) == (5 * 101,)
 
 

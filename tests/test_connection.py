@@ -491,7 +491,7 @@ def test_spray_is_the_christoffel_contraction(name):
             want = -np.einsum("kij,i,j->k", gam, v, v)
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(a - want)) <= 1e-12 * scale
-            if L.quadratic:
+            if isinstance(L, QuadraticLagrangian):
                 lc = -np.einsum("kij,i,j->k", levi_civita_quadratic(L, x),
                                 v, v)
                 assert np.max(np.abs(a - lc)) <= 1e-12 * scale

@@ -19,6 +19,7 @@ from finsler.errors import (
 from finsler.lagrangian import (
     _SEGMENT_T,
     Lagrangian,
+    QuadraticLagrangian,
     RandersNorm,
     build_brinkmann_quadratic,
     build_minkowski,
@@ -81,7 +82,7 @@ def test_brinkmann_value_hand_computed():
     v = [0.3, 1.0, 0.2, 0.0]
     # 2*0.3*1 + (1.5^2)*1 - 0.2^2
     assert L.value(x, v) == pytest.approx(2.81, rel=1e-14)
-    assert L.quadratic
+    assert isinstance(L, QuadraticLagrangian)
 
 
 def test_brinkmann_lightlike_ray_admissible_closed():

@@ -246,11 +246,37 @@ def test_o_equation_bounds_the_panels_of_a_level(monkeypatch):
         penrose.rosen_to_brinkmann(fast, 0.0, (-1.0, 1.0))
 
 
-def dip_triple(u, at=float(penrose._GL_C[0]), width=5e-4):
-    """diag(1 - 1.5 exp(-x^2), 1), x = (u - at) / width: h loses
-    positivity only in a dip far narrower than the wall scan's grid."""
+@pytest.mark.parametrize("triple", [cos2_triple, rotating_triple],
+                         ids=["cos2", "rotating"])
+def test_first_level_carries_both_wall_scans(monkeypatch, triple):
+    # one batched triple per refinement level; the first holds both
+    # sides' 128-point wall scans and the 12 nodes of each side's first
+    # panel and its halves, and each later level 8 nodes per panel
+    sizes = []
+    triples = RosenProfile.triples
+
+    def spy(self, us):
+        sizes.append(len(us))
+        return triples(self, us)
+
+    monkeypatch.setattr(RosenProfile, "triples", spy)
+    bp = penrose.rosen_to_brinkmann(triple, 0.0, (-1.0, 1.0))
+    assert not bp.truncated
+    depth = max(int(round(np.log2(1.0 / w)))
+                for edges, _ in bp.sides for w in np.abs(np.diff(edges)))
+    assert sizes[0] == 2 * 128 + 24
+    assert len(sizes) == depth
+    assert all(k % 8 == 0 for k in sizes[1:])
+    if triple is cos2_triple:   # W = 0: the first level converges
+        assert sizes == [280]
+
+
+def dip_triple(u, at=float(penrose._GL_C[0]), width=5e-4, depth=1.5):
+    """diag(1 - depth exp(-x^2), 1), x = (u - at) / width: h loses
+    positivity only in a dip, by default far narrower than the wall
+    scan's grid."""
     x = (u - at) / width
-    e = 1.5 * np.exp(-x * x)
+    e = depth * np.exp(-x * x)
     return (np.diag([1.0 - e, 1.0]), np.diag([2.0 * x * e / width, 0.0]),
             np.diag([(2.0 - 4.0 * x * x) * e / width ** 2, 0.0]))
 
@@ -270,6 +296,25 @@ def test_node_below_the_floor_truncates_at_the_wall():
         assert np.max(np.abs(h - dip_triple(u)[0])) == 0.0
         assert np.max(np.abs(m - np.diag(1.0 / np.sqrt(np.diag(h))))) \
             <= 1e-12
+
+
+@pytest.mark.parametrize("depth", [1.5, 1.0 + 1e-7],
+                         ids=["below-scan-points", "between-scan-points"])
+def test_scan_finds_a_dip_the_panel_nodes_step_over(depth):
+    # W = 0 for a diagonal h, so the first level's panels converge with
+    # no node near this dip, midway between two points of the wall scan
+    # of (0, 1]: the scan points beside it fall below the floor, or, for
+    # the shallow dip, are its flat bottom, whose touch root is u = at
+    at = 32.5 / 128
+
+    def triple(u):
+        return dip_triple(u, at=at, width=0.01, depth=depth)
+
+    bp = penrose.rosen_to_brinkmann(triple, 0.0, (-0.5, 1.0))
+    wall = at - 0.01 * np.sqrt(np.log(depth / (1 - 1e-8)))
+    assert bp.truncated
+    assert bp.u_interval[0] == -0.5
+    assert abs(bp.u_interval[1] - wall) <= 1e-10
 
 
 def test_roundtrip_truncates_at_degenerate_vielbein():

@@ -175,6 +175,16 @@ def test_delta_scan_needs_two_samples():
         ppwave.delta_scan(L, E0, ray)
 
 
+def test_delta_scan_needs_increasing_times():
+    # three samples at t = 0, 0, 5e-324 have no interpolant either
+    L = fixtures.rosen_cos2()
+    ray = GeodesicPath(t=np.array([0.0, 0.0, 5e-324]), x=np.zeros((3, 4)),
+                       v=np.tile(E0, (3, 1)), ldrift=np.zeros(3), l0=0.0,
+                       tol=1e-9, truncated=False)
+    with pytest.raises(SolverError, match="at strictly increasing times"):
+        ppwave.delta_scan(L, E0, ray)
+
+
 def test_delta_csv_and_json():
     L = fixtures.rosen_cos2()
     ray = geodesic(L, [0.0, 0.0, 0.0, 0.0], E0, (0.0, 2.0), n_samples=41)
@@ -219,6 +229,23 @@ def test_touch_root_needs_a_turning_slope(sign, a, b):
     assert ppwave.touch_root(lambda t: sign * ((t - c) ** 2 - 1.0),
                              lambda t: sign * 2.0 * (t - c), a, b, 0.0,
                              1e-12) is None
+
+
+@pytest.mark.parametrize("vals,ceiling,want", [
+    ([0.5, 0.2, 0.4, 0.1, 0.3], 1.0, [1, 3]),
+    # the ends have one neighbour each and are never dips
+    ([0.1, 0.5, 0.05], 1.0, []),
+    # minima at or below zero are walls, not dips
+    ([0.5, 0.0, 0.5, -0.1, 0.5], 1.0, []),
+    # the ceiling is inclusive
+    ([0.5, 0.2, 0.5, 0.3, 0.5], 0.2, [1]),
+    # every sample of a flat bottom counts
+    ([0.5, 0.2, 0.2, 0.5], 1.0, [1, 2]),
+    ([], 1.0, []), ([0.1], 1.0, []), ([0.2, 0.1], 1.0, []),
+], ids=["minima", "ends", "nonpositive", "ceiling", "flat", "empty", "one",
+        "two"])
+def test_dips_are_interior_minima_under_the_ceiling(vals, ceiling, want):
+    assert ppwave.dips(np.array(vals), ceiling).tolist() == want
 
 
 def test_focal_matches_jacobi_zero():
