@@ -16,7 +16,9 @@ and precomputes the ``(i, j, k)`` index arrays of every product pair
 gather, one elementwise multiply and one ``np.bincount`` (Taylor
 arithmetic as in Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 B-lane jets live in the context's batched twin, whose product keys the
-bincount by ``k * B + lane``.
+bincount by ``k * B + lane``.  Each context also keeps the coefficients
+of all its generators as one template, and `variables` seeds them all
+from one copy of it, stacked for the lanes of a twin.
 
 Each jet carries a support mask: the generator groups its coefficients
 depend on, so that every coefficient of a monomial outside it is exactly
@@ -28,6 +30,20 @@ context filters once per pair of masks.  The pairs it skips would add
 a term ±0.0 to a sum that starts at +0.0, which changes no bit, so the
 product equals the full table's, except that a structural zero times an
 infinite coefficient no longer makes a nan.
+
+A composition with an elementary function (`Jet._series`) runs its Horner
+scheme only to the degree cap of its argument's support, the highest
+total degree of a monomial inside the mask (`_Context.degree_cap`), and
+asks the function for no more Taylor coefficients than that.  Above the
+cap every power of the argument's nilpotent part is structurally zero,
+so the steps left out would add only exact zeros.  A jet of base-point
+generators in a context of base order 1 (the spray, the Christoffel
+solve) composes as c0 + c1 * d in one scaled copy, with every zero made
++0.0 as the full scheme's products leave it, so no bit moves.  Fewer
+coefficients also mean fewer chances to raise: ``x ** 1.5`` at x = 0 in
+such a context has value 0 and slope 0, where the second coefficient
+0 ** -0.5 raised, and an infinite coefficient above the cap is never
+multiplied by a zero into a nan that raises.
 
 Every lane of a batched jet is bitwise equal to the unbatched evaluation
 at that lane's point: each lane sums its product terms in the same order,
@@ -140,8 +156,9 @@ class _Context:
     """
 
     __slots__ = ("nvars", "order", "groups", "exponents", "index", "size",
-                 "supports", "full", "pairs", "lanes", "_var_index",
-                 "_gathers", "_tables", "_batches")
+                 "degrees", "supports", "full", "pairs", "lanes",
+                 "_var_index", "_gathers", "_tables", "_batches", "_caps",
+                 "_seeds")
 
     def __init__(self, nvars, order, groups=None, group_orders=None):
         self.nvars = nvars
@@ -161,11 +178,13 @@ class _Context:
         ]
         self._gathers = {}
         self._batches = {}
+        self._caps = {}
+        self._seeds = None
         self.lanes = None
         # Encode exponents in base order+1.  Pairs within the total order
         # cap add without digit carries, so a sum's code names its monomial.
         E = np.array(exps, dtype=np.int64).reshape(self.size, nvars)
-        deg = E.sum(axis=1)
+        deg = self.degrees = E.sum(axis=1)
         code = E @ (order + 1) ** np.arange(nvars, dtype=np.int64)
         i, j = np.nonzero(deg[:, None] + deg[None, :] <= order)
         s = code[i] + code[j]
@@ -181,6 +200,29 @@ class _Context:
 
     def var_index(self, j):
         return self._var_index[j]
+
+    def degree_cap(self, mask):
+        """The highest total degree of a monomial inside the support
+        ``mask``: a jet with that support is zero above it, and so is
+        every power of its nilpotent part.  Cached per mask."""
+        cap = self._caps.get(mask)
+        if cap is None:
+            cap = self._caps[mask] = int(
+                self.degrees[(self.supports & ~mask) == 0].max())
+        return cap
+
+    def seeds(self):
+        """Fresh coefficients of every generator at value 0, one row per
+        generator: shape ``(nvars, size)``, or ``(nvars, size, lanes)``
+        in a batched twin: one copy of a template the context builds
+        once, stacked for the lanes of a twin."""
+        if self._seeds is None:
+            t = np.zeros((self.nvars, self.size))
+            t[np.arange(self.nvars), self._var_index] = 1.0
+            self._seeds = t
+        if self.lanes is None:
+            return self._seeds.copy()
+        return np.repeat(self._seeds[:, :, None], self.lanes, axis=2)
 
     def product_pairs(self, mask_a, mask_b):
         """The product table of a jet with support ``mask_a`` times one
@@ -273,9 +315,8 @@ class Jet:
     def variable(cls, ctx, j, value):
         """Generator ``j`` at ``value``: a float, or the array of the lane
         values of a batched context."""
-        c = np.zeros(ctx.size if ctx.lanes is None else (ctx.size, ctx.lanes))
+        c = ctx.seeds()[j]
         c[0] = value
-        c[ctx.var_index(j)] = 1.0
         return cls(ctx, c, 1 << ctx.groups[j])
 
     # -- inspection ----------------------------------------------------
@@ -386,39 +427,44 @@ class Jet:
                 if not p:
                     return result
                 base = base * base
-
-        def coeffs(a0, order):
-            powers = _leading(
-                lambda a: [a ** (p - k) for k in range(order + 1)], a0)
-            out = []
-            coef = 1.0
-            for k in range(order + 1):
-                out.append(powers[k] * coef)
-                coef *= (p - k) / (k + 1.0)
-            return out
-
-        return self._series(coeffs)
+        return self._series(_power_series(p))
 
     # -- composition with smooth scalar functions ----------------------
 
     def _series(self, coeffs):
-        """Compose with f, where ``coeffs(a0, order)`` lists f^(k)(a0) / k!
-        for a Python float a0, or for the array of a batched jet's lanes
-        (see `_leading`), so each lane computes (and raises) exactly as
-        an unbatched jet."""
+        """Compose with f, where ``coeffs(a0, n)`` lists f^(k)(a0) / k!
+        for k = 0..n, for a Python float a0, or for the array of a
+        batched jet's lanes (see `_leading`), so each lane computes (and
+        raises) exactly as an unbatched jet.
+
+        n is the context's order, capped at the degree cap of the jet's
+        support (`_Context.degree_cap`), but at least 1: the nilpotent
+        part's powers above that degree are structurally zero, so the
+        Horner steps that would multiply by them add only exact zeros,
+        and f needs no more terms.  A jet of base-point generators with
+        base order 1 composes to first order in any context.
+        """
         a0 = self.c[0]
-        return self._compose(coeffs(float(a0) if a0.ndim == 0 else a0,
-                                    self.ctx.order))
+        n = min(self.ctx.order, max(1, self.ctx.degree_cap(self.mask)))
+        return self._compose(coeffs(float(a0) if a0.ndim == 0 else a0, n))
 
     def _compose(self, coeffs):
         """Horner-evaluate sum_k coeffs[k] * (self - value)^k.
 
         ``coeffs[k]`` must equal f^(k)(value) / k!, one entry per lane for
         a batched jet.  The leading step is a scalar multiple of the
-        nilpotent part, not a full product.
+        nilpotent part, not a full product.  With two coefficients in a
+        context of order 2 or more, the result is that scalar multiple
+        plus the value, with each zero made +0.0, as the product of the
+        full order's Horner scheme leaves every zero it sums.
         """
         d = self.c.copy()
         d[0] = 0.0
+        if len(coeffs) == 2 and self.ctx.order >= 2:
+            c = d * coeffs[1]
+            c += 0.0
+            c[0] += coeffs[0]
+            return Jet(self.ctx, c, self.mask)
         d = Jet(self.ctx, d, self.mask)
         acc = d * coeffs[-1]
         for k in range(len(coeffs) - 2, 0, -1):
@@ -506,6 +552,21 @@ def _log_series(a0, order):
     for k in range(1, order + 1):
         coeffs.append(term * ((-1.0) ** (k - 1) / k))
         term = term * inv
+    return coeffs
+
+
+def _power_series(p):
+    """The series of x ** p for a non-integer float p."""
+    def coeffs(a0, order):
+        powers = _leading(
+            lambda a: [a ** (p - k) for k in range(order + 1)], a0)
+        out = []
+        coef = 1.0
+        for k in range(order + 1):
+            out.append(powers[k] * coef)
+            coef *= (p - k) / (k + 1.0)
+        return out
+
     return coeffs
 
 
@@ -608,11 +669,14 @@ def variables(values, order, groups=None, group_orders=None, jacobian=None):
     ``jets[m]`` gains ``jacobian[..., i, m] * eps_i`` for every (i, m)
     that is non-zero in some lane, and its support gains the group of
     generator i.
+
+    The seeds are the rows of one copy of the context's template
+    (`_Context.seeds`), whose value column takes ``values`` in one store.
     """
     batch = isinstance(values, np.ndarray) and values.ndim == 2
     if batch:
         lanes = len(values)
-        values = list(values.astype(float).T)
+        values = values.astype(float).T
     else:
         values = [float(v) for v in values]
     if groups is not None:
@@ -621,15 +685,17 @@ def variables(values, order, groups=None, group_orders=None, jacobian=None):
     ctx = _context(len(values), order, groups, group_orders)
     if batch:
         ctx = ctx.batched(lanes)
-    seeds = [Jet.variable(ctx, j, v) for j, v in enumerate(values)]
+    c = ctx.seeds()
+    c[:, 0] = values
+    masks = [1 << g for g in ctx.groups]
     if jacobian is not None:
         nonzero = jacobian != 0.0
         if nonzero.ndim == 3:
             nonzero = nonzero.any(axis=0)   # in any lane of a stacked J
         for i, m in zip(*np.nonzero(nonzero)):
-            seeds[m].c[ctx.var_index(i)] += jacobian[..., i, m]
-            seeds[m].mask |= 1 << ctx.groups[i]
-    return ctx, seeds
+            c[m, ctx.var_index(i)] += jacobian[..., i, m]
+            masks[m] |= 1 << ctx.groups[i]
+    return ctx, [Jet(ctx, c[j], masks[j]) for j in range(len(masks))]
 
 
 def derivative_tensor(w, slots, order):

@@ -278,15 +278,29 @@ class RandersNorm:
         return self._from_coeffs(A, b, v)
 
     def _from_coeffs(self, A, b, v):
-        """F(v) from coefficients already evaluated at the base point."""
+        """F(v) from coefficients already evaluated at the base point.
+
+        A float coefficient that is exactly zero (0.0 or -0.0) is
+        skipped, term and all.  Its term is a zero of either sign, which
+        changes no bit of F: a float sum, and the value of a jet sum,
+        starts at +0.0 and never holds -0.0, and where v holds a jet, the
+        diagonal term of that jet is a product, which makes every zero of
+        alpha^2, and so of sqrt(alpha^2) + beta, +0.0.  A coefficient that
+        is a jet or lanes is always kept.
+        """
         n = self.dim
         alpha2 = 0.0
         for i in range(n):
+            row = A[i]
             for j in range(n):
-                alpha2 = alpha2 + A[i][j] * v[i] * v[j]
+                a = row[j]
+                if not (isinstance(a, float) and a == 0.0):
+                    alpha2 = alpha2 + a * v[i] * v[j]
         beta = 0.0
         for i in range(n):
-            beta = beta + b[i] * v[i]
+            a = b[i]
+            if not (isinstance(a, float) and a == 0.0):
+                beta = beta + a * v[i]
         return jets.sqrt(alpha2) + beta
 
     def fundamental(self, x, v):

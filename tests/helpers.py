@@ -8,6 +8,13 @@ decoupling by C(v, ., .) = 0 that the library's closed form relies on.
 context admits, with a pair table of its own and no support masks: the
 oracle of the masked product tables of `jets._Context.product_pairs`.
 
+`full_series` composes a jet with an elementary function by the Horner
+scheme to its context's full order, and `per_generator_seeds` seeds each
+generator with a zero vector and two stores of its own: the references
+of `jets.Jet._series`, which stops at the degree cap of its argument's
+support, and of `jets.variables`, which seeds from a cached template.
+`full_randers` is `RandersNorm._from_coeffs` with no term skipped.
+
 `scipy_expm` takes scipy's Padé exponential of each matrix of a stack, the
 oracle of the in-house `quotient._expm`.
 
@@ -47,6 +54,7 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import expm, solve_sylvester
 from scipy.optimize import brentq
 
+from finsler import jets
 from finsler.cli import _sample_states
 from finsler.connection import (
     VectorField,
@@ -57,6 +65,7 @@ from finsler.connection import (
     torsion_residual,
 )
 from finsler.curvature import chern_curvature, nperp_basis
+from finsler.jets import Jet
 from finsler.report import Report
 from finsler.tensors import cartan_tensor, fundamental_tensor, signature_of
 
@@ -87,6 +96,66 @@ def dense_product(a, b):
     keys = (k[:, None] * lanes + np.arange(lanes)).ravel()
     return np.bincount(keys, (a.c[i] * b.c[j]).ravel(),
                        minlength=len(exps) * lanes).reshape(-1, lanes)
+
+
+def full_series(x, coeffs):
+    """``x`` composed with the f whose ``coeffs(a0, n)`` lists
+    f^(k)(a0) / k! for k = 0..n, by Horner's scheme to the full order of
+    x's context, whatever its support."""
+    a0 = x.c[0]
+    cs = coeffs(float(a0) if a0.ndim == 0 else a0, x.ctx.order)
+    d = x.c.copy()
+    d[0] = 0.0
+    d = Jet(x.ctx, d, x.mask)
+    acc = d * cs[-1]
+    for k in range(len(cs) - 2, 0, -1):
+        acc = acc._add_const(cs[k]) * d
+    return acc._add_const(cs[0])
+
+
+def per_generator_seeds(values, order, groups=None, group_orders=None,
+                        jacobian=None):
+    """`jets.variables` with each seed built on its own: a zero vector,
+    its value and its unit coefficient, then the Jacobian entries one
+    (i, m) at a time."""
+    batch = isinstance(values, np.ndarray) and values.ndim == 2
+    if batch:
+        lanes = len(values)
+        values = list(values.astype(float).T)
+    else:
+        values = [float(v) for v in values]
+    ctx = jets._context(len(values), order,
+                        None if groups is None else tuple(groups),
+                        None if group_orders is None else tuple(group_orders))
+    if batch:
+        ctx = ctx.batched(lanes)
+    seeds = []
+    for j, v in enumerate(values):
+        c = np.zeros(ctx.size if ctx.lanes is None else (ctx.size, lanes))
+        c[0] = v
+        c[ctx.var_index(j)] = 1.0
+        seeds.append(Jet(ctx, c, 1 << ctx.groups[j]))
+    if jacobian is not None:
+        nonzero = jacobian != 0.0
+        if nonzero.ndim == 3:
+            nonzero = nonzero.any(axis=0)
+        for i, m in zip(*np.nonzero(nonzero)):
+            seeds[m].c[ctx.var_index(i)] += jacobian[..., i, m]
+            seeds[m].mask |= 1 << ctx.groups[i]
+    return ctx, seeds
+
+
+def full_randers(A, b, v):
+    """F(v) = sqrt(v^T A v) + b.v over every term, zero or not."""
+    n = len(v)
+    alpha2 = 0.0
+    for i in range(n):
+        for j in range(n):
+            alpha2 = alpha2 + A[i][j] * v[i] * v[j]
+    beta = 0.0
+    for i in range(n):
+        beta = beta + b[i] * v[i]
+    return jets.sqrt(alpha2) + beta
 
 
 def dense_koszul_solve(g, C, v, R):

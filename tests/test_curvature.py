@@ -208,9 +208,11 @@ def test_christoffel_solves_per_curvature_call(monkeypatch, extended,
 
 
 def test_curvature_product_terms_are_pinned(monkeypatch):
-    # one chern_curvature makes 120 jet products; the support masks cut
-    # the terms they sum from the full tables' 233,280 to 47,108, so a
-    # lost mask shows here and not only as a timing
+    # one chern_curvature makes 76 jet products: a series of a jet of
+    # base-point generators composes only to the base order.  The support
+    # masks cut the terms they sum from the full tables' 153,420 to
+    # 45,920, so a lost mask or a lost degree cap shows here and not only
+    # as a timing
     L = _default_ppwave_example()
     full_table = jets._Context.product_pairs
     products, terms, dense = [], [], []
@@ -224,9 +226,9 @@ def test_curvature_product_terms_are_pinned(monkeypatch):
 
     monkeypatch.setattr(jets._Context, "product_pairs", counting)
     chern_curvature(L, np.array([0.3, 0.2, -0.1, 0.4]), N_WAVE)
-    assert len(products) == 120
-    assert sum(dense) == 233280
-    assert sum(terms) == 47108
+    assert len(products) == 76
+    assert sum(dense) == 153420
+    assert sum(terms) == 45920
 
 
 def test_antisymmetry_exact_in_the_first_pair():

@@ -4,7 +4,10 @@ Finite differences are the independent oracle here: every derivative the
 engine reports is cross-checked against central difference quotients over a
 step sweep, plus a handful of hand-frozen closed forms.  The products
 that support masks filter are checked bitwise against
-`helpers.dense_product`, which sums the full pair table.
+`helpers.dense_product`, which sums the full pair table; the series that
+stop at their argument's degree cap against `helpers.full_series`, which
+runs to the full order; and the template seeds against
+`helpers.per_generator_seeds`.
 """
 
 import math
@@ -18,7 +21,7 @@ from finsler import fixtures, jets
 from finsler.errors import EvaluationError
 from finsler.jets import Jet, derivative_tensor, variables
 from finsler.lagrangian import catalog
-from helpers import dense_product
+from helpers import dense_product, full_series, per_generator_seeds
 
 
 def basis(i, n=4):
@@ -678,3 +681,109 @@ def test_seeds_take_a_jacobian_and_its_support():
     _, b = variables(lanes, 2, (0, 0, 1, 1), (1, 2), stacked)
     assert b[2].deriv((1, 0, 0, 0)).tolist() == [0.5, 1.0]
     assert [w.mask for w in b] == [1, 1, 3, 2]
+
+
+# -- series to the support's degree ----------------------------------------
+
+# each composition the engine makes, with its Taylor coefficients
+SERIES = {
+    "reciprocal": (Jet._reciprocal, jets._reciprocal_series),
+    "sqrt": (jets.sqrt, jets._sqrt_series),
+    "exp": (jets.exp, jets._exp_series),
+    "log": (jets.log, jets._log_series),
+    "sin": (jets.sin, jets._sin_series),
+    "cos": (jets.cos, jets._cos_series),
+    "sinh": (jets.sinh, jets._sinh_series),
+    "cosh": (jets.cosh, jets._cosh_series),
+    "power": (lambda x: x ** 1.5, jets._power_series(1.5)),
+}
+
+
+def signed_zero_jet(ctx, rng, mask):
+    """`random_jet` at a value in (0.3, 0.8), with zeros of either sign
+    inside its support too."""
+    x = random_jet(ctx, rng, mask)
+    zero = rng.random(x.c.shape) < 0.2
+    x.c[zero] = np.where(rng.random(x.c.shape) < 0.5, 0.0, -0.0)[zero]
+    x.c[0] = rng.uniform(0.3, 0.8, x.c.shape[1:])
+    return x
+
+
+@pytest.mark.parametrize("lanes", [None, 1, 3, 32])
+@pytest.mark.parametrize("sig", list(MASKED.values()), ids=list(MASKED))
+def test_series_to_the_support_degree_are_the_full_order_series(sig, lanes):
+    ctx = jets._context(*sig)
+    if lanes is not None:
+        ctx = ctx.batched(lanes)
+    rng = np.random.default_rng([23, ctx.size, lanes or 0])
+    for mask in range(ctx.full + 1):
+        x = signed_zero_jet(ctx, rng, mask)
+        for name, (f, coeffs) in SERIES.items():
+            got = f(x)
+            assert got.mask == mask, name
+            # tobytes: a zero of the wrong sign fails too
+            assert got.c.tobytes() == full_series(x, coeffs).c.tobytes(), (
+                name, mask)
+
+
+def test_degree_caps_of_the_masked_contexts():
+    # (base, fiber, both) per context; a mask of no group is a constant
+    caps = {name: [jets._context(*sig).degree_cap(m) for m in range(4)]
+            for name, sig in MASKED.items()}
+    assert caps == {"spray": [0, 1, 2, 2], "christoffel": [0, 1, 3, 3],
+                    "curvature": [0, 2, 3, 4], "penrose-ray": [0, 2, 2, 4]}
+
+
+def test_a_power_needs_no_coefficient_above_the_base_order():
+    # the spray context has base order 1: x0 ** 1.5 at x0 = 0 takes
+    # 0 ** 1.5 and 0 ** 0.5 only.  The full order also took 0 ** -0.5,
+    # which raised, and `_call` raised EvaluationError
+    _, s = variables([0.0, 0.2, 0.1, 0.0, 1.0, 0.0, 0.0, 0.0],
+                     *MASKED["spray"][1:])
+    w = jets._call(lambda x, v: x[0] ** 1.5 + v[0] * v[0], s[:4], s[4:])
+    assert w.value == 1.0
+    assert w.deriv((1, 0, 0, 0, 0, 0, 0, 0)) == 0.0
+    with pytest.raises(ZeroDivisionError):
+        full_series(s[0], jets._power_series(1.5))
+
+
+def test_an_overflow_above_the_support_degree_does_not_raise():
+    # log at 1e-200: its second coefficient -1e400 / 2 overflows to -inf.
+    # The full order multiplied it by the zero value of the nilpotent
+    # part into a nan, and `_call` raised on the invalid operation; a
+    # base generator of order 1 never takes that coefficient
+    _, s = variables([1e-200, 0.2, 0.1, 0.0, 1.0, 0.0, 0.0, 0.0],
+                     *MASKED["spray"][1:])
+    w = jets._call(lambda x, v: jets.log(x[0]) * v[0], s[:4], s[4:])
+    assert w.value == math.log(1e-200)
+    assert w.deriv((1, 0, 0, 0, 0, 0, 0, 0)) == 1.0 / 1e-200
+    with np.errstate(over="ignore", invalid="raise"), \
+            pytest.raises(FloatingPointError):
+        full_series(s[0], jets._log_series)
+
+
+# -- seeds from a template --------------------------------------------------
+
+@pytest.mark.parametrize("lanes", [None, 1, 3, 32])
+@pytest.mark.parametrize("sig", list(MASKED.values()), ids=list(MASKED))
+def test_template_seeds_are_the_per_generator_seeds(sig, lanes):
+    nvars, order, groups, group_orders = sig
+    rng = np.random.default_rng([29, nvars, order, lanes or 0])
+    stack = () if lanes is None else (lanes,)
+    values = rng.standard_normal(stack + (nvars,))
+    if lanes is None:
+        values = values.tolist()
+    jac = 0.1 * rng.standard_normal(stack + (nvars, nvars))
+    jac[..., 0, :] = 0.0     # a generator that reaches no seed
+    jac[..., 1, 2] = -0.0
+    for jacobian in (None, jac):
+        for _ in range(2):   # the second call meets the cached template
+            _, got = variables(values, order, groups, group_orders,
+                               jacobian)
+            _, want = per_generator_seeds(values, order, groups,
+                                          group_orders, jacobian)
+            assert [w.mask for w in got] == [w.mask for w in want]
+            for g, w in zip(got, want):
+                assert g.ctx is w.ctx
+                assert g.c.tobytes() == w.c.tobytes()
+                g.c[...] = np.nan    # no seed writes into the template

@@ -29,6 +29,7 @@ from finsler.lagrangian import (
     from_descriptor,
 )
 from finsler.tensors import fundamental_tensor, signature_of
+from helpers import full_randers
 
 RNG = np.random.default_rng(20240817)
 
@@ -334,3 +335,46 @@ def test_value_on_fails_as_a_failing_pair_fails_alone():
         W.value(xs[3], np.ones(4))
     with pytest.raises(EvaluationError):
         W.value(xs, np.ones((5, 4)))
+
+
+def _same_bits(got, want):
+    if isinstance(want, jets.Jet):
+        assert got.c.tobytes() == want.c.tobytes()
+        assert got.mask & ~want.mask == 0
+    else:
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_zero_randers_terms_are_skipped_bit_for_bit():
+    # zero coefficients of either sign in A and b, on floats, lanes, seeds
+    # of one to three orders (unbatched and stacked), and seeds beside a
+    # float, as in the Penrose ray context
+    A = [[1.2, 0.0, -0.3], [0.0, 0.9, -0.0], [-0.3, -0.0, 1.1]]
+    b = [0.0, -0.2, -0.0]
+    pts = np.array([[0.7, -0.4, 0.2], [-0.5, 0.0, 0.3], [0.1, 0.6, -0.8]])
+    for coeffs in ((A, b), (np.array(A), np.array(b))):
+        F = RandersNorm(*coeffs, 3)
+        for p in pts.tolist():
+            _same_bits(F._from_coeffs(*coeffs, p), full_randers(*coeffs, p))
+        lanes = [jets.lanes(c) for c in pts.T]
+        _same_bits(F._from_coeffs(*coeffs, lanes),
+                   full_randers(*coeffs, lanes))
+        for order in (1, 2, 3):
+            for values in (pts[0].tolist(), pts):
+                _, s = jets.variables(values, order)
+                for v in (s, [values[..., 0] if isinstance(values, np.ndarray)
+                              else values[0]] + s[1:]):
+                    _same_bits(F._from_coeffs(*coeffs, v),
+                               full_randers(*coeffs, v))
+
+
+def test_zero_randers_coefficients_that_are_jets_are_kept():
+    # A and b of the base point u: a jet coefficient that is zero is not a
+    # constant, and a constant zero beside jets is skipped
+    _, (u, v0, v1) = jets.variables([0.3, 0.8, -0.5], 2, (0, 1, 1), (2, 2))
+    A = [[1.0 + 0.1 * u * u, 0.0 * u], [0.0, 1.0 - 0.2 * u]]
+    b = [0.0, -0.1 * jets.sin(u)]
+    F = RandersNorm(lambda x: A, lambda x: b, 2)
+    for v in ([v0, v1], [0.8, v1], [0.8, -0.5]):
+        _same_bits(F._from_coeffs(A, b, v), full_randers(A, b, v))
