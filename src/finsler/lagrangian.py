@@ -209,7 +209,6 @@ class QuadraticLagrangian(Lagrangian):
                 raise ConstructionError("bad entry index (%d, %d)" % (i, j))
             coeff = 1.0 if i == j else 2.0
             items.append((i, j, a, coeff))
-        self._entries = dict(entries)
         self._items = items
 
         def func(x, v):
@@ -422,29 +421,26 @@ def _cone_ref_near_e0(func, n):
     return cone_ref
 
 
-def build_parallel_example(F, omega=None, name="parallel_example",
-                           params=None):
+def build_parallel_example(F, params=None):
     """L = omega(v)^2 - F(v)^2 on a flat chart, with omega derived from F.
 
     F must be a positive norm with coefficients independent of the
     x0-coordinate (here: constant).  omega is constructed so that N = e0
-    is lightlike with metric row (0, 1, 0, ..., 0); passing an explicit
-    omega overrides the construction (it is then checked, not trusted).
+    is lightlike with metric row (0, 1, 0, ..., 0); ``meta["omega_report"]``
+    holds that row of g_N as evaluated on L and its largest deviation.
     """
     n = F.dim
     N = [0.0] * n
     N[0] = 1.0
     x0 = [0.0] * n
-    F0 = float(F(x0, N).value if isinstance(F(x0, N), jets.Jet)
-               else F(x0, N))
+    F0 = F(x0, N)
+    F0 = float(F0.value if isinstance(F0, jets.Jet) else F0)
     if not F0 > 0:
         raise ConstructionError("F(N) must be positive")
     gN = F.fundamental(x0, N)
     gN = [[float(e) for e in row] for row in gN]
-    if omega is None:
-        omega = [F0, (1.0 + gN[1][0]) / F0]
-        omega += [gN[0][k] / F0 for k in range(2, n)]
-    omega = [float(w) for w in omega]
+    omega = [F0, (1.0 + gN[1][0]) / F0]
+    omega += [gN[0][k] / F0 for k in range(2, n)]
 
     def func(x, v):
         w = 0.0
@@ -455,24 +451,20 @@ def build_parallel_example(F, omega=None, name="parallel_example",
 
     cone_ref = _cone_ref_near_e0(func, n)
     cone_ref(x0)  # fail fast if the cone is empty at the origin
-    L = Lagrangian(func, n, cone_ref, name=name, params=params or {},
+    L = Lagrangian(func, n, cone_ref, name="parallel_example", params=params,
                    meta={"omega": list(omega), "F": F, "N": list(N)})
-    cond = [abs(omega[0] - F0),
-            abs(omega[1] - (1.0 + gN[1][0]) / F0)]
-    cond += [abs(omega[k] - gN[0][k] / F0) for k in range(2, n)]
-    L.meta["omega_report"] = {
-        "conditions_residual": max(cond),
-        **_omega_row_report(L, N),
-    }
+    L.meta["omega_report"] = _omega_row_report(L, N)
     return L
 
 
-def build_ppwave_example(F2, name="ppwave_example", params=None):
+def build_ppwave_example(F2, params=None):
     """L = omega^2 - F^2 - (v^x)^2 - (v^y)^2 on the (v,u|x,y) chart.
 
     F2 is a norm on the 2-dimensional (v, u) fiber whose coefficients may
     depend on (u, x, y) but not on the v-coordinate; omega is built from F2
-    pointwise, so its coefficients inherit that dependence.
+    pointwise, so its coefficients inherit that dependence.  As for
+    `build_parallel_example`, ``meta["omega_report"]`` holds the row
+    g_N(N, .) at the origin, N = e0, and its deviation from (0, 1, 0, 0).
     """
     if F2.dim != 2:
         raise ConstructionError("ppwave example needs a fiber norm on the "
@@ -499,7 +491,7 @@ def build_ppwave_example(F2, name="ppwave_example", params=None):
 
     cone_ref = _cone_ref_near_e0(func, n)
     cone_ref([0.0] * 4)
-    L = Lagrangian(func, n, cone_ref, name=name, params=params or {},
+    L = Lagrangian(func, n, cone_ref, name="ppwave_example", params=params,
                    meta={"F": F2, "N": [1.0, 0.0, 0.0, 0.0]})
     L.meta["omega_report"] = _omega_row_report(L, [1.0, 0.0, 0.0, 0.0])
     return L

@@ -17,6 +17,11 @@ without Derivatives*, 1973, ch. 4), iterate for iterate scipy's
 
 `Hermite` is the piecewise cubic through samples and slopes, evaluated
 between the knots as scipy's ``CubicHermiteSpline`` evaluates it.
+
+`dop853` (with the ``fun`` and ``event`` it calls, unless they set their
+own error state, as `jets._call` does) and `Hermite` evaluation run under
+``np.errstate(all="ignore")``: overflow and NaN pass without a warning,
+with the same values, and a non-finite error estimate rejects the step.
 """
 
 import math
@@ -371,6 +376,7 @@ class OdeResult:
         return self.status >= 0
 
 
+@np.errstate(all="ignore")
 def dop853(fun, t_span, y0, tol, t_eval=None, event=None):
     """Integrate y' = fun(t, y) over ``t_span`` at rtol = atol = ``tol``;
     ``fun`` returns a float array.
@@ -551,6 +557,7 @@ class Hermite:
     def slope(self, t):
         return self._eval(self.dc, self.dydx, t)
 
+    @np.errstate(all="ignore")
     def _eval(self, c, at_knots, t):
         t = float(t)
         i = int(np.searchsorted(self.x, t, side="right")) - 1

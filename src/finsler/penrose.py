@@ -53,19 +53,19 @@ def _jacobian_diag(n, omega):
     return np.array(j)
 
 
-def rescaled_lagrangian(L, omega, rescale=True):
+def rescaled_lagrangian(L, omega):
     """The pulled-back model L_w(x, v) = w^{-2} L(phi(x), Dphi v).
 
-    ``rescale=False`` drops the w^{-2} factor (the plain pullback); both
-    carry the same Levi-Civita/Chern connection, which is the homothety
-    statement the tests quantify.
+    The constant w^{-2} factor does not move the Levi-Civita/Chern
+    connection, so L_w carries the connection of the plain pullback
+    L(phi(x), Dphi v): that is the homothety statement the tests quantify.
     """
     omega = float(omega)
     if not 0.0 < omega <= 1.0:
         raise SolverError("omega must lie in (0, 1], got %g" % omega)
     n = L.dim
     jd = _jacobian_diag(n, omega)
-    factor = 1.0 / (omega * omega) if rescale else 1.0
+    factor = 1.0 / (omega * omega)
 
     def func(x, v):
         xm = [x[0]] + [jd[k] * x[k] for k in range(1, n)]
@@ -237,11 +237,8 @@ class BrinkmannProfile:
              @ (w @ w + wd + (2.0 * (w @ sd) + sdd) @ sinv) @ o)
         return list(zip(h, sinv @ o, 0.5 * (a + np.swapaxes(a, -1, -2))))
 
-    def fields(self, u):
-        return self.fields_on([u])[0]
-
     def A(self, u):
-        return self.fields(u)[2]
+        return self.fields_on([u])[0][2]
 
     def M(self, u):
         return self.vielbein_on([u])[1][0]
@@ -283,10 +280,8 @@ class PenroseLimitResult:
     homothety_residuals: list = field(default_factory=list)
     offblock: list = field(default_factory=list)
 
-    def to_csv(self, us=None):
-        if us is None:
-            lo, hi = self.brinkmann.u_interval
-            us = np.linspace(lo, hi, 101)
+    def to_csv(self, us):
+        """CSV of u and the flattened h, M and A at each u of ``us``."""
         m = self.rosen.dim
         cols = (["u"]
                 + ["h%d%d" % (i, j) for i in range(m) for j in range(m)]
@@ -430,42 +425,6 @@ def _propagate(rosen, u0, targets, first_wall):
     return done, walls
 
 
-def _integrate_two_sided(rhs, y0, u0, interval, event):
-    """`ode.dop853` at `_ODE_TOL` on both sides of u0, each side stopped
-    where ``event`` reaches zero.
-
-    Returns (eval_fn, reached, hit): ``eval_fn(u)`` is the dense state,
-    ``reached`` the endpoints actually attained, and ``hit`` the
-    event locations (None where the event did not fire).
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    sols = {}
-    reached = [lo, hi]
-    hit = [None, None]
-    for side, target in ((0, lo), (1, hi)):
-        if (target - u0) * (1 if side else -1) <= 0.0:
-            sols[side] = None
-            reached[side] = u0
-            continue
-        sol = ode.dop853(rhs, (u0, target), y0, _ODE_TOL, event=event)
-        if not sol.success:
-            raise SolverError("profile integration failed: %s" % sol.message)
-        sols[side] = sol.sol
-        reached[side] = float(sol.t[-1])
-        if sol.status == 1:
-            hit[side] = float(sol.t[-1])
-
-    def eval_fn(u):
-        u = float(u)
-        sol = sols[1] if u >= u0 else sols[0]
-        if sol is None:
-            raise SolverError("parameter %g outside the integrated range"
-                              % u)
-        return sol(u)
-
-    return eval_fn, reached, hit
-
-
 # -- Rosen -> Brinkmann -----------------------------------------------------------
 
 def rosen_to_brinkmann(rosen, u0, u_interval):
@@ -564,10 +523,12 @@ def rosen_to_brinkmann(rosen, u0, u_interval):
 def brinkmann_roundtrip(A, u_interval, tol=1e-6):
     """Integrate E'' = A E, rebuild h = E^T E, convert back, compare.
 
-    E starts as the identity at the interval's midpoint.  The recovered
-    profile must match the input to ``tol`` on 21 points wherever the
-    vielbein E stays invertible; a degenerating E (focal point) truncates
-    the comparison interval instead of failing.
+    E starts as the identity at the interval's midpoint u0, and each side
+    of u0 is one `ode.dop853` integration at `_ODE_TOL` that stops where
+    det E falls to 1e-8.  The recovered profile must match the input to
+    ``tol`` on 21 points wherever the vielbein E stays invertible; a
+    degenerating E (focal point) truncates the comparison interval
+    instead of failing.
     """
     lo, hi = float(u_interval[0]), float(u_interval[1])
     u0 = 0.5 * (lo + hi)
@@ -587,11 +548,25 @@ def brinkmann_roundtrip(A, u_interval, tol=1e-6):
         return float(np.linalg.det(e)) - 1e-8
 
     y0 = np.concatenate([np.eye(m).ravel(), np.zeros(m * m)])
-    state, reached, hit = _integrate_two_sided(
-        rhs, y0, u0, (lo, hi), event=degenerate)
+    # per side of u0: the dense state, the end reached, the event or None
+    sols, reached, hit = [None, None], [u0, u0], [None, None]
+    for side, target in ((0, lo), (1, hi)):
+        if (target - u0) * (1 if side else -1) <= 0.0:
+            continue
+        sol = ode.dop853(rhs, (u0, target), y0, _ODE_TOL, event=degenerate)
+        if not sol.success:
+            raise SolverError("profile integration failed: %s" % sol.message)
+        sols[side] = sol.sol
+        reached[side] = float(sol.t[-1])
+        if sol.status == 1:
+            hit[side] = reached[side]
 
     def h_triple(u):
-        e, ed = state(u).reshape(2, m, m)
+        sol = sols[1] if u >= u0 else sols[0]
+        if sol is None:
+            raise SolverError("parameter %g outside the integrated range"
+                              % u)
+        e, ed = sol(u).reshape(2, m, m)
         a = np.asarray(A(u), dtype=float)
         return (e.T @ e, ed.T @ e + e.T @ ed,
                 2.0 * (ed.T @ ed) + e.T @ (a + a.T) @ e)

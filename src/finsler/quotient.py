@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import as_vector_field, christoffel
-from .errors import ChartError, ConstructionError, SignatureError
+from .errors import ChartError, ConstructionError, SignatureError, SolverError
 from .tensors import fundamental_tensor, leading_minors
 
 __all__ = ["QuotientFrame", "quotient_metric", "rectangle_loop",
@@ -124,12 +124,17 @@ def _expm(A):
 def _pieces(vertices, n_segments):
     """Start and end points of the transport pieces of a closed polyline:
     each edge is cut into equal pieces, about ``n_segments`` in all in
-    proportion to length; None for a loop of zero length."""
+    proportion to length; None for a loop of zero length.  Raises
+    `SolverError` when the length overflows."""
     p, q = vertices[:-1], vertices[1:]
-    lengths = np.array([np.linalg.norm(b - a) for a, b in zip(p, q)])
+    with np.errstate(over="ignore"):
+        lengths = np.array([np.linalg.norm(b - a) for a, b in zip(p, q)])
     total = float(lengths.sum())
     if total == 0.0:
         return None
+    if not np.isfinite(total):
+        raise SolverError("the loop's length overflows: an edge is too "
+                          "long to measure")
     starts, ends = [], []
     for a, b, ln in zip(p, q, lengths):
         m = max(1, int(np.ceil(n_segments * ln / total)))
@@ -179,6 +184,7 @@ def holonomy_defect(L, N, loop, reps, n_segments=64, tol=1e-6):
     A transported class drifting out of N^perp means N was not parallel
     along the loop, which violates the precondition.  N is tested for
     cone membership at each loop vertex, not at the segment midpoints.
+    A loop whose length overflows a float raises `SolverError`.
     """
     N = as_vector_field(N)
     vertices = np.atleast_2d(np.asarray(loop, dtype=float))

@@ -91,16 +91,15 @@ def dump_json(obj, indent: int = 0) -> str:
 
 @dataclass
 class Check:
-    """A single named verification: residual against a tolerance."""
+    """A single named verification: it passes when residual <= tol."""
 
     name: str
     residual: float
     tol: float
-    passed: bool | None = None
 
-    def __post_init__(self):
-        if self.passed is None:
-            self.passed = bool(self.residual <= self.tol)
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual <= self.tol)
 
     def to_dict(self) -> dict:
         return {
@@ -119,8 +118,9 @@ class Report:
     checks: list[Check] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def add(self, name: str, residual: float, tol: float, passed: bool | None = None) -> Check:
-        c = Check(name, float(residual), float(tol), passed)
+    def add(self, name: str, residual: float, tol: float) -> Check:
+        """Append and return the check of ``residual`` against ``tol``."""
+        c = Check(name, float(residual), float(tol))
         self.checks.append(c)
         return c
 

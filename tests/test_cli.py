@@ -423,6 +423,55 @@ def test_unscannable_inputs_exit_three_without_a_warning(tmp_path, capsys,
             else "cone_ref is not finite at x=") in err
 
 
+@pytest.mark.parametrize("command,body", [
+    # edges of 1e200 overflow the loop's length to inf
+    pytest.param("quotient", {"spacetime": BRINKMANN_X2,
+                              "params": {"base": [0, 0, 0, 0],
+                                         "loop": {"plane": [0, 1],
+                                                  "sides": [1e200, 1e-200]}}},
+                 id="quotient-sides-1e200-1e-200"),
+    pytest.param("quotient", {"spacetime": BRINKMANN_X2,
+                              "params": {"base": [0, 0, 0, 0],
+                                         "loop": {"plane": [0, 1],
+                                                  "side": 1e200}}},
+                 id="quotient-side-1e200-plane-01"),
+    pytest.param("quotient", {"spacetime": BRINKMANN_X2,
+                              "params": {"base": [0, 0, 0, 0],
+                                         "loop": {"vertices": [
+                                             [0, 0, 0, 0], [1e200, 0, 0, 0],
+                                             [1e200, 1e200, 0, 0]]}}},
+                 id="quotient-vertices-1e200"),
+    # the solver's own arithmetic overflows: the initial step's norm, the
+    # Hermite powers of a 1e300 span, the initial step's inf / inf
+    pytest.param("geodesic", {"spacetime": BRINKMANN_X2,
+                              "params": {"x0": [0, 0, 1e150, 0],
+                                         "v0": [1, 1, 0, 0],
+                                         "t_span": [0, 1]}},
+                 id="geodesic-x-1e150"),
+    pytest.param("focal", {"spacetime": COS2,
+                           "params": {"t_span": [0, 1e300]}},
+                 id="focal-span-1e300"),
+    pytest.param("focal", {"spacetime": COS2,
+                           "params": {"N": [1e200, 0, 0, 0],
+                                      "t_span": [0, 1]}},
+                 id="focal-N-1e200"),
+])
+def test_overflowing_inputs_exit_alike_with_warnings_as_errors(
+        tmp_path, capsys, command, body):
+    # the lenient run ignores warnings, since the suite makes them errors
+    cfg = write_config(tmp_path, body)
+    runs = []
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            code = main([command, "--config", cfg])
+        runs.append((code, capsys.readouterr().err))
+    (code, err), (lenient, _) = runs
+    assert code == lenient and code in (0, 3)
+    if code == 3:
+        assert err.splitlines()[0].startswith("numerical failure: ")
+
+
 def test_penrose_base_point_below_the_positivity_floor_exits_three(
         tmp_path, capsys):
     # cos^2(1.5708) = 1.3e-11 is positive but below the 1e-8 floor that

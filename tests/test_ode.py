@@ -70,24 +70,24 @@ def test_roundtrip_event_is_scipy_event_time(monkeypatch):
     # det E = 1e-8 fires at +-acos(1e-8), just inside the cos^2 focal
     # points +-pi/2
     calls = []
-    two_sided = penrose._integrate_two_sided
+    dop853 = ode.dop853
 
-    def recording(rhs, y0, u0, interval, event):
-        out = two_sided(rhs, y0, u0, interval, event)
-        calls.append((rhs, y0, u0, interval, event, out[2]))
+    def recording(rhs, span, y0, tol, event):
+        out = dop853(rhs, span, y0, tol, event=event)
+        calls.append((rhs, span, y0, tol, event, out))
         return out
 
-    monkeypatch.setattr(penrose, "_integrate_two_sided", recording)
+    monkeypatch.setattr(ode, "dop853", recording)
     rep = penrose.brinkmann_roundtrip(lambda u: np.diag([-1.0, 0.0]),
                                       (-2.0, 2.0))
     assert rep.passed and rep.meta["truncated"]
-    (rhs, y0, u0, interval, event, hit), = calls
-    for side, target in enumerate(interval):
-        t, _, status = scipy_dop853(rhs, (u0, target), y0, penrose._ODE_TOL,
-                                    event=event)
-        assert status == 1
-        assert hit[side] == t[-1]
-        assert abs(abs(hit[side]) - math.acos(1e-8)) <= 1e-10
+    assert [span for _, span, *_ in calls] == [(0.0, -2.0), (0.0, 2.0)]
+    for rhs, span, y0, tol, event, out in calls:
+        assert tol == penrose._ODE_TOL
+        t, _, status = scipy_dop853(rhs, span, y0, tol, event=event)
+        assert status == out.status == 1
+        assert out.t[-1] == t[-1]
+        assert abs(abs(out.t[-1]) - math.acos(1e-8)) <= 1e-10
 
 
 def test_dop853_stops_before_the_first_step_below_100_eps():

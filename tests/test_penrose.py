@@ -78,9 +78,13 @@ def test_connection_ignores_constant_rescaling():
     L = fixtures.rosen_cross()
     field = VectorField.constant(E0)
     x = np.array([0.3, 0.1, 0.2, -0.1])
-    with_factor = christoffel(penrose.rescaled_lagrangian(L, 0.5), field, x)
-    without = christoffel(
-        penrose.rescaled_lagrangian(L, 0.5, rescale=False), field, x)
+    omega = 0.5
+    Lw = penrose.rescaled_lagrangian(L, omega)
+    # the plain pullback L(phi(x), Dphi v), without the omega^-2 factor
+    pullback = lg.Lagrangian(lambda x, v: omega ** 2 * Lw(x, v), 4,
+                             Lw.cone_ref_at)
+    with_factor = christoffel(Lw, field, x)
+    without = christoffel(pullback, field, x)
     assert np.max(np.abs(with_factor.gamma - without.gamma)) <= 1e-8
 
 
@@ -517,7 +521,7 @@ def test_limit_csv_evaluates_the_profile_triple_once_per_row():
     assert calls[0][:len(us)] == list(us)
     res.rosen.h, res.rosen.triples = h, triples
     for u, row in zip(us, res.brinkmann.fields_on(us)):
-        hm, m, a = res.brinkmann.fields(u)
+        hm, m, a = res.brinkmann.fields_on([u])[0]
         assert all(x.tobytes() == y.tobytes()
                    for x, y in zip(row, (hm, m, a)))
         assert np.array_equal(hm, res.rosen.matrix(u))
