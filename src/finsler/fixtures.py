@@ -20,8 +20,8 @@ from .lagrangian import Lagrangian, QuadraticLagrangian
 _REF = np.array([1.0, 1.0, 0.0, 0.0])
 
 
-def rosen_diag(h2, h3, name="rosen", params=None):
-    """L = 2 v0 v1 - h2(x0) (v2)^2 - h3(x0) (v3)^2.
+def rosen_diag(h2, h3, name="rosen"):
+    """L = 2 v0 v1 - h2(x0) (v2)^2 - h3(x0) (v3)^2, named ``name``.
 
     ``h2`` and ``h3`` are jet-evaluable callables of the scalar x0.
     """
@@ -30,7 +30,7 @@ def rosen_diag(h2, h3, name="rosen", params=None):
         (2, 2): lambda x: -h2(x[0]),
         (3, 3): lambda x: -h3(x[0]),
     }
-    return QuadraticLagrangian(entries, 4, _REF, name=name, params=params)
+    return QuadraticLagrangian(entries, 4, _REF, name=name)
 
 
 def rosen_flat():
@@ -65,15 +65,14 @@ def rosen_cross(a=0.3):
         (2, 2): lambda x: -jets.cos(x[0]) ** 2,
         (3, 3): -1.0,
     }
-    return QuadraticLagrangian(entries, 4, _REF, name="rosen-cross",
-                               params={"a": float(a)})
+    return QuadraticLagrangian(entries, 4, _REF, name="rosen-cross")
 
 
 def linear_wall(slope=1.0):
     """h2 = 1 - slope*x0 crosses zero at x0 = 1/slope: a clean chart
     breakdown with a sign change of det h."""
     return rosen_diag(lambda u: 1.0 - slope * u, lambda u: 1.0,
-                      name="linear-wall", params={"slope": float(slope)})
+                      name="linear-wall")
 
 
 def curved_null_control(k=1.0):
@@ -88,8 +87,7 @@ def curved_null_control(k=1.0):
         return -jets.cosh(k * x[2]) ** 2
 
     entries = {(0, 1): 1.0, (2, 2): w, (3, 3): w}
-    return QuadraticLagrangian(entries, 4, _REF, name="curved-null-control",
-                               params={"k": float(k)})
+    return QuadraticLagrangian(entries, 4, _REF, name="curved-null-control")
 
 
 def broken_parallel(eps=0.1):
@@ -100,8 +98,7 @@ def broken_parallel(eps=0.1):
         (2, 2): lambda x: -(1.0 + eps * x[0]),
         (3, 3): -1.0,
     }
-    return QuadraticLagrangian(entries, 4, _REF, name="broken-parallel",
-                               params={"eps": float(eps)})
+    return QuadraticLagrangian(entries, 4, _REF, name="broken-parallel")
 
 
 def broken_homogeneity(eps=0.1):
@@ -110,8 +107,7 @@ def broken_homogeneity(eps=0.1):
         return 2.0 * v[0] * v[1] - v[2] * v[2] - v[3] * v[3] \
             + eps * v[2] ** 3
 
-    return Lagrangian(func, 4, _REF, name="broken-homogeneity",
-                      params={"eps": float(eps)})
+    return Lagrangian(func, 4, _REF, name="broken-homogeneity")
 
 
 BUILDERS = {

@@ -59,12 +59,15 @@ instead, and `derivative_tensor` reads whole blocks of partials through
 a cached gather.  Binary operations between jets of different contexts
 (batch sizes included) are rejected.
 
-Plain float64 arrays are lanes too, as `Lanes`.  The elementary
-functions apply `math` to them one lane at a time, their power is
-Python's float power lane by lane, and numpy's + - * / round as Python
-floats do, so a model evaluated with lanes in place of floats (L on many
-vectors at once, or a base point's coordinates next to a batched fiber
-jet) gives each lane the bits of its scalar evaluation.  `_call`
+Plain float64 arrays are lanes too, as `Lanes`.  Each elementary
+function (`sqrt`, `exp`, `log`, `sin`, `cos`, `sinh`, `cosh`) is one
+module function for floats, lanes and jets alike: a jet composes with
+the function's Taylor series (`Jet._series`), and lanes take `math` one
+lane at a time.  The power of lanes is Python's float power lane by
+lane, and numpy's + - * / round as Python floats do, so a model
+evaluated with lanes in place of floats (L on many vectors at once, or
+a base point's coordinates next to a batched fiber jet) gives each lane
+the bits of its scalar evaluation.  `_call`
 evaluates jets and lanes under ``np.errstate`` with division by zero
 and invalid operations raising, so a lane whose float evaluation would
 raise fails the whole call with `EvaluationError`.  Callers pass point
@@ -474,27 +477,6 @@ class Jet:
     def _reciprocal(self):
         return self._series(_reciprocal_series)
 
-    def sqrt(self):
-        return self._series(_sqrt_series)
-
-    def exp(self):
-        return self._series(_exp_series)
-
-    def log(self):
-        return self._series(_log_series)
-
-    def sin(self):
-        return self._series(_sin_series)
-
-    def cos(self):
-        return self._series(_cos_series)
-
-    def sinh(self):
-        return self._series(_sinh_series)
-
-    def cosh(self):
-        return self._series(_cosh_series)
-
 
 # -- Taylor coefficients f^(k)(a0) / k! of the elementary functions ---------
 #
@@ -623,38 +605,26 @@ def _each(f, *args):
 
 # -- elementary functions of floats, lanes and jets alike -------------------
 
-def _plain(f, x):
-    """``f`` from `math` on a float, or on each lane of an array."""
-    return _each(f, x) if isinstance(x, np.ndarray) else f(x)
+def _elementary(f, series):
+    """The model-code function of ``f`` from `math`: on a jet, the
+    composition with ``series``; on an array, ``f`` on each lane; on a
+    float, ``f`` itself."""
+    def elementary(x):
+        if isinstance(x, Jet):
+            return x._series(series)
+        return _each(f, x) if isinstance(x, np.ndarray) else f(x)
+
+    elementary.__name__ = elementary.__qualname__ = f.__name__
+    return elementary
 
 
-def sqrt(x):
-    """Square root usable inside jet-evaluable model code."""
-    return x.sqrt() if isinstance(x, Jet) else _plain(math.sqrt, x)
-
-
-def exp(x):
-    return x.exp() if isinstance(x, Jet) else _plain(math.exp, x)
-
-
-def log(x):
-    return x.log() if isinstance(x, Jet) else _plain(math.log, x)
-
-
-def sin(x):
-    return x.sin() if isinstance(x, Jet) else _plain(math.sin, x)
-
-
-def cos(x):
-    return x.cos() if isinstance(x, Jet) else _plain(math.cos, x)
-
-
-def sinh(x):
-    return x.sinh() if isinstance(x, Jet) else _plain(math.sinh, x)
-
-
-def cosh(x):
-    return x.cosh() if isinstance(x, Jet) else _plain(math.cosh, x)
+sqrt = _elementary(math.sqrt, _sqrt_series)
+exp = _elementary(math.exp, _exp_series)
+log = _elementary(math.log, _log_series)
+sin = _elementary(math.sin, _sin_series)
+cos = _elementary(math.cos, _cos_series)
+sinh = _elementary(math.sinh, _sinh_series)
+cosh = _elementary(math.cosh, _cosh_series)
 
 
 # -- seeding and reading -------------------------------------------------

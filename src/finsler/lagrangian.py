@@ -26,14 +26,12 @@ import numpy as np
 from . import jets
 from .errors import (ConeError, ConfigError, ConstructionError,
                      EvaluationError)
-from .tensors import fundamental_tensor
 
 __all__ = [
     "Lagrangian",
     "QuadraticLagrangian",
     "RandersNorm",
     "ConeMembership",
-    "HProfile",
     "PROFILES",
     "build_minkowski",
     "build_brinkmann_quadratic",
@@ -68,19 +66,20 @@ class Lagrangian:
     dim : int, chart dimension (>= 3)
     cone_ref : array, or callable x -> array
         One interior (timelike) vector of the cone at each point.
+    name : str, the model's name in reports and error messages
+    meta : dict, construction data that tests read back (the
+        parallel example's omega and F)
     """
 
     quadratic = False   # True on `QuadraticLagrangian` alone
 
-    def __init__(self, func, dim, cone_ref, name="model", params=None,
-                 meta=None):
+    def __init__(self, func, dim, cone_ref, name="model", meta=None):
         if dim < 3:
             raise ConstructionError("Lagrangian needs dim >= 3, got %d" % dim)
         self._func = func
         self.dim = int(dim)
         self._cone_ref = cone_ref
         self.name = name
-        self.params = dict(params or {})
         self.meta = dict(meta or {})
 
     def __call__(self, x, v):
@@ -197,12 +196,12 @@ class QuadraticLagrangian(Lagrangian):
 
     ``entries`` maps (i, j) with i <= j to a constant or a jet-evaluable
     callable of x; off-diagonal entries carry the usual factor two.
+    ``dim``, ``cone_ref`` and ``name`` are those of `Lagrangian`.
     """
 
     quadratic = True
 
-    def __init__(self, entries, dim, cone_ref, name="quadratic",
-                 params=None, meta=None):
+    def __init__(self, entries, dim, cone_ref, name="quadratic"):
         items = []
         for (i, j), a in entries.items():
             if not (0 <= i <= j < dim):
@@ -218,8 +217,7 @@ class QuadraticLagrangian(Lagrangian):
                 s = s + (coeff * aij) * v[i] * v[j]
             return s
 
-        super().__init__(func, dim, cone_ref, name=name, params=params,
-                         meta=meta)
+        super().__init__(func, dim, cone_ref, name=name)
 
     def matrix(self, x):
         """The symmetric coefficient matrix at x as a float array."""
@@ -329,22 +327,12 @@ class RandersNorm:
 
 # -- wave profiles -----------------------------------------------------
 
-@dataclass(frozen=True)
-class HProfile:
-    """Brinkmann wave profile H(u, x, y), jet-evaluable."""
-
-    name: str
-    func: object
-
-    def __call__(self, u, x, y):
-        return self.func(u, x, y)
-
-
+# Brinkmann wave profiles H(u, x, y), jet-evaluable
 PROFILES = {
-    "zero": HProfile("zero", lambda u, x, y: 0.0),
-    "x2": HProfile("x2", lambda u, x, y: x * x),
-    "x2-y2": HProfile("x2-y2", lambda u, x, y: x * x - y * y),
-    "uxy": HProfile("uxy", lambda u, x, y: u * x * y),
+    "zero": lambda u, x, y: 0.0,
+    "x2": lambda u, x, y: x * x,
+    "x2-y2": lambda u, x, y: x * x - y * y,
+    "uxy": lambda u, x, y: u * x * y,
 }
 
 
@@ -357,23 +345,21 @@ def build_minkowski(dim=4):
         entries[(i, i)] = -1.0
     ref = np.zeros(dim)
     ref[0] = 1.0
-    return QuadraticLagrangian(entries, dim, ref, name="minkowski",
-                               params={"dim": dim})
+    return QuadraticLagrangian(entries, dim, ref, name="minkowski")
 
-def build_brinkmann_quadratic(profile, name=None):
+def build_brinkmann_quadratic(profile):
     """Quadratic pp-wave L = 2 v^v v^u + H(u,x,y) (v^u)^2 - |v_t|^2.
 
-    ``profile`` is an `HProfile` or a key of `PROFILES`.  This is the
-    Lorentzian comparison case: its Christoffels and curvature have closed
-    forms used as oracles elsewhere.
+    ``profile`` is a key of `PROFILES`, and the model is named
+    "brinkmann-<profile>".  This is the Lorentzian comparison case: its
+    Christoffels and curvature have closed forms used as oracles
+    elsewhere.
     """
-    if not isinstance(profile, HProfile):
-        try:
-            profile = PROFILES[profile]
-        except (KeyError, TypeError):
-            raise ConfigError("unknown wave profile %r (have %s)"
-                              % (profile, sorted(PROFILES))) from None
-    H = profile.func
+    try:
+        H = PROFILES[profile]
+    except (KeyError, TypeError):
+        raise ConfigError("unknown wave profile %r (have %s)"
+                          % (profile, sorted(PROFILES))) from None
     entries = {
         (0, 1): 1.0,
         (1, 1): lambda x: H(x[1], x[2], x[3]),
@@ -385,22 +371,8 @@ def build_brinkmann_quadratic(profile, name=None):
         h = float(H(float(x[1]), float(x[2]), float(x[3])))
         return np.array([1.0 + abs(h), 1.0, 0.0, 0.0])
 
-    return QuadraticLagrangian(
-        entries, 4, cone_ref,
-        name=name or ("brinkmann-" + profile.name),
-        params={"profile": profile.name},
-        meta={"profile": profile})
-
-
-def _omega_row_report(L, N):
-    """Residuals of the lightlike-row normalization g_N(N, .) = (0,1,0,...)."""
-    n = L.dim
-    x0 = [0.0] * n
-    target = np.zeros(n)
-    target[1] = 1.0
-    row = np.asarray(N) @ fundamental_tensor(L, x0, N).matrix
-    return {"g_N_row": row.tolist(),
-            "row_residual": float(np.max(np.abs(row - target)))}
+    return QuadraticLagrangian(entries, 4, cone_ref,
+                               name="brinkmann-" + profile)
 
 
 def _cone_ref_near_e0(func, n):
@@ -421,13 +393,15 @@ def _cone_ref_near_e0(func, n):
     return cone_ref
 
 
-def build_parallel_example(F, params=None):
+def build_parallel_example(F):
     """L = omega(v)^2 - F(v)^2 on a flat chart, with omega derived from F.
 
     F must be a positive norm with coefficients independent of the
     x0-coordinate (here: constant).  omega is constructed so that N = e0
-    is lightlike with metric row (0, 1, 0, ..., 0); ``meta["omega_report"]``
-    holds that row of g_N as evaluated on L and its largest deviation.
+    is lightlike with metric row (0, 1, 0, ..., 0).  ``meta`` keeps
+    ``"omega"`` and ``"F"``, the inputs of the closed form
+    g^L = omega omega^T - g^F.  The build evaluates L only in the cone
+    probe at the origin.
     """
     n = F.dim
     N = [0.0] * n
@@ -451,20 +425,19 @@ def build_parallel_example(F, params=None):
 
     cone_ref = _cone_ref_near_e0(func, n)
     cone_ref(x0)  # fail fast if the cone is empty at the origin
-    L = Lagrangian(func, n, cone_ref, name="parallel_example", params=params,
-                   meta={"omega": list(omega), "F": F, "N": list(N)})
-    L.meta["omega_report"] = _omega_row_report(L, N)
-    return L
+    return Lagrangian(func, n, cone_ref, name="parallel_example",
+                      meta={"omega": list(omega), "F": F})
 
 
-def build_ppwave_example(F2, params=None):
+def build_ppwave_example(F2):
     """L = omega^2 - F^2 - (v^x)^2 - (v^y)^2 on the (v,u|x,y) chart.
 
     F2 is a norm on the 2-dimensional (v, u) fiber whose coefficients may
     depend on (u, x, y) but not on the v-coordinate; omega is built from F2
-    pointwise, so its coefficients inherit that dependence.  As for
-    `build_parallel_example`, ``meta["omega_report"]`` holds the row
-    g_N(N, .) at the origin, N = e0, and its deviation from (0, 1, 0, 0).
+    pointwise, so its coefficients inherit that dependence, and makes
+    N = e0 lightlike with metric row (0, 1, 0, 0).  As for
+    `build_parallel_example`, the build evaluates L only in the cone
+    probe at the origin.
     """
     if F2.dim != 2:
         raise ConstructionError("ppwave example needs a fiber norm on the "
@@ -491,16 +464,13 @@ def build_ppwave_example(F2, params=None):
 
     cone_ref = _cone_ref_near_e0(func, n)
     cone_ref([0.0] * 4)
-    L = Lagrangian(func, n, cone_ref, name="ppwave_example", params=params,
-                   meta={"F": F2, "N": [1.0, 0.0, 0.0, 0.0]})
-    L.meta["omega_report"] = _omega_row_report(L, [1.0, 0.0, 0.0, 0.0])
-    return L
+    return Lagrangian(func, n, cone_ref, name="ppwave_example")
 
 
 def _default_parallel_example(eps=0.1):
     b = eps * np.array([0.0, 1.0, 0.3, 0.1])
     F = RandersNorm(np.eye(4), b, 4)
-    return build_parallel_example(F, params={"eps": eps})
+    return build_parallel_example(F)
 
 
 def _default_ppwave_example(eps=0.1):
@@ -518,7 +488,7 @@ def _default_ppwave_example(eps=0.1):
         return [0.0, eps * 0.5 * jets.sin(x[1]) * bump(x)]
 
     F2 = RandersNorm(A, b, 2)
-    return build_ppwave_example(F2, params={"eps": eps})
+    return build_ppwave_example(F2)
 
 
 def catalog():

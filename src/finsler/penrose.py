@@ -77,7 +77,7 @@ def rescaled_lagrangian(L, omega):
         return L.cone_ref_at(xm) / jd
 
     name = "%s@omega=%g" % (getattr(L, "name", "model"), omega)
-    return Lagrangian(func, n, cone_ref, name=name, params={"omega": omega})
+    return Lagrangian(func, n, cone_ref, name=name)
 
 
 def homothety_residual(L, N, omega, samples, tol=1e-9):
@@ -86,7 +86,10 @@ def homothety_residual(L, N, omega, samples, tol=1e-9):
     The left side contracts g at the mapped point with the rescaling
     Jacobian; the right side asks the rescaled Lagrangian for its own
     fundamental tensor.  The relation is algebraic, so the target
-    tolerance is essentially machine precision.
+    tolerance is essentially machine precision.  Each side evaluates all
+    ``samples`` in one stacked `fundamental_tensor`, which gives each
+    sample the bits of its own evaluation; a failing sample raises with
+    its point named (`jets.in_blocks`).
     """
     if isinstance(N, (list, tuple, np.ndarray)):
         nvec0 = np.asarray(N, dtype=float)
@@ -101,13 +104,14 @@ def homothety_residual(L, N, omega, samples, tol=1e-9):
                        "omega": float(omega),
                        "jacobian": [float(a) for a in jd]})
     rep.add("dx0*dx1 bookkeeping", abs(jd[0] * jd[1] - omega ** 2), 0.0)
-    for idx, p in enumerate(samples):
-        p = np.asarray(p, dtype=float)
-        pm = p * jd
-        pm[0] = p[0]
-        g = fundamental_tensor(L, pm, nvec0).matrix
+    ps = np.asarray(samples, dtype=float).reshape(-1, n)
+    pms = ps * jd
+    pms[:, 0] = ps[:, 0]
+    ones = np.ones((len(ps), 1))
+    gs = fundamental_tensor(L, pms, ones * nvec0).matrix
+    gws = fundamental_tensor(Lw, ps, ones * (nvec0 / jd)).matrix
+    for idx, (g, gw) in enumerate(zip(gs, gws)):
         lhs = np.outer(jd, jd) * g
-        gw = fundamental_tensor(Lw, p, nvec0 / jd).matrix
         rhs = omega ** 2 * gw
         scale = max(1.0, float(np.max(np.abs(lhs))))
         res = float(np.max(np.abs(lhs - rhs))) / scale
@@ -601,7 +605,10 @@ def penrose_limit(L, N, u_interval, omegas=(0.5, 0.1), tol=1e-9):
     to zero and the Omega-weighted entries drop, leaving the transverse
     block h(x0).  The Omega table in the result quantifies the homothety
     relation at the requested values; the Rosen profile is converted to
-    Brinkmann form on the same interval.
+    Brinkmann form on the same interval.  Per omega, the table takes its
+    homothety samples from `homothety_residual` and the off-block rows
+    g_w(e1, .) on the ray from one stacked `fundamental_tensor` over the
+    ray points (`_offblock`).
     """
     lo, hi = float(u_interval[0]), float(u_interval[1])
     n = L.dim
@@ -636,20 +643,25 @@ def penrose_limit(L, N, u_interval, omegas=(0.5, 0.1), tol=1e-9):
         resids.append({"omega": float(w),
                        "max_residual": rep.max_residual("sample"),
                        "pass": rep.passed})
-        Lw = rescaled_lagrangian(L, w)
-        worst_row = 0.0
-        worst_g11 = 0.0
-        for u in subgrid:
-            gw = fundamental_tensor(Lw, ray_point(u), nvec).matrix
-            worst_row = max(worst_row, float(np.max(np.abs(gw[1, 2:]))))
-            worst_g11 = max(worst_g11, abs(float(gw[1, 1])))
-        offblock.append({"omega": float(w), "g1a": worst_row,
-                         "g11": worst_g11})
+        offblock.append(_offblock(L, nvec, w, subgrid))
 
     u0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
     brink = rosen_to_brinkmann(rosen, u0, (lo, hi))
     return PenroseLimitResult(rosen=rosen, brinkmann=brink,
                               homothety_residuals=resids, offblock=offblock)
+
+
+def _offblock(L, nvec, omega, us):
+    """The Omega table's off-block row at ``omega``: the largest |g_w| on
+    (e1, e_a), a >= 2, and on (e1, e1), at N on the ray points x0 = us,
+    from one stacked `fundamental_tensor` of L_w."""
+    ray = np.zeros((len(us), L.dim))
+    ray[:, 0] = us
+    gw = fundamental_tensor(rescaled_lagrangian(L, omega), ray,
+                            np.ones((len(us), 1)) * nvec).matrix
+    return {"omega": float(omega),
+            "g1a": float(np.max(np.abs(gw[:, 1, 2:]))),
+            "g11": float(np.max(np.abs(gw[:, 1, 1])))}
 
 
 def plane_wave_lagrangian(A, u_interval):
@@ -693,5 +705,4 @@ def plane_wave_lagrangian(A, u_interval):
         return ref
 
     return QuadraticLagrangian(entries, m + 2, cone_ref,
-                               name="plane-wave-limit",
-                               params={"interval": [lo, hi]})
+                               name="plane-wave-limit")

@@ -277,7 +277,9 @@ def delta_scan(L, N, ray):
 def brinkmann_oracle(profile):
     """Closed-form Christoffel field of the quadratic wave models.
 
-    Returns a callable x -> gamma[k, i, j] with the only nonzero symbols
+    ``profile`` is a key of `PROFILES`, as for
+    `lagrangian.build_brinkmann_quadratic`.  Returns a callable
+    x -> gamma[k, i, j] with the only nonzero symbols
 
         gamma^0_11 = H_u/2,   gamma^0_1a = gamma^0_a1 = H_a/2,
         gamma^a_11 = H_a/2        (a = 2, 3),
@@ -286,17 +288,16 @@ def brinkmann_oracle(profile):
     symbols: with the transverse metric block -I their sign matches the
     lowered derivative, which is what the Koszul solve produces.
     """
-    if isinstance(profile, str):
-        try:
-            profile = PROFILES[profile]
-        except KeyError:
-            raise ConfigError("unknown wave profile %r (have %s)"
-                              % (profile, sorted(PROFILES))) from None
+    try:
+        H = PROFILES[profile]
+    except (KeyError, TypeError):
+        raise ConfigError("unknown wave profile %r (have %s)"
+                          % (profile, sorted(PROFILES))) from None
 
     def symbols(x):
         u, xx, yy = float(x[1]), float(x[2]), float(x[3])
         _, (uj, xj, yj) = jets.variables([u, xx, yy], 1)
-        hu, hx, hy = jets.derivative_tensor(profile(uj, xj, yj), range(3), 1)
+        hu, hx, hy = jets.derivative_tensor(H(uj, xj, yj), range(3), 1)
         gamma = np.zeros((4, 4, 4))
         gamma[0, 1, 1] = 0.5 * hu
         gamma[0, 1, 2] = gamma[0, 2, 1] = 0.5 * hx

@@ -29,6 +29,11 @@ samples, one scalar gate, tensor, Christoffel solve and curvature at a
 time, each sample gated and Γ solved where the loop meets it: the oracles
 of the commands' stacked passes, report bytes and first error alike.
 
+`per_sample_homothety` and `per_sample_offblock` are
+`penrose.homothety_residual` and the off-block rows of the Penrose Ω
+table (`penrose._offblock`) as loops of one scalar `fundamental_tensor`
+per sample: the oracles of their stacked evaluations.
+
 `dop853_vielbein` integrates the Penrose O-equation O' = -W O with DOP853
 and takes S = h^{1/2} and its derivatives from scipy's Sylvester solver,
 independently of the library's Gauss panel propagators and eigenbasis
@@ -66,6 +71,7 @@ from finsler.connection import (
 )
 from finsler.curvature import chern_curvature, nperp_basis
 from finsler.jets import Jet
+from finsler.penrose import _jacobian_diag, rescaled_lagrangian
 from finsler.report import Report
 from finsler.tensors import cartan_tensor, fundamental_tensor, signature_of
 
@@ -446,3 +452,39 @@ def per_sample_ppwave(L, rng, tol, n_samples, box, N):
                                     "lightlike": light, "parallel": par,
                                     "residual": worst})
     return rep, None
+
+
+# -- the Penrose Omega table, one sample at a time ---------------------------------
+
+def per_sample_homothety(L, N, omega, samples, tol=1e-9):
+    nvec0 = np.asarray(N, dtype=float)
+    jd = _jacobian_diag(L.dim, float(omega))
+    Lw = rescaled_lagrangian(L, omega)
+    rep = Report(title="homothety",
+                 meta={"model": getattr(L, "name", "?"),
+                       "omega": float(omega),
+                       "jacobian": [float(a) for a in jd]})
+    rep.add("dx0*dx1 bookkeeping", abs(jd[0] * jd[1] - omega ** 2), 0.0)
+    for idx, p in enumerate(samples):
+        p = np.asarray(p, dtype=float)
+        pm = p * jd
+        pm[0] = p[0]
+        lhs = np.outer(jd, jd) * fundamental_tensor(L, pm, nvec0).matrix
+        rhs = omega ** 2 * fundamental_tensor(Lw, p, nvec0 / jd).matrix
+        scale = max(1.0, float(np.max(np.abs(lhs))))
+        res = float(np.max(np.abs(lhs - rhs))) / scale
+        rep.add("sample %d: homothety" % idx, res, tol)
+    return rep
+
+
+def per_sample_offblock(L, nvec, omega, us):
+    Lw = rescaled_lagrangian(L, omega)
+    worst_row = 0.0
+    worst_g11 = 0.0
+    for u in us:
+        p = np.zeros(L.dim)
+        p[0] = float(u)
+        gw = fundamental_tensor(Lw, p, nvec).matrix
+        worst_row = max(worst_row, float(np.max(np.abs(gw[1, 2:]))))
+        worst_g11 = max(worst_g11, abs(float(gw[1, 1])))
+    return {"omega": float(omega), "g1a": worst_row, "g11": worst_g11}

@@ -513,6 +513,28 @@ def test_penrose_evaluates_the_ray_jet_on_batches(tmp_path, capsys,
     assert max(lanes) == (5 * 101,)
 
 
+def test_penrose_config_stacks_the_omega_table(tmp_path, monkeypatch):
+    # per omega, one stacked fundamental_tensor for L at the mapped
+    # homothety samples, one for L_w at the samples and one for L_w on the
+    # ray; the chart check takes one at each of 3 ray points
+    from finsler import tensors
+    shapes = []
+    real = tensors.fundamental_tensor
+
+    def counted(L, x, v):
+        shapes.append(np.shape(v))
+        return real(L, x, v)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("finsler")
+                and getattr(mod, "fundamental_tensor", None) is real):
+            monkeypatch.setattr(mod, "fundamental_tensor", counted)
+    monkeypatch.chdir(tmp_path)
+    path = ROOT / "configs" / "penrose_cos2.json"
+    assert main(["penrose", "--config", str(path)]) == 0
+    assert sorted(shapes) == [(4,)] * 3 + [(5, 4)] * 6
+
+
 def test_geodesic_stopped_before_first_sample():
     # below the integrator's floor of 100 machine epsilons it gives up
     # before its first step, without a warning: the library returns a

@@ -5,9 +5,11 @@ from finsler import fixtures, jets, ode, penrose
 from finsler import lagrangian as lg
 from finsler.connection import VectorField, christoffel
 from finsler.curvature import ppwave_condition
-from finsler.errors import ChartError, SignatureError, SolverError
+from finsler.errors import (ChartError, EvaluationError, SignatureError,
+                            SolverError)
 from finsler.penrose import RosenProfile
-from helpers import cos2_triple, dop853_vielbein, exp_triple, spd_sqrt
+from helpers import (cos2_triple, dop853_vielbein, exp_triple,
+                     per_sample_homothety, per_sample_offblock, spd_sqrt)
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -57,6 +59,39 @@ def test_homothety_finsler_model():
     for omega in (0.5, 0.1):
         rep = penrose.homothety_residual(L, E0, omega, samples)
         assert rep.passed, "omega=%g" % omega
+
+
+@pytest.mark.parametrize("n", [5, jets.LANE_BLOCK + 1])
+@pytest.mark.parametrize("omega", [1.0, 0.5, 0.1])
+@pytest.mark.parametrize("build", [fixtures.rosen_cross,
+                                   lg._default_ppwave_example,
+                                   lg._default_parallel_example])
+def test_omega_table_is_the_per_sample_bits(build, omega, n):
+    # the stacked homothety samples and off-block rows against one scalar
+    # fundamental_tensor per sample; 33 samples cross jets.LANE_BLOCK
+    L = build()
+    rng = np.random.default_rng(n)
+    us = np.linspace(-1.0, 1.2, n)
+    samples = np.column_stack([us, rng.uniform(-0.5, 0.5, (n, 3))])
+    got = penrose.homothety_residual(L, E0, omega, samples)
+    assert got.to_json() == per_sample_homothety(L, E0, omega,
+                                                 samples).to_json()
+    assert penrose._offblock(L, E0, omega, us) == per_sample_offblock(
+        L, E0, omega, us)
+
+
+def test_homothety_of_no_samples_is_the_bookkeeping_alone():
+    L = fixtures.rosen_cross()
+    got = penrose.homothety_residual(L, E0, 0.5, [])
+    assert got.to_json() == per_sample_homothety(L, E0, 0.5, []).to_json()
+    assert len(got.checks) == 1
+
+
+def test_failing_homothety_sample_is_named():
+    L = fixtures.rosen_diag(lambda u: jets.sqrt(u), lambda u: 1.0)
+    with pytest.raises(EvaluationError, match=r"^at x=\[-0\.5, "):
+        penrose.homothety_residual(L, E0, 0.5, [[0.3, 0.1, 0.1, 0.1],
+                                                [-0.5, 0.1, 0.1, 0.1]])
 
 
 def test_rescaling_rejects_bad_omega():
