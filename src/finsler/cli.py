@@ -258,32 +258,14 @@ def _sample_states(L, rng, n, box):
 # A runner returns the report and None, or a callable building the CSV
 # text, so a curve is only tabulated when the CSV is written.
 
-def _one_pass(kernel, *sets):
-    """``kernel(*sets)`` over whole sample sets in one stacked pass.
-
-    If the pass raises, the kernel runs again on each sample by itself,
-    in order, so that the error raised is the one a per-sample loop
-    meets first; if no sample fails by itself, the pass's own error.
-    """
-    try:
-        return kernel(*sets)
-    except (FinslerError, np.linalg.LinAlgError):
-        for k in range(len(sets[0])):
-            kernel(*(s[k:k + 1] for s in sets))
-        raise
-
-
 def _cmd_check(L, rng, tol, n_samples, box):
-    def kernel(xs, vs):
-        reps, g = _homogeneity(L, xs, vs, tol)
-        return reps, [signature_of(m) for m in g]
-
     xs, vs = map(np.array, zip(*_sample_states(L, rng, n_samples, box)))
     rep = Report(title="check")
     want = (1, L.dim - 1, 0)
-    for k, (sub, sig) in enumerate(zip(*_one_pass(kernel, xs, vs))):
+    for k, (sub, g) in enumerate(zip(*_homogeneity(L, xs, vs, tol))):
         for c in sub.checks:
             rep.add("sample %d: %s" % (k, c.name), c.residual, c.tol)
+        sig = signature_of(g)
         ok = (sig.plus, sig.minus, sig.zero) == want
         rep.add("sample %d: signature (1, %d, 0)" % (k, L.dim - 1),
                 0.0 if ok else 1.0, 0.5)
@@ -299,8 +281,7 @@ def _draw_points(L, rng, n_samples, box):
 def _cmd_connection(L, rng, tol, n_samples, box, N):
     V = VectorField.constant(N)
     rep = Report(title="connection")
-    subs, _ = _one_pass(lambda xs: connection_report(L, V, xs),
-                        _draw_points(L, rng, n_samples, box))
+    subs, _ = connection_report(L, V, _draw_points(L, rng, n_samples, box))
     for k, sub in enumerate(subs):
         for c in sub.checks:
             use = c.tol if tol is None or "torsion" in c.name else tol
@@ -340,8 +321,7 @@ def _cmd_ppwave(L, rng, tol, n_samples, box, N):
     # N is constant, so one stacked Christoffel table serves both the
     # parallel criterion and the curvature's parallel extensions
     V = VectorField.constant(N)
-    table = _one_pass(lambda xs: _pointwise_tables(L, V, xs),
-                      _draw_points(L, rng, n_samples, box))
+    table = _pointwise_tables(L, V, _draw_points(L, rng, n_samples, box))
     rep = Report(title="ppwave")
     par = _parallel_report(L, table)
     cond = _condition_report(L, V, table, tol)

@@ -11,10 +11,10 @@ and then once they give Γ(v, v) and Γ v, and then Γ in closed form
 x-derivatives of Γ from a base-order-2 evaluation.  `christoffel` takes
 one point or a point set; a set is one batched evaluation and one
 stacked solve per lane block (`_table`), lane for lane the bits of the
-solve at each point.  The solve never tests cone membership; the
+solve at each point.  `christoffel` never tests cone membership; the
 public entry points (`connection_report`, `hessian`,
 `parallel_extension`, `geodesic`) gate the reference the caller
-supplies, `connection_report` once for each point of a set.
+supplies, `connection_report` once for each point, in its lane block.
 
 Index conventions (pinned across the package):
   gamma[k, i, j]   = Γ^k_ij (torsion-free: symmetric in i, j)
@@ -309,16 +309,19 @@ def christoffel(L, V, x):
     return _table(L, x, *_field_at(V, x))
 
 
-def _table(L, x, v, J):
+def _table(L, x, v, J, gate=False):
     """The `ChristoffelTable` at x of a field with value v and Jacobian J
     there.  x, v and J may carry a leading lane axis, (B, n), (B, n) and
     (B, n, n): the points then go through `jets.in_blocks`, each block
     one batched jet evaluation and one stacked solve behind the same
-    gates.  A block fails as a whole; the error then is the one its
-    first failing point raises, with that point named when the set holds
-    more than one point.  Tests no cone membership.
+    gates, led with ``gate`` by the cone gate of its pairs (x, v).  A
+    block fails as a whole; the error then is the one its first failing
+    point raises, with that point named when the set holds more than
+    one point.
     """
     def kernel(x, v, J):
+        if gate:
+            L.check_admissible(x, v)
         gamma, g, C, D, res = _symbols(L, x, v, J)
         _residual_gate(res)
         return gamma, g, C, D
@@ -329,14 +332,6 @@ def _table(L, x, v, J):
         parts = jets.in_blocks(kernel, x, v, J)
     return ChristoffelTable(x, v, *parts, jacobian=J, iterations=0,
                             method="closed-form")
-
-
-def _gated_tables(L, xs, vs, Js):
-    """The stacked `_table` behind one stacked cone gate of the pairs
-    (xs, vs): each point is gated once, and the first pair outside the
-    cone raises ConeError before any symbol is solved."""
-    L.check_admissible(xs, vs)
-    return _table(L, xs, vs, Js)
 
 
 def _field_at(V, xs):
@@ -382,12 +377,12 @@ def connection_report(L, V, x):
     """Report the connection identities at x; returns (report, table).
 
     x is one point, or a (B, n) point set, which gives a list of B
-    reports and a stacked table.  One stacked pass: one cone gate of
-    V at every point, one stacked `_table` solve, then the residuals of
-    each lane.
+    reports and a stacked table.  One stacked pass: one `_table` solve,
+    each lane block gated at its points first, then the residuals of
+    each lane; a failing set raises its first failing point's error.
     """
     xs = np.atleast_2d(np.asarray(x, dtype=float))
-    table = _gated_tables(L, xs, *_field_at(V, xs))
+    table = _table(L, xs, *_field_at(V, xs), gate=True)
     reps = []
     for b in range(len(xs)):
         t = table.lane(b)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import (VectorField, _cartan_rhs, _field_jet, _gated_tables,
-                         _koszul_rhs, _koszul_solve, _metric_inverse,
+from .connection import (VectorField, _cartan_rhs, _field_jet, _koszul_rhs,
+                         _koszul_solve, _metric_inverse, _table,
                          as_vector_field, parallel_extension)
 from .report import Report
 
@@ -129,11 +129,11 @@ def ppwave_condition(L, N, sample_points, tol_factor=1e-6):
     Preconditions (N lightlike and parallel) are reported as their own
     checks, distinct from the curvature residuals.  The curvature
     tolerance is tol_factor times the curvature scale (max component over
-    samples, floored at one so the flat case stays meaningful).  Each
-    sample is gated once, and the Christoffel symbols that make the
-    extensions of N parallel are one stacked solve over the samples
-    (`_pointwise_tables`), so a sample outside the cone raises before any
-    curvature is taken.  The curvature jet is then one per sample.
+    samples, floored at one so the flat case stays meaningful).  The
+    symbols that make the extensions of N parallel are one stacked solve
+    over the samples (`_pointwise_tables`), each lane block gated first,
+    so the first failing sample raises before any curvature is taken.
+    The curvature jet is then one per sample.
     """
     N = as_vector_field(N)
     return _condition_report(L, N, _pointwise_tables(L, N, sample_points),
@@ -142,11 +142,11 @@ def ppwave_condition(L, N, sample_points, tol_factor=1e-6):
 
 def _pointwise_tables(L, N, sample_points):
     """The stacked `ChristoffelTable` of the constant fields N(p) at the
-    sample points p, behind one cone gate of each (p, N(p)): where N is
-    itself constant, the symbols of ∇^N."""
+    sample points p, each lane block behind the cone gate of its pairs
+    (p, N(p)): where N is itself constant, the symbols of ∇^N."""
     xs = np.array(sample_points, dtype=float).reshape(-1, L.dim)
     vs = np.array([N(p) for p in xs]).reshape(xs.shape)
-    return _gated_tables(L, xs, vs, np.zeros(vs.shape + vs.shape[-1:]))
+    return _table(L, xs, vs, np.zeros(vs.shape + vs.shape[-1:]), gate=True)
 
 
 def _condition_report(L, N, table, tol_factor):

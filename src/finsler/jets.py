@@ -74,7 +74,10 @@ raise fails the whole call with `EvaluationError`.  Callers pass point
 sets through `in_blocks`, in lane blocks of `LANE_BLOCK`, which bounds
 the product temporaries; a block of one row is a scalar evaluation, so
 a set of one point fails with the error of that evaluation, unchanged,
-and an empty set is one block of no lanes, with empty results.
+and an empty set is one block of no lanes, with empty results.  A
+failing block reruns row by row, and its first failing row's error
+names the point; kernels gate each block, not the whole set, so that is
+the error a loop over the points meets first.
 """
 
 from __future__ import annotations
@@ -730,10 +733,12 @@ def in_blocks(kernel, *arrays):
     empty set is one block of no lanes, which `_call` evaluates to
     empty results.
 
-    A block fails as a whole.  The kernel then runs on each row of the
-    block in turn, and the first row that fails raises its error, with
-    its point (its entry of ``arrays[0]``) named where the set holds
-    more than one point; if no row fails by itself, the block's error.
+    A block fails as a whole, with a `FinslerError` or a ``LinAlgError``.
+    The kernel then runs on each row of the block in turn, and the first
+    row that fails raises its error, with its point (its entry of
+    ``arrays[0]``) named where the set holds more than one point; if no
+    row fails by itself, the block's error.  A kernel that gates each
+    block thus fails as a loop over the rows does.
     """
     out = []
     for lo in range(0, max(len(arrays[0]), 1), LANE_BLOCK):
@@ -745,7 +750,7 @@ def in_blocks(kernel, *arrays):
             continue
         try:
             out.append(kernel(*block))
-        except FinslerError:
+        except (FinslerError, np.linalg.LinAlgError):
             for row in zip(*block):
                 _row(kernel, row, arrays[0])
             raise
@@ -761,7 +766,7 @@ def _row(kernel, row, points):
     where ``points`` holds more than one point."""
     try:
         return kernel(*row)
-    except FinslerError as e:
+    except (FinslerError, np.linalg.LinAlgError) as e:
         if not np.any(points != points[:1]):
             raise
         raise type(e)("at x=%r: %s" % ([float(t) for t in row[0]], e)) from e

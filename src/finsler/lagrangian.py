@@ -33,6 +33,7 @@ __all__ = [
     "RandersNorm",
     "ConeMembership",
     "PROFILES",
+    "wave_profile",
     "build_minkowski",
     "build_brinkmann_quadratic",
     "build_parallel_example",
@@ -336,6 +337,16 @@ PROFILES = {
 }
 
 
+def wave_profile(profile):
+    """The H(u, x, y) of the key ``profile`` of `PROFILES`; ConfigError
+    for any other value."""
+    try:
+        return PROFILES[profile]
+    except (KeyError, TypeError):
+        raise ConfigError("unknown wave profile %r (have %s)"
+                          % (profile, sorted(PROFILES))) from None
+
+
 # -- catalog builders ----------------------------------------------------
 
 def build_minkowski(dim=4):
@@ -355,11 +366,7 @@ def build_brinkmann_quadratic(profile):
     Christoffels and curvature have closed forms used as oracles
     elsewhere.
     """
-    try:
-        H = PROFILES[profile]
-    except (KeyError, TypeError):
-        raise ConfigError("unknown wave profile %r (have %s)"
-                          % (profile, sorted(PROFILES))) from None
+    H = wave_profile(profile)
     entries = {
         (0, 1): 1.0,
         (1, 1): lambda x: H(x[1], x[2], x[3]),

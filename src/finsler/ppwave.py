@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets, ode
-from .connection import (_field_at, _field_jet, _gated_tables,
-                         as_vector_field)
-from .errors import ConfigError, SolverError
-from .lagrangian import PROFILES
+from .connection import _field_at, _field_jet, _table, as_vector_field
+from .errors import SolverError
+from .lagrangian import wave_profile
 from .report import Report, csv_text
 from .tensors import fundamental_tensor, leading_minors
 
@@ -36,11 +35,12 @@ __all__ = [
 DEGENERATE_KIND = "degenerate focal point, multiplicity >= 2"
 
 # scale-relative tolerances of the chart template and the parallelism
-# checks; root polish and tangential-touch acceptance of the focal scan
+# checks; root polish, touch acceptance and end-zero slope of the scan
 _CHART_TOL = 1e-9
 _PARALLEL_TOL = 1e-8
 _ROOT_XTOL = 1e-10
 _TOUCH_TOL = 1e-12
+_END_SLOPE_TOL = 1e-9
 
 
 # -- chart template --------------------------------------------------------
@@ -106,11 +106,11 @@ def parallel_criterion(L, N, region_samples):
     byproducts, the direct route contracts its symbols into nabla N.  Both
     must vanish for a parallel N, and they fail independently, which is
     the point of reporting them as separate checks.  The samples are one
-    stacked pass: one cone gate of each (p, N(p)), then one stacked solve.
+    stacked solve, each lane block gated at its pairs (p, N(p)) first.
     """
     N = as_vector_field(N)
     xs = np.array(region_samples, dtype=float).reshape(-1, L.dim)
-    return _parallel_report(L, _gated_tables(L, xs, *_field_at(N, xs)))
+    return _parallel_report(L, _table(L, xs, *_field_at(N, xs), gate=True))
 
 
 def _parallel_report(L, table):
@@ -196,10 +196,14 @@ def delta_scan(L, N, ray):
     come from the `ode.Hermite` interpolant of (x, v), which returns the
     samples themselves at the knots, so the metrics there are one stacked
     `fundamental_tensor` call, with stacked determinants and minors.
-    Sign changes of det h are polished with `ode.brent`.  Tangential (even-order) zeros, which
-    no sign-change bracket sees, are `touch_root` roots of the exact
-    slope of det h across its `dips` (at most 0.1 times the det-h scale),
-    accepted when det h there is under 1e-12 times that scale.
+    Sign changes of det h are polished with `ode.brent`.  A sample with
+    det h exactly zero is a root, simple where its neighbours have
+    opposite signs; at the first or last sample, where |slope| times the
+    ray's time span exceeds 1e-9 times the det-h scale max(1, |det h|).
+    Tangential (even-order) zeros, which no sign-change bracket sees,
+    are `touch_root` roots of the exact slope of det h across its `dips`
+    (at most 0.1 times the det-h scale), accepted when det h there is
+    under 1e-12 times that scale.  Other zeros are degenerate.
     """
     N = as_vector_field(N)
     ts = np.asarray(ray.t, dtype=float)
@@ -242,13 +246,16 @@ def delta_scan(L, N, ray):
     roots = []
     kinds = []
 
-    for i in range(m - 1):
+    for i in range(m):
         if dets[i] == 0.0:
             roots.append(float(ts[i]))
-            left = dets[i - 1] if i > 0 else dets[i + 1]
-            kinds.append("simple" if left * dets[i + 1] < 0.0
-                         else DEGENERATE_KIND)
-        elif dets[i] * dets[i + 1] < 0.0:
+            if 0 < i < m - 1:
+                simple = dets[i - 1] * dets[i + 1] < 0.0
+            else:
+                simple = (abs(det_h_slope(ts[i])) * (ts[-1] - ts[0])
+                          > _END_SLOPE_TOL * scale)
+            kinds.append("simple" if simple else DEGENERATE_KIND)
+        elif i < m - 1 and dets[i] * dets[i + 1] < 0.0:
             roots.append(ode.brent(det_h, ts[i], ts[i + 1], _ROOT_XTOL))
             kinds.append("simple")
 
@@ -277,9 +284,9 @@ def delta_scan(L, N, ray):
 def brinkmann_oracle(profile):
     """Closed-form Christoffel field of the quadratic wave models.
 
-    ``profile`` is a key of `PROFILES`, as for
-    `lagrangian.build_brinkmann_quadratic`.  Returns a callable
-    x -> gamma[k, i, j] with the only nonzero symbols
+    ``profile`` is a key of `PROFILES`, looked up by
+    `lagrangian.wave_profile` as for `lagrangian.build_brinkmann_quadratic`.
+    Returns a callable x -> gamma[k, i, j] with the only nonzero symbols
 
         gamma^0_11 = H_u/2,   gamma^0_1a = gamma^0_a1 = H_a/2,
         gamma^a_11 = H_a/2        (a = 2, 3),
@@ -288,11 +295,7 @@ def brinkmann_oracle(profile):
     symbols: with the transverse metric block -I their sign matches the
     lowered derivative, which is what the Koszul solve produces.
     """
-    try:
-        H = PROFILES[profile]
-    except (KeyError, TypeError):
-        raise ConfigError("unknown wave profile %r (have %s)"
-                          % (profile, sorted(PROFILES))) from None
+    H = wave_profile(profile)
 
     def symbols(x):
         u, xx, yy = float(x[1]), float(x[2]), float(x[3])

@@ -8,6 +8,7 @@ digits (round-trip exact), keys keep insertion order, no timestamps.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,18 +38,15 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# what a JSON string escapes: the quote, the backslash and the control
+# characters below U+0020, each as \u00XX
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\",
+                 **{chr(i): "\\u%04x" % i for i in range(0x20)}}
+_JSON_SPECIAL = re.compile(r'["\\\x00-\x1f]')
+
+
 def _json_escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _JSON_SPECIAL.sub(lambda m: _JSON_ESCAPES[m.group()], s)
 
 
 def dump_json(obj, indent: int = 0) -> str:

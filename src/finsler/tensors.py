@@ -7,7 +7,7 @@ order 2 or 3 (`_v_partials`), and take one pair or a (B, n) stack of
 pairs, whose lanes are bitwise the results at each pair.  The tensor
 kernels never test cone membership; the public entry points
 (`homogeneity_report` here) gate the caller's pairs once each through
-`Lagrangian.check_admissible`.
+`Lagrangian.check_admissible`, each in its lane block.
 """
 
 from __future__ import annotations
@@ -145,7 +145,8 @@ def homogeneity_report(L, x, v, tol=1e-9):
     C_v(v,.,.) = 0 for a `Lagrangian` ``L``.  x and v are one pair, or
     (B, n) stacks of B pairs, which give a list of B reports.  Reports
     failures rather than raising, except for a v outside the closed cone
-    (ConeError), which `Lagrangian.check_admissible` tests first.
+    (ConeError), which `Lagrangian.check_admissible` tests first, and a
+    failing evaluation; a stack raises its first failing pair's error.
     """
     reps, _ = _homogeneity(L, x, v, tol)
     return reps if np.ndim(v) == 2 else reps[0]
@@ -153,21 +154,28 @@ def homogeneity_report(L, x, v, tol=1e-9):
 
 def _homogeneity(L, x, v, tol):
     """The reports of `homogeneity_report` for a stack of pairs, and g at
-    each pair.  One stacked pass: one cone gate, one `Lagrangian.value`
-    for L at v, 0.5 v, 2 v and 3 v, one `fundamental_tensor` for g at
-    v, 0.5 v and 2 v and one `cartan_tensor`; each pair gets the bits of
-    its own scalar evaluations."""
+    each pair.  One `jets.in_blocks` pass: each lane block runs its cone
+    gate, one `Lagrangian.value` for L at v, 0.5 v, 2 v and 3 v, one
+    `fundamental_tensor` for g at v, 0.5 v and 2 v and one
+    `cartan_tensor`; each pair gets the bits of its own scalar
+    evaluations."""
     xs = np.atleast_2d(np.asarray(x, dtype=float))
     vs = np.atleast_2d(np.asarray(v, dtype=float))
-    nb, n = vs.shape
-    L.check_admissible(xs, vs)
-    scaled = _LAMBDAS[:, None] * vs[:, None, :]         # (B, 4, n)
-    vals = L.value(np.repeat(xs, 4, axis=0),
-                   scaled.reshape(-1, n)).reshape(nb, 4)
-    gs = fundamental_tensor(L, np.repeat(xs, 3, axis=0),
-                            scaled[:, :3].reshape(-1, n)
-                            ).matrix.reshape(nb, 3, n, n)
-    Cs = cartan_tensor(L, xs, vs).coeffs
+    n = vs.shape[1]
+
+    def kernel(x, v):
+        # x and v are one pair or a block of pairs
+        L.check_admissible(x, v)
+        scaled = _LAMBDAS[:, None] * v[..., None, :]    # (..., 4, n)
+        xr = np.broadcast_to(x[..., None, :], scaled.shape)
+        vals = L.value(xr.reshape(-1, n), scaled.reshape(-1, n))
+        gs = fundamental_tensor(L, xr[..., :3, :].reshape(-1, n),
+                                scaled[..., :3, :].reshape(-1, n)).matrix
+        return (vals.reshape(scaled.shape[:-1]),
+                gs.reshape(scaled.shape[:-2] + (3, n, n)),
+                cartan_tensor(L, x, v).coeffs)
+
+    vals, gs, Cs = jets.in_blocks(kernel, xs, vs)
 
     reps = []
     for xb, vb, Ls, gb, C in zip(xs, vs, vals.tolist(), gs, Cs):

@@ -152,6 +152,18 @@ def test_koszul_identities_on_finsler_models():
             assert torsion_residual(t) == 0.0
 
 
+def test_torsion_residual_of_an_asymmetric_table():
+    gamma = np.random.default_rng(8).uniform(-1.0, 1.0, (4, 4, 4))
+    gamma[2, 1, 3] += 0.75        # Γ^2_13 != Γ^2_31 beyond the draw
+    t = connection.ChristoffelTable(
+        x=np.zeros(4), v=np.ones(4), gamma=gamma, g=np.eye(4),
+        cartan=np.zeros((4, 4, 4)), dmetric=np.zeros((4, 4, 4)),
+        jacobian=np.zeros((4, 4)), iterations=0, method="closed-form")
+    want = np.max(np.abs(gamma - np.transpose(gamma, (0, 2, 1))))
+    assert want > 0.5
+    assert torsion_residual(t) == want
+
+
 def test_symbols_intrinsic_in_the_reference_extension():
     # Chern symbols at x depend on V(x) only, not on the field's Jacobian
     L = _default_ppwave_example()

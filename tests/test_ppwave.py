@@ -166,6 +166,34 @@ def test_delta_positive_dip_is_not_a_root():
     assert np.nanmin(dc.det_h) > 0.009
 
 
+def _straight_ray(t):
+    """A hand-built ray x = (t, 0, 0, 0), v = e0 at the times t."""
+    t = np.array(t, dtype=float)
+    x = np.zeros((len(t), 4))
+    x[:, 0] = t
+    return GeodesicPath(t=t, x=x, v=np.tile(E0, (len(t), 1)),
+                        ldrift=np.zeros(len(t)), l0=0.0, tol=1e-9)
+
+
+@pytest.mark.parametrize("model,t,kind", [
+    # det h = 1 - t: zeros at the last and first sample, a sign change
+    ("wall", [0.0, 0.5, 1.0], "simple"),
+    ("wall", [1.0, 1.5, 2.0], "simple"),
+    # det h = (1 - t)^2: a zero at the last sample with zero slope
+    ("double", [0.0, 0.5, 1.0], ppwave.DEGENERATE_KIND),
+    # interior zeros take their kind from the neighbours' signs
+    ("wall", [0.0, 0.5, 1.0, 1.5, 2.0], "simple"),
+    ("double", [0.0, 0.5, 1.0, 1.5, 2.0], ppwave.DEGENERATE_KIND),
+])
+def test_delta_scan_exact_zero_at_a_sample(model, t, kind):
+    L = (fixtures.linear_wall() if model == "wall" else
+         fixtures.rosen_diag(lambda u: (1 - u) ** 2, lambda u: 1.0))
+    dc = ppwave.delta_scan(L, E0, _straight_ray(t))
+    assert 0.0 in dc.det_h
+    assert dc.roots == [1.0]
+    assert dc.kinds == [kind]
+
+
 def test_delta_scan_needs_two_samples():
     # a ray cut at its first sample has no interpolant to scan
     L = fixtures.rosen_cos2()

@@ -1,8 +1,11 @@
 """The deterministic serializers of `finsler.report`."""
 
+import json
+import random
+
 import numpy as np
 
-from finsler.report import csv_text, fmt_float
+from finsler.report import _json_escape, csv_text, fmt_float
 
 
 def test_csv_row_template_prints_every_float_as_fmt_float():
@@ -24,3 +27,20 @@ def test_csv_text_takes_an_iterable_of_rows():
     rows = [np.array([0.5, 1.0]), np.array([np.inf, -0.0])]
     assert csv_text(["a", "b"], iter(rows)) == "a,b\n0.5,1\ninf,-0\n"
     assert csv_text(["a", "b"], []) == "a,b\n"
+
+
+def test_json_escape_of_quote_backslash_and_control_characters():
+    assert _json_escape('say "a\\b"') == 'say \\"a\\\\b\\"'
+    for code in range(0x20):
+        assert _json_escape(chr(code)) == "\\u%04x" % code
+    # DEL and everything above U+001F but the quote and backslash pass
+    kept = "\x7f é ∇ \u024f ~ /"
+    assert _json_escape(kept) == kept
+
+
+def test_json_escape_round_trips_through_json_loads():
+    rng = random.Random(11)
+    for _ in range(2000):
+        s = "".join(chr(rng.randrange(0x250))
+                    for _ in range(rng.randrange(12)))
+        assert json.loads('"%s"' % _json_escape(s)) == s

@@ -2,8 +2,10 @@
 
 `check`, `connection` and `ppwave` evaluate all their samples at once, and
 their reports must keep the bytes of a loop over the samples, one scalar
-evaluation at a time (`tests/helpers.py`), and its first error.  33 samples
-cross `jets.LANE_BLOCK`.
+evaluation at a time (`tests/helpers.py`), and its first error.  Each lane
+block gates its own samples, and `jets.in_blocks` reruns a failing block
+row by row, so a failing set raises the loop's first error with its sample
+named (``at x=[...]: ``).  33 samples cross `jets.LANE_BLOCK`.
 """
 
 import json
@@ -14,8 +16,8 @@ import pytest
 
 from finsler import cli, connection, fixtures, jets, ppwave
 from finsler.curvature import ppwave_condition
-from finsler.errors import ConeError, FinslerError
-from finsler.lagrangian import catalog
+from finsler.errors import FinslerError
+from finsler.lagrangian import Lagrangian, catalog
 from finsler.tensors import (cartan_tensor, fundamental_tensor,
                              homogeneity_report)
 
@@ -82,11 +84,13 @@ def test_a_failing_set_raises_the_per_sample_loops_first_error(
     points = [INSIDE, *bad, INSIDE]
     with pytest.raises(FinslerError) as want:
         ORACLES[command](L, Points(points), 1e-6, len(points), 0.8, N_WALL)
-    # the stacked pass itself meets the cone first
-    with pytest.raises(ConeError):
-        connection._gated_tables(
+    first = "at x=%r: %s" % (bad[0], want.value)
+    # the gated stacked solve meets the same error, and names its sample
+    with pytest.raises(FinslerError) as got:
+        connection._table(
             L, np.array(points), np.tile(N_WALL, (len(points), 1)),
-            np.zeros((len(points), 4, 4)))
+            np.zeros((len(points), 4, 4)), gate=True)
+    assert (type(got.value), str(got.value)) == (type(want.value), first)
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: Points(points))
     cfg = tmp_path / "wall.json"
@@ -97,7 +101,27 @@ def test_a_failing_set_raises_the_per_sample_loops_first_error(
         "params": {"n_samples": len(points), "N": N_WALL.tolist()}}))
     assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert err.splitlines()[0] == "numerical failure: %s" % want.value
+    assert err.splitlines()[0] == "numerical failure: %s" % first
+
+
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+def test_a_failing_homogeneity_stack_raises_its_first_pairs_error(order):
+    # L cannot be evaluated past x1 = 1; e1 is outside the cone
+    L = Lagrangian(lambda x, v: jets.sqrt(1.0 - x[1]) * v[0] * v[0]
+                   - v[1] * v[1], 3, [1.0, 0.0, 0.0], name="sqrt-wall")
+    pairs = [([0.0, 0.0, 0.0], [1.0, 0.1, 0.0]),
+             ([0.0, 2.0, 0.0], [1.0, 0.0, 0.0]),     # 1: L fails
+             ([0.0, 0.5, 0.0], [0.0, 1.0, 0.0])]     # 2: outside
+    xs, vs = map(np.array, zip(*(pairs[k] for k in (0, *order))))
+    bad = pairs[order[0]]
+    with pytest.raises(FinslerError) as want:
+        homogeneity_report(L, *bad)
+    for n in (3, jets.LANE_BLOCK + 3):
+        with pytest.raises(FinslerError) as got:
+            homogeneity_report(L, np.resize(xs, (n, 3)),
+                               np.resize(vs, (n, 3)))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == "at x=%r: %s" % (bad[0], want.value)
 
 
 def test_ppwave_solves_the_symbols_of_each_sample_once(monkeypatch):
