@@ -513,7 +513,13 @@ def parallel_extension(L, v, p):
 
 @dataclass
 class GeodesicPath:
-    """Sampled geodesic with the relative L-drift conservation monitor."""
+    """Sampled geodesic with the relative L-drift conservation monitor.
+
+    ``sol(t)`` is the integrator's dense state (x, v) at a float or a 1-D
+    array of times, bitwise the samples at their times; None where no step
+    was taken.  `ppwave.delta_scan` reads positions and velocities between
+    the samples from it, so a hand-built path needs one to be scanned.
+    """
 
     t: np.ndarray
     x: np.ndarray            # shape (m, n)
@@ -523,6 +529,7 @@ class GeodesicPath:
     tol: float
     truncated: bool = False
     reason: str = ""
+    sol: object = None
 
     @property
     def dim(self):
@@ -564,11 +571,13 @@ def _value_or_nan(L, x, v):
 def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
     """Integrate the spray `_spray` from (x0, v0) over t_span.
 
-    `ode.dop853` integrates at rtol = atol = ``tol`` and samples the path
-    at ``n_samples`` evenly spaced times; where the spray fails its
-    right-hand side is NaN, and the integrator stops when its step size
-    has shrunk to nothing.  A ``tol`` below 100 machine epsilons stops it
-    before the first step, and the path is then (x0, v0) only.
+    `ode.dop853` integrates at rtol = atol = ``tol``, and the path is its
+    dense solution at ``n_samples`` evenly spaced times, up to the end
+    the integration reached; where the spray fails its right-hand side is
+    NaN, and the integrator stops when its step size has shrunk to nothing
+    or its step budget has run out, the reason then naming the budget and
+    the t reached.  A ``tol`` below 100 machine epsilons stops it before
+    the first step, and the path is then (x0, v0) only.
 
     Only (x0, v0) is tested against the cone.  One L evaluation per
     returned sample, all in one stacked `Lagrangian.value` call, gives its
@@ -590,14 +599,16 @@ def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
             return np.full(2 * n, np.nan)
 
     t0, t1 = float(t_span[0]), float(t_span[1])
-    sol = ode.dop853(rhs, (t0, t1), np.concatenate([x0, v0]), tol,
-                     t_eval=np.linspace(t0, t1, int(n_samples)))
-    if len(sol.t) == 0:
-        # stopped before the first sample
+    sol = ode.dop853(rhs, (t0, t1), np.concatenate([x0, v0]), tol)
+    if sol.sol is None:
+        # stopped before the first step
         ts = np.array([t0])
         ys = np.concatenate([x0, v0])[None, :]
     else:
-        ts, ys = sol.t, sol.y
+        ts = np.linspace(t0, t1, int(n_samples))
+        end = sol.t[-1]
+        ts = ts[ts <= end] if t1 >= t0 else ts[ts >= end]
+        ys = sol.sol(ts)
 
     lscale = max(1.0, abs(l0))
     try:
@@ -611,8 +622,9 @@ def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
               if len(out) else "")
     keep = max(1, out[0]) if reason else len(ts)
     if keep == len(ts) and not sol.success:
-        reason = "integrator stopped at t=%s" % fmt_float(ts[-1])
+        reason = (sol.message if sol.status == -2 else
+                  "integrator stopped at t=%s" % fmt_float(ts[-1]))
     return GeodesicPath(t=ts[:keep], x=ys[:keep, :n], v=ys[:keep, n:],
                         ldrift=(vals[:keep] - l0) / lscale, l0=l0,
                         tol=tol, truncated=keep < len(ts) or not sol.success,
-                        reason=reason)
+                        reason=reason, sol=sol.sol)

@@ -736,9 +736,10 @@ def in_blocks(kernel, *arrays):
     A block fails as a whole, with a `FinslerError` or a ``LinAlgError``.
     The kernel then runs on each row of the block in turn, and the first
     row that fails raises its error, with its point (its entry of
-    ``arrays[0]``) named where the set holds more than one point; if no
-    row fails by itself, the block's error.  A kernel that gates each
-    block thus fails as a loop over the rows does.
+    ``arrays[0]``) named where the set holds more than one point and the
+    error does not name it already; if no row fails by itself, the
+    block's error.  A kernel that gates each block thus fails as a loop
+    over the rows does.
     """
     out = []
     for lo in range(0, max(len(arrays[0]), 1), LANE_BLOCK):
@@ -763,10 +764,12 @@ def in_blocks(kernel, *arrays):
 
 def _row(kernel, row, points):
     """``kernel`` on one row, with the row's point named in its error
-    where ``points`` holds more than one point."""
+    where ``points`` holds more than one point and the error does not
+    name it already."""
     try:
         return kernel(*row)
     except (FinslerError, np.linalg.LinAlgError) as e:
-        if not np.any(points != points[:1]):
+        where = "x=%r" % ([float(t) for t in row[0]],)
+        if not np.any(points != points[:1]) or where in str(e):
             raise
-        raise type(e)("at x=%r: %s" % ([float(t) for t in row[0]], e)) from e
+        raise type(e)("at %s: %s" % (where, e)) from e

@@ -1,25 +1,23 @@
-"""Integrator, root finder and interpolant on numpy only.
+"""Integrator and root finder on numpy only.
 
 `dop853` integrates y' = f(t, y) with the explicit Runge-Kutta pair of
 Dormand and Prince of order 8(5,3), its step-size controller and its
 7th-order dense output (Hairer, Norsett & Wanner, *Solving Ordinary
 Differential Equations I*, 2nd ed., Sec. II.5 and II.10).  It repeats
 scipy's ``solve_ivp(method="DOP853")`` operation for operation: the
-initial step, the error norm, the controller, the dense output, the
-sampling at ``t_eval`` and the location of a terminal event, so its
-states are scipy's bit for bit.  One difference is deliberate: below 100
-machine epsilons, where scipy raises the tolerance with a warning, it
-stops before the first step.
+initial step, the error norm, the controller, the dense output and the
+location of a terminal event, so its states are scipy's bit for bit, and
+its dense solution at scipy's output times is scipy's samples.  Two
+differences are deliberate: below 100 machine epsilons, where scipy
+raises the tolerance with a warning, it stops before the first step, and
+it stops after `_MAX_STEPS` accepted steps.
 
 `brent` is Brent's bracketing root finder (*Algorithms for Minimization
 without Derivatives*, 1973, ch. 4), iterate for iterate scipy's
 ``brentq`` with its ``xtol`` and its default ``rtol`` and ``maxiter``.
 
-`Hermite` is the piecewise cubic through samples and slopes, evaluated
-between the knots as scipy's ``CubicHermiteSpline`` evaluates it.
-
 `dop853` (with the ``fun`` and ``event`` it calls, unless they set their
-own error state, as `jets._call` does) and `Hermite` evaluation run under
+own error state, as `jets._call` does) and its dense solution run under
 ``np.errstate(all="ignore")``: overflow and NaN pass without a warning,
 with the same values, and a non-finite error estimate rejects the step.
 """
@@ -31,7 +29,7 @@ import numpy as np
 
 from .errors import SolverError
 
-__all__ = ["OdeResult", "dop853", "brent", "Hermite"]
+__all__ = ["OdeResult", "dop853", "brent"]
 
 EPS = np.finfo(float).eps
 
@@ -214,6 +212,7 @@ class _Step:
         self.y_old = y_old
         self.F = F
 
+    @np.errstate(all="ignore")
     def __call__(self, t):
         x = (np.asarray(t) - self.t_old) / self.h
         if x.ndim:
@@ -337,18 +336,33 @@ class _Solver:
 
 
 def _piecewise(ts, steps):
-    """The dense solution over the step ends ``ts``: at an end shared by
-    two steps the earlier step answers."""
+    """The dense solution over the step ends ``ts``, at a float or a 1-D
+    array of times (rows): at an end shared by two steps the earlier step
+    answers.  An array is evaluated one step at a time, with that step's
+    times as one array, so each row is bitwise the row's time alone."""
     ts = np.asarray(ts)
     ascending = ts[-1] >= ts[0]
     ts_sorted = ts if ascending else ts[::-1]
     side = "left" if ascending else "right"
     last = len(steps) - 1
 
+    def index(t):
+        k = np.clip(np.searchsorted(ts_sorted, t, side=side) - 1, 0, last)
+        return k if ascending else last - k
+
     def sol(t):
-        k = min(max(int(np.searchsorted(ts_sorted, t, side=side)) - 1, 0),
-                last)
-        return steps[k if ascending else last - k](t)
+        if np.ndim(t) == 0:
+            return steps[index(t)](t)
+        t = np.asarray(t, dtype=float)
+        if t.size == 0:
+            return steps[0](t)
+        # group the times by step, keeping their order within a step
+        k = index(t)
+        order = np.argsort(k, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(k[order])) + 1)
+        y = np.concatenate([steps[k[g[0]]](t[g]) for g in groups])
+        y[order] = y.copy()
+        return y
 
     return sol
 
@@ -357,12 +371,13 @@ def _piecewise(ts, steps):
 class OdeResult:
     """What `dop853` returns.
 
-    With ``t_eval``, ``t`` holds the samples reached and ``y`` their
-    states, one row each.  Without, ``t`` holds t0 and every step end
-    (the last one the event's location if it fired), and ``sol(t)`` is
-    the dense state anywhere in the integrated range.  ``status`` is 0
-    at the end of the span, 1 where the event fired, and -1 where the
-    integration failed, for the reason ``message`` gives.
+    ``t`` holds t0 and every step end, the last one the event's location
+    if it fired, and ``y`` their states, one row each.  ``sol(t)`` is the
+    dense state anywhere in the integrated range, at a float or a 1-D
+    array of times, and None where no step was taken.  ``status`` is 0 at
+    the end of the span, 1 where the event fired, -1 where the
+    integration failed and -2 where it ran out of its `_MAX_STEPS` steps,
+    for the reason ``message`` gives.
     """
 
     t: np.ndarray
@@ -376,30 +391,27 @@ class OdeResult:
         return self.status >= 0
 
 
+# the work budget of one `dop853` integration, in accepted steps
+_MAX_STEPS = 1000
+
+
 @np.errstate(all="ignore")
-def dop853(fun, t_span, y0, tol, t_eval=None, event=None):
+def dop853(fun, t_span, y0, tol, event=None):
     """Integrate y' = fun(t, y) over ``t_span`` at rtol = atol = ``tol``;
     ``fun`` returns a float array.
 
-    ``t_eval`` lists the output times, ordered from t_span[0] towards
-    t_span[1]; without it the result carries the dense solution.  The
-    integration stops where the scalar ``event(t, y)`` reaches or crosses
-    zero; its root is located by `brent` on the dense output of the step
-    to 4 machine epsilons.  A ``tol`` below 100 machine epsilons fails
-    before the first step.
+    The result carries every step end and the dense solution, one 7th-order
+    interpolant per step.  The integration stops where the scalar
+    ``event(t, y)`` reaches or crosses zero; its root is located by
+    `brent` on the dense output of the step to 4 machine epsilons.  A
+    ``tol`` below 100 machine epsilons fails before the first step.  An
+    integration that has taken `_MAX_STEPS` steps short of its end fails
+    with status -2 and a message that names the budget and the t reached;
+    its result keeps the steps taken.
     """
     t0, tf = map(float, t_span)
     y0 = np.asarray(y0, dtype=float)
-    if t_eval is None:
-        ts, ys, steps = [t0], [y0], []
-    else:
-        ts, ys = [], []
-        t_eval = np.asarray(t_eval, dtype=float)
-        if tf > t0:
-            t_eval_i = 0
-        else:
-            t_eval = t_eval[::-1]
-            t_eval_i = len(t_eval)
+    ts, ys, steps = [t0], [y0], []
 
     status, message = None, ""
     if not tol >= 100 * EPS:
@@ -410,46 +422,30 @@ def dop853(fun, t_span, y0, tol, t_eval=None, event=None):
         if event is not None:
             g = event(t0, y0)
     while status is None:
+        if len(steps) == _MAX_STEPS:
+            status = -2
+            message = ("the integrator's budget of %d steps ran out at t=%r"
+                       % (_MAX_STEPS, float(ts[-1])))
+            break
         status = solver.step()
         if status == -1:
             message = "the step size fell below the spacing of floats"
             break
         t_old, t, y = solver.t_old, solver.t, solver.y
-        sol = solver.dense_output() if t_eval is None else None
+        sol = solver.dense_output()
         if event is not None:
             g_new = event(t, y)
             if g <= 0 <= g_new or g_new <= 0 <= g:
-                if sol is None:
-                    sol = solver.dense_output()
                 t = brent(lambda s: event(s, sol(s)), t_old, t, 4 * EPS)
                 y = sol(t)
                 status = 1
             g = g_new
-        if t_eval is None:
-            ts.append(t)
-            ys.append(y)
-            steps.append(sol)
-            continue
-        if solver.direction > 0:
-            t_eval_i_new = np.searchsorted(t_eval, t, side="right")
-            t_eval_step = t_eval[t_eval_i:t_eval_i_new]
-        else:
-            t_eval_i_new = np.searchsorted(t_eval, t, side="left")
-            t_eval_step = t_eval[t_eval_i_new:t_eval_i][::-1]
-        if t_eval_step.size > 0:
-            if sol is None:
-                sol = solver.dense_output()
-            ts.append(t_eval_step)
-            ys.append(sol(t_eval_step))
-            t_eval_i = t_eval_i_new
+        ts.append(t)
+        ys.append(y)
+        steps.append(sol)
 
-    if t_eval is None:
-        return OdeResult(np.array(ts), np.array(ys), status, message,
-                         _piecewise(ts, steps) if steps else None)
-    if not ts:
-        return OdeResult(np.empty(0), np.empty((0, len(y0))), status,
-                         message)
-    return OdeResult(np.hstack(ts), np.vstack(ys), status, message)
+    return OdeResult(np.array(ts), np.array(ys), status, message,
+                     _piecewise(ts, steps) if steps else None)
 
 
 # brentq's defaults: the relative part of the tolerance and the
@@ -522,52 +518,3 @@ def brent(f, a, b, xtol):
         fcur = value(xcur)
     raise SolverError("the root finder did not converge in %d iterations"
                       % _BRENT_MAXITER)
-
-
-class Hermite:
-    """The piecewise cubic through the samples ``y`` with slopes ``dydx``
-    at the strictly increasing knots ``x`` (both along axis 0), and its
-    derivative `slope`.
-
-    At a knot the interpolant returns its sample and `slope` its slope,
-    bitwise.  Between knots x[i] and x[i+1] each evaluates its cubic in
-    powers of s = t - x[i], summed from the constant term up; outside
-    them the end cubics extrapolate.
-    """
-
-    def __init__(self, x, y, dydx):
-        self.x = x = np.asarray(x, dtype=float)
-        self.y = y = np.asarray(y, dtype=float)
-        self.dydx = dydx = np.asarray(dydx, dtype=float)
-        dx = np.diff(x)
-        if not np.all(dx > 0):
-            raise ValueError("the knots must increase strictly")
-        dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
-        slope = np.diff(y, axis=0) / dxr
-        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dxr
-        # power-basis coefficients, highest power first
-        self.c = np.stack((t / dxr, (slope - dydx[:-1]) / dxr - t,
-                           dydx[:-1], y[:-1]))
-        self.dc = self.c[:-1] * np.array([3.0, 2.0, 1.0]).reshape(
-            (3,) + (1,) * (y.ndim))
-
-    def __call__(self, t):
-        return self._eval(self.c, self.y, t)
-
-    def slope(self, t):
-        return self._eval(self.dc, self.dydx, t)
-
-    @np.errstate(all="ignore")
-    def _eval(self, c, at_knots, t):
-        t = float(t)
-        i = int(np.searchsorted(self.x, t, side="right")) - 1
-        if i >= 0 and self.x[i] == t:
-            return at_knots[i].copy()
-        i = min(max(i, 0), len(self.x) - 2)
-        s = t - self.x[i]
-        res = 0.0 + c[-1, i]
-        z = 1.0
-        for k in range(len(c) - 2, -1, -1):
-            z *= s
-            res = res + c[k, i] * z
-        return res

@@ -192,14 +192,14 @@ def delta_scan(L, N, ray):
     """Scan Delta = sqrt(det h) along ``ray`` and locate its zeros.
 
     ``ray`` is a `GeodesicPath` (an integral curve of N) with at least
-    two samples at strictly increasing times; positions between samples
-    come from the `ode.Hermite` interpolant of (x, v), which returns the
-    samples themselves at the knots, so the metrics there are one stacked
-    `fundamental_tensor` call, with stacked determinants and minors.
-    Sign changes of det h are polished with `ode.brent`.  A sample with
-    det h exactly zero is a root, simple where its neighbours have
-    opposite signs; at the first or last sample, where |slope| times the
-    ray's time span exceeds 1e-9 times the det-h scale max(1, |det h|).
+    two samples at strictly increasing times; positions and velocities
+    between samples come from its dense solution ``ray.sol``, which is the
+    samples themselves at their times, so the metrics there are one
+    stacked `fundamental_tensor` call, with stacked determinants and
+    minors.  Sign changes of det h are polished with `ode.brent`.  A
+    sample with det h exactly zero is a root, simple where its neighbours
+    have opposite signs; at the first or last sample, where |slope| times
+    the ray's time span exceeds 1e-9 times the det-h scale max(1, |det h|).
     Tangential (even-order) zeros, which no sign-change bracket sees,
     are `touch_root` roots of the exact slope of det h across its `dips`
     (at most 0.1 times the det-h scale), accepted when det h there is
@@ -211,19 +211,18 @@ def delta_scan(L, N, ray):
         raise SolverError("focal scan needs a ray with at least 2 samples "
                           "at strictly increasing times, got t=%s"
                           % np.array2string(ts, threshold=6))
-    spline = ode.Hermite(ts, ray.x, ray.v)
 
     def det_h(t):
-        p = spline(float(t))
+        p = ray.sol(float(t))[:L.dim]
         g = fundamental_tensor(L, p, np.asarray(N(p), dtype=float)).matrix
         return float(np.linalg.det(-g[2:, 2:]))
 
     def det_h_slope(t):
         # sum_k det(h with row k replaced by h'), h' = -(x' . D)[2:, 2:]
-        p = spline(float(t))
+        p, pd = np.split(ray.sol(float(t)), 2)
         g, _, D = _field_jet(L, p, N(p), N.jacobian(p))
         h = -g[2:, 2:]
-        hd = -np.einsum("i,ijk->jk", spline.slope(t), D)[2:, 2:]
+        hd = -np.einsum("i,ijk->jk", pd, D)[2:, 2:]
         total = 0.0
         for k in range(len(h)):
             hk = h.copy()

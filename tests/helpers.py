@@ -18,10 +18,10 @@ support, and of `jets.variables`, which seeds from a cached template.
 `scipy_expm` takes scipy's Padé exponential of each matrix of a stack, the
 oracle of the in-house `quotient._expm`.
 
-`scipy_dop853`, `scipy_brentq` and `scipy_hermite` run scipy's
-``solve_ivp(method="DOP853")``, ``brentq`` and ``CubicHermiteSpline``, the
-oracles of the library's own `finsler.ode`; `scipy_dop853_tableau` hands
-out the Dormand-Prince coefficients that scipy's DOP853 steps with.
+`scipy_dop853` and `scipy_brentq` run scipy's ``solve_ivp(method="DOP853")``
+and ``brentq``, the oracles of the library's own `finsler.ode`;
+`scipy_dop853_tableau` hands out the Dormand-Prince coefficients that
+scipy's DOP853 steps with.
 
 `per_sample_check`, `per_sample_connection` and `per_sample_ppwave` are
 the ``check``, ``connection`` and ``ppwave`` commands as loops over their
@@ -216,13 +216,6 @@ def scipy_dop853_tableau():
 def scipy_brentq(f, a, b, xtol):
     """scipy's Brent root of ``f`` between a and b, to ``xtol``."""
     return brentq(f, a, b, xtol=xtol)
-
-
-def scipy_hermite(x, y, dydx):
-    """scipy's cubic Hermite spline of (x, y, dydx) along axis 0, and its
-    derivative."""
-    spline = CubicHermiteSpline(x, y, dydx, axis=0)
-    return spline, spline.derivative()
 
 
 def dop853_vielbein(triple, u0, us, tol=1e-12):

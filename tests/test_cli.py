@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from finsler import cli, lagrangian
+from finsler import cli, lagrangian, ode
 from finsler.cli import main
 from finsler.connection import geodesic
 from finsler.lagrangian import build_minkowski
@@ -442,7 +442,7 @@ def test_unscannable_inputs_exit_three_without_a_warning(tmp_path, capsys,
                                              [1e200, 1e200, 0, 0]]}}},
                  id="quotient-vertices-1e200"),
     # the solver's own arithmetic overflows: the initial step's norm, the
-    # Hermite powers of a 1e300 span, the initial step's inf / inf
+    # steps of a 1e300 span, the initial step's inf / inf
     pytest.param("geodesic", {"spacetime": BRINKMANN_X2,
                               "params": {"x0": [0, 0, 1e150, 0],
                                          "v0": [1, 1, 0, 0],
@@ -470,6 +470,59 @@ def test_overflowing_inputs_exit_alike_with_warnings_as_errors(
     assert code == lenient and code in (0, 3)
     if code == 3:
         assert err.splitlines()[0].startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize("command", ["connection", "ppwave"])
+def test_a_failing_sample_is_named_once(tmp_path, capsys, command):
+    # the cone reference's error names its point itself: no "at x=" prefix
+    cfg = write_config(tmp_path, {"spacetime": BRINKMANN_X2,
+                                  "params": {"box": 1e200}})
+    assert main([command, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    point = re.search(r"x=(\[[^]]*\])", err).group(1)
+    assert err.startswith("numerical failure: cone_ref is not finite at x=")
+    assert err.count(point) == 1
+
+
+# valid geodesics on which DOP853 shrinks its steps towards the wall of
+# h = cos^2 x0 at 7 pi / 2 and pi / 2 without reaching it
+NEVER_ENDING = [
+    {"x0": [10.0, -0.7, 0.001, 2.5], "v0": [1.0, 10.0, -0.7, 0.001],
+     "t_span": [-0.6252759433998212, 1.3747240566001788], "n_samples": 10},
+    {"x0": [0.3, 10.0, 1.0, 0.001], "v0": [1.0, 1.9109, -0.8433, -0.7],
+     "t_span": [0, 2], "n_samples": 10},
+]
+
+
+@pytest.mark.parametrize("params", NEVER_ENDING, ids=["7pi/2", "pi/2"])
+def test_a_geodesic_that_never_ends_is_truncated_at_the_step_budget(
+        tmp_path, capsys, params):
+    cfg = write_config(tmp_path, {"spacetime": COS2, "params": params})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_json(capsys, ["geodesic", "--config", cfg])
+    assert code == 0
+    meta = rep["meta"]
+    assert meta["truncated"] is True
+    reached = re.fullmatch(r"the integrator's budget of %d steps ran out at "
+                           r"t=(\S+)" % ode._MAX_STEPS, meta["reason"])
+    assert reached
+    assert meta["t_final"] <= float(reached.group(1)) < params["t_span"][1]
+
+
+def test_a_focal_span_of_1e300_scans_its_samples(tmp_path, capsys):
+    # 200 samples 5e297 apart see no wall of cos^2: no root, as on a span
+    # of 1000
+    runs = []
+    for hi in (1e300, 1000):
+        cfg = write_config(tmp_path, {"spacetime": COS2,
+                                      "params": {"t_span": [0, hi]}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs.append(run_json(capsys, ["focal", "--config", cfg]))
+    for code, rep in runs:
+        assert code == 0
+        assert rep["meta"]["roots"] == []
 
 
 def test_penrose_base_point_below_the_positivity_floor_exits_three(

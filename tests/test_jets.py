@@ -787,3 +787,26 @@ def test_template_seeds_are_the_per_generator_seeds(sig, lanes):
                 assert g.ctx is w.ctx
                 assert g.c.tobytes() == w.c.tobytes()
                 g.c[...] = np.nan    # no seed writes into the template
+
+
+@pytest.mark.parametrize("names_it", [True, False])
+def test_in_blocks_names_a_failing_point_once(names_it):
+    # the set spans two lane blocks; its row 3 fails
+    points = np.arange(2.0 * (jets.LANE_BLOCK + 3)).reshape(-1, 2)
+    bad = [float(t) for t in points[3]]
+
+    def kernel(x):
+        rows = np.atleast_2d(x)
+        if np.any(np.all(rows == bad, axis=1)):
+            raise EvaluationError("L fails at x=%r" % (bad,) if names_it
+                                  else "L fails")
+        return rows[:, 0] if x.ndim > 1 else x[0]
+
+    assert np.array_equal(jets.in_blocks(kernel, np.delete(points, 3, 0)),
+                          np.delete(points, 3, 0)[:, 0])
+    with pytest.raises(EvaluationError) as e:
+        jets.in_blocks(kernel, points)
+    named = "x=%r" % (bad,)
+    assert str(e.value).count(named) == 1
+    assert str(e.value) == ("L fails at %s" % named if names_it
+                            else "at %s: L fails" % named)

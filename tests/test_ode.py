@@ -1,8 +1,8 @@
 """`finsler.ode` against scipy's solvers, the oracles of `helpers`.
 
-DOP853 must reproduce scipy's states bit for bit, Brent's roots must lie
-within ``xtol`` of ``brentq``'s, and the Hermite interpolant must return
-its samples at the knots and scipy's spline between them.
+DOP853 must reproduce scipy's states bit for bit, its dense solution at
+scipy's output times included, and Brent's roots must lie within ``xtol``
+of ``brentq``'s.
 """
 
 import math
@@ -14,8 +14,7 @@ from finsler import fixtures, ode, penrose
 from finsler.connection import _spray
 from finsler.errors import SolverError
 from finsler.lagrangian import _default_ppwave_example
-from helpers import (scipy_brentq, scipy_dop853, scipy_dop853_tableau,
-                     scipy_hermite)
+from helpers import scipy_brentq, scipy_dop853, scipy_dop853_tableau
 
 
 def spray_rhs(L):
@@ -53,12 +52,11 @@ def test_dop853_is_scipy_bitwise_on_the_spray(name, tol):
     y0 = np.concatenate([x0, v0])
     for span in ((0.0, t1), (t1, 0.0)):
         t_eval = np.linspace(span[0], span[1], 40)
-        want_t, want_y, status = scipy_dop853(rhs, span, y0, tol, t_eval)
-        got = ode.dop853(rhs, span, y0, tol, t_eval=t_eval)
+        _, want_y, status = scipy_dop853(rhs, span, y0, tol, t_eval)
+        got = ode.dop853(rhs, span, y0, tol)
         assert got.status == status == 0
-        assert np.array_equal(got.t, want_t)
-        assert np.array_equal(got.y, want_y)
-    # without t_eval: t0 and every step end
+        assert np.array_equal(got.sol(t_eval), want_y)
+    # t0 and every step end
     want_t, want_y, _ = scipy_dop853(rhs, (0.0, t1), y0, tol)
     got = ode.dop853(rhs, (0.0, t1), y0, tol)
     assert np.array_equal(got.t, want_t)
@@ -97,11 +95,59 @@ def test_dop853_stops_before_the_first_step_below_100_eps():
         calls.append(t)
         return -y
 
-    res = ode.dop853(rhs, (0.0, 1.0), [1.0], 1e-300, t_eval=[0.0, 1.0])
+    res = ode.dop853(rhs, (0.0, 1.0), [1.0], 1e-300)
     assert res.status == -1 and not res.success
     assert "100 machine epsilons" in res.message
-    assert len(res.t) == 0 and res.y.shape == (0, 1)
+    assert res.t.tolist() == [0.0] and res.y.tolist() == [[1.0]]
+    assert res.sol is None
     assert calls == []
+
+
+def test_dop853_stops_at_its_step_budget(monkeypatch):
+    def rhs(t, y):
+        return np.cos(40.0 * t) * y
+
+    full = ode.dop853(rhs, (0.0, 10.0), [1.0], 1e-12)
+    assert full.status == 0 and len(full.t) > 8
+    monkeypatch.setattr(ode, "_MAX_STEPS", 7)
+    res = ode.dop853(rhs, (0.0, 10.0), [1.0], 1e-12)
+    assert res.status == -2 and not res.success
+    assert len(res.t) == 7 + 1
+    assert res.message == ("the integrator's budget of 7 steps ran out at "
+                           "t=%r" % float(res.t[-1]))
+    # the steps before the budget are those of an unbudgeted run
+    assert np.array_equal(full.t[:8], res.t)
+    assert np.array_equal(full.y[:8], res.y)
+    assert np.array_equal(res.sol(res.t[:-1]), full.sol(res.t[:-1]))
+
+
+def test_dop853_budget_is_not_spent_by_a_run_that_ends_on_it(monkeypatch):
+    rhs = spray_rhs(_default_ppwave_example())
+    y0 = np.concatenate([SPRAYS["ppwave_example"][1],
+                         SPRAYS["ppwave_example"][2]])
+    steps = len(ode.dop853(rhs, (0.0, 0.45), y0, 1e-12).t) - 1
+    monkeypatch.setattr(ode, "_MAX_STEPS", steps)
+    assert ode.dop853(rhs, (0.0, 0.45), y0, 1e-12).status == 0
+    monkeypatch.setattr(ode, "_MAX_STEPS", steps - 1)
+    assert ode.dop853(rhs, (0.0, 0.45), y0, 1e-12).status == -2
+
+
+@pytest.mark.parametrize("span", [(0.0, 1.2), (1.2, 0.0)])
+def test_dense_solution_of_an_array_is_each_time_alone(span):
+    rhs = spray_rhs(fixtures.rosen_cos2())
+    res = ode.dop853(rhs, span, [0.0] * 4 + [1.0, 0.8, 0.2, 0.0], 1e-9)
+    assert len(res.t) > 3
+    rng = np.random.default_rng(5)
+    # the step ends, shared by two steps, and times inside and between
+    # them, in no particular order and with repeats
+    times = np.concatenate([res.t, rng.uniform(*sorted(span), 50),
+                            res.t[1:-1:2]])
+    times = rng.permutation(times)
+    got = res.sol(times)
+    assert got.shape == (len(times), 8)
+    for t, row in zip(times, got):
+        assert np.array_equal(row, res.sol(float(t)))
+    assert res.sol(np.empty(0)).shape == (0, 8)
 
 
 def test_brent_is_within_xtol_of_brentq_on_random_brackets():
@@ -145,24 +191,3 @@ def test_brent_raises_solver_errors(monkeypatch):
     monkeypatch.setattr(ode, "_BRENT_MAXITER", 2)
     with pytest.raises(SolverError, match="did not converge in 2"):
         ode.brent(lambda x: math.exp(x) - 1.5, 0.0, 1.0, 1e-12)
-
-
-def test_hermite_returns_samples_at_knots_and_scipy_between():
-    rng = np.random.default_rng(7)
-    x = np.cumsum(rng.uniform(0.01, 0.2, 41))
-    y = rng.normal(size=(41, 4))
-    dydx = rng.normal(size=(41, 4))
-    spline = ode.Hermite(x, y, dydx)
-    value, slope = scipy_hermite(x, y, dydx)
-    for k, t in enumerate(x):
-        assert np.array_equal(spline(t), y[k])
-        assert np.array_equal(spline.slope(t), dydx[k])
-    for t in rng.uniform(x[0] - 0.05, x[-1] + 0.05, 400):
-        for got, want in ((spline(t), value(t)), (spline.slope(t), slope(t))):
-            assert np.all(np.abs(got - want)
-                          <= 1e-15 * np.maximum(np.abs(want), 1.0))
-
-
-def test_hermite_needs_increasing_knots():
-    with pytest.raises(ValueError, match="increase"):
-        ode.Hermite([0.0, 1.0, 1.0], np.zeros(3), np.zeros(3))

@@ -167,12 +167,15 @@ def test_delta_positive_dip_is_not_a_root():
 
 
 def _straight_ray(t):
-    """A hand-built ray x = (t, 0, 0, 0), v = e0 at the times t."""
+    """A hand-built ray x = (t, 0, 0, 0), v = e0 at the times t, with its
+    dense state."""
     t = np.array(t, dtype=float)
     x = np.zeros((len(t), 4))
     x[:, 0] = t
     return GeodesicPath(t=t, x=x, v=np.tile(E0, (len(t), 1)),
-                        ldrift=np.zeros(len(t)), l0=0.0, tol=1e-9)
+                        ldrift=np.zeros(len(t)), l0=0.0, tol=1e-9,
+                        sol=lambda s: np.concatenate([[s, 0.0, 0.0, 0.0],
+                                                      E0]))
 
 
 @pytest.mark.parametrize("model,t,kind", [

@@ -199,3 +199,79 @@ def test_expm_matches_scipy_on_the_quotient_example_loop():
     G = -np.einsum("bkij,bi->bkj", gamma, b - a)
     assert G.shape == (196, 4, 4) and np.any(G)
     assert expm_error(G) <= 1e-14
+
+
+# -- the frame's gates, at their thresholds -----------------------------------
+#
+# A flat model whose g_N has scale max|g| = 4: each gate is tested just
+# inside and just outside its threshold, where a threshold divided by the
+# scale (or by max |Y| in the holonomy drift) instead of multiplied falls
+# on the other side.
+
+def _flat(g00=0.0):
+    # g = [[g00, 1], [1, 0]] + diag(-4, -1): L(e0) = g00, scale 4
+    return lg.QuadraticLagrangian({(0, 0): g00, (0, 1): 1.0, (2, 2): -4.0,
+                                   (3, 3): -1.0}, 4, [1.0, 1.0, 0.0, 0.0],
+                                  name="flat-scale-4")
+
+
+FLAT_SCALE = 4.0
+ORIGIN = np.zeros(4)
+
+
+@pytest.mark.parametrize("factor,passes", [(0.99, True), (1.01, False)])
+def test_lightlike_gate_scales_with_the_frame(factor, passes):
+    light = factor * quotient._FRAME_TOL * FLAT_SCALE
+    L = _flat(light)
+    assert L.value(ORIGIN, E0) == light
+    if passes:
+        quotient.quotient_metric(L, E0, ORIGIN, REPS)
+    else:
+        with pytest.raises(ConstructionError, match="not lightlike"):
+            quotient.quotient_metric(L, E0, ORIGIN, REPS)
+
+
+@pytest.mark.parametrize("factor,passes", [(0.99, True), (1.01, False)])
+def test_orthogonality_gate_scales_with_the_frame(factor, passes):
+    # g_N(N, e1) = 1, so the first representative's residual is its e1 part
+    off = factor * quotient._FRAME_TOL * FLAT_SCALE
+    reps = REPS + off * np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    if passes:
+        quotient.quotient_metric(_flat(), E0, ORIGIN, reps)
+    else:
+        with pytest.raises(ConstructionError, match="not g_N-orthogonal"):
+            quotient.quotient_metric(_flat(), E0, ORIGIN, reps)
+
+
+@pytest.mark.parametrize("eps,passes", [(2e-9, True), (5e-10, False)])
+def test_dependence_gate_scales_with_the_largest_singular_value(eps, passes):
+    # 3 N + eps e2 is g_N-orthogonal to N and almost N itself: the stack
+    # [N; reps] has singular values about sqrt(10), 1 and eps / sqrt(10)
+    reps = np.array([[3.0, 0.0, eps, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    sv = np.linalg.svd(np.vstack([E0, reps]), compute_uv=False)
+    assert sv[0] > 3.0
+    assert (sv[-1] > 1e-10 * sv[0]) == passes
+    assert sv[-1] > 1e-10 / sv[0]
+    if passes:
+        frame = quotient.quotient_metric(_flat(), E0, ORIGIN, reps)
+        assert np.all(np.linalg.eigvalsh(frame.gbar) > 0.0)
+    else:
+        with pytest.raises(ConstructionError, match="dependent"):
+            quotient.quotient_metric(_flat(), E0, ORIGIN, reps)
+
+
+@pytest.mark.parametrize("factor,passes", [(0.99, True), (1.01, False)])
+def test_holonomy_drift_is_relative_to_the_transported_class(factor, passes):
+    # the flat transport is the identity, so each class drifts by its own
+    # g_N(N, rep) residual; the rep 3 e2 + off e1 has max |Y| = 3, which
+    # the drift divides by
+    tol = 1e-9
+    off = factor * tol * FLAT_SCALE * 3.0
+    reps = np.array([[0.0, off, 3.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    loop = quotient.rectangle_loop(ORIGIN, 1, 2, 0.5)
+    if passes:
+        defect = quotient.holonomy_defect(_flat(), E0, loop, reps, tol=tol)
+        assert defect == 0.0
+    else:
+        with pytest.raises(ChartError, match="left N\\^perp"):
+            quotient.holonomy_defect(_flat(), E0, loop, reps, tol=tol)

@@ -84,7 +84,10 @@ def test_a_failing_set_raises_the_per_sample_loops_first_error(
     points = [INSIDE, *bad, INSIDE]
     with pytest.raises(FinslerError) as want:
         ORACLES[command](L, Points(points), 1e-6, len(points), 0.8, N_WALL)
-    first = "at x=%r: %s" % (bad[0], want.value)
+    # a sample is named once: the singular-metric error names it already
+    first = str(want.value)
+    if "x=%r" % (bad[0],) not in first:
+        first = "at x=%r: %s" % (bad[0], first)
     # the gated stacked solve meets the same error, and names its sample
     with pytest.raises(FinslerError) as got:
         connection._table(
