@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jets
 from .connection import VectorField, connection_report, geodesic
 from .curvature import _condition_report, _pointwise_tables, chern_curvature
 from .errors import ConfigError, FinslerError
@@ -236,22 +237,27 @@ def loop(val, path, dim):
 
 
 def _sample_states(L, rng, n, box):
-    """Seeded (x, v) pairs with v strictly inside the cone near cone_ref."""
-    out = []
-    for _ in range(n):
-        x = rng.uniform(-box, box, L.dim)
+    """Seeded (x, v) pairs with v strictly inside the cone near cone_ref.
+
+    Each sample draws its x, then its noise; a sample whose cone
+    reference or L fails is named by its x (`jets._row`)."""
+    draws = [(rng.uniform(-box, box, L.dim), rng.uniform(-1.0, 1.0, L.dim))
+             for _ in range(n)]
+
+    def state(x, noise):
         ref = np.asarray(L.cone_ref_at(x), dtype=float)
         v = ref
         delta = 0.25 * max(1.0, float(np.linalg.norm(ref)))
-        noise = rng.uniform(-1.0, 1.0, L.dim)
         for _ in range(8):
             cand = ref + delta * noise
             if L.value(x, cand) > 0.0:
                 v = cand
                 break
             delta *= 0.5
-        out.append((x, v))
-    return out
+        return x, v
+
+    xs = np.array([x for x, _ in draws])
+    return [jets._row(state, draw, xs) for draw in draws]
 
 
 # -- commands ----------------------------------------------------------------------

@@ -7,10 +7,14 @@ Differential Equations I*, 2nd ed., Sec. II.5 and II.10).  It repeats
 scipy's ``solve_ivp(method="DOP853")`` operation for operation: the
 initial step, the error norm, the controller, the dense output and the
 location of a terminal event, so its states are scipy's bit for bit, and
-its dense solution at scipy's output times is scipy's samples.  Two
-differences are deliberate: below 100 machine epsilons, where scipy
-raises the tolerance with a warning, it stops before the first step, and
-it stops after `_MAX_STEPS` accepted steps.
+its dense solution at scipy's output times is scipy's samples.  It is one
+loop over accepted steps, and each step keeps its own stages: a step's
+interpolant, with its three extra stages, is built the first time it is
+read, so a run whose steps are not read calls ``fun`` as often as scipy
+without dense output.  Two differences are deliberate: below 100
+machine epsilons, where scipy raises the tolerance with a warning, it
+stops before the first step, and it stops after `_MAX_STEPS` accepted
+steps.
 
 `brent` is Brent's bracketing root finder (*Algorithms for Minimization
 without Derivatives*, 1973, ch. 4), iterate for iterate scipy's
@@ -202,18 +206,68 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, tol):
     return min(100 * h0, h1, interval_length)
 
 
-class _Step:
-    """The 7th-order interpolant of one step, at a float or a 1-D array
-    of times (rows)."""
+def _rk_stages(fun, t, y, f, h, K):
+    """The stages of a step of size h from (t, y), with f = fun(t, y):
+    the 12 stages into K[:12] and f at the step's end into K[12].
+    Returns the new state."""
+    K[0] = f
+    for s, (a, c) in enumerate(zip(_A_STEP[1:], _C_STEP[1:]), start=1):
+        dy = np.dot(K[:s].T, a[:s]) * h
+        K[s] = fun(t + c * h, y + dy)
+    y_new = y + h * np.dot(K[:12].T, _B)
+    K[12] = fun(t + h, y_new)
+    return y_new
 
-    def __init__(self, t_old, t, y_old, F):
+
+def _error_norm(K, h, scale):
+    """The error norm of a step of size h whose stages are K[:13]."""
+    err5 = np.dot(K[:13].T, _E5) / scale
+    err3 = np.dot(K[:13].T, _E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+class _Step:
+    """One accepted step from (t_old, y_old) to (t, y) and its 7th-order
+    interpolant, at a float or a 1-D array of times (rows).
+
+    The step owns its (16, n) stage array ``K``, rows 0-12 filled.  Its
+    first evaluation runs the three extra stages into rows 13-15 and
+    builds the seven coefficients, then lets the stages and ``fun`` go:
+    a step that is never read costs no evaluation."""
+
+    def __init__(self, fun, t_old, t, y_old, y, K):
+        self.fun = fun
         self.t_old = t_old
         self.h = t - t_old
         self.y_old = y_old
+        self.y = y
+        self.K = K
+        self.F = None
+
+    def _build(self):
+        K, h, t_old, y_old = self.K, self.h, self.t_old, self.y_old
+        for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=13):
+            dy = np.dot(K[:s].T, a[:s]) * h
+            K[s] = self.fun(t_old + c * h, y_old + dy)
+        F = np.empty((7, len(y_old)))
+        f_old = K[0]
+        delta_y = self.y - y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (K[12] + f_old)
+        F[3:] = h * np.dot(_D, K)
         self.F = F
+        self.fun = self.y = self.K = None
 
     @np.errstate(all="ignore")
     def __call__(self, t):
+        if self.F is None:
+            self._build()
         x = (np.asarray(t) - self.t_old) / self.h
         if x.ndim:
             x = x[:, None]
@@ -223,116 +277,6 @@ class _Step:
             y *= x if i % 2 == 0 else 1 - x
         y += self.y_old
         return y
-
-
-class _Solver:
-    """The state of a DOP853 integration between accepted steps, at
-    rtol = atol = ``tol``."""
-
-    def __init__(self, fun, t0, y0, t_bound, tol):
-        self.fun = fun
-        self.t = t0
-        self.y = y0
-        self.t_bound = t_bound
-        self.tol = tol
-        self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
-        self.t_old = self.y_old = self.h_previous = None
-        self.f = fun(t0, y0)
-        self.h_abs = _initial_step(fun, t0, y0, t_bound, self.f,
-                                   self.direction, tol)
-        self.K_extended = np.empty((16, len(y0)))
-        self.K = self.K_extended[:13]
-
-    def step(self):
-        """Take one accepted step; returns 0 at t_bound, -1 where the step
-        size fell below 10 float spacings at t, and None before."""
-        t = self.t
-        if t == self.t_bound:
-            self.t_old = t
-            return 0
-        if not self._advance():
-            return -1
-        self.t_old = t
-        return 0 if self.direction * (self.t - self.t_bound) >= 0 else None
-
-    def _advance(self):
-        t, y, tol = self.t, self.y, self.tol
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
-        h_abs = min_step if self.h_abs < min_step else self.h_abs
-        accepted = rejected = False
-        while not accepted:
-            if h_abs < min_step:
-                return False
-            t_new = t + h_abs * self.direction
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = np.abs(h)
-            y_new, f_new = self._rk_step(t, y, h)
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            error_norm = self._error_norm(h, scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR,
-                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                accepted = True
-            else:
-                h_abs *= max(_MIN_FACTOR,
-                             _SAFETY * error_norm ** _ERROR_EXPONENT)
-                rejected = True
-        self.h_previous = h
-        self.y_old = y
-        self.t = t_new
-        self.y = y_new
-        self.h_abs = h_abs
-        self.f = f_new
-        return True
-
-    def _rk_step(self, t, y, h):
-        K = self.K
-        K[0] = self.f
-        for s, (a, c) in enumerate(zip(_A_STEP[1:], _C_STEP[1:]), start=1):
-            dy = np.dot(K[:s].T, a[:s]) * h
-            K[s] = self.fun(t + c * h, y + dy)
-        y_new = y + h * np.dot(K[:-1].T, _B)
-        f_new = self.fun(t + h, y_new)
-        K[-1] = f_new
-        return y_new, f_new
-
-    def _error_norm(self, h, scale):
-        K = self.K
-        err5 = np.dot(K.T, _E5) / scale
-        err3 = np.dot(K.T, _E3) / scale
-        err5_norm_2 = np.linalg.norm(err5) ** 2
-        err3_norm_2 = np.linalg.norm(err3) ** 2
-        if err5_norm_2 == 0 and err3_norm_2 == 0:
-            return 0.0
-        denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
-
-    def dense_output(self):
-        """The interpolant of the last step (three more evaluations)."""
-        if self.t == self.t_old:
-            y = self.y
-            return lambda t: np.tile(y, (np.size(t), 1)) if np.ndim(t) else y
-        K = self.K_extended
-        h = self.h_previous
-        for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=13):
-            dy = np.dot(K[:s].T, a[:s]) * h
-            K[s] = self.fun(self.t_old + c * h, self.y_old + dy)
-        F = np.empty((7, len(self.y)))
-        f_old = K[0]
-        delta_y = self.y - self.y_old
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(_D, K)
-        return _Step(self.t_old, self.t, self.y_old, F)
 
 
 def _piecewise(ts, steps):
@@ -374,10 +318,11 @@ class OdeResult:
     ``t`` holds t0 and every step end, the last one the event's location
     if it fired, and ``y`` their states, one row each.  ``sol(t)`` is the
     dense state anywhere in the integrated range, at a float or a 1-D
-    array of times, and None where no step was taken.  ``status`` is 0 at
-    the end of the span, 1 where the event fired, -1 where the
-    integration failed and -2 where it ran out of its `_MAX_STEPS` steps,
-    for the reason ``message`` gives.
+    array of times, and None where no step was taken; a step's interpolant
+    is built the first time ``sol`` reads it.  ``status`` is 0 at the end
+    of the span, 1 where the event fired, -1 where the integration failed
+    and -2 where it ran out of its `_MAX_STEPS` steps, for the reason
+    ``message`` gives.
     """
 
     t: np.ndarray
@@ -401,48 +346,87 @@ def dop853(fun, t_span, y0, tol, event=None):
     ``fun`` returns a float array.
 
     The result carries every step end and the dense solution, one 7th-order
-    interpolant per step.  The integration stops where the scalar
-    ``event(t, y)`` reaches or crosses zero; its root is located by
+    interpolant per step, which costs its three extra evaluations of
+    ``fun`` only when it is first read.  The integration stops where the
+    scalar ``event(t, y)`` reaches or crosses zero; its root is located by
     `brent` on the dense output of the step to 4 machine epsilons.  A
     ``tol`` below 100 machine epsilons fails before the first step.  An
     integration that has taken `_MAX_STEPS` steps short of its end fails
     with status -2 and a message that names the budget and the t reached;
-    its result keeps the steps taken.
+    its result keeps the steps taken.  A span of length 0 is one constant
+    step.
     """
     t0, tf = map(float, t_span)
-    y0 = np.asarray(y0, dtype=float)
-    ts, ys, steps = [t0], [y0], []
+    t, y = t0, np.asarray(y0, dtype=float)
+    ts, ys, steps = [t], [y], []
+    if not tol >= 100 * EPS:
+        return OdeResult(np.array(ts), np.array(ys), -1,
+                         "tolerance %g is below 100 machine epsilons" % tol)
+    direction = np.sign(tf - t0) if tf != t0 else 1
+    f = fun(t0, y)
+    h_abs = _initial_step(fun, t0, y, tf, f, direction, tol)
+    if event is not None:
+        g = event(t0, y)
 
     status, message = None, ""
-    if not tol >= 100 * EPS:
-        status = -1
-        message = "tolerance %g is below 100 machine epsilons" % tol
-    else:
-        solver = _Solver(fun, t0, y0, tf, tol)
-        if event is not None:
-            g = event(t0, y0)
     while status is None:
         if len(steps) == _MAX_STEPS:
             status = -2
             message = ("the integrator's budget of %d steps ran out at t=%r"
-                       % (_MAX_STEPS, float(ts[-1])))
+                       % (_MAX_STEPS, float(t)))
             break
-        status = solver.step()
-        if status == -1:
-            message = "the step size fell below the spacing of floats"
-            break
-        t_old, t, y = solver.t_old, solver.t, solver.y
-        sol = solver.dense_output()
+        t_old, y_old = t, y
+        if t == tf:
+            # a span of length 0: one constant step, as in scipy
+            def step(s, y=y):
+                return np.tile(y, (np.size(s), 1)) if np.ndim(s) else y
+            status = 0
+        else:
+            min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+            if h_abs < min_step:
+                h_abs = min_step
+            # the step's own stages, which its rejected attempts overwrite
+            K = np.empty((16, len(y)))
+            rejected = False
+            while not h_abs < min_step:
+                t = t_old + h_abs * direction
+                if direction * (t - tf) > 0:
+                    t = tf
+                h = t - t_old
+                h_abs = np.abs(h)
+                y = _rk_stages(fun, t_old, y_old, f, h, K)
+                scale = tol + np.maximum(np.abs(y_old), np.abs(y)) * tol
+                error_norm = _error_norm(K, h, scale)
+                if error_norm < 1:
+                    break
+                h_abs *= max(_MIN_FACTOR,
+                             _SAFETY * error_norm ** _ERROR_EXPONENT)
+                rejected = True
+            else:
+                status = -1
+                message = "the step size fell below the spacing of floats"
+                break
+            if error_norm == 0:
+                factor = _MAX_FACTOR
+            else:
+                factor = min(_MAX_FACTOR,
+                             _SAFETY * error_norm ** _ERROR_EXPONENT)
+            if rejected:
+                factor = min(1, factor)
+            h_abs *= factor
+            f = K[12]
+            step = _Step(fun, t_old, t, y_old, y, K)
+            status = 0 if direction * (t - tf) >= 0 else None
         if event is not None:
             g_new = event(t, y)
             if g <= 0 <= g_new or g_new <= 0 <= g:
-                t = brent(lambda s: event(s, sol(s)), t_old, t, 4 * EPS)
-                y = sol(t)
+                t = brent(lambda s: event(s, step(s)), t_old, t, 4 * EPS)
+                y = step(t)
                 status = 1
             g = g_new
         ts.append(t)
         ys.append(y)
-        steps.append(sol)
+        steps.append(step)
 
     return OdeResult(np.array(ts), np.array(ys), status, message,
                      _piecewise(ts, steps) if steps else None)

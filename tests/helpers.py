@@ -20,8 +20,9 @@ oracle of the in-house `quotient._expm`.
 
 `scipy_dop853` and `scipy_brentq` run scipy's ``solve_ivp(method="DOP853")``
 and ``brentq``, the oracles of the library's own `finsler.ode`;
-`scipy_dop853_tableau` hands out the Dormand-Prince coefficients that
-scipy's DOP853 steps with.
+`scipy_dop853_result` hands out scipy's whole result, its count of
+right-hand-side calls included, and `scipy_dop853_tableau` the
+Dormand-Prince coefficients that scipy's DOP853 steps with.
 
 `per_sample_check`, `per_sample_connection` and `per_sample_ppwave` are
 the ``check``, ``connection`` and ``ppwave`` commands as loops over their
@@ -201,9 +202,18 @@ def scipy_dop853(fun, t_span, y0, tol, t_eval=None, event=None):
         def events(t, y):
             return event(t, y)
         events.terminal = True
-    sol = solve_ivp(fun, t_span, y0, method="DOP853", rtol=tol, atol=tol,
-                    t_eval=t_eval, events=events)
+    sol = scipy_dop853_result(fun, t_span, y0, tol, t_eval=t_eval,
+                              events=events)
     return sol.t, sol.y.T, sol.status
+
+
+def scipy_dop853_result(fun, t_span, y0, tol, **options):
+    """scipy's ``solve_ivp`` result of DOP853 at rtol = atol = ``tol``,
+    with further ``solve_ivp`` options: its step ends ``t``, states ``y``
+    (one column each), ``status``, right-hand-side calls ``nfev`` and,
+    with ``dense_output=True``, the solution ``sol``."""
+    return solve_ivp(fun, t_span, y0, method="DOP853", rtol=tol, atol=tol,
+                     **options)
 
 
 def scipy_dop853_tableau():

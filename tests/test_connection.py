@@ -485,6 +485,15 @@ def test_geodesic_stopped_before_its_first_step_has_no_dense_state():
     assert path.reason == "integrator stopped at t=0"
 
 
+def test_geodesic_over_a_span_of_length_zero_stays_at_its_start():
+    x0, v0 = [0.0, 0.1, 0.0, 0.2], [1.0, 0.8, 0.2, 0.0]
+    path = geodesic(fixtures.rosen_cos2(), x0, v0, (0.3, 0.3), n_samples=5)
+    assert not path.truncated and path.reason == ""
+    assert path.t.tolist() == [0.3] * 5
+    assert np.array_equal(path.x, np.tile(x0, (5, 1)))
+    assert np.array_equal(path.v, np.tile(v0, (5, 1)))
+
+
 def test_geodesic_rejects_inadmissible_start():
     L = build_minkowski()
     with pytest.raises(ConeError):

@@ -14,7 +14,19 @@ from finsler import fixtures, ode, penrose
 from finsler.connection import _spray
 from finsler.errors import SolverError
 from finsler.lagrangian import _default_ppwave_example
-from helpers import scipy_brentq, scipy_dop853, scipy_dop853_tableau
+from helpers import (scipy_brentq, scipy_dop853, scipy_dop853_result,
+                     scipy_dop853_tableau)
+
+
+def counted(fun):
+    """``fun`` and the list of the times it is called at."""
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return fun(t, y)
+
+    return rhs, calls
 
 
 def spray_rhs(L):
@@ -130,6 +142,68 @@ def test_dop853_budget_is_not_spent_by_a_run_that_ends_on_it(monkeypatch):
     assert ode.dop853(rhs, (0.0, 0.45), y0, 1e-12).status == 0
     monkeypatch.setattr(ode, "_MAX_STEPS", steps - 1)
     assert ode.dop853(rhs, (0.0, 0.45), y0, 1e-12).status == -2
+
+
+@pytest.mark.parametrize("name", sorted(SPRAYS) + ["decay"])
+def test_dop853_calls_fun_as_often_as_scipy_without_dense_output(name):
+    # a step's interpolant runs its three extra stages when first read
+    if name == "decay":
+        fun, y0, t1 = (lambda t, y: -y), np.array([1.0]), 2.0
+    else:
+        build, x0, v0, t1 = SPRAYS[name]
+        fun, y0 = spray_rhs(build()), np.concatenate([x0, v0])
+    for span in ((0.0, t1), (t1, 0.0)):
+        want = scipy_dop853_result(fun, span, y0, 1e-9)
+        rhs, calls = counted(fun)
+        res = ode.dop853(rhs, span, y0, 1e-9)
+        assert res.status == want.status == 0
+        assert len(res.t) > 2
+        assert len(calls) == want.nfev
+        # the first step, inside and at the end it shares with the second,
+        # where the earlier step answers
+        inside = 0.5 * (res.t[0] + res.t[1])
+        first = res.sol(inside)
+        assert len(calls) == want.nfev + 3
+        assert np.array_equal(res.sol(inside), first)
+        res.sol(res.t[1])
+        res.sol(np.array([res.t[1], inside]))
+        assert len(calls) == want.nfev + 3
+
+
+def test_dop853_fails_on_a_blow_up_as_scipy_does():
+    # y = 1 / (1 - t): the step size falls below the spacing of floats
+    # short of t = 1
+    def square(t, y):
+        return y * y
+
+    want = scipy_dop853_result(square, (0.0, 2.0), [1.0], 1e-9)
+    rhs, calls = counted(square)
+    res = ode.dop853(rhs, (0.0, 2.0), [1.0], 1e-9)
+    assert res.status == want.status == -1 and not res.success
+    assert res.message == "the step size fell below the spacing of floats"
+    assert len(res.t) == 201
+    assert np.array_equal(res.t, want.t)
+    assert np.array_equal(res.y, want.y.T)
+    assert len(calls) == want.nfev == 4790
+
+
+def test_dop853_over_a_span_of_length_zero_is_one_constant_step():
+    def decay(t, y):
+        return -y
+
+    y0 = np.array([1.0, -2.0])
+    want = scipy_dop853_result(decay, (0.5, 0.5), y0, 1e-9,
+                               dense_output=True)
+    rhs, calls = counted(decay)
+    res = ode.dop853(rhs, (0.5, 0.5), y0, 1e-9)
+    assert res.status == want.status == 0
+    assert res.t.tolist() == want.t.tolist() == [0.5, 0.5]
+    assert np.array_equal(res.y, want.y.T)
+    assert len(calls) == want.nfev == 1
+    assert np.array_equal(res.sol(0.5), want.sol(0.5))
+    times = np.full(3, 0.5)
+    assert np.array_equal(res.sol(times), want.sol(times).T)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("span", [(0.0, 1.2), (1.2, 0.0)])

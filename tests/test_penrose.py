@@ -18,19 +18,41 @@ def cos2_profile():
     return RosenProfile(h=cos2_triple)
 
 
-def rotating_triple(u):
-    """h = R(u) D(u) R(u)^T with D = diag(1 + u^2/2, 2), R the rotation
-    by u: with J = R^T R', K = J D - D J + D' gives h' = R K R^T and
+def rotated(u, D, Dd, Ddd):
+    """h = R(u) D(u) R(u)^T, R the rotation by u, from D, D' and D'': with
+    J = R^T R', K = J D - D J + D' gives h' = R K R^T and
     h'' = R (J K - K J + K') R^T."""
     c, s = np.cos(u), np.sin(u)
     R = np.array([[c, -s], [s, c]])
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    D = np.diag([1.0 + 0.5 * u * u, 2.0])
-    Dd = np.diag([u, 0.0])
-    Ddd = np.diag([1.0, 0.0])
     K = J @ D - D @ J + Dd
     Kd = J @ Dd - Dd @ J + Ddd
     return (R @ D @ R.T, R @ K @ R.T, R @ (J @ K - K @ J + Kd) @ R.T)
+
+
+def rotating_triple(u):
+    """`rotated` with D = diag(1 + u^2/2, 2)."""
+    return rotated(u, np.diag([1.0 + 0.5 * u * u, 2.0]), np.diag([u, 0.0]),
+                   np.diag([1.0, 0.0]))
+
+
+def narrow_dip_triple(c):
+    """`rotated` with D = diag(d, 2), d = 1 - 0.65 g(0.05) - 0.8 g(0.001)
+    and g(w) = exp(-((u - c)/w)^2): h loses positivity within 1e-3 of c.
+    At c = +-76.5/128 that is halfway between two points of the first
+    level's 128-point wall scan, where d is above the dip ceiling, so a
+    later level finds the wall."""
+    def triple(u):
+        d, dd, ddd = 1.0, 0.0, 0.0
+        for a, w in ((0.65, 0.05), (0.8, 1e-3)):
+            s = (u - c) / w
+            g = a * np.exp(-s * s)
+            d, dd, ddd = (d - g, dd + 2.0 * s * g / w,
+                          ddd + (2.0 - 4.0 * s * s) * g / (w * w))
+        return rotated(u, np.diag([d, 2.0]), np.diag([dd, 0.0]),
+                       np.diag([ddd, 0.0]))
+
+    return triple
 
 
 # -- homothety ----------------------------------------------------------------
@@ -283,6 +305,47 @@ def test_o_equation_bounds_the_panels_of_a_level(monkeypatch):
     monkeypatch.setattr(penrose, "_MAX_PANELS", 4)
     with pytest.raises(SolverError, match="more than 4 panels"):
         penrose.rosen_to_brinkmann(fast, 0.0, (-1.0, 1.0))
+
+
+def test_o_equation_takes_exactly_its_panel_bound(monkeypatch):
+    # the rotating profile has 4 pending panels at its second level, and
+    # no more at any level
+    monkeypatch.setattr(penrose, "_MAX_PANELS", 4)
+    bp = penrose.rosen_to_brinkmann(rotating_triple, 0.0, (-1.0, 1.0))
+    assert bp.m_conditions(np.linspace(-0.9, 0.9, 5)).passed
+    monkeypatch.setattr(penrose, "_MAX_PANELS", 3)
+    with pytest.raises(SolverError, match="more than 3 panels"):
+        penrose.rosen_to_brinkmann(rotating_triple, 0.0, (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("c", [76.5 / 128, -76.5 / 128],
+                         ids=["upper", "lower"])
+def test_a_wall_met_after_the_first_level_cuts_only_its_side(
+        monkeypatch, c):
+    # a wall found once panels are done drops the done panels of its own
+    # side, and keeps the other side's
+    found = []
+    propagate = penrose._propagate
+
+    def spy(rosen, u0, targets, first_wall):
+        def recording(ray, lows):
+            found.append(first_wall(ray, lows))
+            return found[-1]
+
+        return propagate(rosen, u0, targets, recording)
+
+    monkeypatch.setattr(penrose, "_propagate", spy)
+    bp = penrose.rosen_to_brinkmann(narrow_dip_triple(c), 0.0, (-1.0, 1.0))
+    walls = [w for w in found if w is not None]
+    # the first level, one walk per side, misses the wall
+    assert found[:2] == [None, None] and len(walls) == 1
+    assert abs(walls[0] - c) < 1e-3
+    ends = (walls[0], 1.0) if c < 0 else (-1.0, walls[0])
+    assert bp.truncated and bp.u_interval == ends
+    # each side's panels run from u0 to its end, in order
+    for (us, _), end in zip(bp.sides, ends):
+        assert us[0] == 0.0 and us[-1] == end
+        assert np.all(np.diff(us) * np.sign(end) > 0.0)
 
 
 @pytest.mark.parametrize("triple", [cos2_triple, rotating_triple],

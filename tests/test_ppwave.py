@@ -67,6 +67,29 @@ def test_posdef_verdict_by_minors():
     assert not rep.passed
 
 
+def test_posdef_verdict_needs_positive_minors():
+    # h2 = 1 - x0 vanishes at x0 = 1: a zero leading minor is not positive
+    rep = ppwave.lightlike_form_check(fixtures.linear_wall(), E0,
+                                      [1.0, 0.1, 0.2, 0.3])
+    assert rep.shape_ok
+    assert rep.minors == [0.0, 0.0]
+    assert not rep.h_posdef
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("g00,passes", [(1e-9, True), (1.5e-9, False)])
+def test_template_tolerance_has_a_unit_scale_floor(g00, passes):
+    # every entry of g is below 1 in size, so the tolerance is 1e-9 itself,
+    # not 1e-9 times the largest entry: a residual of exactly 1e-9 passes
+    entries = {(0, 0): g00, (0, 1): 1.0 - 2.0 ** -30, (2, 2): -0.5,
+               (3, 3): -0.5}
+    L = QuadraticLagrangian(entries, 4, [1.0, 1.0, 0.0, 0.0])
+    rep = ppwave.lightlike_form_check(L, E0, [0.0, 0.0, 0.0, 0.0])
+    assert np.max(np.abs(rep.g)) < 1.0
+    assert rep.residuals["g00"] == g00
+    assert rep.shape_ok is passes
+
+
 def test_template_report_serializes():
     L = lg.build_brinkmann_quadratic("x2-y2")
     rep = ppwave.lightlike_form_check(L, E0, [0.0, 0.1, 0.2, 0.3])
@@ -204,6 +227,17 @@ def test_delta_scan_needs_two_samples():
                        ldrift=np.zeros(1), l0=0.0, tol=1e-9, truncated=True)
     with pytest.raises(SolverError, match="at least 2 samples"):
         ppwave.delta_scan(L, E0, ray)
+
+
+def test_delta_scan_of_a_ray_with_two_samples():
+    # the fewest samples a focal run takes: the one interval brackets the
+    # sign change of det h = 1 - t
+    L = fixtures.linear_wall()
+    ray = geodesic(L, [0.0, 0.0, 0.0, 0.0], E0, (0.0, 2.0), n_samples=2)
+    dc = ppwave.delta_scan(L, E0, ray)
+    assert dc.params.tolist() == [0.0, 2.0]
+    assert len(dc.roots) == 1 and abs(dc.roots[0] - 1.0) <= 1e-10
+    assert dc.kinds == ["simple"]
 
 
 def test_delta_scan_needs_increasing_times():

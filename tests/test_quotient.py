@@ -84,6 +84,13 @@ def test_flat_loop_defect():
     assert quotient.holonomy_defect(L, E0, loop, REPS) <= 1e-9
 
 
+def test_loop_of_zero_length_has_no_defect():
+    # the curved control has a defect on every loop of positive size
+    L = fixtures.curved_null_control()
+    loop = quotient.rectangle_loop([0.0, 0.0, 0.3, 0.0], 2, 3, 0.0)
+    assert quotient.holonomy_defect(L, E0, loop, REPS) == 0.0
+
+
 def test_triangle_polyline_accepted():
     L = fixtures.rosen_flat()
     loop = np.array([[0.0, 0.0, 0.0, 0.0],

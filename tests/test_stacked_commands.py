@@ -17,7 +17,7 @@ import pytest
 from finsler import cli, connection, fixtures, jets, ppwave
 from finsler.curvature import ppwave_condition
 from finsler.errors import FinslerError
-from finsler.lagrangian import Lagrangian, catalog
+from finsler.lagrangian import Lagrangian, catalog, from_descriptor
 from finsler.tensors import (cartan_tensor, fundamental_tensor,
                              homogeneity_report)
 
@@ -103,6 +103,39 @@ def test_a_failing_set_raises_the_per_sample_loops_first_error(
                                  "builder": "linear_wall"}},
         "params": {"n_samples": len(points), "N": N_WALL.tolist()}}))
     assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "numerical failure: %s" % first
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_check_names_the_first_sample_whose_state_fails(
+        seed, capsys, tmp_path):
+    # the Randers A-part of ppwave_example turns indefinite at eps 50:
+    # the first failing sample of 8 is sample 0 at seed 0, and sample 6
+    # at seed 4
+    spacetime = {"type": "ppwave_example", "params": {"eps": 50}}
+    L = from_descriptor(spacetime)
+    box = cli.COMMANDS["check"].params["box"][1]
+    rng = np.random.default_rng(seed)
+    draws = [(rng.uniform(-box, box, 4), rng.uniform(-1.0, 1.0, 4))
+             for _ in range(8)]
+    # a loop over the draws, one sample set of one sample each, which
+    # names no sample
+    for x, noise in draws:
+        try:
+            cli._sample_states(L, Points([x, noise]), 1, box)
+        except FinslerError as e:
+            assert not str(e).startswith("at x=")
+            first = "at x=%r: %s" % (x.tolist(), e)
+            break
+    else:
+        pytest.fail("no sample fails")
+
+    cfg = tmp_path / "eps50.json"
+    cfg.write_text(json.dumps({"spacetime": spacetime,
+                               "params": {"n_samples": 8}}))
+    code = cli.main(["check", "--config", str(cfg), "--seed", str(seed)])
+    assert code == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.splitlines()[0] == "numerical failure: %s" % first
 
