@@ -15,6 +15,9 @@ solve at each point.  `christoffel` never tests cone membership; the
 public entry points (`connection_report`, `hessian`,
 `parallel_extension`, `geodesic`) gate the reference the caller
 supplies, `connection_report` once for each point, in its lane block.
+Geodesics solve no symbols: `geodesic` integrates the Euler–Lagrange
+spray (`_spray`), which it builds once per integration, and whose every
+call is one caps-(1, 2) (x | v) jet evaluation and one gather.
 
 Index conventions (pinned across the package):
   gamma[k, i, j]   = Γ^k_ij (torsion-free: symmetric in i, j)
@@ -543,22 +546,43 @@ class GeodesicPath:
             [self.t, self.x, self.v, self.ldrift]))
 
 
-def _spray(L, x, v):
-    """Geodesic acceleration a from L_vv a = L_x - L_vx v (Euler–Lagrange),
-    read off one (x | v) jet with caps (1, 2); for a 2-homogeneous L it is
-    -Γ^k_ij v^i v^j, where the Cartan terms cancel.  A singular L_vv raises
-    SignatureError."""
-    n = len(v)
-    _, seeds = jets.variables(list(x) + list(v), 2, (0,) * n + (1,) * n,
-                              (1, 2))
-    w = jets._call(L, seeds[:n], seeds[n:])
-    d2 = jets.derivative_tensor(w, range(2 * n), 2)
-    force = jets.derivative_tensor(w, range(n), 1) - d2[n:, :n] @ v
-    try:
-        return np.linalg.solve(d2[n:, n:], force)
-    except np.linalg.LinAlgError as e:
-        raise SignatureError("L_vv is singular at x=%r"
-                             % (np.asarray(x).tolist(),)) from e
+def _spray(L):
+    """The geodesic spray of L: a function of the state y = (x | v) that
+    returns the acceleration a from L_vv a = L_x - L_vx v (Euler–Lagrange);
+    for a 2-homogeneous L it is -Γ^k_ij v^i v^j, where the Cartan terms
+    cancel.  A singular L_vv raises SignatureError.
+
+    The build fixes what no state changes: the caps-(1, 2) (x | v) jet
+    context, its seed template and masks, and one gather of
+    (L_x, L_vx, L_vv).  A call copies the template, stores y in its value
+    column, evaluates L once and reads the three blocks off one gather,
+    the bits of seeding (x | v) with `jets.variables` and reading the
+    blocks with `jets.derivative_tensor`."""
+    n = L.dim
+    ctx = jets._context(2 * n, 2, (0,) * n + (1,) * n, (1, 2))
+    template = ctx.seeds()
+    masks = [1 << g for g in ctx.groups]
+    i1, s1 = ctx.gather(tuple(range(n)), 1)
+    i2, s2 = ctx.gather(tuple(range(2 * n)), 2)
+    # L_x, then the rows v of the (x | v) Hessian: (L_vx | L_vv)
+    idx = np.concatenate([i1, i2[2 * n * n:]])
+    scale = np.concatenate([s1, s2[2 * n * n:]])
+
+    def spray(y):
+        c = template.copy()
+        c[:, 0] = y
+        seeds = [jets.Jet(ctx, c[j], masks[j]) for j in range(2 * n)]
+        w = jets._call(L, seeds[:n], seeds[n:])
+        d = (w.c[idx] * scale if isinstance(w, jets.Jet)
+             else np.zeros(len(idx)))
+        rows = d[n:].reshape(n, 2 * n)
+        try:
+            return np.linalg.solve(rows[:, n:], d[:n] - rows[:, :n] @ y[n:])
+        except np.linalg.LinAlgError as e:
+            raise SignatureError("L_vv is singular at x=%r"
+                                 % (y[:n].tolist(),)) from e
+
+    return spray
 
 
 def _value_or_nan(L, x, v):
@@ -571,13 +595,16 @@ def _value_or_nan(L, x, v):
 def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
     """Integrate the spray `_spray` from (x0, v0) over t_span.
 
-    `ode.dop853` integrates at rtol = atol = ``tol``, and the path is its
-    dense solution at ``n_samples`` evenly spaced times, up to the end
-    the integration reached; where the spray fails its right-hand side is
-    NaN, and the integrator stops when its step size has shrunk to nothing
-    or its step budget has run out, the reason then naming the budget and
-    the t reached.  A ``tol`` below 100 machine epsilons stops it before
-    the first step, and the path is then (x0, v0) only.
+    The spray of L is built once, and every right-hand side of the
+    integration calls it, the dense-output stages of the steps read
+    included.  `ode.dop853` integrates at rtol = atol = ``tol``, and the
+    path is its dense solution at ``n_samples`` evenly spaced times, up
+    to the end the integration reached; where the spray fails its
+    right-hand side is NaN, and the integrator stops when its step size
+    has shrunk to nothing or its step budget has run out, the reason then
+    naming the budget and the t reached.  A ``tol`` below 100 machine
+    epsilons stops it before the first step, and the path is then
+    (x0, v0) only.
 
     Only (x0, v0) is tested against the cone.  One L evaluation per
     returned sample, all in one stacked `Lagrangian.value` call, gives its
@@ -592,9 +619,11 @@ def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
     n = len(x0)
     l0 = L.check_admissible(x0, v0, closed=True).value
 
+    spray = _spray(L)
+
     def rhs(t, y):
         try:
-            return np.concatenate([y[n:], _spray(L, y[:n], y[n:])])
+            return np.concatenate([y[n:], spray(y)])
         except (EvaluationError, SignatureError):
             return np.full(2 * n, np.nan)
 

@@ -91,6 +91,16 @@ def homothety_residual(L, N, omega, samples, tol=1e-9):
     sample the bits of its own evaluation; a failing sample raises with
     its point named (`jets.in_blocks`).
     """
+    return _omega_row(L, N, omega, samples, (), tol)[0]
+
+
+def _omega_row(L, N, omega, samples, us, tol=1e-9):
+    """The Omega table's row at ``omega``: the `homothety_residual` report
+    at ``samples``, and the off-block row on the ray points x0 = ``us``
+    (None without them): the largest |g_w| on (e1, e_a), a >= 2, and on
+    (e1, e1), at N.  L_w is built once, and one stacked
+    `fundamental_tensor` of it takes the samples and the ray points
+    together, each lane the bits of its own evaluation."""
     if isinstance(N, (list, tuple, np.ndarray)):
         nvec0 = np.asarray(N, dtype=float)
     else:
@@ -105,18 +115,29 @@ def homothety_residual(L, N, omega, samples, tol=1e-9):
                        "jacobian": [float(a) for a in jd]})
     rep.add("dx0*dx1 bookkeeping", abs(jd[0] * jd[1] - omega ** 2), 0.0)
     ps = np.asarray(samples, dtype=float).reshape(-1, n)
+    k = len(ps)
     pms = ps * jd
     pms[:, 0] = ps[:, 0]
-    ones = np.ones((len(ps), 1))
+    ones = np.ones((k, 1))
     gs = fundamental_tensor(L, pms, ones * nvec0).matrix
-    gws = fundamental_tensor(Lw, ps, ones * (nvec0 / jd)).matrix
-    for idx, (g, gw) in enumerate(zip(gs, gws)):
+    ray = np.zeros((len(us), n))
+    ray[:, 0] = us
+    gws = fundamental_tensor(
+        Lw, np.concatenate([ps, ray]),
+        np.concatenate([ones * (nvec0 / jd), np.ones((len(us), 1)) * nvec0])
+    ).matrix
+    for idx, (g, gw) in enumerate(zip(gs, gws[:k])):
         lhs = np.outer(jd, jd) * g
         rhs = omega ** 2 * gw
         scale = max(1.0, float(np.max(np.abs(lhs))))
         res = float(np.max(np.abs(lhs - rhs))) / scale
         rep.add("sample %d: homothety" % idx, res, tol)
-    return rep
+    if not len(us):
+        return rep, None
+    gw = gws[k:]
+    return rep, {"omega": float(omega),
+                 "g1a": float(np.max(np.abs(gw[:, 1, 2:]))),
+                 "g11": float(np.max(np.abs(gw[:, 1, 1])))}
 
 
 # -- profiles ------------------------------------------------------------------
@@ -375,7 +396,9 @@ def _propagate(rosen, u0, targets, first_wall):
     each side: a diagonal h gives W = 0, so one panel can span a dip of
     positivity.  `first_wall` walks each side's points of a level outward
     from u0, given the smallest eigenvalue of h at each; a wall it finds
-    truncates its side there, and that side starts over.
+    truncates its side there, and that side starts over from the one
+    panel (u0, wall) at the next level, while the other side's panels go
+    on from the nodes this level evaluated.
     """
     m = rosen.dim
     walls = [None, None]
@@ -397,26 +420,27 @@ def _propagate(rosen, u0, targets, first_wall):
         scans = []
         h, hd, _ = rosen.triples(points)
         lam, q = np.linalg.eigh(h)
-        cut = False
+        cut = [False, False]
         for side, upper in enumerate((False, True)):
             on = (points > u0) == upper
             order = np.argsort(np.abs(points[on] - u0))
             wall = first_wall(points[on][order], lam[on, 0][order])
-            if wall is None:
-                continue
-            cut = True
-            walls[side] = wall
-            pending = [p for p in pending if (p[1] > p[0]) != upper]
-            done = [p for p in done if (p[1] > p[0]) != upper]
-            pending.append((u0, wall, None))
-        if cut:
-            continue
+            if wall is not None:
+                cut[side] = True
+                walls[side] = wall
+                done = [p for p in done if (p[1] > p[0]) != upper]
+        # the steps of an uncut side go on from this level's nodes; a cut
+        # side starts over from its fresh panel (u0, wall)
+        live = ~np.array(cut)[(stops > starts).astype(int)]
         k = len(nodes)
-        sinv, sd = _sqrt_derivs(lam[:k], q[:k], hd[:k])
+        at = np.repeat(live, len(_GL_C))
+        sinv, sd = _sqrt_derivs(lam[:k][at], q[:k][at], hd[:k][at])
         phis = iter(_gauss_step(
-            _skew(sinv @ sd).reshape(len(steps), len(_GL_C), m, m), span))
+            _skew(sinv @ sd).reshape(-1, len(_GL_C), m, m), span[live]))
         split = []
         for a, b, phi in pending:
+            if cut[int(b > a)]:
+                continue
             mid = 0.5 * (a + b)
             phi = next(phis) if phi is None else phi
             left, right = next(phis), next(phis)
@@ -425,7 +449,8 @@ def _propagate(rosen, u0, targets, first_wall):
                 done += halves
             else:
                 split += halves
-        pending = split
+        pending = split + [(u0, walls[side], None)
+                           for side in (0, 1) if cut[side]]
     return done, walls
 
 
@@ -605,25 +630,23 @@ def penrose_limit(L, N, u_interval, omegas=(0.5, 0.1), tol=1e-9):
     to zero and the Omega-weighted entries drop, leaving the transverse
     block h(x0).  The Omega table in the result quantifies the homothety
     relation at the requested values; the Rosen profile is converted to
-    Brinkmann form on the same interval.  Per omega, the table takes its
-    homothety samples from `homothety_residual` and the off-block rows
-    g_w(e1, .) on the ray from one stacked `fundamental_tensor` over the
-    ray points (`_offblock`).
+    Brinkmann form on the same interval.  The chart template is checked
+    at the ray's ends and midpoint in one stacked `lightlike_form_check`.
+    Per omega, one row of the table (`_omega_row`) gives the homothety
+    samples and the off-block rows g_w(e1, .) on the ray, from one
+    stacked `fundamental_tensor` of L at the mapped samples and one of
+    L_w at the samples and the ray points together.
     """
     lo, hi = float(u_interval[0]), float(u_interval[1])
     n = L.dim
     nvec = as_vector_field(N)([0.0] * n)
 
-    def ray_point(u):
-        p = np.zeros(n)
-        p[0] = float(u)
-        return p
-
-    for u in (lo, 0.5 * (lo + hi), hi):
-        chart = lightlike_form_check(L, nvec, ray_point(u))
+    ends = np.zeros((3, n))
+    ends[:, 0] = (lo, 0.5 * (lo + hi), hi)
+    for p, chart in zip(ends, lightlike_form_check(L, nvec, ends)):
         if not chart.shape_ok:
             raise ChartError("chart template fails on the base ray at "
-                             "x0=%g" % u)
+                             "x0=%g" % p[0])
 
     rosen = _RayProfile(L, nvec)
     grid = np.linspace(lo, hi, 41)
@@ -639,29 +662,16 @@ def penrose_limit(L, N, u_interval, omegas=(0.5, 0.1), tol=1e-9):
     samples = [np.concatenate([[u], 0.25 * np.ones(n - 1)])
                for u in subgrid]
     for w in omegas:
-        rep = homothety_residual(L, nvec, w, samples, tol=tol)
+        rep, row = _omega_row(L, nvec, w, samples, subgrid, tol=tol)
         resids.append({"omega": float(w),
                        "max_residual": rep.max_residual("sample"),
                        "pass": rep.passed})
-        offblock.append(_offblock(L, nvec, w, subgrid))
+        offblock.append(row)
 
     u0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
     brink = rosen_to_brinkmann(rosen, u0, (lo, hi))
     return PenroseLimitResult(rosen=rosen, brinkmann=brink,
                               homothety_residuals=resids, offblock=offblock)
-
-
-def _offblock(L, nvec, omega, us):
-    """The Omega table's off-block row at ``omega``: the largest |g_w| on
-    (e1, e_a), a >= 2, and on (e1, e1), at N on the ray points x0 = us,
-    from one stacked `fundamental_tensor` of L_w."""
-    ray = np.zeros((len(us), L.dim))
-    ray[:, 0] = us
-    gw = fundamental_tensor(rescaled_lagrangian(L, omega), ray,
-                            np.ones((len(us), 1)) * nvec).matrix
-    return {"omega": float(omega),
-            "g1a": float(np.max(np.abs(gw[:, 1, 2:]))),
-            "g11": float(np.max(np.abs(gw[:, 1, 1])))}
 
 
 def plane_wave_lagrangian(A, u_interval):

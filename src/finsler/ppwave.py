@@ -69,31 +69,36 @@ def lightlike_form_check(L, N, x):
     Only the first row is constrained (g_00 = 0, g_01 = 1, g_0i = 0);
     the g_1i row may be anything.  h is minus the transverse block and
     its positive definiteness is decided by leading principal minors.
-    Report-style: a failing template is a result, not an error.
+    Report-style: a failing template is a result, not an error.  x is
+    one point, or a (B, n) stack of points, which gives a list of B
+    reports from one stacked `fundamental_tensor`, each the report of
+    its point alone.
     """
     N = as_vector_field(N)
-    x = np.asarray(x, dtype=float)
-    n = L.dim
-    nvec = np.asarray(N(x), dtype=float)
-    g = fundamental_tensor(L, x, nvec).matrix
-    scale = max(1.0, float(np.max(np.abs(g))))
-
+    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    n = xs.shape[1]
+    nvecs = np.array([N(p) for p in xs], dtype=float).reshape(xs.shape)
     e0 = np.zeros(n)
     e0[0] = 1.0
-    residuals = {"N-e0": float(np.max(np.abs(nvec - e0)))}
-    residuals["g00"] = abs(float(g[0, 0]))
-    residuals["g01"] = abs(float(g[0, 1]) - 1.0)
-    for a in range(2, n):
-        residuals["g0%d" % a] = abs(float(g[0, a]))
-    shape_ok = max(residuals.values()) <= _CHART_TOL * scale
+    reps = []
+    for p, nvec, g in zip(xs, nvecs,
+                          fundamental_tensor(L, xs, nvecs).matrix):
+        scale = max(1.0, float(np.max(np.abs(g))))
+        residuals = {"N-e0": float(np.max(np.abs(nvec - e0)))}
+        residuals["g00"] = abs(float(g[0, 0]))
+        residuals["g01"] = abs(float(g[0, 1]) - 1.0)
+        for a in range(2, n):
+            residuals["g0%d" % a] = abs(float(g[0, a]))
+        shape_ok = max(residuals.values()) <= _CHART_TOL * scale
 
-    h = -g[2:, 2:]
-    minors = leading_minors(h).tolist()
-    h_posdef = all(m > 0.0 for m in minors)
-    return LightlikeChartReport(x=x, g=g, shape_ok=bool(shape_ok),
-                                h_block=h, h_posdef=bool(h_posdef),
-                                residuals=residuals, minors=minors,
-                                tol=_CHART_TOL)
+        h = -g[2:, 2:]
+        minors = leading_minors(h).tolist()
+        h_posdef = all(m > 0.0 for m in minors)
+        reps.append(LightlikeChartReport(
+            x=p, g=g, shape_ok=bool(shape_ok), h_block=h,
+            h_posdef=bool(h_posdef), residuals=residuals, minors=minors,
+            tol=_CHART_TOL))
+    return reps if np.ndim(x) == 2 else reps[0]
 
 
 # -- parallelism criterion --------------------------------------------------

@@ -14,6 +14,10 @@ generator with a zero vector and two stores of its own: the references
 of `jets.Jet._series`, which stops at the degree cap of its argument's
 support, and of `jets.variables`, which seeds from a cached template.
 `full_randers` is `RandersNorm._from_coeffs` with no term skipped.
+`per_point_spray` is the geodesic spray as one call per point, seeding
+(x | v) with `jets.variables` and reading L_x and the (x | v) Hessian
+with two `jets.derivative_tensor` reads: the reference of
+`connection._spray`, which builds its seeds and its one gather once.
 
 `scipy_expm` takes scipy's Padé exponential of each matrix of a stack, the
 oracle of the in-house `quotient._expm`.
@@ -71,6 +75,7 @@ from finsler.connection import (
     torsion_residual,
 )
 from finsler.curvature import chern_curvature, nperp_basis
+from finsler.errors import SignatureError
 from finsler.jets import Jet
 from finsler.penrose import _jacobian_diag, rescaled_lagrangian
 from finsler.report import Report
@@ -163,6 +168,22 @@ def full_randers(A, b, v):
     for i in range(n):
         beta = beta + b[i] * v[i]
     return jets.sqrt(alpha2) + beta
+
+
+def per_point_spray(L, x, v):
+    """The acceleration a from L_vv a = L_x - L_vx v at one point (x, v),
+    from one (x | v) jet with caps (1, 2) seeded by `jets.variables`."""
+    n = len(v)
+    _, seeds = jets.variables(list(x) + list(v), 2, (0,) * n + (1,) * n,
+                              (1, 2))
+    w = jets._call(L, seeds[:n], seeds[n:])
+    d2 = jets.derivative_tensor(w, range(2 * n), 2)
+    force = jets.derivative_tensor(w, range(n), 1) - d2[n:, :n] @ v
+    try:
+        return np.linalg.solve(d2[n:, n:], force)
+    except np.linalg.LinAlgError as e:
+        raise SignatureError("L_vv is singular at x=%r"
+                             % (np.asarray(x).tolist(),)) from e
 
 
 def dense_koszul_solve(g, C, v, R):

@@ -568,8 +568,8 @@ def test_penrose_evaluates_the_ray_jet_on_batches(tmp_path, capsys,
 
 def test_penrose_config_stacks_the_omega_table(tmp_path, monkeypatch):
     # per omega, one stacked fundamental_tensor for L at the mapped
-    # homothety samples, one for L_w at the samples and one for L_w on the
-    # ray; the chart check takes one at each of 3 ray points
+    # homothety samples and one for L_w at the samples and on the ray
+    # together; the chart check takes one at its 3 ray points
     from finsler import tensors
     shapes = []
     real = tensors.fundamental_tensor
@@ -585,7 +585,7 @@ def test_penrose_config_stacks_the_omega_table(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = ROOT / "configs" / "penrose_cos2.json"
     assert main(["penrose", "--config", str(path)]) == 0
-    assert sorted(shapes) == [(4,)] * 3 + [(5, 4)] * 6
+    assert sorted(shapes) == [(3, 4)] + [(5, 4)] * 2 + [(10, 4)] * 2
 
 
 def test_geodesic_stopped_before_first_sample():

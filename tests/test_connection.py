@@ -7,6 +7,7 @@ itself.
 """
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,9 +47,11 @@ from finsler.lagrangian import (
     build_minkowski,
     catalog,
 )
+from finsler.cli import main
 from finsler.report import fmt_float
-from helpers import dense_koszul_solve
+from helpers import dense_koszul_solve, per_point_spray
 
+ROOT = Path(__file__).resolve().parents[1]
 RNG = np.random.default_rng(23)
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -525,7 +528,7 @@ def test_spray_is_the_christoffel_contraction(name):
     for _ in range(3):
         x = rng.uniform(-0.6, 0.6, L.dim)
         for v in L.sample_admissible(x, rng, count=2):
-            a = _spray(L, x, v)
+            a = _spray(L)(np.concatenate([x, v]))
             gam = christoffel(L, VectorField.constant(v), x).gamma
             want = -np.einsum("kij,i,j->k", gam, v, v)
             scale = max(1.0, float(np.max(np.abs(want))))
@@ -542,8 +545,104 @@ def test_spray_raises_on_a_singular_l_vv():
                (3, 3): -1.0}
     L = QuadraticLagrangian(entries, 4, [1.0, 1.0, 0.0, 0.0], name="wall")
     with pytest.raises(SignatureError):
-        _spray(L, np.array([0.0, 1.0, 0.0, 0.0]),
-               np.array([1.0, 1.0, 0.5, 0.0]))
+        _spray(L)(np.array([0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.5, 0.0]))
+
+
+SPRAY_MODELS = {**{name: (lambda name=name: catalog()[name])
+                    for name in catalog()},
+                 **fixtures.BUILDERS}
+
+
+def spray_states(L, rng, points=4, count=3):
+    """States (x | v) at ``points`` random x, with ``count`` admissible v
+    drawn at each."""
+    states = []
+    for _ in range(points):
+        x = rng.uniform(-0.5, 0.5, L.dim)
+        for v in L.sample_admissible(x, rng, count=count):
+            states.append(np.concatenate([x, v]))
+    return states
+
+
+@pytest.mark.parametrize("name", sorted(SPRAY_MODELS))
+def test_spray_is_bitwise_the_per_point_spray(name):
+    L = SPRAY_MODELS[name]()
+    spray = _spray(L)
+    n = L.dim
+    for y in spray_states(L, np.random.default_rng(29)):
+        want = per_point_spray(L, y[:n], y[n:])
+        assert spray(y).tobytes() == want.tobytes()
+
+
+def test_spray_copies_its_template_on_every_call():
+    # a call leaves nothing behind for the next one: the same state gives
+    # the same bits before and after another state, the sprays of two
+    # models called in turn give their own bits, and the seeds one call
+    # hands to L keep their values through the calls after it
+    rng = np.random.default_rng(31)
+    base, K = _default_ppwave_example(), fixtures.rosen_cross()
+    seen = []
+
+    def recording(x, v):
+        seen.append(list(x) + list(v))
+        return base(x, v)
+
+    L = Lagrangian(recording, 4, base.cone_ref_at, name="recording")
+    spray, other = _spray(L), _spray(K)
+    p, q = spray_states(base, rng, points=2, count=1)
+    r, = spray_states(K, rng, points=1, count=1)
+    seen.clear()
+    first = spray(p).tobytes()
+    assert spray(q).tobytes() != first
+    assert spray(p).tobytes() == first
+    want = [per_point_spray(M, y[:4], y[4:]).tobytes()
+            for M, y in ((base, p), (K, r), (base, q), (K, r))]
+    assert [spray(p).tobytes(), other(r).tobytes(), spray(q).tobytes(),
+            other(r).tobytes()] == want
+    assert [[s.value for s in seeds] for seeds in seen] == [
+        y.tolist() for y in (p, q, p, p, q)]
+
+
+def counted_sprays(monkeypatch):
+    """Spy on `connection._spray`: the list its sprays log a call to."""
+    calls = []
+    build = connection._spray
+
+    def spy(L):
+        spray = build(L)
+
+        def counted(y):
+            calls.append(1)
+            return spray(y)
+
+        return counted
+
+    monkeypatch.setattr(connection, "_spray", spy)
+    return calls
+
+
+def test_spray_calls_of_the_wall_geodesic(monkeypatch):
+    # the geodesic of test_geodesic_truncates_when_the_metric_degenerates
+    calls = counted_sprays(monkeypatch)
+    entries = {(0, 1): 1.0,
+               (2, 2): lambda x: -(1.0 - x[1] * x[1]),
+               (3, 3): -1.0}
+    L = QuadraticLagrangian(entries, 4, [1.0, 1.0, 0.0, 0.0], name="wall")
+    path = geodesic(L, np.zeros(4), np.array([1.0, 1.0, 0.8, 0.0]),
+                    (0.0, 1.5), n_samples=100)
+    assert path.truncated
+    assert len(calls) == 16700
+
+
+def test_spray_calls_of_a_focal_ray(monkeypatch, tmp_path):
+    # the example focal config: the rosen_cos2 ray from the origin along
+    # e0 over [0, 2.5], its 240 samples and focal scan read off the
+    # dense solution
+    calls = counted_sprays(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    path = ROOT / "configs" / "focal_cos2.json"
+    assert main(["focal", "--config", str(path)]) == 0
+    assert len(calls) == 47
 
 
 @pytest.mark.parametrize("model", [

@@ -31,9 +31,10 @@ def counted(fun):
 
 def spray_rhs(L):
     n = L.dim
+    spray = _spray(L)
 
     def rhs(t, y):
-        return np.concatenate([y[n:], _spray(L, y[:n], y[n:])])
+        return np.concatenate([y[n:], spray(y)])
 
     return rhs
 

@@ -90,7 +90,8 @@ def test_homothety_finsler_model():
                                    lg._default_parallel_example])
 def test_omega_table_is_the_per_sample_bits(build, omega, n):
     # the stacked homothety samples and off-block rows against one scalar
-    # fundamental_tensor per sample; 33 samples cross jets.LANE_BLOCK
+    # fundamental_tensor per sample; 33 samples cross jets.LANE_BLOCK, and
+    # so do the 2 x 33 lanes of L_w at the samples and the ray points
     L = build()
     rng = np.random.default_rng(n)
     us = np.linspace(-1.0, 1.2, n)
@@ -98,8 +99,9 @@ def test_omega_table_is_the_per_sample_bits(build, omega, n):
     got = penrose.homothety_residual(L, E0, omega, samples)
     assert got.to_json() == per_sample_homothety(L, E0, omega,
                                                  samples).to_json()
-    assert penrose._offblock(L, E0, omega, us) == per_sample_offblock(
-        L, E0, omega, us)
+    rep, row = penrose._omega_row(L, E0, omega, samples, us)
+    assert rep.to_json() == got.to_json()
+    assert row == per_sample_offblock(L, E0, omega, us)
 
 
 def test_homothety_of_no_samples_is_the_bookkeeping_alone():
@@ -371,6 +373,39 @@ def test_first_level_carries_both_wall_scans(monkeypatch, triple):
     assert all(k % 8 == 0 for k in sizes[1:])
     if triple is cos2_triple:   # W = 0: the first level converges
         assert sizes == [280]
+
+
+def test_a_cut_evaluates_only_the_fresh_panel_of_its_side(monkeypatch):
+    # cos^2 meets its wall at pi/2 on the first level's upper scan; the
+    # lower side's panels go on from that level's nodes, so the next
+    # level holds only the 12 nodes of the fresh upper panel (0, wall)
+    # and its halves
+    sizes = []
+    triples = RosenProfile.triples
+
+    def spy(self, us):
+        sizes.append(len(us))
+        return triples(self, us)
+
+    monkeypatch.setattr(RosenProfile, "triples", spy)
+    bp = penrose.rosen_to_brinkmann(cos2_triple, 0.0, (-1.0, 2.2))
+    assert bp.truncated
+    assert abs(bp.u_interval[1] - np.pi / 2) <= 1e-3
+    assert sizes == [280, 12]
+
+
+@pytest.mark.parametrize("c", [76.5 / 128, -76.5 / 128],
+                         ids=["upper", "lower"])
+def test_the_uncut_side_is_its_side_converted_alone(c):
+    # a wall on one side moves no bit of the other side's panels
+    both = penrose.rosen_to_brinkmann(narrow_dip_triple(c), 0.0, (-1.0, 1.0))
+    uncut = 0 if c > 0 else 1
+    interval = [0.0, 0.0]
+    interval[uncut] = (-1.0, 1.0)[uncut]
+    alone = penrose.rosen_to_brinkmann(narrow_dip_triple(c), 0.0, interval)
+    assert len(both.sides[uncut][0]) > 2
+    for got, want in zip(both.sides[uncut], alone.sides[uncut]):
+        assert got.tobytes() == want.tobytes()
 
 
 def dip_triple(u, at=float(penrose._GL_C[0]), width=5e-4, depth=1.5):

@@ -99,6 +99,26 @@ def test_template_report_serializes():
     assert all(type(m) is float for m in rep.minors)
 
 
+@pytest.mark.parametrize("n", [3, jets.LANE_BLOCK + 1])
+@pytest.mark.parametrize("build", [fixtures.rosen_cross, fixtures.linear_wall,
+                                   lg.build_minkowski,
+                                   lg._default_parallel_example])
+def test_template_on_a_stack_is_the_template_at_each_point(build, n):
+    # one stacked fundamental_tensor; every report is that of its point
+    # alone, bit for bit, failing templates included
+    L = build()
+    xs = np.random.default_rng(n).uniform(-0.9, 0.9, (n, 4))
+    reps = ppwave.lightlike_form_check(L, E0, xs)
+    assert len(reps) == n
+    for x, rep in zip(xs, reps):
+        want = ppwave.lightlike_form_check(L, E0, x)
+        assert rep.g.tobytes() == want.g.tobytes()
+        assert rep.x.tobytes() == want.x.tobytes()
+        assert rep.h_block.tobytes() == want.h_block.tobytes()
+        assert (rep.residuals, rep.minors, rep.shape_ok, rep.h_posdef) == (
+            want.residuals, want.minors, want.shape_ok, want.h_posdef)
+
+
 @settings(max_examples=25, deadline=None)
 @given(u=st.floats(-1.2, 1.2), x2=st.floats(-0.5, 0.5))
 def test_rosen_template_holds_everywhere(u, x2):
