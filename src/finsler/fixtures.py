@@ -90,6 +90,22 @@ def curved_null_control(k=1.0):
     return QuadraticLagrangian(entries, 4, _REF, name="curved-null-control")
 
 
+def conformal_bump(c=0.8):
+    """A parallel lightlike e0 over a conformally flat transverse plane.
+
+    L = 2 v0 v1 - e^{2 phi} (|v2|^2 + |v3|^2) with phi = c (x2)^2 (x3)^2.
+    The transverse surface has Gauss curvature K = -e^{-2 phi} Delta phi,
+    which depends on both x2 and x3, so by Gauss-Bonnet the quotient
+    holonomy of a rectangle in the (x2, x3) plane is the rotation by
+    theta = -(double integral of Delta phi dx2 dx3) in closed form.
+    """
+    def w(x):
+        return -jets.exp(2.0 * c * x[2] ** 2 * x[3] ** 2)
+
+    entries = {(0, 1): 1.0, (2, 2): w, (3, 3): w}
+    return QuadraticLagrangian(entries, 4, _REF, name="conformal-bump")
+
+
 def broken_parallel(eps=0.1):
     """g_22 drifts linearly in x0: the parallelism criterion fails with
     residual eps."""
@@ -117,6 +133,7 @@ BUILDERS = {
     "rosen_cross": rosen_cross,
     "linear_wall": linear_wall,
     "curved_null_control": curved_null_control,
+    "conformal_bump": conformal_bump,
     "broken_parallel": broken_parallel,
     "broken_homogeneity": broken_homogeneity,
 }

@@ -20,6 +20,11 @@ steps.
 without Derivatives*, 1973, ch. 4), iterate for iterate scipy's
 ``brentq`` with its ``xtol`` and its default ``rtol`` and ``maxiter``.
 
+`_gauss_step` is the propagator of a linear equation Y' = -W(t) Y over
+one step: 4-stage Gauss-Legendre collocation (order 8), batched over
+lanes, from W at the step's 4 Gauss nodes `_GL_C`.  The Penrose
+O-equation takes it per panel and the quotient holonomy per loop piece.
+
 `dop853` (with the ``fun`` and ``event`` it calls, unless they set their
 own error state, as `jets._call` does) and its dense solution run under
 ``np.errstate(all="ignore")``: overflow and NaN pass without a warning,
@@ -502,3 +507,35 @@ def brent(f, a, b, xtol):
         fcur = value(xcur)
     raise SolverError("the root finder did not converge in %d iterations"
                       % _BRENT_MAXITER)
+
+
+# -- Gauss-Legendre collocation for linear equations ------------------------------
+# 4-stage Gauss-Legendre collocation (order 8): nodes c, weights b and
+# the collocation matrix a (a c^(k-1) = c^k / k for k = 1..4), whose rows
+# integrate the Lagrange basis on c
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
+_GL_C = 0.5 * (_GL_X + 1.0)
+_GL_B = 0.5 * _GL_W
+_GL_A = np.linalg.solve(
+    np.vander(_GL_C, 4, increasing=True).T,
+    (_GL_C[:, None] ** np.arange(1, 5) / np.arange(1, 5)).T).T
+
+
+def _gauss_step(w, step):
+    """Propagators of the linear equation Y' = -W Y from the identity over
+    ``step``: one Gauss collocation step per lane, from W at its nodes
+    t0 + c_i step, shape (B, 4, m, m), and ``step`` of shape (B,).
+
+    The stage values Y_i = I - step sum_j a_ij W_j Y_j are one
+    (4m) x (4m) linear solve, and Phi = I - step sum_i b_i W_i Y_i.  A
+    skew W gives an orthogonal Phi to roundoff.
+    """
+    lanes, s, m, _ = w.shape
+    blocks = (step[:, None, None, None, None] * _GL_A[:, :, None, None]
+              * w[:, None])
+    lhs = (blocks.transpose(0, 1, 3, 2, 4).reshape(lanes, s * m, s * m)
+           + np.eye(s * m))
+    y = np.linalg.solve(lhs, np.broadcast_to(np.tile(np.eye(m), (s, 1)),
+                                             (lanes, s * m, m)))
+    kick = (_GL_B[:, None, None] * (w @ y.reshape(lanes, s, m, m))).sum(1)
+    return np.eye(m) - step[:, None, None] * kick

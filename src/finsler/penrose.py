@@ -14,7 +14,8 @@ on a whole grid of u at once (a batched jet, one lane per u): the
 positivity grid, each refinement level of the O-equation, the vielbein
 conditions and the CSV rows.  The O-equation O' = -W(u) O is linear and
 its coefficient depends on u only, so it needs no sequential integrator:
-independent Gauss collocation propagators per panel, bisected level by
+independent Gauss collocation propagators per panel (`ode._gauss_step`,
+which the quotient holonomy's transport shares), bisected level by
 level, take W on every node of a level from one batched jet, and O(u) on
 a grid is one partial Gauss step per u from its panel's edge, batched
 with the grid.  The same batches find the walls where h loses
@@ -32,6 +33,7 @@ from . import jets, ode
 from .connection import as_vector_field
 from .errors import ChartError, SignatureError, SolverError
 from .lagrangian import Lagrangian, QuadraticLagrangian
+from .ode import _GL_C, _gauss_step
 from .ppwave import dips, lightlike_form_check, touch_root
 from .report import Report, csv_text
 from .tensors import fundamental_tensor
@@ -348,16 +350,6 @@ def _skew(k):
     return 0.5 * (k - np.swapaxes(k, -1, -2))
 
 
-# 4-stage Gauss-Legendre collocation (order 8): nodes c, weights b and
-# the collocation matrix a (a c^(k-1) = c^k / k for k = 1..4), whose rows
-# integrate the Lagrange basis on c
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
-_GL_C = 0.5 * (_GL_X + 1.0)
-_GL_B = 0.5 * _GL_W
-_GL_A = np.linalg.solve(
-    np.vander(_GL_C, 4, increasing=True).T,
-    (_GL_C[:, None] ** np.arange(1, 5) / np.arange(1, 5)).T).T
-
 # a panel's propagator is accepted when it agrees with the product of its
 # two halves to this (absolute, entrywise) tolerance; the halves are kept
 _PANEL_TOL = 1e-10
@@ -365,25 +357,6 @@ _PANEL_TOL = 1e-10
 # bounds a level's batch (8 lanes a panel), and ends a refinement that
 # never converges (W not finite)
 _MAX_PANELS = 1024
-
-
-def _gauss_step(w, step):
-    """Propagators of O' = -W O from the identity over ``step``: one Gauss
-    collocation step per lane, from W at its nodes, shape (B, 4, m, m).
-
-    The stage values Y_i = I - step sum_j a_ij W_j Y_j are one
-    (4m) x (4m) linear solve; Phi = I - step sum_i b_i W_i Y_i is
-    orthogonal to roundoff because W is skew.
-    """
-    lanes, s, m, _ = w.shape
-    blocks = (step[:, None, None, None, None] * _GL_A[:, :, None, None]
-              * w[:, None])
-    lhs = (blocks.transpose(0, 1, 3, 2, 4).reshape(lanes, s * m, s * m)
-           + np.eye(s * m))
-    y = np.linalg.solve(lhs, np.broadcast_to(np.tile(np.eye(m), (s, 1)),
-                                             (lanes, s * m, m)))
-    kick = (_GL_B[:, None, None] * (w @ y.reshape(lanes, s, m, m))).sum(1)
-    return np.eye(m) - step[:, None, None] * kick
 
 
 def _propagate(rosen, u0, targets, first_wall):

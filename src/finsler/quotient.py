@@ -6,8 +6,10 @@ transverse blocks negative in this signature, the quotient metric is
 gbar([X],[Y]) = -g_N(X,Y), which is the positive-definite object the
 flatness statement is about: the induced connection [nabla_W Y] is flat
 precisely on pp-waves, and a small-loop holonomy defect measures the
-curvature component otherwise.  The transport solves the symbols at the
-midpoints of all its pieces in one stacked `christoffel` call.
+curvature component otherwise.  The transport cuts the loop into pieces
+and takes one Gauss collocation step (`ode._gauss_step`, the propagator
+of the Penrose O-equation too) per piece; the symbols at the 4 Gauss
+nodes of all pieces come from one stacked `christoffel` call.
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ import numpy as np
 
 from .connection import as_vector_field, christoffel
 from .errors import ChartError, ConstructionError, SignatureError, SolverError
+from .ode import _GL_C, _gauss_step
 from .tensors import fundamental_tensor, leading_minors
 
 __all__ = ["QuotientFrame", "quotient_metric", "rectangle_loop",
@@ -92,35 +95,6 @@ def rectangle_loop(base, i, j, side_i, side_j=None):
     return np.array([base, base + ei, base + ei + ej, base + ej, base])
 
 
-# Taylor degree of `_expm` and its bound on the scaled 1-norm
-_EXPM_DEGREE = 18
-_EXPM_THETA = 1.0
-
-
-def _expm(A):
-    """exp of every matrix of the stack ``A[..., n, n]``.
-
-    Scaling and squaring (Higham, "The scaling and squaring method for the
-    matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005)
-    around the degree-18 Taylor polynomial, evaluated by Horner's rule:
-    each matrix is scaled by the least power of two 2^s with
-    ||A / 2^s||_1 <= 1, so the truncated tail, bounded by 1/19! (8e-18),
-    stays under roundoff, and each matrix is squared s times.
-    """
-    A = np.asarray(A, dtype=float)
-    norm = np.max(np.sum(np.abs(A), axis=-2), axis=-1)
-    s = np.maximum(np.frexp(norm / _EXPM_THETA)[1], 0)
-    X = A / np.ldexp(1.0, s)[..., None, None]
-    eye = np.eye(A.shape[-1])
-    E = eye + X / _EXPM_DEGREE
-    for k in range(_EXPM_DEGREE - 1, 0, -1):
-        E = eye + (X @ E) / k
-    for k in range(int(np.max(s, initial=0))):
-        more = s > k
-        E[more] = E[more] @ E[more]
-    return E
-
-
 def _pieces(vertices, n_segments):
     """Start and end points of the transport pieces of a closed polyline:
     each edge is cut into equal pieces, about ``n_segments`` in all in
@@ -145,46 +119,44 @@ def _pieces(vertices, n_segments):
     return np.concatenate(starts), np.concatenate(ends)
 
 
-def _transport_loop(L, N, vertices, columns, levels):
-    """Parallel-transport ``columns`` around the closed polyline once per
-    segment count in ``levels``; returns the transported columns per level.
+def _transport_loop(L, N, vertices, columns, n_segments):
+    """Parallel-transport ``columns`` along the polyline ``vertices`` (a
+    loop closes it), cut into at least ``n_segments`` pieces by `_pieces`.
 
-    Every piece is transported by the exponential of minus its midpoint
-    generator Γ(mid)·(b - a).  The midpoints of all levels are gathered
-    up front, so the whole transport is one stacked `christoffel` call, one
-    stacked `_expm` and, per level, the ordered product of its pieces.
+    Along the piece x(s) = a + s (b - a), s in [0, 1], the transport solves
+    Y' = -W(s) Y with W = Γ(x(s))·(b - a), and its propagator is one Gauss
+    collocation step (`ode._gauss_step`) over the unit step.  Γ at the 4
+    Gauss nodes of every piece is one stacked `christoffel` call, and the
+    transported columns are the ordered product of the propagators.
+    Overflow passes silently: a transport that overflows is not finite.
     """
-    cuts = [_pieces(vertices, n) for n in levels]
-    if cuts[0] is None:
-        return [columns.copy() for _ in levels]
-    a = np.concatenate([c[0] for c in cuts])
-    b = np.concatenate([c[1] for c in cuts])
-    gamma = christoffel(L, N, 0.5 * (a + b)).gamma
-    steps = _expm(-np.einsum("...kij,...i->...kj", gamma, b - a))
-    out = []
-    lo = 0
-    for start, _ in cuts:
-        Y = columns.copy()
-        for E in steps[lo:lo + len(start)]:
+    cut = _pieces(vertices, n_segments)
+    if cut is None:
+        return columns.copy()
+    a, b = cut
+    pieces, n = a.shape
+    nodes = a[:, None] + _GL_C[:, None] * (b - a)[:, None]
+    gamma = christoffel(L, N, nodes.reshape(-1, n)).gamma
+    Y = columns.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.einsum("pskij,pi->pskj",
+                      gamma.reshape(pieces, len(_GL_C), n, n, n), b - a)
+        for E in _gauss_step(w, np.ones(pieces)):
             Y = E @ Y
-        out.append(Y)
-        lo += len(start)
-    return out
+    return Y
 
 
 def holonomy_defect(L, N, loop, reps, n_segments=64, tol=1e-6):
     """Operator-norm distance from identity of the quotient holonomy.
 
-    The loop is subdivided into at least ``n_segments`` pieces, each
-    transported with the midpoint matrix exponential, and the resulting
-    holonomy matrix is Richardson-extrapolated in the segment count so
-    the reported defect reflects the connection, not the step size.  Both
-    subdivisions (n and 2n pieces) are transported together: one stacked
-    Christoffel solve and one stacked exponential (`_transport_loop`).
-    A transported class drifting out of N^perp means N was not parallel
-    along the loop, which violates the precondition.  N is tested for
-    cone membership at each loop vertex, not at the segment midpoints.
-    A loop whose length overflows a float raises `SolverError`.
+    The loop is cut into at least ``n_segments`` pieces, and each piece
+    is transported by one order-8 Gauss collocation step from Γ at its 4
+    Gauss nodes (`_transport_loop`): one stacked Christoffel solve for the
+    whole loop.  A transported class drifting out of N^perp means N was
+    not parallel along the loop, which violates the precondition.  N is
+    tested for cone membership at each loop vertex, not at the Gauss
+    nodes.  A loop whose length overflows a float, or whose holonomy is
+    not finite, raises `SolverError`.
     """
     N = as_vector_field(N)
     vertices = np.atleast_2d(np.asarray(loop, dtype=float))
@@ -193,22 +165,20 @@ def holonomy_defect(L, N, loop, reps, n_segments=64, tol=1e-6):
     for p in vertices[:-1]:
         L.check_admissible(p, N(p))
     frame = quotient_metric(L, N, vertices[0], reps)
-    cols = frame.reps.T
+    Y = _transport_loop(L, N, vertices, frame.reps.T, n_segments)
+    if not np.all(np.isfinite(Y)):
+        raise SolverError("the holonomy is not finite: the transport "
+                          "overflows along the loop")
 
-    def holonomy(Y):
-        scale = max(1.0, float(np.max(np.abs(frame.g))))
-        w = frame.g @ frame.nvec
-        for k in range(Y.shape[1]):
-            drift = abs(float(w @ Y[:, k])) / max(
-                1.0, float(np.max(np.abs(Y[:, k]))))
-            if drift > tol * scale:
-                raise ChartError("transport left N^perp (drift %.3e): N is "
-                                 "not parallel along the loop" % drift)
-        return np.column_stack([frame.class_coords(Y[:, k])
-                                for k in range(Y.shape[1])])
-
-    h1, h2 = (holonomy(Y) for Y in _transport_loop(
-        L, N, vertices, cols, (n_segments, 2 * n_segments)))
-    hol = (4.0 * h2 - h1) / 3.0
+    scale = max(1.0, float(np.max(np.abs(frame.g))))
+    w = frame.g @ frame.nvec
+    for k in range(Y.shape[1]):
+        drift = abs(float(w @ Y[:, k])) / max(
+            1.0, float(np.max(np.abs(Y[:, k]))))
+        if drift > tol * scale:
+            raise ChartError("transport left N^perp (drift %.3e): N is "
+                             "not parallel along the loop" % drift)
+    hol = np.column_stack([frame.class_coords(Y[:, k])
+                           for k in range(Y.shape[1])])
     eye = np.eye(hol.shape[0])
     return float(np.linalg.norm(hol - eye, 2))

@@ -126,11 +126,13 @@ def leading_minors(h):
     """det h[..., :k, :k] for k = 1, ..., m, stacked on a last axis.
 
     A stack of matrices takes each minor by one stacked `np.linalg.det`,
-    which gives every matrix the bits of its own determinant.
+    which gives every matrix the bits of its own determinant.  Overflow
+    passes silently, as on floats: a minor too large for a float is inf.
     """
     h = np.asarray(h, dtype=float)
-    return np.stack([np.linalg.det(h[..., :k, :k])
-                     for k in range(1, h.shape[-1] + 1)], axis=-1)
+    with np.errstate(over="ignore"):
+        return np.stack([np.linalg.det(h[..., :k, :k])
+                         for k in range(1, h.shape[-1] + 1)], axis=-1)
 
 
 # the scalings of v that the homogeneity identities compare: L at all

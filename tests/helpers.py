@@ -19,9 +19,6 @@ support, and of `jets.variables`, which seeds from a cached template.
 with two `jets.derivative_tensor` reads: the reference of
 `connection._spray`, which builds its seeds and its one gather once.
 
-`scipy_expm` takes scipy's Padé exponential of each matrix of a stack, the
-oracle of the in-house `quotient._expm`.
-
 `scipy_dop853` and `scipy_brentq` run scipy's ``solve_ivp(method="DOP853")``
 and ``brentq``, the oracles of the library's own `finsler.ode`;
 `scipy_dop853_result` hands out scipy's whole result, its count of
@@ -61,7 +58,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.linalg import expm, solve_sylvester
+from scipy.linalg import solve_sylvester
 from scipy.optimize import brentq
 
 from finsler import jets
@@ -206,13 +203,6 @@ def dense_koszul_solve(g, C, v, R):
     X = np.zeros(R.shape[:-3] + (n, n, n))
     X[..., iu, ju] = X[..., ju, iu] = sol.T.reshape(X.shape[:-2] + (len(iu),))
     return X
-
-
-def scipy_expm(stack):
-    """scipy's expm of every matrix of ``stack[..., n, n]``."""
-    stack = np.asarray(stack, dtype=float)
-    flat = stack.reshape((-1,) + stack.shape[-2:])
-    return np.array([expm(a) for a in flat]).reshape(stack.shape)
 
 
 def scipy_dop853(fun, t_span, y0, tol, t_eval=None, event=None):

@@ -30,6 +30,12 @@ TRIANGLE = [[0.0, 0.1, 0.2, -0.1], [0.0, 0.2, 0.2, -0.1],
             [0.0, 0.2, 0.3, -0.1]]
 
 
+def fixture(builder):
+    """The spacetime of the `finsler.fixtures` plug-in ``builder``."""
+    return {"type": "plugin",
+            "params": {"module": "finsler.fixtures", "builder": builder}}
+
+
 def write_config(tmp_path, body, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(body), encoding="utf-8")
@@ -441,6 +447,21 @@ def test_unscannable_inputs_exit_three_without_a_warning(tmp_path, capsys,
                                              [0, 0, 0, 0], [1e200, 0, 0, 0],
                                              [1e200, 1e200, 0, 0]]}}},
                  id="quotient-vertices-1e200"),
+    # the quotient metric's leading minor cosh^4(300) overflows det
+    pytest.param("quotient", {"spacetime": fixture("curved_null_control"),
+                              "params": {"base": [0, 0, 300, 0]}},
+                 id="quotient-minor-overflows"),
+    # loops of side 1e100 whose transport overflows its matrix products
+    pytest.param("quotient", {"spacetime": COS2, "params": {
+        "base": [0.5016027041240549, 0.05666874199415095,
+                 -0.5856348587546525, 0.3547694178451568],
+        "loop": {"plane": [0, 2], "side": 1e100}, "n_segments": 17}},
+                 id="quotient-cos2-side-1e100"),
+    pytest.param("quotient", {"spacetime": fixture("rosen_cross"), "params": {
+        "base": [476.80349998474236, -91.03305950744311,
+                 -154.16300752990853, -499.15987230359815],
+        "loop": {"plane": [2, 0], "side": 1e100}, "n_segments": 4}},
+                 id="quotient-cross-side-1e100"),
     # the solver's own arithmetic overflows: the initial step's norm, the
     # steps of a 1e300 span, the initial step's inf / inf
     pytest.param("geodesic", {"spacetime": BRINKMANN_X2,

@@ -623,7 +623,7 @@ MODELS = sorted(catalog()) + sorted(fixtures.BUILDERS)
 
 @pytest.mark.parametrize("name", MODELS)
 def test_every_jet_is_zero_outside_its_support(monkeypatch, name):
-    assert len(MODELS) == 15
+    assert len(MODELS) == 16
     L = (fixtures.BUILDERS[name]() if name in fixtures.BUILDERS
          else catalog()[name])
     created = []

@@ -7,9 +7,9 @@ from finsler import fixtures, quotient
 from finsler import lagrangian as lg
 from finsler.connection import VectorField, christoffel
 from finsler.curvature import chern_curvature
-from finsler.errors import ChartError, ConstructionError
-from finsler.quotient import _expm, _pieces, _transport_loop
-from helpers import scipy_expm
+from finsler.errors import ChartError, ConstructionError, SolverError
+from finsler.quotient import _transport_loop
+from helpers import scipy_dop853
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 REPS = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
@@ -133,8 +133,8 @@ def test_transport_well_defined_mod_N():
     loop = quotient.rectangle_loop([0.0, 0.0, 0.2, -0.1], 2, 3, 0.05)
     frame = quotient.quotient_metric(L, E0, loop[0], REPS)
     N = VectorField.constant(E0)
-    (y1,) = _transport_loop(L, N, loop, REPS.T, (64,))
-    (y2,) = _transport_loop(L, N, loop, (REPS + 5.0 * E0).T, (64,))
+    y1 = _transport_loop(L, N, loop, REPS.T, 64)
+    y2 = _transport_loop(L, N, loop, (REPS + 5.0 * E0).T, 64)
     c1 = np.column_stack([frame.class_coords(y1[:, k]) for k in range(2)])
     c2 = np.column_stack([frame.class_coords(y2[:, k]) for k in range(2)])
     assert np.max(np.abs(c1 - c2)) <= 1e-8
@@ -144,6 +144,17 @@ def test_transport_well_defined_mod_N():
     assert abs(d1 - d2) <= 1e-8
 
 
+def test_a_transport_that_overflows_has_no_holonomy():
+    # pieces of length 5e99: the ordered product of their propagators
+    # overflows, silently, and the holonomy is not finite
+    L = fixtures.rosen_cross()
+    base = [476.80349998474236, -91.03305950744311, -154.16300752990853,
+            -499.15987230359815]
+    loop = quotient.rectangle_loop(base, 2, 0, 1e100)
+    with pytest.raises(SolverError, match="holonomy is not finite"):
+        quotient.holonomy_defect(L, E0, loop, REPS, n_segments=4)
+
+
 def test_transport_requires_parallel_N():
     L = fixtures.broken_parallel(eps=0.5)
     loop = quotient.rectangle_loop([0.0, 0.0, 0.0, 0.0], 0, 2, 0.4)
@@ -151,61 +162,54 @@ def test_transport_requires_parallel_N():
         quotient.holonomy_defect(L, E0, loop, REPS, tol=1e-8)
 
 
-# -- the stacked matrix exponential ------------------------------------------------
+# -- the transport against independent oracles ---------------------------------
 
-def expm_error(stack):
-    want = scipy_expm(stack)
-    return np.max(np.abs(_expm(stack) - want)) / max(1.0, np.max(np.abs(want)))
+def test_holonomy_is_the_gauss_bonnet_rotation_on_the_conformal_bump():
+    # L = 2 v0 v1 - e^{2 phi} (|v2|^2 + |v3|^2), phi = c y^2 z^2 with
+    # y = x2, z = x3: the transverse plane is conformal to the flat one,
+    # K dA = -(Laplacian of phi) dy dz, and the holonomy of a rectangle
+    # rotates classes by theta = -(its integral), whose defect
+    # ||R(theta) - I||_2 is 2 |sin(theta / 2)|.  The Laplacian 2c (z^2 + y^2)
+    # depends on both coordinates, so opposite edges do not cancel the
+    # step's error
+    c, side = 0.8, 0.5
+    y0, z0 = 0.1, 0.2
+    y1, z1 = y0 + side, z0 + side
+    theta = -2.0 * c * side * ((z1 ** 3 - z0 ** 3) + (y1 ** 3 - y0 ** 3)) / 3.0
+    want = 2.0 * abs(np.sin(theta / 2.0))
+    assert abs(want - 0.14653524521928782) <= 1e-16
 
-
-def scaled(stack, norms):
-    """``stack`` with the 1-norms ``norms``."""
-    own = np.max(np.sum(np.abs(stack), axis=-2), axis=-1)
-    return stack * (norms / own)[:, None, None]
-
-
-def test_expm_matches_scipy_on_random_stacks():
-    # ||A||_1 up to 2: no squaring up to 1/2, then one or two
-    rng = np.random.default_rng(8)
-    for n in (2, 4, 5):
-        A = scaled(rng.standard_normal((100, n, n)), rng.uniform(0, 2, 100))
-        assert expm_error(A) <= 1e-14
-
-
-def test_expm_on_the_squaring_path():
-    # up to ||A||_1 = 10, five squarings.  scipy's own error grows past
-    # 1e-14 there (3.4e-13 on one of these symmetric matrices, against a
-    # 40-digit reference), so the oracle is the spectral exponential
-    rng = np.random.default_rng(9)
-    M = rng.standard_normal((200, 4, 4))
-    A = scaled(M + np.swapaxes(M, 1, 2), np.linspace(0.1, 10.0, 200))
-    lam, Q = np.linalg.eigh(A)
-    want = np.einsum("bij,bj,bkj->bik", Q, np.exp(lam), Q)
-    got = _expm(A)
-    err = np.max(np.abs(got - want), axis=(1, 2))
-    assert np.all(err <= 1e-14 * np.max(np.abs(want), axis=(1, 2)))
-    # one stack mixing every number of squarings gives each its own
-    for b in (0, 57, 199):
-        assert np.array_equal(_expm(A[b]), got[b])
+    L = fixtures.conformal_bump(c)
+    loop = quotient.rectangle_loop([0.0, 0.0, y0, z0], 2, 3, side)
+    err = {n: abs(quotient.holonomy_defect(L, E0, loop, REPS, n_segments=n)
+                  - want) for n in (4, 8, 16)}
+    assert err[4] <= 1e-8
+    assert err[16] <= 1e-12
+    # order 8 in the piece length: halving the pieces gains at least 2^6
+    assert err[4] / err[8] >= 64
 
 
-def test_expm_of_zero_is_the_identity():
-    assert np.array_equal(_expm(np.zeros((3, 4, 4))),
-                          np.broadcast_to(np.eye(4), (3, 4, 4)))
-    assert np.array_equal(_expm(np.zeros((4, 4))), np.eye(4))
-
-
-def test_expm_matches_scipy_on_the_quotient_example_loop():
-    # the 196 transport generators of configs/quotient_wave.json, on a
-    # curved (non-pp-wave) model so that they do not commute
+def test_transport_along_an_edge_matches_dop853():
+    # the edge of the loop that moves x3, cut into the 16 pieces that the
+    # default 64-piece loop gives it: the product of their Gauss
+    # propagators against scipy's DOP853 of Y' = -Γ(x(s))·x' Y
     L = fixtures.curved_null_control()
-    loop = quotient.rectangle_loop([0.0, 0.1, 0.2, -0.1], 1, 2, 0.1)
-    a, b = (np.concatenate(c) for c in zip(_pieces(loop, 64),
-                                           _pieces(loop, 128)))
-    gamma = christoffel(L, VectorField.constant(E0), 0.5 * (a + b)).gamma
-    G = -np.einsum("bkij,bi->bkj", gamma, b - a)
-    assert G.shape == (196, 4, 4) and np.any(G)
-    assert expm_error(G) <= 1e-14
+    N = VectorField.constant(E0)
+    loop = quotient.rectangle_loop([0.0, 0.0, 0.2, -0.1], 2, 3, 0.1)
+    a, b = loop[1], loop[2]
+    assert np.flatnonzero(b - a).tolist() == [3]
+    got = _transport_loop(L, N, np.array([a, b]), np.eye(4), 16)
+
+    def rhs(s, y):
+        gamma = christoffel(L, N, a + s * (b - a)).gamma
+        w = np.einsum("kij,i->kj", gamma, b - a)
+        return -(w @ y.reshape(4, 4)).ravel()
+
+    _, ys, status = scipy_dop853(rhs, (0.0, 1.0), np.eye(4).ravel(), 1e-13)
+    want = ys[-1].reshape(4, 4)
+    assert status == 0
+    assert not np.allclose(want, np.eye(4), rtol=0.0, atol=1e-3)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # -- the frame's gates, at their thresholds -----------------------------------

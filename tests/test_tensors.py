@@ -139,6 +139,14 @@ def test_leading_minors_of_a_stack_match_each_matrix():
     assert leading_minors(h[0]).tobytes() == got[0].tobytes()
 
 
+def test_a_leading_minor_that_overflows_is_inf_without_a_warning():
+    # the suite makes warnings errors
+    h = np.diag([1e200, -1e200, 1e200])
+    for minors in (leading_minors(h), leading_minors(np.stack([h, h]))[1]):
+        assert np.isfinite(minors[0])
+        assert minors[1:].tolist() == [-np.inf, -np.inf]
+
+
 def test_homogeneity_report_passes_on_catalog():
     for L in catalog().values():
         x = RNG.uniform(-1.0, 1.0, L.dim)
