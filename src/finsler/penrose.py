@@ -255,13 +255,16 @@ class BrinkmannProfile:
         return h, sinv @ o
 
     def fields_on(self, us):
-        """[(h, M, A) at u for u in us]."""
+        """[(h, M, A) at u for u in us].
+
+        A is the symmetric part of O^T (W W + W' + (2 W S' + S'') S^-1) O.
+        W' is skew, and so is O^T W' O, so W' drops out of A and is not
+        formed.
+        """
         h, sinv, sd, sdd, o = self._frames(us)
-        k = sinv @ sd
-        w = _skew(k)
-        wd = _skew(sinv @ sdd - k @ k)
+        w = _skew(sinv @ sd)
         a = (np.swapaxes(o, -1, -2)
-             @ (w @ w + wd + (2.0 * (w @ sd) + sdd) @ sinv) @ o)
+             @ (w @ w + (2.0 * (w @ sd) + sdd) @ sinv) @ o)
         return list(zip(h, sinv @ o, 0.5 * (a + np.swapaxes(a, -1, -2))))
 
     def A(self, u):

@@ -129,6 +129,7 @@ def _transport_loop(L, N, vertices, columns, n_segments):
     Gauss nodes of every piece is one stacked `christoffel` call, and the
     transported columns are the ordered product of the propagators.
     Overflow passes silently: a transport that overflows is not finite.
+    A piece whose collocation system is singular raises `SolverError`.
     """
     cut = _pieces(vertices, n_segments)
     if cut is None:
@@ -141,7 +142,13 @@ def _transport_loop(L, N, vertices, columns, n_segments):
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.einsum("pskij,pi->pskj",
                       gamma.reshape(pieces, len(_GL_C), n, n, n), b - a)
-        for E in _gauss_step(w, np.ones(pieces)):
+        try:
+            steps = _gauss_step(w, np.ones(pieces))
+        except np.linalg.LinAlgError as e:
+            raise SolverError("the loop's transport is singular: a piece's "
+                              "Gauss collocation system cannot be solved "
+                              "(%s)" % e) from e
+        for E in steps:
             Y = E @ Y
     return Y
 

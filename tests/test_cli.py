@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from finsler import cli, lagrangian, ode
+import console_cases
+from finsler import cli, lagrangian
 from finsler.cli import main
 from finsler.connection import geodesic
 from finsler.lagrangian import build_minkowski
@@ -28,12 +29,6 @@ QUOTIENT = {"spacetime": {"type": "brinkmann", "params": {"profile": "x2-y2"}},
             "params": {"base": [0.0, 0.1, 0.2, -0.1]}}
 TRIANGLE = [[0.0, 0.1, 0.2, -0.1], [0.0, 0.2, 0.2, -0.1],
             [0.0, 0.2, 0.3, -0.1]]
-
-
-def fixture(builder):
-    """The spacetime of the `finsler.fixtures` plug-in ``builder``."""
-    return {"type": "plugin",
-            "params": {"module": "finsler.fixtures", "builder": builder}}
 
 
 def write_config(tmp_path, body, name="run.json"):
@@ -429,121 +424,24 @@ def test_unscannable_inputs_exit_three_without_a_warning(tmp_path, capsys,
             else "cone_ref is not finite at x=") in err
 
 
-@pytest.mark.parametrize("command,body", [
-    # edges of 1e200 overflow the loop's length to inf
-    pytest.param("quotient", {"spacetime": BRINKMANN_X2,
-                              "params": {"base": [0, 0, 0, 0],
-                                         "loop": {"plane": [0, 1],
-                                                  "sides": [1e200, 1e-200]}}},
-                 id="quotient-sides-1e200-1e-200"),
-    pytest.param("quotient", {"spacetime": BRINKMANN_X2,
-                              "params": {"base": [0, 0, 0, 0],
-                                         "loop": {"plane": [0, 1],
-                                                  "side": 1e200}}},
-                 id="quotient-side-1e200-plane-01"),
-    pytest.param("quotient", {"spacetime": BRINKMANN_X2,
-                              "params": {"base": [0, 0, 0, 0],
-                                         "loop": {"vertices": [
-                                             [0, 0, 0, 0], [1e200, 0, 0, 0],
-                                             [1e200, 1e200, 0, 0]]}}},
-                 id="quotient-vertices-1e200"),
-    # the quotient metric's leading minor cosh^4(300) overflows det
-    pytest.param("quotient", {"spacetime": fixture("curved_null_control"),
-                              "params": {"base": [0, 0, 300, 0]}},
-                 id="quotient-minor-overflows"),
-    # loops of side 1e100 whose transport overflows its matrix products
-    pytest.param("quotient", {"spacetime": COS2, "params": {
-        "base": [0.5016027041240549, 0.05666874199415095,
-                 -0.5856348587546525, 0.3547694178451568],
-        "loop": {"plane": [0, 2], "side": 1e100}, "n_segments": 17}},
-                 id="quotient-cos2-side-1e100"),
-    pytest.param("quotient", {"spacetime": fixture("rosen_cross"), "params": {
-        "base": [476.80349998474236, -91.03305950744311,
-                 -154.16300752990853, -499.15987230359815],
-        "loop": {"plane": [2, 0], "side": 1e100}, "n_segments": 4}},
-                 id="quotient-cross-side-1e100"),
-    # the solver's own arithmetic overflows: the initial step's norm, the
-    # steps of a 1e300 span, the initial step's inf / inf
-    pytest.param("geodesic", {"spacetime": BRINKMANN_X2,
-                              "params": {"x0": [0, 0, 1e150, 0],
-                                         "v0": [1, 1, 0, 0],
-                                         "t_span": [0, 1]}},
-                 id="geodesic-x-1e150"),
-    pytest.param("focal", {"spacetime": COS2,
-                           "params": {"t_span": [0, 1e300]}},
-                 id="focal-span-1e300"),
-    pytest.param("focal", {"spacetime": COS2,
-                           "params": {"N": [1e200, 0, 0, 0],
-                                      "t_span": [0, 1]}},
-                 id="focal-N-1e200"),
-])
-def test_overflowing_inputs_exit_alike_with_warnings_as_errors(
-        tmp_path, capsys, command, body):
-    # the lenient run ignores warnings, since the suite makes them errors
-    cfg = write_config(tmp_path, body)
-    runs = []
-    for action in ("error", "ignore"):
-        with warnings.catch_warnings():
-            warnings.simplefilter(action)
-            code = main([command, "--config", cfg])
-        runs.append((code, capsys.readouterr().err))
-    (code, err), (lenient, _) = runs
-    assert code == lenient and code in (0, 3)
-    if code == 3:
-        assert err.splitlines()[0].startswith("numerical failure: ")
+# inputs that overflow a product, the quotient metric's determinant or
+# the solver's own arithmetic (rows of `console_cases.json`)
+OVERFLOWING = ["quotient-sides-1e200-1e-200", "quotient-side-1e200-plane-01",
+               "quotient-vertices-1e200", "quotient-minor-overflows",
+               "quotient-cos2-side-1e100", "quotient-cross-side-1e100",
+               "geodesic-x-1e150", "focal-span-1e300", "focal-N-1e200"]
 
 
-@pytest.mark.parametrize("command", ["connection", "ppwave"])
-def test_a_failing_sample_is_named_once(tmp_path, capsys, command):
-    # the cone reference's error names its point itself: no "at x=" prefix
-    cfg = write_config(tmp_path, {"spacetime": BRINKMANN_X2,
-                                  "params": {"box": 1e200}})
-    assert main([command, "--config", cfg]) == 3
-    err = capsys.readouterr().err
-    point = re.search(r"x=(\[[^]]*\])", err).group(1)
-    assert err.startswith("numerical failure: cone_ref is not finite at x=")
-    assert err.count(point) == 1
-
-
-# valid geodesics on which DOP853 shrinks its steps towards the wall of
-# h = cos^2 x0 at 7 pi / 2 and pi / 2 without reaching it
-NEVER_ENDING = [
-    {"x0": [10.0, -0.7, 0.001, 2.5], "v0": [1.0, 10.0, -0.7, 0.001],
-     "t_span": [-0.6252759433998212, 1.3747240566001788], "n_samples": 10},
-    {"x0": [0.3, 10.0, 1.0, 0.001], "v0": [1.0, 1.9109, -0.8433, -0.7],
-     "t_span": [0, 2], "n_samples": 10},
-]
-
-
-@pytest.mark.parametrize("params", NEVER_ENDING, ids=["7pi/2", "pi/2"])
-def test_a_geodesic_that_never_ends_is_truncated_at_the_step_budget(
-        tmp_path, capsys, params):
-    cfg = write_config(tmp_path, {"spacetime": COS2, "params": params})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, rep = run_json(capsys, ["geodesic", "--config", cfg])
-    assert code == 0
-    meta = rep["meta"]
-    assert meta["truncated"] is True
-    reached = re.fullmatch(r"the integrator's budget of %d steps ran out at "
-                           r"t=(\S+)" % ode._MAX_STEPS, meta["reason"])
-    assert reached
-    assert meta["t_final"] <= float(reached.group(1)) < params["t_span"][1]
-
-
-def test_a_focal_span_of_1e300_scans_its_samples(tmp_path, capsys):
-    # 200 samples 5e297 apart see no wall of cos^2: no root, as on a span
-    # of 1000
-    runs = []
-    for hi in (1e300, 1000):
-        cfg = write_config(tmp_path, {"spacetime": COS2,
-                                      "params": {"t_span": [0, hi]}})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            runs.append(run_json(capsys, ["focal", "--config", cfg]))
-    for code, rep in runs:
-        assert code == 0
-        assert rep["meta"]["roots"] == []
+@pytest.mark.parametrize("case_id", OVERFLOWING)
+def test_overflowing_inputs_exit_alike_with_warnings_as_errors(case_id):
+    # the lenient run only prints its warnings
+    row = console_cases.load()[case_id]
+    strict, lenient = [
+        console_cases.run_in_process({**row, "warnings_as_errors": errors})
+        for errors in (True, False)]
+    assert strict.code == lenient.code and strict.code in (0, 3)
+    if strict.code == 3:
+        assert strict.err.splitlines()[0].startswith("numerical failure: ")
 
 
 def test_penrose_base_point_below_the_positivity_floor_exits_three(

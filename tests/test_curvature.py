@@ -186,6 +186,23 @@ def test_parallel_reference_equals_metric_field_riemann():
     assert np.max(np.abs(R.components - oracle)) <= 1e-6
 
 
+def test_nonparallel_reference_equals_fd_riemann_of_its_extension():
+    # at cone_ref the Cartan terms of ∂Γ do not vanish, as they do at the
+    # parallel N: differences of the symbols along the linear extension
+    # with vanishing covariant derivative at x must see them
+    L = _default_ppwave_example()
+    for x in np.random.default_rng(17).uniform(-0.3, 0.3, (3, 4)):
+        v = L.cone_ref_at(x)
+        V = VectorField.linear(
+            v, x, -np.einsum("kij,j->ik",
+                             christoffel(L, VectorField.constant(v), x).gamma,
+                             v))
+        R = chern_curvature(L, x, v, extension=V)
+        oracle = fd_riemann(lambda y: christoffel(L, V, y).gamma, x)
+        assert np.max(np.abs(R.components - oracle)) <= 1e-9 * max(1.0,
+                                                                    R.scale)
+
+
 # -- invariants -------------------------------------------------------------
 
 @pytest.mark.parametrize("extended,solves", [(False, 1), (True, 0)])
