@@ -30,7 +30,7 @@ from .errors import ConfigError, FinslerError
 from .lagrangian import from_descriptor, is_finite_number
 from .penrose import penrose_limit
 from .ppwave import _parallel_report, delta_scan
-from .quotient import holonomy_defect, quotient_metric, rectangle_loop
+from .quotient import _holonomy, quotient_metric, rectangle_loop
 from .report import Report
 from .tensors import _homogeneity, signature_of
 
@@ -358,21 +358,25 @@ def _cmd_focal(L, rng, tol, N, x0, v0, t_span, n_samples, ode_tol):
 
 
 def _cmd_quotient(L, rng, tol, N, base, reps, n_segments, loop):
+    # one frame at the base: the shifted representatives reuse its g and
+    # N, and so does the holonomy of a loop that starts at the base
     frame = quotient_metric(L, N, base, reps)
     rep = Report(title="quotient", meta={"gbar": frame.gbar.tolist()})
     rep.add("gbar positive definite", 0.0, 0.5)
-    shifted = quotient_metric(L, N, base, reps + 2.0 * N)
+    shifted = frame.with_reps(reps + 2.0 * N)
     rep.add("representative independence",
             float(np.max(np.abs(frame.gbar - shifted.gbar))), 1e-8)
 
-    if loop is not None and "vertices" in loop:
-        defect = holonomy_defect(L, N, np.array(loop["vertices"]), reps,
-                                 n_segments=n_segments)
+    if loop is None:
+        return rep, None
+    if "vertices" in loop:
+        defect = _holonomy(L, N, np.array(loop["vertices"]), reps,
+                           n_segments, frame=frame)
         rep.add("holonomy defect", defect, tol)
         rep.meta["holonomy"] = {"defect": defect}
-    elif loop is not None:
+    else:
         pts = rectangle_loop(base, *loop["plane"], *loop["sides"])
-        defect = holonomy_defect(L, N, pts, reps, n_segments=n_segments)
+        defect = _holonomy(L, N, pts, reps, n_segments, frame=frame)
         rep.add("holonomy defect / area", defect / loop["area"], tol)
         rep.meta["holonomy"] = {"defect": defect, "area": loop["area"]}
     return rep, None

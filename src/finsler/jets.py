@@ -305,9 +305,10 @@ class Jet:
     ``mask`` is the jet's support: the groups its coefficients depend on.
     Every coefficient of a monomial outside it is exactly zero.  A jet
     built without a mask gets the context's full one, which is always
-    true."""
+    true.  A jet's coefficients are not changed once it is built: its
+    reciprocal is composed once and kept (`_reciprocal`)."""
 
-    __slots__ = ("ctx", "c", "mask")
+    __slots__ = ("ctx", "c", "mask", "_inv")
     __array_ufunc__ = None  # make numpy defer to our reflected operators
 
     def __init__(self, ctx, c, mask=None):
@@ -478,7 +479,15 @@ class Jet:
         return acc._add_const(coeffs[0])
 
     def _reciprocal(self):
-        return self._series(_reciprocal_series)
+        """1 / self, composed on the first call and kept in the slot
+        ``_inv``, which a new jet leaves unset: every division by the
+        same jet multiplies by the same reciprocal, which gives each
+        quotient the bits of composing it afresh."""
+        try:
+            return self._inv
+        except AttributeError:
+            self._inv = self._series(_reciprocal_series)
+            return self._inv
 
 
 # -- Taylor coefficients f^(k)(a0) / k! of the elementary functions ---------

@@ -245,16 +245,22 @@ class QuadraticLagrangian(Lagrangian):
 class RandersNorm:
     """F(x, v) = sqrt(v^T A(x) v) + b(x).v with A positive definite.
 
-    Coefficients are constants or jet-evaluable callables of x, so F can be
-    consumed by the derivative engine in both arguments.  ``fundamental``
-    gives the closed-form fundamental tensor of F^2 (the independent oracle
-    used against the generic jet path).
+    A and b are constants or jet-evaluable callables of x; or A is one
+    jet-evaluable callable x -> (A(x), b(x)) and b is None, so that the
+    factors A and b share are evaluated once per base point.  F can thus
+    be consumed by the derivative engine in both arguments.
+    ``fundamental`` gives the closed-form fundamental tensor of F^2 (the
+    independent oracle used against the generic jet path).
     """
 
     def __init__(self, A, b, dim):
         self.dim = int(dim)
-        self._A = A
-        self._b = b
+        if b is None:
+            if not callable(A):
+                raise ConstructionError("Randers coefficients without b "
+                                        "must be one callable x -> (A, b)")
+            self._coeffs = A
+            return
         if not callable(A):
             A0 = np.asarray(A, dtype=float)
             w = np.linalg.eigvalsh(A0)
@@ -266,10 +272,14 @@ class RandersNorm:
                 raise ConstructionError("Randers drift too large: "
                                         "|b|_A^{ -1} must be < 1")
 
+        def coeffs(x):
+            return A(x) if callable(A) else A, b(x) if callable(b) else b
+
+        self._coeffs = coeffs
+
     def coeffs(self, x):
-        A = self._A(x) if callable(self._A) else self._A
-        b = self._b(x) if callable(self._b) else self._b
-        return A, b
+        """(A, b) at x."""
+        return self._coeffs(x)
 
     def __call__(self, x, v):
         A, b = self.coeffs(x)
@@ -442,9 +452,12 @@ def build_ppwave_example(F2):
     F2 is a norm on the 2-dimensional (v, u) fiber whose coefficients may
     depend on (u, x, y) but not on the v-coordinate; omega is built from F2
     pointwise, so its coefficients inherit that dependence, and makes
-    N = e0 lightlike with metric row (0, 1, 0, 0).  As for
-    `build_parallel_example`, the build evaluates L only in the cone
-    probe at the origin.
+    N = e0 lightlike with metric row (0, 1, 0, 0).  An evaluation of L
+    evaluates F2's coefficients once, and divides three times by the
+    same alpha: on jets, each division multiplies by alpha's one kept
+    reciprocal (`jets.Jet._reciprocal`), while floats and lanes divide.
+    As for `build_parallel_example`, the build evaluates L only in the
+    cone probe at the origin.
     """
     if F2.dim != 2:
         raise ConstructionError("ppwave example needs a fiber norm on the "
@@ -481,21 +494,16 @@ def _default_parallel_example(eps=0.1):
 
 
 def _default_ppwave_example(eps=0.1):
-    def bump(x):
-        return jets.exp(-0.5 * (x[2] * x[2] + x[3] * x[3]))
-
-    def A(x):
-        m = bump(x)
-        s1 = eps * 0.3 * jets.sin(x[1]) * m
+    def coeffs(x):
+        # the bump and sin(u) enter A and b alike, so they are composed once
+        m = jets.exp(-0.5 * (x[2] * x[2] + x[3] * x[3]))
+        s = jets.sin(x[1])
+        s1 = eps * 0.3 * s * m
         s2 = eps * 0.2 * jets.cos(x[1]) * m
         s3 = eps * 0.4 * jets.cos(2.0 * x[1]) * m
-        return [[1.0 + s1, s2], [s2, 1.0 + s3]]
+        return [[1.0 + s1, s2], [s2, 1.0 + s3]], [0.0, eps * 0.5 * s * m]
 
-    def b(x):
-        return [0.0, eps * 0.5 * jets.sin(x[1]) * bump(x)]
-
-    F2 = RandersNorm(A, b, 2)
-    return build_ppwave_example(F2)
+    return build_ppwave_example(RandersNorm(coeffs, None, 2))
 
 
 def catalog():

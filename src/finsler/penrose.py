@@ -274,11 +274,15 @@ class BrinkmannProfile:
         return self.vielbein_on([u])[1][0]
 
     def m_conditions(self, us, tol=1e-8):
-        """Both displayed vielbein conditions over a parameter grid.
+        """The displayed vielbein conditions over a parameter grid, and
+        the derivative of the first.
 
         M' is a fourth-order central difference, kept on purpose as a check
         independent of the O-equation; the grid and the four stencil points
-        of each u are evaluated as one `vielbein_on` batch.
+        of each u are evaluated as one `vielbein_on` batch.  The symmetry
+        condition, M^T h M' symmetric, holds for any multiple of M'; the
+        derivative of M^T h M = identity, M'^T h M + M^T h' M + M^T h M'
+        = 0, with h' from `RosenProfile.triples`, holds only for M' itself.
         """
         us = np.asarray(us, dtype=float)
         step = 1e-5 * (1.0 + np.abs(us))
@@ -291,13 +295,16 @@ class BrinkmannProfile:
         md = (4.0 * d1 - d2) / 3.0
         mt = np.swapaxes(m[:k], -1, -2)
         s = mt @ h[:k] @ md
+        st = np.swapaxes(s, -1, -2)
+        hd = self.rosen.triples(us)[1]
         rep = Report(title="m-conditions",
                      meta={"u0": self.u0,
                            "u_interval": [float(a) for a in self.u_interval]})
         rep.add("M^T h M = identity", float(np.max(np.abs(
             mt @ h[:k] @ m[:k] - np.eye(self.rosen.dim)))), tol)
-        rep.add("symmetry condition",
-                float(np.max(np.abs(s - np.swapaxes(s, -1, -2)))), tol)
+        rep.add("symmetry condition", float(np.max(np.abs(s - st))), tol)
+        rep.add("d/du (M^T h M) = 0",
+                float(np.max(np.abs(st + mt @ hd @ m[:k] + s))), tol)
         return rep
 
 

@@ -10,6 +10,12 @@ curvature component otherwise.  The transport cuts the loop into pieces
 and takes one Gauss collocation step (`ode._gauss_step`, the propagator
 of the Penrose O-equation too) per piece; the symbols at the 4 Gauss
 nodes of all pieces come from one stacked `christoffel` call.
+
+A frame is built from one `fundamental_tensor` at its point, and a frame
+of other representatives at the same point (`QuotientFrame.with_reps`)
+reuses its g and N; the holonomy starts from a given frame where the loop
+starts at the frame's point (`_holonomy`), so the ``quotient`` command
+evaluates g once at its base.
 """
 
 from dataclasses import dataclass
@@ -17,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import as_vector_field, christoffel
-from .errors import ChartError, ConstructionError, SignatureError, SolverError
+from .errors import (ChartError, ConstructionError, FinslerError,
+                     SignatureError, SolverError)
 from .ode import _GL_C, _gauss_step
 from .tensors import fundamental_tensor, leading_minors
 
@@ -40,6 +47,12 @@ class QuotientFrame:
         proj = -self.reps @ self.g @ np.asarray(vec, dtype=float)
         return np.linalg.solve(self.gbar, proj)
 
+    def with_reps(self, reps):
+        """The frame of other representatives at the same point, from
+        this frame's g and N, with the checks of `quotient_metric` on
+        the representatives."""
+        return _frame(self.base, self.nvec, self.g, reps)
+
 
 # scale-relative tolerance of the lightlike and orthogonality checks
 _FRAME_TOL = 1e-8
@@ -61,7 +74,13 @@ def quotient_metric(L, N, x, reps):
     if light > _FRAME_TOL * scale:
         raise ConstructionError("N is not lightlike at the base point "
                                 "(|L| = %.3e)" % light)
+    return _frame(x, nvec, g, reps)
 
+
+def _frame(x, nvec, g, reps):
+    """The frame of ``reps`` at x from g_N there, checked as
+    `quotient_metric` says."""
+    scale = max(1.0, float(np.max(np.abs(g))))
     reps = np.atleast_2d(np.asarray(reps, dtype=float))
     w = g @ nvec
     for k, r in enumerate(reps):
@@ -162,16 +181,37 @@ def holonomy_defect(L, N, loop, reps, n_segments=64, tol=1e-6):
     whole loop.  A transported class drifting out of N^perp means N was
     not parallel along the loop, which violates the precondition.  N is
     tested for cone membership at each loop vertex, not at the Gauss
-    nodes.  A loop whose length overflows a float, or whose holonomy is
-    not finite, raises `SolverError`.
+    nodes, in one stacked `check_admissible` (`_gate_vertices`).  A loop
+    whose length overflows a float, or whose holonomy is not finite,
+    raises `SolverError`.
     """
+    return _holonomy(L, N, loop, reps, n_segments, tol)
+
+
+def _gate_vertices(L, N, points):
+    """N at each of ``points`` tested against the cone in one stacked
+    `check_admissible`.  Where the stack raises a `FinslerError`, or a
+    warning turned into an error, each point is tested in turn, so the
+    first point that fails by itself raises its own error, as a loop over
+    the points does; if none does, the stack's error."""
+    try:
+        L.check_admissible(points, np.array([N(p) for p in points]))
+    except (FinslerError, RuntimeWarning):
+        for p in points:
+            L.check_admissible(p, N(p))
+        raise
+
+
+def _holonomy(L, N, loop, reps, n_segments=64, tol=1e-6, frame=None):
+    """`holonomy_defect`, where a ``frame`` of ``reps`` at the loop's
+    first vertex is the frame there; otherwise that frame is built."""
     N = as_vector_field(N)
     vertices = np.atleast_2d(np.asarray(loop, dtype=float))
     if np.max(np.abs(vertices[0] - vertices[-1])) > 0.0:
         vertices = np.vstack([vertices, vertices[0]])
-    for p in vertices[:-1]:
-        L.check_admissible(p, N(p))
-    frame = quotient_metric(L, N, vertices[0], reps)
+    _gate_vertices(L, N, vertices[:-1])
+    if frame is None or frame.base.tobytes() != vertices[0].tobytes():
+        frame = quotient_metric(L, N, vertices[0], reps)
     Y = _transport_loop(L, N, vertices, frame.reps.T, n_segments)
     if not np.all(np.isfinite(Y)):
         raise SolverError("the holonomy is not finite: the transport "

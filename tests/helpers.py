@@ -14,6 +14,12 @@ generator with a zero vector and two stores of its own: the references
 of `jets.Jet._series`, which stops at the degree cap of its argument's
 support, and of `jets.variables`, which seeds from a cached template.
 `full_randers` is `RandersNorm._from_coeffs` with no term skipped.
+`two_callable_ppwave_example` is `lagrangian._default_ppwave_example` as
+it was built from two coefficient callables, each composing the bump
+and sin(u), and an omega that composes alpha's reciprocal afresh for
+each of its three divisions (`fresh_quotient`): the reference of the
+model's one coefficient function and of `jets.Jet._reciprocal`, which
+keeps the reciprocal it composes.
 `per_point_spray` is the geodesic spray as one call per point, seeding
 (x | v) with `jets.variables` and reading L_x and the (x | v) Hessian
 with two `jets.derivative_tensor` reads: the reference of
@@ -74,6 +80,7 @@ from finsler.connection import (
 from finsler.curvature import chern_curvature, nperp_basis
 from finsler.errors import SignatureError
 from finsler.jets import Jet
+from finsler.lagrangian import Lagrangian, RandersNorm, _cone_ref_near_e0
 from finsler.penrose import _jacobian_diag, rescaled_lagrangian
 from finsler.report import Report
 from finsler.tensors import cartan_tensor, fundamental_tensor, signature_of
@@ -165,6 +172,51 @@ def full_randers(A, b, v):
     for i in range(n):
         beta = beta + b[i] * v[i]
     return jets.sqrt(alpha2) + beta
+
+
+def fresh_quotient(a, b):
+    """a / b, where a jet b's reciprocal series is composed on each call."""
+    if isinstance(b, Jet):
+        return a * b._series(jets._reciprocal_series)
+    return a / b
+
+
+def two_callable_ppwave_example(eps=0.1):
+    """The ppwave_example model from two coefficient callables A(x) and
+    b(x), whose omega divides by alpha three times."""
+    def bump(x):
+        return jets.exp(-0.5 * (x[2] * x[2] + x[3] * x[3]))
+
+    def A(x):
+        m = bump(x)
+        s1 = eps * 0.3 * jets.sin(x[1]) * m
+        s2 = eps * 0.2 * jets.cos(x[1]) * m
+        s3 = eps * 0.4 * jets.cos(2.0 * x[1]) * m
+        return [[1.0 + s1, s2], [s2, 1.0 + s3]]
+
+    def b(x):
+        return [0.0, eps * 0.5 * jets.sin(x[1]) * bump(x)]
+
+    F2 = RandersNorm(A, b, 2)
+
+    def omega_coeffs(A, b):
+        alpha = jets.sqrt(A[0][0])
+        F0 = alpha + b[0]
+        l0 = fresh_quotient(A[0][0], alpha)
+        l1 = fresh_quotient(A[0][1], alpha)
+        ratio = fresh_quotient(F0, alpha)
+        g10 = ratio * (A[1][0] - l1 * l0) + (l1 + b[1]) * (l0 + b[0])
+        return F0, fresh_quotient(1.0 + g10, F0)
+
+    def func(x, v):
+        A, b = F2.coeffs(x)
+        w0, w1 = omega_coeffs(A, b)
+        w = w0 * v[0] + w1 * v[1]
+        f = F2._from_coeffs(A, b, [v[0], v[1]])
+        return w * w - f * f - v[2] * v[2] - v[3] * v[3]
+
+    return Lagrangian(func, 4, _cone_ref_near_e0(func, 4),
+                      name="ppwave_example")
 
 
 def per_point_spray(L, x, v):

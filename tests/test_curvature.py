@@ -225,11 +225,12 @@ def test_christoffel_solves_per_curvature_call(monkeypatch, extended,
 
 
 def test_curvature_product_terms_are_pinned(monkeypatch):
-    # one chern_curvature makes 76 jet products: a series of a jet of
-    # base-point generators composes only to the base order.  The support
-    # masks cut the terms they sum from the full tables' 153,420 to
-    # 45,920, so a lost mask or a lost degree cap shows here and not only
-    # as a timing
+    # one chern_curvature makes 68 jet products: a series of a jet of
+    # base-point generators composes only to the base order, and a jet's
+    # reciprocal is composed once however often it divides.  The support
+    # masks cut the terms they sum from the full tables' 133,740 to
+    # 45,632, so a lost mask, degree cap or kept reciprocal shows here
+    # and not only as a timing
     L = _default_ppwave_example()
     full_table = jets._Context.product_pairs
     products, terms, dense = [], [], []
@@ -243,9 +244,9 @@ def test_curvature_product_terms_are_pinned(monkeypatch):
 
     monkeypatch.setattr(jets._Context, "product_pairs", counting)
     chern_curvature(L, np.array([0.3, 0.2, -0.1, 0.4]), N_WAVE)
-    assert len(products) == 76
-    assert sum(dense) == 153420
-    assert sum(terms) == 45920
+    assert len(products) == 68
+    assert sum(dense) == 133740
+    assert sum(terms) == 45632
 
 
 def test_antisymmetry_exact_in_the_first_pair():

@@ -810,3 +810,26 @@ def test_in_blocks_names_a_failing_point_once(names_it):
     assert str(e.value).count(named) == 1
     assert str(e.value) == ("L fails at %s" % named if names_it
                             else "at %s: L fails" % named)
+
+
+def test_a_jet_composes_its_reciprocal_once(monkeypatch):
+    # every division by the same jet multiplies by one kept reciprocal,
+    # with the bits of a reciprocal composed afresh; a new jet, even one
+    # equal to it, composes its own
+    _, (x, y) = jets.variables([0.7, -1.3], 3)
+    a = x * x + 2.0 * y + 3.0
+    fresh = a._series(jets._reciprocal_series)
+    calls = []
+    compose = Jet._series
+
+    def counted(self, coeffs):
+        calls.append(coeffs)
+        return compose(self, coeffs)
+
+    monkeypatch.setattr(Jet, "_series", counted)
+    got = [x / a, 1.5 / a, y / a, a ** -2]
+    want = [x * fresh, fresh * 1.5, y * fresh, fresh * fresh]
+    assert calls == [jets._reciprocal_series]
+    assert [g.c.tobytes() for g in got] == [w.c.tobytes() for w in want]
+    (a + 0.0)._reciprocal()
+    assert len(calls) == 2

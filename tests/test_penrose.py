@@ -266,6 +266,32 @@ def test_rotating_profile_vielbein_conditions():
     assert not by_name["symmetry condition"].passed
 
 
+@pytest.mark.parametrize("builder", ["rosen_cos2", "rosen_cross",
+                                     "rosen_exp"])
+def test_the_vielbein_derivative_row_sees_the_scale_of_m_prime(builder):
+    # the derivative of M^T h M = identity holds to the stencil's error
+    # (1.5e-11 to 2.8e-11 here); the symmetry condition holds for any
+    # multiple of M', so stretching the stencil's offsets by 1.5, which
+    # scales M' by 1.5, passes it and fails only the derivative row
+    res = penrose.penrose_limit(fixtures.BUILDERS[builder](), E0,
+                                (-1.0, 1.0))
+    us = np.linspace(-0.9, 0.9, 9)
+    rep = res.brinkmann.m_conditions(us)
+    assert [c.name for c in rep.checks] == [
+        "M^T h M = identity", "symmetry condition", "d/du (M^T h M) = 0"]
+    assert rep.passed
+    assert rep.checks[2].residual <= 1e-10
+
+    class Stretched(penrose.BrinkmannProfile):
+        def vielbein_on(self, us):
+            grid = np.tile(us[:len(us) // 5], 5)
+            return super().vielbein_on(grid + 1.5 * (us - grid))
+
+    stretched = Stretched(**vars(res.brinkmann)).m_conditions(us).checks
+    assert stretched[0].passed and stretched[1].passed
+    assert stretched[2].residual > 0.1
+
+
 @pytest.mark.parametrize("triple,interval", [
     (rotating_triple, (-1.0, 1.0)),
     (cos2_triple, (-1.3, 1.3)),

@@ -1,9 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsler import fixtures, quotient
+from finsler import cli, fixtures, quotient
 from finsler import lagrangian as lg
 from finsler.connection import VectorField, christoffel
 from finsler.curvature import chern_curvature
@@ -286,3 +289,88 @@ def test_holonomy_drift_is_relative_to_the_transported_class(factor, passes):
     else:
         with pytest.raises(ChartError, match="left N\\^perp"):
             quotient.holonomy_defect(_flat(), E0, loop, reps, tol=tol)
+
+
+# -- one frame per base point, one stacked vertex gate ---------------------------
+
+def spied_quotient_run(monkeypatch, tmp_path, config):
+    """The points of `fundamental_tensor` calls and the pairs of
+    `is_admissible` calls of one ``quotient`` run of ``config``."""
+    points, pairs = [], []
+    tensor = quotient.fundamental_tensor
+    gate = lg.Lagrangian.is_admissible
+
+    def counted_tensor(L, x, v):
+        points.append(np.asarray(x, dtype=float).tolist())
+        return tensor(L, x, v)
+
+    def counted_gate(self, x, v, *args, **kwargs):
+        pairs.append(len(np.atleast_2d(v)))
+        return gate(self, x, v, *args, **kwargs)
+
+    monkeypatch.setattr(quotient, "fundamental_tensor", counted_tensor)
+    monkeypatch.setattr(lg.Lagrangian, "is_admissible", counted_gate)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = cli.main(["quotient", "--config", str(path)])
+    return code, points, pairs
+
+
+def test_the_example_run_builds_one_frame_and_gates_once(monkeypatch,
+                                                        tmp_path, capsys):
+    # the representative check and the holonomy reuse the base frame (3
+    # tensors before), and the 4 vertices are one stacked gate (4 before)
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                         / "quotient_wave.json").read_text())
+    code, points, pairs = spied_quotient_run(monkeypatch, tmp_path, config)
+    assert code == 0
+    assert points == [config["params"]["base"]]
+    assert pairs == [4]
+
+
+def test_a_loop_away_from_the_base_builds_its_frame_at_its_first_vertex(
+        monkeypatch, tmp_path, capsys):
+    vertices = [[0.0, 0.0, 0.3, 0.4], [0.0, 0.0, 0.8, 0.4],
+                [0.0, 0.0, 0.8, 0.9]]
+    config = {"spacetime": {"type": "plugin", "params": {
+        "module": "finsler.fixtures", "builder": "conformal_bump"}},
+        "command": "quotient",
+        "params": {"base": [0.0, 0.0, 0.1, 0.2], "n_segments": 8,
+                   "loop": {"vertices": vertices}}}
+    code, points, pairs = spied_quotient_run(monkeypatch, tmp_path, config)
+    assert code == 1
+    assert points == [config["params"]["base"], vertices[0]]
+    assert pairs == [3]
+
+
+def looped_gate(L, N, points):
+    """The vertex gate as a loop: one scalar `check_admissible` a vertex."""
+    for p in points:
+        L.check_admissible(p, N)
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+def test_the_stacked_vertex_gate_fails_as_the_loop_does():
+    # N = (1, 0.5, 0, 0) is lightlike where H = x^2 - y^2 = -4, outside the
+    # cone where H < -4; x = 1e200 overflows the cone reference, which
+    # fails the stack before any vertex is tested
+    L = lg.build_brinkmann_quadratic("x2-y2")
+    N = np.array([1.0, 0.5, 0.0, 0.0])
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(60):
+        pts = np.zeros((int(rng.integers(1, 6)), 4))
+        pts[:, 3] = rng.uniform(1.5, 2.4, len(pts))
+        pts[rng.random(len(pts)) < 0.3, 2] = 1e200
+        want = raised(looped_gate, L, N, pts)
+        assert raised(quotient._gate_vertices, L, VectorField.constant(N),
+                      pts) == want
+        seen.add(None if want is None else want[1][:12])
+    assert seen == {None, "vector outsi", "cone_ref is "}
