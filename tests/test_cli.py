@@ -365,10 +365,15 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     pytest.param("check", {"spacetime": {"type": "parallel_example",
                                          "params": {"eps": 5}}},
                  id="parallel-eps-5"),
+    # the same failure inside the cone gate's plain evaluations of L
+    pytest.param("geodesic", {"spacetime": {"type": "ppwave_example",
+                                            "params": {"eps": 50}},
+                              "params": {"x0": [0, 1, 0, 0],
+                                         "v0": [0, 1, 0, 0],
+                                         "t_span": [0, 1]}},
+                 id="geodesic-ppwave-eps-50"),
 ])
 def test_numerical_failure_exits_three(tmp_path, capsys, command, body):
-    # row geodesic-eps-50 of `console_cases.json` holds the cone gate's
-    # failure on the eps 50 model
     cfg = write_config(tmp_path, body)
     code = main([command, "--config", cfg])
     err = capsys.readouterr().err
@@ -380,10 +385,21 @@ BRINKMANN_X2 = {"type": "brinkmann", "params": {"profile": "x2"}}
 
 
 @pytest.mark.parametrize("command,body", [
+    # geodesic returns the sample times [0, 0, 5e-324]: no ray to scan
+    pytest.param("focal", {"spacetime": COS2,
+                           "params": {"t_span": [0, 5e-324],
+                                      "n_samples": 3}},
+                 id="focal-span-too-short"),
     # H = x^2 overflows, so the cone gate's reference holds inf
+    pytest.param("connection", {"spacetime": BRINKMANN_X2,
+                                "params": {"box": 1e200}},
+                 id="connection-box-1e200"),
     pytest.param("curvature", {"spacetime": BRINKMANN_X2,
                                "params": {"box": 1e200}},
                  id="curvature-box-1e200"),
+    pytest.param("ppwave", {"spacetime": BRINKMANN_X2,
+                            "params": {"box": 1e200}},
+                 id="ppwave-box-1e200"),
     pytest.param("quotient", {"spacetime": BRINKMANN_X2,
                               "params": {"base": [0, 0, 0, 0],
                                          "loop": {"plane": [1, 2],
@@ -397,8 +413,6 @@ BRINKMANN_X2 = {"type": "brinkmann", "params": {"profile": "x2"}}
 ])
 def test_unscannable_inputs_exit_three_without_a_warning(tmp_path, capsys,
                                                          command, body):
-    # rows connection-box-1e200, ppwave-box-1e200 and focal-span-too-short
-    # of `console_cases.json` hold the other commands' cases
     cfg = write_config(tmp_path, body)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -406,7 +420,8 @@ def test_unscannable_inputs_exit_three_without_a_warning(tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("numerical failure: ")
-    assert "cone_ref is not finite at x=" in err
+    assert ("strictly increasing times" if command == "focal"
+            else "cone_ref is not finite at x=") in err
 
 
 # inputs that overflow a product, the quotient metric's determinant or
