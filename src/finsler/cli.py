@@ -30,7 +30,7 @@ from .errors import ConfigError, FinslerError
 from .lagrangian import from_descriptor, is_finite_number
 from .penrose import penrose_limit
 from .ppwave import _parallel_report, delta_scan
-from .quotient import _holonomy, quotient_metric, rectangle_loop
+from .quotient import holonomy_defect, quotient_metric, rectangle_loop
 from .report import Report
 from .tensors import _homogeneity, signature_of
 
@@ -370,13 +370,16 @@ def _cmd_quotient(L, rng, tol, N, base, reps, n_segments, loop):
     if loop is None:
         return rep, None
     if "vertices" in loop:
-        defect = _holonomy(L, N, np.array(loop["vertices"]), reps,
-                           n_segments, frame=frame)
+        pts = np.array(loop["vertices"], dtype=float)
+        at_base = np.array_equal(pts[0], base)
+        defect = holonomy_defect(L, N, pts, reps, n_segments=n_segments,
+                                 frame=frame if at_base else None)
         rep.add("holonomy defect", defect, tol)
         rep.meta["holonomy"] = {"defect": defect}
     else:
         pts = rectangle_loop(base, *loop["plane"], *loop["sides"])
-        defect = _holonomy(L, N, pts, reps, n_segments, frame=frame)
+        defect = holonomy_defect(L, N, pts, reps, n_segments=n_segments,
+                                 frame=frame)
         rep.add("holonomy defect / area", defect / loop["area"], tol)
         rep.meta["holonomy"] = {"defect": defect, "area": loop["area"]}
     return rep, None

@@ -245,22 +245,16 @@ class QuadraticLagrangian(Lagrangian):
 class RandersNorm:
     """F(x, v) = sqrt(v^T A(x) v) + b(x).v with A positive definite.
 
-    A and b are constants or jet-evaluable callables of x; or A is one
-    jet-evaluable callable x -> (A(x), b(x)) and b is None, so that the
-    factors A and b share are evaluated once per base point.  F can thus
-    be consumed by the derivative engine in both arguments.
+    A and b are constants or jet-evaluable callables of x, or they come
+    from one jet-evaluable callable x -> (A(x), b(x)) (`from_joint`), so
+    that the factors A and b share are evaluated once per base point.  F
+    can thus be consumed by the derivative engine in both arguments.
     ``fundamental`` gives the closed-form fundamental tensor of F^2 (the
     independent oracle used against the generic jet path).
     """
 
     def __init__(self, A, b, dim):
         self.dim = int(dim)
-        if b is None:
-            if not callable(A):
-                raise ConstructionError("Randers coefficients without b "
-                                        "must be one callable x -> (A, b)")
-            self._coeffs = A
-            return
         if not callable(A):
             A0 = np.asarray(A, dtype=float)
             w = np.linalg.eigvalsh(A0)
@@ -276,6 +270,18 @@ class RandersNorm:
             return A(x) if callable(A) else A, b(x) if callable(b) else b
 
         self._coeffs = coeffs
+
+    @classmethod
+    def from_joint(cls, coeffs, dim):
+        """The norm whose A and b at x are ``coeffs(x)``, one
+        jet-evaluable callable x -> (A(x), b(x))."""
+        if not callable(coeffs):
+            raise ConstructionError("joint Randers coefficients must be "
+                                    "one callable x -> (A, b)")
+        F = cls.__new__(cls)
+        F.dim = int(dim)
+        F._coeffs = coeffs
+        return F
 
     def coeffs(self, x):
         """(A, b) at x."""
@@ -503,7 +509,7 @@ def _default_ppwave_example(eps=0.1):
         s3 = eps * 0.4 * jets.cos(2.0 * x[1]) * m
         return [[1.0 + s1, s2], [s2, 1.0 + s3]], [0.0, eps * 0.5 * s * m]
 
-    return build_ppwave_example(RandersNorm(coeffs, None, 2))
+    return build_ppwave_example(RandersNorm.from_joint(coeffs, 2))
 
 
 def catalog():

@@ -228,7 +228,7 @@ class BrinkmannProfile:
     reason: str = ""
 
     def _frames(self, us):
-        """h, S^{-1}, S', S'' and O on the grid ``us``, stacked."""
+        """h, h', S^{-1}, S', S'' and O on the grid ``us``, stacked."""
         us = np.asarray(us, dtype=float)
         k = len(us)
         edge = np.empty(k)
@@ -247,11 +247,11 @@ class BrinkmannProfile:
         sinv, sd, sdd = _sqrt_derivs(*_eigh_positive(grid, h), hd, hdd)
         w = _skew(sinv[k:] @ sd[k:]).reshape(k, len(_GL_C), *h.shape[1:])
         o = _gauss_step(w, step) @ o_edge
-        return h[:k], sinv[:k], sd[:k], sdd[:k], o
+        return h[:k], hd[:k], sinv[:k], sd[:k], sdd[:k], o
 
     def vielbein_on(self, us):
         """h and M on the grid ``us``, each stacked (len(us), m, m)."""
-        h, sinv, _, _, o = self._frames(us)
+        h, _, sinv, _, _, o = self._frames(us)
         return h, sinv @ o
 
     def fields_on(self, us):
@@ -261,7 +261,7 @@ class BrinkmannProfile:
         W' is skew, and so is O^T W' O, so W' drops out of A and is not
         formed.
         """
-        h, sinv, sd, sdd, o = self._frames(us)
+        h, _, sinv, sd, sdd, o = self._frames(us)
         w = _skew(sinv @ sd)
         a = (np.swapaxes(o, -1, -2)
              @ (w @ w + (2.0 * (w @ sd) + sdd) @ sinv) @ o)
@@ -279,16 +279,18 @@ class BrinkmannProfile:
 
         M' is a fourth-order central difference, kept on purpose as a check
         independent of the O-equation; the grid and the four stencil points
-        of each u are evaluated as one `vielbein_on` batch.  The symmetry
+        of each u are evaluated as one `_frames` batch.  The symmetry
         condition, M^T h M' symmetric, holds for any multiple of M'; the
         derivative of M^T h M = identity, M'^T h M + M^T h' M + M^T h M'
-        = 0, with h' from `RosenProfile.triples`, holds only for M' itself.
+        = 0, holds only for M' itself.  Its h' comes from the same batch's
+        `RosenProfile.triples`, not from the O-equation.
         """
         us = np.asarray(us, dtype=float)
         step = 1e-5 * (1.0 + np.abs(us))
         k = len(us)
-        h, m = self.vielbein_on(np.concatenate(
+        h, hd, sinv, _, _, o = self._frames(np.concatenate(
             [us, us + step, us - step, us + 2 * step, us - 2 * step]))
+        m = sinv @ o
         step = step[:, None, None]
         d1 = (m[k:2 * k] - m[2 * k:3 * k]) / (2.0 * step)
         d2 = (m[3 * k:4 * k] - m[4 * k:]) / (4.0 * step)
@@ -296,7 +298,6 @@ class BrinkmannProfile:
         mt = np.swapaxes(m[:k], -1, -2)
         s = mt @ h[:k] @ md
         st = np.swapaxes(s, -1, -2)
-        hd = self.rosen.triples(us)[1]
         rep = Report(title="m-conditions",
                      meta={"u0": self.u0,
                            "u_interval": [float(a) for a in self.u_interval]})
@@ -304,7 +305,7 @@ class BrinkmannProfile:
             mt @ h[:k] @ m[:k] - np.eye(self.rosen.dim)))), tol)
         rep.add("symmetry condition", float(np.max(np.abs(s - st))), tol)
         rep.add("d/du (M^T h M) = 0",
-                float(np.max(np.abs(st + mt @ hd @ m[:k] + s))), tol)
+                float(np.max(np.abs(st + mt @ hd[:k] @ m[:k] + s))), tol)
         return rep
 
 

@@ -13,9 +13,9 @@ nodes of all pieces come from one stacked `christoffel` call.
 
 A frame is built from one `fundamental_tensor` at its point, and a frame
 of other representatives at the same point (`QuotientFrame.with_reps`)
-reuses its g and N; the holonomy starts from a given frame where the loop
-starts at the frame's point (`_holonomy`), so the ``quotient`` command
-evaluates g once at its base.
+reuses its g and N; `holonomy_defect` starts from a given frame at the
+loop's first vertex, so the ``quotient`` command evaluates g once at its
+base when its loop starts there.
 """
 
 from dataclasses import dataclass
@@ -172,22 +172,6 @@ def _transport_loop(L, N, vertices, columns, n_segments):
     return Y
 
 
-def holonomy_defect(L, N, loop, reps, n_segments=64, tol=1e-6):
-    """Operator-norm distance from identity of the quotient holonomy.
-
-    The loop is cut into at least ``n_segments`` pieces, and each piece
-    is transported by one order-8 Gauss collocation step from Γ at its 4
-    Gauss nodes (`_transport_loop`): one stacked Christoffel solve for the
-    whole loop.  A transported class drifting out of N^perp means N was
-    not parallel along the loop, which violates the precondition.  N is
-    tested for cone membership at each loop vertex, not at the Gauss
-    nodes, in one stacked `check_admissible` (`_gate_vertices`).  A loop
-    whose length overflows a float, or whose holonomy is not finite,
-    raises `SolverError`.
-    """
-    return _holonomy(L, N, loop, reps, n_segments, tol)
-
-
 def _gate_vertices(L, N, points):
     """N at each of ``points`` tested against the cone in one stacked
     `check_admissible`.  Where the stack raises a `FinslerError`, or a
@@ -202,16 +186,33 @@ def _gate_vertices(L, N, points):
         raise
 
 
-def _holonomy(L, N, loop, reps, n_segments=64, tol=1e-6, frame=None):
-    """`holonomy_defect`, where a ``frame`` of ``reps`` at the loop's
-    first vertex is the frame there; otherwise that frame is built."""
+def holonomy_defect(L, N, loop, reps, n_segments=64, tol=1e-6, frame=None):
+    """Operator-norm distance from identity of the quotient holonomy.
+
+    The loop is cut into at least ``n_segments`` pieces, and each piece
+    is transported by one order-8 Gauss collocation step from Γ at its 4
+    Gauss nodes (`_transport_loop`): one stacked Christoffel solve for the
+    whole loop.  A transported class drifting out of N^perp means N was
+    not parallel along the loop, which violates the precondition.  N is
+    tested for cone membership at each loop vertex, not at the Gauss
+    nodes, in one stacked `check_admissible` (`_gate_vertices`).  A loop
+    whose length overflows a float, or whose holonomy is not finite,
+    raises `SolverError`.
+
+    ``frame`` is the `quotient_metric` frame of ``reps`` at the loop's
+    first vertex, for a caller that has it already; a frame at another
+    point raises `ConstructionError`.  Without it, the frame is built.
+    """
     N = as_vector_field(N)
     vertices = np.atleast_2d(np.asarray(loop, dtype=float))
     if np.max(np.abs(vertices[0] - vertices[-1])) > 0.0:
         vertices = np.vstack([vertices, vertices[0]])
     _gate_vertices(L, N, vertices[:-1])
-    if frame is None or frame.base.tobytes() != vertices[0].tobytes():
+    if frame is None:
         frame = quotient_metric(L, N, vertices[0], reps)
+    elif not np.array_equal(frame.base, vertices[0]):
+        raise ConstructionError("the holonomy's frame is not at the "
+                                "loop's first vertex")
     Y = _transport_loop(L, N, vertices, frame.reps.T, n_segments)
     if not np.all(np.isfinite(Y)):
         raise SolverError("the holonomy is not finite: the transport "

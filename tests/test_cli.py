@@ -461,8 +461,7 @@ def test_penrose_evaluates_the_ray_jet_on_batches(tmp_path, capsys,
     # the fixed grids (positivity, vielbein conditions, A_mid, CSV) are
     # one batched ray jet each, and so is each refinement level of the
     # O-equation's panels (one level: W = 0 for cos^2), whose first level
-    # also carries both wall scans; the h' of the vielbein conditions'
-    # derivative row is one more.  Only the base point h(u0) is scalar.
+    # also carries both wall scans.  Only the base point h(u0) is scalar.
     # A grid of the Brinkmann profile carries four partial-step nodes per
     # row.
     from finsler import jets
@@ -482,7 +481,7 @@ def test_penrose_evaluates_the_ray_jet_on_batches(tmp_path, capsys,
     path = ROOT / "configs" / "penrose_cos2.json"
     assert main(["penrose", "--config", str(path)]) == 0
     assert calls[1] == 1
-    assert calls[2] == 6
+    assert calls[2] == 5
     assert max(lanes) == (5 * 101,)
 
 

@@ -257,9 +257,10 @@ def test_rotating_profile_vielbein_conditions():
     # the negative control: h^{-1/2} alone, O = identity, is orthonormal
     # but misses the symmetry condition of a rotating h
     class Bare(penrose.BrinkmannProfile):
-        def vielbein_on(self, us):
-            h = self.rosen.triples(us)[0]
-            return h, np.array([np.linalg.inv(spd_sqrt(x)) for x in h])
+        def _frames(self, us):
+            h, hd, sinv, sd, sdd, o = super()._frames(us)
+            eye = np.broadcast_to(np.eye(o.shape[-1]), o.shape)
+            return h, hd, sinv, sd, sdd, eye
 
     by_name = {c.name: c for c in Bare(**vars(bp)).m_conditions(us).checks}
     assert by_name["M^T h M = identity"].passed
@@ -283,9 +284,9 @@ def test_the_vielbein_derivative_row_sees_the_scale_of_m_prime(builder):
     assert rep.checks[2].residual <= 1e-10
 
     class Stretched(penrose.BrinkmannProfile):
-        def vielbein_on(self, us):
+        def _frames(self, us):
             grid = np.tile(us[:len(us) // 5], 5)
-            return super().vielbein_on(grid + 1.5 * (us - grid))
+            return super()._frames(grid + 1.5 * (us - grid))
 
     stretched = Stretched(**vars(res.brinkmann)).m_conditions(us).checks
     assert stretched[0].passed and stretched[1].passed

@@ -130,11 +130,11 @@ def test_randers_coefficients_build_in_every_form():
     x, v = [0.0, 0.3], [0.7, -0.4]
     forms = [RandersNorm(A, b, 2),
              RandersNorm(lambda x: A, lambda x: b, 2),
-             RandersNorm(lambda x: (A, b), None, 2)]
+             RandersNorm.from_joint(lambda x: (A, b), 2)]
     values = {float(F(x, v)) for F in forms}
     assert len(values) == 1
     for F in forms:
         got_A, got_b = F.coeffs(x)
         assert np.array_equal(got_A, A) and np.array_equal(got_b, b)
     with pytest.raises(ConstructionError):
-        RandersNorm(A, None, 2)
+        RandersNorm.from_joint(A, 2)

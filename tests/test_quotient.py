@@ -343,6 +343,21 @@ def test_a_loop_away_from_the_base_builds_its_frame_at_its_first_vertex(
     assert pairs == [3]
 
 
+def test_a_given_frame_gives_the_bits_of_a_built_one():
+    # the frame of the loop's first vertex is the one holonomy_defect
+    # builds; a frame at another point is refused, not rebuilt
+    L = fixtures.conformal_bump(0.8)
+    loop = quotient.rectangle_loop([0.0, 0.0, 0.1, 0.2], 2, 3, 0.5)
+    frame = quotient.quotient_metric(L, E0, loop[0], REPS)
+    built = quotient.holonomy_defect(L, E0, loop, REPS, n_segments=8)
+    given = quotient.holonomy_defect(L, E0, loop, REPS, n_segments=8,
+                                     frame=frame)
+    assert np.float64(given).tobytes() == np.float64(built).tobytes()
+    with pytest.raises(ConstructionError, match="first vertex"):
+        quotient.holonomy_defect(L, E0, loop[1:], REPS, n_segments=8,
+                                 frame=frame)
+
+
 def looped_gate(L, N, points):
     """The vertex gate as a loop: one scalar `check_admissible` a vertex."""
     for p in points:
