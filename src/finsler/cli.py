@@ -298,14 +298,14 @@ def _cmd_connection(L, rng, tol, n_samples, box, N):
 def _cmd_curvature(L, rng, tol, n_samples, box, N):
     # pair symmetry is an identity at the parallel reference direction,
     # not at a generic cone point of a non-quadratic model
+    draws = [(rng.uniform(-box, box, L.dim),
+              rng.uniform(-1, 1, (3, 4, L.dim))) for _ in range(n_samples)]
+    curvatures = chern_curvature(L, np.array([x for x, _ in draws]), N)
     rep = Report(title="curvature", meta={"samples": []})
-    for k in range(n_samples):
-        x = rng.uniform(-box, box, L.dim)
-        R = chern_curvature(L, x, N)
+    for k, ((x, spots), R) in enumerate(zip(draws, curvatures)):
         scale = max(1.0, R.scale)
         worst = 0.0
-        for _ in range(3):
-            X, Y, U, W = (rng.uniform(-1.0, 1.0, L.dim) for _ in range(4))
+        for X, Y, U, W in spots:
             worst = max(worst, abs(R.rm(X, Y, U, W) - R.rm(U, W, X, Y)))
         rep.add("sample %d: pair symmetry" % k, worst / scale, tol)
         rep.meta["samples"].append({"x": x.tolist(), "scale": R.scale})
@@ -326,12 +326,10 @@ def _cmd_geodesic(L, rng, tol, x0, v0, t_span, n_samples, ode_tol):
 def _cmd_ppwave(L, rng, tol, n_samples, box, N):
     # N is constant, so one stacked Christoffel table serves both the
     # parallel criterion and the curvature's parallel extensions
-    V = VectorField.constant(N)
-    table = _pointwise_tables(L, V, _draw_points(L, rng, n_samples, box))
+    table = _pointwise_tables(L, _draw_points(L, rng, n_samples, box), N)
     rep = Report(title="ppwave")
-    par = _parallel_report(L, table)
-    cond = _condition_report(L, V, table, tol)
-    rep.extend(par)
+    rep.extend(_parallel_report(L, table))
+    cond = _condition_report(L, VectorField.constant(N), table, tol)
     rep.extend(cond)
     rep.meta["curvature_scale"] = cond.meta["curvature_scale"]
     rep.meta["samples"] = cond.meta["samples"]

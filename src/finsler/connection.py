@@ -506,10 +506,13 @@ def parallel_extension(L, v, p):
     """Linear field through (p, v) with vanishing covariant derivative at p."""
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    L.check_admissible(p, v)
-    table = christoffel(L, VectorField.constant(v), p)
-    B = -np.einsum("kij,j->ik", table.gamma, v)
-    return VectorField.linear(v, p, B)
+    table = _table(L, p, v, np.zeros((len(v), len(v))), gate=True)
+    return _parallel_field(p, v, table.gamma)
+
+
+def _parallel_field(p, v, gamma):
+    """The linear field through (p, v) that Γ of ∇^v at p makes parallel."""
+    return VectorField.linear(v, p, -np.einsum("kij,j->ik", gamma, v))
 
 
 # -- geodesics ------------------------------------------------------------

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import (VectorField, _cartan_rhs, _field_jet, _koszul_rhs,
-                         _koszul_solve, _metric_inverse, _table,
-                         as_vector_field, parallel_extension)
+from .connection import (_cartan_rhs, _field_jet, _koszul_rhs, _koszul_solve,
+                         _metric_inverse, _parallel_field, _table,
+                         as_vector_field)
 from .report import Report
 
 __all__ = [
@@ -61,20 +61,22 @@ def chern_curvature(L, x, v, extension=None):
 
     One jet evaluation along the extension gives g, C, D and their
     x-derivatives; Γ and every ∂_a Γ then come from one closed-form Koszul
-    solve each, so the components are exact up to roundoff.
-    ``extension`` overrides the automatically built parallel extension; any
-    field through (x, v) with vanishing covariant derivative at x gives
-    the same tensor (pointwise-parallel semantics).  Only (x, v) is
-    tested for cone membership.
+    solve each, so the components are exact up to roundoff.  x is one
+    point, or a (B, n) stack with one v or B of them, which gives a list:
+    the extensions' symbols are one gated stacked solve, which names a
+    failing point (`_pointwise_tables`), then one jet per point.
+    ``extension`` overrides the built extension of one point; any field
+    through (x, v) with vanishing covariant derivative at x gives the same
+    tensor (pointwise-parallel semantics).  Only (x, v) is tested for cone
+    membership.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    if extension is None:
-        V = parallel_extension(L, v, x)
-    else:
+    if extension is not None:
         L.check_admissible(x, v)
-        V = extension
-    return _curvature(L, x, v, V)
+        return _curvature(L, x, v, extension)
+    Rs = _curvatures(L, _pointwise_tables(L, np.atleast_2d(x), v))
+    return Rs if x.ndim == 2 else Rs[0]
 
 
 def _curvature(L, x, v, V):
@@ -130,37 +132,39 @@ def ppwave_condition(L, N, sample_points, tol_factor=1e-6):
     checks, distinct from the curvature residuals.  The curvature
     tolerance is tol_factor times the curvature scale (max component over
     samples, floored at one so the flat case stays meaningful).  The
-    symbols that make the extensions of N parallel are one stacked solve
-    over the samples (`_pointwise_tables`), each lane block gated first,
-    so the first failing sample raises before any curvature is taken.
-    The curvature jet is then one per sample.
+    curvatures are those of `chern_curvature` on the stacked samples, so
+    the first failing sample raises before any curvature is taken.
     """
     N = as_vector_field(N)
-    return _condition_report(L, N, _pointwise_tables(L, N, sample_points),
-                             tol_factor)
-
-
-def _pointwise_tables(L, N, sample_points):
-    """The stacked `ChristoffelTable` of the constant fields N(p) at the
-    sample points p, each lane block behind the cone gate of its pairs
-    (p, N(p)): where N is itself constant, the symbols of ∇^N."""
     xs = np.array(sample_points, dtype=float).reshape(-1, L.dim)
     vs = np.array([N(p) for p in xs]).reshape(xs.shape)
+    return _condition_report(L, N, _pointwise_tables(L, xs, vs), tol_factor)
+
+
+def _pointwise_tables(L, xs, vs):
+    """The gated stacked `ChristoffelTable` at the (B, n) points xs of
+    the constant fields vs, one vector or B of them: where N is constant,
+    vs = N(xs) gives the symbols of ∇^N."""
+    vs = np.array(np.broadcast_to(vs, xs.shape))
     return _table(L, xs, vs, np.zeros(vs.shape + vs.shape[-1:]), gate=True)
 
 
+def _curvatures(L, table):
+    """R_v at each lane (x, v) of a `_pointwise_tables` table, one jet a
+    lane, along the field through (x, v) its symbols make parallel."""
+    return [_curvature(L, x, v, _parallel_field(x, v, gamma))
+            for x, v, gamma in zip(table.x, table.v, table.gamma)]
+
+
 def _condition_report(L, N, table, tol_factor):
-    """The `ppwave_condition` report from ``_pointwise_tables(L, N, ·)``:
-    one curvature jet per sample, along the linear field through
-    (p, N(p)) that the sample's symbols make parallel at p."""
+    """The `ppwave_condition` report from a `_pointwise_tables` table of
+    N: the curvature of each sample (`_curvatures`)."""
     rep = Report(title="ppwave-condition",
                  meta={"model": getattr(L, "name", "?"),
                        "samples": []})
     residuals = []
     scale = 0.0
-    for p, nv, gamma in zip(table.x, table.v, table.gamma):
-        ext = VectorField.linear(nv, p, -np.einsum("kij,j->ik", gamma, nv))
-        R = _curvature(L, p, nv, ext)
+    for p, nv, R in zip(table.x, table.v, _curvatures(L, table)):
         light = abs(float(L.value(p, nv)))
         # Γ at p depends on N(p) only, so the curvature's symbols serve
         nab = N.jacobian(p) + np.einsum("mil,l->im", R.gamma, nv)

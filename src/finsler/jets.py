@@ -738,29 +738,30 @@ def in_blocks(kernel, *arrays):
     `LANE_BLOCK`, concatenated; a kernel that returns a tuple of arrays
     has each of them concatenated.  The kernel takes a block of rows or
     a single row: a block of one row runs as that row, at the cost of a
-    scalar evaluation, and its outputs gain a lane axis of one.  An
-    empty set is one block of no lanes, which `_call` evaluates to
-    empty results.
+    scalar evaluation, and its outputs, floats too, gain a lane axis of
+    one.  An empty set is one block of no lanes, which `_call` evaluates
+    to empty results.
 
-    A block fails as a whole, with a `FinslerError` or a ``LinAlgError``.
-    The kernel then runs on each row of the block in turn, and the first
-    row that fails raises its error, with its point (its entry of
-    ``arrays[0]``) named where the set holds more than one point and the
-    error does not name it already; if no row fails by itself, the
-    block's error.  A kernel that gates each block thus fails as a loop
-    over the rows does.
+    A block fails as a whole, with a `FinslerError`, a ``LinAlgError``
+    or a warning turned into an error (by a model's own numpy arithmetic,
+    outside `_call`).  The kernel then runs on each row of the block in
+    turn, and the first row that fails raises its error, with its point
+    (its entry of ``arrays[0]``) named where the set holds more than one
+    point and the error, not a warning, does not name it already; if no
+    row fails by itself, the block's error.  A kernel that gates each
+    block thus fails as a loop over the rows does.
     """
     out = []
     for lo in range(0, max(len(arrays[0]), 1), LANE_BLOCK):
         block = [a[lo:lo + LANE_BLOCK] for a in arrays]
         if len(block[0]) == 1:
             res = _row(kernel, [a[0] for a in block], arrays[0])
-            out.append(tuple(r[None] for r in res) if isinstance(res, tuple)
-                       else res[None])
+            out.append(tuple(np.asanyarray(r)[None] for r in res)
+                       if isinstance(res, tuple) else np.asanyarray(res)[None])
             continue
         try:
             out.append(kernel(*block))
-        except (FinslerError, np.linalg.LinAlgError):
+        except (FinslerError, np.linalg.LinAlgError, RuntimeWarning):
             for row in zip(*block):
                 _row(kernel, row, arrays[0])
             raise

@@ -248,21 +248,22 @@ class RandersNorm:
     A and b are constants or jet-evaluable callables of x, or they come
     from one jet-evaluable callable x -> (A(x), b(x)) (`from_joint`), so
     that the factors A and b share are evaluated once per base point.  F
-    can thus be consumed by the derivative engine in both arguments.
-    ``fundamental`` gives the closed-form fundamental tensor of F^2 (the
-    independent oracle used against the generic jet path).
+    can thus be consumed by the derivative engine in both arguments.  A
+    constant A must be positive definite, and a constant pair must keep
+    |b|_{A^-1} < 1.  ``fundamental`` gives the closed-form fundamental
+    tensor of F^2 (the independent oracle used against the generic jet
+    path).
     """
 
     def __init__(self, A, b, dim):
         self.dim = int(dim)
         if not callable(A):
             A0 = np.asarray(A, dtype=float)
-            w = np.linalg.eigvalsh(A0)
-            if w.min() <= 0:
+            if np.linalg.eigvalsh(A0).min() <= 0:
                 raise ConstructionError("Randers A-part must be positive "
                                         "definite")
-            b0 = np.asarray(b, dtype=float)
-            if b0 @ np.linalg.solve(A0, b0) >= 1.0:
+            b0 = None if callable(b) else np.asarray(b, dtype=float)
+            if b0 is not None and b0 @ np.linalg.solve(A0, b0) >= 1.0:
                 raise ConstructionError("Randers drift too large: "
                                         "|b|_A^{ -1} must be < 1")
 

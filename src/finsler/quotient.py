@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from .connection import as_vector_field, christoffel
-from .errors import (ChartError, ConstructionError, FinslerError,
-                     SignatureError, SolverError)
+from .errors import ChartError, ConstructionError, SignatureError, SolverError
 from .ode import _GL_C, _gauss_step
 from .tensors import fundamental_tensor, leading_minors
 
@@ -173,17 +173,9 @@ def _transport_loop(L, N, vertices, columns, n_segments):
 
 
 def _gate_vertices(L, N, points):
-    """N at each of ``points`` tested against the cone in one stacked
-    `check_admissible`.  Where the stack raises a `FinslerError`, or a
-    warning turned into an error, each point is tested in turn, so the
-    first point that fails by itself raises its own error, as a loop over
-    the points does; if none does, the stack's error."""
-    try:
-        L.check_admissible(points, np.array([N(p) for p in points]))
-    except (FinslerError, RuntimeWarning):
-        for p in points:
-            L.check_admissible(p, N(p))
-        raise
+    """The cone gate of N at ``points``, in lane blocks (`jets.in_blocks`)."""
+    vs = np.reshape([N(p) for p in points], points.shape)
+    jets.in_blocks(lambda x, v: L.check_admissible(x, v).margin, points, vs)
 
 
 def holonomy_defect(L, N, loop, reps, n_segments=64, tol=1e-6, frame=None):
@@ -195,9 +187,9 @@ def holonomy_defect(L, N, loop, reps, n_segments=64, tol=1e-6, frame=None):
     whole loop.  A transported class drifting out of N^perp means N was
     not parallel along the loop, which violates the precondition.  N is
     tested for cone membership at each loop vertex, not at the Gauss
-    nodes, in one stacked `check_admissible` (`_gate_vertices`).  A loop
-    whose length overflows a float, or whose holonomy is not finite,
-    raises `SolverError`.
+    nodes, in lane blocks (`_gate_vertices`).  A loop whose length
+    overflows a float, or whose holonomy is not finite, raises
+    `SolverError`.
 
     ``frame`` is the `quotient_metric` frame of ``reps`` at the loop's
     first vertex, for a caller that has it already; a frame at another

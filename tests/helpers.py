@@ -31,11 +31,13 @@ and ``brentq``, the oracles of the library's own `finsler.ode`;
 right-hand-side calls included, and `scipy_dop853_tableau` the
 Dormand-Prince coefficients that scipy's DOP853 steps with.
 
-`per_sample_check`, `per_sample_connection` and `per_sample_ppwave` are
-the ``check``, ``connection`` and ``ppwave`` commands as loops over their
-samples, one scalar gate, tensor, Christoffel solve and curvature at a
-time, each sample gated and Γ solved where the loop meets it: the oracles
-of the commands' stacked passes, report bytes and first error alike.
+`per_sample_check`, `per_sample_connection`, `per_sample_curvature` and
+`per_sample_ppwave` are the ``check``, ``connection``, ``curvature`` and
+``ppwave`` commands as loops over their samples, one scalar gate, tensor,
+Christoffel solve and curvature at a time, each sample gated and Γ
+solved where the loop meets it, each curvature along its own
+`parallel_extension`: the oracles of the commands' stacked passes,
+report bytes and first error alike.
 
 `per_sample_homothety` and `per_sample_offblock` are
 `penrose.homothety_residual` and the off-block rows of the Penrose Ω
@@ -75,6 +77,7 @@ from finsler.connection import (
     christoffel,
     compatibility_residual,
     koszul_residual,
+    parallel_extension,
     torsion_residual,
 )
 from finsler.curvature import chern_curvature, nperp_basis
@@ -478,6 +481,21 @@ def per_sample_connection(L, rng, tol, n_samples, box, N):
     return rep, None
 
 
+def per_sample_curvature(L, rng, tol, n_samples, box, N):
+    rep = Report(title="curvature", meta={"samples": []})
+    for k in range(n_samples):
+        x = rng.uniform(-box, box, L.dim)
+        R = chern_curvature(L, x, N, extension=parallel_extension(L, N, x))
+        scale = max(1.0, R.scale)
+        worst = 0.0
+        for _ in range(3):
+            X, Y, U, W = (rng.uniform(-1.0, 1.0, L.dim) for _ in range(4))
+            worst = max(worst, abs(R.rm(X, Y, U, W) - R.rm(U, W, X, Y)))
+        rep.add("sample %d: pair symmetry" % k, worst / scale, tol)
+        rep.meta["samples"].append({"x": x.tolist(), "scale": R.scale})
+    return rep, None
+
+
 def per_sample_ppwave(L, rng, tol, n_samples, box, N):
     samples = [rng.uniform(-box, box, L.dim) for _ in range(n_samples)]
     V = VectorField.constant(N)
@@ -495,7 +513,7 @@ def per_sample_ppwave(L, rng, tol, n_samples, box, N):
     scale = 0.0
     for p in samples:                         # the curvature condition
         nv = V(p)
-        R = chern_curvature(L, p, nv)
+        R = chern_curvature(L, p, nv, extension=parallel_extension(L, nv, p))
         light = abs(float(L.value(p, nv)))
         nab = V.jacobian(p) + np.einsum("mil,l->im", R.gamma, nv)
         basis = nperp_basis(R.g, nv)

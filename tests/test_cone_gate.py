@@ -67,6 +67,7 @@ VS = np.array([E0, 1.1 * E0 + 0.1, E0 + 0.05])
 # gated (x, v) pairs per call: a stack of B pairs counts B
 GATE_COUNTS = {
     "chern_curvature": (lambda L: chern_curvature(L, X, E0), 1),
+    "chern_curvature/set": (lambda L: chern_curvature(L, XS, VS), 3),
     "homogeneity_report": (lambda L: homogeneity_report(L, X, E0), 1),
     "homogeneity_report/set": (
         lambda L: homogeneity_report(L, XS, VS), 3),
@@ -75,6 +76,8 @@ GATE_COUNTS = {
     "parallel_criterion": (lambda L: parallel_criterion(L, E0, SAMPLES), 3),
     "ppwave_condition": (lambda L: ppwave_condition(L, E0, SAMPLES), 3),
     "ppwave command": (lambda L: cli._cmd_ppwave(
+        L, np.random.default_rng(1), 1e-6, 3, 0.8, E0), 3),
+    "curvature command": (lambda L: cli._cmd_curvature(
         L, np.random.default_rng(1), 1e-6, 3, 0.8, E0), 3),
     "check command": (lambda L: cli._cmd_check(
         L, np.random.default_rng(1), 1e-9, 3, 0.8), 3),

@@ -208,20 +208,43 @@ def test_nonparallel_reference_equals_fd_riemann_of_its_extension():
 @pytest.mark.parametrize("extended,solves", [(False, 1), (True, 0)])
 def test_christoffel_solves_per_curvature_call(monkeypatch, extended,
                                                solves):
-    # the only solve is the one that builds the parallel extension
+    # the only solve is the gated one that builds the parallel extension
     L = _default_ppwave_example()
     x = np.array([0.05, 0.3, -0.15, 0.1])
     ext = parallel_extension(L, N_WAVE, x) if extended else None
     calls = []
+    table = connection._table
 
-    def counting(*args):
-        calls.append(args)
-        return christoffel(*args)
+    def counting(*args, gate=False):
+        calls.append(gate)
+        return table(*args, gate=gate)
 
-    monkeypatch.setattr(connection, "christoffel", counting)
-    monkeypatch.setattr(curvature, "christoffel", counting, raising=False)
+    monkeypatch.setattr(connection, "_table", counting)
+    monkeypatch.setattr(curvature, "_table", counting)
     chern_curvature(L, x, N_WAVE, extension=ext)
-    assert len(calls) == solves
+    assert calls == [True] * solves
+
+
+def test_a_stacked_curvature_has_each_points_bits():
+    # one v for every point, or one per point; each result has the bits
+    # of the point's curvature along its own parallel extension, over
+    # more points than one lane block
+    L = _default_ppwave_example()
+    xs = np.random.default_rng(8).uniform(-0.6, 0.6,
+                                          (jets.LANE_BLOCK + 2, 4))
+    vs = np.array([L.cone_ref_at(x) for x in xs])
+    for v in (N_WAVE, vs):
+        got = chern_curvature(L, xs, v)
+        assert len(got) == len(xs)
+        for x, w, R in zip(xs, np.broadcast_to(v, xs.shape), got):
+            want = chern_curvature(L, x, w,
+                                   extension=parallel_extension(L, w, x))
+            for name in ("components", "g", "gamma"):
+                assert (getattr(R, name).tobytes()
+                        == getattr(want, name).tobytes())
+    # one point gives one result, not a list
+    one = chern_curvature(L, xs[-1], vs[-1])
+    assert one.components.tobytes() == got[-1].components.tobytes()
 
 
 def test_curvature_product_terms_are_pinned(monkeypatch):

@@ -129,6 +129,8 @@ def test_randers_coefficients_build_in_every_form():
     A, b = np.diag([1.0, 2.0]), np.array([0.1, -0.2])
     x, v = [0.0, 0.3], [0.7, -0.4]
     forms = [RandersNorm(A, b, 2),
+             RandersNorm(A, lambda x: b, 2),
+             RandersNorm(lambda x: A, b, 2),
              RandersNorm(lambda x: A, lambda x: b, 2),
              RandersNorm.from_joint(lambda x: (A, b), 2)]
     values = {float(F(x, v)) for F in forms}
@@ -138,3 +140,33 @@ def test_randers_coefficients_build_in_every_form():
         assert np.array_equal(got_A, A) and np.array_equal(got_b, b)
     with pytest.raises(ConstructionError):
         RandersNorm.from_joint(A, 2)
+
+
+def drifting(x):
+    """A b(x) of jet-evaluable entries, as a model's drift is."""
+    return [0.1 * jets.sin(x[0]), -0.2 * x[1] * x[1]]
+
+
+def test_a_mixed_randers_norm_gives_the_bits_of_the_two_callable_one():
+    # a constant A with a callable b, and the reverse, evaluate as the
+    # two-callable form does, on floats and on jets in x and v
+    A = np.array([[1.0, 0.2], [0.2, 2.0]])
+    rng = np.random.default_rng(13)
+    for mixed, both in (
+            (RandersNorm(A, drifting, 2),
+             RandersNorm(lambda x: A, drifting, 2)),
+            (RandersNorm(lambda x: A, np.array([0.1, -0.2]), 2),
+             RandersNorm(lambda x: A, lambda x: np.array([0.1, -0.2]), 2))):
+        for x, v in zip(rng.uniform(-0.5, 0.5, (3, 2)),
+                        rng.uniform(0.5, 1.0, (3, 2))):
+            assert float(mixed(x, v)) == float(both(x, v))
+            _, xv = jets.variables(np.concatenate([x, v]), 2)
+            got, want = mixed(xv[:2], xv[2:]), both(xv[:2], xv[2:])
+            assert got.c.tobytes() == want.c.tobytes()
+
+
+def test_an_indefinite_constant_a_is_refused_in_every_form():
+    A = np.diag([1.0, -1.0])
+    for b in (np.zeros(2), lambda x: np.zeros(2), drifting):
+        with pytest.raises(ConstructionError, match="positive definite"):
+            RandersNorm(A, b, 2)

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsler import cli, fixtures, quotient
+from finsler import cli, fixtures, jets, quotient
 from finsler import lagrangian as lg
 from finsler.connection import VectorField, christoffel
 from finsler.curvature import chern_curvature
-from finsler.errors import ChartError, ConstructionError, SolverError
+from finsler.errors import (ChartError, ConeError, ConstructionError,
+                            SolverError)
 from finsler.quotient import _transport_loop
 from helpers import scipy_dop853
 
@@ -359,9 +360,10 @@ def test_a_given_frame_gives_the_bits_of_a_built_one():
 
 
 def looped_gate(L, N, points):
-    """The vertex gate as a loop: one scalar `check_admissible` a vertex."""
+    """The vertex gate as a loop: one scalar `check_admissible` a vertex,
+    its error named as `jets._row` names a point of the set."""
     for p in points:
-        L.check_admissible(p, N)
+        jets._row(L.check_admissible, (p, N), points)
 
 
 def raised(fn, *args):
@@ -388,4 +390,42 @@ def test_the_stacked_vertex_gate_fails_as_the_loop_does():
         assert raised(quotient._gate_vertices, L, VectorField.constant(N),
                       pts) == want
         seen.add(None if want is None else want[1][:12])
-    assert seen == {None, "vector outsi", "cone_ref is "}
+    # a vertex outside the cone is named; an overflowing cone reference
+    # names its vertex itself
+    assert seen == {None, "vector outsi", "at x=[0.0, 0", "cone_ref is "}
+
+
+def test_a_warning_in_the_stacked_gate_reruns_vertex_by_vertex():
+    # no built-in model warns in the gate, but a cone reference that
+    # computes with numpy does: its overflow at the second vertex, a
+    # warning turned into an error, fails the stacked check before the
+    # first vertex, outside the cone, is tested; the rerun raises the
+    # first vertex's error, as a loop does
+    L = lg.Lagrangian(lambda x, v: v[0] * v[0] - v[1] * v[1] - v[2] * v[2],
+                      3, lambda x: np.array([np.cosh(x[2]), 0.0, 0.0]),
+                      name="numpy-reference")
+    N = np.array([0.1, 1.0, 0.0])
+    pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1000.0]])
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        L.check_admissible(pts, np.tile(N, (2, 1)))
+    want = raised(looped_gate, L, N, pts)
+    assert want[0] is ConeError and want[1].startswith("at x=[0.0, 0.0, 0.0]")
+    assert raised(quotient._gate_vertices, L, VectorField.constant(N),
+                  pts) == want
+
+
+def test_a_loop_of_one_vertex_has_no_defect():
+    # its vertex set, the loop without its closing vertex, is empty
+    L = lg.build_brinkmann_quadratic("x2-y2")
+    loop = [[0.1, 0.2, 0.3, 0.0]]
+    assert quotient.holonomy_defect(L, E0, loop, REPS, n_segments=8) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, jets.LANE_BLOCK + 1])
+def test_the_vertex_gate_passes_a_last_block_of_one_vertex(n):
+    # a one-row block tests its vertex alone, as a plain pair
+    L = lg.build_brinkmann_quadratic("x2-y2")
+    pts = np.zeros((n, 4))
+    pts[:, 2] = np.linspace(0.0, 0.3, n)
+    quotient._gate_vertices(L, VectorField.constant([1.0, 0.5, 0.0, 0.0]),
+                            pts)

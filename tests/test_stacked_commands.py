@@ -1,6 +1,7 @@
 """The sampled commands run one stacked pass per sample set.
 
-`check`, `connection` and `ppwave` evaluate all their samples at once, and
+`check`, `connection`, `curvature` and `ppwave` evaluate all their
+samples at once (the curvature jet stays one per sample), and
 their reports must keep the bytes of a loop over the samples, one scalar
 evaluation at a time (`tests/helpers.py`), and its first error.  Each lane
 block gates its own samples, and `jets.in_blocks` reruns a failing block
@@ -21,13 +22,14 @@ from finsler.lagrangian import Lagrangian, catalog, from_descriptor
 from finsler.tensors import (cartan_tensor, fundamental_tensor,
                              homogeneity_report)
 
-from helpers import per_sample_check, per_sample_connection, per_sample_ppwave
+from helpers import (per_sample_check, per_sample_connection,
+                     per_sample_curvature, per_sample_ppwave)
 
 MODELS = {**catalog(), **{k: b() for k, b in fixtures.BUILDERS.items()}}
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
 ORACLES = {"check": per_sample_check, "connection": per_sample_connection,
-           "ppwave": per_sample_ppwave}
+           "curvature": per_sample_curvature, "ppwave": per_sample_ppwave}
 SIZES = (1, 5, jets.LANE_BLOCK + 1)
 
 
@@ -58,13 +60,16 @@ def test_stacked_reports_are_the_per_sample_bytes(command, name):
 
 
 class Points:
-    """A generator stand-in whose uniform draws are the given points."""
+    """A generator stand-in whose uniform draws take the values of the
+    given points in turn, as a generator's stream does, whatever the
+    shape of each draw."""
 
     def __init__(self, points):
-        self._points = iter(points)
+        self._values = np.concatenate([np.ravel(p) for p in points])
 
     def uniform(self, lo, hi, size):
-        return np.array(next(self._points), dtype=float)
+        out, self._values = np.split(self._values, [np.prod(size)])
+        return out.reshape(size)
 
 
 # N = (1, 1, 1, 0) has L = 2 - h2(x0) = 1 + x0 on linear_wall (h2 =
@@ -75,15 +80,18 @@ OUTSIDE = [-1.5, 0.1, 0.2, 0.3]
 DEGENERATE = [1.0, 0.1, 0.2, 0.3]
 
 
-@pytest.mark.parametrize("command", ["connection", "ppwave"])
+@pytest.mark.parametrize("command", ["connection", "curvature", "ppwave"])
 @pytest.mark.parametrize("bad", [(OUTSIDE, DEGENERATE),
                                  (DEGENERATE, OUTSIDE)])
 def test_a_failing_set_raises_the_per_sample_loops_first_error(
         command, bad, capsys, monkeypatch, tmp_path):
     L = fixtures.linear_wall()
     points = [INSIDE, *bad, INSIDE]
+    # curvature draws 3 spots of 4 vectors after each sample
+    spots = np.full(12 * 4, 0.5) if command == "curvature" else []
+    draws = [v for p in points for v in (p, spots)]
     with pytest.raises(FinslerError) as want:
-        ORACLES[command](L, Points(points), 1e-6, len(points), 0.8, N_WALL)
+        ORACLES[command](L, Points(draws), 1e-6, len(points), 0.8, N_WALL)
     # a sample is named once: the singular-metric error names it already
     first = str(want.value)
     if "x=%r" % (bad[0],) not in first:
@@ -95,7 +103,7 @@ def test_a_failing_set_raises_the_per_sample_loops_first_error(
             np.zeros((len(points), 4, 4)), gate=True)
     assert (type(got.value), str(got.value)) == (type(want.value), first)
 
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: Points(points))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Points(draws))
     cfg = tmp_path / "wall.json"
     cfg.write_text(json.dumps({
         "spacetime": {"type": "plugin",
