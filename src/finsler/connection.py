@@ -9,12 +9,14 @@ pass.  The Koszul identities are linear in the symbols, and for a
 and then once they give Γ(v, v) and Γ v, and then Γ in closed form
 (`_koszul_solve`).  Curvature uses the same solve for the exact
 x-derivatives of Γ from a base-order-2 evaluation.  `christoffel` takes
-one point or a point set; a set is one batched evaluation and one
-stacked solve per lane block (`_table`), lane for lane the bits of the
-solve at each point.  `christoffel` never tests cone membership; the
-public entry points (`connection_report`, `hessian`,
-`parallel_extension`, `geodesic`) gate the reference the caller
-supplies, `connection_report` once for each point, in its lane block.
+one point or a point set, and reads V and its Jacobian there from the
+`VectorField`, which evaluates a set row by row; a set is one batched
+evaluation and one stacked solve per lane block (`_table`), lane for
+lane the bits of the solve at each point.  `christoffel` never tests
+cone membership; the public entry points (`connection_report`,
+`hessian`, `parallel_extension`, `geodesic`) gate the reference the
+caller supplies, `connection_report` once for each point, in its lane
+block.
 Geodesics solve no symbols: `geodesic` integrates the Euler–Lagrange
 spray (`_spray`), which it builds once per integration, and whose every
 call is one caps-(1, 2) (x | v) jet evaluation and one gather.
@@ -112,7 +114,9 @@ class VectorField:
 
     The built-in constructors carry analytic Jacobians; custom evaluation
     callables must be jet-evaluable (list of scalars in, list out) so the
-    Jacobian can be extracted exactly.
+    Jacobian can be extracted exactly.  V and its Jacobian take one point
+    or a (B, n) stack of points, which they evaluate row by row and stack
+    on a leading axis.
     """
 
     def __init__(self, eval_fn, jacobian_fn=None, name="V"):
@@ -142,10 +146,15 @@ class VectorField:
         return cls(ev, jacobian_fn=lambda x: B, name="linear")
 
     def __call__(self, x):
+        if np.ndim(x) == 2:
+            return np.array([self(row) for row in x]).reshape(np.shape(x))
         out = self._eval([float(t) for t in x])
         return np.asarray([float(t) for t in out], dtype=float)
 
     def jacobian(self, x):
+        if np.ndim(x) == 2:
+            return np.array([self.jacobian(row) for row in x]).reshape(
+                np.shape(x) + np.shape(x)[-1:])
         if self._jac is not None:
             return np.asarray(self._jac([float(t) for t in x]), dtype=float)
         n = len(x)
@@ -307,9 +316,7 @@ def christoffel(L, V, x):
     own reference once.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return _table(L, x, np.asarray(V(x), dtype=float), V.jacobian(x))
-    return _table(L, x, *_field_at(V, x))
+    return _table(L, x, V(x), V.jacobian(x))
 
 
 def _table(L, x, v, J, gate=False):
@@ -335,13 +342,6 @@ def _table(L, x, v, J, gate=False):
         parts = jets.in_blocks(kernel, x, v, J)
     return ChristoffelTable(x, v, *parts, jacobian=J, iterations=0,
                             method="closed-form")
-
-
-def _field_at(V, xs):
-    """V and its Jacobian at each point of xs, stacked."""
-    return (np.array([V(x) for x in xs]).reshape(xs.shape),
-            np.array([V.jacobian(x) for x in xs]).reshape(
-                xs.shape + xs.shape[-1:]))
 
 
 def _koszul_residual(gamma, g, C, D, J, v):
@@ -385,7 +385,7 @@ def connection_report(L, V, x):
     each lane; a failing set raises its first failing point's error.
     """
     xs = np.atleast_2d(np.asarray(x, dtype=float))
-    table = _table(L, xs, *_field_at(V, xs), gate=True)
+    table = _table(L, xs, V(xs), V.jacobian(xs), gate=True)
     reps = []
     for b in range(len(xs)):
         t = table.lane(b)
@@ -507,12 +507,13 @@ def parallel_extension(L, v, p):
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     table = _table(L, p, v, np.zeros((len(v), len(v))), gate=True)
-    return _parallel_field(p, v, table.gamma)
+    return VectorField.linear(v, p, _parallel_jacobian(table.gamma, v))
 
 
-def _parallel_field(p, v, gamma):
-    """The linear field through (p, v) that Γ of ∇^v at p makes parallel."""
-    return VectorField.linear(v, p, -np.einsum("kij,j->ik", gamma, v))
+def _parallel_jacobian(gamma, v):
+    """∂_i V^k = -Γ^k_ij v^j: the Jacobian at x of a field through (x, v)
+    that the symbols Γ of ∇^v at x make parallel there."""
+    return -np.einsum("kij,j->ik", gamma, v)
 
 
 # -- geodesics ------------------------------------------------------------

@@ -3,10 +3,11 @@
 The curvature tensor at (x, v) is assembled from the Christoffel field of
 the parallel extension of v through x and its exact x-derivatives: one
 jet evaluation of L along the extension with base order 2 gives g, C, D
-and their x-derivatives.  Differentiating the Koszul identities gives
-identities of the same form for each ∂_a Γ, so one closed-form solve
-(`connection._koszul_solve`) yields Γ and all of ∂Γ as a batch.  No
-finite difference is taken.
+and their x-derivatives.  The kernel (`_curvature`) reads the extension
+through its Jacobian at x alone, B = −Γ·v for the built one.
+Differentiating the Koszul identities gives identities of the same form
+for each ∂_a Γ, so one closed-form solve (`connection._koszul_solve`)
+yields Γ and all of ∂Γ as a batch.  No finite difference is taken.
 
 Index convention: components[l, i, j, k] = R^l_{ijk}, the ∂_l-component of
 R_v(∂_i, ∂_j)∂_k; antisymmetry in (i, j) is exact by construction.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import (_cartan_rhs, _field_jet, _koszul_rhs, _koszul_solve,
-                         _metric_inverse, _parallel_field, _table,
+                         _metric_inverse, _parallel_jacobian, _table,
                          as_vector_field)
 from .report import Report
 
@@ -65,35 +66,35 @@ def chern_curvature(L, x, v, extension=None):
     point, or a (B, n) stack with one v or B of them, which gives a list:
     the extensions' symbols are one gated stacked solve, which names a
     failing point (`_pointwise_tables`), then one jet per point.
-    ``extension`` overrides the built extension of one point; any field
-    through (x, v) with vanishing covariant derivative at x gives the same
-    tensor (pointwise-parallel semantics).  Only (x, v) is tested for cone
-    membership.
+    ``extension`` overrides the built extension of one point: only its
+    Jacobian at x is read, and v stands for its value there, which a
+    field through (x, v) equals.  Any field through (x, v) with vanishing
+    covariant derivative at x gives the same tensor (pointwise-parallel
+    semantics).  Only (x, v) is tested for cone membership.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if extension is not None:
         L.check_admissible(x, v)
-        return _curvature(L, x, v, extension)
+        return _curvature(L, x, v, extension.jacobian(x))
     Rs = _curvatures(L, _pointwise_tables(L, np.atleast_2d(x), v))
     return Rs if x.ndim == 2 else Rs[0]
 
 
-def _curvature(L, x, v, V):
-    """The `chern_curvature` kernel: R_v at x from the field V through
-    (x, v), with no cone test."""
-    vx, J = V(x), V.jacobian(x)
-    g, C, D, dC, dD = _field_jet(L, x, vx, J, base_order=2)
+def _curvature(L, x, v, J):
+    """The `chern_curvature` kernel: R_v at x along a field through (x, v)
+    whose Jacobian at x is J, with no cone test."""
+    g, C, D, dC, dD = _field_jet(L, x, v, J, base_order=2)
     ginv = _metric_inverse(g, x)        # SignatureError where g degenerates
-    gamma = _koszul_solve(ginv, C, vx, _koszul_rhs(D, C, J))
+    gamma = _koszul_solve(ginv, C, v, _koszul_rhs(D, C, J))
     # ∂_a of 2 g(Γ, ·) = rhs(D, C, J + Γ v) along the linearisation, where
     # ∂_a g = D[a] and ∂_a v = J[a]; the field's second derivatives cancel
     # between ∂_a D and ∂_a J, so the linear seed is exact for any extension
-    A = J + np.einsum("mil,l->im", gamma, vx)
+    A = J + np.einsum("mil,l->im", gamma, v)
     drhs = (_koszul_rhs(dD, dC, A)
             + _cartan_rhs(C, np.einsum("mil,al->aim", gamma, J))
             - 2.0 * np.einsum("alk,lij->aijk", D, gamma))
-    dgamma = _koszul_solve(ginv, C, vx, drhs)  # [a, l, i, j] = ∂_a Γ^l_ij
+    dgamma = _koszul_solve(ginv, C, v, drhs)  # [a, l, i, j] = ∂_a Γ^l_ij
 
     # R^l_ijk = P^l_ijk - P^l_jik with P^l_ijk = ∂_i Γ^l_jk + Γ^l_im Γ^m_jk
     P = (np.transpose(dgamma, (1, 0, 2, 3))
@@ -137,8 +138,8 @@ def ppwave_condition(L, N, sample_points, tol_factor=1e-6):
     """
     N = as_vector_field(N)
     xs = np.array(sample_points, dtype=float).reshape(-1, L.dim)
-    vs = np.array([N(p) for p in xs]).reshape(xs.shape)
-    return _condition_report(L, N, _pointwise_tables(L, xs, vs), tol_factor)
+    return _condition_report(L, N, _pointwise_tables(L, xs, N(xs)),
+                             tol_factor)
 
 
 def _pointwise_tables(L, xs, vs):
@@ -151,8 +152,8 @@ def _pointwise_tables(L, xs, vs):
 
 def _curvatures(L, table):
     """R_v at each lane (x, v) of a `_pointwise_tables` table, one jet a
-    lane, along the field through (x, v) its symbols make parallel."""
-    return [_curvature(L, x, v, _parallel_field(x, v, gamma))
+    lane, along a field through (x, v) its symbols make parallel."""
+    return [_curvature(L, x, v, _parallel_jacobian(gamma, v))
             for x, v, gamma in zip(table.x, table.v, table.gamma)]
 
 
@@ -164,10 +165,11 @@ def _condition_report(L, N, table, tol_factor):
                        "samples": []})
     residuals = []
     scale = 0.0
-    for p, nv, R in zip(table.x, table.v, _curvatures(L, table)):
+    for p, nv, R, J in zip(table.x, table.v, _curvatures(L, table),
+                           N.jacobian(table.x)):
         light = abs(float(L.value(p, nv)))
         # Γ at p depends on N(p) only, so the curvature's symbols serve
-        nab = N.jacobian(p) + np.einsum("mil,l->im", R.gamma, nv)
+        nab = J + np.einsum("mil,l->im", R.gamma, nv)
         par = float(np.max(np.abs(nab)))
 
         basis = nperp_basis(R.g, nv)

@@ -106,7 +106,11 @@ class Lagrangian:
         return np.broadcast_to(np.asarray(w, dtype=float), len(vs)).copy()
 
     def cone_ref_at(self, x):
-        """cone_ref at x; EvaluationError where it is not finite."""
+        """cone_ref at x, or at each row of a (B, n) stack, stacked;
+        EvaluationError where it is not finite."""
+        if np.ndim(x) == 2:
+            return np.array([self.cone_ref_at(row) for row in x]).reshape(
+                np.shape(x))
         ref = self._cone_ref
         x = [float(t) for t in x]
         if callable(ref):
@@ -134,7 +138,7 @@ class Lagrangian:
         if not np.all(np.any(vs, axis=1)):
             raise ConeError("zero vector has no cone membership")
         xs = np.atleast_2d(np.asarray(x, dtype=float))
-        refs = np.array([self.cone_ref_at(p) for p in xs]).reshape(xs.shape)
+        refs = self.cone_ref_at(xs)
         t = _SEGMENT_T
         seg = (1.0 - t) * refs[:, None, :] + t * vs[:, None, :]
         base = xs[0] if len(xs) == 1 else np.repeat(xs, len(t), axis=0)

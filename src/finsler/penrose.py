@@ -121,13 +121,12 @@ def _omega_row(L, N, omega, samples, us, tol=1e-9):
     pms = ps * jd
     pms[:, 0] = ps[:, 0]
     ones = np.ones((k, 1))
-    gs = fundamental_tensor(L, pms, ones * nvec0).matrix
+    gs = fundamental_tensor(L, pms, ones * nvec0)
     ray = np.zeros((len(us), n))
     ray[:, 0] = us
     gws = fundamental_tensor(
         Lw, np.concatenate([ps, ray]),
-        np.concatenate([ones * (nvec0 / jd), np.ones((len(us), 1)) * nvec0])
-    ).matrix
+        np.concatenate([ones * (nvec0 / jd), np.ones((len(us), 1)) * nvec0]))
     for idx, (g, gw) in enumerate(zip(gs, gws[:k])):
         lhs = np.outer(jd, jd) * g
         rhs = omega ** 2 * gw

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets, ode
-from .connection import _field_at, _field_jet, _table, as_vector_field
+from .connection import _field_jet, _table, as_vector_field
 from .errors import SolverError
 from .lagrangian import wave_profile
 from .report import Report, csv_text
@@ -77,12 +77,11 @@ def lightlike_form_check(L, N, x):
     N = as_vector_field(N)
     xs = np.atleast_2d(np.asarray(x, dtype=float))
     n = xs.shape[1]
-    nvecs = np.array([N(p) for p in xs], dtype=float).reshape(xs.shape)
+    nvecs = N(xs)
     e0 = np.zeros(n)
     e0[0] = 1.0
     reps = []
-    for p, nvec, g in zip(xs, nvecs,
-                          fundamental_tensor(L, xs, nvecs).matrix):
+    for p, nvec, g in zip(xs, nvecs, fundamental_tensor(L, xs, nvecs)):
         scale = max(1.0, float(np.max(np.abs(g))))
         residuals = {"N-e0": float(np.max(np.abs(nvec - e0)))}
         residuals["g00"] = abs(float(g[0, 0]))
@@ -115,7 +114,8 @@ def parallel_criterion(L, N, region_samples):
     """
     N = as_vector_field(N)
     xs = np.array(region_samples, dtype=float).reshape(-1, L.dim)
-    return _parallel_report(L, _table(L, xs, *_field_at(N, xs), gate=True))
+    return _parallel_report(L, _table(L, xs, N(xs), N.jacobian(xs),
+                                      gate=True))
 
 
 def _parallel_report(L, table):
@@ -219,7 +219,7 @@ def delta_scan(L, N, ray):
 
     def det_h(t):
         p = ray.sol(float(t))[:L.dim]
-        g = fundamental_tensor(L, p, np.asarray(N(p), dtype=float)).matrix
+        g = fundamental_tensor(L, p, N(p))
         return float(np.linalg.det(-g[2:, 2:]))
 
     def det_h_slope(t):
@@ -236,7 +236,7 @@ def delta_scan(L, N, ray):
         return total
 
     xs = np.asarray(ray.x, dtype=float)
-    gs = fundamental_tensor(L, xs, np.array([N(p) for p in xs])).matrix
+    gs = fundamental_tensor(L, xs, N(xs))
     h = -gs[:, 2:, 2:]
     dets = np.linalg.det(h)
     delta = np.sqrt(np.where(dets >= 0.0, dets, np.nan))

@@ -66,8 +66,8 @@ def quotient_metric(L, N, x, reps):
     """
     N = as_vector_field(N)
     x = np.asarray(x, dtype=float)
-    nvec = np.asarray(N(x), dtype=float)
-    g = fundamental_tensor(L, x, nvec).matrix
+    nvec = N(x)
+    g = fundamental_tensor(L, x, nvec)
     scale = max(1.0, float(np.max(np.abs(g))))
 
     light = abs(float(L.value(x, nvec)))
@@ -174,8 +174,8 @@ def _transport_loop(L, N, vertices, columns, n_segments):
 
 def _gate_vertices(L, N, points):
     """The cone gate of N at ``points``, in lane blocks (`jets.in_blocks`)."""
-    vs = np.reshape([N(p) for p in points], points.shape)
-    jets.in_blocks(lambda x, v: L.check_admissible(x, v).margin, points, vs)
+    jets.in_blocks(lambda x, v: L.check_admissible(x, v).margin, points,
+                   N(points))
 
 
 def holonomy_defect(L, N, loop, reps, n_segments=64, tol=1e-6, frame=None):

@@ -2,9 +2,9 @@
 
 Everything here is per-point and pure: evaluate, return arrays, no caching
 (anisotropic v-dependence makes global caches error-prone; callers own
-memoization).  g and C come from one kernel, the v-partials of L of
-order 2 or 3 (`_v_partials`), and take one pair or a (B, n) stack of
-pairs, whose lanes are bitwise the results at each pair.  The tensor
+memoization).  g and C are plain arrays from one kernel, the v-partials
+of L of order 2 or 3 (`_v_partials`), and take one pair or a (B, n)
+stack of pairs, whose lanes are bitwise the results at each pair.  The tensor
 kernels never test cone membership; the public entry points
 (`homogeneity_report` here) gate the caller's pairs once each through
 `Lagrangian.check_admissible`, each in its lane block.
@@ -20,8 +20,6 @@ from . import jets
 from .report import Report
 
 __all__ = [
-    "FundamentalTensor",
-    "CartanTensor",
     "Signature",
     "fundamental_tensor",
     "cartan_tensor",
@@ -29,20 +27,6 @@ __all__ = [
     "leading_minors",
     "homogeneity_report",
 ]
-
-
-@dataclass(frozen=True)
-class FundamentalTensor:
-    x: np.ndarray
-    v: np.ndarray
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class CartanTensor:
-    x: np.ndarray
-    v: np.ndarray
-    coeffs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,23 +70,20 @@ def _v_partials(L, x, v, order):
 def fundamental_tensor(L, x, v):
     """g_ij(x, v) = 1/2 d^2/ds dt L(x, v + s e_i + t e_j) via jets.
 
-    x and v are one pair, or (B, n) stacks of B pairs, which stack g on
-    a leading lane axis (see `_v_partials`).
+    Returns the (n, n) array g; x and v are one pair, or (B, n) stacks
+    of B pairs, which give the (B, n, n) stack (see `_v_partials`).
     """
-    g = 0.5 * _v_partials(L, x, v, 2)
-    return FundamentalTensor(x=np.asarray(x, float), v=np.asarray(v, float),
-                             matrix=g)
+    return 0.5 * _v_partials(L, x, v, 2)
 
 
 def cartan_tensor(L, x, v):
     """C_ijk(x, v) = 1/4 third v-derivative of L; fully symmetric.
 
-    x and v are one pair, or (B, n) stacks of B pairs, which stack C on
-    a leading lane axis (see `_v_partials`).
+    Returns the (n, n, n) array C; x and v are one pair, or (B, n)
+    stacks of B pairs, which give the (B, n, n, n) stack (see
+    `_v_partials`).
     """
-    C = 0.25 * _v_partials(L, x, v, 3)
-    return CartanTensor(x=np.asarray(x, float), v=np.asarray(v, float),
-                        coeffs=C)
+    return 0.25 * _v_partials(L, x, v, 3)
 
 
 def signature_of(matrix):
@@ -172,10 +153,10 @@ def _homogeneity(L, x, v, tol):
         xr = np.broadcast_to(x[..., None, :], scaled.shape)
         vals = L.value(xr.reshape(-1, n), scaled.reshape(-1, n))
         gs = fundamental_tensor(L, xr[..., :3, :].reshape(-1, n),
-                                scaled[..., :3, :].reshape(-1, n)).matrix
+                                scaled[..., :3, :].reshape(-1, n))
         return (vals.reshape(scaled.shape[:-1]),
                 gs.reshape(scaled.shape[:-2] + (3, n, n)),
-                cartan_tensor(L, x, v).coeffs)
+                cartan_tensor(L, x, v))
 
     vals, gs, Cs = jets.in_blocks(kernel, xs, vs)
 

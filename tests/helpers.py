@@ -364,7 +364,7 @@ def jacobi_first_zero(L, nvec, ray, n_grid=81, rtol=1e-10, guard=1e-3):
                              np.asarray(ray.v, float), axis=0)
 
     def h_at(t):
-        g = fundamental_tensor(L, pos(t), nvec).matrix
+        g = fundamental_tensor(L, pos(t), nvec)
         return -g[2:, 2:]
 
     grid = []
@@ -432,17 +432,17 @@ def _homogeneity_alone(L, x, v, tol):
         res = abs(Ll - target) / max(1.0, abs(target))
         rep.add("L(%.1f v) = %.1f^2 L" % (lam, lam), res, tol)
 
-    g = fundamental_tensor(L, x, v).matrix
+    g = fundamental_tensor(L, x, v)
     gscale = max(1.0, float(np.max(np.abs(g))))
     for lam in (0.5, 2.0):
-        gl = fundamental_tensor(L, x, lam * v).matrix
+        gl = fundamental_tensor(L, x, lam * v)
         res = float(np.max(np.abs(gl - g))) / gscale
         rep.add("g_(%.1f v) = g_v" % lam, res, tol)
 
     res = abs(float(v @ g @ v) - Lv) / max(1.0, abs(Lv))
     rep.add("g_v(v, v) = L", res, tol)
 
-    C = cartan_tensor(L, x, v).coeffs
+    C = cartan_tensor(L, x, v)
     contr = np.einsum("ijk,i->jk", C, v)
     cscale = 1.0 + float(np.max(np.abs(C))) * float(np.linalg.norm(v))
     rep.add("C_v(v, ., .) = 0",
@@ -457,7 +457,7 @@ def per_sample_check(L, rng, tol, n_samples, box):
         sub = _homogeneity_alone(L, x, v, tol)
         for c in sub.checks:
             rep.add("sample %d: %s" % (k, c.name), c.residual, c.tol)
-        sig = signature_of(fundamental_tensor(L, x, v).matrix)
+        sig = signature_of(fundamental_tensor(L, x, v))
         ok = (sig.plus, sig.minus, sig.zero) == want
         rep.add("sample %d: signature (1, %d, 0)" % (k, L.dim - 1),
                 0.0 if ok else 1.0, 0.5)
@@ -553,8 +553,8 @@ def per_sample_homothety(L, N, omega, samples, tol=1e-9):
         p = np.asarray(p, dtype=float)
         pm = p * jd
         pm[0] = p[0]
-        lhs = np.outer(jd, jd) * fundamental_tensor(L, pm, nvec0).matrix
-        rhs = omega ** 2 * fundamental_tensor(Lw, p, nvec0 / jd).matrix
+        lhs = np.outer(jd, jd) * fundamental_tensor(L, pm, nvec0)
+        rhs = omega ** 2 * fundamental_tensor(Lw, p, nvec0 / jd)
         scale = max(1.0, float(np.max(np.abs(lhs))))
         res = float(np.max(np.abs(lhs - rhs))) / scale
         rep.add("sample %d: homothety" % idx, res, tol)
@@ -568,7 +568,7 @@ def per_sample_offblock(L, nvec, omega, us):
     for u in us:
         p = np.zeros(L.dim)
         p[0] = float(u)
-        gw = fundamental_tensor(Lw, p, nvec).matrix
+        gw = fundamental_tensor(Lw, p, nvec)
         worst_row = max(worst_row, float(np.max(np.abs(gw[1, 2:]))))
         worst_g11 = max(worst_g11, abs(float(gw[1, 1])))
     return {"omega": float(omega), "g1a": worst_row, "g11": worst_g11}

@@ -275,6 +275,43 @@ def test_vector_field_jet_jacobian_matches_analytic():
     assert np.allclose(V(x), [4.0, 0.125, 1.0, -1.0])
 
 
+def _curved(x):
+    return [1.0 + 0.1 * x[1] * x[2], jets.sin(x[0]), 0.5, x[3] * x[3]]
+
+
+def _curved_jacobian(x):
+    J = np.zeros((4, 4))
+    J[1, 0], J[2, 0] = 0.1 * x[2], 0.1 * x[1]
+    J[0, 1] = np.cos(x[0])
+    J[3, 3] = 2.0 * x[3]
+    return J
+
+
+STACK_FIELDS = {
+    "constant": VectorField.constant([1.0, 0.5, -0.25, 0.0]),
+    # p lies off the stack, so the offsets x - p are not zero
+    "linear": VectorField.linear(
+        [1.0, 0.5, 0.0, 0.2], [0.3, -0.1, 0.2, 0.4],
+        0.3 * np.random.default_rng(5).normal(size=(4, 4))),
+    "jacobian_fn": VectorField(_curved, jacobian_fn=_curved_jacobian),
+    "jets": VectorField(_curved),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STACK_FIELDS))
+def test_a_field_on_a_stack_is_the_field_at_each_point(kind):
+    V = STACK_FIELDS[kind]
+    xs = np.random.default_rng(6).uniform(-0.8, 0.8, (5, 4))
+    values, jacobians = V(xs), V.jacobian(xs)
+    assert values.shape == (5, 4) and jacobians.shape == (5, 4, 4)
+    for x, value, J in zip(xs, values, jacobians):
+        assert value.tobytes() == V(x).tobytes()
+        assert J.tobytes() == V.jacobian(x).tobytes()
+    none = np.zeros((0, 4))
+    assert V(none).shape == (0, 4)
+    assert V.jacobian(none).shape == (0, 4, 4)
+
+
 # -- gradient -------------------------------------------------------------
 
 def test_gradient_minkowski_timelike_frozen():

@@ -4,7 +4,7 @@ import pytest
 from finsler import fixtures, jets, ode, penrose
 from finsler import lagrangian as lg
 from finsler.connection import VectorField, christoffel
-from finsler.curvature import ppwave_condition
+from finsler.curvature import chern_curvature, ppwave_condition
 from finsler.errors import (ChartError, EvaluationError, SignatureError,
                             SolverError)
 from finsler.penrose import RosenProfile
@@ -265,6 +265,32 @@ def test_rotating_profile_vielbein_conditions():
     by_name = {c.name: c for c in Bare(**vars(bp)).m_conditions(us).checks}
     assert by_name["M^T h M = identity"].passed
     assert not by_name["symmetry condition"].passed
+
+
+@pytest.mark.parametrize("builder", ["rosen_cos2", "rosen_cross",
+                                     "rosen_exp"])
+def test_the_profile_is_the_jacobi_operator_of_the_ray(builder, monkeypatch):
+    # A(u) of the limit is Rm(E_a, N, N, E_b) of the Chern curvature at
+    # (u, 0, 0, 0), read in the vielbein frame E_a = (0, 0, M[:, a]);
+    # the curvature side never runs the O-equation
+    L = fixtures.BUILDERS[builder]()
+    us = np.linspace(-0.9, 0.9, 7)
+    fields = penrose.penrose_limit(L, E0, (-1.0, 1.0)).brinkmann.fields_on(us)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the curvature side ran the Penrose converter")
+
+    monkeypatch.setattr(penrose, "_propagate", unused)
+    monkeypatch.setattr(penrose, "rosen_to_brinkmann", unused)
+    xs = np.zeros((len(us), 4))
+    xs[:, 0] = us
+    for (_, M, A), R in zip(fields, chern_curvature(L, xs, E0)):
+        E = np.zeros((4, 2))
+        E[2:] = M
+        jacobi = np.array([[R.rm(E[:, a], E0, E0, E[:, b]) for b in range(2)]
+                           for a in range(2)])
+        assert np.max(np.abs(A - jacobi)) <= 1e-12 * max(
+            1.0, float(np.max(np.abs(A))))
 
 
 @pytest.mark.parametrize("builder", ["rosen_cos2", "rosen_cross",

@@ -196,8 +196,8 @@ def test_an_empty_sample_set_gives_empty_reports():
         m = L.is_admissible(none, none)
         assert m.inside.shape == m.value.shape == m.margin.shape == (0,)
         assert L.value(none, none).shape == (0,)
-        assert fundamental_tensor(L, none, none).matrix.shape == (0, 4, 4)
-        assert cartan_tensor(L, none, none).coeffs.shape == (0, 4, 4, 4)
+        assert fundamental_tensor(L, none, none).shape == (0, 4, 4)
+        assert cartan_tensor(L, none, none).shape == (0, 4, 4, 4)
         table = connection.christoffel(L, V, none)
         assert table.gamma.shape == table.dmetric.shape == (0, 4, 4, 4)
         assert table.g.shape == (0, 4, 4)

@@ -39,7 +39,7 @@ def test_minkowski_fundamental_any_v():
     L = build_minkowski()
     for _ in range(5):
         v = RNG.uniform(-1.0, 1.0, 4)  # g is v-independent, any v will do
-        g = fundamental_tensor(L, [0.0] * 4, v).matrix
+        g = fundamental_tensor(L, [0.0] * 4, v)
         assert np.allclose(g, np.diag([1.0, -1, -1, -1]), atol=1e-13)
 
 
@@ -47,7 +47,7 @@ def test_brinkmann_matrix_shape_with_H_entry():
     L = build_brinkmann_quadratic("x2")
     x = [0.0, 0.0, 1.2, 0.7]
     N = [1.0, 0.0, 0.0, 0.0]
-    g = fundamental_tensor(L, x, N).matrix
+    g = fundamental_tensor(L, x, N)
     expected = np.array([
         [0.0, 1.0, 0.0, 0.0],
         [1.0, 1.44, 0.0, 0.0],
@@ -61,7 +61,7 @@ def test_fundamental_matches_difference_quotients_on_finsler_model():
     L = catalog()["ppwave_example"]
     x = [0.2, -0.4, 0.6, 0.1]
     v = L.sample_admissible(x, RNG)[0]
-    g = fundamental_tensor(L, x, v).matrix
+    g = fundamental_tensor(L, x, v)
     assert np.allclose(g, g.T)
     for i in range(4):
         for j in range(i, 4):
@@ -74,10 +74,10 @@ def test_quadratic_models_have_v_independent_g_and_zero_cartan():
         L = catalog()[name]
         x = [0.1, 0.7, -0.3, 0.5]
         vs = L.sample_admissible(x, RNG, count=4)
-        mats = [fundamental_tensor(L, x, v).matrix for v in vs]
+        mats = [fundamental_tensor(L, x, v) for v in vs]
         for m in mats[1:]:
             assert np.max(np.abs(m - mats[0])) <= 1e-12
-        C = cartan_tensor(L, x, vs[0]).coeffs
+        C = cartan_tensor(L, x, vs[0])
         assert np.max(np.abs(C)) <= 1e-13
 
 
@@ -85,7 +85,7 @@ def test_cartan_symmetry_and_euler_contraction():
     L = catalog()["parallel_example"]
     x = [0.0] * 4
     v = L.sample_admissible(x, RNG)[0]
-    C = cartan_tensor(L, x, v).coeffs
+    C = cartan_tensor(L, x, v)
     for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
         assert np.allclose(C, np.transpose(C, perm), atol=0.0)
     contr = np.einsum("ijk,i->jk", C, v)
@@ -97,8 +97,8 @@ def test_ppwave_example_is_genuinely_finsler():
     L = catalog()["ppwave_example"]
     x = [0.0, 0.9, 0.3, -0.2]
     v = L.sample_admissible(x, np.random.default_rng(5))[0]
-    C = cartan_tensor(L, x, v).coeffs
-    g = fundamental_tensor(L, x, v).matrix
+    C = cartan_tensor(L, x, v)
+    g = fundamental_tensor(L, x, v)
     scale = max(1.0, float(np.max(np.abs(g))))
     assert np.max(np.abs(C)) > 1e-6 * scale
 
@@ -108,7 +108,7 @@ def test_euler_identity_links_dL_and_g():
         L = catalog()[name]
         x = [0.0, 0.4, -0.6, 0.2]
         v = L.sample_admissible(x, RNG)[0]
-        g = fundamental_tensor(L, x, v).matrix
+        g = fundamental_tensor(L, x, v)
         _, vj = jets.variables(v, 1)
         dL = jets.derivative_tensor(L(x, vj), range(4), 1)
         for _ in range(3):
@@ -183,8 +183,8 @@ MODELS = {**catalog(), **{k: b() for k, b in fixtures.BUILDERS.items()}}
 # g, C and L, each with its shape at one pair; each takes one pair or a
 # stack of pairs
 QUANTITIES = {
-    "g": (lambda L, x, v: fundamental_tensor(L, x, v).matrix, (4, 4)),
-    "C": (lambda L, x, v: cartan_tensor(L, x, v).coeffs, (4, 4, 4)),
+    "g": (lambda L, x, v: fundamental_tensor(L, x, v), (4, 4)),
+    "C": (lambda L, x, v: cartan_tensor(L, x, v), (4, 4, 4)),
     "L": (lambda L, x, v: np.asarray(L.value(x, v)), ()),
 }
 
