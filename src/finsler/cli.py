@@ -1,13 +1,14 @@
 """Command-line frontend: run verification pipelines from JSON configs.
 
-Every subcommand loads a spacetime descriptor, parses its ``params``
-against its `COMMANDS` table (after building the model, whose dimension
-sets vector lengths), runs its pipeline on the typed values, and emits a
-JSON report (plus a CSV curve for the commands that produce one).
-Unknown keys fail at every level.  Reports are deterministic: sample
-points come from a seeded generator recorded in the header, floats are
-printed with 17 significant digits, and nothing time- or host-dependent
-is written.
+Every subcommand parses the config root, builds the model its spacetime
+descriptor names, parses its ``params`` against its `COMMANDS` table
+(after building the model, whose dimension sets vector lengths), runs
+its pipeline on the typed values, and emits a JSON report (plus a CSV
+curve for the commands that produce one).  All of these tables go
+through `schema.parse`, so unknown keys fail at every level.  Reports
+are deterministic: sample points come from a seeded generator recorded
+in the header, floats are printed with 17 significant digits, and
+nothing time- or host-dependent is written.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 schema
 violation, 3 numerical failure.
@@ -27,11 +28,13 @@ from . import jets
 from .connection import VectorField, connection_report, geodesic
 from .curvature import _condition_report, _pointwise_tables, chern_curvature
 from .errors import ConfigError, FinslerError
-from .lagrangian import from_descriptor, is_finite_number
+from .lagrangian import from_descriptor
 from .penrose import penrose_limit
 from .ppwave import _parallel_report, delta_scan
 from .quotient import holonomy_defect, quotient_metric, rectangle_loop
 from .report import Report
+from .schema import (axes, count, interval, listof, obj, parse, positive,
+                     require, string, vector)
 from .tensors import _homogeneity, signature_of
 
 EXIT_PASS = 0
@@ -55,161 +58,45 @@ class RunConfig:
     format: str = "json"
 
 
-def _require(cond, msg):
-    if not cond:
-        raise ConfigError(msg)
-
-
 def load_config(path):
     try:
         with open(path, encoding="utf-8") as fp:
-            raw = json.load(fp)
+            return json.load(fp)
     except OSError as e:
         raise ConfigError("cannot read config %s: %s" % (path, e)) from e
     except json.JSONDecodeError as e:
         raise ConfigError("config %s is not valid JSON: %s"
                           % (path, e)) from e
-    _require(isinstance(raw, dict), "config root must be a JSON object")
-    return raw
 
 
 def parse_config(raw, command, out=None, seed=None, tol=None):
     """Merge the config file with CLI overrides into a RunConfig; `run`
-    parses ``params`` once the model's dimension is known."""
-    known = {"spacetime", "command", "params", "output", "seed", "tol"}
-    extra = sorted(set(raw) - known)
-    _require(not extra, "unknown config keys: %s" % ", ".join(extra))
-
-    _require(command in COMMANDS,
-             "command must be one of %s" % "|".join(COMMANDS))
-    if "command" in raw:
-        _require(raw["command"] == command,
-                 "config command %r does not match invocation %r"
-                 % (raw["command"], command))
-
-    spacetime = raw.get("spacetime")
-    _require(isinstance(spacetime, dict),
-             "config needs a spacetime descriptor object")
-
-    if seed is None:
-        seed = raw.get("seed", 0)
-    count(seed, "seed", 0, 0, 2 ** 64 - 1)
-
-    if tol is None:
-        tol = raw.get("tol")
-    if tol is not None:
-        tol = positive(tol, "tol", 0)
-
-    output = raw.get("output", {})
-    _require(isinstance(output, dict), "output must be an object")
-    _require(set(output) <= {"path", "format"},
-             "output accepts only path and format")
-    path = out if out is not None else output.get("path")
-    if path is not None:
-        _require(isinstance(path, str) and path, "output path must be a "
-                 "non-empty string")
-    fmt = output.get("format")
+    builds the model from ``spacetime``, then parses ``params`` once the
+    model's dimension is known."""
+    if isinstance(raw, dict):
+        raw = {**raw, **{k: v for k, v in (("seed", seed), ("tol", tol))
+                         if v is not None}}
+    got = parse(_CONFIG, raw, "")
+    require(got["command"] in (None, command),
+            "config command %r does not match invocation %r"
+            % (got["command"], command))
+    output = got["output"]
+    path = (output["path"] if out is None
+            else string(out, "output.path", None))
+    fmt = output["format"]
     if fmt is None:
         fmt = "csv" if path is not None and path.endswith(".csv") else "json"
-    _require(fmt in ("json", "csv"), "output format must be json or csv")
     if fmt == "csv":
-        _require(COMMANDS[command].curve,
-                 "command %s produces no CSV curve" % command)
-        _require(path is not None, "csv output needs a path")
-    return RunConfig(spacetime=spacetime, command=command,
-                     params=raw.get("params", {}), seed=seed, tol=tol,
+        require(COMMANDS[command].curve,
+                "command %s produces no CSV curve" % command)
+        require(path is not None, "csv output needs a path")
+    return RunConfig(spacetime=got["spacetime"], command=command,
+                     params=got["params"], seed=got["seed"], tol=got["tol"],
                      path=path, format=fmt)
 
 
-# -- params schema ------------------------------------------------------------
-# A table maps each key to (kind, default, *constraint), ... marking a
-# required key.  A kind checks a value or default against the dimension
-# and constraint, names its full path in errors, and converts it.
-
-def _default(default, dim, got):
-    """A default as a JSON value: strings name those that depend on the
-    chart, "N" the value given for N."""
-    if default == "N":
-        return got["N"].tolist()
-    if default == "e0":
-        return [1.0] + [0.0] * (dim - 1)
-    if default == "origin":
-        return [0.0] * dim
-    return np.eye(dim)[2:].tolist() if default == "e2..e(n-1)" else default
-
-
-def _parse_table(table, raw, path, dim):
-    """The typed values of the object ``raw`` checked against ``table``;
-    a key whose default is None stays None when absent."""
-    _require(isinstance(raw, dict), "%s must be an object" % path)
-    extra = sorted(set(raw) - set(table))
-    _require(not extra, "unknown %s keys: %s" % (path, ", ".join(extra)))
-    got = {}
-    for key, (kind, default, *constraint) in table.items():
-        sub = "%s.%s" % (path, key)
-        val = raw[key] if key in raw else _default(default, dim, got)
-        _require(val is not ..., "%s is required" % sub)
-        got[key] = (None if val is None and key not in raw
-                    else kind(val, sub, dim, *constraint))
-    return got
-
-
-# the largest count a params table takes: memory grows linearly in a
-# count, and at this bound penrose (n_csv) peaks near 212 MB
-MAX_COUNT = 10_000
-
-
-def count(val, path, dim, least=1, most=MAX_COUNT):
-    """An integer (not a bool) in [least, most]."""
-    _require(isinstance(val, int) and not isinstance(val, bool)
-             and least <= val <= most,
-             "%s must be an integer in [%d, %s]" % (path, least, most))
-    return val
-
-
-def positive(val, path, dim, least=0.0, most=math.inf):
-    """A finite number > 0 in [least, most], as a float."""
-    _require(is_finite_number(val) and 0 < val and least <= val <= most,
-             "%s must be a positive number in [%.3g, %.3g]"
-             % (path, least, most))
-    return float(val)
-
-
-def vector(val, path, dim):
-    """dim finite numbers, as a float array."""
-    _require(isinstance(val, list) and len(val) == dim
-             and all(is_finite_number(t) for t in val),
-             "%s must be a number list of length %d" % (path, dim))
-    return np.asarray(val, dtype=float)
-
-
-def interval(val, path, dim):
-    """[lo, hi] with finite lo < hi, as a float pair."""
-    _require(isinstance(val, list) and len(val) == 2
-             and all(is_finite_number(t) for t in val) and val[0] < val[1],
-             "%s must be [lo, hi] with lo < hi" % path)
-    return float(val[0]), float(val[1])
-
-
-def axes(val, path, dim):
-    """Two distinct axis indices, as a pair."""
-    _require(isinstance(val, list) and len(val) == 2 and val[0] != val[1]
-             and all(isinstance(i, int) and not isinstance(i, bool)
-                     and 0 <= i < dim for i in val),
-             "%s must be two distinct axis indices below %d" % (path, dim))
-    return val[0], val[1]
-
-
-def listof(val, path, dim, size, exact, kind, *constraint):
-    """``size`` values of one kind, or at least ``size`` unless ``exact``,
-    as a tuple."""
-    _require(isinstance(val, list) and len(val) >= size
-             and (len(val) == size or not exact),
-             "%s must list %s%d %s values" % (
-                 path, "" if exact else "at least ", size, kind.__name__))
-    return tuple(kind(v, "%s[%d]" % (path, k), dim, *constraint)
-                 for k, v in enumerate(val))
-
+# -- params kinds -------------------------------------------------------------
+# `schema` holds the parser and the generic kinds; these two read a chart
 
 def frame(val, path, dim):
     """dim - 2 vectors, one per transverse class, as an array."""
@@ -223,16 +110,16 @@ _LOOP = {"vertices": (listof, None, 3, False, vector), "plane": (axes, None),
 def loop(val, path, dim):
     """A polygon {vertices}, or a rectangle at base {plane, side | sides},
     which comes back with both its sides and its area."""
-    got = {k: v for k, v in _parse_table(_LOOP, val, path, dim).items()
+    got = {k: v for k, v in parse(_LOOP, val, path, dim).items()
            if v is not None}
-    _require(set(got) in ({"vertices"}, {"plane", "side"}, {"plane", "sides"}),
-             "%s takes {vertices} or {plane, side | sides}" % path)
+    require(set(got) in ({"vertices"}, {"plane", "side"}, {"plane", "sides"}),
+            "%s takes {vertices} or {plane, side | sides}" % path)
     if "side" in got:
         got["sides"] = (got.pop("side"),) * 2
     if "sides" in got:
         got["area"] = abs(got["sides"][0] * got["sides"][1])
-        _require(got["area"] > 0.0, "%s sides are too small: the loop "
-                 "area underflows to zero" % path)
+        require(got["area"] > 0.0, "%s sides are too small: the loop "
+                "area underflows to zero" % path)
     return got
 
 
@@ -409,7 +296,7 @@ Command = namedtuple("Command", "run tol curve params")
 
 # the sampling box has width 2 box, which must be finite
 _BOX = (positive, 0.8, 0.0, sys.float_info.max / 2)
-_N = (vector, "e0")
+_N = (vector, lambda dim, got: np.eye(dim)[0].tolist())
 # rtol and atol of `ode.dop853`, which stops before its first step below
 # 100 machine epsilons
 _ODE_TOL = (positive, 1e-9, 100.0 * np.finfo(float).eps)
@@ -427,12 +314,16 @@ COMMANDS = {
         "ode_tol": _ODE_TOL}),
     "ppwave": Command(_cmd_ppwave, 1e-6, False, {
         "n_samples": (count, 6), "box": _BOX, "N": _N}),
+    # x0 defaults to the origin and v0 to the N given
     "focal": Command(_cmd_focal, 1e-10, True, {
-        "N": _N, "x0": (vector, "origin"), "v0": (vector, "N"),
+        "N": _N, "x0": (vector, lambda dim, got: [0.0] * dim),
+        "v0": (vector, lambda dim, got: got["N"].tolist()),
         "t_span": (interval, ...), "n_samples": (count, 200, 2),
         "ode_tol": _ODE_TOL}),
+    # reps defaults to e2, ..., e(n-1)
     "quotient": Command(_cmd_quotient, 1e-6, False, {
-        "N": _N, "base": (vector, ...), "reps": (frame, "e2..e(n-1)"),
+        "N": _N, "base": (vector, ...),
+        "reps": (frame, lambda dim, got: np.eye(dim)[2:].tolist()),
         "n_segments": (count, 64, 4), "loop": (loop, None)}),
     # the rescaled model divides by omega^2, which must stay a normal float
     "penrose": Command(_cmd_penrose, 1e-9, True, {
@@ -441,6 +332,14 @@ COMMANDS = {
                    math.sqrt(sys.float_info.min), 1.0),
         "n_csv": (count, 101, 2)}),
 }
+
+# the config root and its output; `from_descriptor` parses the spacetime
+# and `run` the params
+_OUTPUT = {"path": (string, None), "format": (string, None, ("json", "csv"))}
+_CONFIG = {
+    "spacetime": (obj, ...), "command": (string, None, COMMANDS),
+    "params": (obj, {}), "output": (obj, {}, _OUTPUT),
+    "seed": (count, 0, 0, 2 ** 64 - 1), "tol": (positive, None)}
 
 
 # -- runner ------------------------------------------------------------------------
@@ -457,7 +356,7 @@ def run(config):
     """Execute a validated RunConfig; returns the process exit status."""
     L = from_descriptor(config.spacetime)
     command = COMMANDS[config.command]
-    params = _parse_table(command.params, config.params, "params", L.dim)
+    params = parse(command.params, config.params, "params", L.dim)
     rng = np.random.default_rng(config.seed)
     tol = command.tol if config.tol is None else config.tol
     rep, curve_csv = command.run(L, rng, tol, **params)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import copy
 import importlib
 import inspect
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,8 @@ import numpy as np
 from . import jets
 from .errors import (ConeError, ConfigError, ConstructionError,
                      EvaluationError)
+from .schema import (MAX_COUNT, count, listof, number, obj, parse, require,
+                     string, value)
 
 __all__ = [
     "Lagrangian",
@@ -40,7 +41,6 @@ __all__ = [
     "build_ppwave_example",
     "catalog",
     "from_descriptor",
-    "is_finite_number",
 ]
 
 # 16 equispaced samples of the segment miss its exact midpoint, where the
@@ -529,106 +529,93 @@ def catalog():
 
 # -- descriptors -----------------------------------------------------------
 
-def is_finite_number(val):
-    """True for a JSON number (int or float, not bool) with a finite float
-    value; huge ints and the NaN/Infinity literals are rejected."""
-    return (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and abs(val) <= sys.float_info.max)
+# the largest spacetime dimension: a model's jet contexts grow steeply
+# with it, and at this bound curvature, the heaviest command, peaks near
+# 125 MB (231 MB at 9), within the budget of `schema.MAX_COUNT`
+MAX_DIM = 8
 
+_PLUGIN = {"module": (string, ...), "builder": (string, ...)}
 
-# type -> its builder and the params it reads, with defaults; a plug-in
-# names its builder in params and passes it the others
+# type -> its builder and params table; a plug-in names its builder in
+# params, and the builder's signature gives the table of the others
 _TYPES = {
     "minkowski": (build_minkowski, {}),
-    "brinkmann": (build_brinkmann_quadratic, {"profile": "x2"}),
-    "parallel_example": (_default_parallel_example, {"eps": 0.1}),
-    "ppwave_example": (_default_ppwave_example, {"eps": 0.1}),
-    "plugin": (None, None),
+    "brinkmann": (build_brinkmann_quadratic,
+                  {"profile": (string, "x2", PROFILES)}),
+    "parallel_example": (_default_parallel_example, {"eps": (number, 0.1)}),
+    "ppwave_example": (_default_ppwave_example, {"eps": (number, 0.1)}),
+    "plugin": (None, _PLUGIN),
 }
+
+_DESCRIPTOR = {
+    "type": (string, ..., _TYPES), "name": (string, None),
+    "dim": (count, 4, 3, MAX_DIM), "params": (obj, {}),
+    "cone_ref": (listof, None, 1, False, number)}
+
+# the kind of a plug-in param whose default has this type; any other
+# param takes any JSON value
+_BY_DEFAULT = {int: (count, -MAX_COUNT), float: (number,), str: (string,)}
+
+
+def _builder(type_, params):
+    """The builder of a descriptor's type, and the table of its params;
+    a plug-in's builder is loaded, and its signature gives the table."""
+    build, table = _TYPES[type_]
+    if build is not None:
+        return build, table
+    names = parse(_PLUGIN, {k: params[k] for k in _PLUGIN if k in params},
+                  "spacetime.params")
+    name = "%s.%s" % (names["module"], names["builder"])
+    try:
+        build = getattr(importlib.import_module(names["module"]),
+                        names["builder"])
+        sig = inspect.signature(build) if callable(build) else None
+    except (ImportError, AttributeError, TypeError, ValueError) as e:
+        raise ConfigError("cannot load plugin %s: %s" % (name, e)) from e
+    require(sig is not None, "plugin builder %s is not callable" % name)
+    table = dict(_PLUGIN)
+    for key, p in sig.parameters.items():
+        require(p.kind is not p.POSITIONAL_ONLY or p.default is not p.empty,
+                "plugin builder %s takes %s only by position" % (name, key))
+        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY):
+            kind, *constraint = _BY_DEFAULT.get(type(p.default), (value,))
+            table[key] = (kind, ... if p.default is p.empty else None,
+                          *constraint)
+    return build, table
 
 
 def from_descriptor(desc):
     """Build a Lagrangian from a JSON catalog descriptor.
 
-    Schema: {"name"?, "type", "dim"?, "params"?, "cone_ref"?} with type in
+    Schema: {"type", "name"?, "dim"?, "params"?, "cone_ref"?} with type in
     minkowski | brinkmann | parallel_example | ppwave_example | plugin.
-    Plug-ins reference a compiled builder: params {"module", "builder", ...}.
+    Plug-ins reference a compiled builder: params {"module", "builder", ...},
+    whose other params are passed to it as keywords.
     """
-    if not isinstance(desc, dict):
-        raise ConfigError("spacetime descriptor must be an object")
-    extra = sorted(set(desc) - {"type", "name", "dim", "params", "cone_ref"})
-    if extra:
-        raise ConfigError("unknown spacetime keys: %s" % ", ".join(extra))
-    kind = desc.get("type")
-    if not isinstance(kind, str) or kind not in _TYPES:
-        raise ConfigError("spacetime.type must be one of %s, got %r"
-                          % ("|".join(_TYPES), kind))
-    params = desc.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("spacetime.params must be an object")
-    dim = desc.get("dim", 4)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 3:
-        raise ConfigError("spacetime.dim must be an integer >= 3")
-    name = desc.get("name", "")
-    if not isinstance(name, str):
-        raise ConfigError("spacetime.name must be a string")
-
-    build, defaults = _TYPES[kind]
-    if build is None:
-        module, builder = params.get("module"), params.get("builder")
-        if not all(isinstance(s, str) and s for s in (module, builder)):
-            raise ConfigError("plugin spacetimes need params.module and "
-                              "params.builder as non-empty strings")
-        try:
-            build = getattr(importlib.import_module(module), builder)
-        except (ImportError, AttributeError) as e:
-            raise ConfigError("cannot load plugin %s.%s: %s"
-                              % (module, builder, e)) from e
-        if not callable(build):
-            raise ConfigError("plugin builder %s.%s is not callable"
-                              % (module, builder))
-        kwargs = {k: v for k, v in params.items()
-                  if k not in ("module", "builder")}
-        try:
-            sig = inspect.signature(build)
-            sig.bind(**kwargs)
-        except (TypeError, ValueError) as e:
-            raise ConfigError("plugin builder %s.%s does not take params "
-                              "%s: %s" % (module, builder, sorted(kwargs), e)
-                              ) from e
-        defaults = {k: p.default for k, p in sig.parameters.items()}
-    else:
-        extra = sorted(set(params) - set(defaults))
-        if extra:
-            raise ConfigError("%s spacetimes read no params %s"
-                              % (kind, ", ".join(extra)))
-        kwargs = {**defaults, **params}
-    for key, val in kwargs.items():
-        # a param whose default is a number must be given as one
-        if is_finite_number(defaults.get(key)) and not is_finite_number(val):
-            raise ConfigError("spacetime.params.%s must be a finite number"
-                              % key)
+    got = parse(_DESCRIPTOR, desc, "spacetime")
+    kind = got["type"]
+    build, table = _builder(kind, got["params"])
+    params = parse(table, got["params"], "spacetime.params")
+    if kind == "plugin":
+        params = {k: params[k] for k in got["params"] if k not in _PLUGIN}
     # minkowski builds at the descriptor's dim, the others at their own
-    L = build(dim=dim) if kind == "minkowski" else build(**kwargs)
-    if not isinstance(L, Lagrangian):
-        raise ConfigError("the %s builder did not return a Lagrangian"
-                          % kind)
-    if "dim" in desc and L.dim != dim:
-        raise ConfigError("spacetime.dim is %d, but the %s model is "
-                          "%d-dimensional" % (dim, kind, L.dim))
+    L = build(dim=got["dim"]) if kind == "minkowski" else build(**params)
+    require(isinstance(L, Lagrangian),
+            "the %s builder did not return a Lagrangian" % kind)
+    require("dim" not in desc or L.dim == got["dim"],
+            "spacetime.dim is %d, but the %s model is %d-dimensional"
+            % (got["dim"], kind, L.dim))
+    count(L.dim, "spacetime.dim", None, *_DESCRIPTOR["dim"][2:])
 
     # configure a copy: a builder may hand out one shared instance
     L = copy.copy(L)
-    if name:
-        L.name = name
-    if "cone_ref" in desc and desc["cone_ref"] is not None:
-        ref = desc["cone_ref"]
-        if (not isinstance(ref, list) or len(ref) != L.dim
-                or not all(is_finite_number(t) for t in ref)):
-            raise ConfigError("spacetime.cone_ref must be a number list of "
-                              "length dim")
-        if L.value([0.0] * L.dim, ref) <= 0:
-            raise ConfigError("supplied cone_ref is not timelike at the "
-                              "origin")
+    if got["name"] is not None:
+        L.name = got["name"]
+    ref = got["cone_ref"]
+    if ref is not None:
+        require(len(ref) == L.dim, "spacetime.cone_ref must be a number "
+                "list of length %d" % L.dim)
+        require(L.value([0.0] * L.dim, ref) > 0,
+                "supplied cone_ref is not timelike at the origin")
         L._cone_ref = np.asarray(ref, dtype=float)
     return L

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import console_cases
-from finsler import cli, lagrangian
+from finsler import cli, fixtures, lagrangian, schema
 from finsler.cli import main
 from finsler.connection import geodesic
 from finsler.lagrangian import build_minkowski
@@ -351,6 +351,14 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_an_empty_out_path_is_a_schema_violation(tmp_path, capsys):
+    # --out is checked as output.path is, before the model is built
+    cfg = write_config(tmp_path, {"spacetime": {"type": "minkowski"}})
+    assert main(["check", "--config", cfg, "--out", ""]) == 2
+    assert capsys.readouterr().err == (
+        "config error: output.path must be a non-empty string\n")
+
+
 @pytest.mark.parametrize("command,body", [
     # the transverse block changes sign inside the requested window
     pytest.param("penrose", {
@@ -582,14 +590,21 @@ def test_example_config_passes(tmp_path, capsys, monkeypatch, path):
                    for row in lines)
 
 
-# -- the params schema ------------------------------------------------------------
+# -- the schema ------------------------------------------------------------------
+
+# every table a config goes through, by the name the README rows give it
+TABLES = {"config": cli._CONFIG, "output": cli._OUTPUT,
+          "spacetime": lagrangian._DESCRIPTOR,
+          **{kind: table for kind, (_, table) in lagrangian._TYPES.items()},
+          **{name: command.params for name, command in cli.COMMANDS.items()}}
+
 
 def test_readme_params_table_matches_schema():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (\w+)", text, re.M)
     assert sorted(rows) == sorted(
-        (name, key, kind.__name__) for name, command in cli.COMMANDS.items()
-        for key, (kind, *_) in command.params.items())
+        (name, key, kind.__name__) for name, table in TABLES.items()
+        for key, (kind, *_) in table.items())
 
 
 # Each kind of the schema maps to a strategy of JSON values it must reject,
@@ -608,10 +623,14 @@ def _one_bad_item(items, bad):
 
 
 def _bad_count(constraint, dim):
-    least, most = (list(constraint) + [1, cli.MAX_COUNT][len(constraint):])
+    least, most = (list(constraint) + [1, schema.MAX_COUNT][len(constraint):])
     return st.one_of(st.sampled_from(BAD_TYPE + [[1]]), st.floats(),
                      st.integers(max_value=least - 1),
                      st.integers(min_value=most + 1))
+
+
+def _bad_number(constraint, dim):
+    return NOT_A_NUMBER
 
 
 def _bad_positive(constraint, dim):
@@ -622,6 +641,18 @@ def _bad_positive(constraint, dim):
     if most < math.inf:
         out.append(st.floats(min_value=most, exclude_min=True))
     return st.one_of(out)
+
+
+def _bad_string(constraint, dim):
+    out = [st.sampled_from([3, 1.5, None, True, ["x"], {}, ""])]
+    if constraint:
+        out.append(st.text(min_size=1).filter(
+            lambda s: s not in constraint[0]))
+    return st.one_of(out)
+
+
+def _bad_obj(constraint, dim):
+    return st.sampled_from(["abc", None, 3, True, [1], [{}]])
 
 
 def _bad_vector(constraint, dim):
@@ -649,7 +680,7 @@ def _bad_axes(constraint, dim):
 
 def _bad_listof(constraint, dim):
     size, exact, kind, *item = constraint
-    good = 0.5 if kind is cli.positive else [0.0] * dim
+    good = [0.0] * dim if kind is schema.vector else 0.5
     sizes = [n for n in range(size + 2)
              if n < size or (exact and n != size)]
     return st.one_of(
@@ -658,7 +689,7 @@ def _bad_listof(constraint, dim):
 
 
 def _bad_frame(constraint, dim):
-    return _bad_listof((dim - 2, True, cli.vector), dim)
+    return _bad_listof((dim - 2, True, schema.vector), dim)
 
 
 LOOPS = [{"vertices": TRIANGLE}, {"plane": [1, 2], "side": 0.1},
@@ -682,24 +713,30 @@ def _bad_loop(constraint, dim):
         st.sampled_from(LOOPS).map(lambda s: {**s, "zzz": 1}))
 
 
-BAD = {cli.count: _bad_count, cli.positive: _bad_positive,
-       cli.vector: _bad_vector, cli.interval: _bad_interval,
-       cli.axes: _bad_axes, cli.listof: _bad_listof, cli.frame: _bad_frame,
+BAD = {schema.count: _bad_count, schema.number: _bad_number,
+       schema.positive: _bad_positive, schema.string: _bad_string,
+       schema.obj: _bad_obj, schema.vector: _bad_vector,
+       schema.interval: _bad_interval, schema.axes: _bad_axes,
+       schema.listof: _bad_listof, cli.frame: _bad_frame,
        cli.loop: _bad_loop}
 
 
 def _kinds(kind, constraint):
     yield kind
-    if kind is cli.listof:
+    if kind is schema.listof:
         yield from _kinds(constraint[2], constraint[3:])
-    if kind is cli.loop:
-        for sub, _, *c in cli._LOOP.values():
+    nested = {cli.loop: [cli._LOOP], schema.obj: constraint[:1]}
+    for table in nested.get(kind, []):
+        for sub, _, *c in table.values():
             yield from _kinds(sub, c)
 
 
 def test_fuzz_covers_every_kind():
-    used = {k for command in cli.COMMANDS.values()
-            for kind, _, *c in command.params.values()
+    # the fixture plug-ins' tables come from their builders' signatures
+    tables = [*TABLES.values(), *(lagrangian._builder("plugin", {
+        "module": "finsler.fixtures", "builder": name})[1]
+        for name in fixtures.BUILDERS)]
+    used = {k for table in tables for kind, _, *c in table.values()
             for k in _kinds(kind, c)}
     assert used <= set(BAD)
 
@@ -713,59 +750,58 @@ def _with(raw, path, val):
     return out
 
 
+def _table_fields(table, path, dim=4):
+    """(path, strategy of bad values) for an unknown key and each key of
+    ``table``, and of each table nested in it."""
+    out = [(path + ("zzz",), st.just(1))]
+    for key, (kind, _, *constraint) in table.items():
+        out.append((path + (key,), BAD[kind](constraint, dim)))
+        if kind is schema.obj and constraint:
+            out += _table_fields(constraint[0], path + (key,), dim)
+    return out
+
+
 def _other_fields(raw):
     """(path, strategy of bad values) for the fields outside ``params``,
-    split into the spacetime descriptor's and the rest."""
+    split into the spacetime descriptor's and the rest: each key of the
+    tables they go through, and the cases no table expresses."""
     desc = raw["spacetime"]
-    bad_dims = ["4", 4.0, True, 2, -1, None]
+    table = lagrangian._builder(desc["type"], desc.get("params", {}))[1]
+    fields = [*_table_fields(cli._CONFIG, ()),
+              *_table_fields(lagrangian._DESCRIPTOR, ("spacetime",)),
+              *_table_fields(table, ("spacetime", "params")),
+              (("params", "zzz"), st.just(1)),
+              # the command must match the invocation
+              (("command",), st.sampled_from(
+                  [c for c in cli.COMMANDS if c != raw["command"]]))]
+    # a stated dim must match the model
     if desc["type"] != "minkowski":
-        bad_dims += [3, 5]
-    by_field = {
-        ("zzz",): [1], ("params", "zzz"): [1], ("output", "zzz"): [1],
-        ("seed",): [-1, 2 ** 64, "1", 1.5, True, None],
-        ("tol",): [0, -1.0, "x", True, float("nan"), 10 ** 400],
-        ("command",): [3] + [c for c in cli.COMMANDS if c != raw["command"]],
-        ("params",): ["abc", None, [1], 3],
-        ("output",): ["x", 3, [1]],
-        ("output", "format"): ["xml", 3],
-        ("output", "path"): ["", 3],
-        ("spacetime",): ["minkowski", None, [1]],
-        ("spacetime", "zzz"): [1],
-        ("spacetime", "params", "zzz"): [1],
-        ("spacetime", "type"): ["warp", 3, None, ["minkowski"]],
-        ("spacetime", "dim"): bad_dims,
-        ("spacetime", "name"): [3, ["a"], None, {}, True],
-        ("spacetime", "params"): ["x", [1], 3],
-        ("spacetime", "params", "profile"): [3, ["x"], "cubic", None],
-        ("spacetime", "params", "eps"): ["abc", float("nan"), True, None],
-        ("spacetime", "params", "module"): [3, "", ["x"], "finsler.nope"],
-        ("spacetime", "params", "builder"): [3, "", ["x"], "BUILDERS"],
-    }
-    own = (("module", "builder") if desc["type"] == "plugin"
-           else lagrangian._TYPES[desc["type"]][1])
+        fields.append((("spacetime", "dim"), st.sampled_from(
+            [d for d in range(3, lagrangian.MAX_DIM + 1) if d != 4])))
+    # the plug-in must load
+    if desc["type"] == "plugin":
+        fields += [(("spacetime", "params", "module"),
+                    st.sampled_from(["finsler.nope", ".nope"])),
+                   (("spacetime", "params", "builder"),
+                    st.sampled_from(["nope", "BUILDERS"]))]
     out = {"spacetime": [], "config": []}
-    for path, values in by_field.items():
-        if len(path) == 3 and path[2] != "zzz" and path[2] not in own:
-            continue
-        out[path[0] if path[0] == "spacetime" else "config"].append(
-            (path, st.sampled_from(values)))
+    for path, bad in fields:
+        out["spacetime" if path[0] == "spacetime" else "config"].append(
+            (path, bad))
     return out
 
 
 def _mutations(raw, field):
-    """Configs that differ from ``raw`` in one field and violate the
-    schema there: a params key's value drawn per its kind, or a field of
-    the spacetime descriptor or the config root."""
+    """(path, strategy of bad values) for each config path of one field: a
+    params key, whose values are drawn per its kind, or each path of the
+    spacetime descriptor or of the rest of the config."""
     params = cli.COMMANDS[raw["command"]].params
     if field.startswith("loop."):
-        fields = [(("params", "loop"), _bad_loop_key(field[5:], 4))]
-    elif field in params:
+        return [(("params", "loop"), _bad_loop_key(field[5:], 4))]
+    if field in params:
         kind, _, *constraint = params[field]
-        fields = [(("params", field), BAD[kind](constraint, 4))]
-    else:
-        fields = _other_fields(raw)[field]
-    return st.sampled_from(fields).flatmap(
-        lambda f: f[1].map(lambda val: _with(raw, f[0], val)))
+        return [(("params", field), BAD[kind](constraint, 4))]
+    return _other_fields(raw)[field]
 
 
 def _fuzz_fields(path):
@@ -787,11 +823,12 @@ FUZZ = [(path, field) for path in CONFIGS for field in _fuzz_fields(path)]
 @given(data=st.data())
 def test_schema_fuzz_exits_two(tmp_path, capsys, monkeypatch, path, field,
                                data):
+    # each example draws one bad value at every path of the field
     monkeypatch.chdir(tmp_path)     # a valid mutation must not write here
     raw = json.loads(path.read_text(encoding="utf-8"))
-    body = data.draw(_mutations(raw, field))
-    cfg = write_config(tmp_path, body)
-    code = main([raw["command"], "--config", cfg])
-    err = capsys.readouterr().err
-    assert code == 2, err
-    assert err.startswith("config error: ")
+    for where, bad in _mutations(raw, field):
+        cfg = write_config(tmp_path, _with(raw, where, data.draw(bad)))
+        code = main([raw["command"], "--config", cfg])
+        err = capsys.readouterr().err
+        assert code == 2, (where, err)
+        assert err.startswith("config error: ")

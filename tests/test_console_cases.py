@@ -24,7 +24,9 @@ def test_every_command_model_type_and_fixture_has_a_row():
     assert {row["command"] for row in CASES.values()} == set(cli.COMMANDS)
     assert {s["type"] for s in spacetimes} == set(lagrangian._TYPES)
     assert {s["params"]["builder"] for s in spacetimes
-            if s["type"] == "plugin"} == set(fixtures.BUILDERS)
+            if s["type"] == "plugin"
+            and s["params"]["module"] == "finsler.fixtures"} == set(
+                fixtures.BUILDERS)
 
 
 def test_the_byte_manifest_is_the_same_on_a_second_pass():

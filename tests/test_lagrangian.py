@@ -251,15 +251,38 @@ class TestDescriptors:
         {"type": "plugin", "params": {"module": "finsler.missing",
                                       "builder": "f"}},
         "not-a-dict",
+        # an int default takes an integer; a relative module cannot load
+        {"type": "plugin", "params": {"module": "finsler.lagrangian",
+                                      "builder": "build_minkowski",
+                                      "dim": 2.5}},
+        {"type": "plugin", "params": {"module": ".fixtures",
+                                      "builder": "rosen_cos2"}},
+        # a builder that takes a param only by position cannot be called
+        {"type": "plugin", "params": {"module": "math", "builder": "sqrt"}},
+        # the dim bound holds for a plug-in's model too
+        {"type": "plugin", "params": {"module": "finsler.lagrangian",
+                                      "builder": "build_minkowski",
+                                      "dim": lagrangian.MAX_DIM + 1}},
     ])
     def test_bad_descriptors_raise_config_error(self, desc):
         with pytest.raises(ConfigError):
             from_descriptor(desc)
 
+    @pytest.mark.parametrize("dim", [lagrangian.MAX_DIM + 1, 10 ** 9])
+    def test_a_dim_above_the_bound_builds_no_model(self, monkeypatch, dim):
+        def refuse(**kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setitem(lagrangian._TYPES, "minkowski", (refuse, {}))
+        with pytest.raises(ConfigError, match=r"^spacetime\.dim must be an "
+                           r"integer in \[3, 8\]$"):
+            from_descriptor({"type": "minkowski", "dim": dim})
+
     @pytest.mark.parametrize("module,builder", [
         (3, "f"), ("", "rosen_cos2"), ("finsler.fixtures", ["x"])])
     def test_plugin_names_must_be_strings(self, module, builder):
-        with pytest.raises(ConfigError, match="non-empty strings"):
+        with pytest.raises(ConfigError, match=r"^spacetime\.params\."
+                           r"(module|builder) must be a non-empty string$"):
             from_descriptor({"type": "plugin", "params": {
                 "module": module, "builder": builder}})
 
