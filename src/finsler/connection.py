@@ -10,7 +10,8 @@ and then once they give Γ(v, v) and Γ v, and then Γ in closed form
 (`_koszul_solve`).  Curvature uses the same solve for the exact
 x-derivatives of Γ from a base-order-2 evaluation.  `christoffel` takes
 one point or a point set, and reads V and its Jacobian there from the
-`VectorField`, which evaluates a set row by row; a set is one batched
+`VectorField`, which evaluates a set row by row, or a constant field by
+broadcasting; a set is one batched
 evaluation and one stacked solve per lane block (`_table`), lane for
 lane the bits of the solve at each point.  `christoffel` never tests
 cone membership; the public entry points (`connection_report`,
@@ -116,7 +117,7 @@ class VectorField:
     callables must be jet-evaluable (list of scalars in, list out) so the
     Jacobian can be extracted exactly.  V and its Jacobian take one point
     or a (B, n) stack of points, which they evaluate row by row and stack
-    on a leading axis.
+    on a leading axis; `constant` broadcasts instead, with the same bits.
     """
 
     def __init__(self, eval_fn, jacobian_fn=None, name="V"):
@@ -126,11 +127,7 @@ class VectorField:
 
     @classmethod
     def constant(cls, v):
-        v = np.asarray(v, dtype=float)
-        n = len(v)
-        return cls(lambda x: list(v),
-                   jacobian_fn=lambda x: np.zeros((n, n)),
-                   name="constant")
+        return _ConstantField(v)
 
     @classmethod
     def linear(cls, v0, p, B):
@@ -164,6 +161,21 @@ class VectorField:
         for k, w in enumerate(comps):
             J[:, k] = jets.derivative_tensor(w, range(n), 1)
         return J
+
+
+class _ConstantField(VectorField):
+    """V(x) = v: a point set takes v and a zero Jacobian by broadcasting,
+    the bits of evaluating it row by row."""
+
+    def __init__(self, v):
+        super().__init__(None, name="constant")
+        self._v = np.asarray(v, dtype=float)
+
+    def __call__(self, x):
+        return np.broadcast_to(self._v, np.shape(x)).copy()
+
+    def jacobian(self, x):
+        return np.zeros(np.shape(x) + self._v.shape)
 
 
 def as_vector_field(N):
@@ -218,8 +230,8 @@ def _field_jet(L, x, v, J, base_order=1):
     D = 0.5 * jets.derivative_tensor(w, range(2 * n), 3)[..., :n, n:, n:]
     if base_order == 1:
         return g, C, D
-    d4 = jets.derivative_tensor(w, range(2 * n), 4)
-    return g, C, D, 0.25 * d4[:n, n:, n:, n:], 0.5 * d4[:n, :n, n:, n:]
+    d4 = jets.derivative_tensor(w, range(2 * n), 4)[..., :n, :, :, :]
+    return g, C, D, 0.25 * d4[..., n:, n:, n:], 0.5 * d4[..., :n, n:, n:]
 
 
 def _koszul_rhs(D, C, A):
@@ -242,7 +254,9 @@ def _koszul_solve(ginv, C, v, R):
     """Symmetric X[..., l, i, j] with 2 g(X, ·) = R + rhs(0, C, X v).
 
     R[..., i, j, k] may carry leading batch axes, and so may ginv, C and
-    v, one per lane of a stacked solve.  A 2-homogeneous L has
+    v, one per lane of a stacked solve.  R may hold one axis more than C,
+    after the lanes: the identities ∂_a of the derivatives of Γ, which
+    share their lane's ginv, C and v.  A 2-homogeneous L has
     C(v, ·, ·) = 0, which decouples the identity (the spray, nonlinear
     connection, Chern symbols route of Bao, Chern & Shen, ch. 2-3):
     contracted with v twice it gives s = X(v, v) = ½ g⁻¹ R(v, v, ·); once,
@@ -254,14 +268,19 @@ def _koszul_solve(ginv, C, v, R):
     """
     half = 0.5 * ginv
     halfT = np.swapaxes(half, -2, -1)
+    if R.ndim > C.ndim and half.ndim > 2:
+        # a stacked solve of the ∂_a identities: each lane's ginv, C and
+        # v serve its every a
+        half, C, v = half[:, None], C[:, None], v[:, None]
     if C.any():
         s = np.einsum("...ijk,...i,...j->...k", R, v, v)
-        # a stacked half takes each lane's s as a 1 x n row, so the lane
-        # makes the vector-matrix product of an unstacked solve
-        s = (s @ halfT if half.ndim == 2
+        # each lane's s, an n-vector or an a x n matrix, times its halfT:
+        # the vector-matrix or matrix product of an unstacked solve
+        s = (s @ halfT if s.ndim == halfT.ndim or half.ndim == 2
              else (s[..., None, :] @ halfT)[..., 0, :])
         Xv = (np.einsum("...ijk,...j->...ik", R, v)
-              - 2.0 * np.einsum("...mik,...m->...ik", C, s)) @ halfT
+              - 2.0 * np.einsum("...mik,...m->...ik", C, s)
+              ) @ np.swapaxes(half, -2, -1)
         R = R + _cartan_rhs(C, Xv)
     X = np.einsum("...lk,...ijk->...lij", half, R)
     return 0.5 * (X + np.swapaxes(X, -2, -1))
@@ -276,8 +295,7 @@ def _metric_inverse(g, x):
         raise SignatureError("fundamental tensor is singular at x=%r"
                              % (x.tolist(),)) from e
     cond = np.linalg.cond(g)
-    if cond.ndim:
-        cond = cond.max(initial=0.0)
+    cond = cond.max(initial=0.0) if cond.ndim else cond
     if not np.isfinite(cond) or cond > 1e12:
         raise SignatureError("fundamental tensor is numerically degenerate "
                              "(cond=%.3g)" % cond)
@@ -293,8 +311,7 @@ def _symbols(L, x, v, J):
 
 
 def _residual_gate(res):
-    if res.ndim:
-        res = res.max(initial=0.0)
+    res = res.max(initial=0.0) if res.ndim else res
     if res > 1e-6:
         raise SolverError("Koszul identity residual %.3g: the closed-form "
                           "solve needs C(v, ., .) = 0, a 2-homogeneous L"
@@ -512,8 +529,8 @@ def parallel_extension(L, v, p):
 
 def _parallel_jacobian(gamma, v):
     """∂_i V^k = -Γ^k_ij v^j: the Jacobian at x of a field through (x, v)
-    that the symbols Γ of ∇^v at x make parallel there."""
-    return -np.einsum("kij,j->ik", gamma, v)
+    that the symbols Γ of ∇^v at x make parallel there, per lane."""
+    return -np.einsum("...kij,...j->...ik", gamma, v)
 
 
 # -- geodesics ------------------------------------------------------------

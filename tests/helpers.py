@@ -25,6 +25,10 @@ keeps the reciprocal it composes.
 with two `jets.derivative_tensor` reads: the reference of
 `connection._spray`, which builds its seeds and its one gather once.
 
+`pullback` writes a model in the chart x' = P x + c: the metamorphic
+oracle of the tensors, which must map by the tensor law, built from the
+model function alone.
+
 `scipy_dop853` and `scipy_brentq` run scipy's ``solve_ivp(method="DOP853")``
 and ``brentq``, the oracles of the library's own `finsler.ode`;
 `scipy_dop853_result` hands out scipy's whole result, its count of
@@ -220,6 +224,29 @@ def two_callable_ppwave_example(eps=0.1):
 
     return Lagrangian(func, 4, _cone_ref_near_e0(func, 4),
                       name="ppwave_example")
+
+
+def pullback(L, P, c):
+    """L'(x', v') = L(P^-1 (x' - c), P^-1 v') with cone_ref' = P cone_ref:
+    the model L in the chart x' = P x + c, which maps a vector v to P v."""
+    P = np.asarray(P, dtype=float)
+    c = np.asarray(c, dtype=float)
+    Q = np.linalg.inv(P)
+    n = L.dim
+
+    def back(y):
+        # Q y for floats, lanes or jets alike
+        return [sum((float(Q[a, b]) * y[b] for b in range(n)), 0.0)
+                for a in range(n)]
+
+    def func(x, v):
+        return L(back([x[b] - c[b] for b in range(n)]), back(v))
+
+    def cone_ref(x):
+        x = np.asarray(x, dtype=float)
+        return P @ L.cone_ref_at(Q @ (x - c))
+
+    return Lagrangian(func, n, cone_ref, name=L.name + "-pullback")
 
 
 def per_point_spray(L, x, v):

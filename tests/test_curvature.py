@@ -9,7 +9,7 @@ models, the Cartan-free classical symbols for the metric field g_N).
 import numpy as np
 import pytest
 
-from finsler import connection, curvature, jets, ppwave
+from finsler import connection, curvature, fixtures, jets, ppwave
 from finsler.connection import (
     VectorField,
     _field_jet,
@@ -21,11 +21,14 @@ from finsler.curvature import chern_curvature, nperp_basis, ppwave_condition
 from finsler.lagrangian import (
     PROFILES,
     QuadraticLagrangian,
+    _default_parallel_example,
     _default_ppwave_example,
     build_brinkmann_quadratic,
     build_minkowski,
     catalog,
 )
+
+from helpers import pullback
 
 RNG = np.random.default_rng(41)
 
@@ -247,6 +250,52 @@ def test_a_stacked_curvature_has_each_points_bits():
     assert one.components.tobytes() == got[-1].components.tobytes()
 
 
+STACKED = {
+    "ppwave_example": _default_ppwave_example,
+    "parallel_example": _default_parallel_example,
+    "brinkmann-uxy": lambda: build_brinkmann_quadratic("uxy"),
+    "rosen_cross": fixtures.rosen_cross,
+}
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 5, jets.LANE_BLOCK + 1])
+@pytest.mark.parametrize("name", sorted(STACKED))
+def test_a_stack_is_bitwise_its_points_curvatures(name, size):
+    # at the parallel N and at the cone reference, where the Cartan terms
+    # of the derivative solve do not vanish; a stack of one point is that
+    # point's unstacked kernel, and no points give no curvatures
+    L = STACKED[name]()
+    xs = np.random.default_rng([size, 7]).uniform(-0.5, 0.5, (size, 4))
+    for vs in (np.broadcast_to(N_WAVE, xs.shape), L.cone_ref_at(xs)):
+        got = chern_curvature(L, xs, vs)
+        assert len(got) == size
+        for x, v, R in zip(xs, vs, got):
+            want = chern_curvature(L, x, v)
+            for part in ("components", "g", "gamma"):
+                assert np.array_equal(getattr(R, part), getattr(want, part))
+
+
+def test_curvature_is_a_tensor_under_an_affine_chart():
+    # x' = P x + c maps R as a (1, 3) tensor.  At the cone reference the
+    # Cartan term of ∂Γ sees the extension's Jacobian J, and a generic P
+    # makes J far from symmetric, so a transposed J breaks the law
+    L = _default_ppwave_example()
+    rng = np.random.default_rng(14)
+    P = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    assert np.linalg.cond(P) < 10.0
+    c = rng.uniform(-0.2, 0.2, 4)
+    Q = np.linalg.inv(P)
+    xs = rng.uniform(-0.3, 0.3, (3, 4))
+    vs = L.cone_ref_at(xs)
+    here = chern_curvature(L, xs, vs)
+    there = chern_curvature(pullback(L, P, c), xs @ P.T + c, vs @ P.T)
+    for R, Rp in zip(here, there):
+        law = np.einsum("la,abcd,bi,cj,dk->lijk", P, R.components, Q, Q, Q)
+        scale = max(1.0, float(np.max(np.abs(law))))
+        assert np.max(np.abs(Rp.components - law)) <= 1e-12 * scale
+        assert np.allclose(Rp.g, Q.T @ R.g @ Q, rtol=0.0, atol=1e-13)
+
+
 def test_curvature_product_terms_are_pinned(monkeypatch):
     # one chern_curvature makes 68 jet products: a series of a jet of
     # base-point generators composes only to the base order, and a jet's
@@ -270,6 +319,12 @@ def test_curvature_product_terms_are_pinned(monkeypatch):
     assert len(products) == 68
     assert sum(dense) == 133740
     assert sum(terms) == 45632
+    # a block of two lanes makes the same products, each of its terms
+    # once per lane
+    del products[:], terms[:], dense[:]
+    chern_curvature(L, np.array([[0.3, 0.2, -0.1, 0.4],
+                                 [-0.2, 0.1, 0.3, -0.3]]), N_WAVE)
+    assert (len(products), sum(dense), sum(terms)) == (68, 267480, 91264)
 
 
 def test_antisymmetry_exact_in_the_first_pair():

@@ -590,6 +590,24 @@ def test_masked_products_are_bitwise_dense_products(sig, lanes):
     assert ctx.product_pairs(ctx.full, ctx.full) is ctx.pairs
 
 
+@pytest.mark.parametrize("lanes", [2, 3, 33])
+@pytest.mark.parametrize("sig", ["christoffel", "curvature"])
+def test_a_batched_product_is_each_lanes_product(sig, lanes):
+    # the twin gathers rows of lanes with take; each lane keeps the bits
+    # of the product of its own columns in the unbatched context
+    ctx = jets._context(*MASKED[sig])
+    twin = ctx.batched(lanes)
+    rng = np.random.default_rng([29, ctx.size, lanes])
+    for mask_a in range(ctx.full + 1):
+        for mask_b in range(ctx.full + 1):
+            a, b = random_jet(twin, rng, mask_a), random_jet(twin, rng, mask_b)
+            got = a * b
+            for lane in range(lanes):
+                want = (Jet(ctx, a.c[:, lane].copy(), mask_a)
+                        * Jet(ctx, b.c[:, lane].copy(), mask_b))
+                assert got.c[:, lane].tobytes() == want.c.tobytes()
+
+
 def evaluate_on(sig_name, L, lanes):
     """L on the seeds of a `MASKED` context as the package seeds them, at
     a point near the origin with v at the cone reference; the connection

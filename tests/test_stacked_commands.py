@@ -1,7 +1,7 @@
 """The sampled commands run one stacked pass per sample set.
 
 `check`, `connection`, `curvature` and `ppwave` evaluate all their
-samples at once (the curvature jet stays one per sample), and
+samples at once (the curvature jet is one per lane block), and
 their reports must keep the bytes of a loop over the samples, one scalar
 evaluation at a time (`tests/helpers.py`), and its first error.  Each lane
 block gates its own samples, and `jets.in_blocks` reruns a failing block
