@@ -1,14 +1,18 @@
 """Command-line frontend: run verification pipelines from JSON configs.
 
-Every subcommand parses the config root, builds the model its spacetime
-descriptor names, parses its ``params`` against its `COMMANDS` table
-(after building the model, whose dimension sets vector lengths), runs
-its pipeline on the typed values, and emits a JSON report (plus a CSV
-curve for the commands that produce one).  All of these tables go
-through `schema.parse`, so unknown keys fail at every level.  Reports
-are deterministic: sample points come from a seeded generator recorded
-in the header, floats are printed with 17 significant digits, and
-nothing time- or host-dependent is written.
+`main` parses argv, and `run(ns)` takes argparse's namespace from there
+to the report: it reads the config file, merges ``--seed`` and
+``--tol`` into its root, parses the root once, resolves ``--out`` and
+the format into that parsed dict, builds the model its spacetime
+descriptor names, parses the command's ``params`` against its `COMMANDS`
+table (after building the model, whose dimension sets vector lengths),
+runs its pipeline on the typed values, and emits a JSON report (plus a
+CSV curve for the commands that produce one).  Every value the run
+reads comes from that one parsed dict.  All of these tables go through
+`schema.parse`, so unknown keys fail at every level.  Reports are
+deterministic: sample points come from a seeded generator recorded in
+the header, floats are printed with 17 significant digits, and nothing
+time- or host-dependent is written.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 schema
 violation, 3 numerical failure.
@@ -20,7 +24,6 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,19 +48,6 @@ EXIT_NUMERICAL = 3
 
 # -- config -------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    """Validated invocation: spacetime, command, params, output routing."""
-
-    spacetime: dict
-    command: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    tol: float = None
-    path: str = None
-    format: str = "json"
-
-
 def load_config(path):
     try:
         with open(path, encoding="utf-8") as fp:
@@ -67,32 +57,6 @@ def load_config(path):
     except json.JSONDecodeError as e:
         raise ConfigError("config %s is not valid JSON: %s"
                           % (path, e)) from e
-
-
-def parse_config(raw, command, out=None, seed=None, tol=None):
-    """Merge the config file with CLI overrides into a RunConfig; `run`
-    builds the model from ``spacetime``, then parses ``params`` once the
-    model's dimension is known."""
-    if isinstance(raw, dict):
-        raw = {**raw, **{k: v for k, v in (("seed", seed), ("tol", tol))
-                         if v is not None}}
-    got = parse(_CONFIG, raw, "")
-    require(got["command"] in (None, command),
-            "config command %r does not match invocation %r"
-            % (got["command"], command))
-    output = got["output"]
-    path = (output["path"] if out is None
-            else string(out, "output.path", None))
-    fmt = output["format"]
-    if fmt is None:
-        fmt = "csv" if path is not None and path.endswith(".csv") else "json"
-    if fmt == "csv":
-        require(COMMANDS[command].curve,
-                "command %s produces no CSV curve" % command)
-        require(path is not None, "csv output needs a path")
-    return RunConfig(spacetime=got["spacetime"], command=command,
-                     params=got["params"], seed=got["seed"], tol=got["tol"],
-                     path=path, format=fmt)
 
 
 # -- params kinds -------------------------------------------------------------
@@ -252,19 +216,17 @@ def _cmd_quotient(L, rng, tol, N, base, reps, n_segments, loop):
 
     if loop is None:
         return rep, None
-    if "vertices" in loop:
-        pts = np.array(loop["vertices"], dtype=float)
-        at_base = np.array_equal(pts[0], base)
-        defect = holonomy_defect(L, N, pts, reps, n_segments=n_segments,
-                                 frame=frame if at_base else None)
-        rep.add("holonomy defect", defect, tol)
-        rep.meta["holonomy"] = {"defect": defect}
-    else:
-        pts = rectangle_loop(base, *loop["plane"], *loop["sides"])
-        defect = holonomy_defect(L, N, pts, reps, n_segments=n_segments,
-                                 frame=frame)
+    pts = (np.array(loop["vertices"], dtype=float) if "vertices" in loop
+           else rectangle_loop(base, *loop["plane"], *loop["sides"]))
+    at_base = np.array_equal(pts[0], base)
+    defect = holonomy_defect(L, N, pts, reps, n_segments=n_segments,
+                             frame=frame if at_base else None)
+    rep.meta["holonomy"] = {"defect": defect}
+    if "area" in loop:
         rep.add("holonomy defect / area", defect / loop["area"], tol)
-        rep.meta["holonomy"] = {"defect": defect, "area": loop["area"]}
+        rep.meta["holonomy"]["area"] = loop["area"]
+    else:
+        rep.add("holonomy defect", defect, tol)
     return rep, None
 
 
@@ -350,28 +312,50 @@ def _write(path, text):
         raise ConfigError("cannot write %s: %s" % (path, e)) from e
 
 
-def run(config):
-    """Execute a validated RunConfig; returns the process exit status."""
-    L = from_descriptor(config.spacetime)
-    command = COMMANDS[config.command]
-    params = parse(command.params, config.params, "params", L.dim)
-    rng = np.random.default_rng(config.seed)
-    tol = command.tol if config.tol is None else config.tol
+def run(ns):
+    """Run the invocation argparse parsed into ``ns``, from its config file
+    to its report (see the module docstring); returns the process exit
+    status."""
+    raw = load_config(ns.config)
+    if isinstance(raw, dict):
+        raw = {**raw, **{k: v for k, v in (("seed", ns.seed), ("tol", ns.tol))
+                         if v is not None}}
+    config = parse(_CONFIG, raw, "")
+    require(config["command"] in (None, ns.command),
+            "config command %r does not match invocation %r"
+            % (config["command"], ns.command))
+    config["command"] = ns.command
+    command = COMMANDS[config["command"]]
+    output = config["output"]
+    if ns.out is not None:
+        output["path"] = string(ns.out, "output.path", None)
+    if output["format"] is None:
+        output["format"] = ("csv" if output["path"] is not None
+                            and output["path"].endswith(".csv") else "json")
+    if output["format"] == "csv":
+        require(command.curve,
+                "command %s produces no CSV curve" % config["command"])
+        require(output["path"] is not None, "csv output needs a path")
+
+    L = from_descriptor(config["spacetime"])
+    params = parse(command.params, config["params"], "params", L.dim)
+    rng = np.random.default_rng(config["seed"])
+    tol = command.tol if config["tol"] is None else config["tol"]
     rep, curve_csv = command.run(L, rng, tol, **params)
-    header = {"command": config.command,
+    header = {"command": config["command"],
               "model": getattr(L, "name", "?"),
-              "seed": config.seed,
+              "seed": config["seed"],
               "generator": "PCG64"}
-    if config.tol is not None:
-        header["tol"] = config.tol
+    if config["tol"] is not None:
+        header["tol"] = config["tol"]
     rep.meta = {**header, **rep.meta}
     text = rep.to_json()
 
-    if config.format == "csv":
-        _write(config.path, curve_csv())
+    if output["format"] == "csv":
+        _write(output["path"], curve_csv())
         sys.stdout.write(text)
-    elif config.path is not None:
-        _write(config.path, text)
+    elif output["path"] is not None:
+        _write(output["path"], text)
     else:
         sys.stdout.write(text)
     return EXIT_PASS if rep.passed else EXIT_VERIFICATION
@@ -398,10 +382,7 @@ def _parser():
 def main(argv=None):
     ns = _parser().parse_args(argv)
     try:
-        raw = load_config(ns.config)
-        config = parse_config(raw, ns.command, out=ns.out, seed=ns.seed,
-                              tol=ns.tol)
-        return run(config)
+        return run(ns)
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_SCHEMA

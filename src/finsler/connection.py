@@ -88,13 +88,6 @@ class ScalarField:
 
         return cls(func, name="linear")
 
-    def __call__(self, x):
-        return self._func(x)
-
-    def value(self, x):
-        w = self._func([float(t) for t in x])
-        return float(w.value if isinstance(w, jets.Jet) else w)
-
     def d(self, x):
         """Gradient of the coordinate expression (a covector)."""
         _, xj = jets.variables([float(t) for t in x], 1)
@@ -476,7 +469,7 @@ def gradient(L, f, x, tol=1e-10, seed_vector=None):
                               "gradient at x=%r" % (pairing, x.tolist()))
     if seed_vector is not None:
         w = np.asarray(seed_vector, dtype=float)
-        L.check_admissible(x, w, closed=True)
+        L.check_admissible(x, w)
     else:
         w = (pairing / float(L.value(x, ref))) * ref
     scale = max(1.0, float(np.max(np.abs(df))))
@@ -638,7 +631,7 @@ def geodesic(L, x0, v0, t_span, tol=1e-9, n_samples=200):
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     n = len(x0)
-    l0 = L.check_admissible(x0, v0, closed=True).value
+    l0 = L.check_admissible(x0, v0).value
 
     spray = _spray(L)
 

@@ -159,16 +159,17 @@ class Lagrangian:
                                   margin=float(margin[0]))
         return ConeMembership(inside=inside, value=value, margin=margin)
 
-    def check_admissible(self, x, v, closed=True):
-        """`is_admissible`, raising ConeError for the first pair outside."""
-        m = self.is_admissible(x, v, closed=closed)
+    def check_admissible(self, x, v):
+        """Closed-cone `is_admissible`, raising ConeError for the first
+        pair outside."""
+        m = self.is_admissible(x, v, closed=True)
         out = np.flatnonzero(~np.atleast_1d(m.inside))
         if len(out):
             k = out[0]
             raise ConeError(
-                "vector outside the %s cone of %r (L=%.6g, margin=%.6g)"
-                % ("closed" if closed else "open", self.name,
-                   np.atleast_1d(m.value)[k], np.atleast_1d(m.margin)[k]))
+                "vector outside the closed cone of %r (L=%.6g, margin=%.6g)"
+                % (self.name, np.atleast_1d(m.value)[k],
+                   np.atleast_1d(m.margin)[k]))
         return m
 
     def sample_admissible(self, x, rng, count=1):

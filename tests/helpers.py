@@ -45,7 +45,7 @@ report bytes and first error alike.
 
 `per_sample_homothety` and `per_sample_offblock` are
 `penrose.homothety_residual` and the off-block rows of the Penrose Ω
-table (`penrose._offblock`) as loops of one scalar `fundamental_tensor`
+table (`penrose._omega_row`) as loops of one scalar `fundamental_tensor`
 per sample: the oracles of their stacked evaluations.
 
 `dop853_vielbein` integrates the Penrose O-equation O' = -W O with DOP853

@@ -572,6 +572,25 @@ def test_check_runs_without_importing_scipy(tmp_path):
     assert '"truncated": true' in proc.stdout
 
 
+def test_module_entry_prints_what_main_prints(tmp_path, capsys):
+    # `python -m finsler.cli` goes through the module's __main__ guard;
+    # warnings are errors, so a package that imported the module first
+    # would fail on runpy's double-import warning
+    argv = ["check", "--config",
+            str(ROOT / "configs" / "check_minkowski.json")]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode("utf-8")
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m",
+                           "finsler.cli", *argv],
+                          capture_output=True, env=env, cwd=tmp_path,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
+
+
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 

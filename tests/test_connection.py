@@ -506,6 +506,22 @@ def test_geodesic_truncates_when_the_metric_degenerates():
     assert path.x[-1, 1] < 1.0 + 1e-6
 
 
+def test_geodesic_stops_where_the_lagrangian_cannot_be_evaluated():
+    # L cannot be evaluated past x0 = 1: there the spray fails, the
+    # right-hand side is NaN, and the integrator's step shrinks to nothing
+    entries = {(0, 1): 1.0,
+               (2, 2): lambda x: -(2.0 - jets.sqrt(1.0 - x[0])),
+               (3, 3): -1.0}
+    L = QuadraticLagrangian(entries, 4, [1.0, 1.0, 0.0, 0.0], name="edge")
+    path = geodesic(L, np.zeros(4), np.array([1.0, 0.5, 0.1, 0.0]),
+                    (0.0, 2.0), n_samples=50)
+    assert path.truncated
+    assert path.reason.startswith("integrator stopped at t=")
+    assert 1 < len(path.t) < 50
+    assert path.x[-1, 0] < 1.0
+    assert np.max(np.abs(path.ldrift)) <= path.tol
+
+
 @pytest.mark.parametrize("span", [(0.0, 1.2), (1.2, -0.3)])
 def test_geodesic_dense_state_is_its_samples(span):
     L = fixtures.rosen_cos2()

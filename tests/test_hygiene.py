@@ -8,7 +8,11 @@ as used.  scipy is a test dependency only: no module under
 ``src/finsler`` may import it, at any depth.  A jet's support mask must
 cover every non-zero coefficient, so no module but ``jets.py`` may store
 into a ``.c`` attribute or an item of one (``self.c`` set on an object
-of the module's own class aside).
+of the module's own class aside).  Every module-level private name of
+``src/finsler`` (a function, class or constant whose name starts with
+one underscore) must be read somewhere in ``src``, ``tests`` or
+``bench``: as a loaded name or attribute, or by an import; a docstring
+mention is no read.  Reads are matched by name, not by module.
 """
 
 import ast
@@ -17,6 +21,8 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RUNTIME = sorted((ROOT / "src" / "finsler").glob("*.py"))
 SCANNED = RUNTIME + sorted((ROOT / "tests").glob("*.py"))
+READERS = [path for d in ("src", "tests", "bench")
+           for path in sorted((ROOT / d).rglob("*.py"))]
 
 
 def unused_imports(source):
@@ -125,3 +131,64 @@ def test_only_jets_writes_jet_coefficients():
              for path in RUNTIME if path.name != "jets.py"
              for line in coefficient_writes(path.read_text(encoding="utf-8"))]
     assert not found, "jet coefficients written at " + ", ".join(found)
+
+
+def private_names(source):
+    """Module-level functions, classes and constants of ``source`` whose
+    names start with one underscore, with the line of each first one."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [t.id for target in targets for t in ast.walk(target)
+                     if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found.setdefault(name, node.lineno)
+    return found
+
+
+def names_read(source):
+    """Names ``source`` reads: loaded names and attributes, and the names
+    its import statements fetch."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(alias.name.split(".")[-1] for alias in node.names)
+    return read
+
+
+def test_scanner_flags_private_names_never_read():
+    src = ('"""Mentions _doc."""\n'
+           "def _called():\n    pass\n"
+           "def _doc():\n    '''_doc names itself only here'''\n"
+           "class _Attr:\n    pass\n"
+           "_CONST, _STORED = 1, 2\n__version__ = '1'\n"
+           "_called()\nobj._STORED = 3\nvalue = mod._Attr\n")
+    other = "from pkg.mod import _CONST as c\n"
+    read = names_read(src) | names_read(other)
+    assert private_names(src) == {"_called": 2, "_doc": 4, "_Attr": 6,
+                                  "_CONST": 8, "_STORED": 8}
+    assert sorted(set(private_names(src)) - read) == ["_STORED", "_doc"]
+
+
+def test_every_private_name_is_read():
+    read = set().union(*(names_read(path.read_text(encoding="utf-8"))
+                         for path in READERS))
+    found = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
+             for path in RUNTIME
+             for name, line in private_names(
+                 path.read_text(encoding="utf-8")).items()
+             if name not in read]
+    assert not found, "private names never read: " + ", ".join(found)
