@@ -117,15 +117,13 @@ def _sample_states(L, rng, n, box):
 
 def _cmd_check(L, rng, tol, n_samples, box):
     xs, vs = map(np.array, zip(*_sample_states(L, rng, n_samples, box)))
-    rep = Report(title="check")
+    names, residuals, gs = _homogeneity(L, xs, vs)
     want = (1, L.dim - 1, 0)
-    for k, (sub, g) in enumerate(zip(*_homogeneity(L, xs, vs, tol))):
-        for c in sub.checks:
-            rep.add("sample %d: %s" % (k, c.name), c.residual, c.tol)
-        sig = signature_of(g)
-        ok = (sig.plus, sig.minus, sig.zero) == want
-        rep.add("sample %d: signature (1, %d, 0)" % (k, L.dim - 1),
-                0.0 if ok else 1.0, 0.5)
+    wrong = [(s.plus, s.minus, s.zero) != want for s in map(signature_of, gs)]
+    rep = Report(title="check")
+    rep.add_samples(names + ["signature (1, %d, 0)" % (L.dim - 1)],
+                    np.column_stack([residuals, np.array(wrong, dtype=float)]),
+                    [tol] * len(names) + [0.5])
     return rep, None
 
 
@@ -136,13 +134,13 @@ def _draw_points(L, rng, n_samples, box):
 
 
 def _cmd_connection(L, rng, tol, n_samples, box, N):
-    V = VectorField.constant(N)
-    rep = Report(title="connection")
-    subs, _ = connection_report(L, V, _draw_points(L, rng, n_samples, box))
-    for k, sub in enumerate(subs):
-        for c in sub.checks:
-            use = c.tol if tol is None or "torsion" in c.name else tol
-            rep.add("sample %d: %s" % (k, c.name), c.residual, use)
+    rep, _ = connection_report(L, VectorField.constant(N),
+                               _draw_points(L, rng, n_samples, box))
+    if tol is not None:
+        # the headline tol replaces each row's own, but torsion's 1e-14
+        for c in rep.checks:
+            if "torsion" not in c.name:
+                c.tol = tol
     return rep, None
 
 
@@ -153,11 +151,13 @@ def _cmd_curvature(L, rng, tol, n_samples, box, N):
               rng.uniform(-1, 1, (3, 4, L.dim))) for _ in range(n_samples)]
     curvatures = chern_curvature(L, np.array([x for x, _ in draws]), N)
     rep = Report(title="curvature", meta={"samples": []})
-    for k, ((x, spots), R) in enumerate(zip(draws, curvatures)):
+    worst = []
+    for (x, spots), R in zip(draws, curvatures):
         X, Y, U, W = np.swapaxes(spots, 0, 1)     # three draws each
-        worst = float(np.max(np.abs(R.rm(X, Y, U, W) - R.rm(U, W, X, Y))))
-        rep.add("sample %d: pair symmetry" % k, worst / max(1.0, R.scale), tol)
+        worst.append(np.max(np.abs(R.rm(X, Y, U, W) - R.rm(U, W, X, Y)))
+                     / max(1.0, R.scale))
         rep.meta["samples"].append({"x": x.tolist(), "scale": R.scale})
+    rep.add_samples(["pair symmetry"], worst, tol)
     return rep, None
 
 

@@ -180,8 +180,11 @@ def as_vector_field(N):
 
 @dataclass
 class ChristoffelTable:
-    """Christoffel symbols at one point plus the jet byproducts; a stacked
-    table carries a leading lane axis on every array, one lane a point."""
+    """Christoffel symbols at one point plus the jet byproducts; the
+    table of a point set carries a leading lane axis on every array, one
+    lane a point.  The residual functions (`koszul_residual`,
+    `torsion_residual`, `compatibility_residual`) take either and give
+    one residual per lane."""
 
     x: np.ndarray
     v: np.ndarray
@@ -192,14 +195,6 @@ class ChristoffelTable:
     jacobian: np.ndarray   # jacobian[i, k]
     iterations: int        # 0: the solve is closed-form
     method: str            # "closed-form"
-
-    def lane(self, b):
-        """Lane b of a stacked table, as the table of its point."""
-        return ChristoffelTable(
-            x=self.x[b], v=self.v[b], gamma=self.gamma[b], g=self.g[b],
-            cartan=self.cartan[b], dmetric=self.dmetric[b],
-            jacobian=self.jacobian[b], iterations=self.iterations,
-            method=self.method)
 
 
 def _field_jet(L, x, v, J, base_order=1):
@@ -354,63 +349,64 @@ def _table(L, x, v, J, gate=False):
                             method="closed-form")
 
 
+# the axes of one lane's tensor, which a residual maximizes over
+_AXES = (-3, -2, -1)
+
+
 def _koszul_residual(gamma, g, C, D, J, v):
     """Scale-normalized max residual of the Koszul identity, per lane."""
     A = J + np.einsum("...mil,...l->...im", gamma, v)
     rhs = _koszul_rhs(D, C, A)
     lhs = 2.0 * np.einsum("...lij,...lk->...ijk", gamma, g)
-    axes = (-3, -2, -1)
-    scale = np.maximum(1.0, np.max(np.abs(rhs), axis=axes))
-    return np.max(np.abs(lhs - rhs), axis=axes) / scale
+    scale = np.maximum(1.0, np.max(np.abs(rhs), axis=_AXES))
+    return np.max(np.abs(lhs - rhs), axis=_AXES) / scale
 
 
 def koszul_residual(table):
-    """Scale-normalized max residual of the coordinate Koszul identity."""
-    return float(_koszul_residual(table.gamma, table.g, table.cartan,
-                                  table.dmetric, table.jacobian, table.v))
+    """Scale-normalized max residual of the coordinate Koszul identity,
+    one per lane of a stacked table."""
+    return _koszul_residual(table.gamma, table.g, table.cartan,
+                            table.dmetric, table.jacobian, table.v)
 
 
 def compatibility_residual(table):
-    """X g(Y,Z) - g(∇_X Y,Z) - g(Y,∇_X Z) - 2C(∇_X V,Y,Z), normalized."""
-    A = table.jacobian + np.einsum("mil,l->im", table.gamma, table.v)
-    t1 = np.einsum("lij,lk->ijk", table.gamma, table.g)
-    t2 = np.einsum("lik,jl->ijk", table.gamma, table.g)
-    t3 = 2.0 * np.einsum("mjk,im->ijk", table.cartan, A)
+    """X g(Y,Z) - g(∇_X Y,Z) - g(Y,∇_X Z) - 2C(∇_X V,Y,Z), normalized,
+    one per lane of a stacked table."""
+    A = table.jacobian + np.einsum("...mil,...l->...im", table.gamma,
+                                   table.v)
+    t1 = np.einsum("...lij,...lk->...ijk", table.gamma, table.g)
+    t2 = np.einsum("...lik,...jl->...ijk", table.gamma, table.g)
+    t3 = 2.0 * np.einsum("...mjk,...im->...ijk", table.cartan, A)
     res = table.dmetric - t1 - t2 - t3
-    scale = max(1.0, float(np.max(np.abs(table.dmetric))))
-    return float(np.max(np.abs(res))) / scale
+    scale = np.maximum(1.0, np.max(np.abs(table.dmetric), axis=_AXES))
+    return np.max(np.abs(res), axis=_AXES) / scale
 
 
 def torsion_residual(table):
-    return float(np.max(np.abs(table.gamma
-                               - np.swapaxes(table.gamma, 1, 2))))
+    """max |Γ^k_ij - Γ^k_ji|, one per lane of a stacked table."""
+    return np.max(np.abs(table.gamma - np.swapaxes(table.gamma, -2, -1)),
+                  axis=_AXES)
 
 
 def connection_report(L, V, x):
     """Report the connection identities at x; returns (report, table).
 
-    x is one point, or a (B, n) point set, which gives a list of B
-    reports and a stacked table.  One stacked pass: one `_table` solve,
-    each lane block gated at its points first, then the residuals of
-    each lane; a failing set raises its first failing point's error.
+    x is one point, or a (B, n) point set, which gives a stacked table;
+    either way one report, whose rows are "sample k: <check>"
+    (`Report.add_samples`), a single point being sample 0.  One `_table`
+    solve, each lane block gated at its points first, then each
+    residual on every lane at once; a failing set raises its first
+    failing point's error.
     """
-    xs = np.atleast_2d(np.asarray(x, dtype=float))
-    table = _table(L, xs, V(xs), V.jacobian(xs), gate=True)
-    reps = []
-    for b in range(len(xs)):
-        t = table.lane(b)
-        rep = Report(title="connection",
-                     meta={"x": t.x.tolist(),
-                           "v": t.v.tolist(),
-                           "method": t.method,
-                           "iterations": t.iterations})
-        rep.add("koszul identity", koszul_residual(t), 1e-8)
-        rep.add("torsion-free symmetry", torsion_residual(t), 1e-14)
-        rep.add("almost-g-compatibility", compatibility_residual(t), 1e-8)
-        reps.append(rep)
-    if np.ndim(x) == 2:
-        return reps, table
-    return reps[0], table.lane(0)
+    x = np.asarray(x, dtype=float)
+    table = _table(L, x, V(x), V.jacobian(x), gate=True)
+    rep = Report(title="connection")
+    rep.add_samples(["koszul identity", "torsion-free symmetry",
+                     "almost-g-compatibility"],
+                    np.stack([koszul_residual(table), torsion_residual(table),
+                              compatibility_residual(table)], axis=-1),
+                    [1e-8, 1e-14, 1e-8])
+    return rep, table
 
 
 def levi_civita_quadratic(L, x):

@@ -188,7 +188,8 @@ def _condition_report(L, N, table, tol_factor):
     rep = Report(title="ppwave-condition",
                  meta={"model": getattr(L, "name", "?"),
                        "samples": [], "curvature_scale": scale})
-    for idx, (R, J) in enumerate(zip(Rs, N.jacobian(table.x))):
+    rows = []
+    for R, J in zip(Rs, N.jacobian(table.x)):
         light = abs(L.value(R.x, R.v))
         # Γ at x depends on N(x) only, so the curvature's symbols serve
         par = float(np.max(np.abs(J + np.einsum("mil,l->im", R.gamma, R.v))))
@@ -197,13 +198,13 @@ def _condition_report(L, N, table, tol_factor):
         i, j = np.nonzero(r[:, None] < r)
         vecs = R.apply(basis[i, None], basis[j, None], basis)
         worst = float(np.max(np.sqrt(vecs[..., None, :] @ vecs[..., None])))
-        rep.add("sample %d: N lightlike" % idx, light, 1e-10)
-        rep.add("sample %d: N parallel" % idx, par, 1e-8)
-        rep.add("sample %d: curvature condition" % idx, worst, tol)
+        rows.append((light, par, worst))
         rep.meta["samples"].append({
             "x": [float(t) for t in R.x],
             "lightlike": light,
             "parallel": par,
             "residual": worst,
         })
+    rep.add_samples(["N lightlike", "N parallel", "curvature condition"],
+                    rows, [1e-10, 1e-8, tol])
     return rep

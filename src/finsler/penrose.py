@@ -127,12 +127,10 @@ def _omega_row(L, N, omega, samples, us, tol=1e-9):
     gws = fundamental_tensor(
         Lw, np.concatenate([ps, ray]),
         np.concatenate([ones * (nvec0 / jd), np.ones((len(us), 1)) * nvec0]))
-    for idx, (g, gw) in enumerate(zip(gs, gws[:k])):
-        lhs = np.outer(jd, jd) * g
-        rhs = omega ** 2 * gw
-        scale = max(1.0, float(np.max(np.abs(lhs))))
-        res = float(np.max(np.abs(lhs - rhs))) / scale
-        rep.add("sample %d: homothety" % idx, res, tol)
+    lhs = np.outer(jd, jd) * gs
+    scale = np.maximum(1.0, np.max(np.abs(lhs), axis=(1, 2)))
+    res = np.max(np.abs(lhs - omega ** 2 * gws[:k]), axis=(1, 2)) / scale
+    rep.add_samples(["homothety"], res, tol)
     if not len(us):
         return rep, None
     gw = gws[k:]

@@ -120,23 +120,18 @@ def parallel_criterion(L, N, region_samples):
 
 def _parallel_report(L, table):
     """The `parallel_criterion` report from the stacked `ChristoffelTable`
-    of N at the samples."""
+    of N at the samples, every lane at once."""
+    gscale = np.maximum(1.0, np.max(np.abs(table.g), axis=(-2, -1)))
+    d0 = np.max(np.abs(table.dmetric[:, 0]), axis=(-2, -1))
+    nab = table.jacobian + np.einsum("...mil,...l->...im", table.gamma,
+                                     table.v)
+    par = np.max(np.abs(nab), axis=(-2, -1))
     rep = Report(title="parallel-criterion",
-                 meta={"model": getattr(L, "name", "?"), "samples": []})
-    for idx in range(len(table.x)):
-        t = table.lane(idx)
-        gscale = max(1.0, float(np.max(np.abs(t.g))))
-        d0 = float(np.max(np.abs(t.dmetric[0])))
-        nab = t.jacobian + np.einsum("mil,l->im", t.gamma, t.v)
-        par = float(np.max(np.abs(nab)))
-
-        rep.add("sample %d: d0 g_N" % idx, d0, _PARALLEL_TOL * gscale)
-        rep.add("sample %d: nabla N" % idx, par, _PARALLEL_TOL * gscale)
-        rep.meta["samples"].append({
-            "x": t.x.tolist(),
-            "d0_gN": d0,
-            "nabla_N": par,
-        })
+                 meta={"model": getattr(L, "name", "?"), "samples": [
+                     {"x": x, "d0_gN": a, "nabla_N": b} for x, a, b in
+                     zip(table.x.tolist(), d0.tolist(), par.tolist())]})
+    rep.add_samples(["d0 g_N", "nabla N"], np.stack([d0, par], axis=-1),
+                    _PARALLEL_TOL * gscale[:, None])
     return rep
 
 

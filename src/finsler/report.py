@@ -1,9 +1,12 @@
 """Check/Report containers and deterministic serialization.
 
 All verification operations return a `Report`: a list of named checks with a
-residual, a tolerance and a pass flag.  Serialization is deterministic
-byte-for-byte for a fixed input: floats are printed with 17 significant
-digits (round-trip exact), keys keep insertion order, no timestamps.
+residual, a tolerance and a pass flag.  A check over a point set gives one
+report, whose rows `Report.add_samples` writes sample by sample from a
+residual table, each named "sample k: <check>".  Serialization is
+deterministic byte-for-byte for a fixed input: floats are printed with 17
+significant digits (round-trip exact), keys keep insertion order, no
+timestamps.
 """
 
 from __future__ import annotations
@@ -121,6 +124,19 @@ class Report:
         c = Check(name, float(residual), float(tol))
         self.checks.append(c)
         return c
+
+    def add_samples(self, names, residuals, tols) -> None:
+        """Append the checks of a point set, sample by sample: row
+        "sample k: <names[j]>" holds ``residuals[k, j]`` against
+        ``tols[k, j]``, where ``tols`` broadcasts against the
+        (samples, checks) table of ``residuals``.  A single point is
+        sample 0."""
+        res = np.reshape(np.asarray(residuals, dtype=float),
+                         (-1, len(names)))
+        tols = np.broadcast_to(np.asarray(tols, dtype=float), res.shape)
+        for k, (row, trow) in enumerate(zip(res.tolist(), tols.tolist())):
+            for name, r, t in zip(names, row, trow):
+                self.add("sample %d: %s" % (k, name), r, t)
 
     def extend(self, other: "Report") -> None:
         self.checks.extend(other.checks)

@@ -7,7 +7,9 @@ of L of order 2 or 3 (`_v_partials`), and take one pair or a (B, n)
 stack of pairs, whose lanes are bitwise the results at each pair.  The tensor
 kernels never test cone membership; the public entry points
 (`homogeneity_report` here) gate the caller's pairs once each through
-`Lagrangian.check_admissible`, each in its lane block.
+`Lagrangian.check_admissible`, each in its lane block.  The homogeneity
+identities of a pair or a stack are one residual table (`_homogeneity`),
+which `homogeneity_report` hands to `Report.add_samples` as one report.
 """
 
 from __future__ import annotations
@@ -121,27 +123,39 @@ def leading_minors(h):
 _LAMBDAS = np.array([1.0, 0.5, 2.0, 3.0])
 
 
+# the checks of `_homogeneity`, one column of its residual table each
+_HOMOGENEITY_CHECKS = (
+    ["L(%.1f v) = %.1f^2 L" % (lam, lam) for lam in _LAMBDAS[1:].tolist()]
+    + ["g_(%.1f v) = g_v" % lam for lam in _LAMBDAS[1:3].tolist()]
+    + ["g_v(v, v) = L", "C_v(v, ., .) = 0"])
+
+
 def homogeneity_report(L, x, v, tol=1e-9):
     """Residuals for the degree-2 homogeneity identities at (x, v).
 
     Checks L(lambda v) = lambda^2 L, g_(lambda v) = g_v, g_v(v,v) = L and
     C_v(v,.,.) = 0 for a `Lagrangian` ``L``.  x and v are one pair, or
-    (B, n) stacks of B pairs, which give a list of B reports.  Reports
-    failures rather than raising, except for a v outside the closed cone
-    (ConeError), which `Lagrangian.check_admissible` tests first, and a
-    failing evaluation; a stack raises its first failing pair's error.
+    (B, n) stacks of B pairs; either way one report, whose rows are
+    "sample k: <check>" (`Report.add_samples`), a single pair being
+    sample 0.  Reports failures rather than raising, except for a v
+    outside the closed cone (ConeError), which
+    `Lagrangian.check_admissible` tests first, and a failing evaluation;
+    a stack raises its first failing pair's error.
     """
-    reps, _ = _homogeneity(L, x, v, tol)
-    return reps if np.ndim(v) == 2 else reps[0]
+    names, residuals, _ = _homogeneity(L, x, v)
+    rep = Report(title="homogeneity")
+    rep.add_samples(names, residuals, tol)
+    return rep
 
 
-def _homogeneity(L, x, v, tol):
-    """The reports of `homogeneity_report` for a stack of pairs, and g at
-    each pair.  One `jets.in_blocks` pass: each lane block runs its cone
-    gate, one `Lagrangian.value` for L at v, 0.5 v, 2 v and 3 v, one
+def _homogeneity(L, x, v):
+    """The check names of `homogeneity_report`, its (B, 7) residual table
+    for one pair or a stack of B pairs, and g at each pair.  One
+    `jets.in_blocks` pass: each lane block runs its cone gate, one
+    `Lagrangian.value` for L at v, 0.5 v, 2 v and 3 v, one
     `fundamental_tensor` for g at v, 0.5 v and 2 v and one
     `cartan_tensor`; each pair gets the bits of its own scalar
-    evaluations."""
+    evaluations, and each residual the bits of its pair's alone."""
     xs = np.atleast_2d(np.asarray(x, dtype=float))
     vs = np.atleast_2d(np.asarray(v, dtype=float))
     n = vs.shape[1]
@@ -158,30 +172,21 @@ def _homogeneity(L, x, v, tol):
                 gs.reshape(scaled.shape[:-2] + (3, n, n)),
                 cartan_tensor(L, x, v))
 
-    vals, gs, Cs = jets.in_blocks(kernel, xs, vs)
-
-    reps = []
-    for xb, vb, Ls, gb, C in zip(xs, vs, vals.tolist(), gs, Cs):
-        rep = Report(title="homogeneity",
-                     meta={"x": xb.tolist(), "v": vb.tolist()})
-        Lv = Ls[0]
-        for lam, Ll in zip(_LAMBDAS[1:].tolist(), Ls[1:]):
-            target = lam * lam * Lv
-            res = abs(Ll - target) / max(1.0, abs(target))
-            rep.add("L(%.1f v) = %.1f^2 L" % (lam, lam), res, tol)
-
-        g = gb[0]
-        gscale = max(1.0, float(np.max(np.abs(g))))
-        for lam, gl in zip(_LAMBDAS[1:3].tolist(), gb[1:]):
-            res = float(np.max(np.abs(gl - g))) / gscale
-            rep.add("g_(%.1f v) = g_v" % lam, res, tol)
-
-        res = abs(float(vb @ g @ vb) - Lv) / max(1.0, abs(Lv))
-        rep.add("g_v(v, v) = L", res, tol)
-
-        contr = np.einsum("ijk,i->jk", C, vb)
-        cscale = 1.0 + float(np.max(np.abs(C))) * float(np.linalg.norm(vb))
-        rep.add("C_v(v, ., .) = 0",
-                float(np.max(np.abs(contr))) / cscale, tol)
-        reps.append(rep)
-    return reps, gs[:, 0]
+    vals, gs, C = jets.in_blocks(kernel, xs, vs)
+    Lv = vals[:, :1]
+    target = _LAMBDAS[1:] * _LAMBDAS[1:] * Lv
+    g = gs[:, 0]
+    gscale = np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
+    # each pair's v g v and |v| by the dot products of a single pair
+    vg = (vs[:, None, :] @ g)[:, 0]
+    gvv = (vg[:, None, :] @ vs[:, :, None])[:, 0, 0]
+    vnorm = np.sqrt((vs[:, None, :] @ vs[:, :, None])[:, 0, 0])
+    contr = np.einsum("bijk,bi->bjk", C, vs)
+    cscale = 1.0 + np.max(np.abs(C), axis=(1, 2, 3)) * vnorm
+    residuals = np.column_stack([
+        np.abs(vals[:, 1:] - target) / np.maximum(1.0, np.abs(target)),
+        np.max(np.abs(gs[:, 1:] - gs[:, :1]), axis=(2, 3))
+        / gscale[:, None],
+        np.abs(gvv - Lv[:, 0]) / np.maximum(1.0, np.abs(Lv[:, 0])),
+        np.max(np.abs(contr), axis=(1, 2)) / cscale])
+    return _HOMOGENEITY_CHECKS, residuals, g

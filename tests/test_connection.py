@@ -240,7 +240,7 @@ def test_connection_report_round_trip():
     assert rep.passed
     d = rep.to_dict()
     names = [c["check"] for c in d["checks"]]
-    assert "koszul identity" in names and d["pass"] is True
+    assert "sample 0: koszul identity" in names and d["pass"] is True
     assert (table.method, table.iterations) == ("closed-form", 0)
 
 

@@ -12,7 +12,11 @@ of the module's own class aside).  Every module-level private name of
 ``src/finsler`` (a function, class or constant whose name starts with
 one underscore) must be read somewhere in ``src``, ``tests`` or
 ``bench``: as a loaded name or attribute, or by an import; a docstring
-mention is no read.  Reads are matched by name, not by module.
+mention is no read.  Reads are matched by name, not by module.  The
+row name of a point set's check, "sample k: <check>", is written by
+`Report.add_samples` alone: no module of ``src/finsler`` but
+``report.py`` holds a string that starts a ``sample %d`` row, as a
+literal, a ``%`` template or an f-string.
 """
 
 import ast
@@ -192,3 +196,41 @@ def test_every_private_name_is_read():
                  path.read_text(encoding="utf-8")).items()
              if name not in read]
     assert not found, "private names never read: " + ", ".join(found)
+
+
+def sample_row_formats(source):
+    """Lines of ``source`` with a string that starts a sample row: a
+    literal or ``%`` template beginning "sample %", or an f-string or
+    ``str.format`` template beginning "sample {"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.JoinedStr):
+            # each replacement field of an f-string reads as "{"
+            text = "".join(v.value if isinstance(v, ast.Constant) else "{"
+                           for v in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            continue
+        if text.startswith(("sample %", "sample {")):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_scanner_flags_sample_row_formats():
+    src = ('rep.add("sample %d: %s" % (k, name), r, t)\n'
+           'rep.add(f"sample {k}: pair symmetry", r, t)\n'
+           'rep.add("sample {}: x".format(k), r, t)\n'
+           'label = "sample %2d"\n'
+           '"""Rows read "sample k: <check>"."""\n'
+           'rep.add("homothety at sample %d" % k, r, t)\n'
+           'rep.add(f"{k} sample {k}", r, t)\n'
+           'x = "samples: %d"\n')
+    assert sample_row_formats(src) == [1, 2, 3, 4]
+
+
+def test_only_report_writes_sample_rows():
+    found = ["%s:%d" % (path.relative_to(ROOT), line)
+             for path in RUNTIME if path.name != "report.py"
+             for line in sample_row_formats(path.read_text(encoding="utf-8"))]
+    assert not found, "sample rows written at " + ", ".join(found)

@@ -1,11 +1,12 @@
-"""The deterministic serializers of `finsler.report`."""
+"""The deterministic serializers of `finsler.report`, and the rows
+`Report.add_samples` writes for a point set."""
 
 import json
 import random
 
 import numpy as np
 
-from finsler.report import _json_escape, csv_text, fmt_float
+from finsler.report import Report, _json_escape, csv_text, fmt_float
 
 
 def test_csv_row_template_prints_every_float_as_fmt_float():
@@ -44,3 +45,61 @@ def test_json_escape_round_trips_through_json_loads():
         s = "".join(chr(rng.randrange(0x250))
                     for _ in range(rng.randrange(12)))
         assert json.loads('"%s"' % _json_escape(s)) == s
+
+
+def rows(rep):
+    return [(c.name, c.residual, c.tol, c.passed) for c in rep.checks]
+
+
+def test_add_samples_writes_each_sample_before_the_next():
+    rep = Report(title="t")
+    rep.add_samples(["a", "b"], [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], 1.0)
+    assert [c.name for c in rep.checks] == [
+        "sample 0: a", "sample 0: b", "sample 1: a", "sample 1: b",
+        "sample 2: a", "sample 2: b"]
+    assert [c.residual for c in rep.checks] == [0.1, 0.2, 0.3, 0.4, 0.5,
+                                                0.6]
+
+
+def test_add_samples_broadcasts_its_tolerances():
+    res = np.array([[1.0, 2.0], [3.0, 4.0]])
+    scalar, per_check, per_sample = (Report(title="t") for _ in range(3))
+    scalar.add_samples(["a", "b"], res, 2.5)
+    per_check.add_samples(["a", "b"], res, [0.5, 4.0])
+    per_sample.add_samples(["a", "b"], res, np.array([[2.0], [3.5]]))
+    assert [c.tol for c in scalar.checks] == [2.5] * 4
+    assert [c.passed for c in scalar.checks] == [True, True, False, False]
+    assert [c.tol for c in per_check.checks] == [0.5, 4.0, 0.5, 4.0]
+    assert [c.passed for c in per_check.checks] == [False, True, False,
+                                                    True]
+    assert [c.tol for c in per_sample.checks] == [2.0, 2.0, 3.5, 3.5]
+    assert [c.passed for c in per_sample.checks] == [True, True, True,
+                                                     False]
+
+
+def test_add_samples_of_an_empty_set_writes_no_rows():
+    rep = Report(title="t")
+    rep.add_samples(["a", "b"], np.zeros((0, 2)), [1.0, 2.0])
+    rep.add_samples(["a"], [], 1.0)
+    assert rep.checks == [] and rep.passed
+
+
+def test_add_samples_fails_a_nan_residual():
+    rep = Report(title="t")
+    rep.add_samples(["a"], [[0.0], [np.nan]], np.inf)
+    assert rows(rep)[0] == ("sample 0: a", 0.0, np.inf, True)
+    name, res, tol, passed = rows(rep)[1]
+    assert (name, res != res, passed) == ("sample 1: a", True, False)
+    assert not rep.passed
+
+
+def test_add_samples_keeps_each_residual_as_given():
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300,
+                                                              (7, 3))
+    vals[0] = [5e-324, -0.0, 1.7976931348623157e308]
+    rep = Report(title="t")
+    rep.add_samples(["a", "b", "c"], vals, 1.0)
+    assert all(type(c.residual) is float for c in rep.checks)
+    got = np.array([c.residual for c in rep.checks]).reshape(vals.shape)
+    assert got.tobytes() == vals.tobytes()

@@ -48,15 +48,17 @@ def outcome(run, L, seed, tol, params):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_stacked_reports_are_the_per_sample_bytes(command, name):
     L = MODELS[name]
-    tol = cli.COMMANDS[command].tol
-    for seed in (3, 17, 101):
-        for n in SIZES:
-            params = {"n_samples": n, "box": 0.8}
-            if command != "check":
-                params["N"] = E0
-            got = outcome(cli.COMMANDS[command].run, L, seed, tol, params)
-            assert got == outcome(ORACLES[command], L, seed, tol, params), (
-                seed, n)
+    default = cli.COMMANDS[command].tol
+    # each seed and size at the command's default tol, and one explicit
+    # tol, which the connection command sets on all but its torsion rows
+    for seed, n, tol in [*((seed, n, default) for seed in (3, 17, 101)
+                           for n in SIZES), (3, 5, 1e-30)]:
+        params = {"n_samples": n, "box": 0.8}
+        if command != "check":
+            params["N"] = E0
+        got = outcome(cli.COMMANDS[command].run, L, seed, tol, params)
+        assert got == outcome(ORACLES[command], L, seed, tol, params), (
+            seed, n, tol)
 
 
 class Points:
@@ -189,10 +191,10 @@ def test_an_empty_sample_set_gives_empty_reports():
         L = MODELS[name]
         assert ppwave.parallel_criterion(L, E0, []).checks == []
         assert ppwave_condition(L, E0, []).checks == []
-        reps, _ = connection.connection_report(L, V, none)
-        assert reps == []
+        rep, _ = connection.connection_report(L, V, none)
+        assert rep.checks == []
+        assert homogeneity_report(L, none, none).checks == []
         # the stacked entries give results with a lane axis of no lanes
-        assert homogeneity_report(L, none, none) == []
         m = L.is_admissible(none, none)
         assert m.inside.shape == m.value.shape == m.margin.shape == (0,)
         assert L.value(none, none).shape == (0,)
