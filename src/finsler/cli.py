@@ -135,12 +135,7 @@ def _draw_points(L, rng, n_samples, box):
 
 def _cmd_connection(L, rng, tol, n_samples, box, N):
     rep, _ = connection_report(L, VectorField.constant(N),
-                               _draw_points(L, rng, n_samples, box))
-    if tol is not None:
-        # the headline tol replaces each row's own, but torsion's 1e-14
-        for c in rep.checks:
-            if "torsion" not in c.name:
-                c.tol = tol
+                               _draw_points(L, rng, n_samples, box), tol)
     return rep, None
 
 
@@ -250,8 +245,9 @@ def _cmd_penrose(L, rng, tol, N, u_interval, omegas, n_csv):
     return rep, lambda: res.to_csv(grid)
 
 
-# a command's runner, default headline tolerance (None: each check keeps
-# its own), whether it writes a CSV curve, and its params table
+# a command's runner, default headline tolerance (the rows it sets are
+# listed in README's config table), whether it writes a CSV curve, and
+# its params table
 Command = namedtuple("Command", "run tol curve params")
 
 # the sampling box has width 2 box, which must be finite
@@ -264,7 +260,7 @@ _ODE_TOL = (positive, 1e-9, 100.0 * np.finfo(float).eps)
 COMMANDS = {
     "check": Command(_cmd_check, 1e-9, False, {
         "n_samples": (count, 6), "box": _BOX}),
-    "connection": Command(_cmd_connection, None, False, {
+    "connection": Command(_cmd_connection, 1e-8, False, {
         "n_samples": (count, 4), "box": _BOX, "N": _N}),
     "curvature": Command(_cmd_curvature, 1e-6, False, {
         "n_samples": (count, 3), "box": _BOX, "N": _N}),

@@ -388,12 +388,14 @@ def torsion_residual(table):
                   axis=_AXES)
 
 
-def connection_report(L, V, x):
+def connection_report(L, V, x, tol=1e-8):
     """Report the connection identities at x; returns (report, table).
 
     x is one point, or a (B, n) point set, which gives a stacked table;
     either way one report, whose rows are "sample k: <check>"
-    (`Report.add_samples`), a single point being sample 0.  One `_table`
+    (`Report.add_samples`), a single point being sample 0.  The Koszul
+    and compatibility rows are checked against ``tol``; the torsion row,
+    an exact symmetry of the solve, always against 1e-14.  One `_table`
     solve, each lane block gated at its points first, then each
     residual on every lane at once; a failing set raises its first
     failing point's error.
@@ -405,7 +407,7 @@ def connection_report(L, V, x):
                      "almost-g-compatibility"],
                     np.stack([koszul_residual(table), torsion_residual(table),
                               compatibility_residual(table)], axis=-1),
-                    [1e-8, 1e-14, 1e-8])
+                    [tol, 1e-14, tol])
     return rep, table
 
 

@@ -88,53 +88,58 @@ def homothety_residual(L, N, omega, samples, tol=1e-9):
     The left side contracts g at the mapped point with the rescaling
     Jacobian; the right side asks the rescaled Lagrangian for its own
     fundamental tensor.  The relation is algebraic, so the target
-    tolerance is essentially machine precision.  Each side evaluates all
-    ``samples`` in one stacked `fundamental_tensor`, which gives each
-    sample the bits of its own evaluation; a failing sample raises with
-    its point named (`jets.in_blocks`).
+    tolerance is essentially machine precision.  N must be a constant
+    chart vector.  The report holds the bookkeeping row and one
+    "homothety" row per sample, written from the residual column of
+    `_omega_row`: one stacked `fundamental_tensor` per side, which gives
+    each sample the bits of its own evaluation; a failing sample raises
+    with its point named (`jets.in_blocks`).
     """
-    return _omega_row(L, N, omega, samples, (), tol)[0]
-
-
-def _omega_row(L, N, omega, samples, us, tol=1e-9):
-    """The Omega table's row at ``omega``: the `homothety_residual` report
-    at ``samples``, and the off-block row on the ray points x0 = ``us``
-    (None without them): the largest |g_w| on (e1, e_a), a >= 2, and on
-    (e1, e1), at N.  L_w is built once, and one stacked
-    `fundamental_tensor` of it takes the samples and the ray points
-    together, each lane the bits of its own evaluation."""
-    if isinstance(N, (list, tuple, np.ndarray)):
-        nvec0 = np.asarray(N, dtype=float)
-    else:
+    if not isinstance(N, (list, tuple, np.ndarray)):
         raise ChartError("homothety check expects the constant chart field "
                          "N = e0")
-    n = L.dim
-    jd = _jacobian_diag(n, float(omega))
-    Lw = rescaled_lagrangian(L, omega)
+    jd = _jacobian_diag(L.dim, float(omega))
     rep = Report(title="homothety",
                  meta={"model": getattr(L, "name", "?"),
                        "omega": float(omega),
                        "jacobian": [float(a) for a in jd]})
     rep.add("dx0*dx1 bookkeeping", abs(jd[0] * jd[1] - omega ** 2), 0.0)
+    rep.add_samples(["homothety"], _omega_row(L, N, omega, samples, ())[0],
+                    tol)
+    return rep
+
+
+def _omega_row(L, nvec, omega, samples, us):
+    """The Omega table's row at ``omega``: the (k,) column of homothety
+    residuals at the k ``samples``, and the off-block row on the ray
+    points x0 = ``us`` (None without them): the largest |g_w| on
+    (e1, e_a), a >= 2, and on (e1, e1), at the constant vector ``nvec``.
+    L_w is built once, and one stacked `fundamental_tensor` of it takes
+    the samples and the ray points together, each lane the bits of its
+    own evaluation.  The caller checks the column against its tolerance,
+    so a NaN residual fails there."""
+    nvec = np.asarray(nvec, dtype=float)
+    n = L.dim
+    jd = _jacobian_diag(n, float(omega))
+    Lw = rescaled_lagrangian(L, omega)
     ps = np.asarray(samples, dtype=float).reshape(-1, n)
     k = len(ps)
     pms = ps * jd
     pms[:, 0] = ps[:, 0]
     ones = np.ones((k, 1))
-    gs = fundamental_tensor(L, pms, ones * nvec0)
+    gs = fundamental_tensor(L, pms, ones * nvec)
     ray = np.zeros((len(us), n))
     ray[:, 0] = us
     gws = fundamental_tensor(
         Lw, np.concatenate([ps, ray]),
-        np.concatenate([ones * (nvec0 / jd), np.ones((len(us), 1)) * nvec0]))
+        np.concatenate([ones * (nvec / jd), np.ones((len(us), 1)) * nvec]))
     lhs = np.outer(jd, jd) * gs
     scale = np.maximum(1.0, np.max(np.abs(lhs), axis=(1, 2)))
     res = np.max(np.abs(lhs - omega ** 2 * gws[:k]), axis=(1, 2)) / scale
-    rep.add_samples(["homothety"], res, tol)
     if not len(us):
-        return rep, None
+        return res, None
     gw = gws[k:]
-    return rep, {"omega": float(omega),
+    return res, {"omega": float(omega),
                  "g1a": float(np.max(np.abs(gw[:, 1, 2:]))),
                  "g11": float(np.max(np.abs(gw[:, 1, 1])))}
 
@@ -591,8 +596,10 @@ def brinkmann_roundtrip(A, u_interval, tol=1e-6):
            hit[1] is not None or ghi < reached[1] - 1e-12]
     pads = [(0.05 if cut[k] else 1e-3) * width for k in (0, 1)]
     grid = np.linspace(glo + pads[0], ghi - pads[1], 21)
-    worst = max(float(np.max(np.abs(f[2] - np.asarray(A(u), dtype=float))))
-                for u, f in zip(grid, profile.fields_on(grid)))
+    # a NaN recovered A propagates to the row and fails it
+    worst = float(np.max(np.abs(
+        np.array([f[2] for f in profile.fields_on(grid)])
+        - np.array([np.asarray(A(u), dtype=float) for u in grid]))))
     rep = Report(title="brinkmann-roundtrip",
                  meta={"u0": float(u0),
                        "interval": [float(glo), float(ghi)],
@@ -614,9 +621,11 @@ def penrose_limit(L, N, u_interval, omegas=(0.5, 0.1), tol=1e-9):
     Brinkmann form on the same interval.  The chart template is checked
     at the ray's ends and midpoint in one stacked `lightlike_form_check`.
     Per omega, one row of the table (`_omega_row`) gives the homothety
-    samples and the off-block rows g_w(e1, .) on the ray, from one
-    stacked `fundamental_tensor` of L at the mapped samples and one of
-    L_w at the samples and the ray points together.
+    residual column at the samples and the off-block rows g_w(e1, .) on
+    the ray, from one stacked `fundamental_tensor` of L at the mapped
+    samples and one of L_w at the samples and the ray points together.
+    The table keeps the column's largest residual and whether every
+    residual is within ``tol``; a NaN residual is the largest and fails.
     """
     lo, hi = float(u_interval[0]), float(u_interval[1])
     n = L.dim
@@ -643,10 +652,9 @@ def penrose_limit(L, N, u_interval, omegas=(0.5, 0.1), tol=1e-9):
     samples = [np.concatenate([[u], 0.25 * np.ones(n - 1)])
                for u in subgrid]
     for w in omegas:
-        rep, row = _omega_row(L, nvec, w, samples, subgrid, tol=tol)
-        resids.append({"omega": float(w),
-                       "max_residual": rep.max_residual("sample"),
-                       "pass": rep.passed})
+        res, row = _omega_row(L, nvec, w, samples, subgrid)
+        resids.append({"omega": float(w), "max_residual": float(np.max(res)),
+                       "pass": bool(np.all(res <= tol))})
         offblock.append(row)
 
     u0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)

@@ -88,7 +88,8 @@ def lightlike_form_check(L, N, x):
         residuals["g01"] = abs(float(g[0, 1]) - 1.0)
         for a in range(2, n):
             residuals["g0%d" % a] = abs(float(g[0, a]))
-        shape_ok = max(residuals.values()) <= _CHART_TOL * scale
+        # a NaN residual propagates and fails the template
+        shape_ok = np.max(list(residuals.values())) <= _CHART_TOL * scale
 
         h = -g[2:, 2:]
         minors = leading_minors(h).tolist()

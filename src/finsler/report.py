@@ -3,10 +3,12 @@
 All verification operations return a `Report`: a list of named checks with a
 residual, a tolerance and a pass flag.  A check over a point set gives one
 report, whose rows `Report.add_samples` writes sample by sample from a
-residual table, each named "sample k: <check>".  Serialization is
-deterministic byte-for-byte for a fixed input: floats are printed with 17
-significant digits (round-trip exact), keys keep insertion order, no
-timestamps.
+residual table, each named "sample k: <check>".  Each row is written
+once, by the code that computes its residual, at the tolerance it is
+checked against: no caller reads rows back to reduce them or to reset
+their tolerances.  Serialization is deterministic byte-for-byte for a
+fixed input: floats are printed with 17 significant digits (round-trip
+exact), keys keep insertion order, no timestamps.
 """
 
 from __future__ import annotations
@@ -144,10 +146,6 @@ class Report:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def max_residual(self, prefix: str = "") -> float:
-        vals = [c.residual for c in self.checks if c.name.startswith(prefix)]
-        return max(vals) if vals else 0.0
 
     def to_dict(self) -> dict:
         d = {"report": self.title, "pass": self.passed}

@@ -498,12 +498,11 @@ def per_sample_connection(L, rng, tol, n_samples, box, N):
         x = rng.uniform(-box, box, L.dim)
         L.check_admissible(x, V(x))
         table = christoffel(L, V, x)
-        for name, res, own in (
-                ("koszul identity", koszul_residual(table), 1e-8),
+        for name, res, use in (
+                ("koszul identity", koszul_residual(table), tol),
                 ("torsion-free symmetry", torsion_residual(table), 1e-14),
                 ("almost-g-compatibility", compatibility_residual(table),
-                 1e-8)):
-            use = own if tol is None or "torsion" in name else tol
+                 tol)):
             rep.add("sample %d: %s" % (k, name), res, use)
     return rep, None
 

@@ -515,6 +515,31 @@ def test_penrose_config_stacks_the_omega_table(tmp_path, monkeypatch):
     assert sorted(shapes) == [(3, 4)] + [(5, 4)] * 2 + [(10, 4)] * 2
 
 
+def test_a_nan_homothety_sample_fails_its_omega_row(tmp_path, capsys,
+                                                    monkeypatch):
+    # the L_w stack of the first omega holds a NaN at sample 2: its
+    # omega row fails, and so does the report
+    from finsler import penrose
+    real = penrose.fundamental_tensor
+
+    def poisoned(L, x, v):
+        g = real(L, x, v)
+        if getattr(L, "name", "").endswith("@omega=0.5"):
+            g = np.array(g)
+            g[2, 2, 2] = np.nan
+        return g
+
+    monkeypatch.setattr(penrose, "fundamental_tensor", poisoned)
+    cfg = write_config(tmp_path, {"spacetime": COS2,
+                                  "params": {"u_interval": [-1.2, 1.2]}})
+    code, rep = run_json(capsys, ["penrose", "--config", cfg])
+    rows = {c["check"]: c["pass"] for c in rep["checks"]}
+    assert code == 1
+    assert rep["pass"] is False
+    assert rows["omega=0.5 homothety"] is False
+    assert rows["omega=0.1 homothety"] is True
+
+
 def test_geodesic_stopped_before_first_sample():
     # below the integrator's floor of 100 machine epsilons it gives up
     # before its first step, without a warning: the library returns a

@@ -16,7 +16,9 @@ mention is no read.  Reads are matched by name, not by module.  The
 row name of a point set's check, "sample k: <check>", is written by
 `Report.add_samples` alone: no module of ``src/finsler`` but
 ``report.py`` holds a string that starts a ``sample %d`` row, as a
-literal, a ``%`` template or an f-string.
+literal, a ``%`` template or an f-string.  A report's rows are written
+once and never read back: no module of ``src/finsler`` but
+``report.py`` uses a ``checks`` or ``max_residual`` attribute.
 """
 
 import ast
@@ -234,3 +236,28 @@ def test_only_report_writes_sample_rows():
              for path in RUNTIME if path.name != "report.py"
              for line in sample_row_formats(path.read_text(encoding="utf-8"))]
     assert not found, "sample rows written at " + ", ".join(found)
+
+
+def report_row_reads(source):
+    """Lines of ``source`` that use a ``checks`` or ``max_residual``
+    attribute, to read a report's rows back or to rewrite them."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in ("checks", "max_residual")})
+
+
+def test_scanner_flags_report_row_reads():
+    src = ("for c in rep.checks:\n    c.tol = tol\n"
+           "worst = rep.max_residual('sample')\n"
+           "rows = rep.to_dict()['checks']\n"
+           "rep.add('checks', r, t)\n"
+           "n = len(sub.checks) + len(other.checked)\n"
+           "f = rep.max_residual\n")
+    assert report_row_reads(src) == [1, 3, 6, 7]
+
+
+def test_only_report_reads_report_rows():
+    found = ["%s:%d" % (path.relative_to(ROOT), line)
+             for path in RUNTIME if path.name != "report.py"
+             for line in report_row_reads(path.read_text(encoding="utf-8"))]
+    assert not found, "report rows read back at " + ", ".join(found)
