@@ -7,12 +7,15 @@ the format into that parsed dict, builds the model its spacetime
 descriptor names, parses the command's ``params`` against its `COMMANDS`
 table (after building the model, whose dimension sets vector lengths),
 runs its pipeline on the typed values, and emits a JSON report (plus a
-CSV curve for the commands that produce one).  Every value the run
-reads comes from that one parsed dict.  All of these tables go through
-`schema.parse`, so unknown keys fail at every level.  Reports are
-deterministic: sample points come from a seeded generator recorded in
-the header, floats are printed with 17 significant digits, and nothing
-time- or host-dependent is written.
+CSV curve for the commands that produce one), titled by its command.
+Every value the run reads comes from that one parsed dict.  All of these
+tables go through `schema.parse`, so unknown keys fail at every level.
+A sampled command whose check the library reports as a whole is one
+call to that public report: ``check`` prints `homogeneity_report` and
+``ppwave`` `ppwave_condition`; no runner imports a private kernel.
+Reports are deterministic: sample points come from a seeded generator
+recorded in the header, floats are printed with 17 significant digits,
+and nothing time- or host-dependent is written.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 schema
 violation, 3 numerical failure.
@@ -29,16 +32,16 @@ import numpy as np
 
 from . import jets
 from .connection import VectorField, connection_report, geodesic
-from .curvature import _condition_report, _pointwise_tables, chern_curvature
+from .curvature import chern_curvature, ppwave_condition
 from .errors import ConfigError, FinslerError
 from .lagrangian import from_descriptor
 from .penrose import penrose_limit
-from .ppwave import _parallel_report, delta_scan
+from .ppwave import delta_scan
 from .quotient import holonomy_defect, quotient_metric, rectangle_loop
 from .report import Report
 from .schema import (axes, count, interval, listof, obj, parse, positive,
                      require, string, vector)
-from .tensors import _homogeneity, signature_of
+from .tensors import homogeneity_report
 
 EXIT_PASS = 0
 EXIT_VERIFICATION = 1
@@ -117,14 +120,7 @@ def _sample_states(L, rng, n, box):
 
 def _cmd_check(L, rng, tol, n_samples, box):
     xs, vs = map(np.array, zip(*_sample_states(L, rng, n_samples, box)))
-    names, residuals, gs = _homogeneity(L, xs, vs)
-    want = (1, L.dim - 1, 0)
-    wrong = [(s.plus, s.minus, s.zero) != want for s in map(signature_of, gs)]
-    rep = Report(title="check")
-    rep.add_samples(names + ["signature (1, %d, 0)" % (L.dim - 1)],
-                    np.column_stack([residuals, np.array(wrong, dtype=float)]),
-                    [tol] * len(names) + [0.5])
-    return rep, None
+    return homogeneity_report(L, xs, vs, tol), None
 
 
 def _draw_points(L, rng, n_samples, box):
@@ -168,16 +164,8 @@ def _cmd_geodesic(L, rng, tol, x0, v0, t_span, n_samples, ode_tol):
 
 
 def _cmd_ppwave(L, rng, tol, n_samples, box, N):
-    # N is constant, so one stacked Christoffel table serves both the
-    # parallel criterion and the curvature's parallel extensions
-    table = _pointwise_tables(L, _draw_points(L, rng, n_samples, box), N)
-    rep = Report(title="ppwave")
-    rep.extend(_parallel_report(L, table))
-    cond = _condition_report(L, VectorField.constant(N), table, tol)
-    rep.extend(cond)
-    rep.meta["curvature_scale"] = cond.meta["curvature_scale"]
-    rep.meta["samples"] = cond.meta["samples"]
-    return rep, None
+    return ppwave_condition(L, N, _draw_points(L, rng, n_samples, box),
+                            tol), None
 
 
 def _cmd_focal(L, rng, tol, N, x0, v0, t_span, n_samples, ode_tol):
@@ -203,8 +191,8 @@ def _cmd_quotient(L, rng, tol, N, base, reps, n_segments, loop):
     # one frame at the base: the shifted representatives reuse its g and
     # N, and so does the holonomy of a loop that starts at the base
     frame = quotient_metric(L, N, base, reps)
+    # quotient_metric raises where gbar is not positive definite
     rep = Report(title="quotient", meta={"gbar": frame.gbar.tolist()})
-    rep.add("gbar positive definite", 0.0, 0.5)
     shifted = frame.with_reps(reps + 2.0 * N)
     rep.add("representative independence",
             float(np.max(np.abs(frame.gbar - shifted.gbar))), 1e-8)
@@ -344,6 +332,7 @@ def run(ns):
               "generator": "PCG64"}
     if config["tol"] is not None:
         header["tol"] = config["tol"]
+    rep.title = config["command"]
     rep.meta = {**header, **rep.meta}
     text = rep.to_json()
 

@@ -14,6 +14,11 @@ bits of its point's own kernel.  `CurvatureAt.apply` and `.rm` take
 stacks of vectors, so a sample's condition residuals, or its
 pair-symmetry draws, are one einsum.
 
+`ppwave_condition` is the report the ``ppwave`` command prints: the
+paper's pp-wave criterion (N lightlike and parallel, R_N(X, Y)Z = 0 on
+N^perp) as four rows per sample, each fact checked once, from one gated
+table of N whose symbols also serve the curvatures.
+
 Index convention: components[l, i, j, k] = R^l_{ijk}, the ∂_l-component of
 R_v(∂_i, ∂_j)∂_k; antisymmetry in (i, j) is exact by construction.
 """
@@ -29,6 +34,7 @@ from . import jets
 from .connection import (_cartan_rhs, _field_jet, _koszul_rhs, _koszul_solve,
                          _metric_inverse, _parallel_jacobian, _table,
                          as_vector_field)
+from .ppwave import _PARALLEL_TOL, _parallel_residuals
 from .report import Report
 
 __all__ = [
@@ -76,11 +82,12 @@ def chern_curvature(L, x, v, extension=None):
     x-derivatives; Γ and every ∂_a Γ then come from one closed-form Koszul
     solve each, so the components are exact up to roundoff.  x is one
     point, or a (B, n) stack with one v or B of them, which gives a list:
-    the extensions' symbols are one gated stacked solve, which names a
-    failing point (`_pointwise_tables`), then the curvatures one jet per
-    lane block (`_curvatures`).  ``extension`` overrides the built
-    extension of one point: only its Jacobian at x is read, and v stands
-    for its value there, which a field through (x, v) equals.  Any field
+    the extensions' symbols are one gated stacked solve (`_table`, with
+    the zero Jacobian of the constant field v), which names a failing
+    point, then the curvatures one jet per lane block (`_curvatures`).
+    ``extension`` overrides the built extension of one point: only its
+    Jacobian at x is read, and v stands for its value there, which a
+    field through (x, v) equals.  Any field
     through (x, v) with vanishing covariant derivative at x gives the
     same tensor (pointwise-parallel semantics).  Only (x, v) is tested
     for cone membership.
@@ -90,7 +97,10 @@ def chern_curvature(L, x, v, extension=None):
     if extension is not None:
         L.check_admissible(x, v)
         return CurvatureAt(x, v, *_curvature(L, x, v, extension.jacobian(x)))
-    Rs = _curvatures(L, _pointwise_tables(L, np.atleast_2d(x), v))
+    xs = np.atleast_2d(x)
+    vs = np.array(np.broadcast_to(v, xs.shape))
+    Rs = _curvatures(L, _table(L, xs, vs, np.zeros(vs.shape + vs.shape[-1:]),
+                               gate=True))
     return Rs if x.ndim == 2 else Rs[0]
 
 
@@ -144,67 +154,60 @@ def nperp_basis(g, nvec):
 
 
 def ppwave_condition(L, N, sample_points, tol_factor=1e-6):
-    """Check R_N(X, Y)Z = 0 over bases of N^perp at the sample points.
+    """The pp-wave criterion at the sample points: the report the
+    ``ppwave`` command prints.
 
-    Preconditions (N lightlike and parallel) are reported as their own
-    checks, distinct from the curvature residuals.  The curvature
-    tolerance is tol_factor times the curvature scale (max component over
-    samples, floored at one so the flat case stays meaningful).  The
-    curvatures are those of `chern_curvature` on the stacked samples, so
-    the first failing sample raises before any curvature is taken.
+    N is a pp-wave reference when it is lightlike and parallel and
+    R_N(X, Y)Z = 0 for X, Y, Z in N^perp.  Each sample gets four rows,
+    "N lightlike" (|L(x, N)| against 1e-10), "d0 g_N" (against 1e-8
+    max(1, |g|)), "nabla N" (against 1e-8) and "curvature condition",
+    the largest |R_N(X, Y)Z| over an N^perp basis, against tol_factor
+    times the curvature scale (the max component over the samples,
+    floored at one so the flat case stays meaningful).  One gated
+    `connection._table` of N, with N's own Jacobian, gives the d0 g_N
+    and nabla N columns (`ppwave._parallel_residuals`) and the symbols
+    of the parallel extensions whose curvatures (`_curvatures`) the
+    condition reads, so the first failing sample raises with its point
+    named before any curvature is taken.  The meta keeps each sample's
+    x and the curvature scale.
     """
     N = as_vector_field(N)
     xs = np.array(sample_points, dtype=float).reshape(-1, L.dim)
-    return _condition_report(L, N, _pointwise_tables(L, xs, N(xs)),
-                             tol_factor)
+    table = _table(L, xs, N(xs), N.jacobian(xs), gate=True)
+    parallel, gscale = _parallel_residuals(table)
+    Rs = _curvatures(L, table)
+    scale = max((R.scale for R in Rs), default=0.0)
+    rep = Report(title="ppwave-condition",
+                 meta={"model": getattr(L, "name", "?"),
+                       "samples": [{"x": x} for x in xs.tolist()],
+                       "curvature_scale": scale})
+    rep.add_samples(
+        ["N lightlike", "d0 g_N", "nabla N", "curvature condition"],
+        np.column_stack([[abs(L.value(R.x, R.v)) for R in Rs], parallel,
+                         [_nperp_residual(R) for R in Rs]]),
+        np.stack(np.broadcast_arrays(1e-10, _PARALLEL_TOL * gscale,
+                                     _PARALLEL_TOL,
+                                     tol_factor * max(scale, 1.0)), axis=-1))
+    return rep
 
 
-def _pointwise_tables(L, xs, vs):
-    """The gated stacked `ChristoffelTable` at the (B, n) points xs of
-    the constant fields vs, one vector or B of them: where N is constant,
-    vs = N(xs) gives the symbols of ∇^N."""
-    vs = np.array(np.broadcast_to(vs, xs.shape))
-    return _table(L, xs, vs, np.zeros(vs.shape + vs.shape[-1:]), gate=True)
+def _nperp_residual(R):
+    """The largest |R_v(X, Y)Z| over the `nperp_basis` of R's v: one
+    `CurvatureAt.apply` over the basis triples, each norm the square
+    root of a dot product."""
+    basis = nperp_basis(R.g, R.v)
+    r = np.arange(len(basis))
+    i, j = np.nonzero(r[:, None] < r)
+    vecs = R.apply(basis[i, None], basis[j, None], basis)
+    return float(np.max(np.sqrt(vecs[..., None, :] @ vecs[..., None])))
 
 
 def _curvatures(L, table):
-    """R_v at each lane (x, v) of a `_pointwise_tables` table, along a
-    field through (x, v) its symbols make parallel: one `_curvature` jet
-    and stacked solve per lane block (`jets.in_blocks`), which names a
-    failing point."""
+    """R_v at each lane (x, v) of a gated stacked `ChristoffelTable`,
+    along a field through (x, v) its symbols make parallel: one
+    `_curvature` jet and stacked solve per lane block (`jets.in_blocks`),
+    which names a failing point.  The Chern symbols at x depend on the
+    value v there alone, so a table solved with any Jacobian serves."""
     parts = jets.in_blocks(functools.partial(_curvature, L), table.x,
                            table.v, _parallel_jacobian(table.gamma, table.v))
     return [CurvatureAt(*lane) for lane in zip(table.x, table.v, *parts)]
-
-
-def _condition_report(L, N, table, tol_factor):
-    """The `ppwave_condition` report from a `_pointwise_tables` table of
-    N: the curvature of each sample (`_curvatures`), and R_N(X, Y)Z over
-    its N^perp basis in one `CurvatureAt.apply`, each norm the square
-    root of a dot product."""
-    Rs = _curvatures(L, table)
-    scale = max((R.scale for R in Rs), default=0.0)
-    tol = tol_factor * max(scale, 1.0)
-    rep = Report(title="ppwave-condition",
-                 meta={"model": getattr(L, "name", "?"),
-                       "samples": [], "curvature_scale": scale})
-    rows = []
-    for R, J in zip(Rs, N.jacobian(table.x)):
-        light = abs(L.value(R.x, R.v))
-        # Γ at x depends on N(x) only, so the curvature's symbols serve
-        par = float(np.max(np.abs(J + np.einsum("mil,l->im", R.gamma, R.v))))
-        basis = nperp_basis(R.g, R.v)
-        r = np.arange(len(basis))
-        i, j = np.nonzero(r[:, None] < r)
-        vecs = R.apply(basis[i, None], basis[j, None], basis)
-        worst = float(np.max(np.sqrt(vecs[..., None, :] @ vecs[..., None])))
-        rows.append((light, par, worst))
-        rep.meta["samples"].append({
-            "x": [float(t) for t in R.x],
-            "lightlike": light,
-            "parallel": par,
-            "residual": worst,
-        })
-    rep.add_samples(["N lightlike", "N parallel", "curvature condition"],
-                    rows, [1e-10, 1e-8, tol])
-    return rep

@@ -89,11 +89,11 @@ def homothety_residual(L, N, omega, samples, tol=1e-9):
     Jacobian; the right side asks the rescaled Lagrangian for its own
     fundamental tensor.  The relation is algebraic, so the target
     tolerance is essentially machine precision.  N must be a constant
-    chart vector.  The report holds the bookkeeping row and one
-    "homothety" row per sample, written from the residual column of
-    `_omega_row`: one stacked `fundamental_tensor` per side, which gives
-    each sample the bits of its own evaluation; a failing sample raises
-    with its point named (`jets.in_blocks`).
+    chart vector.  The report holds one "homothety" row per sample,
+    written from the residual column of `_omega_row`: one stacked
+    `fundamental_tensor` per side, which gives each sample the bits of
+    its own evaluation; a failing sample raises with its point named
+    (`jets.in_blocks`).  The meta keeps the diagonal rescaling Jacobian.
     """
     if not isinstance(N, (list, tuple, np.ndarray)):
         raise ChartError("homothety check expects the constant chart field "
@@ -103,7 +103,6 @@ def homothety_residual(L, N, omega, samples, tol=1e-9):
                  meta={"model": getattr(L, "name", "?"),
                        "omega": float(omega),
                        "jacobian": [float(a) for a in jd]})
-    rep.add("dx0*dx1 bookkeeping", abs(jd[0] * jd[1] - omega ** 2), 0.0)
     rep.add_samples(["homothety"], _omega_row(L, N, omega, samples, ())[0],
                     tol)
     return rep

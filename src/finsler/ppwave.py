@@ -121,19 +121,28 @@ def parallel_criterion(L, N, region_samples):
 
 def _parallel_report(L, table):
     """The `parallel_criterion` report from the stacked `ChristoffelTable`
-    of N at the samples, every lane at once."""
+    of N at the samples, every lane at once: both columns of
+    `_parallel_residuals` against 1e-8 max(1, |g|)."""
+    columns, gscale = _parallel_residuals(table)
+    rep = Report(title="parallel-criterion",
+                 meta={"model": getattr(L, "name", "?"), "samples": [
+                     {"x": x, "d0_gN": a, "nabla_N": b} for x, (a, b) in
+                     zip(table.x.tolist(), columns.tolist())]})
+    rep.add_samples(["d0 g_N", "nabla N"], columns,
+                    _PARALLEL_TOL * gscale[:, None])
+    return rep
+
+
+def _parallel_residuals(table):
+    """The (B, 2) columns max |d0 g_N| and max |nabla N| of the stacked
+    `ChristoffelTable` of N, and each lane's metric scale max(1, |g|):
+    the parallelism rows of `parallel_criterion` and of
+    `curvature.ppwave_condition`."""
     gscale = np.maximum(1.0, np.max(np.abs(table.g), axis=(-2, -1)))
     d0 = np.max(np.abs(table.dmetric[:, 0]), axis=(-2, -1))
     nab = table.jacobian + np.einsum("...mil,...l->...im", table.gamma,
                                      table.v)
-    par = np.max(np.abs(nab), axis=(-2, -1))
-    rep = Report(title="parallel-criterion",
-                 meta={"model": getattr(L, "name", "?"), "samples": [
-                     {"x": x, "d0_gN": a, "nabla_N": b} for x, a, b in
-                     zip(table.x.tolist(), d0.tolist(), par.tolist())]})
-    rep.add_samples(["d0 g_N", "nabla N"], np.stack([d0, par], axis=-1),
-                    _PARALLEL_TOL * gscale[:, None])
-    return rep
+    return np.stack([d0, np.max(np.abs(nab), axis=(-2, -1))], axis=-1), gscale
 
 
 # -- focal scan --------------------------------------------------------------

@@ -8,8 +8,9 @@ stack of pairs, whose lanes are bitwise the results at each pair.  The tensor
 kernels never test cone membership; the public entry points
 (`homogeneity_report` here) gate the caller's pairs once each through
 `Lagrangian.check_admissible`, each in its lane block.  The homogeneity
-identities of a pair or a stack are one residual table (`_homogeneity`),
-which `homogeneity_report` hands to `Report.add_samples` as one report.
+identities and the signature of a pair or a stack are one residual
+table, which `homogeneity_report` hands to `Report.add_samples` as one
+report.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def leading_minors(h):
 _LAMBDAS = np.array([1.0, 0.5, 2.0, 3.0])
 
 
-# the checks of `_homogeneity`, one column of its residual table each
+# the identities `homogeneity_report` checks, one column each
 _HOMOGENEITY_CHECKS = (
     ["L(%.1f v) = %.1f^2 L" % (lam, lam) for lam in _LAMBDAS[1:].tolist()]
     + ["g_(%.1f v) = g_v" % lam for lam in _LAMBDAS[1:3].tolist()]
@@ -131,34 +132,29 @@ _HOMOGENEITY_CHECKS = (
 
 
 def homogeneity_report(L, x, v, tol=1e-9):
-    """Residuals for the degree-2 homogeneity identities at (x, v).
+    """Residuals for the degree-2 homogeneity identities at (x, v), and
+    the Lorentzian signature of g there: the report the ``check`` command
+    prints.
 
     Checks L(lambda v) = lambda^2 L, g_(lambda v) = g_v, g_v(v,v) = L and
-    C_v(v,.,.) = 0 for a `Lagrangian` ``L``.  x and v are one pair, or
-    (B, n) stacks of B pairs; either way one report, whose rows are
-    "sample k: <check>" (`Report.add_samples`), a single pair being
-    sample 0.  Reports failures rather than raising, except for a v
-    outside the closed cone (ConeError), which
-    `Lagrangian.check_admissible` tests first, and a failing evaluation;
-    a stack raises its first failing pair's error.
-    """
-    names, residuals, _ = _homogeneity(L, x, v)
-    rep = Report(title="homogeneity")
-    rep.add_samples(names, residuals, tol)
-    return rep
-
-
-def _homogeneity(L, x, v):
-    """The check names of `homogeneity_report`, its (B, 7) residual table
-    for one pair or a stack of B pairs, and g at each pair.  One
+    C_v(v,.,.) = 0 for a `Lagrangian` ``L``, each against ``tol``, and
+    that g_v has signature (1, n - 1, 0) (`signature_of`), a residual of
+    0 or 1 against 0.5.  x and v are one pair, or (B, n) stacks of B
+    pairs; either way one report, whose rows are "sample k: <check>"
+    (`Report.add_samples`), a single pair being sample 0.  One
     `jets.in_blocks` pass: each lane block runs its cone gate, one
     `Lagrangian.value` for L at v, 0.5 v, 2 v and 3 v, one
     `fundamental_tensor` for g at v, 0.5 v and 2 v and one
-    `cartan_tensor`; each pair gets the bits of its own scalar
-    evaluations, and each residual the bits of its pair's alone."""
+    `cartan_tensor`; each residual gets the bits of its pair's scalar
+    evaluations alone.  Reports failures rather than raising, except for
+    a v outside the closed cone (ConeError), which
+    `Lagrangian.check_admissible` tests first, and a failing evaluation;
+    a stack raises its first failing pair's error.
+    """
     xs = np.atleast_2d(np.asarray(x, dtype=float))
     vs = np.atleast_2d(np.asarray(v, dtype=float))
     n = vs.shape[1]
+    want = Signature(1, n - 1, 0)
 
     def kernel(x, v):
         # x and v are one pair or a block of pairs
@@ -188,5 +184,9 @@ def _homogeneity(L, x, v):
         np.max(np.abs(gs[:, 1:] - gs[:, :1]), axis=(2, 3))
         / gscale[:, None],
         np.abs(gvv - Lv[:, 0]) / np.maximum(1.0, np.abs(Lv[:, 0])),
-        np.max(np.abs(contr), axis=(1, 2)) / cscale])
-    return _HOMOGENEITY_CHECKS, residuals, g
+        np.max(np.abs(contr), axis=(1, 2)) / cscale,
+        [signature_of(m) != want for m in g]])
+    rep = Report(title="homogeneity")
+    rep.add_samples(_HOMOGENEITY_CHECKS + ["signature (1, %d, 0)" % (n - 1)],
+                    residuals, [tol] * len(_HOMOGENEITY_CHECKS) + [0.5])
+    return rep

@@ -48,6 +48,10 @@ report bytes and first error alike.
 table (`penrose._omega_row`) as loops of one scalar `fundamental_tensor`
 per sample: the oracles of their stacked evaluations.
 
+`rosen_twist` is a plug-in builder (module ``helpers``) of a Rosen wave
+whose h(u) turns its eigenbasis, so W != 0: a CLI run on it gives the
+Penrose O-equation work to do.
+
 `dop853_vielbein` integrates the Penrose O-equation O' = -W O with DOP853
 and takes S = h^{1/2} and its derivatives from scipy's Sylvester solver,
 independently of the library's Gauss panel propagators and eigenbasis
@@ -87,7 +91,8 @@ from finsler.connection import (
 from finsler.curvature import chern_curvature, nperp_basis
 from finsler.errors import SignatureError
 from finsler.jets import Jet
-from finsler.lagrangian import Lagrangian, RandersNorm, _cone_ref_near_e0
+from finsler.lagrangian import (Lagrangian, QuadraticLagrangian, RandersNorm,
+                                _cone_ref_near_e0)
 from finsler.penrose import _jacobian_diag, rescaled_lagrangian
 from finsler.report import Report
 from finsler.tensors import cartan_tensor, fundamental_tensor, signature_of
@@ -369,6 +374,27 @@ def cos2_triple(u):
             np.diag([-2.0 * np.cos(2 * u), 0.0]))
 
 
+def rosen_twist():
+    """A Rosen plane wave whose h(u) = R(u/2)^T diag(cos^2 u, 1) R(u/2)
+    rotates, R the rotation by u/2: L = 2 v0 v1 - v^T h(x0) v on the
+    transverse (v2, v3), cone_ref (1, 1, 0, 0).  The eigenbasis of h
+    turns along the ray, so W != 0 and the Penrose O-equation has work
+    to do; a plug-in builder (module ``helpers``) for the CLI."""
+    def minus_h(key):
+        def entry(x):
+            a = jets.cos(x[0]) ** 2
+            c, s = jets.cos(0.5 * x[0]), jets.sin(0.5 * x[0])
+            h = {(2, 2): a * c * c + s * s, (2, 3): (1.0 - a) * s * c,
+                 (3, 3): a * s * s + c * c}
+            return -h[key]
+        return entry
+
+    entries = {(0, 1): 1.0, **{k: minus_h(k) for k in ((2, 2), (2, 3),
+                                                       (3, 3))}}
+    return QuadraticLagrangian(entries, 4, [1.0, 1.0, 0.0, 0.0],
+                               name="rosen-twist")
+
+
 def exp_triple(u):
     """Closed-form (h, h', h'') of the Rosen profile diag(e^2u, e^-2u)."""
     e = np.array([np.exp(2 * u), np.exp(-2 * u)])
@@ -478,7 +504,7 @@ def _homogeneity_alone(L, x, v, tol):
 
 
 def per_sample_check(L, rng, tol, n_samples, box):
-    rep = Report(title="check")
+    rep = Report(title="homogeneity")
     want = (1, L.dim - 1, 0)
     for k, (x, v) in enumerate(_sample_states(L, rng, n_samples, box)):
         sub = _homogeneity_alone(L, x, v, tol)
@@ -525,23 +551,20 @@ def per_sample_curvature(L, rng, tol, n_samples, box, N):
 def per_sample_ppwave(L, rng, tol, n_samples, box, N):
     samples = [rng.uniform(-box, box, L.dim) for _ in range(n_samples)]
     V = VectorField.constant(N)
-    rep = Report(title="ppwave")
-    for idx, p in enumerate(samples):        # the parallel criterion
+    parallel = []
+    for p in samples:               # every sample is solved before any R
         L.check_admissible(p, V(p))
         table = christoffel(L, V, p)
-        gscale = max(1.0, float(np.max(np.abs(table.g))))
-        d0 = float(np.max(np.abs(table.dmetric[0])))
         nab = table.jacobian + np.einsum("mil,l->im", table.gamma, table.v)
-        rep.add("sample %d: d0 g_N" % idx, d0, 1e-8 * gscale)
-        rep.add("sample %d: nabla N" % idx, float(np.max(np.abs(nab))),
-                1e-8 * gscale)
+        parallel.append((float(np.max(np.abs(table.dmetric[0]))),
+                         max(1.0, float(np.max(np.abs(table.g)))),
+                         float(np.max(np.abs(nab)))))
     rows = []
     scale = 0.0
-    for p in samples:                         # the curvature condition
+    for p, (d0, gscale, par) in zip(samples, parallel):
         nv = V(p)
         R = chern_curvature(L, p, nv, extension=parallel_extension(L, nv, p))
         light = abs(float(L.value(p, nv)))
-        nab = V.jacobian(p) + np.einsum("mil,l->im", R.gamma, nv)
         basis = nperp_basis(R.g, nv)
         worst = 0.0
         for i in range(len(basis)):
@@ -549,18 +572,19 @@ def per_sample_ppwave(L, rng, tol, n_samples, box, N):
                 for k in range(len(basis)):
                     vec = R.apply(basis[i], basis[j], basis[k])
                     worst = max(worst, float(np.linalg.norm(vec)))
-        rows.append((p, light, float(np.max(np.abs(nab))), worst))
+        rows.append((light, d0, gscale, par, worst))
         scale = max(scale, R.scale)
     ctol = tol * max(scale, 1.0)
-    rep.meta["curvature_scale"] = scale
-    rep.meta["samples"] = []
-    for idx, (p, light, par, worst) in enumerate(rows):
+    rep = Report(title="ppwave-condition",
+                 meta={"model": getattr(L, "name", "?"),
+                       "samples": [{"x": [float(t) for t in p]}
+                                   for p in samples],
+                       "curvature_scale": scale})
+    for idx, (light, d0, gscale, par, worst) in enumerate(rows):
         rep.add("sample %d: N lightlike" % idx, light, 1e-10)
-        rep.add("sample %d: N parallel" % idx, par, 1e-8)
+        rep.add("sample %d: d0 g_N" % idx, d0, 1e-8 * gscale)
+        rep.add("sample %d: nabla N" % idx, par, 1e-8)
         rep.add("sample %d: curvature condition" % idx, worst, ctol)
-        rep.meta["samples"].append({"x": [float(t) for t in p],
-                                    "lightlike": light, "parallel": par,
-                                    "residual": worst})
     return rep, None
 
 
@@ -574,7 +598,6 @@ def per_sample_homothety(L, N, omega, samples, tol=1e-9):
                  meta={"model": getattr(L, "name", "?"),
                        "omega": float(omega),
                        "jacobian": [float(a) for a in jd]})
-    rep.add("dx0*dx1 bookkeeping", abs(jd[0] * jd[1] - omega ** 2), 0.0)
     for idx, p in enumerate(samples):
         p = np.asarray(p, dtype=float)
         pm = p * jd

@@ -452,6 +452,23 @@ def test_overflowing_inputs_exit_alike_with_warnings_as_errors(case_id):
         assert strict.err.splitlines()[0].startswith("numerical failure: ")
 
 
+def test_penrose_runs_the_o_equation_of_a_rotating_profile(tmp_path,
+                                                           capsys):
+    # h(u) = R(u/2)^T diag(cos^2 u, 1) R(u/2) turns its eigenbasis, so
+    # W != 0 and the vielbein rotation O is not the identity: an O = I
+    # limit misses the symmetry condition of this run
+    cfg = write_config(tmp_path, {
+        "spacetime": {"type": "plugin", "params": {"module": "helpers",
+                                                   "builder": "rosen_twist"}},
+        "params": {"u_interval": [-1.0, 1.2]}})
+    code, rep = run_json(capsys, ["penrose", "--config", cfg])
+    assert code == 0
+    assert rep["pass"] is True
+    assert rep["meta"]["truncated"] is False
+    rows = {c["check"] for c in rep["checks"]}
+    assert "symmetry condition" in rows
+
+
 def test_penrose_base_point_below_the_positivity_floor_exits_three(
         tmp_path, capsys):
     # cos^2(1.5708) = 1.3e-11 is positive but below the 1e-8 floor that

@@ -18,7 +18,9 @@ row name of a point set's check, "sample k: <check>", is written by
 ``report.py`` holds a string that starts a ``sample %d`` row, as a
 literal, a ``%`` template or an f-string.  A report's rows are written
 once and never read back: no module of ``src/finsler`` but
-``report.py`` uses a ``checks`` or ``max_residual`` attribute.
+``report.py`` uses a ``checks`` or ``max_residual`` attribute.  The
+command line prints the library's public reports: ``cli.py``
+from-imports no underscore-prefixed name from a ``finsler`` module.
 """
 
 import ast
@@ -261,3 +263,36 @@ def test_only_report_reads_report_rows():
              for path in RUNTIME if path.name != "report.py"
              for line in report_row_reads(path.read_text(encoding="utf-8"))]
     assert not found, "report rows read back at " + ", ".join(found)
+
+
+def private_from_imports(source):
+    """(line, name) of each underscore-prefixed name that ``source``
+    from-imports from a ``finsler`` module, by a relative or an absolute
+    import."""
+    return sorted((node.lineno, alias.name)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or (node.module or "").split(".")[0]
+                       == "finsler")
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_scanner_flags_private_from_imports():
+    src = ("from .curvature import _condition_report, chern_curvature\n"
+           "from finsler.tensors import _homogeneity as h\n"
+           "from . import jets\n"
+           "from numpy import _core\n"
+           "from .. import _private\n"
+           "from __future__ import annotations\n"
+           "jets._row(f, x, xs)\n")
+    assert private_from_imports(src) == [(1, "_condition_report"),
+                                         (2, "_homogeneity"),
+                                         (5, "_private")]
+
+
+def test_cli_imports_no_private_kernel():
+    path = ROOT / "src" / "finsler" / "cli.py"
+    found = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
+             for line, name in private_from_imports(
+                 path.read_text(encoding="utf-8"))]
+    assert not found, "private names imported at " + ", ".join(found)

@@ -9,7 +9,8 @@ from finsler.errors import (ChartError, EvaluationError, SignatureError,
                             SolverError)
 from finsler.penrose import RosenProfile
 from helpers import (cos2_triple, dop853_vielbein, exp_triple,
-                     per_sample_homothety, per_sample_offblock, spd_sqrt)
+                     per_sample_homothety, per_sample_offblock, rosen_twist,
+                     spd_sqrt)
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -101,15 +102,26 @@ def test_omega_table_is_the_per_sample_bits(build, omega, n):
     assert got.to_json() == per_sample_homothety(L, E0, omega,
                                                  samples).to_json()
     res, row = penrose._omega_row(L, E0, omega, samples, us)
-    assert res.tolist() == [c.residual for c in got.checks[1:]]
+    assert res.tolist() == [c.residual for c in got.checks]
     assert row == per_sample_offblock(L, E0, omega, us)
 
 
 def test_homothety_of_no_samples_is_the_bookkeeping_alone():
+    # no samples give no rows: the report keeps only its meta
     L = fixtures.rosen_cross()
     got = penrose.homothety_residual(L, E0, 0.5, [])
     assert got.to_json() == per_sample_homothety(L, E0, 0.5, []).to_json()
-    assert len(got.checks) == 1
+    assert got.checks == []
+
+
+def test_homothety_passes_where_omega_squared_is_one_ulp_off():
+    # omega ** 2 (libm pow) and omega * omega differ by one ulp here; the
+    # report compares tensors only, so the exact homothety passes
+    omega = 0.42672114373024106
+    rep = penrose.homothety_residual(fixtures.rosen_cross(), E0, omega,
+                                     [[0.1, 0.25, 0.25, 0.25]])
+    assert rep.passed
+    assert [c.name for c in rep.checks] == ["sample 0: homothety"]
 
 
 def test_failing_homothety_sample_is_named():
@@ -288,12 +300,13 @@ def test_rotating_profile_vielbein_conditions():
 
 
 @pytest.mark.parametrize("builder", ["rosen_cos2", "rosen_cross",
-                                     "rosen_exp"])
+                                     "rosen_exp", "rosen_twist"])
 def test_the_profile_is_the_jacobi_operator_of_the_ray(builder, monkeypatch):
     # A(u) of the limit is Rm(E_a, N, N, E_b) of the Chern curvature at
     # (u, 0, 0, 0), read in the vielbein frame E_a = (0, 0, M[:, a]);
-    # the curvature side never runs the O-equation
-    L = fixtures.BUILDERS[builder]()
+    # the curvature side never runs the O-equation, which rosen_twist's
+    # rotating h makes non-trivial (W != 0)
+    L = {**fixtures.BUILDERS, "rosen_twist": rosen_twist}[builder]()
     us = np.linspace(-0.9, 0.9, 7)
     fields = penrose.penrose_limit(L, E0, (-1.0, 1.0)).brinkmann.fields_on(us)
 
